@@ -26,7 +26,11 @@ NODES = 3
 REPS = 5
 SCHEMES = ("shamir", "full_threshold")
 OPS = ("sum", "min", "union")
-SMALL_OPS_ELEMENTS = 200  # comparison ops are bit-decomposed; keep them small
+#: Comparison ops work on a flat bit matrix of 122 elements per compared
+#: value.  1 and 8 are the shapes the algorithms emit (scalars; one entry per
+#: feature or level); 200 is the synthetic long batch.  The dispatch constant
+#: ``field.NUMPY_MIN_ELEMENTS`` is re-derived from these rows.
+COMPARE_ELEMENTS = (1, 8, 200)
 
 
 def _payloads(n_elements: int, operation: str) -> dict[str, dict]:
@@ -78,18 +82,22 @@ def test_kernel_speedup_table():
         "rows": [],
     }
     headline_samples: list[float] = []
+    cases = [
+        (operation, n)
+        for operation in OPS
+        for n in ((ELEMENTS,) if operation == "sum" else COMPARE_ELEMENTS)
+    ]
     for scheme in SCHEMES:
-        for operation in OPS:
-            n = ELEMENTS if operation == "sum" else SMALL_OPS_ELEMENTS
+        for operation, n in cases:
             t_py, r_py, m_py, _ = _run_once("python", scheme, operation, n)
             t_np, r_np, m_np, np_times = _run_once("numpy", scheme, operation, n)
             t_auto, r_auto, m_auto, _ = _run_once("auto", scheme, operation, n)
             # The tentpole acceptance: bit-exact opened values and unchanged
             # SMPC telemetry under both kernels (and the auto router).
             assert r_py == r_np == r_auto, (
-                f"{scheme}/{operation}: opened values differ"
+                f"{scheme}/{operation}/{n}: opened values differ"
             )
-            assert m_py == m_np == m_auto, f"{scheme}/{operation}: telemetry differs"
+            assert m_py == m_np == m_auto, f"{scheme}/{operation}/{n}: telemetry differs"
             speedup = t_py / t_np
             lines.append(
                 f"{scheme:<16} {operation:<6} {n:>6} {t_py * 1000:>10.2f} "
@@ -115,9 +123,11 @@ def test_kernel_speedup_table():
                 headline_samples = np_times
     lines += [
         "",
-        "sum rows are the 10k-element headline; min/union are bit-decomposed",
-        "protocols benched at smaller n (auto routes their short vectors back",
-        "to python bignums).  full_threshold sharing is dominated by the",
+        "sum rows are the 10k-element headline.  min/union run on a flat bit",
+        "matrix of 122 elements per compared value with a log-depth carry tree:",
+        "n = 1 and 8 are the shapes the algorithms emit (auto keeps them on",
+        "python bignums), n = 200 is a synthetic long batch (auto hands it to",
+        "the limb kernel).  full_threshold sharing is dominated by the",
         "stream-pinned per-party RNG draws both kernels must replay",
         "identically, so its speedup is bounded by the draw cost.",
     ]

@@ -100,6 +100,11 @@ def tukey_hsd(
     """
     k = len(levels)
     comparisons = []
+    if k < 2:
+        return comparisons
+    # The critical value depends on (k, df) only: one quantile inversion per
+    # table (~0.15 s each), not one per pair.
+    q_critical = float(scipy.stats.studentized_range.ppf(0.95, k, df_within))
     for i in range(k):
         for j in range(i + 1, k):
             difference = float(means[i] - means[j])
@@ -108,7 +113,6 @@ def tukey_hsd(
             )
             q_statistic = abs(difference) / standard_error if standard_error > 0 else np.inf
             p_value = float(scipy.stats.studentized_range.sf(q_statistic, k, df_within))
-            q_critical = float(scipy.stats.studentized_range.ppf(0.95, k, df_within))
             margin = q_critical * standard_error
             comparisons.append(
                 {

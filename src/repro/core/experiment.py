@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ExperimentNotFoundError  # noqa: F401 - re-export
 from repro.federation.controller import Federation
@@ -117,8 +117,10 @@ class ExperimentResult:
     workers: tuple[str, ...] = ()
     telemetry: ExperimentTelemetry = field(default_factory=ExperimentTelemetry)
     #: Privacy audit trail for this experiment, merged across master and
-    #: workers (each entry is an AuditEvent dict; see observability.audit).
-    audit: tuple = ()
+    #: workers: a sequence of AuditEvent dicts (an ``AuditTrail`` over the
+    #: nodes' own records for a live result, a plain tuple for a restored one;
+    #: see observability.audit).
+    audit: Sequence[Mapping[str, Any]] = ()
     #: Workers evicted mid-flow by the failure policy (empty on clean runs).
     evicted: tuple[str, ...] = ()
     #: Critical-path analysis of this experiment's span tree (populated by

@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.federation import transport as transport_mod
 from repro.federation.messages import new_job_id
-from repro.observability.audit import merged_events
+from repro.observability.audit import AuditTrail
 from repro.observability.critical_path import analyze_experiment
 from repro.observability.metrics import Histogram
 from repro.observability.trace import NULL_SPAN, tracer
@@ -619,9 +619,7 @@ class ExperimentQueue:
             )
         result.dedup_hits = int(info.get("dedup_hits", 0) or 0)
         job.dedup_hits = result.dedup_hits
-        result.audit = tuple(
-            merged_events(federation.audit_logs(), job_id=experiment_id)
-        )
+        result.audit = AuditTrail(federation.audit_logs(), job_id=experiment_id)
         if tracer.enabled:
             report = analyze_experiment(experiment_id)
             if report is not None:
@@ -667,11 +665,12 @@ class ExperimentQueue:
         )
 
     def _drop_job_meters(self, experiment_id: str) -> None:
-        """Release a finished job's meters; its result holds the numbers."""
+        """Release a finished job's meters and its retained SMPC results;
+        its result holds the numbers."""
         federation = self.runner.federation
         federation.transport.drop_job_stats(experiment_id)
         if federation.smpc_cluster is not None:
-            federation.smpc_cluster.drop_job_meters(experiment_id)
+            federation.smpc_cluster.forget_jobs(experiment_id)
 
     def _cancelled_result(self, job: _Job, pre_dispatch: bool, error: str | None = None):
         from repro.core.experiment import ExperimentResult, ExperimentStatus

@@ -323,15 +323,23 @@ class Master:
             if lost:
                 ordered = [(worker, table) for worker, table in ordered if worker not in lost]
             merge_name = f"merge_{job_id}_{counter}"
+            declared = [merge_name]
             with self._db_lock:
-                self.database.execute(f"CREATE MERGE TABLE {merge_name} (transfer VARCHAR)")
-                for index, (worker, table) in enumerate(ordered):
-                    remote_name = f"remote_{job_id}_{counter}_{index}"
-                    self.database.execute(
-                        f"CREATE REMOTE TABLE {remote_name} (transfer VARCHAR) ON '{worker}/{table}'"
-                    )
-                    self.database.execute(f"ALTER TABLE {merge_name} ADD TABLE {remote_name}")
-                merged = self.database.query(f"SELECT * FROM {merge_name}")
+                try:
+                    self.database.execute(f"CREATE MERGE TABLE {merge_name} (transfer VARCHAR)")
+                    for index, (worker, table) in enumerate(ordered):
+                        remote_name = f"remote_{job_id}_{counter}_{index}"
+                        self.database.execute(
+                            f"CREATE REMOTE TABLE {remote_name} (transfer VARCHAR) ON '{worker}/{table}'"
+                        )
+                        declared.append(remote_name)
+                        self.database.execute(f"ALTER TABLE {merge_name} ADD TABLE {remote_name}")
+                    merged = self.database.query(f"SELECT * FROM {merge_name}")
+                finally:
+                    # The declarations only exist to route this one SELECT;
+                    # once it has materialised they are dead catalog entries.
+                    for name in declared:
+                        self.database.drop_table(name, if_exists=True)
         self.audit.record(
             "plain_aggregate",
             job_id=job_id,

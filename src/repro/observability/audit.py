@@ -32,10 +32,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     """One immutable audit record."""
 
@@ -107,14 +107,52 @@ class AuditLog:
         return [entry.to_dict() for entry in self.events(job_id=job_id, event=event)]
 
 
+class AuditTrail(Sequence):
+    """One experiment's audit trail across nodes, in (time, node, seq) order.
+
+    Reads like a tuple of event dicts, but holds the nodes' own (immutable)
+    :class:`AuditEvent` records and copies one out per access — every
+    finished experiment keeps its trail, and a second full copy of every
+    event was two fifths of what an experiment retained.
+    """
+
+    __slots__ = ("_events",)
+
+    def __init__(
+        self, logs: Iterable[AuditLog], job_id: str | None = None, event: str | None = None
+    ) -> None:
+        entries: list[AuditEvent] = []
+        for log in logs:
+            entries.extend(log.events(job_id=job_id, event=event))
+        entries.sort(key=lambda e: (e.wall_time, e.node, e.seq))
+        self._events = tuple(entries)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(entry.to_dict() for entry in self._events[index])
+        return self._events[index].to_dict()
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return (entry.to_dict() for entry in self._events)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AuditTrail):
+            return self._events == other._events
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"AuditTrail({len(self)} events)"
+
+
 def merged_events(
     logs: Iterable[AuditLog],
     job_id: str | None = None,
     event: str | None = None,
 ) -> list[dict[str, Any]]:
-    """One experiment's audit trail across nodes, in (time, node, seq) order."""
-    entries: list[AuditEvent] = []
-    for log in logs:
-        entries.extend(log.events(job_id=job_id, event=event))
-    entries.sort(key=lambda e: (e.wall_time, e.node, e.seq))
-    return [entry.to_dict() for entry in entries]
+    """One experiment's audit trail across nodes, as a list of event dicts."""
+    return list(AuditTrail(logs, job_id=job_id, event=event))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import IntegrityError, SMPCError
+from repro.smpc import field
 from repro.smpc.field import PRIME, FieldVector, vector_sum
 
 
@@ -140,6 +141,35 @@ def add_public(a: AdditiveShared, public: FieldVector, alpha_shares: Sequence[in
     shares[0] = shares[0] + public
     macs = [m + public.scale(alpha_i) for m, alpha_i in zip(a.macs, alpha_shares)]
     return AdditiveShared(shares, macs)
+
+
+def scale_by_vector(a: AdditiveShared, public: FieldVector) -> AdditiveShared:
+    """Element-wise product with a public vector (local; MACs follow)."""
+    return AdditiveShared([s * public for s in a.shares], [m * public for m in a.macs])
+
+
+def take(a: AdditiveShared, indices) -> AdditiveShared:
+    """Gather the same positions (index sequence or slice) from every share."""
+    return AdditiveShared(
+        [s.take(indices) for s in a.shares], [m.take(indices) for m in a.macs]
+    )
+
+
+def concat(parts: Sequence[AdditiveShared]) -> AdditiveShared:
+    """Concatenate sharings end to end, party by party."""
+    n_parties = parts[0].n_parties
+    return AdditiveShared(
+        [field.concat([part.shares[p] for part in parts]) for p in range(n_parties)],
+        [field.concat([part.macs[p] for part in parts]) for p in range(n_parties)],
+    )
+
+
+def row_dot(a: AdditiveShared, row_length: int, weights: Sequence[int], start: int = 0) -> AdditiveShared:
+    """Per-row public-weight combination of a flat shared matrix (local)."""
+    return AdditiveShared(
+        [field.row_dot(s, row_length, weights, start) for s in a.shares],
+        [field.row_dot(m, row_length, weights, start) for m in a.macs],
+    )
 
 
 def public_to_shared(

@@ -28,7 +28,7 @@ from repro.errors import SMPCError
 from repro.observability.trace import tracer
 from repro.simtest import hooks as sim_hooks
 from repro.smpc.encoding import FixedPointEncoder
-from repro.smpc.field import active_kernel
+from repro.smpc.field import PRIME, FieldVector, active_kernel
 from repro.smpc.protocol import CommunicationMeter
 from repro.smpc.protocol import FTProtocol, Protocol, ShamirProtocol
 
@@ -64,6 +64,21 @@ class SecureComputationRequest:
 class _Flattened:
     values: np.ndarray  # 1-D float64
     shape: tuple[int, ...] | None  # None for a scalar
+
+
+@dataclass(frozen=True)
+class _KeyInputs:
+    """One validated transfer key: its operation and every worker's values."""
+
+    key: str
+    operation: str
+    inputs: list[_Flattened]  # one per worker, all of one shape
+
+
+#: The protocol run each operation rides in.  ``max`` joins the ``min`` run
+#: with its sign flipped: max(x) = -min(-x), and field negation is exact over
+#: the symmetric fixed-point range.
+_PROTOCOL_RUN = {"sum": "sum", "product": "product", "min": "min", "max": "min", "union": "union"}
 
 
 class SMPCCluster:
@@ -168,7 +183,7 @@ class SMPCCluster:
         for worker in workers[1:]:
             if list(job.payloads[worker]) != keys:
                 raise SMPCError(f"SMPC job {job_id!r}: workers disagree on transfer keys")
-        result: dict[str, Any] = {}
+        runs: dict[str, list[_KeyInputs]] = {}
         with tracer.span(
             "smpc.aggregate",
             job=job_id,
@@ -190,8 +205,18 @@ class SMPCCluster:
                 shapes = {f.shape for f in flattened}
                 if len(shapes) != 1:
                     raise SMPCError(f"SMPC job {job_id!r}, key {key!r}: shape mismatch")
-                with tracer.span("smpc.aggregate_key", key=key, operation=operation):
-                    result[key] = self._aggregate_one(operation, flattened, noise)
+                if operation not in _PROTOCOL_RUN:
+                    raise SMPCError(f"unsupported SMPC operation {operation!r}")
+                runs.setdefault(_PROTOCOL_RUN[operation], []).append(
+                    _KeyInputs(key, operation, flattened)
+                )
+            # One protocol run per operation, over every key of that
+            # operation laid end to end — rounds do not grow with key count.
+            opened: dict[str, Any] = {}
+            for run, members in runs.items():
+                with tracer.span("smpc.aggregate_key", operation=run, keys=len(members)):
+                    opened.update(self._aggregate_run(run, members, noise))
+            result = {key: opened[key] for key in keys}
             span.set_attribute("rounds", self.protocol.meter.rounds - rounds_before)
         meter = self._job_meters.setdefault(job_id, CommunicationMeter())
         meter.record(
@@ -208,45 +233,73 @@ class SMPCCluster:
             raise SMPCError(f"no finished SMPC result for job {job_id!r}")
         return self._results[job_id]
 
-    def _aggregate_one(
-        self, operation: str, inputs: Sequence[_Flattened], noise: NoiseSpec | None
-    ) -> Any:
+    def _aggregate_run(
+        self, run: str, members: Sequence[_KeyInputs], noise: NoiseSpec | None
+    ) -> dict[str, Any]:
         protocol = self.protocol
         encoder = protocol.encoder
-        integer_mode = operation == "union"
-        encoded_inputs = []
-        for item in inputs:
-            if integer_mode:
-                encoded = encoder.encode_ints_to_field_vector(item.values)
-            else:
-                encoded = encoder.encode_to_field_vector(item.values)
-            encoded_inputs.append(protocol.input_vector(encoded))
-        if operation == "sum":
-            combined = protocol.sum_inputs(encoded_inputs)
-        elif operation == "product":
-            combined = protocol.product_fixed_point(encoded_inputs)
-        elif operation == "min":
-            combined = protocol.minimum_inputs(encoded_inputs)
-        elif operation == "max":
-            combined = protocol.maximum_inputs(encoded_inputs)
-        elif operation == "union":
-            combined = protocol.union_inputs(encoded_inputs)
+        integer_mode = run == "union"
+        encode = (
+            encoder.encode_ints_to_field_vector if integer_mode else encoder.encode_to_field_vector
+        )
+        sizes = [len(member.inputs[0].values) for member in members]
+        signs = None
+        if any(member.operation == "max" for member in members):
+            signs = FieldVector._raw(
+                [
+                    PRIME - 1 if member.operation == "max" else 1
+                    for member, size in zip(members, sizes)
+                    for _ in range(size)
+                ]
+            )
+        shared_inputs = []
+        for worker in range(len(members[0].inputs)):
+            encoded = encode(np.concatenate([member.inputs[worker].values for member in members]))
+            if signs is not None:
+                encoded = encoded * signs
+            shared_inputs.append(protocol.input_vector(encoded))
+        if run == "sum":
+            combined = protocol.sum_inputs(shared_inputs)
+            if noise is not None:
+                combined = self._inject_noise(combined, noise, sizes)
+        elif run == "product":
+            combined = protocol.product_fixed_point(shared_inputs)
+        elif run == "min":
+            combined = protocol.minimum_inputs(shared_inputs)
         else:
-            raise SMPCError(f"unsupported SMPC operation {operation!r}")
-        if noise is not None and operation in ("sum",):
-            combined = self._inject_noise(combined, noise, len(inputs[0].values))
+            combined = protocol.union_inputs(shared_inputs)
         opened = protocol.open(combined)
+        if signs is not None:
+            opened = opened * signs
         if integer_mode:
             values = np.asarray(encoder.decode_ints_from_field_vector(opened), dtype=np.int64)
         else:
             values = encoder.decode_field_vector(opened)
-        return _unflatten(values, inputs[0].shape, integer_mode)
+        results = {}
+        offset = 0
+        for member, size in zip(members, sizes):
+            results[member.key] = _unflatten(
+                values[offset : offset + size], member.inputs[0].shape, integer_mode
+            )
+            offset += size
+        return results
 
-    def _inject_noise(self, combined, noise: NoiseSpec, length: int):
+    def _inject_noise(self, combined, noise: NoiseSpec, sizes: Sequence[int]):
+        """Add every node's authenticated partial noise to the sum run.
+
+        Partials are drawn key by key, node by node within a key — the order
+        seeded released values were produced under when each key had its own
+        protocol run — and then shared as one vector per node.
+        """
         protocol = self.protocol
-        for _ in range(self.n_nodes):
-            partial = noise.partial(self._noise_rng, self.n_nodes, length)
-            encoded = protocol.encoder.encode_to_field_vector(partial)
+        partials = [
+            [noise.partial(self._noise_rng, self.n_nodes, size) for _ in range(self.n_nodes)]
+            for size in sizes
+        ]
+        for node in range(self.n_nodes):
+            encoded = protocol.encoder.encode_to_field_vector(
+                np.concatenate([per_key[node] for per_key in partials])
+            )
             combined = protocol.add(combined, protocol.input_vector(encoded))
         return combined
 
@@ -267,23 +320,27 @@ class SMPCCluster:
         total = CommunicationMeter()
         with self._lock:
             for job_id, meter in self._job_meters.items():
-                if job_id == job_prefix or job_id.startswith(f"{job_prefix}_"):
+                if _belongs_to(job_id, job_prefix):
                     total.record(rounds=meter.rounds, elements=meter.elements)
         return total
 
-    def drop_job_meters(self, job_prefix: str) -> None:
-        """Forget a finished experiment's per-job meters (prefix match)."""
+    def forget_jobs(self, job_prefix: str) -> None:
+        """Forget a finished experiment's per-job meters and retained results
+        (prefix match); its :class:`ExperimentResult` holds what mattered."""
         with self._lock:
-            for job_id in [
-                j
-                for j in self._job_meters
-                if j == job_prefix or j.startswith(f"{job_prefix}_")
-            ]:
-                del self._job_meters[job_id]
+            for retained in (self._job_meters, self._results):
+                for job_id in [j for j in retained if _belongs_to(j, job_prefix)]:
+                    del retained[job_id]
 
     @property
     def offline_usage(self):
         return self.protocol.dealer.usage
+
+
+def _belongs_to(job_id: str, job_prefix: str) -> bool:
+    """Step-scoped job ids are ``{experiment}_...``; an experiment id matches
+    itself and every step under it (but not ``{experiment}0``)."""
+    return job_id == job_prefix or job_id.startswith(f"{job_prefix}_")
 
 
 def _flatten(data: Any) -> _Flattened:

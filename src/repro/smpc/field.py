@@ -17,9 +17,10 @@ Two interchangeable kernels implement the vector arithmetic:
 Selection: ``REPRO_SMPC_KERNEL=python|numpy|auto`` in the environment, or
 :func:`set_kernel` for programmatic override (tests).  The default ``auto``
 routes each operation by vector length (:data:`NUMPY_MIN_ELEMENTS`): bulk
-aggregation vectors take the limb kernel, the short vectors inside
-bit-decomposed comparison protocols stay on Python bignums, which beat
-numpy's fixed dispatch cost at that size.  Both kernels produce
+aggregation vectors and the flat bit matrices of long comparison batches
+take the limb kernel; the bit matrices of the few-element comparisons the
+algorithms emit stay on Python bignums, which beat numpy's fixed dispatch
+cost at that size.  Both kernels produce
 identical field elements for identical inputs — arithmetic in Z_p is exact —
 and :meth:`FieldVector.random` consumes the seeded RNG stream identically
 under either, so seeded runs are kernel-independent end to end.
@@ -31,6 +32,7 @@ callers may mutate the list they receive.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 from typing import Iterable, Iterator, Sequence
@@ -48,13 +50,23 @@ KERNEL_ENV = "REPRO_SMPC_KERNEL"
 
 _KERNELS = ("python", "numpy", "auto")
 _kernel_override: str | None = None
+#: $REPRO_SMPC_KERNEL as resolved on first use (``None`` until then).
+_env_kernel: str | None = None
 
-#: In ``auto`` mode, vectors shorter than this use the python path: the limb
-#: kernel's fixed per-op dispatch cost (~tens of numpy calls per reduction)
-#: beats Python bignums only once a few hundred elements amortize it.  The
-#: bit-decomposed comparison protocols live below this line; bulk secure
-#: sums live far above it.  Results are identical either way.
-NUMPY_MIN_ELEMENTS = 512
+#: In ``auto`` mode, vectors shorter than this use the python path.  The
+#: limb kernel pays a fixed ~20-50 us of numpy dispatch per operation and
+#: draws random shares at half the bignum speed (every draw is serialized
+#: through ``to_bytes``), so it only wins once a vector is long enough to
+#: amortize both.  Derived from ``benchmarks/bench_smpc_kernels.py``: the
+#: comparison protocols work on flat bit matrices of 122 elements per
+#: compared value, and the measured crossover sits near 8 values (976
+#: elements) under Shamir and near 50 (6 100) under full threshold; secure
+#: sums cross near 100 and 900 elements.  2048 keeps every comparison batch
+#: the algorithms emit (at most 16 values per tournament level) on bignums
+#: under both schemes, and still hands the n = 200 comparison rows and the
+#: bulk sums to the limb kernel, which wins them.  Results are identical
+#: either way.
+NUMPY_MIN_ELEMENTS = 2048
 
 
 def set_kernel(name: str | None) -> str | None:
@@ -71,15 +83,22 @@ def set_kernel(name: str | None) -> str | None:
 
 
 def active_kernel() -> str:
-    """The kernel in effect: override, else $REPRO_SMPC_KERNEL, else auto."""
+    """The kernel in effect: override, else $REPRO_SMPC_KERNEL, else auto.
+
+    The environment is read once per process, on first use — every
+    :class:`FieldVector` operation asks this question, and the variable is
+    set before the interpreter starts wherever it is set at all.  An invalid
+    value is never cached, so it raises on every call.
+    """
+    global _env_kernel
     if _kernel_override is not None:
         return _kernel_override
-    value = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if not value:
-        return "auto"
-    if value not in _KERNELS:
-        raise SMPCError(f"{KERNEL_ENV} must be one of {_KERNELS}, got {value!r}")
-    return value
+    if _env_kernel is None:
+        value = os.environ.get(KERNEL_ENV, "").strip().lower() or "auto"
+        if value not in _KERNELS:
+            raise SMPCError(f"{KERNEL_ENV} must be one of {_KERNELS}, got {value!r}")
+        _env_kernel = value
+    return _env_kernel
 
 
 def use_numpy(length: int) -> bool:
@@ -403,19 +422,39 @@ class FieldVector:
             return limb.is_zero(self._limbs)
         return not any(self._as_elements())
 
-    def take(self, indices: Sequence[int] | np.ndarray) -> "FieldVector":
-        """Gather elements at ``indices`` (the bit-column reshape hot path)."""
+    def take(self, indices: "Sequence[int] | np.ndarray | slice") -> "FieldVector":
+        """Gather elements at ``indices`` — an index sequence or a slice.
+
+        The reshuffle primitive of the flat comparison protocols: bit-matrix
+        columns and carry-tree node blocks are picked out of one long vector.
+        """
         if self._prefer_numpy():
-            return FieldVector._from_limbs(
-                self._as_limbs()[np.asarray(indices, dtype=np.intp)]
-            )
+            if not isinstance(indices, slice):
+                indices = np.asarray(indices, dtype=np.intp)
+            return FieldVector._from_limbs(self._as_limbs()[indices])
         elements = self._as_elements()
-        return FieldVector._raw([elements[int(i)] for i in indices])
+        if isinstance(indices, slice):
+            return FieldVector._raw(elements[indices])
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
+        return FieldVector._raw([elements[i] for i in indices])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         preview = self._as_elements()[:4]
         suffix = "..." if len(self) > 4 else ""
         return f"FieldVector({preview}{suffix}, n={len(self)})"
+
+
+def concat(vectors: Sequence[FieldVector]) -> FieldVector:
+    """Concatenate vectors end to end (the inverse of slicing with ``take``)."""
+    if not vectors:
+        raise SMPCError("concat of zero vectors")
+    if any(v._prefer_numpy() for v in vectors):
+        return FieldVector._from_limbs(np.concatenate([v._as_limbs() for v in vectors]))
+    out: list[int] = []
+    for vector in vectors:
+        out.extend(vector._as_elements())
+    return FieldVector._raw(out)
 
 
 def vector_sum(vectors: Iterable[FieldVector]) -> FieldVector:
@@ -482,3 +521,34 @@ def linear_combination(scalars: Sequence[int], vectors: Sequence[FieldVector]) -
         for i, value in enumerate(elements):
             result[i] = (result[i] + scalar * value) % PRIME
     return FieldVector._raw(result)
+
+
+def row_dot(
+    matrix: FieldVector, row_length: int, weights: Sequence[int], start: int = 0
+) -> FieldVector:
+    """Per-row dot product of a flat row-major matrix with public weights.
+
+    ``matrix`` holds ``len(matrix) // row_length`` rows; row ``j`` yields
+    ``sum_i weights[i] * matrix[j * row_length + start + i]``.  This is how a
+    bitwise-shared random is assembled from the flat bit matrix: one linear
+    combination of the matrix's columns per party share.  Weights must be
+    canonical (in ``[0, p)``).
+    """
+    if row_length <= 0 or len(matrix) % row_length:
+        raise SMPCError("row_dot: matrix length is not a multiple of the row length")
+    stop = start + len(weights)
+    if not weights or start < 0 or stop > row_length:
+        raise SMPCError("row_dot: weights do not fit inside a row")
+    if matrix._prefer_numpy():
+        rows = matrix._as_limbs().reshape(-1, row_length, limb.N_LIMBS)
+        return FieldVector._from_limbs(
+            limb.linear_combination(weights, [rows[:, i] for i in range(start, stop)])
+        )
+    elements = matrix._as_elements()
+    # Lazy reduction: at most row_length products below 2^254 per row.
+    return FieldVector._raw(
+        [
+            sum(map(operator.mul, elements[k + start : k + stop], weights)) % PRIME
+            for k in range(0, len(elements), row_length)
+        ]
+    )

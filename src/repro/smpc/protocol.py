@@ -11,8 +11,15 @@ Secure comparison uses the statistically-masked-open construction: to test
 ``x < 0`` for |x| < 2^L, open ``c = x + 2^L + r`` where ``r`` is a shared
 random of L + kappa bits with bitwise sharings; then ``floor((c-r)/2^L) = C -
 R - u`` with ``C, c'`` public digits of ``c``, ``R`` the linear combination of
-r's high bits, and ``u = BitLT(c', r')`` computed with one secure
-multiplication per bit.
+r's high bits, and ``u = BitLT(c', r')``.
+
+Everything on that path is batched.  The dealer's bits for a whole operand
+vector stay one flat shared matrix (a row per element); ``r`` and ``R`` are
+one public-weight combination of its columns each; and BitLT combines the
+per-bit (generate, propagate) pairs with a log-depth carry tree — one Beaver
+multiplication over every node of a level — instead of a bit-by-bit chain.
+Min/max run as a pairwise tournament whose every level is one such
+comparison over all surviving pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Generic, Sequence, TypeVar
+from typing import Any, Generic, Sequence, TypeVar
 
 import numpy as np
 
@@ -58,6 +65,9 @@ class Protocol(abc.ABC, Generic[S]):
     """Common operation set over a share representation ``S``."""
 
     name: str = "abstract"
+    #: The sharing module (:mod:`additive` or :mod:`shamir`) whose local
+    #: operators act on this protocol's share representation.
+    _sharing: Any = None
 
     def __init__(
         self,
@@ -97,31 +107,57 @@ class Protocol(abc.ABC, Generic[S]):
         """Reveal a shared vector to every party (with MAC check under FT)."""
 
     @abc.abstractmethod
-    def add(self, a: S, b: S) -> S: ...
-
-    @abc.abstractmethod
-    def sub(self, a: S, b: S) -> S: ...
-
-    @abc.abstractmethod
-    def scale(self, a: S, scalar: int) -> S: ...
-
-    @abc.abstractmethod
     def add_public(self, a: S, public: FieldVector) -> S: ...
 
-    @abc.abstractmethod
-    def mul(self, a: S, b: S) -> S:
-        """Beaver multiplication (consumes one triple, two masked opens)."""
+    # Local (communication-free) operations are share-wise and differ only in
+    # the share container, so they go straight to the sharing module.
+
+    def add(self, a: S, b: S) -> S:
+        return self._sharing.add(a, b)
+
+    def sub(self, a: S, b: S) -> S:
+        return self._sharing.sub(a, b)
+
+    def scale(self, a: S, scalar: int) -> S:
+        return self._sharing.scale(a, scalar)
+
+    def _scale_by_vector(self, a: S, public: FieldVector) -> S:
+        """Element-wise product with a public vector."""
+        return self._sharing.scale_by_vector(a, public)
+
+    def _take(self, a: S, indices) -> S:
+        """The sharing of ``a``'s elements at ``indices`` (sequence or slice)."""
+        return self._sharing.take(a, indices)
+
+    def _concat(self, parts: Sequence[S]) -> S:
+        """The sharing of several shared vectors laid end to end."""
+        return self._sharing.concat(parts)
+
+    def _row_dot(self, a: S, row_length: int, weights: Sequence[int], start: int = 0) -> S:
+        """Per-row public-weight combination of a flat shared matrix."""
+        return self._sharing.row_dot(a, row_length, weights, start)
 
     @abc.abstractmethod
     def _random_bits(self, count: int) -> S:
         """Dealer-supplied shared random bits."""
 
     @abc.abstractmethod
-    def _length(self, shared: S) -> int: ...
+    def _triple(self, length: int):
+        """A dealer-supplied Beaver triple ``(a, b, c = a * b)`` of ``length``."""
 
-    @abc.abstractmethod
-    def _take_bit_columns(self, bits: S, length: int, n_bits: int) -> list[S]:
-        """Reshape a flat bit sharing into per-bit-position vectors."""
+    def mul(self, a: S, b: S) -> S:
+        """Beaver multiplication: one triple, one masked open of ``d || e``."""
+        length = len(a)
+        triple = self._triple(length)
+        opened = self.open(self._concat([self.sub(a, triple.a), self.sub(b, triple.b)]))
+        d = opened.take(slice(0, length))
+        e = opened.take(slice(length, None))
+        # z = c + d*b + e*a + d*e
+        z = self.add(
+            self.add(triple.c, self._scale_by_vector(triple.b, d)),
+            self._scale_by_vector(triple.a, e),
+        )
+        return self.add_public(z, d * e)
 
     # ------------------------------------------------------------ aggregates
 
@@ -154,98 +190,105 @@ class Protocol(abc.ABC, Generic[S]):
         Operands must be bounded: |x| < 2^comparison_bits (guaranteed for
         fixed-point encoded values and their pairwise differences).
         """
-        length = self._length(x)
-        n_bits = self.mask_bits
-        flat_bits = self._random_bits(length * n_bits)
-        bit_columns = self._take_bit_columns(flat_bits, length, n_bits)
-        # r = sum 2^i b_i ; r_low = low L bits ; R_high = high bits value.
-        r = self._weighted_bit_sum(bit_columns, 0, n_bits, shift=0)
-        shift = 1 << self.comparison_bits
-        # c = x + 2^L + r, opened (statistically masked).
-        masked = self.add_public(self.add(x, r), _constant_vector(shift, length))
-        c_public = self.open(masked)
-        c_low = [c % shift for c in c_public.elements]
-        c_high = [c // shift for c in c_public.elements]
-        # u = [c_low < r_low] via BitLT with public c bits.
-        u = self._bit_lt(c_low, bit_columns[: self.comparison_bits])
-        r_high = self._weighted_bit_sum(
-            bit_columns, self.comparison_bits, n_bits, shift=self.comparison_bits
+        # floor((x + 2^L) / 2^L) is 1 for x >= 0 and 0 for x < 0.
+        sign = self._shifted_floor(
+            x, self.comparison_bits, self.mask_bits, self.comparison_bits
         )
-        # floor((c - r)/2^L) = C - R_high - u  in {0, 1};  x >= 0  <=>  1.
-        sign = self.add_public(
-            self.sub(self.scale(r_high, PRIME - 1), u), FieldVector(c_high)
-        )
-        # ltz = 1 - sign
-        return self.add_public(self.scale(sign, PRIME - 1), _constant_vector(1, length))
-
-    def _weighted_bit_sum(self, bit_columns: list[S], start: int, stop: int, shift: int) -> S:
-        total: S | None = None
-        for i in range(start, stop):
-            term = self.scale(bit_columns[i], 1 << (i - shift))
-            total = term if total is None else self.add(total, term)
-        assert total is not None
-        return total
-
-    def _bit_lt(self, public_values: list[int], bit_columns: list[S]) -> S:
-        """[public < shared] where both are L-bit integers, LSB first bits.
-
-        Recurrence from LSB to MSB: lt = r_i(1 - c_i) + (1 - xor_i) * lt.
-        With c_i public, ``xor_i`` and ``r_i (1-c_i)`` are share-linear; only
-        ``xor_i * lt`` needs a Beaver multiplication — one per bit.
-        """
-        length = len(public_values)
-        lt: S | None = None
-        for i, r_bits in enumerate(bit_columns):
-            c_bits = [(v >> i) & 1 for v in public_values]
-            c_vec = FieldVector(c_bits)
-            # xor = c + r - 2cr ; with c public: xor = c + (1-2c) * r
-            one_minus_2c = FieldVector([(1 - 2 * c) % PRIME for c in c_bits])
-            xor = self.add_public(self._scale_by_vector(r_bits, one_minus_2c), c_vec)
-            # base = r * (1 - c)
-            base = self._scale_by_vector(r_bits, FieldVector([(1 - c) % PRIME for c in c_bits]))
-            if lt is None:
-                lt = base
-            else:
-                keep = self.sub(lt, self.mul(xor, lt))
-                lt = self.add(base, keep)
-        assert lt is not None
-        return lt
-
-    @abc.abstractmethod
-    def _scale_by_vector(self, a: S, public: FieldVector) -> S:
-        """Element-wise product with a public vector (local operation)."""
+        return self.add_public(self.scale(sign, PRIME - 1), _constant_vector(1, len(x)))
 
     def truncate(self, x: S, fractional_bits: int | None = None) -> S:
         """Secure floor division by 2^f (fixed-point rescaling after a
         multiplication).
 
-        Standard masked-open truncation: open ``c = x + 2^L + r`` with a
-        bitwise-shared statistical mask ``r``; then
-        ``floor((c - r)/2^f) = (c >> f) - [r >> f] - [c mod 2^f < r mod 2^f]``
-        is share-linear except for one BitLT (f Beaver multiplications).
-        Exact floor semantics, so each truncation costs at most one unit of
-        the fixed-point resolution.
+        The same masked open as :meth:`ltz` with the split at bit ``f``
+        instead of bit ``L``, so BitLT runs over ``f`` bits.  Exact floor
+        semantics: each truncation costs at most one unit of the fixed-point
+        resolution.
         """
         f = self.encoder.fractional_bits if fractional_bits is None else fractional_bits
-        length = self._length(x)
         L = self.truncation_bits
-        n_bits = self.truncation_mask_bits
-        flat_bits = self._random_bits(length * n_bits)
-        bit_columns = self._take_bit_columns(flat_bits, length, n_bits)
-        r = self._weighted_bit_sum(bit_columns, 0, n_bits, shift=0)
-        shift = 1 << L
-        masked = self.add_public(self.add(x, r), _constant_vector(shift, length))
-        c_public = self.open(masked)
-        step = 1 << f
-        c_low = [c % step for c in c_public.elements]
-        c_high = FieldVector([c // step for c in c_public.elements])
-        u = self._bit_lt(c_low, bit_columns[:f])
-        r_high = self._weighted_bit_sum(bit_columns, f, n_bits, shift=f)
-        floored = self.add_public(
-            self.sub(self.scale(r_high, PRIME - 1), u), c_high
-        )
+        floored = self._shifted_floor(x, L, self.truncation_mask_bits, f)
         # remove the 2^(L-f) offset introduced by the positivity shift
-        return self.add_public(floored, _constant_vector(PRIME - (1 << (L - f)), length))
+        return self.add_public(floored, _constant_vector(PRIME - (1 << (L - f)), len(x)))
+
+    def _shifted_floor(self, x: S, magnitude_bits: int, mask_bits: int, low_bits: int) -> S:
+        """``floor((x + 2^magnitude_bits) / 2^low_bits)`` for |x| < 2^magnitude_bits.
+
+        Open ``c = x + 2^L + r`` under a bitwise-shared statistical mask
+        ``r`` of ``mask_bits`` bits; then ``floor((c - r) / 2^k) = (c >> k) -
+        (r >> k) - [c mod 2^k < r mod 2^k]``, share-linear except for the
+        BitLT.  The bits of every element's mask live in one flat shared
+        matrix, a row of ``mask_bits`` per element.
+        """
+        length = len(x)
+        bits = self._random_bits(length * mask_bits)
+        r = self._row_dot(bits, mask_bits, [1 << i for i in range(mask_bits)])
+        masked = self.add_public(self.add(x, r), _constant_vector(1 << magnitude_bits, length))
+        c_public = self.open(masked).elements
+        step = 1 << low_bits
+        borrow = self._bit_lt([c % step for c in c_public], bits, mask_bits, low_bits)
+        r_high = self._row_dot(
+            bits, mask_bits, [1 << i for i in range(mask_bits - low_bits)], start=low_bits
+        )
+        return self.add_public(
+            self.scale(self.add(r_high, borrow), PRIME - 1),
+            FieldVector._raw([c // step for c in c_public]),
+        )
+
+    def _bit_lt(self, public_values: list[int], bits: S, row_length: int, n_bits: int) -> S:
+        """[public < shared] over the low ``n_bits`` bits of each bit-matrix row.
+
+        Bit ``i`` contributes a generate/propagate pair ``g_i = r_i (1 - c_i)``
+        and ``p_i = 1 - (r_i xor c_i)``, both share-linear because ``c`` is
+        public.  A run of bits compares as ``(g, p)_hi o (g, p)_lo =
+        (g_hi + p_hi g_lo, p_hi p_lo)``, which is associative, so adjacent
+        runs are combined pairwise: every level is ONE Beaver multiplication
+        over all its nodes and the depth is ceil(log2(n_bits)).  The run that
+        holds bit 0 is always a low operand, so its ``p`` is never consumed
+        and never computed.  Vectors are node-major: block ``k`` holds node
+        ``k`` of every element; ``p`` starts at node 1.
+        """
+        n = len(public_values)
+        nodes = n_bits
+        rows = np.arange(n) * row_length
+        r_bits = self._take(bits, (np.arange(nodes)[:, None] + rows).ravel())
+        not_c = [1 - ((v >> i) & 1) for i in range(nodes) for v in public_values]
+        g = self._scale_by_vector(r_bits, FieldVector._raw(not_c))
+        # p = 1 - xor = (1 - c) + (2c - 1) r
+        p = self.add_public(
+            self._scale_by_vector(
+                self._take(r_bits, slice(n, None)), FieldVector([1 - 2 * v for v in not_c[n:]])
+            ),
+            FieldVector._raw(not_c[n:]),
+        )
+        while nodes > 1:
+            pairs = nodes // 2
+            # at[k]: where node k sits in g; node k >= 1 sits at at[k - 1] in p.
+            at = np.arange(nodes * n).reshape(nodes, n)
+            g_lo, g_hi = at[0 : 2 * pairs : 2].ravel(), at[1 : 2 * pairs : 2].ravel()
+            p_hi = at[0 : 2 * pairs - 1 : 2].ravel()  # p of nodes 1, 3, 5, ...
+            p_lo = at[1 : 2 * pairs - 1 : 2].ravel()  # p of nodes 2, 4, ... (not 0)
+            # p_hi * g_lo for every pair, then p_hi * p_lo for pairs 1, 2, ...
+            products = self.mul(
+                self._take(p, np.concatenate([p_hi, p_hi[n:]])),
+                self._concat([self._take(g, g_lo), self._take(p, p_lo)]),
+            )
+            split = pairs * n
+            unpaired = slice(2 * split, None)  # the odd node out, if any
+            g = self._concat(
+                [
+                    self.add(self._take(g, g_hi), self._take(products, slice(0, split))),
+                    self._take(g, unpaired),
+                ]
+            )
+            p = self._concat(
+                [
+                    self._take(products, slice(split, None)),
+                    self._take(p, slice(2 * split - n, None)),
+                ]
+            )
+            nodes -= pairs
+        return g
 
     def mul_fixed_point(self, a: S, b: S) -> S:
         """Multiply two fixed-point sharings and rescale back to one scale."""
@@ -261,29 +304,37 @@ class Protocol(abc.ABC, Generic[S]):
         return total
 
     def minimum_inputs(self, inputs: Sequence[S]) -> S:
-        """Element-wise minimum fold: min(a,b) = b + [a<b] * (a - b)."""
+        """Element-wise minimum as a pairwise tournament.
+
+        Every level compares all surviving pairs in one batched
+        :meth:`ltz`: ``min(a, b) = b + [a < b] * (a - b)``.
+        """
         if not inputs:
             raise SMPCError("minimum of zero inputs")
-        result = inputs[0]
-        for item in inputs[1:]:
-            less = self.ltz(self.sub(result, item))  # [result < item]
-            result = self.add(item, self.mul(less, self.sub(result, item)))
-        return result
+        survivors = list(inputs)
+        length = len(survivors[0])
+        while len(survivors) > 1:
+            paired = len(survivors) - len(survivors) % 2
+            b = self._concat(survivors[1:paired:2])
+            diff = self.sub(self._concat(survivors[0:paired:2]), b)
+            smaller = self.add(b, self.mul(self.ltz(diff), diff))
+            survivors = [
+                self._take(smaller, slice(k, k + length))
+                for k in range(0, len(smaller), length)
+            ] + survivors[paired:]
+        return survivors[0]
 
     def maximum_inputs(self, inputs: Sequence[S]) -> S:
-        """Element-wise maximum fold: max(a,b) = a + [a<b] * (b - a)."""
+        """Element-wise maximum: ``max(x) = -min(-x)``."""
         if not inputs:
             raise SMPCError("maximum of zero inputs")
-        result = inputs[0]
-        for item in inputs[1:]:
-            less = self.ltz(self.sub(result, item))
-            result = self.add(result, self.mul(less, self.sub(item, result)))
-        return result
+        negated = [self.scale(item, PRIME - 1) for item in inputs]
+        return self.scale(self.minimum_inputs(negated), PRIME - 1)
 
     def union_inputs(self, inputs: Sequence[S]) -> S:
         """Disjoint union of 0/1 membership vectors: [sum >= 1]."""
         total = self.sum_inputs(inputs)
-        length = self._length(total)
+        length = len(total)
         # sum >= 1  <=>  not (sum - 1 < 0)
         shifted = self.add_public(total, _constant_vector(PRIME - 1, length))
         below = self.ltz(shifted)
@@ -303,6 +354,7 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
     checks (extra rounds) on every open."""
 
     name = "full_threshold"
+    _sharing = additive
 
     def input_vector(self, values: FieldVector) -> additive.AdditiveShared:
         shared = additive.share_vector(values, self.n_parties, self.dealer.alpha, self._rng)
@@ -317,33 +369,8 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
         self.meter.record(rounds=3, elements=3 * self.n_parties * len(opened))
         return opened
 
-    def add(self, a, b):
-        return additive.add(a, b)
-
-    def sub(self, a, b):
-        return additive.sub(a, b)
-
-    def scale(self, a, scalar: int):
-        return additive.scale(a, scalar)
-
     def add_public(self, a, public: FieldVector):
         return additive.add_public(a, public, self.dealer.alpha_shares)
-
-    def _scale_by_vector(self, a, public: FieldVector):
-        return additive.AdditiveShared(
-            [s * public for s in a.shares], [m * public for m in a.macs]
-        )
-
-    def mul(self, a, b):
-        length = len(a.shares[0])
-        triple = self.dealer.additive_triple(length)
-        d = self.open(self.sub(a, triple.a))
-        e = self.open(self.sub(b, triple.b))
-        # z = c + d*b + e*a + d*e
-        term_db = self._scale_by_vector(triple.b, d)
-        term_ea = self._scale_by_vector(triple.a, e)
-        z = additive.add(additive.add(triple.c, term_db), term_ea)
-        return self.add_public(z, d * e)
 
     def sum_inputs(self, inputs: Sequence[additive.AdditiveShared]) -> additive.AdditiveShared:
         if not inputs:
@@ -358,20 +385,8 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
     def _random_bits(self, count: int) -> additive.AdditiveShared:
         return self.dealer.additive_random_bits(count)
 
-    def _length(self, shared: additive.AdditiveShared) -> int:
-        return len(shared)
-
-    def _take_bit_columns(self, bits, length: int, n_bits: int):
-        columns = []
-        for i in range(n_bits):
-            idx = np.arange(i, length * n_bits, n_bits)
-            columns.append(
-                additive.AdditiveShared(
-                    [s.take(idx) for s in bits.shares],
-                    [m.take(idx) for m in bits.macs],
-                )
-            )
-        return columns
+    def _triple(self, length: int):
+        return self.dealer.additive_triple(length)
 
 
 # -------------------------------------------------------------------- Shamir
@@ -381,6 +396,7 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
     """Shamir-sharing protocol (t < n/2): fast, honest-but-curious."""
 
     name = "shamir"
+    _sharing = shamir
 
     def __init__(
         self,
@@ -405,30 +421,8 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
         self.meter.record(rounds=1, elements=self.n_parties * len(opened))
         return opened
 
-    def add(self, a, b):
-        return shamir.add(a, b)
-
-    def sub(self, a, b):
-        return shamir.sub(a, b)
-
-    def scale(self, a, scalar: int):
-        return shamir.scale(a, scalar)
-
     def add_public(self, a, public: FieldVector):
         return shamir.add_public(a, public)
-
-    def _scale_by_vector(self, a, public: FieldVector):
-        return shamir.ShamirShared([s * public for s in a.shares], a.threshold)
-
-    def mul(self, a, b):
-        length = len(a.shares[0])
-        triple = self.dealer.shamir_triple(length, self.threshold)
-        d = self.open(shamir.sub(a, triple.a))
-        e = self.open(shamir.sub(b, triple.b))
-        term_db = self._scale_by_vector(triple.b, d)
-        term_ea = self._scale_by_vector(triple.a, e)
-        z = shamir.add(shamir.add(triple.c, term_db), term_ea)
-        return shamir.add_public(z, d * e)
 
     def sum_inputs(self, inputs: Sequence[shamir.ShamirShared]) -> shamir.ShamirShared:
         if not inputs:
@@ -445,17 +439,5 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
     def _random_bits(self, count: int) -> shamir.ShamirShared:
         return self.dealer.shamir_random_bits(count, self.threshold)
 
-    def _length(self, shared: shamir.ShamirShared) -> int:
-        return len(shared)
-
-    def _take_bit_columns(self, bits, length: int, n_bits: int):
-        columns = []
-        for i in range(n_bits):
-            idx = np.arange(i, length * n_bits, n_bits)
-            columns.append(
-                shamir.ShamirShared(
-                    [s.take(idx) for s in bits.shares],
-                    bits.threshold,
-                )
-            )
-        return columns
+    def _triple(self, length: int):
+        return self.dealer.shamir_triple(length, self.threshold)

@@ -232,6 +232,33 @@ def add_public(a: ShamirShared, public: FieldVector) -> ShamirShared:
     return ShamirShared([x + public for x in a.shares], a.threshold)
 
 
+def scale_by_vector(a: ShamirShared, public: FieldVector) -> ShamirShared:
+    """Element-wise product with a public vector (local)."""
+    return ShamirShared([s * public for s in a.shares], a.threshold)
+
+
+def take(a: ShamirShared, indices) -> ShamirShared:
+    """Gather the same positions (index sequence or slice) from every share."""
+    return ShamirShared([s.take(indices) for s in a.shares], a.threshold)
+
+
+def concat(parts: Sequence[ShamirShared]) -> ShamirShared:
+    """Concatenate sharings end to end, party by party."""
+    for part in parts[1:]:
+        _check_compatible(parts[0], part)
+    return ShamirShared(
+        [field.concat([part.shares[p] for part in parts]) for p in range(parts[0].n_parties)],
+        parts[0].threshold,
+    )
+
+
+def row_dot(a: ShamirShared, row_length: int, weights: Sequence[int], start: int = 0) -> ShamirShared:
+    """Per-row public-weight combination of a flat shared matrix (local)."""
+    return ShamirShared(
+        [field.row_dot(s, row_length, weights, start) for s in a.shares], a.threshold
+    )
+
+
 def multiply_local(a: ShamirShared, b: ShamirShared) -> ShamirShared:
     """Share-wise product: a valid sharing of a*b at degree 2t.
 

@@ -116,3 +116,41 @@ class TestTwoWay:
         )
         assert result.status.value == "error"
         assert "two nominal factors" in result.error
+
+
+class TestTukeyTable:
+    """The pairwise table from fixed aggregates: values pinned at the commit
+    that still inverted the studentized-range quantile once per pair."""
+
+    LEVELS = ["AD", "CN", "MCI"]
+    COUNTS = np.array([41.0, 57.0, 33.0])
+    MEANS = np.array([2.75, 3.5, 3.125])
+    PINNED = [
+        {'groups': ['AD', 'CN'], 'mean_difference': -0.75, 'q_statistic': 5.74620207655044, 'p_adjusted': 0.0002462331980821464, 'ci_lower': -1.1877034627977499, 'ci_upper': -0.31229653720225026, 'significant': True},
+        {'groups': ['AD', 'MCI'], 'mean_difference': -0.375, 'q_statistic': 2.51575079827118, 'p_adjusted': 0.18076759919980712, 'ci_lower': -0.8748771238729494, 'ci_upper': 0.12487712387294941, 'significant': False},
+        {'groups': ['CN', 'MCI'], 'mean_difference': 0.375, 'q_statistic': 2.689724035029502, 'p_adjusted': 0.14227612449136595, 'ci_lower': -0.09254472096133848, 'ci_upper': 0.8425447209613385, 'significant': False},
+    ]
+
+    def test_one_quantile_inversion_per_table_and_same_values(self, monkeypatch):
+        from repro.algorithms.anova import tukey_hsd
+
+        calls = []
+        real_ppf = scipy.stats.studentized_range.ppf
+
+        def counting_ppf(*args, **kwargs):
+            calls.append(args)
+            return real_ppf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.stats.studentized_range, "ppf", counting_ppf)
+        table = tukey_hsd(self.LEVELS, self.COUNTS, self.MEANS, 0.8125, 128)
+        assert len(calls) == 1
+        assert calls[0] == (0.95, 3, 128)
+        # Bit-identical on the scipy build the digits were pinned under; the
+        # tolerance only absorbs another build's last digits.
+        for row, pinned in zip(table, self.PINNED, strict=True):
+            assert row == pytest.approx(pinned, rel=1e-9)
+
+    def test_single_group_has_no_pairs(self):
+        from repro.algorithms.anova import tukey_hsd
+
+        assert tukey_hsd(["AD"], np.array([5.0]), np.array([1.0]), 1.0, 4) == []

@@ -56,3 +56,36 @@ class TestMergedEvents:
         b.record("aggregate_shared", job_id="j")
         merged = merged_events([a, b], event="dataset_read")
         assert [e["node"] for e in merged] == ["a"]
+
+
+class TestAuditTrail:
+    """What a finished experiment keeps: the nodes' records, read as dicts."""
+
+    def _trail(self):
+        from repro.observability.audit import AuditTrail
+
+        a, b = AuditLog("a"), AuditLog("b")
+        a.record("first", job_id="exp_1", rows=3)
+        b.record("second", job_id="exp_1_s1")
+        a.record("other", job_id="exp_2")
+        return AuditTrail([a, b], job_id="exp_1"), [a, b]
+
+    def test_reads_like_a_tuple_of_event_dicts(self):
+        trail, logs = self._trail()
+        assert len(trail) == 2 and trail
+        assert list(trail) == merged_events(logs, job_id="exp_1")
+        assert trail == tuple(trail) and trail == list(trail)
+        assert trail[0]["event"] == "first" and trail[-1]["node"] == "b"
+        assert trail[1:] == (trail[1],)
+        assert trail != ()
+
+    def test_entries_are_copied_out(self):
+        trail, logs = self._trail()
+        trail[0]["details"]["rows"] = 999
+        assert trail[0]["details"]["rows"] == 3
+        assert logs[0].events()[0].details == {"rows": 3}
+
+    def test_later_events_do_not_join_a_built_trail(self):
+        trail, logs = self._trail()
+        logs[0].record("late", job_id="exp_1")
+        assert [e["event"] for e in trail] == ["first", "second"]

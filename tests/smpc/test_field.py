@@ -95,3 +95,47 @@ class TestFieldVector:
         a = FieldVector(values)
         b = FieldVector(list(reversed(values)))
         assert (a + b).elements == (b + a).elements
+
+
+class TestKernelSelection:
+    """$REPRO_SMPC_KERNEL is resolved once per process, on first use."""
+
+    @pytest.fixture(autouse=True)
+    def unresolved(self, monkeypatch):
+        from repro.smpc import field
+
+        monkeypatch.setattr(field, "_kernel_override", None)
+        monkeypatch.setattr(field, "_env_kernel", None)
+
+    def test_environment_is_read_once(self, monkeypatch):
+        from repro.smpc import field
+
+        monkeypatch.setenv(field.KERNEL_ENV, " Python ")
+        assert field.active_kernel() == "python"
+        monkeypatch.setenv(field.KERNEL_ENV, "numpy")
+        assert field.active_kernel() == "python"
+
+    def test_unset_means_auto(self, monkeypatch):
+        from repro.smpc import field
+
+        monkeypatch.delenv(field.KERNEL_ENV, raising=False)
+        assert field.active_kernel() == "auto"
+
+    def test_set_kernel_overrides_and_restores(self, monkeypatch):
+        from repro.smpc import field
+
+        monkeypatch.setenv(field.KERNEL_ENV, "python")
+        assert field.set_kernel("numpy") is None
+        assert field.active_kernel() == "numpy"
+        assert field.set_kernel(None) == "numpy"
+        assert field.active_kernel() == "python"
+
+    def test_invalid_value_raises_every_time(self, monkeypatch):
+        from repro.smpc import field
+
+        monkeypatch.setenv(field.KERNEL_ENV, "fortran")
+        for _ in range(2):
+            with pytest.raises(SMPCError, match="REPRO_SMPC_KERNEL"):
+                field.active_kernel()
+        with pytest.raises(SMPCError):
+            field.set_kernel("fortran")

@@ -109,6 +109,60 @@ class TestVectorOps:
             ).elements
         )
 
+    @given(vectors, vectors, st.integers(0, 24), st.integers(0, 24))
+    def test_concat_and_slice(self, a, b, start, stop):
+        out = _differential(
+            lambda: field.concat([FieldVector(a), FieldVector(b), FieldVector(a)]).elements
+        )
+        assert out == a + b + a
+        sliced = _differential(lambda: FieldVector(a).take(slice(start, stop)).elements)
+        assert sliced == a[start:stop]
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(elements, min_size=0, max_size=4 * width).filter(
+                    lambda m: len(m) % width == 0
+                ),
+                st.integers(0, width - 1),
+            )
+        ),
+        st.data(),
+    )
+    def test_row_dot(self, case, data):
+        width, matrix, start = case
+        weights = data.draw(st.lists(elements, min_size=1, max_size=width - start))
+        out = _differential(
+            lambda: field.row_dot(FieldVector(matrix), width, weights, start).elements
+        )
+        assert out == [
+            sum(w * matrix[row + start + i] for i, w in enumerate(weights)) % PRIME
+            for row in range(0, len(matrix), width)
+        ]
+
+    def test_row_dot_of_a_bit_matrix_rebuilds_the_masks(self):
+        """The comparison protocol's shape: 122 power-of-two weights per row
+        (past the limb kernel's lazy-fold limit)."""
+        rng = random.Random(3)
+        masks = [rng.getrandbits(122) for _ in range(5)]
+        bits = [(mask >> i) & 1 for mask in masks for i in range(122)]
+        weights = [1 << i for i in range(122)]
+        assert _differential(
+            lambda: field.row_dot(FieldVector(bits), 122, weights).elements
+        ) == masks
+        assert _differential(
+            lambda: field.row_dot(FieldVector(bits), 122, weights[:40], start=82).elements
+        ) == [mask >> 82 for mask in masks]
+
+    def test_row_dot_rejects_misfit_weights(self):
+        from repro.errors import SMPCError
+
+        with pytest.raises(SMPCError):
+            field.row_dot(FieldVector([1, 2, 3]), 2, [1])
+        with pytest.raises(SMPCError):
+            field.row_dot(FieldVector([1, 2, 3, 4]), 2, [1, 1], start=1)
+
     @given(paired_vectors, elements, elements)
     def test_linear_combination(self, pair, s1, s2):
         a, b = pair
