@@ -78,7 +78,8 @@ def generate_cohort(spec: CohortSpec) -> Table:
     psy = rng.random(n) < spec.psy_rate
     va = rng.random(n) < spec.va_rate
 
-    profile = {key: np.array([_DIAGNOSIS_PROFILE[d][key] for d in diagnosis])
+    drawn, codes = np.unique(diagnosis, return_inverse=True)
+    profile = {key: np.array([_DIAGNOSIS_PROFILE[d][key] for d in drawn])[codes]
                for key in ("hip", "ent", "vent", "amyg", "mmse", "ab42", "ptau", "hazard")}
 
     # A latent per-subject atrophy factor correlates all volumes.
@@ -127,38 +128,36 @@ def generate_cohort(spec: CohortSpec) -> Table:
     predicted = 1.0 / (1.0 + np.exp(-1.6 * true_logit))
     predicted = predicted.clip(0.001, 0.999)
 
-    def with_na(values: np.ndarray, rate: float) -> list[float | None]:
-        mask = rng.random(n) < rate
-        return [None if m else float(v) for m, v in zip(mask, values)]
+    def with_na(values: np.ndarray, rate: float) -> Column:
+        # The mask is drawn here, so the columns below keep their draw order.
+        return _column(SQLType.REAL, values, rng.random(n) < rate)
 
-    columns: dict[str, tuple[SQLType, list]] = {
-        "dataset": (SQLType.VARCHAR, [spec.name] * n),
-        "alzheimerbroadcategory": (SQLType.VARCHAR, list(diagnosis)),
-        "gender": (SQLType.VARCHAR, list(gender)),
-        "psy_etiology": (SQLType.VARCHAR, ["yes" if p else "no" for p in psy]),
-        "va_etiology": (SQLType.VARCHAR, ["yes" if v else "no" for v in va]),
-        "agevalue": (SQLType.REAL, [float(v) for v in age]),
-        "subjectage": (SQLType.REAL, [float(v) for v in age]),
-        "minimentalstate": (SQLType.REAL, with_na(mmse, spec.na_rate / 2)),
-        "p_tau": (SQLType.REAL, with_na(ptau, spec.na_rate)),
-        "ab_42": (SQLType.REAL, with_na(ab42, spec.na_rate)),
-        "righthippocampus": (SQLType.REAL, [float(v) for v in right_hip]),
-        "lefthippocampus": (SQLType.REAL, [float(v) for v in left_hip]),
-        "rightententorhinalarea": (SQLType.REAL, with_na(right_ent, spec.na_rate)),
-        "leftententorhinalarea": (SQLType.REAL, with_na(left_ent, spec.na_rate)),
-        "rightlateralventricle": (SQLType.REAL, [float(v) for v in right_vent]),
-        "leftlateralventricle": (SQLType.REAL, [float(v) for v in left_vent]),
-        "rightamygdala": (SQLType.REAL, [float(v) for v in right_amyg]),
-        "leftamygdala": (SQLType.REAL, [float(v) for v in left_amyg]),
-        "brainstem": (SQLType.REAL, [float(v) for v in brainstem]),
-        "csfglobal": (SQLType.REAL, [float(v) for v in csf_global]),
-        "survival_months": (SQLType.REAL, [float(v) for v in survival]),
-        "event_observed": (SQLType.INT, [int(v) for v in converted]),
-        "predicted_risk": (SQLType.REAL, [float(v) for v in predicted]),
-        "converted_ad": (SQLType.INT, [int(v) for v in converted_model]),
-    }
-    specs = [ColumnSpec(name, sql_type) for name, (sql_type, _) in columns.items()]
-    built = [Column.from_values(sql_type, values) for sql_type, values in columns.values()]
+    table = _table({
+        "dataset": _column(SQLType.VARCHAR, np.full(n, spec.name)),
+        "alzheimerbroadcategory": _column(SQLType.VARCHAR, diagnosis),
+        "gender": _column(SQLType.VARCHAR, gender),
+        "psy_etiology": _column(SQLType.VARCHAR, np.where(psy, "yes", "no")),
+        "va_etiology": _column(SQLType.VARCHAR, np.where(va, "yes", "no")),
+        "agevalue": _column(SQLType.REAL, age),
+        "subjectage": _column(SQLType.REAL, age),
+        "minimentalstate": with_na(mmse, spec.na_rate / 2),
+        "p_tau": with_na(ptau, spec.na_rate),
+        "ab_42": with_na(ab42, spec.na_rate),
+        "righthippocampus": _column(SQLType.REAL, right_hip),
+        "lefthippocampus": _column(SQLType.REAL, left_hip),
+        "rightententorhinalarea": with_na(right_ent, spec.na_rate),
+        "leftententorhinalarea": with_na(left_ent, spec.na_rate),
+        "rightlateralventricle": _column(SQLType.REAL, right_vent),
+        "leftlateralventricle": _column(SQLType.REAL, left_vent),
+        "rightamygdala": _column(SQLType.REAL, right_amyg),
+        "leftamygdala": _column(SQLType.REAL, left_amyg),
+        "brainstem": _column(SQLType.REAL, brainstem),
+        "csfglobal": _column(SQLType.REAL, csf_global),
+        "survival_months": _column(SQLType.REAL, survival),
+        "event_observed": _column(SQLType.INT, converted),
+        "predicted_risk": _column(SQLType.REAL, predicted),
+        "converted_ad": _column(SQLType.INT, converted_model),
+    })
     logger.debug(
         "cohort_generated",
         dataset=spec.name,
@@ -166,7 +165,27 @@ def generate_cohort(spec: CohortSpec) -> Table:
         seed=spec.seed,
         na_rate=spec.na_rate,
     )
-    return Table(Schema(specs), built)
+    return table
+
+
+def _column(sql_type: SQLType, values: np.ndarray, na: np.ndarray | None = None) -> Column:
+    """One cohort column from a drawn array; ``na`` marks the missing cells.
+
+    Built whole, with the 0.0 placeholder under NULLs that the per-value
+    builder stores; a VARCHAR's cells share one ``str`` per distinct label
+    instead of owning ~50 bytes each.
+    """
+    if sql_type == SQLType.VARCHAR:
+        labels, codes = np.unique(values, return_inverse=True)
+        values = labels.astype(object)[codes]
+    if na is not None:
+        values = np.where(na, 0.0, values)
+    return Column.from_numpy(sql_type, values, na)
+
+
+def _table(columns: Mapping[str, Column]) -> Table:
+    specs = [ColumnSpec(name, column.sql_type) for name, column in columns.items()]
+    return Table(Schema(specs), list(columns.values()))
 
 
 def generate_synthetic_hospital(specs: Sequence[CohortSpec]) -> Table:
@@ -203,24 +222,20 @@ def generate_epilepsy_cohort(name: str, n_patients: int, seed: int = 0) -> Table
     # compact SOZ + focal type predict seizure freedom
     outcome_logit = 1.0 + 1.2 * focal.astype(float) - 0.18 * soz - 0.01 * duration
     seizure_free = rng.random(n) < 1 / (1 + np.exp(-outcome_logit))
-    columns = {
-        "dataset": (SQLType.VARCHAR, [name] * n),
-        "epilepsy_type": (SQLType.VARCHAR, list(epilepsy_type)),
-        "gender": (SQLType.VARCHAR, list(gender)),
-        "surgery_outcome": (
-            SQLType.VARCHAR,
-            ["seizure_free" if s else "not_seizure_free" for s in seizure_free],
+    return _table({
+        "dataset": _column(SQLType.VARCHAR, np.full(n, name)),
+        "epilepsy_type": _column(SQLType.VARCHAR, epilepsy_type),
+        "gender": _column(SQLType.VARCHAR, gender),
+        "surgery_outcome": _column(
+            SQLType.VARCHAR, np.where(seizure_free, "seizure_free", "not_seizure_free")
         ),
-        "onset_age": (SQLType.REAL, [float(v) for v in onset]),
-        "seizure_frequency": (SQLType.REAL, [float(v) for v in frequency]),
-        "ieeg_spike_rate": (SQLType.REAL, [float(v) for v in spike_rate]),
-        "hfo_rate": (SQLType.REAL, [float(v) for v in hfo]),
-        "soz_channels": (SQLType.REAL, [float(v) for v in soz]),
-        "duration_years": (SQLType.REAL, [float(v) for v in duration]),
-    }
-    specs = [ColumnSpec(column, sql_type) for column, (sql_type, _) in columns.items()]
-    built = [Column.from_values(sql_type, values) for sql_type, values in columns.values()]
-    return Table(Schema(specs), built)
+        "onset_age": _column(SQLType.REAL, onset),
+        "seizure_frequency": _column(SQLType.REAL, frequency),
+        "ieeg_spike_rate": _column(SQLType.REAL, spike_rate),
+        "hfo_rate": _column(SQLType.REAL, hfo),
+        "soz_channels": _column(SQLType.REAL, soz),
+        "duration_years": _column(SQLType.REAL, duration),
+    })
 
 
 def alzheimers_use_case_cohorts(seed: int = 2024) -> dict[str, Table]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.engine import expressions as ast
 from repro.engine.column import Column
-from repro.engine.executor import evaluate, execute_select
+from repro.engine.executor import execute_select, true_rows
 from repro.engine.parser import parse
 from repro.engine.remote import MergeTable, RemoteResolver, RemoteTable, unavailable_resolver
 from repro.engine.table import ColumnSpec, Schema, Table
@@ -264,9 +264,7 @@ class Database:
         if statement.where is None:
             self._tables[statement.table] = Table.empty(existing.schema)
             return None
-        predicate = evaluate(statement.where, existing)
-        keep = ~(predicate.values & ~predicate.nulls)
-        self._tables[statement.table] = existing.filter(keep)
+        self._tables[statement.table] = existing.filter(~true_rows(statement.where, existing))
         return None
 
     def _create_remote(self, statement: ast.CreateRemoteTable) -> None:

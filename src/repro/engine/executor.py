@@ -4,10 +4,17 @@ Expressions evaluate column-at-a-time over numpy arrays with SQL three-valued
 logic carried in explicit NULL masks.  This is the engine property MIP's
 Worker nodes rely on ("vectorization, zero-cost copy"): a filter or arithmetic
 expression touches whole columns, not Python-level rows.
+
+A SELECT is a late-materialising scan: the WHERE becomes one boolean selection
+(:func:`true_rows`), only the columns the rest of the statement names are
+gathered through it, and projection or aggregation reads those.  Tables are
+immutable by convention (INSERT and DELETE rebind the catalog entry), so a
+result may share column arrays with its base table.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -29,25 +36,30 @@ def evaluate(expression: ast.Expression, table: Table) -> Column:
 
 
 def resolve_column(table: Table, name: str) -> Column:
-    """Resolve a possibly qualified column reference against a schema.
+    """Resolve a possibly qualified column reference against a table."""
+    return table.column(_resolve_name(table.schema, name))
+
+
+def _resolve_name(schema: Schema, name: str) -> str:
+    """The schema's name for a possibly qualified column reference.
 
     Exact names win; a bare name also matches a unique ``alias.name`` column
     (the layout join outputs use), and a qualified name matches its bare
     column when the source carried no alias.
     """
-    if name in table.schema:
-        return table.column(name)
+    if name in schema:
+        return name
     if "." not in name:
         suffix = "." + name
-        matches = [s.name for s in table.schema if s.name.endswith(suffix)]
+        matches = [s.name for s in schema if s.name.endswith(suffix)]
         if len(matches) == 1:
-            return table.column(matches[0])
+            return matches[0]
         if len(matches) > 1:
             raise ExecutionError(f"ambiguous column reference {name!r}: {matches}")
     else:
         bare = name.split(".", 1)[1]
-        if bare in table.schema:
-            return table.column(bare)
+        if bare in schema:
+            return bare
     raise ExecutionError(f"no such column: {name!r}")
 
 
@@ -97,17 +109,20 @@ class _Evaluator:
     # -------------------------------------------------------------- operators
 
     def _literal(self, value: Any) -> Column:
-        if value is None:
-            # An untyped NULL: REAL by default, retyped by the consuming
-            # operator (see _retype_if_all_null).
-            return Column(
-                SQLType.REAL,
-                np.zeros(self._rows, dtype=np.float64),
-                np.ones(self._rows, dtype=bool),
-            )
-        sql_type = SQLType.of_value(value)
-        values = np.full(self._rows, value, dtype=sql_type.numpy_dtype)
-        return Column(sql_type, values, np.zeros(self._rows, dtype=bool))
+        """A literal as a column of zero-stride, read-only views: no per-row
+        array exists until an operator computes one from it."""
+        scalar = _Scalar(value)
+        return Column(
+            scalar.sql_type,
+            np.broadcast_to(scalar.values, self._rows),
+            np.broadcast_to(scalar.nulls, self._rows),
+        )
+
+    def _operand(self, expr: ast.Expression) -> Column | _Scalar:
+        """A comparison operand: a literal stays a scalar."""
+        if isinstance(expr, ast.Literal):
+            return _Scalar(expr.value)
+        return self.evaluate(expr)
 
     def _unary(self, expr: ast.UnaryOp) -> Column:
         operand = self.evaluate(expr.operand)
@@ -123,15 +138,17 @@ class _Evaluator:
         raise ExecutionError(f"unknown unary operator {expr.op}")
 
     def _binary(self, expr: ast.BinaryOp) -> Column:
+        op = expr.op
+        if op in _COMPARE:
+            return _comparison(
+                op, self._operand(expr.left), self._operand(expr.right), self._rows
+            )
         left = self.evaluate(expr.left)
         right = self.evaluate(expr.right)
-        op = expr.op
         if op in ("AND", "OR"):
             return _logical(op, left, right)
         if op in ("+", "-", "*", "/", "%"):
             return _arithmetic(op, left, right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _comparison(op, left, right)
         raise ExecutionError(f"unknown binary operator {op}")
 
     def _like(self, expr: ast.Like) -> Column:
@@ -156,13 +173,13 @@ class _Evaluator:
     def _in_list(self, expr: ast.InList) -> Column:
         operand = self.evaluate(expr.operand)
         hit = np.zeros(self._rows, dtype=bool)
-        any_null_item = np.zeros(self._rows, dtype=bool)
+        unknown = operand.nulls
         for item in expr.items:
-            eq = _comparison("=", operand, self.evaluate(item))
-            hit |= eq.values & ~eq.nulls
-            any_null_item |= eq.nulls
+            eq = _comparison("=", operand, self._operand(item), self._rows)
+            hit |= eq.values
+            unknown = unknown | eq.nulls
         # SQL: x IN (...) is NULL when no match and some comparison was NULL.
-        nulls = ~hit & (any_null_item | operand.nulls)
+        nulls = unknown & ~hit
         values = ~hit if expr.negated else hit
         return Column(SQLType.BOOL, values & ~nulls, nulls)
 
@@ -256,51 +273,63 @@ def _arithmetic(op: str, left: Column, right: Column) -> Column:
     return Column(SQLType.REAL, values, nulls)
 
 
-def _comparison(op: str, left: Column, right: Column) -> Column:
-    if not is_numeric(left.sql_type):
-        right = _retype_if_all_null(right, left.sql_type)
-    if not is_numeric(right.sql_type):
-        left = _retype_if_all_null(left, right.sql_type)
+class _Scalar:
+    """A literal before it meets a row count: one value, one NULL flag.
+
+    Carries the attributes of a :class:`Column` that :func:`_comparison`
+    reads (``values`` and ``nulls`` are 0-d), so a literal operand of a
+    comparison, ``IN`` list or ``BETWEEN`` is compared as a scalar.
+    """
+
+    __slots__ = ("sql_type", "values", "nulls")
+
+    def __init__(self, value: Any) -> None:
+        if value is None:
+            # An untyped NULL: REAL by default, retyped by the consuming
+            # operator (see _retype_if_all_null and _comparison).
+            self.sql_type, value = SQLType.REAL, 0.0
+            self.nulls = np.True_
+        else:
+            self.sql_type = SQLType.of_value(value)
+            self.nulls = np.False_
+        self.values = np.asarray(value, dtype=self.sql_type.numpy_dtype)
+
+
+_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _comparison(op: str, left: Column | _Scalar, right: Column | _Scalar, rows: int) -> Column:
+    """Three-valued comparison of two operands over ``rows`` rows."""
     nulls = left.nulls | right.nulls
     if is_numeric(left.sql_type) and is_numeric(right.sql_type):
-        lv = left.values.astype(np.float64)
-        rv = right.values.astype(np.float64)
+        values = _COMPARE[op](
+            left.values.astype(np.float64, copy=False),
+            right.values.astype(np.float64, copy=False),
+        )
     elif left.sql_type == right.sql_type:
-        lv, rv = left.values, right.values
+        # Object arrays of str compare elementwise, lexicographically.
+        values = _COMPARE[op](left.values, right.values)
+    elif (not is_numeric(left.sql_type) and np.all(right.nulls)) or (
+        not is_numeric(right.sql_type) and np.all(left.nulls)
+    ):
+        # An all-NULL operand (the untyped NULL literal) adopts the other
+        # side's type; every row compares to NULL.
+        return Column(SQLType.BOOL, np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool))
     else:
         raise TypeMismatchError(
             f"cannot compare {left.sql_type.value} with {right.sql_type.value}"
         )
-    if left.sql_type == SQLType.VARCHAR and op not in ("=", "<>"):
-        # Lexicographic comparison of object arrays needs an explicit loop.
-        pairs = zip(lv, rv)
-        results = [_compare_strings(op, a, b) for a, b in pairs]
-        values = np.array(results, dtype=bool)
-    else:
-        if op == "=":
-            values = lv == rv
-        elif op == "<>":
-            values = lv != rv
-        elif op == "<":
-            values = lv < rv
-        elif op == "<=":
-            values = lv <= rv
-        elif op == ">":
-            values = lv > rv
-        else:
-            values = lv >= rv
-        values = np.asarray(values, dtype=bool)
-    return Column(SQLType.BOOL, values & ~nulls, nulls)
-
-
-def _compare_strings(op: str, a: str, b: str) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+    values = np.asarray(values, dtype=bool) & ~nulls
+    if values.ndim == 0:  # literal against literal
+        values, nulls = np.full(rows, values), np.full(rows, nulls)
+    return Column(SQLType.BOOL, values, nulls)
 
 
 # ------------------------------------------------------------------- SELECT
@@ -309,14 +338,11 @@ def _compare_strings(op: str, a: str, b: str) -> bool:
 def execute_select(select: ast.Select, database: "Database") -> Table:
     """Execute a SELECT plan against a database."""
     if select.source is None:
-        base = Table(Schema([]), [])
-        base_one = Table.from_rows(Schema([("dummy", SQLType.INT)]), [(0,)])
-        return _project_scalar(select, base_one)
+        one_row = Table.from_rows(Schema([("dummy", SQLType.INT)]), [(0,)])
+        return _project_scalar(select, one_row)
     source = database.resolve_source(select.source)
     if select.where is not None:
-        predicate = evaluate(select.where, source)
-        mask = predicate.values & ~predicate.nulls
-        source = source.filter(mask)
+        source = _scan(select, source)
     if select.group_by or _has_aggregates(select):
         result = _execute_aggregation(select, source)
     else:
@@ -329,6 +355,70 @@ def execute_select(select: ast.Select, database: "Database") -> Table:
     if select.limit is not None:
         result = result.slice(0, select.limit)
     return result
+
+
+def true_rows(predicate: ast.Expression, table: Table) -> np.ndarray:
+    """Boolean selection of the rows on which ``predicate`` is TRUE.
+
+    A conjunction is TRUE exactly where every conjunct is, so the top-level
+    ANDs fold into one selection with no NULL bookkeeping; three-valued logic
+    applies only inside a conjunct (``OR``, ``NOT``, ``IN``, comparisons).
+    """
+    evaluator = _Evaluator(table)
+    selection = np.ones(table.num_rows, dtype=bool)
+    for conjunct in _flatten_and(predicate):
+        truth = _retype_if_all_null(evaluator.evaluate(conjunct), SQLType.BOOL)
+        if truth.sql_type != SQLType.BOOL:
+            raise TypeMismatchError("a row predicate requires boolean operands")
+        selection &= truth.values
+        selection &= ~truth.nulls
+    return selection
+
+
+def _scan(select: ast.Select, source: Table) -> Table:
+    """The rows the WHERE keeps, of the columns the statement goes on to read.
+
+    When every row passes, the result shares the source's column arrays.
+    """
+    selection = true_rows(select.where, source)
+    names = _referenced_columns(select, source.schema)
+    if names is not None:
+        # A table's row count lives in its columns: keep one even when the
+        # statement names none (SELECT COUNT(*), SELECT 1).
+        source = source.select(names or source.schema.names[:1])
+    if selection.all():
+        return source
+    return source.take(np.flatnonzero(selection))
+
+
+def _referenced_columns(select: ast.Select, schema: Schema) -> Optional[list[str]]:
+    """The source columns read after the WHERE, in schema order.
+
+    None means all of them: ``SELECT *``, an expression node the walker does
+    not know, or a name that does not resolve to one source column (an output
+    alias in ORDER BY, or an error that evaluation will report).
+    """
+    if not select.items:
+        return None
+    pending = [item.expression for item in select.items]
+    pending.extend(select.group_by)
+    if select.having is not None:
+        pending.append(select.having)
+    pending.extend(key.expression for key in select.order_by)
+    names: set[str] = set()
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, ast.ColumnRef):
+            try:
+                names.add(_resolve_name(schema, expr.name))
+            except ExecutionError:
+                return None
+            continue
+        children = _children(expr)
+        if children is None:
+            return None
+        pending.extend(children)
+    return [spec.name for spec in schema if spec.name in names]
 
 
 def _distinct(result: Table) -> Table:
@@ -381,26 +471,31 @@ def _has_aggregates(select: ast.Select) -> bool:
 def _contains_aggregate(expr: ast.Expression) -> bool:
     if isinstance(expr, ast.Aggregate):
         return True
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
+    return any(_contains_aggregate(child) for child in _children(expr) or ())
+
+
+def _children(expr: ast.Expression) -> Optional[tuple[ast.Expression, ...]]:
+    """Direct sub-expressions, or None for a node type this walker does not know."""
+    if isinstance(expr, (ast.Literal, ast.ColumnRef)):
+        return ()
+    if isinstance(expr, (ast.UnaryOp, ast.IsNull, ast.Like, ast.Cast)):
+        return (expr.operand,)
     if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
+        return (expr.left, expr.right)
+    if isinstance(expr, ast.InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, ast.Between):
+        return (expr.operand, expr.low, expr.high)
     if isinstance(expr, ast.FunctionCall):
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.Cast):
-        return _contains_aggregate(expr.operand)
+        return tuple(expr.args)
+    if isinstance(expr, ast.Aggregate):
+        return () if expr.argument is None else (expr.argument,)
     if isinstance(expr, ast.CaseWhen):
-        parts = [c for c, _ in expr.branches] + [v for _, v in expr.branches]
+        parts = [part for branch in expr.branches for part in branch]
         if expr.otherwise is not None:
             parts.append(expr.otherwise)
-        return any(_contains_aggregate(p) for p in parts)
-    if isinstance(expr, (ast.IsNull, ast.Like)):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.InList):
-        return _contains_aggregate(expr.operand) or any(_contains_aggregate(i) for i in expr.items)
-    if isinstance(expr, ast.Between):
-        return any(_contains_aggregate(e) for e in (expr.operand, expr.low, expr.high))
-    return False
+        return tuple(parts)
+    return None
 
 
 def _project(select: ast.Select, source: Table) -> Table:
@@ -414,50 +509,35 @@ def _project_scalar(select: ast.Select, source: Table) -> Table:
     specs: list[ColumnSpec] = []
     for position, item in enumerate(select.items):
         col = evaluate(item.expression, source)
+        if isinstance(item.expression, ast.Literal):
+            # An output column owns its rows; the evaluator's literal is a view.
+            col = Column(col.sql_type, col.values.copy(), col.nulls.copy())
         specs.append(ColumnSpec(item.output_name(position), col.sql_type))
         columns.append(col)
     return Table(Schema(specs), columns)
 
 
 def _execute_aggregation(select: ast.Select, source: Table) -> Table:
-    group_keys = select.group_by
-    if group_keys:
-        key_columns = [evaluate(key, source) for key in group_keys]
-        groups = _group_indices(key_columns, source.num_rows)
+    if select.group_by:
+        key_columns = [evaluate(key, source) for key in select.group_by]
+        groups = (source.take(indices) for indices in _group_indices(key_columns, source.num_rows))
     else:
-        groups = [np.arange(source.num_rows)]
-    out_rows: list[list[Any]] = []
-    names: list[str] = []
-    types: list[SQLType] = []
-    first = True
-    kept_groups: list[list[Any]] = []
-    for indices in groups:
-        subset = source.take(indices)
+        # One group, even over zero rows: the scanned columns, read in place.
+        groups = [source]
+    rows: list[list[Any]] = []
+    for subset in groups:
         if select.having is not None:
             keep = _evaluate_with_aggregates(select.having, subset)
             if keep is None or keep is False:
                 continue
-        row: list[Any] = []
-        for position, item in enumerate(select.items):
-            value = _evaluate_with_aggregates(item.expression, subset)
-            row.append(value)
-            if first:
-                names.append(item.output_name(position))
-                types.append(_aggregate_expr_type(item.expression, source.schema))
-        first = False
-        kept_groups.append(row)
-    if first:
-        # No groups survived (or source empty without GROUP BY keys): still
-        # compute names/types; with no GROUP BY an empty input yields one row.
-        for position, item in enumerate(select.items):
-            names.append(item.output_name(position))
-            types.append(_aggregate_expr_type(item.expression, source.schema))
-        if not group_keys and select.having is None:
-            subset = source.take(np.arange(0))
-            row = [_evaluate_with_aggregates(item.expression, subset) for item in select.items]
-            kept_groups.append(row)
-    schema = Schema([ColumnSpec(n, t) for n, t in zip(names, types)])
-    return Table.from_rows(schema, kept_groups)
+        rows.append(
+            [_evaluate_with_aggregates(item.expression, subset) for item in select.items]
+        )
+    schema = Schema([
+        ColumnSpec(item.output_name(position), _aggregate_expr_type(item.expression, source.schema))
+        for position, item in enumerate(select.items)
+    ])
+    return Table.from_rows(schema, rows)
 
 
 def _group_indices(key_columns: list[Column], row_count: int) -> list[np.ndarray]:
@@ -573,7 +653,7 @@ def _aggregate_expr_type(expr: ast.Expression, schema: Schema) -> SQLType:
             argument_type = _aggregate_expr_type(expr.argument, schema)
         return aggregate_result_type(expr.name, argument_type)
     if isinstance(expr, ast.ColumnRef):
-        return _resolve_column_type(schema, expr.name)
+        return schema.type_of(_resolve_name(schema, expr.name))
     if isinstance(expr, ast.Literal):
         if expr.value is None:
             return SQLType.REAL
@@ -607,23 +687,6 @@ def _aggregate_expr_type(expr: ast.Expression, schema: Schema) -> SQLType:
     if isinstance(expr, ast.CaseWhen):
         return _aggregate_expr_type(expr.branches[0][1], schema)
     raise ExecutionError(f"cannot type expression {type(expr).__name__}")
-
-
-def _resolve_column_type(schema: Schema, name: str) -> SQLType:
-    if name in schema:
-        return schema.type_of(name)
-    if "." not in name:
-        suffix = "." + name
-        matches = [s.name for s in schema if s.name.endswith(suffix)]
-        if len(matches) == 1:
-            return schema.type_of(matches[0])
-        if len(matches) > 1:
-            raise ExecutionError(f"ambiguous column reference {name!r}: {matches}")
-    else:
-        bare = name.split(".", 1)[1]
-        if bare in schema:
-            return schema.type_of(bare)
-    raise ExecutionError(f"no such column: {name!r}")
 
 
 # --------------------------------------------------------------------- joins
@@ -662,8 +725,7 @@ def execute_join(
     )
     predicate = residual if equi_keys else condition
     if predicate is not None:
-        mask_col = evaluate(predicate, joined)
-        mask = mask_col.values & ~mask_col.nulls
+        mask = true_rows(predicate, joined)
         joined = joined.filter(mask)
         left_idx = left_idx[mask]
     if kind == "LEFT":

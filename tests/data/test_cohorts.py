@@ -1,5 +1,8 @@
 """Synthetic cohort generation: shapes, signals, reproducibility."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,11 @@ from repro.data.cohorts import (
     CohortSpec,
     alzheimers_use_case_cohorts,
     generate_cohort,
+    generate_epilepsy_cohort,
     generate_synthetic_hospital,
 )
+from repro.engine.column import Column
+from repro.engine.types import SQLType
 from repro.errors import SpecificationError
 
 
@@ -135,3 +141,46 @@ class TestHospitalAndUseCase:
             "hospital_lille": 1103,
             "hospital_adni": 1066,
         }
+
+
+def _digest(table) -> str:
+    payload = [[s.name, s.sql_type.value] for s in table.schema], [list(r) for r in table.to_rows()]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+class TestColumnarBuild:
+    """The cohorts are built column-at-a-time from the drawn arrays; they must
+    equal, cell for cell, what the per-value list builder produced."""
+
+    #: seed -> (generate_cohort("edsd", 300), generate_epilepsy_cohort("epi", 200)),
+    #: recorded from the list-path generators before they went columnar.
+    LIST_PATH_DIGESTS = {
+        0: ("4d7f4df291c99d52", "24877dc205581b1e"),
+        7: ("83ba9cb8351d85e8", "d97db34ac8b89454"),
+        2024: ("b81351125350eecb", "dfc88908feadc17e"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(LIST_PATH_DIGESTS))
+    def test_same_draws_as_the_list_path(self, seed):
+        dementia, epilepsy = self.LIST_PATH_DIGESTS[seed]
+        assert _digest(generate_cohort(CohortSpec("edsd", 300, seed=seed))) == dementia
+        assert _digest(generate_epilepsy_cohort("epi", 200, seed=seed)) == epilepsy
+
+    @pytest.mark.parametrize("seed", sorted(LIST_PATH_DIGESTS))
+    def test_columns_equal_a_list_path_rebuild(self, seed):
+        tables = (
+            generate_cohort(CohortSpec("edsd", 300, seed=seed)),
+            generate_epilepsy_cohort("epi", 200, seed=seed),
+        )
+        for table in tables:
+            for spec in table.schema:
+                built = table.column(spec.name)
+                rebuilt = Column.from_values(spec.sql_type, built.to_list())
+                assert built.sql_type == rebuilt.sql_type == spec.sql_type
+                assert built.values.dtype == rebuilt.values.dtype
+                # placeholders under NULLs included: the wire ships ``values`` whole
+                assert np.array_equal(built.values, rebuilt.values), spec.name
+                assert np.array_equal(built.nulls, rebuilt.nulls), spec.name
+                if spec.sql_type == SQLType.VARCHAR:
+                    assert {type(v) for v in built.values} == {str}
+        assert tables[0].column("p_tau").null_count > 0
