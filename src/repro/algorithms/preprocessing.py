@@ -27,8 +27,8 @@ def observed_levels_local(data, variables, metadata):
     for variable in variables:
         info = metadata.get(variable, {})
         levels = list(info.get("enumerations", []))
-        values = data[variable]
-        present = [int((values == level).any()) for level in levels]
+        seen = set(data[variable].tolist())
+        present = [int(level in seen) for level in levels]
         payload[variable] = {"data": present, "operation": "union"}
     return payload
 

@@ -543,6 +543,14 @@ class ExperimentQueue:
         request = job.request
         experiment_id = job.job_id
         master_audit = federation.master.audit
+        # Everything this run records lands after these lengths, so the
+        # trail reads each log's tail instead of every job's history.  A
+        # resumed job was audited `experiment_resumed` at recovery, before
+        # it ran: its trail reads from the start.
+        audit_logs = federation.audit_logs()
+        audit_marks = [len(log) for log in audit_logs]
+        if self.durability is not None and experiment_id in self.durability.resumed_jobs:
+            audit_marks = None
         started = time.perf_counter()
         info: dict[str, Any] = {}
         with transport_mod.job_scope(experiment_id):
@@ -619,7 +627,7 @@ class ExperimentQueue:
             )
         result.dedup_hits = int(info.get("dedup_hits", 0) or 0)
         job.dedup_hits = result.dedup_hits
-        result.audit = AuditTrail(federation.audit_logs(), job_id=experiment_id)
+        result.audit = AuditTrail(audit_logs, job_id=experiment_id, since=audit_marks)
         if tracer.enabled:
             report = analyze_experiment(experiment_id)
             if report is not None:

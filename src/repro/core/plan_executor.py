@@ -536,6 +536,8 @@ class PlanExecutor:
         if arg.kind == "view":
             return {
                 "kind": "view",
+                # The worker keeps one scan of the view per experiment.
+                "experiment": ctx.job_id,
                 "query": ctx.view_query(arg.view, worker),
                 "variables": list(arg.view.variables),
                 "datasets": list(ctx.worker_datasets[worker]),

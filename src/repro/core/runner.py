@@ -19,7 +19,7 @@ from repro.core.context import ExecutionContext
 from repro.core.plan_executor import StepCache
 from repro.core.registry import algorithm_registry
 from repro.core.specs import validate_parameters
-from repro.errors import ExperimentCancelledError, SpecificationError
+from repro.errors import SpecificationError
 from repro.federation.controller import Federation
 from repro.federation.scheduler import WorkerLoad, plan_shipping
 from repro.simtest import hooks as sim_hooks
@@ -78,9 +78,9 @@ class ExperimentRunner:
         Returns ``(result_data, workers)``.  A set ``cancel_event`` stops the
         flow at the next step boundary with
         :class:`~repro.errors.ExperimentCancelledError`; the context's tables
-        are cleaned up best-effort on that path.  ``info``, when given, is
-        filled with ``workers`` as soon as the context exists, so failed
-        flows can still report who participated.
+        are cleaned up best-effort on that path and on any other failure.
+        ``info``, when given, is filled with ``workers`` as soon as the
+        context exists, so failed flows can still report who participated.
         """
         sim = sim_hooks.current()
         if sim is not None:
@@ -108,10 +108,13 @@ class ExperimentRunner:
             # in flight; surface their failures before declaring success.
             context.flush()
             context.cleanup()
-        except ExperimentCancelledError:
+        except Exception:
+            # A failed or cancelled flow leaves no tables (or data views)
+            # behind either; a simulated master crash is process death and
+            # passes through untouched.
             try:
                 context.cleanup()
-            except Exception:  # noqa: BLE001 - cancellation must still surface
+            except Exception:  # noqa: BLE001 - the flow's own error must surface
                 pass
             raise
         finally:

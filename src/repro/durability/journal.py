@@ -31,6 +31,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.errors import JournalCorruptionError
+
 _SEGMENT_RE = re.compile(r"^journal-(\d{6})\.wal$")
 
 
@@ -40,45 +42,48 @@ def _frame(payload: dict[str, Any]) -> bytes:
     return b"%08x %s\n" % (crc, body)
 
 
-def _parse_frame(line: bytes) -> dict[str, Any] | None:
-    """Decode one journal line; ``None`` means the frame is invalid."""
-    if len(line) < 10 or line[8:9] != b" ":
-        return None
+def _intact(line: bytes) -> bool:
+    """Framing and CRC of one journal line: what a torn write or a flipped
+    bit breaks.  The body of every frame written here is a JSON object."""
+    if len(line) < 10 or line[8:9] != b" " or line[9:10] != b"{":
+        return False
     try:
         crc = int(line[:8], 16)
     except ValueError:
-        return None
-    body = line[9:]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+        return False
+    return zlib.crc32(line[9:]) & 0xFFFFFFFF == crc
+
+
+def _parse_frame(line: bytes) -> dict[str, Any] | None:
+    """Decode one journal line; ``None`` means the frame is invalid."""
+    if not _intact(line):
         return None
     try:
-        record = json.loads(body)
+        record = json.loads(line[9:])
     except ValueError:
         return None
     return record if isinstance(record, dict) else None
 
 
-def _scan_segment(path: str) -> tuple[list[dict[str, Any]], int, int]:
-    """Read every valid frame of a segment.
+def _scan_segment(path: str) -> Iterator[tuple[bytes, int]]:
+    """Every intact frame of a segment, in order, undecoded.
 
-    Returns ``(records, valid_end, size)`` where ``valid_end`` is the byte
-    offset just past the last valid frame — everything after it is torn or
-    corrupt.
+    Yields ``(line, end)`` where ``end`` is the byte offset just past the
+    frame; stops at the first torn or corrupt one, so the last ``end`` is
+    where the valid prefix ends.
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    records: list[dict[str, Any]] = []
     pos = 0
     while pos < len(data):
         newline = data.find(b"\n", pos)
         if newline == -1:
-            break  # torn tail: no closing newline
-        record = _parse_frame(data[pos:newline])
-        if record is None:
-            break
-        records.append(record)
+            return  # torn tail: no closing newline
+        line = data[pos:newline]
+        if not _intact(line):
+            return
         pos = newline + 1
-    return records, pos, len(data)
+        yield line, pos
 
 
 @dataclass
@@ -103,13 +108,15 @@ class Journal:
 
     Opening scans existing segments oldest-first, truncates the first
     corrupt/torn frame (and discards any later segments), and resumes
-    appending after the highest recovered sequence number.
+    appending after the highest recovered sequence number.  The scan checks
+    framing and CRCs only; records are decoded one at a time by
+    :meth:`records` and never kept, so reopening a long journal costs the
+    memory of what the caller builds from it, not a second copy of it.
     """
 
     directory: str
     fsync_every: int = 8
     segment_max_bytes: int = 1 << 20
-    recovered_records: list[dict[str, Any]] = field(default_factory=list, repr=False)
     stats: JournalStats = field(default_factory=JournalStats, repr=False)
 
     def __post_init__(self) -> None:
@@ -135,9 +142,12 @@ class Journal:
     def _recover(self) -> None:
         segments = self._segments()
         corrupted_at: int | None = None
+        last_frame: bytes | None = None
         for position, (index, path) in enumerate(segments):
-            records, valid_end, size = _scan_segment(path)
-            self.recovered_records.extend(records)
+            valid_end = 0
+            for last_frame, valid_end in _scan_segment(path):
+                self.stats.recovered_records += 1
+            size = os.path.getsize(path)
             self._segment_index = index
             if valid_end < size:
                 # Torn or corrupt frame: cut the segment back to its last
@@ -153,10 +163,10 @@ class Journal:
                 self.stats.dropped_bytes += os.path.getsize(path)
                 self.stats.dropped_segments += 1
                 os.unlink(path)
-        self.stats.recovered_records = len(self.recovered_records)
-        for record in self.recovered_records:
-            seq = record.get("seq")
-            if isinstance(seq, int) and seq > self._seq:
+        if last_frame is not None:
+            # Sequence numbers are monotone: the last frame holds the highest.
+            seq = (_parse_frame(last_frame) or {}).get("seq")
+            if isinstance(seq, int):
                 self._seq = seq
         if segments:
             self._segment_bytes = os.path.getsize(self._segment_path(self._segment_index))
@@ -230,5 +240,12 @@ class Journal:
     # --------------------------------------------------------------- read
 
     def records(self) -> Iterator[dict[str, Any]]:
-        """The records recovered at open time, in append order."""
-        return iter(self.recovered_records)
+        """The records on disk, in append order, decoded as they are read."""
+        for _index, path in self._segments():
+            for line, _end in _scan_segment(path):
+                try:
+                    yield json.loads(line[9:])
+                except ValueError as error:
+                    raise JournalCorruptionError(
+                        f"{path}: a frame passed its CRC but does not decode"
+                    ) from error

@@ -66,6 +66,11 @@ class RecoveryReport:
         }
 
 
+#: A terminal record whose result does not decode: the job is neither
+#: restored nor re-run.
+_UNDECODABLE = object()
+
+
 class DurabilityManager:
     """Journal + checkpoints + recovery for one ``state_dir``."""
 
@@ -209,19 +214,26 @@ class DurabilityManager:
                 report.orphan_records += 1
                 continue
             if kind == "terminal":
-                entry["terminal"] = record.get("result")
+                # Decoded while reading: held raw until the journal is read
+                # through, every payload would sit beside its result.
+                payload = record.get("result")
+                try:
+                    entry["terminal"] = (
+                        None if payload is None else ExperimentResult.from_dict(payload)
+                    )
+                except (KeyError, TypeError, ValueError):
+                    entry["terminal"] = _UNDECODABLE
             # "dispatch" and "step" records carry no recovery state beyond
             # what the checkpoint already holds.
         for job_id in order:
             entry = jobs[job_id]
             terminal = entry["terminal"]
-            if terminal is not None:
-                try:
-                    report.completed[job_id] = ExperimentResult.from_dict(terminal)
-                except (KeyError, TypeError, ValueError):
-                    report.undecodable_records += 1
-                continue
-            report.pending.append((job_id, entry["request"], entry["priority"]))
+            if terminal is _UNDECODABLE:
+                report.undecodable_records += 1
+            elif terminal is not None:
+                report.completed[job_id] = terminal
+            else:
+                report.pending.append((job_id, entry["request"], entry["priority"]))
         report.journal = self.journal.stats.to_dict()
         self.restored_jobs = tuple(sorted(report.completed))
         self.resumed_jobs = tuple(job_id for job_id, _, _ in report.pending)

@@ -77,7 +77,7 @@ class Master:
         # fingerprints embed it, so cached plan results die the moment the
         # data landscape shifts.
         self._catalog_epoch = 0
-        self._global_outputs: dict[str, str] = {}  # table -> kind
+        self._global_outputs: dict[str, tuple[str, str]] = {}  # table -> (kind, owning job)
         # Per-job table counters: names like merge_{job}_{n} must not
         # depend on what *other* experiments did concurrently (a shared
         # counter leaks into payload sizes via the table-name digits), so
@@ -432,7 +432,7 @@ class Master:
             run_udf_application(self.database, application)
             outputs = []
             for table, iotype in zip(application.output_tables, application.output_kinds):
-                self._global_outputs[table] = iotype.kind
+                self._global_outputs[table] = (iotype.kind, job_id)
                 outputs.append({"table": table, "kind": iotype.kind})
         return outputs
 
@@ -444,13 +444,13 @@ class Master:
         with self._db_lock:
             self.database.execute(f"CREATE TABLE {table} (transfer VARCHAR)")
             self.database.execute(f"INSERT INTO {table} VALUES ('{blob}')")
-            self._global_outputs[table] = "transfer"
+            self._global_outputs[table] = ("transfer", job_id)
         return table
 
     def read_transfer(self, table: str) -> dict[str, Any]:
         """Read a transfer table on the master."""
         with self._db_lock:
-            kind = self._global_outputs.get(table)
+            kind, _owner = self._global_outputs.get(table, (None, None))
             if kind is None:
                 raise FederationError(f"table {table!r} is not a known global output")
             if kind not in ("transfer", "secure_transfer"):
@@ -503,16 +503,17 @@ class Master:
         self.transport.broadcast(
             self.node_id, list(workers), "cleanup", payload, on_error="skip"
         )
+        def owned(owner: str) -> bool:
+            # Step job ids are prefixed by the experiment job id.
+            return owner == job_id or owner.startswith(f"{job_id}_")
+
         with self._db_lock:
-            for table in [t for t in self._global_outputs if job_id in t]:
-                self.database.drop_table(table, if_exists=True)
-                del self._global_outputs[table]
+            for table, (_kind, owner) in list(self._global_outputs.items()):
+                if owned(owner):
+                    self.database.drop_table(table, if_exists=True)
+                    del self._global_outputs[table]
         with self._counter_lock:
-            for key in [
-                k
-                for k in self._job_counters
-                if k == job_id or k.startswith(f"{job_id}_")
-            ]:
+            for key in [k for k in self._job_counters if owned(k)]:
                 del self._job_counters[key]
 
     def drop_worker_tables(self, tables_by_worker: Mapping[str, Sequence[str]]) -> None:

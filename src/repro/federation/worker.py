@@ -12,11 +12,15 @@ Privacy rules enforced here (the paper's key design principles):
   data*, resolved only by later local steps),
 - only ``transfer`` / ``secure_transfer`` outputs — aggregates — can be
   fetched, and ``secure_transfer`` payloads go to the SMPC cluster only,
-- local computations refuse data views smaller than the privacy threshold.
+- local computations refuse data views smaller than the privacy threshold,
+- a data view is scanned once per experiment and kept as a ``view`` table the
+  experiment owns: no handler ships it, no response names it, and the
+  experiment's cleanup drops it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from dataclasses import dataclass
@@ -154,7 +158,7 @@ class Worker:
         return {"outputs": outputs}
 
     def _bind_argument(
-        self, pname: str, iotype: Any, spec: dict[str, Any], job_id: str | None = None
+        self, pname: str, iotype: Any, spec: dict[str, Any], job_id: str
     ) -> Any:
         arg_kind = spec.get("kind")
         if arg_kind == "literal":
@@ -162,7 +166,9 @@ class Worker:
         if arg_kind == "table":
             name = spec["name"]
             record = self._outputs.get(name)
-            if record is None:
+            # A view binds through its query: that is where the read is
+            # audited and the privacy threshold checked.
+            if record is None or record.kind == "view":
                 raise FederationError(
                     f"worker {self.node_id!r}: table {name!r} is not a known step output"
                 )
@@ -170,8 +176,17 @@ class Worker:
         if arg_kind == "view":
             if not isinstance(iotype, RelationType):
                 raise UDFError(f"argument {pname!r}: data views bind only to relations")
-            query = spec["query"]
-            view = self.database.query(query)
+            # The view belongs to the experiment, not the step: the first
+            # step to bind a query scans the data, every later step reads
+            # that snapshot, and the experiment's cleanup drops it.
+            owner = spec.get("experiment", job_id)
+            digest = hashlib.sha1(f"{owner}\0{spec['query']}".encode()).hexdigest()
+            name = f"view_{digest[:16]}"
+            resident = name in self._outputs
+            if resident:
+                view = self.database.get_table(name)
+            else:
+                view = self.database.query(spec["query"])
             self.audit.record(
                 "dataset_read",
                 job_id=job_id,
@@ -193,7 +208,10 @@ class Worker:
             self.audit.record(
                 "rows_contributed", job_id=job_id, rows=view.num_rows
             )
-            return query
+            if not resident:
+                self.database.register_table(name, view)
+                self._outputs[name] = _OutputRecord(name, "view", owner)
+            return name
         raise FederationError(f"unknown argument kind {arg_kind!r}")
 
     def _handle_get_transfer(self, payload: dict[str, Any]) -> dict[str, Any]:

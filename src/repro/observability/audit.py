@@ -29,6 +29,7 @@ touched (prefix match).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -86,10 +87,15 @@ class AuditLog:
         self,
         job_id: str | None = None,
         event: str | None = None,
+        since: int = 0,
     ) -> list[AuditEvent]:
-        """Query the log; ``job_id`` prefix-matches step ids of an experiment."""
+        """Query the log; ``job_id`` prefix-matches step ids of an experiment.
+
+        ``since`` is a log length noted earlier: only events recorded after
+        that point are read (the log is append-only, so they are the tail).
+        """
         with self._lock:
-            entries = list(self._events)
+            entries = self._events[since:]
         if event is not None:
             entries = [e for e in entries if e.event == event]
         if job_id is not None:
@@ -114,16 +120,23 @@ class AuditTrail(Sequence):
     :class:`AuditEvent` records and copies one out per access — every
     finished experiment keeps its trail, and a second full copy of every
     event was two fifths of what an experiment retained.
+
+    ``since`` gives, per log, the length noted before the experiment's first
+    event: the trail then reads each log's tail, not its whole history.
     """
 
     __slots__ = ("_events",)
 
     def __init__(
-        self, logs: Iterable[AuditLog], job_id: str | None = None, event: str | None = None
+        self,
+        logs: Iterable[AuditLog],
+        job_id: str | None = None,
+        event: str | None = None,
+        since: Iterable[int] | None = None,
     ) -> None:
         entries: list[AuditEvent] = []
-        for log in logs:
-            entries.extend(log.events(job_id=job_id, event=event))
+        for log, start in zip(logs, itertools.repeat(0) if since is None else since):
+            entries.extend(log.events(job_id=job_id, event=event, since=start))
         entries.sort(key=lambda e: (e.wall_time, e.node, e.seq))
         self._events = tuple(entries)
 

@@ -5,6 +5,7 @@ the number of experiments run.
 """
 
 from repro.api.service import MIPService
+from repro.errors import FederationError
 from repro.smpc.cluster import SMPCCluster
 
 
@@ -71,4 +72,60 @@ class TestMasterCatalogDoesNotGrow:
             assert database.table_names() == after_one
             assert not [t for t in after_one if t.startswith(("merge_", "remote_"))]
         finally:
+            service.shutdown()
+
+
+class TestWorkerCatalogDoesNotGrow:
+    """Step tables and the experiment's data view both go at cleanup —
+    whether the experiment succeeded, failed or was cancelled."""
+
+    def test_same_tables_after_one_and_twenty_experiments(self, fresh_federation):
+        service = MIPService(fresh_federation, aggregation="plain")
+        master = fresh_federation.master
+        workers = fresh_federation.workers
+        real_step = master.run_local_step
+        held_views: list[int] = []
+
+        def tables():
+            return {w: worker.database.table_names() for w, worker in workers.items()}
+
+        def after_first_step(action):
+            """Run the step for real, then ``action(experiment id)`` with its
+            outputs and the workers' data views in place."""
+
+            def run_local_step(step_id, udf_name, per_worker_arguments):
+                outputs = real_step(step_id, udf_name, per_worker_arguments)
+                held_views.append(
+                    sum(t.startswith("view_") for ts in tables().values() for t in ts)
+                )
+                action(step_id.rsplit("_s", 1)[0])
+                return outputs
+
+            return run_local_step
+
+        def fail(_experiment_id):
+            raise FederationError("injected after the first local step")
+
+        def submit(**kwargs):
+            return service.run_experiment(
+                "descriptive_stats", "dementia", ["edsd", "adni", "ppmi"], y=["p_tau"], **kwargs
+            )
+
+        try:
+            _run(service)
+            after_one = tables()
+            assert after_one == {w: ["data_dementia"] for w in workers}
+            for _ in range(17):
+                _run(service)
+            master.run_local_step = after_first_step(fail)
+            failed = submit()
+            assert failed.status.value == "error" and "injected" in failed.error
+            assert tables() == after_one
+            master.run_local_step = after_first_step(service.cancel_experiment)
+            cancelled = submit()
+            assert cancelled.status.value == "cancelled"
+            assert held_views == [len(workers)] * 2
+            assert tables() == after_one
+        finally:
+            master.run_local_step = real_step
             service.shutdown()

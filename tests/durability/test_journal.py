@@ -149,6 +149,36 @@ class TestTornTailRecovery:
         final.close()
 
 
+class TestRecordsAreReadFromDisk:
+    def test_appends_after_reopen_are_read_too(self, tmp_path):
+        journal = Journal(str(tmp_path))
+        journal.append("step", {"index": 0})
+        journal.close()
+        reopened = Journal(str(tmp_path))
+        assert reopened.stats.recovered_records == 1
+        reopened.append("step", {"index": 1}, sync=True)
+        assert [r["index"] for r in reopened.records()] == [0, 1]
+        assert [r["seq"] for r in reopened.records()] == [1, 2]
+        reopened.close()
+
+    def test_frame_with_good_crc_that_does_not_decode_is_an_error(self, tmp_path):
+        import zlib
+
+        from repro.errors import JournalCorruptionError
+
+        journal = Journal(str(tmp_path))
+        journal.append("step", {"index": 0})
+        journal.close()
+        body = b'{"seq": 2, "kind": '  # not what a torn write leaves: the CRC matches
+        with open(_segment(str(tmp_path)), "ab") as handle:
+            handle.write(b"%08x %s\n" % (zlib.crc32(body) & 0xFFFFFFFF, body))
+        reopened = Journal(str(tmp_path))
+        assert reopened.stats.dropped_bytes == 0
+        with pytest.raises(JournalCorruptionError):
+            list(reopened.records())
+        reopened.close()
+
+
 @pytest.mark.parametrize("payload", [{}, {"nested": {"a": [1, 2.5, None, "x"]}}])
 def test_payload_shapes(tmp_path, payload):
     journal = Journal(str(tmp_path))

@@ -104,6 +104,52 @@ class TestReplay:
         assert [job_id for job_id, _r, _p in report.pending] == ["j1"]
 
 
+    def test_undecodable_terminal_is_counted_and_neither_restored_nor_rerun(self, tmp_path):
+        manager = DurabilityManager(str(tmp_path))
+        manager.record_submit("j1", _request(), priority=0)
+        manager.journal.append("terminal", {"job_id": "j1", "result": {"status": "success"}})
+        manager.record_submit("j2", _request(), priority=0)
+        manager.journal.append("terminal", {"job_id": "j2"})  # no result at all: re-run
+        manager.close()
+        report = DurabilityManager(str(tmp_path)).recover()
+        assert report.undecodable_records == 1
+        assert report.completed == {}
+        assert [job_id for job_id, _r, _p in report.pending] == ["j2"]
+
+    def test_recovery_holds_results_not_the_journal(self, tmp_path, monkeypatch):
+        """The journal is decoded one record at a time and each terminal
+        record becomes its result on the spot."""
+        import json
+
+        from repro.durability import journal as journal_module
+
+        manager = DurabilityManager(str(tmp_path))
+        request = _request()
+        for index in range(30):
+            manager.record_submit(f"j{index}", request, priority=0)
+            manager.record_terminal(f"j{index}", _result(f"j{index}", request))
+        manager.close()
+        live = {"now": 0, "most": 0}
+        real_loads = json.loads
+
+        class Record(dict):
+            def __del__(self):
+                live["now"] -= 1
+
+        def counting_loads(body):
+            live["now"] += 1
+            live["most"] = max(live["most"], live["now"])
+            return Record(real_loads(body))
+
+        monkeypatch.setattr(journal_module.json, "loads", counting_loads)
+        recovered = DurabilityManager(str(tmp_path))
+        assert live["most"] <= 1  # opening checks CRCs; it decodes the last frame only
+        report = recovered.recover()
+        assert len(report.completed) == 30
+        assert live["most"] <= 2
+        recovered.close()
+
+
 class TestCheckpointResume:
     def test_prepare_resume_returns_frontier_length(self, tmp_path):
         manager = DurabilityManager(str(tmp_path))
@@ -198,6 +244,10 @@ class TestServiceRestart:
         assert restarted.recovery["resumed"] == ["exp_lost"]
         recovered = restarted.wait_experiment("exp_lost")
         assert recovered.status is ExperimentStatus.SUCCESS
+        # Audited at recovery, before the job ran: still part of its trail.
+        assert [e["event"] for e in recovered.audit][:2] == [
+            "experiment_resumed", "experiment_started",
+        ]
         restarted.shutdown()
         # Third life: the re-run's terminal record wins over the old submit.
         third = self._service(fresh_federation, tmp_path)

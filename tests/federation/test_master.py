@@ -1,7 +1,10 @@
 """Master-node orchestration and the two aggregation paths."""
 
+import threading
+
 import pytest
 
+from repro.core.experiment import ExperimentEngine, ExperimentRequest
 from repro.errors import DatasetUnavailableError, FederationError
 from repro.federation.master import Master
 from repro.federation.worker import Worker
@@ -141,3 +144,53 @@ class TestGlobalSteps:
         master, workers, transport = build_master()
         transport.set_down("hospital_1")
         master.cleanup("j", list(workers))  # must not raise
+
+    def test_cleanup_matches_the_owning_job_not_a_substring(self):
+        master, _, _ = build_master()
+        other = master.store_global_transfer("e10_s4", {"beta": [1.0]})
+        own = master.store_global_transfer("e1_s4", {"beta": [2.0]})
+        assert (other, own) == ("transfer_e10_s4_1", "transfer_e1_s4_1")
+        master.cleanup("e1", [])
+        assert master.read_transfer(other) == {"beta": [1.0]}
+        with pytest.raises(FederationError, match="not a known global output"):
+            master.read_transfer(own)
+        master.cleanup("e10", [])
+        assert master.database.table_names() == []
+
+    def test_overlapping_experiments_e1_and_e10_both_succeed(self, fresh_federation):
+        """e1 finishes while e10 holds a global table it has yet to broadcast."""
+        master = fresh_federation.master
+        e10_holds_a_table, e1_cleaned = threading.Event(), threading.Event()
+        real_step, real_cleanup = master.run_global_step, master.cleanup
+
+        def run_global_step(job_id, udf_name, arguments):
+            outputs = real_step(job_id, udf_name, arguments)
+            if job_id.startswith("e10_"):
+                e10_holds_a_table.set()
+                assert e1_cleaned.wait(timeout=60)
+            return outputs
+
+        def cleanup(job_id, workers, keep_tables=None):
+            if job_id == "e1":
+                assert e10_holds_a_table.wait(timeout=60)
+            real_cleanup(job_id, workers, keep_tables)
+            if job_id == "e1":
+                e1_cleaned.set()
+
+        master.run_global_step, master.cleanup = run_global_step, cleanup
+        request = ExperimentRequest(
+            algorithm="kmeans", data_model="dementia", datasets=("edsd", "adni", "ppmi"),
+            y=("ab_42", "p_tau"), parameters={"k": 2, "seed": 3, "iterations_max_number": 3},
+        )
+        engine = ExperimentEngine(fresh_federation, aggregation="plain", max_concurrent=2)
+        try:
+            for experiment_id in ("e1", "e10"):
+                engine.submit(request, experiment_id=experiment_id)
+            results = [engine.wait(experiment_id, timeout=120) for experiment_id in ("e1", "e10")]
+        finally:
+            e10_holds_a_table.set()
+            e1_cleaned.set()
+            engine.shutdown(wait=False)
+        assert [(r.status.value, r.error) for r in results] == [("success", None)] * 2
+        assert results[0].result == results[1].result
+        assert master.database.table_names() == []

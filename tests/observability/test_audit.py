@@ -89,3 +89,69 @@ class TestAuditTrail:
         trail, logs = self._trail()
         logs[0].record("late", job_id="exp_1")
         assert [e["event"] for e in trail] == ["first", "second"]
+
+
+class _CountedId(str):
+    """A job id that counts how often the log's filter looks at it."""
+
+    examined = 0
+
+    def __eq__(self, other):
+        _CountedId.examined += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+class TestTrailReadsOnlyTheTail:
+    def test_foreign_history_is_not_examined(self):
+        from repro.observability.audit import AuditTrail
+
+        logs = [AuditLog("master"), AuditLog("hospital_a")]
+        for index in range(5000):
+            logs[index % 2].record("dataset_read", job_id=_CountedId(f"exp_old{index}_s1"))
+        marks = [len(log) for log in logs]
+        logs[0].record("experiment_started", job_id="exp_new")
+        logs[1].record("dataset_read", job_id="exp_new_s1")
+        logs[1].record("dataset_read", job_id=_CountedId("exp_other_s1"))
+        logs[0].record("experiment_finished", job_id="exp_new")
+        _CountedId.examined = 0
+        trail = AuditTrail(logs, job_id="exp_new", since=marks)
+        assert _CountedId.examined == 1  # the overlapping job's event, none of the 5000
+        assert trail == AuditTrail(logs, job_id="exp_new")
+        assert _CountedId.examined == 1 + 5001
+        assert [e["event"] for e in trail] == [
+            "experiment_started", "dataset_read", "experiment_finished",
+        ]
+
+    def test_since_is_a_log_length(self):
+        log = AuditLog("n")
+        log.record("a", job_id="j")
+        mark = len(log)
+        log.record("b", job_id="j")
+        assert [e.event for e in log.events(job_id="j", since=mark)] == ["b"]
+        assert [e.seq for e in log.events(since=mark)] == [1]
+        assert log.events(since=len(log)) == []
+
+    def test_overlapping_jobs_keep_the_trail_a_full_scan_finds(self, fresh_federation):
+        from repro.core.experiment import ExperimentEngine, ExperimentRequest
+        from repro.observability.audit import AuditTrail
+
+        request = ExperimentRequest(
+            algorithm="descriptive_stats", data_model="dementia",
+            datasets=("edsd", "adni", "ppmi"), y=("p_tau",),
+        )
+        engine = ExperimentEngine(fresh_federation, aggregation="plain", max_concurrent=3)
+        try:
+            engine.run(request)  # history the three trails must skip
+            ids = [engine.submit(request) for _ in range(3)]
+            results = [engine.wait(job_id, timeout=120) for job_id in ids]
+        finally:
+            engine.shutdown(wait=False)
+        logs = fresh_federation.audit_logs()
+        for result in results:
+            assert result.status.value == "success"
+            events = [e["event"] for e in result.audit]
+            assert events[0] == "experiment_started" and events[-1] == "experiment_finished"
+            assert "dataset_read" in events and "aggregate_shared" in events
+            assert result.audit == AuditTrail(logs, job_id=result.experiment_id)
