@@ -8,14 +8,19 @@ paper's caseload), data never leaving its hospital:
 (b) clusters on Abeta42, pTau and left entorhinal volume -> federated
     k-means (k = 3),
 (c) influence of the non-AD etiologies PSY (depression) and VA (vascular
-    damage) -> regression terms for both etiologies.
+    damage) -> regression terms for both etiologies,
+(d) which diagnosis groups differ in hippocampal volume -> one-way ANOVA
+    with its Tukey HSD table, and what one table costs the master.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.algorithms.anova import tukey_hsd
 from repro.core.experiment import ExperimentEngine, ExperimentRequest
 from repro.data.cohorts import alzheimers_use_case_cohorts
 from repro.federation.controller import FederationConfig, create_federation
@@ -72,6 +77,21 @@ def test_benchmark_use_case_kmeans(benchmark, engine):
     assert len(result["centroids"]) == 3
 
 
+def tukey_table_ms(k: int, df: int, rounds: int = 5) -> float:
+    """Best-of-``rounds`` wall time of one Tukey table from fixed aggregates:
+    ``k`` groups of equal size with ``df + k`` observations in all."""
+    levels = [f"g{i}" for i in range(k)]
+    counts = np.full(k, (df + k) / k)
+    means = 3.0 + 0.05 * np.arange(k)
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        table = tukey_hsd(levels, counts, means, 0.8125, df)
+        best = min(best, time.perf_counter() - started)
+    assert len(table) == k * (k - 1) // 2
+    return 1000.0 * best
+
+
 def test_report_use_case(engine):
     lines = ["E2 / §1 use case — federated analyses in Alzheimer's disease", ""]
 
@@ -121,6 +141,26 @@ def test_report_use_case(engine):
     ):
         if "etiology" in name or "alzheimer" in name:
             lines.append(f"{name:<32}{coef:>10.4f}{p:>12.2e}")
+    lines.append("")
+
+    # (d) which diagnosis groups differ: one-way ANOVA + Tukey HSD
+    anova = run(engine, "anova_oneway", ["lefthippocampus"], ["alzheimerbroadcategory"])
+    lines.append("(d) one-way ANOVA: lefthippocampus across diagnosis "
+                 f"(F({anova['df_between']}, {anova['df_within']}) = "
+                 f"{anova['f_statistic']:.1f}, p = {anova['p_value']:.2e})")
+    lines.append(f"{'pair':<12}{'diff':>10}{'q':>10}{'p adj':>12}{'95% CI':>22}")
+    for row in anova["pairwise_comparisons"]:
+        interval = f"[{row['ci_lower']:.4f}, {row['ci_upper']:.4f}]"
+        lines.append(
+            f"{' - '.join(row['groups']):<12}{row['mean_difference']:>10.4f}"
+            f"{row['q_statistic']:>10.2f}{row['p_adjusted']:>12.2e}{interval:>22}"
+        )
+    lines.append("one Tukey table on the master, from fixed aggregates (best of 5):")
+    lines.append(f"{'k':>4}{'df':>8}{'pairs':>8}{'ms':>10}")
+    table_ms = {}
+    for k, df in ((3, 128), (3, 5158), (5, 5156), (10, 5151)):
+        table_ms[k, df] = tukey_table_ms(k, df)
+        lines.append(f"{k:>4}{df:>8}{k * (k - 1) // 2:>8}{table_ms[k, df]:>10.2f}")
     write_report("e2_alzheimers", lines)
 
     # Expected shapes: AD lowers hippocampal volume; low-Abeta42 cluster has
@@ -131,3 +171,7 @@ def test_report_use_case(engine):
     high_ab42 = order[-1]
     assert clusters["centroids"][low_ab42][1] > clusters["centroids"][high_ab42][1]
     assert clusters["centroids"][low_ab42][2] < clusters["centroids"][high_ab42][2]
+    # Every diagnosis pair differs on this caseload, and the table is master
+    # arithmetic on four numbers: ~260 ms under SciPy's adaptive quadrature.
+    assert all(row["significant"] for row in anova["pairwise_comparisons"])
+    assert table_ms[3, 5158] < 20.0

@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 import scipy.stats
 
+from repro.algorithms import studentized_range
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
@@ -95,36 +96,41 @@ def tukey_hsd(
     """Tukey's HSD pairwise comparisons from aggregated group statistics.
 
     Uses the Tukey-Kramer adjustment for unbalanced groups and the
-    studentized-range distribution for the adjusted p-values — computable
-    entirely from the same secure sums the omnibus F-test needs.
+    studentized-range distribution (:mod:`repro.algorithms.studentized_range`)
+    for the adjusted p-values — computable entirely from the same secure
+    sums the omnibus F-test needs.
     """
     k = len(levels)
-    comparisons = []
     if k < 2:
-        return comparisons
-    # The critical value depends on (k, df) only: one quantile inversion per
-    # table (~0.15 s each), not one per pair.
-    q_critical = float(scipy.stats.studentized_range.ppf(0.95, k, df_within))
-    for i in range(k):
-        for j in range(i + 1, k):
-            difference = float(means[i] - means[j])
-            standard_error = float(
-                np.sqrt(ms_within / 2.0 * (1.0 / counts[i] + 1.0 / counts[j]))
-            )
-            q_statistic = abs(difference) / standard_error if standard_error > 0 else np.inf
-            p_value = float(scipy.stats.studentized_range.sf(q_statistic, k, df_within))
-            margin = q_critical * standard_error
-            comparisons.append(
-                {
-                    "groups": [levels[i], levels[j]],
-                    "mean_difference": difference,
-                    "q_statistic": float(q_statistic),
-                    "p_adjusted": min(p_value, 1.0),
-                    "ci_lower": difference - margin,
-                    "ci_upper": difference + margin,
-                    "significant": p_value < 0.05,
-                }
-            )
+        return []
+    first, second = np.triu_indices(k, 1)
+    differences = means[first] - means[second]
+    standard_errors = np.sqrt(ms_within / 2.0 * (1.0 / counts[first] + 1.0 / counts[second]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_statistics = np.where(
+            standard_errors > 0, np.abs(differences) / standard_errors, np.inf
+        )
+    # One grid evaluation for every pair's p-value and one root-find for the
+    # critical value, which depends on (k, df) only.
+    p_values = studentized_range.sf(q_statistics, k, df_within)
+    q_critical = studentized_range.ppf(0.95, k, df_within)
+    comparisons = []
+    for i, j, difference, standard_error, q_statistic, p_value in zip(
+        first.tolist(), second.tolist(), differences.tolist(), standard_errors.tolist(),
+        q_statistics.tolist(), p_values.tolist(), strict=True,
+    ):
+        margin = q_critical * standard_error
+        comparisons.append(
+            {
+                "groups": [levels[i], levels[j]],
+                "mean_difference": difference,
+                "q_statistic": q_statistic,
+                "p_adjusted": min(p_value, 1.0),
+                "ci_lower": difference - margin,
+                "ci_upper": difference + margin,
+                "significant": p_value < 0.05,
+            }
+        )
     return comparisons
 
 

@@ -117,12 +117,8 @@ def descriptive_pooled_local(data, variables, metadata, n_bins):
             continue
         numeric = np.asarray(values, dtype=np.float64)
         non_null = numeric[~np.isnan(numeric)]
-        low = info.get("min")
-        high = info.get("max")
-        if low is None or high is None:
-            low = float(non_null.min()) if len(non_null) else 0.0
-            high = float(non_null.max()) if len(non_null) else 1.0
-        edges = np.linspace(low, high, n_bins + 1)
+        # One grid for every worker: the flow fills in a range the CDE lacks.
+        edges = np.linspace(info["min"], info["max"], n_bins + 1)
         histogram = _h.histogram_counts(non_null, edges) if len(non_null) else np.zeros(n_bins, dtype=np.int64)
         payload[f"{variable}__count"] = {"data": int(len(numeric)), "operation": "sum"}
         payload[f"{variable}__na"] = {
@@ -182,6 +178,8 @@ class DescriptiveStatistics(FederatedAlgorithm):
     )
 
     def run(self) -> dict[str, Any]:
+        from repro.algorithms.preprocessing import resolve_observed_ranges
+
         variables = list(self.y)
         n_bins = self.params["n_bins"]
         view = self.data_view(["dataset"] + variables, dropna=False)
@@ -201,26 +199,31 @@ class DescriptiveStatistics(FederatedAlgorithm):
         for worker_stats in per_worker:
             per_dataset.update(worker_stats)
 
+        metadata = resolve_observed_ranges(self, variables, view)
         pooled_handle = self.local_run(
             func=descriptive_pooled_local,
             keyword_args={
                 "data": view,
                 "variables": variables,
-                "metadata": self.metadata,
+                "metadata": metadata,
                 "n_bins": n_bins,
             },
             share_to_global=[True],
         )
         aggregates = self.ctx.get_transfer_data(pooled_handle)
-        pooled = self._assemble_pooled(variables, aggregates, n_bins)
+        pooled = self._assemble_pooled(variables, aggregates, n_bins, metadata)
         return {"per_dataset": per_dataset, "pooled": pooled, "variables": variables}
 
+    @staticmethod
     def _assemble_pooled(
-        self, variables: list[str], aggregates: dict[str, Any], n_bins: int
+        variables: list[str],
+        aggregates: dict[str, Any],
+        n_bins: int,
+        metadata: dict[str, dict[str, Any]],
     ) -> dict[str, Any]:
         pooled: dict[str, Any] = {}
         for variable in variables:
-            info = self.metadata.get(variable, {})
+            info = metadata.get(variable, {})
             count = int(aggregates[f"{variable}__count"])
             na = int(aggregates[f"{variable}__na"])
             if info.get("is_categorical"):
@@ -249,13 +252,8 @@ class DescriptiveStatistics(FederatedAlgorithm):
                     (total_squares - datapoints * mean**2) / max(datapoints - 1, 1), 0.0
                 )
                 std = float(np.sqrt(variance))
-                low = info.get("min")
-                high = info.get("max")
                 histogram = np.asarray(aggregates[f"{variable}__hist"], dtype=np.int64)
-                if low is None or high is None:
-                    low = float(aggregates[f"{variable}__min"])
-                    high = float(aggregates[f"{variable}__max"])
-                edges = np.linspace(float(low), float(high), n_bins + 1)
+                edges = np.linspace(float(info["min"]), float(info["max"]), n_bins + 1)
                 entry.update(
                     mean=mean,
                     std=std,

@@ -7,6 +7,11 @@ X^T X).  The observed-level discovery is a textbook use of the SMPC
 *disjoint union* operation: each worker contributes the characteristic
 vector of its local levels over the catalogued enumeration, and only the
 union — never which worker holds which level — is revealed.
+
+Binning a numeric variable needs the same kind of agreement: per-worker
+histograms add up only over one shared grid, so a variable whose CDE
+declares no range gets the federation's observed range through secure
+min/max before anything is binned.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.algorithm import FederatedAlgorithm
+from repro.core.context import DataView
+from repro.smpc.encoding import DEFAULT_FRACTIONAL_BITS
 from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
@@ -30,6 +37,26 @@ def observed_levels_local(data, variables, metadata):
         seen = set(data[variable].tolist())
         present = [int(level in seen) for level in levels]
         payload[variable] = {"data": present, "operation": "union"}
+    return payload
+
+
+@udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
+def observed_range_local(data, variables):
+    """Local extremes of numeric variables, NULLs ignored."""
+    payload = {}
+    for variable in variables:
+        values = np.asarray(data[variable], dtype=np.float64)
+        values = values[~np.isnan(values)]
+        # An empty slice sends sentinels that lose every comparison and stay
+        # inside the fixed-point range of the secure min/max.
+        payload[f"{variable}__min"] = {
+            "data": float(values.min()) if len(values) else 1e6,
+            "operation": "min",
+        }
+        payload[f"{variable}__max"] = {
+            "data": float(values.max()) if len(values) else -1e6,
+            "operation": "max",
+        }
     return payload
 
 
@@ -63,4 +90,40 @@ def resolve_observed_levels(
         mask = union[variable]
         observed = [level for level, present in zip(catalogued, mask) if present]
         metadata[variable]["enumerations"] = observed
+    return metadata
+
+
+def resolve_observed_ranges(
+    algorithm: FederatedAlgorithm, variables: list[str], view: DataView
+) -> dict[str, dict[str, Any]]:
+    """Return metadata in which every numeric variable of ``variables`` has a
+    ``min`` and a ``max``.
+
+    A CDE may declare no range.  Anything binned per worker and summed
+    across workers needs one grid for the whole federation, so a missing
+    range is replaced by the global extremes of ``view``, obtained through
+    the secure ``min``/``max`` operations and widened by one unit of the
+    secure path's fixed-point grid: the secure extremes are roundings of the
+    true ones, and a grid that ends a rounding error short would drop the
+    extreme rows.  Variables with a declared range cost no step.
+    """
+    metadata = {k: dict(v) for k, v in algorithm.metadata.items()}
+    unbounded = [
+        v for v in variables
+        if not metadata.get(v, {}).get("is_categorical")
+        and None in (metadata.get(v, {}).get("min"), metadata.get(v, {}).get("max"))
+    ]
+    if not unbounded:
+        return metadata
+    handle = algorithm.local_run(
+        func=observed_range_local,
+        keyword_args={"data": view, "variables": unbounded},
+        share_to_global=[True],
+    )
+    extremes = algorithm.ctx.get_transfer_data(handle)
+    margin = 2.0**-DEFAULT_FRACTIONAL_BITS
+    for variable in unbounded:
+        info = metadata.setdefault(variable, {})
+        info["min"] = float(extremes[f"{variable}__min"]) - margin
+        info["max"] = float(extremes[f"{variable}__max"]) + margin
     return metadata

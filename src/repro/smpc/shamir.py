@@ -53,20 +53,26 @@ def share_vector(
 ) -> ShamirShared:
     """Share each element with an independent random degree-t polynomial.
 
-    Both kernels consume the RNG identically (element-major coefficient
-    order) and produce identical shares; the numpy path samples the whole
-    coefficient matrix in one batch and evaluates every polynomial at once
-    with a vectorized Horner scheme over the limb kernel.
+    Both kernels draw the coefficients in one batch, element-major
+    (``flat[i * threshold + j]`` is element i's degree-(j + 1) coefficient),
+    consume the RNG identically and produce identical shares.  This one
+    runs Horner's scheme over whole coefficient columns of Python ints;
+    :func:`_share_vector_batched` combines the same columns on the limb
+    kernel.
     """
     if threshold >= n_parties:
         raise SMPCError("threshold must be below the party count")
     if field.use_numpy(len(vector)):
         return _share_vector_batched(vector, n_parties, threshold, rng)
-    shares = [FieldVector.zeros(len(vector)) for _ in range(n_parties)]
-    for index, secret in enumerate(vector.elements):
-        coefficients = [secret] + [rng.randrange(PRIME) for _ in range(threshold)]
-        for party in range(n_parties):
-            shares[party].elements[index] = _poly_eval(coefficients, party + 1)
+    flat = field.random_field_elements(len(vector) * threshold, rng)
+    columns = [vector._as_elements()] + [flat[j::threshold] for j in range(threshold)]
+    shares = []
+    for point in range(1, n_parties + 1):
+        # Horner over whole columns: one pass per party and degree.
+        values = columns[-1]
+        for column in columns[-2::-1]:
+            values = [(value * point + low) % PRIME for value, low in zip(values, column)]
+        shares.append(FieldVector._raw(values))
     return ShamirShared(shares, threshold)
 
 
@@ -102,13 +108,6 @@ def _share_vector_batched(
             field.linear_combination(row, coefficients) for row in powers
         ]
     return ShamirShared(shares, threshold)
-
-
-def _poly_eval(coefficients: Sequence[int], x: int) -> int:
-    result = 0
-    for coefficient in reversed(coefficients):
-        result = (result * x + coefficient) % PRIME
-    return result
 
 
 def lagrange_coefficients_at_zero(points: Sequence[int]) -> list[int]:

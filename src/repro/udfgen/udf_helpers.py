@@ -89,12 +89,10 @@ def category_counts(values: np.ndarray, levels: Sequence[Any]) -> np.ndarray:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: one exponential
+    # of -|z| serves both, so nothing overflows and nothing is gathered.
+    decay = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, decay) / (1.0 + decay)
 
 
 def logistic_gradient_hessian(

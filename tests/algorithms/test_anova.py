@@ -134,19 +134,14 @@ class TestTukeyTable:
     def test_one_quantile_inversion_per_table_and_same_values(self, monkeypatch):
         from repro.algorithms.anova import tukey_hsd
 
-        calls = []
-        real_ppf = scipy.stats.studentized_range.ppf
+        def removed(*args, **kwargs):
+            raise AssertionError("tukey_hsd must not call scipy.stats.studentized_range")
 
-        def counting_ppf(*args, **kwargs):
-            calls.append(args)
-            return real_ppf(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.stats.studentized_range, "ppf", counting_ppf)
+        for method in ("ppf", "sf", "cdf"):
+            monkeypatch.setattr(scipy.stats.studentized_range, method, removed)
         table = tukey_hsd(self.LEVELS, self.COUNTS, self.MEANS, 0.8125, 128)
-        assert len(calls) == 1
-        assert calls[0] == (0.95, 3, 128)
-        # Bit-identical on the scipy build the digits were pinned under; the
-        # tolerance only absorbs another build's last digits.
+        # The digits were pinned under SciPy's adaptive quadrature; the
+        # fixed-node kernel agrees to 1e-10 (worst field: p_adjusted).
         for row, pinned in zip(table, self.PINNED, strict=True):
             assert row == pytest.approx(pinned, rel=1e-9)
 

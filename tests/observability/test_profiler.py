@@ -157,7 +157,7 @@ class TestOverhead:
     def test_overhead_under_budget_at_default_hz(self):
         """The sampler must cost <5% wall time on a CPU-bound workload."""
         budget = 0.05
-        rounds = 3
+        min_pairs, max_pairs = 5, 15
 
         def fixed_work() -> int:
             acc = 0
@@ -165,22 +165,30 @@ class TestOverhead:
                 acc = (acc * 31 + i) % 1_000_003
             return acc
 
-        def best_of(profiled: bool) -> float:
-            best = float("inf")
-            for _ in range(rounds):
-                profiler = SamplingProfiler(hz=DEFAULT_HZ)
-                if profiled:
-                    profiler.start()
-                t0 = time.perf_counter()
-                fixed_work()
-                elapsed = time.perf_counter() - t0
-                profiler.stop()
-                best = min(best, elapsed)
-            return best
+        def timed(profiled: bool) -> float:
+            profiler = SamplingProfiler(hz=DEFAULT_HZ)
+            if profiled:
+                profiler.start()
+            t0 = time.perf_counter()
+            fixed_work()
+            elapsed = time.perf_counter() - t0
+            profiler.stop()
+            return elapsed
 
-        plain = best_of(False)
-        profiled = best_of(True)
-        overhead = profiled / plain - 1.0
+        # Plain and profiled rounds alternate, so a drift in CPU speed over
+        # the test (+-20 % over minutes on a shared machine) reaches both
+        # minima alike instead of landing on whichever block ran second.
+        # Both minima only fall towards their floors as rounds are added, and
+        # a sampler that really costs 5 % keeps the floors 5 % apart, so
+        # rounds past the fifth pair are spent only while one lucky plain
+        # round has not yet been matched by a profiled one.
+        plain = profiled = overhead = float("inf")
+        for pair in range(max_pairs):
+            plain = min(plain, timed(False))
+            profiled = min(profiled, timed(True))
+            overhead = profiled / plain - 1.0
+            if pair + 1 >= min_pairs and overhead < budget:
+                break
         assert overhead < budget, (
             f"profiler overhead {overhead:.1%} exceeds the {budget:.0%} budget"
         )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SMPCError, ThresholdError
-from repro.smpc import shamir
+from repro.smpc import field, shamir
 from repro.smpc.field import PRIME, FieldVector
 
 
@@ -98,6 +98,48 @@ class TestMultiplication:
         product = shamir.multiply_local(a, b)
         with pytest.raises(ThresholdError):
             shamir.reconstruct(product, degree=4)
+
+
+def share_vector_per_element(vector, n_parties, threshold, rng):
+    """The sharer as first written: one polynomial per element, drawn and
+    evaluated one at a time.  Kept as the oracle for the column-wise one."""
+    shares = [[0] * len(vector) for _ in range(n_parties)]
+    for index, secret in enumerate(vector.elements):
+        coefficients = [secret] + [rng.randrange(PRIME) for _ in range(threshold)]
+        for party in range(n_parties):
+            result = 0
+            for coefficient in reversed(coefficients):
+                result = (result * (party + 1) + coefficient) % PRIME
+            shares[party][index] = result
+    return shares
+
+
+class TestColumnWiseHorner:
+    @pytest.fixture(autouse=True)
+    def python_kernel(self):
+        previous = field.set_kernel("python")
+        yield
+        field.set_kernel(previous)
+
+    @pytest.mark.parametrize(("n_parties", "threshold"), [(3, 1), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("length", [0, 1, 7, 200])
+    def test_same_shares_and_same_rng_state_as_the_per_element_loop(
+        self, n_parties, threshold, length
+    ):
+        secret = FieldVector.random(length, random.Random(length))
+        rng, oracle_rng = random.Random(77), random.Random(77)
+        shared = shamir.share_vector(secret, n_parties, threshold, rng)
+        oracle = share_vector_per_element(secret, n_parties, threshold, oracle_rng)
+        assert [share.elements for share in shared.shares] == oracle
+        assert rng.getstate() == oracle_rng.getstate()
+        assert shamir.reconstruct(shared) == secret
+
+    def test_shares_do_not_alias_each_other_or_the_secret(self):
+        secret = FieldVector([1, 2, 3])
+        shared = shamir.share_vector(secret, 3, 1, random.Random(1))
+        shared.shares[0].elements[0] = 0
+        assert secret.elements == [1, 2, 3]
+        assert shared.shares[1].elements[0] != 0
 
 
 class TestLagrange:

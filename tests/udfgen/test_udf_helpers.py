@@ -94,6 +94,31 @@ class TestSigmoid:
         assert sigmoid(np.array([1000.0]))[0] == pytest.approx(1.0)
         assert sigmoid(np.array([-1000.0]))[0] == pytest.approx(0.0)
 
+    @staticmethod
+    def masked_sigmoid(z):
+        """The two-branch form the one-pass sigmoid replaced; kept as its oracle."""
+        z = np.asarray(z, dtype=np.float64)
+        out = np.empty_like(z)
+        positive = z >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+        exp_z = np.exp(z[~positive])
+        out[~positive] = exp_z / (1.0 + exp_z)
+        return out
+
+    @pytest.mark.parametrize("z", [
+        np.random.default_rng(3).normal(scale=4.0, size=1960),
+        np.random.default_rng(4).normal(scale=40.0, size=(98, 20)),
+        np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan]),
+        np.array([]),
+        np.zeros((0, 3)),
+    ], ids=["normal", "wide-2d", "edges", "empty", "empty-2d"])
+    def test_bit_identical_to_the_masked_form(self, z):
+        with np.errstate(all="raise", under="ignore"):
+            result = sigmoid(z)
+        assert result.shape == z.shape
+        assert result.dtype == np.float64
+        assert np.array_equal(result, self.masked_sigmoid(z), equal_nan=True)
+
     @given(st.floats(-50, 50))
     def test_range(self, z):
         value = sigmoid(np.array([z]))[0]
