@@ -25,16 +25,6 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 SUPPRESSION_THRESHOLD = 5
 
 
-@udf(data=relation(), variable=literal(), return_type=[secure_transfer()])
-def histogram_bounds_local(data, variable):
-    """Secure range discovery when the CDE declares no bounds."""
-    values = np.asarray(data[variable], dtype=np.float64)
-    return {
-        "min": {"data": float(values.min()), "operation": "min"},
-        "max": {"data": float(values.max()), "operation": "max"},
-    }
-
-
 @udf(
     data=relation(),
     variable=literal(),
@@ -79,7 +69,10 @@ class Histogram(FederatedAlgorithm):
     )
 
     def run(self) -> dict[str, Any]:
-        from repro.algorithms.preprocessing import resolve_observed_levels
+        from repro.algorithms.preprocessing import (
+            resolve_observed_levels,
+            resolve_observed_ranges,
+        )
 
         variable = self.y[0]
         group_variable = self.x[0] if self.x else None
@@ -99,14 +92,8 @@ class Histogram(FederatedAlgorithm):
         view = self.data_view(variables)
         edges: list[float] = []
         if not is_nominal:
-            low, high = info.get("min"), info.get("max")
-            if low is None or high is None:
-                bounds = self.ctx.get_transfer_data(self.local_run(
-                    histogram_bounds_local,
-                    {"data": view, "variable": variable},
-                    share_to_global=[True],
-                ))
-                low, high = float(bounds["min"]), float(bounds["max"])
+            resolved = resolve_observed_ranges(self, [variable], view)[variable]
+            low, high = resolved["min"], resolved["max"]
             if high <= low:
                 high = low + 1.0
             edges = np.linspace(float(low), float(high), self.params["n_bins"] + 1).tolist()

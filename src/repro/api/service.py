@@ -32,8 +32,6 @@ class MIPService:
         noise: NoiseSpec | None = None,
         pool_size: int = 1,
         max_queued: int = 128,
-        flow_mode: str | None = None,
-        plan_cache=None,
         state_dir: str | None = None,
         fsync_every: int = 8,
     ) -> None:
@@ -55,8 +53,6 @@ class MIPService:
             noise=noise,
             max_concurrent=pool_size,
             max_queued=max_queued,
-            flow_mode=flow_mode,
-            plan_cache=plan_cache,
             durability=self.durability,
         )
         if self.durability is not None:

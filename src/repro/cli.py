@@ -590,10 +590,9 @@ def command_profile(args: argparse.Namespace) -> int:
 def command_plan(args: argparse.Namespace) -> int:
     """`repro plan`: record and render an algorithm's flow-plan DAG.
 
-    Runs the algorithm once against synthetic cohorts with the eager
-    executor (no cache, no pipelining), then renders the plan the run
-    recorded: every local/global step, aggregation, broadcast and barrier
-    with its data dependencies.
+    Runs the algorithm once against synthetic cohorts, then renders the
+    plan the run recorded: every local/global step, aggregation, broadcast
+    and barrier with its data dependencies.
     """
     from repro.api.demo import DEMO_REQUESTS
     from repro.core.experiment import ExperimentRequest
@@ -624,12 +623,7 @@ def command_plan(args: argparse.Namespace) -> int:
         parameters=parameters,
         filter_sql=args.filter,
     )
-    runner = ExperimentRunner(
-        service.federation,
-        aggregation=args.aggregation,
-        flow_mode="eager",
-        plan_cache=None,
-    )
+    runner = ExperimentRunner(service.federation, aggregation=args.aggregation)
     info: dict[str, Any] = {}
     runner.execute(request, "plan", info=info)
     plan = info["plan"]

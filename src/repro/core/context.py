@@ -8,14 +8,11 @@ tracks every created table for cleanup.
 Since the flow-plan refactor the context is a thin *recording facade*: each
 ``local_run`` / ``global_run`` / ``get_transfer_data`` call validates its
 arguments, appends typed nodes to a :class:`~repro.core.plan.FlowPlan`, and
-hands them to the :class:`~repro.core.plan_executor.PlanExecutor`.  The
-returned handles are lazy — algorithms keep passing them between steps
-unchanged, and bytes only move when a handle (or a transfer read) forces a
-true data dependency.  In ``"eager"`` mode (the default, and the forced mode
-under an active simulation) every node executes inline at record time, which
-reproduces the historical imperative behavior exactly; ``"pipeline"`` mode
-dispatches nodes the moment their dependencies allow, so independent local
-steps overlap on the shared fan-out pool.
+hands them to the :class:`~repro.core.plan_executor.PlanExecutor`, which
+runs each node inline at record time.  The returned handles are references
+to plan nodes — algorithms keep passing them between steps unchanged — and
+are lazy only under checkpoint replay, where a recorded node runs the first
+time a live step needs it.
 """
 
 from __future__ import annotations
@@ -41,13 +38,8 @@ from repro.core.plan import (
     SecureAggregateNode,
     ValueRef,
 )
-from repro.core.plan_executor import PlanExecutor, StepCache
-from repro.core.state import (
-    GlobalHandle,
-    LazyGlobalHandle,
-    LazyLocalHandle,
-    LocalHandle,
-)
+from repro.core.plan_executor import PlanExecutor
+from repro.core.state import GlobalHandle, LocalHandle
 from repro.federation.master import Master
 from repro.federation.messages import new_job_id
 from repro.simtest import hooks as sim_hooks
@@ -91,8 +83,6 @@ class ExecutionContext:
         filter_sql: str | None = None,
         job_prefix: str | None = None,
         cancel_event: threading.Event | None = None,
-        flow_mode: str | None = None,
-        plan_cache: StepCache | None = None,
         durability=None,
         resume_reads: Sequence[Mapping[str, Any]] | None = None,
     ) -> None:
@@ -114,17 +104,15 @@ class ExecutionContext:
         self.cancel_event = cancel_event
         self._step_counter = itertools.count(1)
         self._broadcasts: dict[tuple[str, str], str] = {}  # (table, worker) -> remote name
-        self._broadcast_lock = threading.Lock()
         #: Workers evicted from this flow mid-experiment (degrading failure
         #: policy), mapped to the step at which they were lost.
         self.evicted: dict[str, str] = {}
         #: The recorded flow (inspectable via ``repro plan``).
         self.plan = FlowPlan(self.job_id)
-        self.flow_mode = flow_mode or "eager"
-        self.executor = PlanExecutor(self, mode=self.flow_mode, cache=plan_cache)
+        self.executor = PlanExecutor(self)
         # One broadcast node per distinct global-transfer source: repeat
         # uses share the placement work instead of re-shipping.
-        self._bcast_nodes: dict[Any, int] = {}
+        self._bcast_nodes: dict[ValueRef, int] = {}
         self._last_node: int | None = None
         #: Durability sink: every forced read is recorded (journal `step`
         #: record + atomic checkpoint) so a crashed experiment can resume
@@ -154,7 +142,6 @@ class ExecutionContext:
             raise ExperimentCancelledError(
                 f"experiment {self.job_id} was cancelled mid-flow"
             )
-        self.executor.raise_pending()
 
     # ------------------------------------------------------------- data views
 
@@ -206,24 +193,18 @@ class ExecutionContext:
                 ordered.append(dep)
         return tuple(ordered)
 
-    def _broadcast_node(self, source: PlanArg, step_id: str) -> int:
+    def _broadcast_node(self, source: ValueRef, step_id: str) -> int:
         """Get-or-create the broadcast node for one global-transfer source."""
-        if source.ref is not None:
-            key = ("ref", source.ref.node_id, source.ref.index)
-            deps = [source.ref.node_id]
-        else:
-            key = ("table", str(source.value))
-            deps = []
-        existing = self._bcast_nodes.get(key)
+        existing = self._bcast_nodes.get(source)
         if existing is not None:
             return existing
         node = BroadcastNode(
             node_id=self.plan.next_id(),
-            deps=self._chain(deps),
-            source=source,
+            deps=self._chain([source.node_id]),
+            source=PlanArg("ref", ref=source),
             step_id=step_id,
         )
-        self._bcast_nodes[key] = node.node_id
+        self._bcast_nodes[source] = node.node_id
         self._record(node)
         return node.node_id
 
@@ -234,7 +215,7 @@ class ExecutionContext:
         func: Callable[..., Any],
         keyword_args: Mapping[str, Any],
         share_to_global: Sequence[bool],
-    ) -> LazyLocalHandle | tuple[LazyLocalHandle, ...]:
+    ) -> LocalHandle | tuple[LocalHandle, ...]:
         """Record one local computation step over every participating worker."""
         self.check_cancelled()
         spec = get_spec(func)
@@ -269,7 +250,7 @@ class ExecutionContext:
         )
         self._record(node)
         handles = [
-            LazyLocalHandle(
+            LocalHandle(
                 self.executor,
                 ValueRef(node.node_id, index),
                 kind,
@@ -287,21 +268,15 @@ class ExecutionContext:
             if not isinstance(iotype, RelationType):
                 raise AlgorithmError(f"parameter {pname!r}: data views bind to relations only")
             return PlanArg("view", view=value)
-        if isinstance(value, LazyLocalHandle):
-            return PlanArg("ref", ref=value.ref)
         if isinstance(value, LocalHandle):
-            return PlanArg("local_tables", value=dict(value.tables))
-        if isinstance(value, (LazyGlobalHandle, GlobalHandle)):
+            return PlanArg("ref", ref=value.ref)
+        if isinstance(value, GlobalHandle):
             if value.kind != "transfer":
                 raise AlgorithmError(
                     f"parameter {pname!r}: only global transfers can be broadcast, "
                     f"got {value.kind!r}"
                 )
-            if isinstance(value, LazyGlobalHandle):
-                source = PlanArg("ref", ref=value.ref)
-            else:
-                source = PlanArg("global_table", value=value.table)
-            bcast = self._broadcast_node(source, step_id)
+            bcast = self._broadcast_node(value.ref, step_id)
             return PlanArg("ref", ref=ValueRef(bcast, 0))
         if isinstance(iotype, LiteralType):
             return PlanArg("literal", value=value)
@@ -336,7 +311,7 @@ class ExecutionContext:
         func: Callable[..., Any],
         keyword_args: Mapping[str, Any],
         share_to_locals: Sequence[bool],
-    ) -> LazyGlobalHandle | tuple[LazyGlobalHandle, ...]:
+    ) -> GlobalHandle | tuple[GlobalHandle, ...]:
         """Record one global step on the master, aggregating local transfers."""
         self.check_cancelled()
         spec = get_spec(func)
@@ -372,7 +347,7 @@ class ExecutionContext:
         )
         self._record(node)
         handles = [
-            LazyGlobalHandle(
+            GlobalHandle(
                 self.executor, ValueRef(node.node_id, index), iotype.kind, bool(flag)
             )
             for index, (iotype, flag) in enumerate(zip(spec.outputs, share_to_locals))
@@ -383,7 +358,7 @@ class ExecutionContext:
         self, spec, pname: str, value: Any, step_id: str, last_aggregate: int | None
     ) -> tuple[PlanArg, int | None]:
         iotype = spec.input_type(pname)
-        if isinstance(value, (LazyLocalHandle, LocalHandle)):
+        if isinstance(value, LocalHandle):
             if not value.shared_to_global:
                 raise AlgorithmError(
                     f"parameter {pname!r}: local output was not shared to global"
@@ -392,10 +367,8 @@ class ExecutionContext:
                 value, iotype, step_id, pname, last_aggregate
             )
             return PlanArg("ref", ref=ValueRef(node_id, 0)), node_id
-        if isinstance(value, LazyGlobalHandle):
-            return PlanArg("ref", ref=value.ref), None
         if isinstance(value, GlobalHandle):
-            return PlanArg("global_table", value=value.table), None
+            return PlanArg("ref", ref=value.ref), None
         if isinstance(iotype, LiteralType):
             return PlanArg("literal", value=value), None
         raise AlgorithmError(
@@ -405,15 +378,15 @@ class ExecutionContext:
 
     def _record_aggregate(
         self,
-        handle: LazyLocalHandle | LocalHandle,
+        handle: LocalHandle,
         iotype,
         step_id: str,
         pname: str,
         last_aggregate: int | None,
     ) -> int:
-        source, deps = self._local_source(handle)
+        source, deps = PlanArg("ref", ref=handle.ref), [handle.ref.node_id]
         if last_aggregate is not None:
-            deps = deps + [last_aggregate]
+            deps.append(last_aggregate)
         if handle.kind == "secure_transfer":
             if not isinstance(iotype, TransferType):
                 raise AlgorithmError(
@@ -446,36 +419,21 @@ class ExecutionContext:
         self._record(node)
         return node.node_id
 
-    def _local_source(
-        self, handle: LazyLocalHandle | LocalHandle
-    ) -> tuple[PlanArg, list[int]]:
-        if isinstance(handle, LazyLocalHandle):
-            return PlanArg("ref", ref=handle.ref), [handle.ref.node_id]
-        return PlanArg("local_tables", value=dict(handle.tables)), []
-
     # ------------------------------------------------------------- transfers
 
-    def get_transfer_data(
-        self, handle: LazyGlobalHandle | GlobalHandle | LazyLocalHandle | LocalHandle
-    ) -> Any:
-        """Read transfer contents on the master (the Figure 2 final read).
-
-        This is a forcing point: the recorded read node — and everything it
-        depends on — materializes before the call returns.
-        """
+    def get_transfer_data(self, handle: GlobalHandle | LocalHandle) -> Any:
+        """Read transfer contents on the master (the Figure 2 final read)."""
         self.check_cancelled()
-        if isinstance(handle, (LazyGlobalHandle, GlobalHandle)):
-            if isinstance(handle, LazyGlobalHandle):
-                source, deps = PlanArg("ref", ref=handle.ref), [handle.ref.node_id]
-            else:
-                source, deps = PlanArg("global_table", value=handle.table), []
+        if isinstance(handle, GlobalHandle):
             node = BarrierNode(
-                node_id=self.plan.next_id(), deps=self._chain(deps), source=source
+                node_id=self.plan.next_id(),
+                deps=self._chain([handle.ref.node_id]),
+                source=PlanArg("ref", ref=handle.ref),
             )
             self._record(node)
             return self._force_read(node)
-        if isinstance(handle, (LazyLocalHandle, LocalHandle)):
-            source, deps = self._local_source(handle)
+        if isinstance(handle, LocalHandle):
+            source, deps = PlanArg("ref", ref=handle.ref), [handle.ref.node_id]
             if handle.kind == "secure_transfer":
                 step_id = f"{self.job_id}_read{next(self._step_counter)}"
                 node = SecureAggregateNode(
@@ -534,17 +492,5 @@ class ExecutionContext:
 
     # --------------------------------------------------------------- lifecycle
 
-    def flush(self) -> None:
-        """Wait out every recorded node; surface the first failure in order."""
-        self.executor.flush()
-
     def cleanup(self) -> None:
-        self.executor.close()
-        cache = self.executor.cache
-        if cache is None:
-            self.master.cleanup(self.job_id, self.workers)
-            return
-        keep, drops = cache.release_job(self.job_id, self.master.catalog_epoch)
-        self.master.cleanup(self.job_id, self.workers, keep_tables=keep)
-        if drops:
-            self.master.drop_worker_tables(drops)
+        self.master.cleanup(self.job_id, self.workers)

@@ -131,8 +131,9 @@ class ExperimentResult:
     #: when a :class:`~repro.observability.profiler.SamplingProfiler` is
     #: attached to the queue).
     profile: str | None = None
-    #: Local steps answered from the cross-experiment plan cache instead of
-    #: being recomputed (0 unless step dedup is enabled).
+    #: Always 0: the cross-experiment step cache that set it is gone.  The
+    #: field stays so journals written before its removal restore, and
+    #: because the ladder (benchmarks/ladder/driver.py) still reads it.
     dedup_hits: int = 0
 
     def to_dict(self) -> dict[str, Any]:
@@ -190,8 +191,6 @@ class ExperimentEngine:
         noise: NoiseSpec | None = None,
         max_concurrent: int = 1,
         max_queued: int = 128,
-        flow_mode: str | None = None,
-        plan_cache=None,
         durability=None,
     ) -> None:
         # Imported lazily: runner/jobs import this module for the result
@@ -208,8 +207,6 @@ class ExperimentEngine:
             federation,
             aggregation=aggregation,
             noise=noise,
-            flow_mode=flow_mode,
-            plan_cache=plan_cache,
             durability=durability,
         )
         self.queue = ExperimentQueue(

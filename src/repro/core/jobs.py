@@ -115,8 +115,6 @@ class JobSnapshot:
     #: Time spent waiting for an executor: the final wait for dispatched
     #: jobs, the still-growing wait for jobs that are queued right now.
     queued_seconds: float = 0.0
-    #: Local steps this job answered from the cross-experiment plan cache.
-    dedup_hits: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -129,7 +127,6 @@ class JobSnapshot:
             "elapsed_seconds": self.elapsed_seconds,
             "error": self.error,
             "queued_seconds": self.queued_seconds,
-            "dedup_hits": self.dedup_hits,
         }
 
 
@@ -150,7 +147,6 @@ class _Job:
         "submitted_wall",
         "started_wall",
         "finished_wall",
-        "dedup_hits",
     )
 
     def __init__(self, job_id: str, request, priority: int, seq: int) -> None:
@@ -169,7 +165,6 @@ class _Job:
         self.submitted_wall = time.perf_counter()
         self.started_wall: float | None = None
         self.finished_wall: float | None = None
-        self.dedup_hits = 0
 
     def set_state(self, state: JobState) -> None:
         """Transition and record; callers hold the queue's condition."""
@@ -203,7 +198,6 @@ class _Job:
             elapsed_seconds=elapsed,
             error=getattr(self.result, "error", None),
             queued_seconds=queued,
-            dedup_hits=self.dedup_hits,
         )
 
 
@@ -625,8 +619,6 @@ class ExperimentQueue:
                 status=result.status.value,
                 elapsed_seconds=round(result.elapsed_seconds, 6),
             )
-        result.dedup_hits = int(info.get("dedup_hits", 0) or 0)
-        job.dedup_hits = result.dedup_hits
         result.audit = AuditTrail(audit_logs, job_id=experiment_id, since=audit_marks)
         if tracer.enabled:
             report = analyze_experiment(experiment_id)

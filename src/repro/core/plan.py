@@ -16,11 +16,12 @@ carrying explicit data-dependency edges — that the
 - :class:`BarrierNode` — materialize a global transfer's contents.
 
 Node inputs are :class:`PlanArg` values: literals, declarative
-:class:`~repro.core.context.DataView` slices, references to other nodes'
-outputs (``ref``), or constant handles carried over from outside the plan.
+:class:`~repro.core.context.DataView` slices, or references to other nodes'
+outputs (``ref``).
 The :class:`ExecutionContext` records nodes as the algorithm runs; the plan
 is therefore also an inspectable artifact (``repro plan <algorithm>``)
-rendered as a tree, JSON (the golden-plan CI lane diffs this), or DOT.
+rendered as a tree, JSON (``tests/core/test_golden_plans.py`` diffs this),
+or DOT.
 """
 
 from __future__ import annotations
@@ -61,10 +62,7 @@ class PlanArg:
 
     - ``"literal"`` — a plain Python value (``value``),
     - ``"view"`` — a declarative data slice (``view`` is a DataView),
-    - ``"ref"`` — another node's output (``ref``),
-    - ``"local_tables"`` — a constant {worker: table} map (a pre-built
-      :class:`~repro.core.state.LocalHandle` passed in from outside),
-    - ``"global_table"`` — a constant master-side table name.
+    - ``"ref"`` — another node's output (``ref``).
     """
 
     kind: str
@@ -84,17 +82,13 @@ class PlanArg:
                     "dropna": bool(self.view.dropna),
                 }
             }
-        if self.kind == "literal":
-            try:
-                blob = json.dumps(self.value, sort_keys=True, default=str)
-            except (TypeError, ValueError):
-                blob = repr(self.value)
-            if len(blob) <= 120:
-                return {"literal": self.value}
-            return {"literal_sha256": hashlib.sha256(blob.encode()).hexdigest()[:12]}
-        if self.kind == "local_tables":
-            return {"const_local_tables": sorted(self.value)}
-        return {"const_global_table": str(self.value)}
+        try:
+            blob = json.dumps(self.value, sort_keys=True, default=str)
+        except (TypeError, ValueError):
+            blob = repr(self.value)
+        if len(blob) <= 120:
+            return {"literal": self.value}
+        return {"literal_sha256": hashlib.sha256(blob.encode()).hexdigest()[:12]}
 
 
 @dataclass(frozen=True)
@@ -346,29 +340,15 @@ class FlowPlan:
 
 
 def canonical_fingerprint(payload: Mapping[str, Any]) -> str:
-    """SHA-256 over a canonical-JSON payload (the step-dedup cache key).
+    """SHA-256 over a canonical-JSON payload, independent of key order.
 
-    Callers assemble the payload from everything that determines a step's
-    result: UDF identity (name + source hash), canonically-encoded bound
-    arguments (references contribute the *upstream fingerprint*, never a
-    physical table name), the data view, the participating worker set and
-    their dataset assignments, and the master's catalog epoch.
+    The durability layer keys a checkpoint on the fingerprint of its
+    experiment request (:mod:`repro.durability.checkpoint`), and the
+    federated trainer keys its round checkpoints on the fingerprint of its
+    configuration (:mod:`repro.learning.trainer`).
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def source_hash(source: str) -> str:
-    """Stable identity of a UDF's source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-
-
-def literal_key(value: Any) -> str | None:
-    """Canonical encoding of a literal argument, or None if uncacheable."""
-    try:
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
 
 
 def topological_order(nodes: Sequence[PlanNode]) -> list[PlanNode]:

@@ -11,12 +11,10 @@ rather than within one experiment at a time.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any
 
 from repro.core.context import ExecutionContext
-from repro.core.plan_executor import StepCache
 from repro.core.registry import algorithm_registry
 from repro.core.specs import validate_parameters
 from repro.errors import SpecificationError
@@ -39,8 +37,6 @@ class ExperimentRunner:
         aggregation: str = "smpc",
         noise: NoiseSpec | None = None,
         load: WorkerLoad | None = None,
-        flow_mode: str | None = None,
-        plan_cache: StepCache | None = None,
         durability=None,
     ) -> None:
         self.federation = federation
@@ -53,18 +49,6 @@ class ExperimentRunner:
         self.durability = durability
         #: In-flight dataset assignments, shared with the shipping planner.
         self.load = load or WorkerLoad()
-        #: Flow-plan scheduling: ``"eager"`` executes nodes at record time
-        #: (the imperative-equivalent default), ``"pipeline"`` overlaps
-        #: independent nodes.  ``REPRO_FLOW_MODE`` overrides the default.
-        self.flow_mode = flow_mode or os.environ.get("REPRO_FLOW_MODE") or "eager"
-        #: Cross-experiment step dedup: off unless a cache is passed in or
-        #: ``REPRO_PLAN_CACHE`` opts the federation's shared cache in (a
-        #: cache hit reuses another experiment's worker tables, so the
-        #: per-experiment audit trail no longer shows those reads — a
-        #: deliberate trade the operator must choose).
-        if plan_cache is None and _env_truthy("REPRO_PLAN_CACHE"):
-            plan_cache = federation.plan_cache
-        self.plan_cache = plan_cache
 
     def execute(
         self,
@@ -104,9 +88,6 @@ class ExperimentRunner:
                 metadata=metadata,
             )
             result_data = algorithm.run()
-            # Pipeline mode: nodes the algorithm never forced may still be
-            # in flight; surface their failures before declaring success.
-            context.flush()
             context.cleanup()
         except Exception:
             # A failed or cancelled flow leaves no tables (or data views)
@@ -122,7 +103,6 @@ class ExperimentRunner:
             if info is not None:
                 info["evicted"] = tuple(sorted(context.evicted))
                 info["plan"] = context.plan
-                info["dedup_hits"] = context.executor.dedup_hits
         return result_data, workers
 
     # --------------------------------------------------------------- helpers
@@ -170,14 +150,8 @@ class ExperimentRunner:
             model_availability, request.datasets, current_load=self.load.snapshot()
         )
         resume_reads = None
-        flow_mode = self.flow_mode
         if self.durability is not None:
             resume_reads = self.durability.take_resume_reads(experiment_id)
-            if resume_reads:
-                # Replay needs record-order forcing: ghost nodes answer
-                # reads from the checkpoint in program order, which the
-                # pipeline scheduler does not guarantee.
-                flow_mode = "eager"
         return ExecutionContext(
             master=master,
             data_model=request.data_model,
@@ -187,12 +161,6 @@ class ExperimentRunner:
             filter_sql=request.filter_sql,
             job_prefix=experiment_id,
             cancel_event=cancel_event,
-            flow_mode=flow_mode,
-            plan_cache=None if resume_reads else self.plan_cache,
             durability=self.durability,
             resume_reads=resume_reads,
         )
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")

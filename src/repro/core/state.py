@@ -10,43 +10,16 @@ actually move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 
-@dataclass(frozen=True)
 class LocalHandle:
-    """One logical local-step output: a table per worker."""
-
-    kind: str  # 'state' | 'transfer' | 'secure_transfer' | 'relation' | 'tensor'
-    tables: Mapping[str, str]  # worker id -> table name on that worker
-    shared_to_global: bool = False
-
-    @property
-    def workers(self) -> list[str]:
-        return sorted(self.tables)
-
-    def table_on(self, worker: str) -> str:
-        return self.tables[worker]
-
-
-@dataclass(frozen=True)
-class GlobalHandle:
-    """One global-step output: a table on the master."""
-
-    kind: str
-    table: str
-    shared_to_locals: bool = False
-
-
-class LazyLocalHandle:
-    """A local-step output that may not have materialized yet.
+    """One logical local-step output: a table per worker.
 
     Returned by the recording :class:`~repro.core.context.ExecutionContext`:
     kind and sharing flags are static (they come from the UDF's declared
-    output types), while the physical table map forces the producing plan
-    node on first access.  Flows that only pass handles between steps never
-    block; touching ``.tables`` is a true data dependency.
+    output types), while the physical table map is read from the producing
+    plan node — which, under checkpoint replay, runs on first access.
     """
 
     __slots__ = ("kind", "shared_to_global", "_executor", "_ref")
@@ -74,8 +47,8 @@ class LazyLocalHandle:
         return self.tables[worker]
 
 
-class LazyGlobalHandle:
-    """A global-step output that may not have materialized yet."""
+class GlobalHandle:
+    """One global-step output: a table on the master."""
 
     __slots__ = ("kind", "shared_to_locals", "_executor", "_ref")
 

@@ -17,7 +17,7 @@ collaborators, mirroring the classic database recovery split:
   replays from the checkpoint frontier instead of step 0.
 
 What is deliberately NOT durable: worker-side tables (recomputed on
-resume), the plan cache, metrics, and trace buffers.  See
+resume), the UDF plan cache, metrics, and trace buffers.  See
 docs/ARCHITECTURE.md §15.
 """
 

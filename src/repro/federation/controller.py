@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.engine.table import Table
 from repro.errors import FederationError
@@ -16,18 +16,6 @@ from repro.observability.audit import AuditLog
 from repro.observability.metrics import MetricsRegistry, global_registry
 from repro.observability.trace import tracer
 from repro.smpc.cluster import SMPCCluster
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.plan_executor import StepCache
-
-
-def _make_step_cache() -> "StepCache":
-    # Imported lazily: plan_executor imports the federation transport, so a
-    # module-level import here would be circular.
-    from repro.core.plan_executor import StepCache
-
-    return StepCache()
-
 
 @dataclass(frozen=True)
 class FederationConfig:
@@ -59,9 +47,6 @@ class Federation:
     workers: dict[str, Worker]
     smpc_cluster: SMPCCluster | None = None
     config: FederationConfig = field(default_factory=FederationConfig)
-    #: Cross-experiment flow-plan step cache, shared by every runner that
-    #: opts into dedup (``REPRO_PLAN_CACHE`` / an explicit ``plan_cache``).
-    plan_cache: "StepCache" = field(default_factory=_make_step_cache)
 
     def worker(self, worker_id: str) -> Worker:
         try:
@@ -134,15 +119,6 @@ class Federation:
             total = hits + misses
             yield ("repro_udf_plan_cache_hit_ratio", {}, hits / total if total else 0.0)
 
-        def flow_cache_samples():
-            stats = self.plan_cache.stats()
-            hits, misses = stats["hits"], stats["misses"]
-            yield ("repro_plan_cache_hits_total", {}, float(hits))
-            yield ("repro_plan_cache_misses_total", {}, float(misses))
-            yield ("repro_plan_cache_entries", {}, float(stats["entries"]))
-            total = hits + misses
-            yield ("repro_plan_cache_hit_ratio", {}, hits / total if total else 0.0)
-
         def health_samples():
             yield (
                 "repro_worker_breaker_evictions_total",
@@ -187,7 +163,6 @@ class Federation:
 
         registry.register_collector(transport_samples)
         registry.register_collector(plan_cache_samples)
-        registry.register_collector(flow_cache_samples)
         registry.register_collector(health_samples)
         registry.register_collector(smpc_samples)
         registry.register_collector(audit_samples)

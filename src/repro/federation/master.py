@@ -25,10 +25,8 @@ again (e.g. a later catalog ping).
 
 from __future__ import annotations
 
-import contextvars
 import json
 import threading
-from concurrent.futures import Future
 from typing import Any, Mapping, Sequence
 
 from repro.engine.database import Database
@@ -41,7 +39,7 @@ from repro.errors import (
 from repro.federation.policy import FailurePolicy, WorkerHealth
 from repro.federation.serialization import table_from_payload
 from repro.federation.transport import BroadcastResult, Transport
-from repro.observability.audit import AuditLog
+from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 from repro.udfgen.decorators import udf_registry
@@ -72,11 +70,6 @@ class Master:
         self.database = Database(name=MASTER_ID)
         self.database.set_remote_resolver(self._resolve_remote)
         self._availability: dict[str, dict[str, list[str]]] = {}
-        # Monotonic generation counter of the dataset catalog: bumped every
-        # time a refresh observes a *different* availability map.  Step
-        # fingerprints embed it, so cached plan results die the moment the
-        # data landscape shifts.
-        self._catalog_epoch = 0
         self._global_outputs: dict[str, tuple[str, str]] = {}  # table -> (kind, owning job)
         # Per-job table counters: names like merge_{job}_{n} must not
         # depend on what *other* experiments did concurrently (a shared
@@ -117,15 +110,8 @@ class Master:
                 model_map = availability.setdefault(data_model, {})
                 for code in codes:
                     model_map.setdefault(code, []).append(worker)
-        if availability != self._availability:
-            self._catalog_epoch += 1
         self._availability = availability
         return availability
-
-    @property
-    def catalog_epoch(self) -> int:
-        """Generation of the dataset catalog (see :meth:`refresh_catalog`)."""
-        return self._catalog_epoch
 
     @property
     def availability(self) -> dict[str, dict[str, list[str]]]:
@@ -256,42 +242,6 @@ class Master:
         return {
             worker: responses[worker]["outputs"] for worker in workers if worker in responses
         }
-
-    def run_local_step_async(
-        self,
-        job_id: str,
-        udf_name: str,
-        per_worker_arguments: Mapping[str, Mapping[str, Any]],
-        parent_span=None,
-    ) -> "Future[dict[str, list[dict[str, str]]]]":
-        """Non-blocking :meth:`run_local_step`; returns a Future.
-
-        The plan executor drives this to overlap independent local steps of
-        one flow on the shared transport fan-out pool.  ``parent_span``, when
-        given, is adopted by the dispatch thread so the fan-out's spans stay
-        nested under the caller's plan-node span instead of becoming new
-        trace roots.
-        """
-        future: "Future[dict[str, list[dict[str, str]]]]" = Future()
-        caller_context = contextvars.copy_context()
-
-        def dispatch() -> None:
-            with tracer.adopt(parent_span):
-                try:
-                    future.set_result(
-                        self.run_local_step(job_id, udf_name, per_worker_arguments)
-                    )
-                except BaseException as error:  # noqa: BLE001 - via the future
-                    future.set_exception(error)
-
-        thread = threading.Thread(
-            target=caller_context.run,
-            args=(dispatch,),
-            name=f"local-step-{job_id}",
-            daemon=True,
-        )
-        thread.start()
-        return future
 
     def _next_counter(self, job_id: str) -> int:
         with self._counter_lock:
@@ -485,42 +435,28 @@ class Master:
 
     # ---------------------------------------------------------------- cleanup
 
-    def cleanup(
-        self,
-        job_id: str,
-        workers: Sequence[str],
-        keep_tables: Sequence[str] | None = None,
-    ) -> None:
-        """Drop a finished experiment's tables everywhere.
-
-        ``keep_tables`` names worker tables that must survive because they
-        back live plan-cache entries; the key is omitted from the payload
-        when empty so the message bytes match the historical protocol.
-        """
-        payload: dict[str, Any] = {"job_id": job_id}
-        if keep_tables:
-            payload["keep"] = sorted(keep_tables)
+    def cleanup(self, job_id: str, workers: Sequence[str]) -> None:
+        """Drop a finished experiment's tables everywhere."""
         self.transport.broadcast(
-            self.node_id, list(workers), "cleanup", payload, on_error="skip"
+            self.node_id, list(workers), "cleanup", {"job_id": job_id}, on_error="skip"
         )
-        def owned(owner: str) -> bool:
-            # Step job ids are prefixed by the experiment job id.
-            return owner == job_id or owner.startswith(f"{job_id}_")
-
         with self._db_lock:
             for table, (_kind, owner) in list(self._global_outputs.items()):
-                if owned(owner):
+                if owned_by(owner, job_id):
                     self.database.drop_table(table, if_exists=True)
                     del self._global_outputs[table]
         with self._counter_lock:
-            for key in [k for k in self._job_counters if owned(k)]:
+            for key in [k for k in self._job_counters if owned_by(k, job_id)]:
                 del self._job_counters[key]
 
     def drop_worker_tables(self, tables_by_worker: Mapping[str, Sequence[str]]) -> None:
-        """Drop explicitly named tables on workers (expired plan-cache entries).
+        """Drop explicitly named tables on workers.
 
-        Unreachable workers are tolerated: a dead worker's tables die with
-        it, and a revived one re-registers datasets, not tables.
+        Uncalled since the step cache went; the ladder's traced pass
+        (benchmarks/ladder/tracing.py) still wraps the name, so it leaves
+        together with that entry.  Unreachable workers are tolerated: a dead
+        worker's tables die with it, and a revived one re-registers
+        datasets, not tables.
         """
         requests = [
             (worker, "cleanup", {"tables": sorted(tables)})

@@ -3,8 +3,7 @@
 Wire format v2 (``columnar-v1`` tag) ships each table as a dict of typed
 value lists plus per-column null masks — one ``.tolist()`` per column
 instead of a Python tuple per row, so encode/decode cost scales with the
-number of columns, not the number of cells.  ``table_from_payload`` still
-decodes the original row-major format for mixed-version deployments.
+number of columns, not the number of cells.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from repro.engine.table import ColumnSpec, Schema, Table
 from repro.engine.types import SQLType
 from repro.errors import FederationError
 
-#: Version tag carried in every columnar payload.  Payloads without a
-#: ``format`` key are the legacy row-major format.
+#: Version tag carried in every table payload.
 COLUMNAR_FORMAT = "columnar-v1"
 
 
@@ -38,47 +36,41 @@ def table_to_payload(table: Table) -> dict[str, Any]:
 
 
 def table_from_payload(payload: dict[str, Any]) -> Table:
-    """Rebuild a table from either wire format (columnar or legacy rows).
+    """Rebuild a table from the columnar wire format.
 
-    A payload tagged with an unknown ``format`` is rejected loudly: silently
-    decoding a future format as legacy rows would corrupt data mid-study.
+    A payload with no ``format`` tag, or an unknown one, is rejected loudly:
+    guessing at the layout of another format would corrupt data mid-study.
     """
     declared = payload.get("format")
-    if declared is not None and declared != COLUMNAR_FORMAT:
+    if declared != COLUMNAR_FORMAT:
         raise FederationError(
             f"unknown table payload format {declared!r} "
-            f"(this node understands {COLUMNAR_FORMAT!r} and legacy rows)"
+            f"(this node understands {COLUMNAR_FORMAT!r})"
         )
+    from repro.engine.column import Column
+
     specs = [
         ColumnSpec(name, SQLType.from_name(type_name))
         for name, type_name in payload["columns"]
     ]
-    schema = Schema(specs)
-    if declared == COLUMNAR_FORMAT:
-        from repro.engine.column import Column
-
-        columns = []
-        for spec in specs:
-            array = np.asarray(
-                payload["values"][spec.name], dtype=spec.sql_type.numpy_dtype
-            )
-            mask = np.asarray(payload["nulls"][spec.name], dtype=bool)
-            columns.append(Column.from_numpy(spec.sql_type, array, mask))
-        return Table(schema, columns)
-    return Table.from_rows(schema, payload["rows"])
+    columns = []
+    for spec in specs:
+        array = np.asarray(
+            payload["values"][spec.name], dtype=spec.sql_type.numpy_dtype
+        )
+        mask = np.asarray(payload["nulls"][spec.name], dtype=bool)
+        columns.append(Column.from_numpy(spec.sql_type, array, mask))
+    return Table(Schema(specs), columns)
 
 
 def payload_elements(payload: Any) -> int:
     """Count the table cells a message payload carries (0 for non-tables).
 
-    Recognizes both wire formats at any nesting depth, so the transport can
+    Recognizes a table payload at any nesting depth, so the transport can
     meter element counts without knowing which message kinds ship tables.
     """
     if not isinstance(payload, dict):
         return 0
-    if "columns" in payload:
-        if payload.get("format") == COLUMNAR_FORMAT:
-            return sum(len(column) for column in payload["values"].values())
-        if "rows" in payload:
-            return len(payload["rows"]) * len(payload["columns"])
+    if "columns" in payload and payload.get("format") == COLUMNAR_FORMAT:
+        return sum(len(column) for column in payload["values"].values())
     return sum(payload_elements(value) for value in payload.values())

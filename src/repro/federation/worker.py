@@ -31,7 +31,7 @@ from repro.engine.table import Table
 from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.messages import Message
 from repro.federation.serialization import table_to_payload
-from repro.observability.audit import AuditLog
+from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.udfgen.decorators import udf_registry
 from repro.udfgen.generator import generate_udf_application, run_udf_application
@@ -286,9 +286,8 @@ class Worker:
         return {"table": table_to_payload(self.database.get_table(table))}
 
     def _handle_cleanup(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Drop step tables: by owning job (with an optional keep-list for
-        tables backing live plan-cache entries), or an explicit table list
-        (expired cache entries whose owning job is long gone)."""
+        """Drop step tables: by owning job, or an explicit table list (the
+        arm :meth:`Master.drop_worker_tables` sends to)."""
         if "job_id" not in payload:
             dropped = []
             for table in payload.get("tables", ()):
@@ -298,13 +297,9 @@ class Worker:
                     dropped.append(table)
             return {"dropped": dropped}
         job_id = payload["job_id"]
-        keep = set(payload.get("keep", ()))
         dropped = []
         for table, record in list(self._outputs.items()):
-            if table in keep:
-                continue
-            # Step job ids are prefixed by the experiment job id.
-            if record.job_id == job_id or record.job_id.startswith(f"{job_id}_"):
+            if owned_by(record.job_id, job_id):
                 self.database.drop_table(table, if_exists=True)
                 del self._outputs[table]
                 dropped.append(table)

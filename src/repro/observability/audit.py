@@ -24,7 +24,7 @@ Event vocabulary (the ``event`` field):
 
 Step job ids are prefixed by their experiment id, so
 ``log.events(job_id=<experiment_id>)`` returns everything an experiment
-touched (prefix match).
+touched (:func:`owned_by`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
+
+
+def owned_by(job_id: str, experiment_id: str) -> bool:
+    """Whether ``job_id`` is the experiment or one of its steps.
+
+    Every step, read and gather id is ``{experiment}_...``.  This is the one
+    statement of that rule — worker and master cleanup, the SMPC cluster's
+    job release and the audit query all use it — because a looser match
+    makes finishing ``e1`` drop the tables of ``e10``.
+    """
+    return job_id == experiment_id or job_id.startswith(f"{experiment_id}_")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +113,7 @@ class AuditLog:
             entries = [
                 e
                 for e in entries
-                if e.job_id is not None
-                and (e.job_id == job_id or e.job_id.startswith(f"{job_id}_"))
+                if e.job_id is not None and owned_by(e.job_id, job_id)
             ]
         return entries
 

@@ -31,7 +31,6 @@ Perfetto trace-event format).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
@@ -219,28 +218,6 @@ class Tracer:
         """The calling thread's innermost open span, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
-
-    @contextlib.contextmanager
-    def adopt(self, span: "Span | _NullSpan | None"):
-        """Make another thread's open span the caller's current span.
-
-        Used by worker threads that execute on behalf of a span opened
-        elsewhere (e.g. the master's async local-step dispatch): spans they
-        open nest under the adopted span instead of becoming new roots.  A
-        ``None`` (or null) span makes this a no-op.
-        """
-        if span is None or isinstance(span, _NullSpan) or not self._enabled:
-            yield
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)

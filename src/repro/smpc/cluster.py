@@ -17,7 +17,6 @@ partial noise, so no single node ever knows the total perturbation.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Literal, Mapping, Sequence
@@ -25,6 +24,7 @@ from typing import Any, Literal, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SMPCError
+from repro.observability.audit import owned_by
 from repro.observability.trace import tracer
 from repro.simtest import hooks as sim_hooks
 from repro.smpc.encoding import FixedPointEncoder
@@ -320,7 +320,7 @@ class SMPCCluster:
         total = CommunicationMeter()
         with self._lock:
             for job_id, meter in self._job_meters.items():
-                if _belongs_to(job_id, job_prefix):
+                if owned_by(job_id, job_prefix):
                     total.record(rounds=meter.rounds, elements=meter.elements)
         return total
 
@@ -329,18 +329,12 @@ class SMPCCluster:
         (prefix match); its :class:`ExperimentResult` holds what mattered."""
         with self._lock:
             for retained in (self._job_meters, self._results):
-                for job_id in [j for j in retained if _belongs_to(j, job_prefix)]:
+                for job_id in [j for j in retained if owned_by(j, job_prefix)]:
                     del retained[job_id]
 
     @property
     def offline_usage(self):
         return self.protocol.dealer.usage
-
-
-def _belongs_to(job_id: str, job_prefix: str) -> bool:
-    """Step-scoped job ids are ``{experiment}_...``; an experiment id matches
-    itself and every step under it (but not ``{experiment}0``)."""
-    return job_id == job_prefix or job_id.startswith(f"{job_prefix}_")
 
 
 def _flatten(data: Any) -> _Flattened:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generic, Sequence, TypeVar
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Descriptive statistics: the Figure 3 dashboard tables."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,12 @@ class TestUndeclaredRange:
 
     @pytest.fixture()
     def toy(self, monkeypatch):
+        with self.toy_federation(monkeypatch, cohort_seed=5) as toy:
+            yield toy
+
+    @staticmethod
+    @contextlib.contextmanager
+    def toy_federation(monkeypatch, cohort_seed):
         """Two hospitals whose values of ``free`` do not overlap."""
         from repro.data.cdes import CommonDataElement, DataModel, cde_registry
         from repro.engine.table import Schema, Table
@@ -132,7 +140,7 @@ class TestUndeclaredRange:
                                          min_value=0.0, max_value=1.0),
         })
         monkeypatch.setitem(cde_registry._models, model.name, model)
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(cohort_seed)
         columns = {
             "a": (rng.uniform(0, 10, 600), rng.uniform(0, 1, 600)),
             "b": (rng.uniform(100, 200, 400), rng.uniform(0, 1, 400)),
@@ -156,14 +164,14 @@ class TestUndeclaredRange:
         yield federation, pooled
         federation.shutdown()
 
-    def run(self, federation, aggregation, y):
-        """Returns ``(result, plan)`` of one descriptive_stats experiment."""
+    def run(self, federation, aggregation, y, algorithm="descriptive_stats", n_bins=N_BINS):
+        """Returns ``(result, plan)`` of one experiment."""
         from repro.core.experiment import ExperimentRequest
         from repro.core.runner import ExperimentRunner
 
         request = ExperimentRequest(
-            algorithm="descriptive_stats", data_model="toy_ranges", datasets=("a", "b"),
-            y=tuple(y), parameters={"n_bins": self.N_BINS},
+            algorithm=algorithm, data_model="toy_ranges", datasets=("a", "b"),
+            y=tuple(y), parameters={"n_bins": n_bins},
         )
         info = {}
         result, _ = ExperimentRunner(federation, aggregation=aggregation).execute(
@@ -232,3 +240,17 @@ class TestUndeclaredRange:
         assert int(np.sum(seen["aggregates"]["free__hist"])) == 1000
         assert seen["metadata"]["free"]["min"] < pooled["free"].min()
         assert seen["metadata"]["free"]["max"] > pooled["free"].max()
+
+    @pytest.mark.parametrize("aggregation", ["plain", "smpc"])
+    def test_histogram_bins_every_row(self, monkeypatch, aggregation):
+        """``histogram`` resolves the range the same way.  On cohort seeds 1
+        and 3 the secure minimum rounds *above* the true one (0.02056885 for
+        0.02056843), and a grid starting there dropped one row in 1 000."""
+        for cohort_seed in range(5):
+            with self.toy_federation(monkeypatch, cohort_seed) as (federation, pooled):
+                result, _ = self.run(
+                    federation, aggregation, ["free"], algorithm="histogram", n_bins=20
+                )
+            assert result["histograms"]["all"]["total"] == 1000, cohort_seed
+            assert result["edges"][0] <= pooled["free"].min(), cohort_seed
+            assert result["edges"][-1] >= pooled["free"].max(), cohort_seed

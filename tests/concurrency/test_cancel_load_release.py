@@ -121,4 +121,3 @@ def test_queue_history_shows_tombstone_lifecycle(fresh_federation):
     assert histories[second] == ("pending", "queued", "cancelled")
     assert snapshots[second].elapsed_seconds is None
     assert snapshots[second].queued_seconds >= 0.0
-    assert snapshots[second].dedup_hits == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.context import DataView, ExecutionContext
-from repro.core.state import GlobalHandle, LocalHandle
 from repro.errors import AlgorithmError
 from repro.udfgen import literal, merge_transfer, relation, secure_transfer, state, transfer, udf
 

@@ -57,9 +57,7 @@ def record_plan(federation, algorithm: str) -> str:
         x=demo["x"],
         parameters=demo["parameters"],
     )
-    runner = ExperimentRunner(
-        federation, aggregation="plain", flow_mode="eager", plan_cache=None
-    )
+    runner = ExperimentRunner(federation, aggregation="plain")
     info = {}
     runner.execute(request, f"plan{next(_seq)}", info=info)
     return json.dumps(info["plan"].to_json(), indent=2, sort_keys=True) + "\n"

@@ -16,8 +16,6 @@ from repro.core.plan import (
     SecureAggregateNode,
     ValueRef,
     canonical_fingerprint,
-    literal_key,
-    source_hash,
     topological_order,
 )
 from repro.core.context import DataView
@@ -107,8 +105,6 @@ class TestRenderers:
         assert PlanArg("literal", value=[1, 2]).summary() == {"literal": [1, 2]}
         big = PlanArg("literal", value=list(range(200))).summary()
         assert set(big) == {"literal_sha256"}
-        tables = PlanArg("local_tables", value={"w2": "t2", "w1": "t1"}).summary()
-        assert tables == {"const_local_tables": ["w1", "w2"]}
 
 
 class TestFingerprintHelpers:
@@ -120,23 +116,13 @@ class TestFingerprintHelpers:
     def test_canonical_fingerprint_distinguishes_payloads(self):
         assert canonical_fingerprint({"x": 1}) != canonical_fingerprint({"x": 2})
 
-    def test_source_hash_stable(self):
-        assert source_hash("def f(): pass") == source_hash("def f(): pass")
-        assert source_hash("def f(): pass") != source_hash("def g(): pass")
-
-    def test_literal_key(self):
-        assert literal_key({"b": 1, "a": 2}) == '{"a":2,"b":1}'
-        assert literal_key(object()) is None
-
 
 class TestRecordedPlans:
     _seq = iter(range(1000))
 
     @pytest.fixture()
     def recorded(self, federation):
-        runner = ExperimentRunner(
-            federation, aggregation="plain", flow_mode="eager", plan_cache=None
-        )
+        runner = ExperimentRunner(federation, aggregation="plain")
         request = ExperimentRequest(
             algorithm="linear_regression",
             data_model="dementia",

@@ -170,10 +170,10 @@ class TestGlobalSteps:
                 assert e1_cleaned.wait(timeout=60)
             return outputs
 
-        def cleanup(job_id, workers, keep_tables=None):
+        def cleanup(job_id, workers):
             if job_id == "e1":
                 assert e10_holds_a_table.wait(timeout=60)
-            real_cleanup(job_id, workers, keep_tables)
+            real_cleanup(job_id, workers)
             if job_id == "e1":
                 e1_cleaned.set()
 

@@ -61,16 +61,6 @@ class TestColumnarFormat:
         assert restored.column("s").to_list() == ["x", None, ""]
         assert restored.column("b").null_count == 1
 
-    def test_legacy_row_payload_still_decodes(self):
-        table = _mixed_table()
-        legacy = {
-            "columns": [(spec.name, spec.sql_type.value) for spec in table.schema],
-            "rows": table.to_rows(),
-        }
-        restored = table_from_payload(legacy)
-        assert restored.schema == table.schema
-        assert restored.to_rows() == table.to_rows()
-
 
 class TestAdversarialEdges:
     """Payload shapes a hostile or future peer could put on the wire."""
@@ -120,11 +110,10 @@ class TestAdversarialEdges:
             table_from_payload(payload)
 
     def test_unknown_format_not_silently_decoded_as_legacy(self):
-        # Even a payload that *also* carries legacy "rows" must be rejected
-        # once it declares a format this node does not understand.
+        # An untagged payload (the retired row-major layout) is rejected,
+        # not guessed at.
         table = _mixed_table()
         payload = {
-            "format": "columnar-v99",
             "columns": [(spec.name, spec.sql_type.value) for spec in table.schema],
             "rows": table.to_rows(),
         }
@@ -135,14 +124,6 @@ class TestAdversarialEdges:
 class TestPayloadElements:
     def test_counts_columnar_cells(self):
         assert payload_elements(table_to_payload(_mixed_table())) == 12
-
-    def test_counts_legacy_cells(self):
-        table = _mixed_table()
-        legacy = {
-            "columns": [(spec.name, spec.sql_type.value) for spec in table.schema],
-            "rows": table.to_rows(),
-        }
-        assert payload_elements(legacy) == 12
 
     def test_counts_nested_and_ignores_non_tables(self):
         wrapped = {"table": table_to_payload(_mixed_table()), "job_id": "j1"}

@@ -1,6 +1,24 @@
 """The append-only audit log and cross-node merging."""
 
-from repro.observability.audit import AuditLog, merged_events
+import pytest
+
+from repro.observability.audit import AuditLog, merged_events, owned_by
+
+
+@pytest.mark.parametrize(
+    "job_id, owned",
+    [
+        ("e1", True),
+        ("e1_s3", True),
+        ("e1_read2_w1", True),
+        ("e10", False),
+        ("e10_s1", False),
+        ("xe1", False),
+        ("", False),
+    ],
+)
+def test_owned_by(job_id, owned):
+    assert owned_by(job_id, "e1") is owned
 
 
 class TestAuditLog:
