@@ -493,4 +493,5 @@ class ExecutionContext:
     # --------------------------------------------------------------- lifecycle
 
     def cleanup(self) -> None:
-        self.master.cleanup(self.job_id, self.workers)
+        # Evicted workers still hold what the experiment made there.
+        self.master.cleanup(self.job_id, self.workers + sorted(self.evicted))

@@ -87,6 +87,11 @@ class Master:
         # query time needs no further network round trips.
         self._prefetched: dict[str, Any] = {}
         self._prefetch_lock = threading.Lock()
+        # Cleanups a worker could not be reached for (an evicted worker,
+        # typically), worker -> owning experiment ids; re-sent the next time
+        # that worker answers a catalog refresh or a ping.
+        self._missed_cleanups: dict[str, set[str]] = {}
+        self._cleanup_lock = threading.Lock()
 
     # ---------------------------------------------------------- catalog/avail
 
@@ -101,6 +106,7 @@ class Master:
             self.node_id, self.worker_ids, "list_datasets", on_error="skip"
         )
         self._note_broadcast_health(responses)
+        self._resend_missed_cleanups(responses)
         availability: dict[str, dict[str, list[str]]] = {}
         for worker in self.worker_ids:
             response = responses.get(worker)
@@ -151,6 +157,7 @@ class Master:
             self.node_id, self.worker_ids, "ping", on_error="skip"
         )
         self._note_broadcast_health(responses)
+        self._resend_missed_cleanups(responses)
         return [worker for worker in self.worker_ids if worker in responses]
 
     def _note_broadcast_health(self, responses: BroadcastResult) -> None:
@@ -436,10 +443,16 @@ class Master:
     # ---------------------------------------------------------------- cleanup
 
     def cleanup(self, job_id: str, workers: Sequence[str]) -> None:
-        """Drop a finished experiment's tables everywhere."""
-        self.transport.broadcast(
+        """Drop a finished experiment's tables everywhere.
+
+        A worker that cannot be reached keeps the experiment's tables — step
+        outputs, broadcasts, the resident copy of its data view — until it
+        answers again: its missed cleanup is kept and re-sent then.
+        """
+        responses = self.transport.broadcast(
             self.node_id, list(workers), "cleanup", {"job_id": job_id}, on_error="skip"
         )
+        self._keep_missed_cleanups([(worker, job_id) for worker in responses.failed])
         with self._db_lock:
             for table, (_kind, owner) in list(self._global_outputs.items()):
                 if owned_by(owner, job_id):
@@ -448,6 +461,35 @@ class Master:
         with self._counter_lock:
             for key in [k for k in self._job_counters if owned_by(k, job_id)]:
                 del self._job_counters[key]
+
+    def _keep_missed_cleanups(self, missed: Sequence[tuple[str, str]]) -> None:
+        with self._cleanup_lock:
+            for worker, job_id in missed:
+                self._missed_cleanups.setdefault(worker, set()).add(job_id)
+
+    def _resend_missed_cleanups(self, responses: BroadcastResult) -> None:
+        """Re-send the cleanups the workers that just answered had missed."""
+        with self._cleanup_lock:
+            due = [
+                (worker, job_id)
+                for worker in self.worker_ids
+                if worker in responses
+                for job_id in sorted(self._missed_cleanups.pop(worker, ()))
+            ]
+        if not due:
+            return
+        results = self.transport.send_many(
+            self.node_id,
+            [(worker, "cleanup", {"job_id": job_id}) for worker, job_id in due],
+            on_error="return",
+        )
+        self._keep_missed_cleanups(
+            [
+                request
+                for request, result in zip(due, results)
+                if isinstance(result, NodeUnavailableError)
+            ]
+        )
 
     def drop_worker_tables(self, tables_by_worker: Mapping[str, Sequence[str]]) -> None:
         """Drop explicitly named tables on workers.

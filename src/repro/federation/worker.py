@@ -35,12 +35,7 @@ from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.udfgen.decorators import udf_registry
 from repro.udfgen.generator import generate_udf_application, run_udf_application
-from repro.udfgen.iotypes import (
-    RelationType,
-    SecureTransferType,
-    StateType,
-    TransferType,
-)
+from repro.udfgen.iotypes import RelationType
 
 #: Minimum number of rows a data view must have before a local step may run.
 DEFAULT_PRIVACY_THRESHOLD = 10

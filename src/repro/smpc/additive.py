@@ -54,17 +54,16 @@ def share_vector(
 ) -> AdditiveShared:
     """Dealer-style authenticated sharing of a vector."""
     value_shares = _split(vector, n_parties, rng)
-    mac_vector = vector.scale(alpha)
-    mac_shares = _split(mac_vector, n_parties, rng)
+    mac_shares = _split(vector, n_parties, rng, scalar=alpha)
     return AdditiveShared(value_shares, mac_shares)
 
 
-def _split(vector: FieldVector, n_parties: int, rng: random.Random) -> list[FieldVector]:
+def _split(
+    vector: FieldVector, n_parties: int, rng: random.Random, scalar: int = 1
+) -> list[FieldVector]:
+    """Random shares of ``scalar·vector``: n - 1 drawn, the last computed."""
     shares = [FieldVector.random(len(vector), rng) for _ in range(n_parties - 1)]
-    last = vector
-    for share in shares:
-        last = last - share
-    return shares + [last]
+    return shares + [field.last_share(vector, shares, scalar)]
 
 
 def reconstruct(shared: AdditiveShared) -> FieldVector:
@@ -96,14 +95,12 @@ def check_macs(shared: AdditiveShared, opened: FieldVector, alpha_shares: Sequen
     """Verify the SPDZ MAC relation for an opened value.
 
     Each party i computes sigma_i = mac_i - alpha_i * opened; the sigmas must
-    sum to zero.  Any modification of a value share (without the matching MAC
-    forgery, which requires alpha) breaks the relation.
+    sum to zero, i.e. ``sum_i mac_i == alpha * opened`` with ``alpha`` the sum
+    of the key shares, which is how it is checked (one pass).  Any
+    modification of a value share (without the matching MAC forgery, which
+    requires alpha) breaks the relation.
     """
-    sigma_total = FieldVector.zeros(len(opened))
-    for mac_share, alpha_share in zip(shared.macs, alpha_shares):
-        sigma = mac_share - opened.scale(alpha_share)
-        sigma_total = sigma_total + sigma
-    if not sigma_total.is_zero():
+    if not field.macs_match(shared.macs, opened, sum(alpha_shares)):
         raise IntegrityError("MAC check failed: opened value was tampered with")
 
 
@@ -137,15 +134,66 @@ def scale(a: AdditiveShared, scalar: int) -> AdditiveShared:
 def add_public(a: AdditiveShared, public: FieldVector, alpha_shares: Sequence[int]) -> AdditiveShared:
     """Add a public vector: party 0 adjusts its value share; every party
     adjusts its MAC share by alpha_i * public."""
-    shares = [s for s in a.shares]
-    shares[0] = shares[0] + public
-    macs = [m + public.scale(alpha_i) for m, alpha_i in zip(a.macs, alpha_shares)]
+    shares = [a.shares[0] + public] + a.shares[1:]
+    macs = [field.add_scaled(m, public, alpha_i) for m, alpha_i in zip(a.macs, alpha_shares)]
     return AdditiveShared(shares, macs)
 
 
-def scale_by_vector(a: AdditiveShared, public: FieldVector) -> AdditiveShared:
-    """Element-wise product with a public vector (local; MACs follow)."""
-    return AdditiveShared([s * public for s in a.shares], [m * public for m in a.macs])
+def select(a: AdditiveShared, bits: Sequence[int]) -> AdditiveShared:
+    """Product with public 0/1 bits (local; MACs follow)."""
+    return AdditiveShared(
+        [field.select(s, bits) for s in a.shares], [field.select(m, bits) for m in a.macs]
+    )
+
+
+def xor_public(a: AdditiveShared, bits: Sequence[int], alpha_shares: Sequence[int]) -> AdditiveShared:
+    """Shared bits XOR public bits: ``1 - x`` where the public bit is 1.
+
+    Party 0 carries the constant 1, MAC share i carries alpha_i.
+    """
+    return AdditiveShared(
+        [field.negate_where(s, bits, int(p == 0)) for p, s in enumerate(a.shares)],
+        [field.negate_where(m, bits, alpha_i) for m, alpha_i in zip(a.macs, alpha_shares)],
+    )
+
+
+def sub_concat(lefts: Sequence[AdditiveShared], rights: Sequence[AdditiveShared]) -> AdditiveShared:
+    """The sharing of ``(lefts[0] - rights[0]) ‖ (lefts[1] - rights[1]) ‖ ...``."""
+    n_parties = lefts[0].n_parties
+    return AdditiveShared(
+        [
+            field.sub_concat([x.shares[p] for x in lefts], [y.shares[p] for y in rights])
+            for p in range(n_parties)
+        ],
+        [
+            field.sub_concat([x.macs[p] for x in lefts], [y.macs[p] for y in rights])
+            for p in range(n_parties)
+        ],
+    )
+
+
+def beaver_combine(
+    a: AdditiveShared,
+    b: AdditiveShared,
+    c: AdditiveShared,
+    d: FieldVector,
+    e: FieldVector,
+    alpha_shares: Sequence[int],
+) -> AdditiveShared:
+    """The sharing of ``x·y`` from a triple ``(a, b, c)`` and the opened
+    ``d = x - a``, ``e = y - b``: ``c + d·b + e·a + d·e``, with ``d·e`` on
+    party 0's value share and ``alpha_i·d·e`` on MAC share i."""
+    de = d * e
+    return AdditiveShared(
+        [
+            field.beaver_combine(cs, as_, bs, d, e, de if p == 0 else None)
+            for p, (as_, bs, cs) in enumerate(zip(a.shares, b.shares, c.shares))
+        ],
+        [
+            field.beaver_combine(cm, am, bm, d, e, de, alpha_i)
+            for am, bm, cm, alpha_i in zip(a.macs, b.macs, c.macs, alpha_shares)
+        ],
+    )
 
 
 def take(a: AdditiveShared, indices) -> AdditiveShared:

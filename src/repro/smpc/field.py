@@ -14,16 +14,29 @@ Two interchangeable kernels implement the vector arithmetic:
 * ``numpy`` — ``(N, 5)`` int64 limb arrays with Mersenne folding
   (:mod:`repro.smpc.limb`), the hot path for national-scale vectors.
 
-Selection: ``REPRO_SMPC_KERNEL=python|numpy|auto`` in the environment, or
-:func:`set_kernel` for programmatic override (tests).  The default ``auto``
-routes each operation by vector length (:data:`NUMPY_MIN_ELEMENTS`): bulk
-aggregation vectors and the flat bit matrices of long comparison batches
-take the limb kernel; the bit matrices of the few-element comparisons the
-algorithms emit stay on Python bignums, which beat numpy's fixed dispatch
-cost at that size.  Both kernels produce
-identical field elements for identical inputs — arithmetic in Z_p is exact —
-and :meth:`FieldVector.random` consumes the seeded RNG stream identically
-under either, so seeded runs are kernel-independent end to end.
+Selection: the default ``auto`` routes each operation by vector length
+(:data:`NUMPY_MIN_ELEMENTS`): bulk aggregation vectors and the flat bit
+matrices of long comparison batches take the limb kernel; the bit matrices
+of the few-element comparisons the algorithms emit stay on Python bignums,
+which beat numpy's fixed dispatch cost at that size.  :func:`set_kernel`
+forces one kernel (the differential tests and the ``--smpc-kernel`` option
+of the SMPC test suite).  Both kernels produce identical field elements for
+identical inputs — arithmetic in Z_p is exact — and
+:meth:`FieldVector.random` consumes the seeded RNG stream identically under
+either, so seeded runs are kernel-independent end to end.
+
+The experiment ladder's secure workloads (``e2_secure_mix``,
+``ft_compare_secure``) never reach the limb kernel: their payloads are a few
+statistics per key, so the largest vector they build — a comparison's flat
+bit matrix, 122 elements per compared value, at most 16 values per
+tournament level — stays below :data:`NUMPY_MIN_ELEMENTS` (1 944 elements at
+most).  Their cost is the number of passes over Python-int lists, each
+reduced mod p, which is why the share-wise steps of the online protocols
+and the dealer are *fused* here: :func:`beaver_combine`, :func:`sub_concat`,
+:func:`macs_match`, :func:`add_scaled`, :func:`select`,
+:func:`negate_where` and :func:`last_share` each do in one pass, with one
+reduction per element, what a chain of element-wise operations did in
+several.
 
 A :class:`FieldVector` caches both representations and converts lazily;
 accessing the public ``elements`` list invalidates the limb cache because
@@ -33,8 +46,8 @@ callers may mutate the list they receive.
 from __future__ import annotations
 
 import operator
-import os
 import random
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,14 +57,11 @@ from repro.smpc import limb
 
 #: The field modulus (Mersenne prime 2^127 - 1).
 PRIME = (1 << 127) - 1
-
-#: Environment variable selecting the vector kernel.
-KERNEL_ENV = "REPRO_SMPC_KERNEL"
+#: Residues above this are the negatives of small ones (p - 1 is -1).
+_HALF = PRIME >> 1
 
 _KERNELS = ("python", "numpy", "auto")
 _kernel_override: str | None = None
-#: $REPRO_SMPC_KERNEL as resolved on first use (``None`` until then).
-_env_kernel: str | None = None
 
 #: In ``auto`` mode, vectors shorter than this use the python path.  The
 #: limb kernel pays a fixed ~20-50 us of numpy dispatch per operation and
@@ -70,7 +80,7 @@ NUMPY_MIN_ELEMENTS = 2048
 
 
 def set_kernel(name: str | None) -> str | None:
-    """Override the kernel selection (``None`` restores the env/default).
+    """Override the kernel selection (``None`` restores ``auto``).
 
     Returns the previous override so tests can restore it.
     """
@@ -83,22 +93,8 @@ def set_kernel(name: str | None) -> str | None:
 
 
 def active_kernel() -> str:
-    """The kernel in effect: override, else $REPRO_SMPC_KERNEL, else auto.
-
-    The environment is read once per process, on first use — every
-    :class:`FieldVector` operation asks this question, and the variable is
-    set before the interpreter starts wherever it is set at all.  An invalid
-    value is never cached, so it raises on every call.
-    """
-    global _env_kernel
-    if _kernel_override is not None:
-        return _kernel_override
-    if _env_kernel is None:
-        value = os.environ.get(KERNEL_ENV, "").strip().lower() or "auto"
-        if value not in _KERNELS:
-            raise SMPCError(f"{KERNEL_ENV} must be one of {_KERNELS}, got {value!r}")
-        _env_kernel = value
-    return _env_kernel
+    """The kernel in effect: the :func:`set_kernel` override, else ``auto``."""
+    return _kernel_override or "auto"
 
 
 def use_numpy(length: int) -> bool:
@@ -160,15 +156,18 @@ def random_field_elements(count: int, rng: random.Random) -> list[int]:
     directly skips ``randrange``'s per-call argument handling, which is the
     bulk of its cost at this batch shape; the regression suite pins the
     equivalence so chaos/trace determinism never depends on which path drew.
+    The batch is drawn without a per-draw check; a rejected draw is dropped
+    afterwards and the shortfall drawn at the end, which is the order the
+    per-draw loop consumes the stream in.
     """
     getrandbits = rng.getrandbits
-    out = []
-    append = out.append
-    for _ in range(count):
-        value = getrandbits(127)
-        while value >= PRIME:  # pragma: no cover - probability 2^-127
+    out = [getrandbits(127) for _ in range(count)]
+    if PRIME in out:  # probability ~count * 2^-127
+        out = [value for value in out if value != PRIME]
+        while len(out) < count:
             value = getrandbits(127)
-        append(value)
+            if value != PRIME:
+                out.append(value)
     return out
 
 
@@ -350,7 +349,7 @@ class FieldVector:
         if len(self) != len(other):
             raise SMPCError(f"length mismatch: {len(self)} vs {len(other)}")
 
-    def _prefer_numpy(self, other: "FieldVector | None" = None) -> bool:
+    def _prefer_numpy(self, *others: "FieldVector") -> bool:
         """Per-operation kernel choice for existing vectors.
 
         In ``auto`` mode the limb kernel is used only when the vector is
@@ -361,15 +360,11 @@ class FieldVector:
         instead of paying a representation conversion per operation.
         """
         kernel = active_kernel()
-        if kernel == "numpy":
-            return True
-        if kernel == "python":
-            return False
+        if kernel != "auto":
+            return kernel == "numpy"
         if len(self) < NUMPY_MIN_ELEMENTS:
             return False
-        return self._limbs is not None or (
-            other is not None and other._limbs is not None
-        )
+        return self._limbs is not None or any(o._limbs is not None for o in others)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -401,6 +396,7 @@ class FieldVector:
         scalar = scalar % PRIME
         if self._prefer_numpy():
             return FieldVector._from_limbs(limb.scale(self._as_limbs(), scalar))
+        scalar = _centered(scalar)  # p - 1 multiplies as -1, not as a 127-bit int
         return FieldVector._raw([(a * scalar) % PRIME for a in self._as_elements()])
 
     def negate(self) -> "FieldVector":
@@ -437,7 +433,7 @@ class FieldVector:
             return FieldVector._raw(elements[indices])
         if isinstance(indices, np.ndarray):
             indices = indices.tolist()
-        return FieldVector._raw([elements[i] for i in indices])
+        return FieldVector._raw(list(map(elements.__getitem__, indices)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         preview = self._as_elements()[:4]
@@ -462,36 +458,20 @@ def vector_sum(vectors: Iterable[FieldVector]) -> FieldVector:
 
     Uses lazy modular reduction: under the numpy kernel limb accumulators
     absorb up to 2^36 canonical vectors before a single carry pass; under the
-    python kernel elements are < 2^127, so bignum addition cannot lose
-    information and one ``% PRIME`` per element at the end replaces one per
-    element *per vector*.  This is the SMPC aggregation hot path — every
-    share import and every reconstruction funnels through here.
+    python kernel the element-wise bignum sums are exact, so one pass with
+    one ``% PRIME`` per element replaces one pass and one reduction per
+    vector.  This is the SMPC aggregation hot path — every share import and
+    every full-threshold reconstruction funnels through here.
     """
-    iterator = iter(vectors)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        raise SMPCError("vector_sum of zero vectors") from None
-    if first._prefer_numpy():
-        acc = first._as_limbs().astype(np.int64, copy=True)
-        count = 1
-        for vector in iterator:
-            other = vector._as_limbs()
-            if other.shape[0] != acc.shape[0]:
-                raise SMPCError("vector_sum length mismatch")
-            acc += other
-            count += 1
-            if count % limb.LAZY_ADD_LIMIT == 0:  # pragma: no cover - safety net
-                limb.reduce(acc)
-        return FieldVector._from_limbs(limb.reduce(acc))
-    result = list(first._as_elements())
-    for vector in iterator:
-        other = vector._as_elements()
-        if len(other) != len(result):
-            raise SMPCError("vector_sum length mismatch")
-        for i, value in enumerate(other):
-            result[i] += value
-    return FieldVector._raw([value % PRIME for value in result])
+    vectors = list(vectors)
+    if not vectors:
+        raise SMPCError("vector_sum of zero vectors")
+    _check_lengths(vectors, "vector_sum")
+    if vectors[0]._prefer_numpy():
+        return FieldVector._from_limbs(limb.vector_sum([v._as_limbs() for v in vectors]))
+    return FieldVector._raw(
+        [value % PRIME for value in _column_sums([v._as_elements() for v in vectors])]
+    )
 
 
 def linear_combination(scalars: Sequence[int], vectors: Sequence[FieldVector]) -> FieldVector:
@@ -499,28 +479,24 @@ def linear_combination(scalars: Sequence[int], vectors: Sequence[FieldVector]) -
 
     Under the numpy kernel the scalar products accumulate lazily in the wide
     schoolbook domain with one fold at the end (:func:`limb.linear_combination`);
-    the python path is the transparent fold of :meth:`FieldVector.scale`.
+    the python path is one pass with one reduction per element, each scalar
+    taken as its centered residue (a Lagrange weight p - 1 multiplies as -1).
     """
     if len(scalars) != len(vectors):
         raise SMPCError("linear_combination arity mismatch")
     if not vectors:
         raise SMPCError("linear_combination of zero terms")
+    _check_lengths(vectors, "linear_combination")
+    scalars = [s % PRIME for s in scalars]
     if vectors[0]._prefer_numpy():
         return FieldVector._from_limbs(
-            limb.linear_combination(
-                [s % PRIME for s in scalars], [v._as_limbs() for v in vectors]
-            )
+            limb.linear_combination(scalars, [v._as_limbs() for v in vectors])
         )
-    length = len(vectors[0])
-    result = [0] * length
-    for scalar, vector in zip(scalars, vectors):
-        scalar = scalar % PRIME
-        elements = vector._as_elements()
-        if len(elements) != length:
-            raise SMPCError("linear_combination length mismatch")
-        for i, value in enumerate(elements):
-            result[i] = (result[i] + scalar * value) % PRIME
-    return FieldVector._raw(result)
+    terms = [
+        map(_centered(scalar).__mul__, vector._as_elements())
+        for scalar, vector in zip(scalars, vectors)
+    ]
+    return FieldVector._raw([value % PRIME for value in _column_sums(terms)])
 
 
 def row_dot(
@@ -551,4 +527,196 @@ def row_dot(
             sum(map(operator.mul, elements[k + start : k + stop], weights)) % PRIME
             for k in range(0, len(elements), row_length)
         ]
+    )
+
+
+# ------------------------------------------------------------ fused share steps
+#
+# Each function below is one share-wise step of the online protocols or the
+# dealer, applied to ONE party share (or MAC share): one pass over the
+# elements, one reduction per element, where the unfused composition of
+# FieldVector operations made one pass and one reduction per operation.
+# The kernel is chosen by the usual _prefer_numpy rule; the limb versions
+# compose the limb kernel's operations.
+
+
+def _centered(residue: int) -> int:
+    """The representative of a residue in (-p/2, p/2]: small negatives stay small."""
+    return residue if residue <= _HALF else residue - PRIME
+
+
+def _check_lengths(vectors: Sequence[FieldVector], what: str) -> None:
+    if len({len(v) for v in vectors}) > 1:
+        raise SMPCError(f"{what} length mismatch")
+
+
+def _column_sums(columns: Sequence[Iterable[int]]) -> Iterable[int]:
+    """Unreduced element-wise sums of equal-length integer columns (lazy)."""
+    sums = columns[0]
+    for column in columns[1:]:
+        sums = map(operator.add, sums, column)
+    return sums
+
+
+def _check_bits(vector: FieldVector, bits: Sequence[int]) -> None:
+    if len(bits) != len(vector):
+        raise SMPCError(f"length mismatch: {len(vector)} vs {len(bits)} public bits")
+
+
+def _mask(bits: Sequence[int]) -> np.ndarray:
+    """Public bits as a column that broadcasts over a limb array."""
+    return np.asarray(bits, dtype=bool)[:, None]
+
+
+def beaver_combine(
+    c: FieldVector,
+    a: FieldVector,
+    b: FieldVector,
+    d: FieldVector,
+    e: FieldVector,
+    de: FieldVector | None = None,
+    weight: int = 1,
+) -> FieldVector:
+    """``c + d·b + e·a``, plus ``weight·de`` when ``de`` is given.
+
+    One share of a Beaver product ``x·y`` from the share ``(a, b, c)`` of a
+    triple and the opened masks ``d = x - a``, ``e = y - b``.  The public
+    product ``de = d·e`` joins every share that carries public constants —
+    party 0's value share under full threshold (weight 1), every Shamir
+    share (weight 1), and MAC share ``i`` (weight ``alpha_i``).
+    """
+    vectors = [c, a, b, d, e] + ([] if de is None else [de])
+    _check_lengths(vectors, "beaver_combine")
+    weight %= PRIME
+    if c._prefer_numpy(*vectors[1:]):
+        return FieldVector._from_limbs(
+            limb.beaver_combine(
+                *(v._as_limbs() for v in vectors[:5]),
+                None if de is None else de._as_limbs(),
+                weight,
+            )
+        )
+    columns = [v._as_elements() for v in vectors]
+    if de is None:
+        return FieldVector._raw(
+            [(ci + di * bi + ei * ai) % PRIME for ci, ai, bi, di, ei in zip(*columns)]
+        )
+    return FieldVector._raw(
+        [
+            (ci + di * bi + ei * ai + weight * fi) % PRIME
+            for ci, ai, bi, di, ei, fi in zip(*columns)
+        ]
+    )
+
+
+def sub_concat(lefts: Sequence[FieldVector], rights: Sequence[FieldVector]) -> FieldVector:
+    """``(lefts[0] - rights[0]) ‖ (lefts[1] - rights[1]) ‖ ...`` in one pass.
+
+    The masked differences ``(x - a) ‖ (y - b)`` a Beaver product opens.
+    """
+    if len(lefts) != len(rights) or not lefts:
+        raise SMPCError("sub_concat needs one right operand per left operand")
+    for left, right in zip(lefts, rights):
+        _check_lengths([left, right], "sub_concat")
+    if any(left._prefer_numpy(right) for left, right in zip(lefts, rights)):
+        return FieldVector._from_limbs(
+            limb.sub(
+                np.concatenate([v._as_limbs() for v in lefts]),
+                np.concatenate([v._as_limbs() for v in rights]),
+            )
+        )
+    return FieldVector._raw(
+        [
+            (x - y) % PRIME
+            for x, y in zip(
+                chain.from_iterable(v._as_elements() for v in lefts),
+                chain.from_iterable(v._as_elements() for v in rights),
+            )
+        ]
+    )
+
+
+def macs_match(macs: Sequence[FieldVector], opened: FieldVector, alpha: int) -> bool:
+    """Whether ``sum_i macs[i] == alpha·opened`` element-wise.
+
+    The SPDZ MAC check of an opened value, with ``alpha`` the sum of the
+    parties' key shares: the same relation as every party's
+    ``mac_i - alpha_i·opened`` summing to zero, in one pass.
+    """
+    _check_lengths([opened, *macs], "macs_match")
+    alpha %= PRIME
+    if opened._prefer_numpy(*macs):
+        return limb.is_zero(
+            limb.sub(
+                limb.vector_sum([m._as_limbs() for m in macs]),
+                limb.scale(opened._as_limbs(), alpha),
+            )
+        )
+    total = _column_sums([m._as_elements() for m in macs])
+    return not any(
+        [(value - alpha * x) % PRIME for value, x in zip(total, opened._as_elements())]
+    )
+
+
+def add_scaled(vector: FieldVector, other: FieldVector, scalar: int) -> FieldVector:
+    """``vector + scalar·other``: a public vector entering a MAC share."""
+    _check_lengths([vector, other], "add_scaled")
+    scalar %= PRIME
+    if vector._prefer_numpy(other):
+        return FieldVector._from_limbs(
+            limb.add(vector._as_limbs(), limb.scale(other._as_limbs(), scalar))
+        )
+    return FieldVector._raw(
+        [(v + scalar * o) % PRIME for v, o in zip(vector._as_elements(), other._as_elements())]
+    )
+
+
+def select(vector: FieldVector, bits: Sequence[int]) -> FieldVector:
+    """``vector`` where the public bit is 1, else 0 (a product with 0/1)."""
+    _check_bits(vector, bits)
+    if vector._prefer_numpy():
+        return FieldVector._from_limbs(vector._as_limbs() * _mask(bits))
+    return FieldVector._raw([v if bit else 0 for v, bit in zip(vector._as_elements(), bits)])
+
+
+def negate_where(vector: FieldVector, bits: Sequence[int], offset: int = 0) -> FieldVector:
+    """``offset - vector`` where the public bit is 1, else ``vector``.
+
+    A product with public ±1 plus a public 0/1-multiple of ``offset``,
+    without a 127-bit multiplication: how a shared bit is XORed with public
+    bits (``offset`` 1 on the shares carrying constants, ``alpha_i`` on MAC
+    share ``i``).
+    """
+    _check_bits(vector, bits)
+    offset %= PRIME
+    if vector._prefer_numpy():
+        limbs = vector._as_limbs()
+        return FieldVector._from_limbs(
+            np.where(_mask(bits), limb.add_scalar(limb.neg(limbs), offset), limbs)
+        )
+    return FieldVector._raw(
+        [(offset - v) % PRIME if bit else v for v, bit in zip(vector._as_elements(), bits)]
+    )
+
+
+def last_share(total: FieldVector, shares: Sequence[FieldVector], scalar: int = 1) -> FieldVector:
+    """``scalar·total - sum(shares)``: the share that completes a sharing.
+
+    The dealer's last value share (``scalar`` 1) and last MAC share
+    (``scalar`` alpha) of an additive sharing of ``total``.
+    """
+    if not shares:
+        raise SMPCError("last_share needs the other shares")
+    _check_lengths([total, *shares], "last_share")
+    scalar %= PRIME
+    if total._prefer_numpy(*shares):
+        return FieldVector._from_limbs(
+            limb.sub(
+                limb.scale(total._as_limbs(), scalar),
+                limb.vector_sum([s._as_limbs() for s in shares]),
+            )
+        )
+    subtrahends = _column_sums([s._as_elements() for s in shares])
+    return FieldVector._raw(
+        [(scalar * t - s) % PRIME for t, s in zip(total._as_elements(), subtrahends)]
     )

@@ -286,6 +286,32 @@ def add_scalar(a: np.ndarray, scalar: int) -> np.ndarray:
     return reduce(a + scalar_to_limbs(scalar))
 
 
+def beaver_combine(
+    c: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    d: np.ndarray,
+    e: np.ndarray,
+    de: np.ndarray | None = None,
+    weight: int = 1,
+) -> np.ndarray:
+    """``c + d·b + e·a (+ weight·de)`` with one fold and one carry pass.
+
+    Every schoolbook position takes at most 15 limb products (< 2^56) plus
+    a canonical limb of ``c``, and the fold adds 8x the high half: below
+    2^60, inside :func:`reduce`'s 2^62 input bound.
+    """
+    z = np.zeros((c.shape[0], 2 * N_LIMBS - 1), dtype=np.int64)
+    for i in range(N_LIMBS):
+        z[:, i : i + N_LIMBS] += d[:, i : i + 1] * b + e[:, i : i + 1] * a
+    z[:, 0:N_LIMBS] += c
+    if de is not None:
+        for i, w in enumerate(scalar_to_limbs(weight)):
+            if w:
+                z[:, i : i + N_LIMBS] += de * w
+    return _reduce_wide(z)
+
+
 def is_zero(a: np.ndarray) -> bool:
     """True when every element is the zero residue (canonical input)."""
     return not a.any()

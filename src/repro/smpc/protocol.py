@@ -121,9 +121,9 @@ class Protocol(abc.ABC, Generic[S]):
     def scale(self, a: S, scalar: int) -> S:
         return self._sharing.scale(a, scalar)
 
-    def _scale_by_vector(self, a: S, public: FieldVector) -> S:
-        """Element-wise product with a public vector."""
-        return self._sharing.scale_by_vector(a, public)
+    @abc.abstractmethod
+    def _xor_public(self, a: S, bits: Sequence[int]) -> S:
+        """Shared bits XOR public bits (``1 - a`` where the bit is 1)."""
 
     def _take(self, a: S, indices) -> S:
         """The sharing of ``a``'s elements at ``indices`` (sequence or slice)."""
@@ -145,19 +145,18 @@ class Protocol(abc.ABC, Generic[S]):
     def _triple(self, length: int):
         """A dealer-supplied Beaver triple ``(a, b, c = a * b)`` of ``length``."""
 
+    @abc.abstractmethod
+    def _beaver_combine(self, triple, d: FieldVector, e: FieldVector) -> S:
+        """``c + d*b + e*a + d*e`` from a triple and the opened masks."""
+
     def mul(self, a: S, b: S) -> S:
         """Beaver multiplication: one triple, one masked open of ``d || e``."""
         length = len(a)
         triple = self._triple(length)
-        opened = self.open(self._concat([self.sub(a, triple.a), self.sub(b, triple.b)]))
+        opened = self.open(self._sharing.sub_concat([a, b], [triple.a, triple.b]))
         d = opened.take(slice(0, length))
         e = opened.take(slice(length, None))
-        # z = c + d*b + e*a + d*e
-        z = self.add(
-            self.add(triple.c, self._scale_by_vector(triple.b, d)),
-            self._scale_by_vector(triple.a, e),
-        )
-        return self.add_public(z, d * e)
+        return self._beaver_combine(triple, d, e)
 
     # ------------------------------------------------------------ aggregates
 
@@ -194,7 +193,7 @@ class Protocol(abc.ABC, Generic[S]):
         sign = self._shifted_floor(
             x, self.comparison_bits, self.mask_bits, self.comparison_bits
         )
-        return self.add_public(self.scale(sign, PRIME - 1), _constant_vector(1, len(x)))
+        return self._xor_public(sign, [1] * len(x))  # 1 - sign
 
     def truncate(self, x: S, fractional_bits: int | None = None) -> S:
         """Secure floor division by 2^f (fixed-point rescaling after a
@@ -239,8 +238,9 @@ class Protocol(abc.ABC, Generic[S]):
         """[public < shared] over the low ``n_bits`` bits of each bit-matrix row.
 
         Bit ``i`` contributes a generate/propagate pair ``g_i = r_i (1 - c_i)``
-        and ``p_i = 1 - (r_i xor c_i)``, both share-linear because ``c`` is
-        public.  A run of bits compares as ``(g, p)_hi o (g, p)_lo =
+        and ``p_i = 1 - (r_i xor c_i) = r_i xor (1 - c_i)``, both share-linear
+        because ``c`` is public: a select and a conditional negation.  A run
+        of bits compares as ``(g, p)_hi o (g, p)_lo =
         (g_hi + p_hi g_lo, p_hi p_lo)``, which is associative, so adjacent
         runs are combined pairwise: every level is ONE Beaver multiplication
         over all its nodes and the depth is ceil(log2(n_bits)).  The run that
@@ -253,14 +253,8 @@ class Protocol(abc.ABC, Generic[S]):
         rows = np.arange(n) * row_length
         r_bits = self._take(bits, (np.arange(nodes)[:, None] + rows).ravel())
         not_c = [1 - ((v >> i) & 1) for i in range(nodes) for v in public_values]
-        g = self._scale_by_vector(r_bits, FieldVector._raw(not_c))
-        # p = 1 - xor = (1 - c) + (2c - 1) r
-        p = self.add_public(
-            self._scale_by_vector(
-                self._take(r_bits, slice(n, None)), FieldVector([1 - 2 * v for v in not_c[n:]])
-            ),
-            FieldVector._raw(not_c[n:]),
-        )
+        g = self._sharing.select(r_bits, not_c)
+        p = self._xor_public(self._take(r_bits, slice(n, None)), not_c[n:])
         while nodes > 1:
             pairs = nodes // 2
             # at[k]: where node k sits in g; node k >= 1 sits at at[k - 1] in p.
@@ -337,8 +331,7 @@ class Protocol(abc.ABC, Generic[S]):
         length = len(total)
         # sum >= 1  <=>  not (sum - 1 < 0)
         shifted = self.add_public(total, _constant_vector(PRIME - 1, length))
-        below = self.ltz(shifted)
-        return self.add_public(self.scale(below, PRIME - 1), _constant_vector(1, length))
+        return self._xor_public(self.ltz(shifted), [1] * length)
 
 
 def _constant_vector(value: int, length: int) -> FieldVector:
@@ -372,6 +365,9 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
     def add_public(self, a, public: FieldVector):
         return additive.add_public(a, public, self.dealer.alpha_shares)
 
+    def _xor_public(self, a, bits):
+        return additive.xor_public(a, bits, self.dealer.alpha_shares)
+
     def sum_inputs(self, inputs: Sequence[additive.AdditiveShared]) -> additive.AdditiveShared:
         if not inputs:
             raise SMPCError("sum of zero inputs")
@@ -387,6 +383,11 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
 
     def _triple(self, length: int):
         return self.dealer.additive_triple(length)
+
+    def _beaver_combine(self, triple, d, e):
+        return additive.beaver_combine(
+            triple.a, triple.b, triple.c, d, e, self.dealer.alpha_shares
+        )
 
 
 # -------------------------------------------------------------------- Shamir
@@ -424,6 +425,9 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
     def add_public(self, a, public: FieldVector):
         return shamir.add_public(a, public)
 
+    def _xor_public(self, a, bits):
+        return shamir.xor_public(a, bits)
+
     def sum_inputs(self, inputs: Sequence[shamir.ShamirShared]) -> shamir.ShamirShared:
         if not inputs:
             raise SMPCError("sum of zero inputs")
@@ -441,3 +445,6 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
 
     def _triple(self, length: int):
         return self.dealer.shamir_triple(length, self.threshold)
+
+    def _beaver_combine(self, triple, d, e):
+        return shamir.beaver_combine(triple.a, triple.b, triple.c, d, e)

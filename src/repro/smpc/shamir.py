@@ -231,9 +231,43 @@ def add_public(a: ShamirShared, public: FieldVector) -> ShamirShared:
     return ShamirShared([x + public for x in a.shares], a.threshold)
 
 
-def scale_by_vector(a: ShamirShared, public: FieldVector) -> ShamirShared:
-    """Element-wise product with a public vector (local)."""
-    return ShamirShared([s * public for s in a.shares], a.threshold)
+def select(a: ShamirShared, bits: Sequence[int]) -> ShamirShared:
+    """Product with public 0/1 bits (local)."""
+    return ShamirShared([field.select(s, bits) for s in a.shares], a.threshold)
+
+
+def xor_public(a: ShamirShared, bits: Sequence[int]) -> ShamirShared:
+    """Shared bits XOR public bits: ``1 - x`` where the public bit is 1 (every
+    share carries the constant)."""
+    return ShamirShared([field.negate_where(s, bits, 1) for s in a.shares], a.threshold)
+
+
+def sub_concat(lefts: Sequence[ShamirShared], rights: Sequence[ShamirShared]) -> ShamirShared:
+    """The sharing of ``(lefts[0] - rights[0]) ‖ (lefts[1] - rights[1]) ‖ ...``."""
+    for part in [*lefts[1:], *rights]:
+        _check_compatible(lefts[0], part)
+    return ShamirShared(
+        [
+            field.sub_concat([x.shares[p] for x in lefts], [y.shares[p] for y in rights])
+            for p in range(lefts[0].n_parties)
+        ],
+        lefts[0].threshold,
+    )
+
+
+def beaver_combine(
+    a: ShamirShared, b: ShamirShared, c: ShamirShared, d: FieldVector, e: FieldVector
+) -> ShamirShared:
+    """The sharing of ``x·y`` from a triple ``(a, b, c)`` and the opened
+    ``d = x - a``, ``e = y - b``: ``c + d·b + e·a + d·e`` on every share."""
+    de = d * e
+    return ShamirShared(
+        [
+            field.beaver_combine(cs, as_, bs, d, e, de)
+            for as_, bs, cs in zip(a.shares, b.shares, c.shares)
+        ],
+        a.threshold,
+    )
 
 
 def take(a: ShamirShared, indices) -> ShamirShared:

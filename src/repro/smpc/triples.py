@@ -11,11 +11,11 @@ split measurable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SMPCError
 from repro.smpc import additive, shamir
-from repro.smpc.field import PRIME, FieldVector, random_bit_elements
+from repro.smpc.field import FieldVector, random_bit_elements
 
 
 @dataclass

@@ -98,44 +98,42 @@ class TestFieldVector:
 
 
 class TestKernelSelection:
-    """$REPRO_SMPC_KERNEL is resolved once per process, on first use."""
+    """The kernel is ``auto`` unless :func:`set_kernel` overrides it."""
 
     @pytest.fixture(autouse=True)
     def unresolved(self, monkeypatch):
         from repro.smpc import field
 
         monkeypatch.setattr(field, "_kernel_override", None)
-        monkeypatch.setattr(field, "_env_kernel", None)
 
-    def test_environment_is_read_once(self, monkeypatch):
+    def test_set_kernel_overrides_and_restores(self):
         from repro.smpc import field
 
-        monkeypatch.setenv(field.KERNEL_ENV, " Python ")
-        assert field.active_kernel() == "python"
-        monkeypatch.setenv(field.KERNEL_ENV, "numpy")
-        assert field.active_kernel() == "python"
-
-    def test_unset_means_auto(self, monkeypatch):
-        from repro.smpc import field
-
-        monkeypatch.delenv(field.KERNEL_ENV, raising=False)
         assert field.active_kernel() == "auto"
-
-    def test_set_kernel_overrides_and_restores(self, monkeypatch):
-        from repro.smpc import field
-
-        monkeypatch.setenv(field.KERNEL_ENV, "python")
         assert field.set_kernel("numpy") is None
         assert field.active_kernel() == "numpy"
         assert field.set_kernel(None) == "numpy"
-        assert field.active_kernel() == "python"
-
-    def test_invalid_value_raises_every_time(self, monkeypatch):
-        from repro.smpc import field
-
-        monkeypatch.setenv(field.KERNEL_ENV, "fortran")
-        for _ in range(2):
-            with pytest.raises(SMPCError, match="REPRO_SMPC_KERNEL"):
-                field.active_kernel()
+        assert field.active_kernel() == "auto"
         with pytest.raises(SMPCError):
             field.set_kernel("fortran")
+
+
+class TestRandomDraws:
+    def test_a_rejected_draw_is_replaced_in_stream_order(self):
+        """A draw equal to p is skipped exactly as ``randrange(PRIME)`` skips it."""
+        from repro.smpc import field
+
+        class Scripted:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def getrandbits(self, bits):
+                assert bits == 127
+                return next(self.values)
+
+        script = [5, PRIME, 7, PRIME, PRIME, 9, 11, 13]
+        expected = [v for v in script if v != PRIME][:4]
+        assert field.random_field_elements(4, Scripted(script)) == expected
+        rest = Scripted(script)
+        field.random_field_elements(4, rest)
+        assert next(rest.values) == 13  # nothing past the fourth accepted draw
