@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.experiment import ExperimentEngine, ExperimentRequest
 from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.federation.controller import FederationConfig, create_federation
-from repro.learning.trainer import FederatedTrainer, TrainingConfig
 
 from benchmarks.conftest import write_report
 
@@ -24,59 +24,69 @@ ROUNDS = 10
 
 
 @pytest.fixture(scope="module")
-def training_federation():
+def training_engine():
     worker_data = {
         f"hospital_{i}": {
             "dementia": generate_cohort(CohortSpec(f"site{i}", 400, seed=50 + i))
         }
         for i in range(4)
     }
-    return create_federation(
+    federation = create_federation(
         worker_data, FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=13)
     )
+    engine = ExperimentEngine(federation)
+    yield engine
+    engine.shutdown()
+    federation.shutdown()
 
 
-def train(federation, mode, epsilon, seed=0, rounds=ROUNDS):
-    trainer = FederatedTrainer(federation)
-    config = TrainingConfig(
-        data_model="dementia",
-        datasets=tuple(f"site{i}" for i in range(4)),
-        response="converted_ad",
-        covariates=("lefthippocampus", "p_tau"),
-        mode=mode,
-        rounds=rounds,
-        learning_rate=0.8,
-        clip_norm=1.0,
-        epsilon=epsilon,
-        delta=1e-5,
-        seed=seed,
-        evaluate_every=rounds,
+def train(engine, mode, epsilon, seed=0, rounds=ROUNDS):
+    """One ``federated_training`` experiment; returns its result dict."""
+    result = engine.run(
+        ExperimentRequest(
+            algorithm="federated_training",
+            data_model="dementia",
+            datasets=tuple(f"site{i}" for i in range(4)),
+            y=("converted_ad",),
+            x=("lefthippocampus", "p_tau"),
+            parameters={
+                "mode": mode,
+                "rounds": rounds,
+                "learning_rate": 0.8,
+                "clip_norm": 1.0,
+                "epsilon": epsilon,
+                "delta": 1e-5,
+                "seed": seed,
+                "evaluate_every": rounds,
+            },
+        )
     )
-    return trainer.train(config)
+    assert result.status.value == "success", result.error
+    return result.result
 
 
-def test_benchmark_training_round_sa(benchmark, training_federation):
+def test_benchmark_training_round_sa(benchmark, training_engine):
     benchmark.pedantic(
-        train, args=(training_federation, "sa", 16.0),
+        train, args=(training_engine, "sa", 16.0),
         kwargs={"rounds": 3}, rounds=2, iterations=1,
     )
 
 
-def test_benchmark_training_round_dp(benchmark, training_federation):
+def test_benchmark_training_round_dp(benchmark, training_engine):
     benchmark.pedantic(
-        train, args=(training_federation, "dp", 16.0),
+        train, args=(training_engine, "dp", 16.0),
         kwargs={"rounds": 3}, rounds=2, iterations=1,
     )
 
 
-def test_report_privacy_utility(training_federation):
-    clean = train(training_federation, "none", 1.0)
+def test_report_privacy_utility(training_engine):
+    clean = train(training_engine, "none", 1.0)
     lines = [
         "E6 — training privacy/utility: local DP vs secure aggregation",
         f"(logistic model, 4 workers, {ROUNDS} rounds, mean over {len(SEEDS)} seeds)",
         "",
-        f"non-private accuracy: {clean.final_accuracy:.4f} "
-        f"(loss {clean.final_loss:.4f})",
+        f"non-private accuracy: {clean['final_accuracy']:.4f} "
+        f"(loss {clean['final_loss']:.4f})",
         "",
         f"{'epsilon':>8}{'local-DP acc':>14}{'SA acc':>10}{'DP loss':>10}{'SA loss':>10}",
     ]
@@ -86,9 +96,9 @@ def test_report_privacy_utility(training_federation):
         loss = {"dp": [], "sa": []}
         for seed in SEEDS:
             for mode in ("dp", "sa"):
-                result = train(training_federation, mode, epsilon, seed=seed)
-                accuracy[mode].append(result.final_accuracy)
-                loss[mode].append(result.final_loss)
+                result = train(training_engine, mode, epsilon, seed=seed)
+                accuracy[mode].append(result["final_accuracy"])
+                loss[mode].append(result["final_loss"])
         row = (
             float(np.mean(accuracy["dp"])), float(np.mean(accuracy["sa"])),
             float(np.mean(loss["dp"])), float(np.mean(loss["sa"])),
@@ -103,8 +113,8 @@ def test_report_privacy_utility(training_federation):
     lines.append("(one draw per worker) at equal epsilon.")
     write_report("e6_training", lines)
     # both paths near the ceiling at the largest epsilon
-    assert table[EPSILONS[-1]][0] > clean.final_accuracy - 0.12
-    assert table[EPSILONS[-1]][1] > clean.final_accuracy - 0.12
+    assert table[EPSILONS[-1]][0] > clean["final_accuracy"] - 0.12
+    assert table[EPSILONS[-1]][1] > clean["final_accuracy"] - 0.12
     # SA no worse than DP on average across the sweep (its noise is 1/sqrt(k) smaller)
     sa_mean = np.mean([row[1] for row in table.values()])
     dp_mean = np.mean([row[0] for row in table.values()])

@@ -38,7 +38,6 @@ from repro.data.cohorts import (
 )
 from repro.federation.controller import Federation, FederationConfig, create_federation
 from repro.federation.policy import FailurePolicy, RetryPolicy
-from repro.learning.trainer import FederatedTrainer, TrainingConfig
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 
 __version__ = "1.0.0"
@@ -50,12 +49,10 @@ __all__ = [
     "FailurePolicy",
     "Federation",
     "FederationConfig",
-    "FederatedTrainer",
     "RetryPolicy",
     "MIPService",
     "NoiseSpec",
     "SMPCCluster",
-    "TrainingConfig",
     "Workflow",
     "WorkflowStep",
     "algorithm_registry",

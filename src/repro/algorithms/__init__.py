@@ -18,6 +18,7 @@ from repro.algorithms import (  # noqa: F401  (imported for registration)
     naive_bayes,
     pca,
     pearson,
+    training,
     ttest,
 )
 from repro.core.registry import algorithm_registry

@@ -143,7 +143,7 @@ class LinearRegression(FederatedAlgorithm):
     x_types = ("numeric", "nominal")
 
     def run(self) -> dict[str, Any]:
-        from repro.algorithms.preprocessing import resolve_observed_levels
+        from repro.algorithms.preprocessing import design_names, resolve_observed_levels
 
         response = self.y[0]
         variables = [response] + list(self.x)
@@ -165,7 +165,7 @@ class LinearRegression(FederatedAlgorithm):
             share_to_locals=[False],
         )
         aggregates = self.ctx.get_transfer_data(global_transfer)
-        design_names = self._design_names()
+        names = design_names(self.x, self.metadata)
         result = solve_linear_model(
             np.asarray(aggregates["xtx"]),
             np.asarray(aggregates["xty"]),
@@ -173,7 +173,7 @@ class LinearRegression(FederatedAlgorithm):
             float(aggregates["sum_y"]),
             int(aggregates["n"]),
         )
-        result["variable_names"] = design_names
+        result["variable_names"] = names
         result["response"] = response
         logger.info(
             "linreg_fit",
@@ -183,17 +183,6 @@ class LinearRegression(FederatedAlgorithm):
             r_squared=result.get("r_squared"),
         )
         return result
-
-    def _design_names(self) -> list[str]:
-        names = ["intercept"]
-        for variable in self.x:
-            info = self.metadata.get(variable, {})
-            if info.get("is_categorical"):
-                for level in list(info.get("enumerations", []))[1:]:
-                    names.append(f"{variable}[{level}]")
-            else:
-                names.append(variable)
-        return names
 
 
 @register_algorithm

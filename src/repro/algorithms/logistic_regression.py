@@ -122,33 +122,15 @@ class _NewtonDriver:
     """Shared Newton loop used by the plain and CV algorithms."""
 
     def __init__(self, algorithm: FederatedAlgorithm, metadata: dict[str, Any]) -> None:
+        from repro.algorithms.preprocessing import design_names, positive_level
+
         self.algorithm = algorithm
         self.metadata = metadata
-        response = algorithm.y[0]
-        info = metadata.get(response, {})
-        if info.get("is_categorical"):
-            levels = list(info.get("enumerations", []))
-            if len(levels) != 2:
-                raise AlgorithmError(
-                    f"logistic regression needs a binary response; {response!r} has "
-                    f"{len(levels)} observed levels"
-                )
-            self.positive_level = levels[1]
-        else:
-            self.positive_level = None
-        self.response = response
-        self.design_names = self._design_names()
-
-    def _design_names(self) -> list[str]:
-        names = ["intercept"]
-        for variable in self.algorithm.x:
-            info = self.metadata.get(variable, {})
-            if info.get("is_categorical"):
-                for level in list(info.get("enumerations", []))[1:]:
-                    names.append(f"{variable}[{level}]")
-            else:
-                names.append(variable)
-        return names
+        self.response = algorithm.y[0]
+        self.positive_level = positive_level(
+            self.response, metadata, "logistic regression"
+        )
+        self.design_names = design_names(algorithm.x, metadata)
 
     def fit(
         self, view, max_iterations: int, tolerance: float

@@ -12,6 +12,9 @@ Binning a numeric variable needs the same kind of agreement: per-worker
 histograms add up only over one shared grid, so a variable whose CDE
 declares no range gets the federation's observed range through secure
 min/max before anything is binned.
+
+The regression-type flows also share, from the same metadata, the names of
+their design columns and which level of a binary response is coded 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.context import DataView
+from repro.errors import AlgorithmError
 from repro.smpc.encoding import DEFAULT_FRACTIONAL_BITS
 from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
@@ -127,3 +131,35 @@ def resolve_observed_ranges(
         info["min"] = float(extremes[f"{variable}__min"]) - margin
         info["max"] = float(extremes[f"{variable}__max"]) + margin
     return metadata
+
+
+def design_names(
+    covariates: list[str], metadata: Mapping[str, Mapping[str, Any]]
+) -> list[str]:
+    """Column names of ``_h.build_design_matrix``: an intercept, then each
+    numeric covariate, then one dummy per non-reference nominal level."""
+    names = ["intercept"]
+    for variable in covariates:
+        info = metadata.get(variable, {})
+        if info.get("is_categorical"):
+            for level in list(info.get("enumerations", []))[1:]:
+                names.append(f"{variable}[{level}]")
+        else:
+            names.append(variable)
+    return names
+
+
+def positive_level(
+    response: str, metadata: Mapping[str, Mapping[str, Any]], what: str
+) -> Any:
+    """The level coded 1 for a binary nominal response (``None`` for a
+    numeric one, used as is); ``what`` names the caller in the error."""
+    info = metadata.get(response, {})
+    if not info.get("is_categorical"):
+        return None
+    levels = list(info.get("enumerations", []))
+    if len(levels) != 2:
+        raise AlgorithmError(
+            f"{what} needs a binary response; {response!r} has {len(levels)} levels"
+        )
+    return levels[1]

@@ -35,6 +35,10 @@ DEMO_REQUESTS: Mapping[str, Mapping[str, Any]] = {
         "parameters": {"max_depth": 2},
     },
     "descriptive_stats": {"y": ("p_tau",), "x": (), "parameters": {}},
+    "federated_training": {
+        "y": ("converted_ad",), "x": ("p_tau", "lefthippocampus"),
+        "parameters": {"mode": "newton", "rounds": 3},
+    },
     "histogram": {
         "y": ("lefthippocampus",), "x": (), "parameters": {"n_bins": 10},
     },

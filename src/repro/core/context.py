@@ -26,6 +26,7 @@ from repro.errors import (
     AlgorithmError,
     ExperimentCancelledError,
     QuorumError,
+    SpecificationError,
 )
 from repro.core.plan import (
     BarrierNode,
@@ -88,6 +89,12 @@ class ExecutionContext:
     ) -> None:
         if aggregation not in ("smpc", "plain"):
             raise AlgorithmError(f"unknown aggregation path {aggregation!r}")
+        if noise is not None and aggregation != "smpc":
+            # Noise is added inside the SMPC protocol; the plain path has
+            # nowhere to add it and would release exact aggregates.
+            raise SpecificationError(
+                f"noise {noise.mechanism}({noise.scale}) needs aggregation='smpc'"
+            )
         self.master = master
         self.data_model = data_model
         self.worker_datasets = {w: list(d) for w, d in worker_datasets.items()}
@@ -399,6 +406,7 @@ class ExecutionContext:
                 store_id=step_id,
                 source=source,
                 path=self.aggregation,
+                noise=self.noise,
             )
         elif handle.kind == "transfer":
             if not isinstance(iotype, MergeTransferType):
@@ -421,8 +429,14 @@ class ExecutionContext:
 
     # ------------------------------------------------------------- transfers
 
-    def get_transfer_data(self, handle: GlobalHandle | LocalHandle) -> Any:
-        """Read transfer contents on the master (the Figure 2 final read)."""
+    def get_transfer_data(
+        self, handle: GlobalHandle | LocalHandle, noise: NoiseSpec | None = None
+    ) -> Any:
+        """Read transfer contents on the master (the Figure 2 final read).
+
+        ``noise`` is added inside the protocol to this read's secure
+        aggregate; without it the context's noise applies.
+        """
         self.check_cancelled()
         if isinstance(handle, GlobalHandle):
             node = BarrierNode(
@@ -443,6 +457,7 @@ class ExecutionContext:
                     store_id=None,
                     source=source,
                     path=self.aggregation,
+                    noise=noise or self.noise,
                 )
             elif handle.kind == "transfer":
                 step_id = f"{self.job_id}_read{next(self._step_counter)}"

@@ -29,7 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.smpc.cluster import NoiseSpec
 
 __all__ = [
     "ValueRef",
@@ -176,22 +179,29 @@ class SecureAggregateNode(PlanNode):
     into the cluster, ``"plain"`` is the paper's in-the-clear alternative.
     ``store_id`` set means the aggregate is materialized as a master
     transfer table (a ``global_run`` binding); ``None`` means the dict is
-    returned directly (a ``get_transfer_data`` read).
+    returned directly (a ``get_transfer_data`` read).  ``noise`` is added
+    inside the protocol before this aggregate is opened (``None``: exact).
     """
 
     gather_id: str = ""
     store_id: str | None = None
     source: PlanArg = field(default_factory=lambda: PlanArg("literal"))
     path: str = "smpc"
+    noise: NoiseSpec | None = None
 
     kind = "secure_aggregate"
 
     def describe(self) -> dict[str, Any]:
-        return {
+        described: dict[str, Any] = {
             "source": self.source.summary(),
             "path": self.path,
             "store": self.store_id is not None,
         }
+        if self.noise is not None:
+            described["noise"] = {
+                "mechanism": self.noise.mechanism, "scale": self.noise.scale,
+            }
+        return described
 
 
 @dataclass(frozen=True)
@@ -343,14 +353,7 @@ def canonical_fingerprint(payload: Mapping[str, Any]) -> str:
     """SHA-256 over a canonical-JSON payload, independent of key order.
 
     The durability layer keys a checkpoint on the fingerprint of its
-    experiment request (:mod:`repro.durability.checkpoint`), and the
-    federated trainer keys its round checkpoints on the fingerprint of its
-    configuration (:mod:`repro.learning.trainer`).
+    experiment request (:mod:`repro.durability.checkpoint`).
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def topological_order(nodes: Sequence[PlanNode]) -> list[PlanNode]:
-    """Nodes in dependency order (record order is already topological)."""
-    return sorted(nodes, key=lambda node: node.node_id)

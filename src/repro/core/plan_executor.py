@@ -233,7 +233,7 @@ class PlanExecutor:
             tables = self._resolve_local_tables(node.source)
             if node.path == "smpc":
                 aggregated = ctx.master.gather_transfers_secure(
-                    node.gather_id, tables, noise=ctx.noise
+                    node.gather_id, tables, noise=node.noise
                 )
             else:
                 from repro.federation.aggregation import aggregate_plain

@@ -1,17 +1,18 @@
-"""Round-granular experiment checkpoints, written atomically.
+"""Read-frontier experiment checkpoints, written atomically.
 
 A checkpoint is a schema-versioned JSON snapshot keyed by the flow-plan IR:
 
-- ``fingerprint`` — the canonical fingerprint of what produced the flow
-  (an :class:`~repro.core.experiment.ExperimentRequest` or a training
-  config).  A resumed run whose fingerprint differs discards the
-  checkpoint and runs live from step 0 — resuming a different plan over a
-  recorded frontier would silently corrupt results.
+- ``fingerprint`` — the canonical fingerprint of the
+  :class:`~repro.core.experiment.ExperimentRequest` that produced the flow.
+  A resumed run whose fingerprint differs discards the checkpoint and runs
+  live from step 0 — resuming a different plan over a recorded frontier
+  would silently corrupt results.
 - ``reads`` — the completed-step frontier: every value the algorithm has
   already pulled out of the federation (aggregate opens and barriers), in
   program order, each tagged with the plan node key that produced it.
-- ``state`` — serialized global state (e.g. model coefficients, training
-  history and privacy spend between iterations).
+  Replaying it re-runs the flow's own code, so everything the flow derives
+  between reads (coefficients, training history, privacy spend) is rebuilt
+  rather than stored.
 
 Snapshots are written with the classic tmp+rename dance so a crash during
 a save leaves either the previous snapshot or the new one, never a torn
@@ -32,7 +33,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 
 def request_fingerprint(payload: Mapping[str, Any]) -> str:
-    """Canonical fingerprint of a JSON-ready mapping (request or config)."""
+    """Canonical fingerprint of a JSON-ready request mapping."""
     return canonical_fingerprint(dict(payload))
 
 
@@ -43,7 +44,6 @@ class ExperimentCheckpoint:
     job_id: str
     fingerprint: str
     reads: list[dict[str, Any]] = field(default_factory=list)
-    state: dict[str, Any] = field(default_factory=dict)
     schema: int = CHECKPOINT_SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
@@ -52,7 +52,6 @@ class ExperimentCheckpoint:
             "job_id": self.job_id,
             "fingerprint": self.fingerprint,
             "reads": self.reads,
-            "state": self.state,
         }
 
     @classmethod
@@ -61,7 +60,6 @@ class ExperimentCheckpoint:
             job_id=str(payload["job_id"]),
             fingerprint=str(payload["fingerprint"]),
             reads=list(payload.get("reads", ())),
-            state=dict(payload.get("state", {})),
             schema=int(payload.get("schema", -1)),
         )
 

@@ -11,7 +11,7 @@ programmatically with :func:`configure`.
 Usage::
 
     from repro.observability.log import get_logger
-    log = get_logger("repro.learning.trainer")
+    log = get_logger("algorithms.training")
     log.info("round_finished", round=3, loss=0.41, accuracy=0.83)
 """
 

@@ -86,6 +86,17 @@ ARCHETYPES: tuple[ExperimentRequest, ...] = (
         parameters={"max_iterations": 4, "tolerance": 0.0},
         name="sim-logistic",
     ),
+    # Also appended last, for the same reason: the training flow (selected
+    # with ``algo=federated_training``) resumes through the same journal.
+    ExperimentRequest(
+        algorithm="federated_training",
+        data_model="dementia",
+        datasets=SIM_DATASETS,
+        y=("converted_ad",),
+        x=("p_tau",),
+        parameters={"mode": "newton", "rounds": 3},
+        name="sim-training",
+    ),
 )
 
 _SPEC_RE = re.compile(

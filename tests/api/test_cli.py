@@ -45,6 +45,18 @@ class TestCommands:
         assert payload["status"] == "success"
         assert "t_statistic" in payload["result"]
 
+    def test_run_federated_training(self, capsys):
+        code = main([
+            "run", "--algorithm", "federated_training", "-y", "converted_ad",
+            "-x", "p_tau", "--param", "mode=sa", "--param", "rounds=2",
+            "--param", "epsilon=4", "--rows", "80",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "success"
+        assert payload["result"]["epsilon_spent"] == pytest.approx(4.0)
+        assert [h["round"] for h in payload["result"]["history"]] == [1, 2]
+
     def test_run_failure_exit_code(self, capsys):
         code = main([
             "run", "--algorithm", "kmeans", "-y", "p_tau",

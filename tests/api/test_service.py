@@ -103,6 +103,26 @@ class TestExperimentLifecycle:
         assert noisy.result["mean"] != clean.result["mean"]
         assert abs(noisy.result["mean"] - clean.result["mean"]) < 5.0
 
+    def test_plain_aggregation_refuses_noise(self, federation):
+        """Noise is added inside the SMPC protocol; a plain run cannot add
+        it, so it fails instead of releasing exact coefficients."""
+        from repro.core.experiment import ExperimentEngine, ExperimentRequest
+        from repro.smpc.cluster import NoiseSpec
+
+        engine = ExperimentEngine(
+            federation, aggregation="plain", noise=NoiseSpec("gaussian", 500.0)
+        )
+        outcome = engine.run(
+            ExperimentRequest(
+                algorithm="linear_regression", data_model="dementia",
+                datasets=("edsd", "adni", "ppmi"),
+                y=("lefthippocampus",), x=("agevalue",),
+            )
+        )
+        engine.shutdown()
+        assert outcome.status.value == "error"
+        assert outcome.error.startswith("SpecificationError")
+
     def test_kmeans_like_figure_3(self, service):
         """The Figure 3 flow: pick k-means, set k, run, read clusters."""
         result = service.run_experiment(
@@ -128,6 +148,28 @@ class TestAsyncSurface:
         jobs = service.jobs()
         assert jobs and jobs[0]["job_id"] == job_id
         assert jobs[0]["state"] == "success"
+
+    def test_training_jobs_share_the_queue(self, fresh_federation):
+        """Two training runs in flight at once: each result audits only its
+        own rounds' privacy spend."""
+        service = MIPService(fresh_federation, pool_size=2)
+        common = dict(y=["converted_ad"], x=["p_tau"])
+        private = service.submit_experiment(
+            "federated_training", "dementia", ["edsd", "adni"], **common,
+            parameters={"mode": "dp", "rounds": 3, "epsilon": 3.0},
+        )
+        newton = service.submit_experiment(
+            "federated_training", "dementia", ["edsd", "adni"], **common,
+            parameters={"mode": "newton", "rounds": 3},
+        )
+        spends = {}
+        for job_id in (private, newton):
+            result = service.wait_experiment(job_id, timeout=120)
+            assert result.status.value == "success", result.error
+            spends[job_id] = [e for e in result.audit if e["event"] == "privacy_spend"]
+        service.shutdown()
+        assert len(spends[private]) == 3
+        assert spends[newton] == []
 
     def test_cancel_experiment_unknown_id(self, fresh_federation):
         from repro.errors import ExperimentNotFoundError

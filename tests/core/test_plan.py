@@ -16,7 +16,6 @@ from repro.core.plan import (
     SecureAggregateNode,
     ValueRef,
     canonical_fingerprint,
-    topological_order,
 )
 from repro.core.context import DataView
 from repro.core.runner import ExperimentRunner
@@ -65,13 +64,18 @@ class TestPlanStructure:
         assert BroadcastNode(node_id=9, deps=()).kind == "broadcast"
         assert PlainAggregateNode(node_id=9, deps=()).kind == "plain_aggregate"
 
-    def test_topological_order_is_record_order(self):
-        plan = build_sample_plan()
-        ordered = topological_order(list(reversed(plan.nodes)))
-        assert [n.node_id for n in ordered] == [1, 2, 3, 4]
-
 
 class TestRenderers:
+    def test_secure_aggregate_names_noise_only_when_set(self):
+        from repro.smpc.cluster import NoiseSpec
+
+        exact = SecureAggregateNode(node_id=2, deps=(1,))
+        noisy = SecureAggregateNode(
+            node_id=2, deps=(1,), noise=NoiseSpec("gaussian", 0.5)
+        )
+        assert "noise" not in exact.describe()
+        assert noisy.describe()["noise"] == {"mechanism": "gaussian", "scale": 0.5}
+
     def test_to_json_scrubs_job_id(self):
         plan = build_sample_plan()
         text = json.dumps(plan.to_json())

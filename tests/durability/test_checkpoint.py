@@ -13,12 +13,11 @@ from repro.durability.checkpoint import (
 )
 
 
-def _checkpoint(job_id="exp_1", **state):
+def _checkpoint(job_id="exp_1", value=4.5):
     return ExperimentCheckpoint(
         job_id=job_id,
         fingerprint="abc123",
-        reads=[{"index": 0, "key": "LocalStepNode:n1", "value": {"sum": 4.5}}],
-        state=state or {"round": 2},
+        reads=[{"index": 0, "key": "LocalStepNode:n1", "value": {"sum": value}}],
     )
 
 
@@ -33,7 +32,6 @@ class TestStore:
         assert loaded.reads == [
             {"index": 0, "key": "LocalStepNode:n1", "value": {"sum": 4.5}}
         ]
-        assert loaded.state == {"round": 2}
         assert loaded.schema == CHECKPOINT_SCHEMA_VERSION
 
     def test_missing_returns_none_without_failure_count(self, tmp_path):
@@ -62,9 +60,9 @@ class TestStore:
 
     def test_save_overwrites_atomically(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        store.save(_checkpoint(round=1))
-        store.save(_checkpoint(round=7))
-        assert store.load("exp_1").state == {"round": 7}
+        store.save(_checkpoint(value=1.0))
+        store.save(_checkpoint(value=7.0))
+        assert store.load("exp_1").reads[0]["value"] == {"sum": 7.0}
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
 
     def test_delete(self, tmp_path):

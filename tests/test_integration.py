@@ -156,6 +156,8 @@ class TestEveryAlgorithmOnSecurePath:
                              parameters={"n_bins": 20}),
         "calibration_belt": dict(y=["converted_ad"], x=["predicted_risk"],
                                  parameters={"max_degree": 2}),
+        "federated_training": dict(y=["converted_ad"], x=["p_tau"],
+                                   parameters={"mode": "sa", "rounds": 2}),
     }
 
     def test_request_table_covers_registry(self):
