@@ -290,11 +290,13 @@ class MIPService:
     def attach_profiler(self, profiler) -> bool:
         """Attach (and start) a sampling profiler for per-job profiles.
 
-        Returns False when the profiler refused to start (an active
-        simulation owns all scheduling); the queue then stays unprofiled.
+        Returns False, starting nothing, when a simulation runtime drives
+        the federation: its scheduling must stay a pure function of the
+        seed, so no free-running sampler thread may exist.
         """
-        if not profiler.start():
+        if self.federation.transport.sim is not None:
             return False
+        profiler.start()
         self.engine.queue.profiler = profiler
         return True
 

@@ -551,9 +551,7 @@ def command_profile(args: argparse.Namespace) -> int:
     tracer.enable()
     exit_code = 0
     try:
-        if not profiler.start():
-            print("warning: profiler refused to start (simulation active); "
-                  "collecting the trace only", file=sys.stderr)
+        profiler.start()
         if args.script is not None:
             import runpy
 

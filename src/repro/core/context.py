@@ -43,7 +43,6 @@ from repro.core.plan_executor import PlanExecutor
 from repro.core.state import GlobalHandle, LocalHandle
 from repro.federation.master import Master
 from repro.federation.messages import new_job_id
-from repro.simtest import hooks as sim_hooks
 from repro.smpc.cluster import NoiseSpec
 from repro.udfgen.decorators import get_spec
 from repro.udfgen.iotypes import (
@@ -139,7 +138,7 @@ class ExecutionContext:
 
     def check_cancelled(self) -> None:
         """Raise if this experiment's job was cancelled (between-step check)."""
-        sim = sim_hooks.current()
+        sim = self.master.transport.sim
         if sim is not None:
             # A step boundary: step-indexed faults (cancellations) fire here,
             # before the flag check, so an injected cancel takes effect at

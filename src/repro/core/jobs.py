@@ -42,7 +42,6 @@ from repro.observability.audit import AuditTrail
 from repro.observability.critical_path import analyze_experiment
 from repro.observability.metrics import Histogram
 from repro.observability.trace import NULL_SPAN, tracer
-from repro.simtest import hooks as sim_hooks
 
 #: Experiment wall-time buckets for the queue's latency histogram, sized for
 #: the sub-second to tens-of-seconds range federated flows live in.
@@ -295,7 +294,7 @@ class ExperimentQueue:
         :meth:`sim_claim` and executes them as cooperatively-scheduled
         tasks — dispatch order and overlap become a function of the seed.
         """
-        sim = sim_hooks.current()
+        sim = self.runner.federation.transport.sim
         if sim is not None:
             sim.register_queue(self)
             return
@@ -363,7 +362,7 @@ class ExperimentQueue:
     def wait(self, job_id: str, timeout: float | None = None):
         """Block until a job finishes; returns its ExperimentResult."""
         job = self._get_job(job_id)
-        sim = sim_hooks.current()
+        sim = self.runner.federation.transport.sim
         if sim is not None and not job.done.is_set():
             # No executor threads exist under simulation: drive the
             # cooperative scheduler until this job reaches a terminal state.

@@ -16,7 +16,7 @@ run unless a live node past the replayed frontier references them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.plan import (
     BarrierNode,
@@ -30,7 +30,6 @@ from repro.core.plan import (
 )
 from repro.errors import AlgorithmError
 from repro.observability.trace import tracer
-from repro.simtest import hooks as sim_hooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import ExecutionContext
@@ -62,9 +61,6 @@ class PlanExecutor:
     def submit(self, node: PlanNode) -> None:
         """Run a freshly recorded node; a failure propagates to the flow."""
         state = self._states[node.node_id] = _NodeState(node, tracer.current())
-        sim = sim_hooks.current()
-        if sim is not None:
-            sim.plan_node(f"{node.kind}:n{node.node_id}")
         self._run_node(state)
 
     def submit_ghost(self, node: PlanNode) -> None:
@@ -149,9 +145,7 @@ class PlanExecutor:
                 per_worker[worker] = arguments
             results = ctx.master.run_local_step(node.step_id, node.udf, per_worker)
             lost = [worker for worker in ctx.workers if worker not in results]
-            if lost:
-                span.set_attribute("evicted", sorted(lost))
-                ctx._evict(lost, node.step_id)
+            self._evict_lost(span, lost, node.step_id)
             outputs: list[dict[str, Any]] = []
             for index in range(len(node.out_kinds)):
                 tables = {
@@ -188,6 +182,14 @@ class PlanExecutor:
                 f"parameter {pname!r}: no local table for worker {worker!r}"
             )
         return {"kind": "table", "name": tables[worker]}
+
+    def _evict_lost(self, span, lost: Sequence[str], step_id: str) -> None:
+        """Evict the workers a step or gather lost (degrade path), so the
+        result's ``evicted`` names every worker whose data it lacks."""
+        lost = sorted(worker for worker in lost if worker in self.ctx.workers)
+        if lost:
+            span.set_attribute("evicted", lost)
+            self.ctx._evict(lost, step_id)
 
     # -------------------------------------------------------------- broadcast
 
@@ -229,17 +231,20 @@ class PlanExecutor:
         with tracer.span(
             "flow.aggregate", parent=state.parent_span, step=node.gather_id,
             mode="secure", path=node.path,
-        ):
+        ) as span:
             tables = self._resolve_local_tables(node.source)
             if node.path == "smpc":
-                aggregated = ctx.master.gather_transfers_secure(
+                aggregated, lost = ctx.master.gather_transfers_secure(
                     node.gather_id, tables, noise=node.noise
                 )
             else:
                 from repro.federation.aggregation import aggregate_plain
 
-                transfers = ctx.master.gather_transfers_plain(node.gather_id, tables)
+                transfers, lost = ctx.master.gather_transfers_plain(
+                    node.gather_id, tables
+                )
                 aggregated = aggregate_plain(transfers)
+            self._evict_lost(span, lost, node.gather_id)
             if node.store_id is None:
                 return aggregated
             return ctx.master.store_global_transfer(node.store_id, aggregated)
@@ -249,9 +254,10 @@ class PlanExecutor:
         with tracer.span(
             "flow.aggregate", parent=state.parent_span, step=node.gather_id,
             mode="plain",
-        ):
+        ) as span:
             tables = self._resolve_local_tables(node.source)
-            transfers = ctx.master.gather_transfers_plain(node.gather_id, tables)
+            transfers, lost = ctx.master.gather_transfers_plain(node.gather_id, tables)
+            self._evict_lost(span, lost, node.gather_id)
             if not node.store:
                 return transfers
             return [

@@ -20,7 +20,6 @@ from repro.core.specs import validate_parameters
 from repro.errors import SpecificationError
 from repro.federation.controller import Federation
 from repro.federation.scheduler import WorkerLoad, plan_shipping
-from repro.simtest import hooks as sim_hooks
 from repro.smpc.cluster import NoiseSpec
 
 
@@ -66,7 +65,7 @@ class ExperimentRunner:
         ``info``, when given, is filled with ``workers`` as soon as the
         context exists, so failed flows can still report who participated.
         """
-        sim = sim_hooks.current()
+        sim = self.federation.transport.sim
         if sim is not None:
             sim.flow_step(f"execute:{experiment_id}")
         algorithm_cls = algorithm_registry.get(request.algorithm)

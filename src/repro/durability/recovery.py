@@ -20,9 +20,10 @@ the job's checkpoint — if its plan fingerprint still matches the request —
 and stashes the read log for the runner, which replays the recorded
 frontier through ghost plan nodes instead of re-executing from step 0.
 
-Under an active simulation with a crashed master, all recording becomes a
-no-op: a dead process writes nothing, and the simulated crash must leave
-exactly the bytes that were durable at the crash point.
+Once :attr:`DurabilityManager.frozen` is set — a simulated master crash
+sets it — all recording becomes a no-op: a dead process writes nothing,
+and the simulated crash must leave exactly the bytes that were durable at
+the crash point.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.durability.checkpoint import (
     request_fingerprint,
 )
 from repro.durability.journal import Journal
-from repro.simtest import hooks as sim_hooks
 
 
 @dataclass
@@ -97,20 +97,14 @@ class DurabilityManager:
         self.restored_jobs: tuple[str, ...] = ()
         self.checkpoint_mismatches = 0
         self.unserializable_reads = 0
-
-    # ------------------------------------------------------------ freezing
-
-    @staticmethod
-    def _frozen() -> bool:
-        """True once a simulated master crash has fired: the "process" is
-        dead, so nothing may reach stable storage anymore."""
-        sim = sim_hooks.current()
-        return sim is not None and getattr(sim, "master_crashed", False)
+        #: Set once a simulated master crash fires: the "process" is dead,
+        #: so nothing may reach stable storage anymore.
+        self.frozen = False
 
     # ----------------------------------------------------------- recording
 
     def record_submit(self, job_id: str, request: ExperimentRequest, priority: int) -> None:
-        if self._frozen():
+        if self.frozen:
             return
         payload = request.to_dict()
         with self._lock:
@@ -122,14 +116,14 @@ class DurabilityManager:
         )
 
     def record_dispatch(self, job_id: str) -> None:
-        if self._frozen():
+        if self.frozen:
             return
         self.journal.append("dispatch", {"job_id": job_id})
 
     def record_terminal(self, job_id: str, result: ExperimentResult) -> None:
         """A job reached success/error/cancelled: fsync the result, then
         drop its checkpoint — the frontier is no longer needed."""
-        if self._frozen():
+        if self.frozen:
             return
         self.journal.append(
             "terminal",
@@ -149,7 +143,7 @@ class DurabilityManager:
         JSON-serialize disables checkpointing for the job (counted) rather
         than failing the experiment.
         """
-        if self._frozen():
+        if self.frozen:
             return
         with self._lock:
             fingerprint = self._fingerprints.get(job_id)

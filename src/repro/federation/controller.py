@@ -173,11 +173,19 @@ class Federation:
 def create_federation(
     worker_data: Mapping[str, Mapping[str, Table]],
     config: FederationConfig | None = None,
+    *,
+    sim=None,
 ) -> Federation:
     """Build a federation from per-worker data-model tables.
 
     ``worker_data`` maps worker id to ``{data_model: table}``; every table
     needs a ``dataset`` column (see :meth:`Worker.load_data_model`).
+
+    ``sim`` is the test-substitution seam of the deterministic-simulation
+    harness, which alone passes its ``SimRuntime`` here: it becomes
+    ``transport.sim`` before the first message, so every fan-out, queue and
+    step boundary of this federation is scheduled by the runtime instead of
+    real threads.
     """
     config = config or FederationConfig()
     if not worker_data:
@@ -199,6 +207,7 @@ def create_federation(
             worker.load_data_model(data_model, table)
         transport.register(worker_id, worker.handle)
         workers[worker_id] = worker
+    transport.sim = sim
     smpc = (
         SMPCCluster(config.smpc_nodes, config.smpc_scheme, seed=config.seed)
         if config.smpc_nodes

@@ -260,7 +260,7 @@ class Master:
 
     def gather_transfers_plain(
         self, job_id: str, worker_tables: Mapping[str, str]
-    ) -> list[dict[str, Any]]:
+    ) -> tuple[list[dict[str, Any]], list[str]]:
         """Non-secure path: remote + merge tables (never materialized).
 
         The master declares one remote table per worker output and a merge
@@ -272,6 +272,9 @@ class Master:
         Under a degrading failure policy, workers lost between their local
         step and this gather are skipped (quorum permitting): the merge
         covers surviving transfers only.
+
+        Returns ``(transfers, lost)``; the caller evicts ``lost`` from its
+        flow so the result never claims a worker it did not aggregate.
         """
         counter = self._next_counter(job_id)
         ordered = sorted(worker_tables.items())
@@ -303,7 +306,8 @@ class Master:
             workers=[worker for worker, _table in ordered],
             dropped=sorted(lost),
         )
-        return [json.loads(blob) for blob in merged.column("transfer").to_list()]
+        transfers = [json.loads(blob) for blob in merged.column("transfer").to_list()]
+        return transfers, sorted(lost)
 
     def _prefetch_tables(self, worker_tables: Sequence[tuple[str, str]]) -> set[str]:
         """Fetch several workers' transfer tables in one parallel fan-out.
@@ -330,7 +334,7 @@ class Master:
         job_id: str,
         worker_tables: Mapping[str, str],
         noise: NoiseSpec | None = None,
-    ) -> dict[str, Any]:
+    ) -> tuple[dict[str, Any], list[str]]:
         """Secure path: signal the SMPC cluster to import and aggregate.
 
         The share payloads are fetched from all workers concurrently; the
@@ -345,7 +349,9 @@ class Master:
         worker (an earlier retried import), it is discarded before
         aggregation so the result can never mix a dead worker's data in.
 
-        Returns the single aggregated transfer dict (key -> aggregated data).
+        Returns ``(aggregated, lost)``: the single aggregated transfer dict
+        (key -> aggregated data) and the workers dropped from it, which the
+        caller evicts from its flow.
         """
         if self.smpc_cluster is None:
             raise FederationError("no SMPC cluster is configured")
@@ -364,6 +370,11 @@ class Master:
                         job_id, worker, responses[worker]["payload"]
                     )
             try:
+                sim = self.transport.sim
+                if sim is not None:
+                    # A step boundary, yielded before (never inside) the
+                    # cluster lock so no parked task can hold it.
+                    sim.flow_step(f"smpc:{job_id}")
                 aggregated = self.smpc_cluster.aggregate(job_id, noise=noise)
             except Exception:
                 self.smpc_cluster.abort_job(job_id)
@@ -375,7 +386,7 @@ class Master:
             dropped=sorted(lost),
             keys=sorted(aggregated),
         )
-        return {key: value for key, value in aggregated.items()}
+        return dict(aggregated), sorted(lost)
 
     # ----------------------------------------------------------- global steps
 

@@ -53,7 +53,6 @@ from repro.federation.policy import RetryPolicy
 from repro.federation.serialization import payload_elements
 from repro.observability import profiler as profiler_mod
 from repro.observability.trace import tracer
-from repro.simtest import hooks as sim_hooks
 
 Handler = Callable[[Message], dict[str, Any]]
 
@@ -231,6 +230,9 @@ class Transport:
         #: How many experiments may fan out at once; sizes the shared pool.
         self._concurrent_jobs = 1
         self._executor_lock = threading.Lock()
+        #: The deterministic-simulation runtime driving this transport, or
+        #: None in a real run.  Only ``create_federation(sim=...)`` sets it.
+        self.sim = None
 
     def register(self, node_id: str, handler: Handler) -> None:
         if node_id in self._handlers:
@@ -368,7 +370,7 @@ class Transport:
             finally:
                 profiler_mod.unbind_thread(profile_token)
 
-        sim = sim_hooks.current()
+        sim = self.sim
         with group_span:
             if width <= 1:
                 outcomes = [attempt(i) for i in range(len(requests))]
@@ -607,7 +609,7 @@ class Transport:
         if handler is None:
             raise FederationError(f"unknown node {receiver!r}")
         extra = 0.0
-        sim = sim_hooks.current()
+        sim = self.sim
         if sim is not None:
             # Fault injection gate: counts this delivery attempt and may
             # force a drop, add simulated delay, or crash/revive a node

@@ -16,12 +16,11 @@ threads are tagged for the duration of each send they run on a job's
 behalf.  ``collapsed(job=...)`` then yields one job's flamegraph out of a
 concurrent mix.
 
-**Determinism safety.**  The simulation harness
-(:mod:`repro.simtest`) owns all scheduling inside an activated run; a
-free-running sampler thread would be an unscheduled source of wakeups.
-:meth:`SamplingProfiler.start` therefore refuses to start while a
-simulation is active (returning ``False``), asserted by the profiler test
-suite.
+**Determinism safety.**  A simulated federation's scheduling is a pure
+function of its seed; a free-running sampler thread would be an
+unscheduled source of wakeups, so
+:meth:`~repro.api.service.MIPService.attach_profiler` refuses to start one
+over a federation driven by a simulation runtime.
 
 Exports: collapsed-stack text (``a;b;c 42`` — the flamegraph.pl /
 inferno / speedscope-compatible format) and speedscope's JSON file format.
@@ -102,16 +101,7 @@ class SamplingProfiler:
         return self._thread is not None
 
     def start(self) -> bool:
-        """Begin sampling; returns False (and stays off) under simulation.
-
-        The simtest scheduler's interleavings are a pure function of the
-        seed; a sampler thread waking at wall-clock rate would perturb that
-        contract, so an active simulation vetoes the profiler entirely.
-        """
-        from repro.simtest import hooks as sim_hooks
-
-        if sim_hooks.current() is not None:
-            return False
+        """Begin sampling (idempotent); always returns True."""
         with self._lock:
             if self._thread is not None:
                 return True

@@ -5,31 +5,25 @@ fan-out pool and the experiment queue's executor threads — into
 cooperatively-scheduled tasks whose interleaving is a pure function of a
 seed, layers a composable fault plan (drops, delays, reorders, crashes,
 cancellations) on top, and checks system-wide invariants against the
-observability layer after every run.  Real runs are untouched: production
-code consults :func:`repro.simtest.hooks.current`, which is None unless a
-harness activated a runtime (and ``REPRO_SIMTEST=off`` forbids even that).
+observability layer after every run.
+
+A :class:`~repro.simtest.runtime.SimRuntime` plugs in at one seam:
+``create_federation(worker_data, config, sim=runtime)`` stores it as the
+federation's ``Transport.sim``, and the hook sites (transport fan-out and
+delivery, queue start/wait, flow step boundaries) read it from there.  A
+federation built without ``sim=`` never schedules cooperatively, and no
+production module imports this package.
 
 Entry points: :func:`~repro.simtest.harness.run_simulation` for one
 scenario, :func:`~repro.simtest.fuzz.fuzz` for randomized search with
 shrinking, and the ``repro fuzz`` CLI for both.
-
-The heavyweight symbols resolve lazily (PEP 562): production modules import
-``repro.simtest.hooks`` at module scope, so this package init must not pull
-the harness (and through it the whole experiment stack) back in.
 """
 
 from repro.simtest.faults import Fault, FaultPlan
+from repro.simtest.harness import SimReport, SimSpec, repro_command, run_simulation
+from repro.simtest.invariants import InvariantChecker, InvariantReport
+from repro.simtest.runtime import SimRuntime
 from repro.simtest.scheduler import SimScheduler, SimTask
-
-_LAZY = {
-    "SimRuntime": ("repro.simtest.runtime", "SimRuntime"),
-    "InvariantChecker": ("repro.simtest.invariants", "InvariantChecker"),
-    "InvariantReport": ("repro.simtest.invariants", "InvariantReport"),
-    "SimReport": ("repro.simtest.harness", "SimReport"),
-    "SimSpec": ("repro.simtest.harness", "SimSpec"),
-    "repro_command": ("repro.simtest.harness", "repro_command"),
-    "run_simulation": ("repro.simtest.harness", "run_simulation"),
-}
 
 __all__ = [
     "Fault",
@@ -44,13 +38,3 @@ __all__ = [
     "repro_command",
     "run_simulation",
 ]
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)

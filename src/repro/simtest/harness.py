@@ -4,8 +4,9 @@ A scenario is fully described by ``seed=S;par=P;jobs=N;faults=<plan>``:
 the scheduler seed, the queue's concurrency, how many experiments to
 submit (cycling through fixed request archetypes, with pinned ids
 ``sim_job_1`` … aliased ``job1`` … for fault targeting), and the fault
-plan.  :func:`run_simulation` builds a fresh federation under an active
-:class:`~repro.simtest.runtime.SimRuntime`, drives every job to a terminal
+plan.  :func:`run_simulation` builds a fresh federation driven by a
+:class:`~repro.simtest.runtime.SimRuntime` (``create_federation(sim=...)``),
+drives every job to a terminal
 state, runs the :class:`~repro.simtest.invariants.InvariantChecker`, and
 returns a :class:`SimReport` whose ``transcript`` (interleaving decisions +
 fired faults + invariant report) is byte-identical across runs of the same
@@ -206,7 +207,7 @@ def sim_requests(n: int, algo: str | None = None) -> list[ExperimentRequest]:
     return [ARCHETYPES[index % len(ARCHETYPES)] for index in range(n)]
 
 
-def _build_federation(spec: SimSpec):
+def _build_federation(spec: SimSpec, runtime: SimRuntime):
     return create_federation(
         sim_worker_data(),
         FederationConfig(
@@ -215,6 +216,7 @@ def _build_federation(spec: SimSpec):
             seed=spec.seed,
             failure_policy=FailurePolicy(retries=2, on_worker_loss="degrade"),
         ),
+        sim=runtime,
     )
 
 
@@ -232,29 +234,28 @@ def run_simulation(spec: SimSpec) -> SimReport:
     runtime = SimRuntime(
         seed=spec.seed, parallelism=spec.parallelism, faults=spec.faults
     )
-    with runtime.activate():
-        federation = create_federation_for_sim(spec)
-        engine = ExperimentEngine(federation, max_concurrent=spec.parallelism)
-        baseline = federation.transport.snapshot()
-        cluster = federation.smpc_cluster
-        smpc_baseline = (
-            (cluster.communication.rounds, cluster.communication.elements)
-            if cluster is not None
-            else (0, 0)
-        )
-        privacy_baseline = privacy_counter_snapshot()
-        job_ids = []
-        for index, request in enumerate(sim_requests(spec.jobs, algo=spec.algo)):
-            job_id = f"sim_job_{index + 1}"
-            runtime.alias(f"job{index + 1}", job_id)
-            engine.submit(request, experiment_id=job_id)
-            job_ids.append(job_id)
-        runtime.apply_predispatch_cancels()
-        runtime.drive()
-        results = [engine.get(job_id) for job_id in job_ids]
-        engine.shutdown(wait=True)
-    # The oracle runs after deactivation, on real (but still deterministic)
-    # machinery, so it contributes nothing to the transcript.
+    federation = create_federation_for_sim(spec, runtime)
+    engine = ExperimentEngine(federation, max_concurrent=spec.parallelism)
+    baseline = federation.transport.snapshot()
+    cluster = federation.smpc_cluster
+    smpc_baseline = (
+        (cluster.communication.rounds, cluster.communication.elements)
+        if cluster is not None
+        else (0, 0)
+    )
+    privacy_baseline = privacy_counter_snapshot()
+    job_ids = []
+    for index, request in enumerate(sim_requests(spec.jobs, algo=spec.algo)):
+        job_id = f"sim_job_{index + 1}"
+        runtime.alias(f"job{index + 1}", job_id)
+        engine.submit(request, experiment_id=job_id)
+        job_ids.append(job_id)
+    runtime.apply_predispatch_cancels()
+    runtime.drive()
+    results = [engine.get(job_id) for job_id in job_ids]
+    engine.shutdown(wait=True)
+    # The oracle runs on its own federation built without ``sim=`` — real
+    # (but still deterministic) machinery that adds nothing to the transcript.
     oracles = {
         result.experiment_id: oracle
         for result in results
@@ -287,9 +288,10 @@ def run_simulation(spec: SimSpec) -> SimReport:
     )
 
 
-def create_federation_for_sim(spec: SimSpec):
-    """Build the simulation federation (split out for test monkeypatching)."""
-    return _build_federation(spec)
+def create_federation_for_sim(spec: SimSpec, runtime: SimRuntime):
+    """Build the federation ``runtime`` drives (split out for test
+    monkeypatching)."""
+    return _build_federation(spec, runtime)
 
 
 def plain_oracle(request: ExperimentRequest) -> dict[str, Any] | None:

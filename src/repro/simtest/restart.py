@@ -89,52 +89,51 @@ def _run_two_lives(spec, state_dir: str):
     runtime1 = SimRuntime(
         seed=spec.seed, parallelism=spec.parallelism, faults=spec.faults
     )
-    with runtime1.activate():
-        federation1 = harness.create_federation_for_sim(spec)
-        service1 = MIPService(
-            federation1, pool_size=spec.parallelism, state_dir=state_dir
-        )
-        baseline1 = federation1.transport.snapshot()
-        cluster1 = federation1.smpc_cluster
-        smpc_baseline1 = (
-            (cluster1.communication.rounds, cluster1.communication.elements)
-            if cluster1 is not None
-            else (0, 0)
-        )
-        job_ids = []
-        for index, request in enumerate(
-            harness.sim_requests(spec.jobs, algo=spec.algo)
-        ):
-            job_id = f"sim_job_{index + 1}"
-            runtime1.alias(f"job{index + 1}", job_id)
-            service1.engine.submit(request, experiment_id=job_id)
-            job_ids.append(job_id)
-        runtime1.apply_predispatch_cancels()
-        runtime1.drive()
-        queue1 = service1.engine.queue
-        histories1 = queue1.job_histories()
-        life1_results = {}
-        orphan_telemetry = {}
-        for job_id in job_ids:
-            history = histories1.get(job_id, ())
-            if history and history[-1] in _TERMINAL:
-                life1_results[job_id] = queue1.get(job_id)
-            else:
-                # The crash killed this job mid-flight; its per-job meters
-                # were never collected into a result, so read them here for
-                # the conservation law.
-                orphan_telemetry[job_id] = queue1._collect_telemetry(job_id)
-        life1_end = federation1.transport.snapshot()
-        life1_smpc_end = (
-            (cluster1.communication.rounds, cluster1.communication.elements)
-            if cluster1 is not None
-            else (0, 0)
-        )
-        life1_events = {
-            job_id: merged_events(federation1.audit_logs(), job_id=job_id)
-            for job_id in job_ids
-        }
-        service1.shutdown(wait=True)
+    federation1 = harness.create_federation_for_sim(spec, runtime1)
+    service1 = MIPService(
+        federation1, pool_size=spec.parallelism, state_dir=state_dir
+    )
+    baseline1 = federation1.transport.snapshot()
+    cluster1 = federation1.smpc_cluster
+    smpc_baseline1 = (
+        (cluster1.communication.rounds, cluster1.communication.elements)
+        if cluster1 is not None
+        else (0, 0)
+    )
+    job_ids = []
+    for index, request in enumerate(
+        harness.sim_requests(spec.jobs, algo=spec.algo)
+    ):
+        job_id = f"sim_job_{index + 1}"
+        runtime1.alias(f"job{index + 1}", job_id)
+        service1.engine.submit(request, experiment_id=job_id)
+        job_ids.append(job_id)
+    runtime1.apply_predispatch_cancels()
+    runtime1.drive()
+    queue1 = service1.engine.queue
+    histories1 = queue1.job_histories()
+    life1_results = {}
+    orphan_telemetry = {}
+    for job_id in job_ids:
+        history = histories1.get(job_id, ())
+        if history and history[-1] in _TERMINAL:
+            life1_results[job_id] = queue1.get(job_id)
+        else:
+            # The crash killed this job mid-flight; its per-job meters
+            # were never collected into a result, so read them here for
+            # the conservation law.
+            orphan_telemetry[job_id] = queue1._collect_telemetry(job_id)
+    life1_end = federation1.transport.snapshot()
+    life1_smpc_end = (
+        (cluster1.communication.rounds, cluster1.communication.elements)
+        if cluster1 is not None
+        else (0, 0)
+    )
+    life1_events = {
+        job_id: merged_events(federation1.audit_logs(), job_id=job_id)
+        for job_id in job_ids
+    }
+    service1.shutdown(wait=True)
     federation1.transport.shutdown()
     crashed = runtime1.master_crashed
 
@@ -142,24 +141,23 @@ def _run_two_lives(spec, state_dir: str):
     runtime2 = SimRuntime(
         seed=spec.seed, parallelism=spec.parallelism, faults=FaultPlan()
     )
-    with runtime2.activate():
-        federation2 = harness.create_federation_for_sim(spec)
-        service2 = MIPService(
-            federation2, pool_size=spec.parallelism, state_dir=state_dir
-        )
-        recovery = service2.recovery or {}
-        baseline2 = federation2.transport.snapshot()
-        cluster2 = federation2.smpc_cluster
-        smpc_baseline2 = (
-            (cluster2.communication.rounds, cluster2.communication.elements)
-            if cluster2 is not None
-            else (0, 0)
-        )
-        privacy_baseline2 = privacy_counter_snapshot()
-        runtime2.drive()
-        results = [service2.engine.get(job_id) for job_id in job_ids]
-        histories2 = service2.engine.queue.job_histories()
-        service2.shutdown(wait=True)
+    federation2 = harness.create_federation_for_sim(spec, runtime2)
+    service2 = MIPService(
+        federation2, pool_size=spec.parallelism, state_dir=state_dir
+    )
+    recovery = service2.recovery or {}
+    baseline2 = federation2.transport.snapshot()
+    cluster2 = federation2.smpc_cluster
+    smpc_baseline2 = (
+        (cluster2.communication.rounds, cluster2.communication.elements)
+        if cluster2 is not None
+        else (0, 0)
+    )
+    privacy_baseline2 = privacy_counter_snapshot()
+    runtime2.drive()
+    results = [service2.engine.get(job_id) for job_id in job_ids]
+    histories2 = service2.engine.queue.job_histories()
+    service2.shutdown(wait=True)
     resumed = set(recovery.get("resumed", ()))
     restored = set(recovery.get("restored", ()))
     resumed_results = [r for r in results if r.experiment_id in resumed]

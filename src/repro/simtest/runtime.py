@@ -1,7 +1,9 @@
 """The active simulation: scheduler + fault plan + production integration.
 
-A :class:`SimRuntime` is what :func:`repro.simtest.hooks.current` returns
-while a simulation runs.  Production code calls exactly four things on it:
+A :class:`SimRuntime` reaches production code through one seam: the
+harness passes it to ``create_federation(sim=...)``, which stores it as
+``Transport.sim``, and every hook site reads it through an object it
+already holds.  Production code calls exactly three things on it:
 
 - ``on_delivery(transport, sender, receiver, kind)`` from
   ``Transport._send_one`` — counts deliveries and applies message faults
@@ -11,12 +13,17 @@ while a simulation runs.  Production code calls exactly four things on it:
   seeded permutation order, yielding to the scheduler between sends (the
   clock still charges ``max()`` over the group, so fan-out *semantics* are
   unchanged — only the nondeterministic thread timing is gone);
-- ``flow_step(label)`` from step boundaries (runner entry,
-  ``ExecutionContext.check_cancelled``, ``SMPCCluster.aggregate``) — counts
-  steps, applies cancellation faults, and yields;
-- ``register_queue(queue)`` from ``ExperimentQueue.start()`` — sim-mode
-  queues spawn no worker threads; the runtime dispatches claimed jobs as
-  scheduler tasks, honoring ``max_concurrent``.
+- ``flow_step(label)`` from step boundaries (``ExperimentRunner.execute``,
+  ``ExecutionContext.check_cancelled``, and
+  ``Master.gather_transfers_secure`` before its SMPC aggregation) — counts
+  steps, applies cancellation and master-crash faults, and yields.
+
+``ExperimentQueue.start()`` / ``wait()`` additionally hand the runtime the
+queue (``register_queue``; sim-mode queues spawn no worker threads — the
+runtime dispatches claimed jobs as scheduler tasks, honoring
+``max_concurrent``) and drive it until a job is done (``drive_until``).
+A fired ``crash@N:master`` freezes the queue's durability manager, so the
+dead "process" writes nothing more to its state directory.
 
 Yield points are placed only where the calling thread holds no lock another
 task could need (between fan-out attempts, at step boundaries before the
@@ -26,11 +33,9 @@ never deadlock the simulation; a violation trips the scheduler watchdog.
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ExperimentNotFoundError, MasterCrashError, SimTestError
-from repro.simtest import hooks
 from repro.simtest.faults import FaultPlan
 from repro.simtest.scheduler import DEFAULT_STEP_TIMEOUT, SimScheduler
 
@@ -58,10 +63,6 @@ class SimRuntime:
         self.transcript = self.scheduler.transcript
         self.deliveries = 0
         self.flow_steps = 0
-        #: Plan nodes dispatched while this simulation was active (counted
-        #: only — plan-node dispatch must not shift fault addressing or the
-        #: scheduler transcript, which are pinned by the replay corpus).
-        self.plan_nodes = 0
         #: Workers a ``revive`` fault brought back (invariant checkers must
         #: not flag their later traffic as post-eviction resurrection).
         self.revived_workers: set[str] = set()
@@ -75,15 +76,6 @@ class SimRuntime:
         self._fired = [False] * len(self.faults.faults)
         self._queue: "ExperimentQueue | None" = None
         self._job_tasks: list[Any] = []
-
-    @contextlib.contextmanager
-    def activate(self) -> Iterator["SimRuntime"]:
-        """Install this runtime as the process-wide active simulation."""
-        hooks.install(self)
-        try:
-            yield self
-        finally:
-            hooks.uninstall(self)
 
     def alias(self, name: str, job_id: str) -> None:
         """Map a fault-spec job name (``job1``) to a submitted experiment."""
@@ -194,6 +186,8 @@ class SimRuntime:
                 continue
             self._fired[index] = True
             self.master_crashed = True
+            if self._queue is not None and self._queue.durability is not None:
+                self._queue.durability.frozen = True
             self.transcript.append(f"fault {fault.spec()} fired step={count}")
         self._check_master_alive()
         self.scheduler.checkpoint(label)
@@ -201,15 +195,6 @@ class SimRuntime:
     def _check_master_alive(self) -> None:
         if self.master_crashed:
             raise MasterCrashError("the simulated master process has crashed")
-
-    def plan_node(self, label: str) -> None:
-        """One flow-plan node was dispatched.
-
-        Deliberately *not* a step boundary: no fault check, no scheduler
-        checkpoint, no transcript entry.  Anything more would renumber the
-        byte-pinned corpus transcripts recorded before the plan IR existed.
-        """
-        self.plan_nodes += 1
 
     def apply_predispatch_cancels(self) -> None:
         """Fire ``cancel@0`` faults (guaranteed pre-dispatch cancellation).

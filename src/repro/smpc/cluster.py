@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import SMPCError
 from repro.observability.audit import owned_by
 from repro.observability.trace import tracer
-from repro.simtest import hooks as sim_hooks
 from repro.smpc.encoding import FixedPointEncoder
 from repro.smpc.field import PRIME, FieldVector, active_kernel
 from repro.smpc.protocol import CommunicationMeter
@@ -162,11 +161,6 @@ class SMPCCluster:
 
     def aggregate(self, job_id: str, noise: NoiseSpec | None = None) -> dict[str, Any]:
         """Run the protocol for every key of a job and return plain results."""
-        sim = sim_hooks.current()
-        if sim is not None:
-            # Yield before (never inside) the cluster lock so another task
-            # can be scheduled here without any risk of lock-holding parks.
-            sim.flow_step(f"smpc:{job_id}")
         with self._lock:
             return self._aggregate_locked(job_id, noise)
 

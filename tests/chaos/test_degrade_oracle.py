@@ -138,3 +138,45 @@ def test_secure_path_reshapes_around_evicted_worker():
     )
     assert list(context.evicted) == ["h3"]
     assert_close(clean.result, degraded)
+
+
+
+def test_worker_lost_at_the_share_fetch_is_evicted():
+    """A worker that ran its local step but is unreachable while the master
+    fetches its secret shares is evicted there, even though it is back for
+    the flow's later steps: the result names it, equals the secure run on
+    the survivors' pooled data, and the eviction is audited."""
+    x = ("agevalue", "alzheimerbroadcategory")  # two secure aggregates
+    federation = build()
+    reference = run_experiment(
+        federation, "linear_regression", ("lefthippocampus",), x,
+        datasets=("edsd", "adni"), aggregation="smpc",
+    )
+    assert reference.status.value == "success", reference.error
+
+    gather = federation.master.gather_transfers_secure
+    fetches: list[str] = []
+
+    def gather_with_h3_lost_once(job_id, worker_tables, noise=None):
+        first = not fetches
+        fetches.append(job_id)
+        if first:
+            assert "h3" in worker_tables  # h3 did run the local step
+            federation.transport.set_down("h3", True)
+        try:
+            return gather(job_id, worker_tables, noise=noise)
+        finally:
+            federation.transport.set_down("h3", False)
+
+    federation.master.gather_transfers_secure = gather_with_h3_lost_once
+    degraded = run_experiment(
+        federation, "linear_regression", ("lefthippocampus",), x,
+        aggregation="smpc",
+    )
+    assert degraded.status.value == "success", degraded.error
+    assert len(fetches) == 2
+    assert degraded.evicted == ("h3",)
+    assert_close(reference.result, degraded.result)
+    (evicted,) = [e for e in degraded.audit if e["event"] == "worker_evicted"]
+    assert evicted["job_id"] == fetches[0]
+    assert evicted["details"]["workers"] == ["h3"]

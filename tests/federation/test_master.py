@@ -88,7 +88,8 @@ class TestPlainAggregation:
             master, "tests_federation_test_master_master_test_local", workers
         )
         tables = {w: results[w][0]["table"] for w in workers}
-        transfers = master.gather_transfers_plain("job1", tables)
+        transfers, lost = master.gather_transfers_plain("job1", tables)
+        assert lost == []
         assert len(transfers) == 2
         assert all(t["n"] == 50 for t in transfers)
 
@@ -105,14 +106,16 @@ class TestSecureAggregation:
             master, "tests_federation_test_master_master_test_secure", workers
         )
         tables = {w: results[w][0]["table"] for w in workers}
-        aggregated = master.gather_transfers_secure("sec_job", tables)
+        aggregated, lost = master.gather_transfers_secure("sec_job", tables)
+        assert lost == []
         transfers_sum = aggregated["sum"]
         # equals the plain sum of both workers' local sums
         plain = run_local(
             master, "tests_federation_test_master_master_test_local", workers
         )
         plain_tables = {w: plain[w][0]["table"] for w in workers}
-        reference = sum(t["sum"] for t in master.gather_transfers_plain("p", plain_tables))
+        transfers, _lost = master.gather_transfers_plain("p", plain_tables)
+        reference = sum(t["sum"] for t in transfers)
         assert transfers_sum == pytest.approx(reference, abs=1e-3)
 
     def test_requires_cluster(self):

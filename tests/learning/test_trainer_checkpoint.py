@@ -45,9 +45,11 @@ def new_federation(worker_data):
     at teardown."""
     made = []
 
-    def make():
+    def make(sim=None):
         federation = create_federation(
-            worker_data, FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=202)
+            worker_data,
+            FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=202),
+            sim=sim,
         )
         made.append(federation)
         return federation
@@ -117,11 +119,10 @@ class TestStopAndResume:
     def test_dp_resume_accounts_completed_rounds(self, new_federation, tmp_path):
         request = make_request(mode="dp", epsilon=8.0, delta=1e-5, rounds=4)
         runtime = SimRuntime(seed=1, parallelism=1, faults=FaultPlan.parse("crash@18:master"))
-        with runtime.activate():
-            crashed = MIPService(new_federation(), state_dir=str(tmp_path))
-            crashed.engine.submit(request, experiment_id="train_dp")
-            runtime.drive()
-            crashed.shutdown(wait=True)
+        crashed = MIPService(new_federation(sim=runtime), state_dir=str(tmp_path))
+        crashed.engine.submit(request, experiment_id="train_dp")
+        runtime.drive()
+        crashed.shutdown(wait=True)
         assert runtime.master_crashed
 
         service = MIPService(new_federation(), state_dir=str(tmp_path))

@@ -12,7 +12,6 @@ from repro.observability.profiler import (
     SamplingProfiler,
     merge_collapsed,
 )
-from repro.simtest import hooks as sim_hooks
 
 
 def busy_wait(seconds: float) -> int:
@@ -98,27 +97,47 @@ class TestJobAttribution:
 
 
 class TestSimtestVeto:
-    def test_profiler_refuses_to_start_under_simulation(self, monkeypatch):
-        monkeypatch.setattr(sim_hooks, "_active", object())
-        profiler = SamplingProfiler(hz=100)
-        assert profiler.start() is False
-        assert not profiler.running
-        # stop on a never-started profiler stays safe
-        profiler.stop()
-
-    def test_service_attach_profiler_reports_the_veto(self, monkeypatch):
+    @staticmethod
+    def _simulated_service():
         from repro.api.service import MIPService
         from repro.data.cohorts import CohortSpec, generate_cohort
         from repro.federation.controller import create_federation
+        from repro.simtest.runtime import SimRuntime
 
         federation = create_federation(
-            {"w0": {"dementia": generate_cohort(CohortSpec("edsd", 30, seed=1))}}
+            {"w0": {"dementia": generate_cohort(CohortSpec("edsd", 30, seed=1))}},
+            sim=SimRuntime(seed=1),
         )
-        service = MIPService(federation, aggregation="plain")
-        monkeypatch.setattr(sim_hooks, "_active", object())
+        return federation, MIPService(federation, aggregation="plain")
+
+    def test_profiler_refuses_to_start_under_simulation(self):
+        federation, service = self._simulated_service()
+        try:
+            profiler = SamplingProfiler(hz=100)
+            service.attach_profiler(profiler)
+            assert not profiler.running
+            assert not any(t.name == "repro-profiler" for t in threading.enumerate())
+            # stop on a never-started profiler stays safe
+            profiler.stop()
+        finally:
+            service.shutdown()
+            federation.shutdown()
+
+    def test_service_attach_profiler_reports_the_veto(self):
+        federation, service = self._simulated_service()
         profiler = SamplingProfiler(hz=100)
-        assert service.attach_profiler(profiler) is False
-        assert service.engine.queue.profiler is None
+        try:
+            assert service.attach_profiler(profiler) is False
+            assert service.engine.queue.profiler is None
+        finally:
+            service.shutdown()
+            federation.shutdown()
+        # The veto belongs to the service; the profiler itself always starts.
+        try:
+            assert profiler.start() is True
+            assert profiler.running
+        finally:
+            profiler.stop()
 
 
 class TestExports:

@@ -10,9 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimTestError
-from repro.simtest import hooks
 from repro.simtest.harness import SimSpec, run_simulation
-from repro.simtest.runtime import SimRuntime
 
 PINNED_SPECS = [
     "seed=1234;par=1;jobs=2;faults=none",
@@ -61,28 +59,3 @@ class TestSpecRoundTrip:
         with pytest.raises(SimTestError, match="malformed sim spec"):
             SimSpec.parse("seed=1;jobs=2")
 
-
-class TestHookGating:
-    def test_no_runtime_outside_activation(self):
-        assert hooks.current() is None
-
-    def test_runtime_scoped_to_activation(self):
-        runtime = SimRuntime(seed=5)
-        with runtime.activate():
-            assert hooks.current() is runtime
-        assert hooks.current() is None
-
-    def test_hard_disable_forbids_activation(self, monkeypatch):
-        monkeypatch.setenv(hooks.SIMTEST_ENV, "off")
-        runtime = SimRuntime(seed=5)
-        with pytest.raises(SimTestError, match="disabled"):
-            with runtime.activate():
-                pass  # pragma: no cover
-
-    def test_activation_marks_environment(self):
-        import os
-
-        runtime = SimRuntime(seed=5)
-        with runtime.activate():
-            assert os.environ.get(hooks.SIMTEST_ENV) == "on"
-        assert os.environ.get(hooks.SIMTEST_ENV) is None
