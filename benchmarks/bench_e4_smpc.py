@@ -36,14 +36,16 @@ def secure_sum(scheme: str, size: int, n_nodes: int = 3, seed: int = 1):
     return cluster
 
 
-def secure_min(scheme: str, size: int, seed: int = 1):
+def secure_min(scheme: str, size: int, seed: int = 1, bound: float | None = None):
+    """A two-input element-wise min; ``bound`` is the declared |value| bound
+    (None: undeclared, the comparison runs at the full 82 bits)."""
     cluster = SMPCCluster(3, scheme, seed=seed)
     rng = np.random.default_rng(seed)
     for worker in ("w1", "w2"):
-        cluster.import_shares(
-            "job", worker,
-            {"v": {"data": rng.normal(0, 10, size).tolist(), "operation": "min"}},
-        )
+        entry = {"data": rng.normal(0, 10, size).clip(-1000, 1000).tolist(), "operation": "min"}
+        if bound is not None:
+            entry["bound"] = bound
+        cluster.import_shares("job", worker, {"v": entry})
     cluster.aggregate("job")
     return cluster
 
@@ -119,30 +121,35 @@ def test_report_comparison_heavy_ops():
     lines = [
         "E4b — comparison-heavy operations (secure element-wise min, 2 inputs)",
         "",
-        f"{'vector':>8}{'scheme':>16}{'cpu (s)':>10}{'modeled (s)':>13}{'rounds':>8}"
-        f"{'elements':>10}{'triples':>9}{'rand bits':>11}",
+        f"{'vector':>8}{'bound':>7}{'scheme':>16}{'cpu (s)':>10}{'modeled (s)':>13}"
+        f"{'rounds':>8}{'elements':>10}{'triples':>9}{'rand bits':>11}",
     ]
-    rounds = {}
-    for size in (1, 16, 64):
+    rounds: dict[tuple[str, float | None], int] = {}
+    for size, bound in ((1, None), (16, None), (64, None), (16, 2000.0)):
         for scheme in ("shamir", "full_threshold"):
             start = time.perf_counter()
-            cluster = secure_min(scheme, size)
+            cluster = secure_min(scheme, size, bound=bound)
             elapsed = time.perf_counter() - start
             usage = cluster.offline_usage
             meter = cluster.communication
-            rounds[scheme] = meter.rounds
+            rounds[scheme, bound] = meter.rounds
             lines.append(
-                f"{size:>8}{scheme:>16}{elapsed:>10.4f}{modeled_seconds(cluster, elapsed):>13.4f}"
+                f"{size:>8}{'-' if bound is None else f'{bound:g}':>7}{scheme:>16}"
+                f"{elapsed:>10.4f}{modeled_seconds(cluster, elapsed):>13.4f}"
                 f"{meter.rounds:>8}{meter.elements:>10}{usage.triples:>9}{usage.random_bits:>11}"
             )
+    ft, shamir = rounds["full_threshold", None], rounds["shamir", None]
     lines.append("")
     lines.append(
         "rounds do not depend on the vector length: one masked open plus one"
     )
     lines.append(
         "fused Beaver open per carry-tree level (7 levels for 82 bits); "
-        f"FT/Shamir = {rounds['full_threshold']}/{rounds['shamir']}"
-        f" = {rounds['full_threshold'] / rounds['shamir']:.2f}x"
+        f"FT/Shamir = {ft}/{shamir} = {ft / shamir:.2f}x"
+    )
+    lines.append(
+        "a declared bound |x| <= 2000 narrows the comparison to 29 bits "
+        "(5 levels, 69 random bits per value)"
     )
     lines.append("min/max consume offline material (comparison bits + triples);")
     lines.append("sums are linear and consume none — matching the paper's note that")
@@ -152,4 +159,6 @@ def test_report_comparison_heavy_ops():
     min_cluster = secure_min("shamir", 64)
     assert sum_cluster.offline_usage.triples == 0
     assert min_cluster.offline_usage.triples > 0
-    assert rounds["shamir"] < rounds["full_threshold"] <= 40
+    assert shamir < ft <= 40
+    for scheme in ("shamir", "full_threshold"):
+        assert rounds[scheme, 2000.0] < rounds[scheme, None]

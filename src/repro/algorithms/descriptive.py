@@ -19,12 +19,6 @@ from repro.core.specs import ParameterSpec
 from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
-#: Sentinels for secure min/max over empty worker slices; inside the
-#: fixed-point comparison range and beyond any CDE's plausible values.
-_MIN_SENTINEL = 1e6
-_MAX_SENTINEL = -1e6
-
-
 @udf(
     data=relation(),
     variables=literal(),
@@ -99,7 +93,15 @@ def descriptive_local(data, variables, metadata, suppression_threshold):
     return_type=[secure_transfer()],
 )
 def descriptive_pooled_local(data, variables, metadata, n_bins):
-    """Pooled statistics via secure aggregation: sums, min/max, histograms."""
+    """Pooled statistics via secure aggregation: sums, min/max, histograms.
+
+    Every numeric variable has a range here (declared, or resolved by the
+    flow), so its min/max entries declare ``bound`` = max(|min|, |max|) and
+    the secure comparison runs at that width.  A slice with a value outside
+    the bound (data never harmonized against its CDEs) omits it, and the
+    key compares at full width.  An empty slice sends the opposite extreme
+    of the range, which loses every comparison and stays inside the bound.
+    """
     payload = {}
     for variable in variables:
         info = metadata.get(variable, {})
@@ -133,13 +135,19 @@ def descriptive_pooled_local(data, variables, metadata, n_bins):
             "data": float((non_null**2).sum()) if len(non_null) else 0.0,
             "operation": "sum",
         }
+        low, high = float(info["min"]), float(info["max"])
+        bound = max(abs(low), abs(high)) or None
+        if bound is not None and len(non_null) and np.abs(non_null).max() > bound:
+            bound = None  # values outside the declared range: compare at full width
         payload[f"{variable}__min"] = {
-            "data": float(non_null.min()) if len(non_null) else 1e6,
+            "data": float(non_null.min()) if len(non_null) else high,
             "operation": "min",
+            "bound": bound,
         }
         payload[f"{variable}__max"] = {
-            "data": float(non_null.max()) if len(non_null) else -1e6,
+            "data": float(non_null.max()) if len(non_null) else low,
             "operation": "max",
+            "bound": bound,
         }
         payload[f"{variable}__hist"] = {"data": histogram.tolist(), "operation": "sum"}
     return payload

@@ -24,13 +24,31 @@ from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
 
-@udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
-def kmeans_bounds_local(data, variables):
-    """Per-dimension bounds and moments for initialisation."""
+@udf(data=relation(), variables=literal(), metadata=literal(), return_type=[secure_transfer()])
+def kmeans_bounds_local(data, variables, metadata):
+    """Per-dimension bounds and moments for initialisation.
+
+    When every variable declares a range, the min/max entries declare
+    ``bound`` = the largest |declared extreme| and compare at that width,
+    unless a value of this slice lies outside it.  An empty slice sends each dimension's opposite declared extreme (or a
+    ±1e6 sentinel where none is declared), which loses every comparison.
+    """
     matrix = np.column_stack([np.asarray(data[v], dtype=np.float64) for v in variables])
+    lows = [metadata.get(v, {}).get("min") for v in variables]
+    highs = [metadata.get(v, {}).get("max") for v in variables]
+    if len(matrix):
+        mins, maxs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+    else:
+        mins = [1e6 if high is None else float(high) for high in highs]
+        maxs = [-1e6 if low is None else float(low) for low in lows]
+    bound = None
+    if None not in lows + highs:
+        bound = max(abs(float(extreme)) for extreme in lows + highs) or None
+    if bound is not None and len(matrix) and np.abs(matrix).max() > bound:
+        bound = None  # values outside the declared ranges: compare at full width
     return {
-        "min": {"data": matrix.min(axis=0).tolist(), "operation": "min"},
-        "max": {"data": matrix.max(axis=0).tolist(), "operation": "max"},
+        "min": {"data": mins, "operation": "min", "bound": bound},
+        "max": {"data": maxs, "operation": "max", "bound": bound},
         "n": {"data": int(matrix.shape[0]), "operation": "sum"},
     }
 
@@ -93,7 +111,7 @@ class KMeansClustering(FederatedAlgorithm):
 
         bounds_handle = self.local_run(
             func=kmeans_bounds_local,
-            keyword_args={"data": view, "variables": variables},
+            keyword_args={"data": view, "variables": variables, "metadata": self.metadata},
             share_to_global=[True],
         )
         bounds = self.ctx.get_transfer_data(bounds_handle)

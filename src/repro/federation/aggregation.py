@@ -4,7 +4,9 @@ The paper's non-secure path ships local results through remote/merge tables
 and "perform[s] the aggregation there" — on the Master, in the clear.  The
 operations match the SMPC cluster's exactly (sum, product, min, max,
 disjoint union) so an algorithm runs unchanged on either path; only *where*
-the aggregation happens differs.
+the aggregation happens differs.  A declared ``"bound"`` is checked with
+the cluster's own :func:`declared_bound`, so a payload the secure path
+refuses is refused here too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import FederationError
+from repro.smpc.cluster import declared_bound
 
 
 def aggregate_plain(transfers: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
@@ -30,14 +33,15 @@ def aggregate_plain(transfers: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         if len(operations) != 1:
             raise FederationError(f"key {key!r}: conflicting operations")
         operation = operations.pop()
-        data = [t[key]["data"] for t in transfers]
-        result[key] = _aggregate_one(operation, data)
+        entries = [t[key] for t in transfers]
+        arrays = [np.asarray(entry["data"], dtype=np.float64) for entry in entries]
+        declared_bound(f"key {key!r}", operation, entries, arrays, FederationError)
+        scalar = not isinstance(entries[0]["data"], (list, tuple))
+        result[key] = _aggregate_one(operation, arrays, scalar)
     return result
 
 
-def _aggregate_one(operation: str, data: list[Any]) -> Any:
-    scalar = not isinstance(data[0], (list, tuple))
-    arrays = [np.asarray(d, dtype=np.float64) for d in data]
+def _aggregate_one(operation: str, arrays: list[np.ndarray], scalar: bool) -> Any:
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise FederationError("transfer shape mismatch across workers")

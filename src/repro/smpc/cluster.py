@@ -13,17 +13,28 @@ four operations the paper lists (sum, multiplication, min/max, disjoint
 union) and can inject Laplacian or Gaussian noise inside the protocol before
 a result is opened: every SMPC node contributes an authenticated share of
 partial noise, so no single node ever knows the total perturbation.
+
+A comparison run is as wide as what it compares.  An entry may declare
+``"bound": B`` (every value has |value| <= B); the ``min`` run then compares
+over ``comparison_width(2 * B * 2^f)`` bits, while a run with any unbounded
+key keeps the full width.  A ``union`` run's width follows from the worker
+count alone.  A key is bounded only when every worker declares the bound;
+a worker whose values leave it omits it.  Two different bounds for one key,
+or a value outside its worker's declared bound, fail the job before
+anything is shared.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Literal, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import SMPCError
+from repro.errors import ReproError, SMPCError
 from repro.observability.audit import owned_by
 from repro.observability.trace import tracer
 from repro.smpc.encoding import FixedPointEncoder
@@ -67,10 +78,12 @@ class _Flattened:
 
 @dataclass(frozen=True)
 class _KeyInputs:
-    """One validated transfer key: its operation and every worker's values."""
+    """One validated transfer key: its operation, its declared bound and
+    every worker's values."""
 
     key: str
     operation: str
+    bound: float | None
     inputs: list[_Flattened]  # one per worker, all of one shape
 
 
@@ -201,15 +214,26 @@ class SMPCCluster:
                     raise SMPCError(f"SMPC job {job_id!r}, key {key!r}: shape mismatch")
                 if operation not in _PROTOCOL_RUN:
                     raise SMPCError(f"unsupported SMPC operation {operation!r}")
+                bound = declared_bound(
+                    f"SMPC job {job_id!r}, key {key!r}",
+                    operation,
+                    [job.payloads[w][key] for w in workers],
+                    [f.values for f in flattened],
+                )
                 runs.setdefault(_PROTOCOL_RUN[operation], []).append(
-                    _KeyInputs(key, operation, flattened)
+                    _KeyInputs(key, operation, bound, flattened)
                 )
             # One protocol run per operation, over every key of that
             # operation laid end to end — rounds do not grow with key count.
             opened: dict[str, Any] = {}
             for run, members in runs.items():
-                with tracer.span("smpc.aggregate_key", operation=run, keys=len(members)):
-                    opened.update(self._aggregate_run(run, members, noise))
+                bits = self._min_bits(members) if run == "min" else None
+                # The span reports the width each comparison run used.
+                width = self.protocol.union_width(len(workers)) if run == "union" else bits
+                with tracer.span(
+                    "smpc.aggregate_key", operation=run, keys=len(members), bits=width
+                ):
+                    opened.update(self._aggregate_run(run, members, noise, bits))
             result = {key: opened[key] for key in keys}
             span.set_attribute("rounds", self.protocol.meter.rounds - rounds_before)
         meter = self._job_meters.setdefault(job_id, CommunicationMeter())
@@ -227,8 +251,24 @@ class SMPCCluster:
             raise SMPCError(f"no finished SMPC result for job {job_id!r}")
         return self._results[job_id]
 
+    def _min_bits(self, members: Sequence[_KeyInputs]) -> int:
+        """The comparison width of a ``min`` run.
+
+        Its tournament compares differences of two values encoded from
+        [-B, B], each at most ``ceil(B * 2^f)`` in magnitude.
+        """
+        protocol = self.protocol
+        bounds = [member.bound for member in members]
+        if None in bounds:
+            return protocol.comparison_bits
+        return protocol.comparison_width(2 * math.ceil(max(bounds) * protocol.encoder.scale))
+
     def _aggregate_run(
-        self, run: str, members: Sequence[_KeyInputs], noise: NoiseSpec | None
+        self,
+        run: str,
+        members: Sequence[_KeyInputs],
+        noise: NoiseSpec | None,
+        bits: int | None,
     ) -> dict[str, Any]:
         protocol = self.protocol
         encoder = protocol.encoder
@@ -259,7 +299,7 @@ class SMPCCluster:
         elif run == "product":
             combined = protocol.product_fixed_point(shared_inputs)
         elif run == "min":
-            combined = protocol.minimum_inputs(shared_inputs)
+            combined = protocol.minimum_inputs(shared_inputs, bits)
         else:
             combined = protocol.union_inputs(shared_inputs)
         opened = protocol.open(combined)
@@ -329,6 +369,54 @@ class SMPCCluster:
     @property
     def offline_usage(self):
         return self.protocol.dealer.usage
+
+
+def valid_bound(bound: Any) -> bool:
+    """Whether ``bound`` is usable as a declared bound: a finite real > 0."""
+    return (
+        isinstance(bound, numbers.Real)
+        and not isinstance(bound, bool)
+        and math.isfinite(bound)
+        and bound > 0
+    )
+
+
+def declared_bound(
+    label: str,
+    operation: str,
+    entries: Sequence[Mapping[str, Any]],
+    values: Sequence[np.ndarray],
+    error: type[ReproError] = SMPCError,
+) -> float | None:
+    """The bound every worker's entry declares for one key, or None.
+
+    ``entries`` are the workers' secure-transfer entries for the key and
+    ``values`` their data as arrays.  A worker whose values leave the
+    declared range omits the bound, and the key then has none: it compares
+    at the full width.  Raises ``error`` (prefixed with ``label``) when two
+    declared bounds differ, when one is not a finite real > 0, when a value
+    lies outside its worker's declared bound, or when a ``union`` value is
+    not 0/1.  The plain aggregation path applies the same checks, so both
+    paths fail on the same payloads.
+    """
+    if operation == "union" and not all(np.isin(array, (0.0, 1.0)).all() for array in values):
+        raise error(f"{label}: union data must be 0/1 membership")
+    declared = [
+        (entry["bound"], array)
+        for entry, array in zip(entries, values)
+        if entry.get("bound") is not None
+    ]
+    for bound, _array in declared:
+        if not valid_bound(bound):
+            raise error(f"{label}: bound must be a finite real > 0, got {bound!r}")
+    if len({bound for bound, _array in declared}) > 1:
+        raise error(f"{label}: conflicting bounds")
+    for bound, array in declared:
+        if not np.abs(array).max(initial=0.0) <= bound:
+            raise error(f"{label}: a value lies outside its declared bound {bound}")
+    if not declared or len(declared) < len(entries):
+        return None
+    return float(declared[0][0])
 
 
 def _flatten(data: Any) -> _Flattened:

@@ -11,7 +11,10 @@ Secure comparison uses the statistically-masked-open construction: to test
 ``x < 0`` for |x| < 2^L, open ``c = x + 2^L + r`` where ``r`` is a shared
 random of L + kappa bits with bitwise sharings; then ``floor((c-r)/2^L) = C -
 R - u`` with ``C, c'`` public digits of ``c``, ``R`` the linear combination of
-r's high bits, and ``u = BitLT(c', r')``.
+r's high bits, and ``u = BitLT(c', r')``.  As in MP-SPDZ's ``less_than(k)``,
+the width L is an argument and kappa is fixed: a caller that knows a bound on
+its operands (:meth:`Protocol.comparison_width`) pays for that many bits, and
+one that does not pays for :attr:`Protocol.comparison_bits`.
 
 Everything on that path is batched.  The dealer's bits for a whole operand
 vector stay one flat shared matrix (a row per element); ``r`` and ``R`` are
@@ -85,9 +88,6 @@ class Protocol(abc.ABC, Generic[S]):
         self.encoder = encoder or FixedPointEncoder()
         self.meter = CommunicationMeter()
         self._rng = random.Random(seed)
-        # Comparison parameters: |operand| must stay below 2^comparison_bits.
-        self.comparison_bits = self.encoder.magnitude_bits + 2
-        self.mask_bits = self.comparison_bits + STATISTICAL_BITS
         # Truncation parameters: post-multiplication values carry two scale
         # factors, so the magnitude bound is wider and the statistical slack
         # narrower (still 2^-28 hiding within the 127-bit field).
@@ -95,6 +95,19 @@ class Protocol(abc.ABC, Generic[S]):
         self.truncation_mask_bits = min(
             self.truncation_bits + STATISTICAL_BITS, PRIME.bit_length() - 1
         )
+
+    @property
+    def comparison_bits(self) -> int:
+        """The full comparison width: every fixed-point value and every
+        pairwise difference of two lies below 2^comparison_bits."""
+        return self.encoder.magnitude_bits + 2
+
+    def comparison_width(self, magnitude: int) -> int:
+        """The width ``L = ceil(log2(magnitude)) + 1`` for operands with
+        |x| <= ``magnitude`` (an integer >= 1), capped at the full width."""
+        if magnitude < 1:
+            raise SMPCError(f"comparison magnitude must be >= 1, got {magnitude}")
+        return min((magnitude - 1).bit_length() + 1, self.comparison_bits)
 
     # ----------------------------------------------------------- primitives
 
@@ -183,16 +196,20 @@ class Protocol(abc.ABC, Generic[S]):
             total = self.mul(total, item)
         return total
 
-    def ltz(self, x: S) -> S:
+    def ltz(self, x: S, bits: int | None = None) -> S:
         """Element-wise [x < 0] as a shared 0/1 vector.
 
-        Operands must be bounded: |x| < 2^comparison_bits (guaranteed for
-        fixed-point encoded values and their pairwise differences).
+        Operands must be bounded: |x| < 2^bits.  ``bits`` defaults to
+        :attr:`comparison_bits`, which holds for fixed-point encoded values
+        and their pairwise differences.  The mask has ``bits`` +
+        STATISTICAL_BITS bits and BitLT runs over ``bits`` bits, so a
+        narrower bound buys fewer dealer bits and a shallower carry tree.
         """
+        L = self.comparison_bits if bits is None else bits
+        if not 1 <= L <= self.comparison_bits:
+            raise SMPCError(f"comparison width {L} outside [1, {self.comparison_bits}]")
         # floor((x + 2^L) / 2^L) is 1 for x >= 0 and 0 for x < 0.
-        sign = self._shifted_floor(
-            x, self.comparison_bits, self.mask_bits, self.comparison_bits
-        )
+        sign = self._shifted_floor(x, L, L + STATISTICAL_BITS, L)
         return self._xor_public(sign, [1] * len(x))  # 1 - sign
 
     def truncate(self, x: S, fractional_bits: int | None = None) -> S:
@@ -297,11 +314,12 @@ class Protocol(abc.ABC, Generic[S]):
             total = self.mul_fixed_point(total, item)
         return total
 
-    def minimum_inputs(self, inputs: Sequence[S]) -> S:
+    def minimum_inputs(self, inputs: Sequence[S], bits: int | None = None) -> S:
         """Element-wise minimum as a pairwise tournament.
 
         Every level compares all surviving pairs in one batched
-        :meth:`ltz`: ``min(a, b) = b + [a < b] * (a - b)``.
+        :meth:`ltz`: ``min(a, b) = b + [a < b] * (a - b)``.  ``bits`` is
+        the width of those differences (|a - b| < 2^bits).
         """
         if not inputs:
             raise SMPCError("minimum of zero inputs")
@@ -311,7 +329,7 @@ class Protocol(abc.ABC, Generic[S]):
             paired = len(survivors) - len(survivors) % 2
             b = self._concat(survivors[1:paired:2])
             diff = self.sub(self._concat(survivors[0:paired:2]), b)
-            smaller = self.add(b, self.mul(self.ltz(diff), diff))
+            smaller = self.add(b, self.mul(self.ltz(diff, bits), diff))
             survivors = [
                 self._take(smaller, slice(k, k + length))
                 for k in range(0, len(smaller), length)
@@ -325,13 +343,20 @@ class Protocol(abc.ABC, Generic[S]):
         negated = [self.scale(item, PRIME - 1) for item in inputs]
         return self.scale(self.minimum_inputs(negated), PRIME - 1)
 
+    def union_width(self, count: int) -> int:
+        """The comparison width of a union of ``count`` 0/1 vectors:
+        ``sum - 1`` lies in [-1, count - 1]."""
+        return self.comparison_width(max(count - 1, 1))
+
     def union_inputs(self, inputs: Sequence[S]) -> S:
-        """Disjoint union of 0/1 membership vectors: [sum >= 1]."""
+        """Disjoint union of 0/1 membership vectors: [sum >= 1], compared
+        at :meth:`union_width` bits."""
         total = self.sum_inputs(inputs)
         length = len(total)
         # sum >= 1  <=>  not (sum - 1 < 0)
         shifted = self.add_public(total, _constant_vector(PRIME - 1, length))
-        return self._xor_public(self.ltz(shifted), [1] * length)
+        sign = self.ltz(shifted, self.union_width(len(inputs)))
+        return self._xor_public(sign, [1] * length)
 
 
 def _constant_vector(value: int, length: int) -> FieldVector:

@@ -15,6 +15,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.errors import UDFError
+from repro.smpc.cluster import valid_bound
 from repro.udfgen.iotypes import SECURE_OPERATIONS
 
 
@@ -116,7 +117,8 @@ def deserialize_transfer(blob: str) -> dict[str, Any]:
 
 
 def validate_secure_transfer(obj: Mapping[str, Any]) -> dict[str, Any]:
-    """Check a secure-transfer dict: every entry names data and an operation."""
+    """Check a secure-transfer dict: every entry names data and an operation,
+    and an optional ``"bound"`` (|value| <= bound) is a finite real > 0."""
     if not isinstance(obj, Mapping):
         raise UDFError("secure_transfer must be a dict")
     for key, entry in obj.items():
@@ -127,6 +129,11 @@ def validate_secure_transfer(obj: Mapping[str, Any]) -> dict[str, Any]:
         if entry["operation"] not in SECURE_OPERATIONS:
             raise UDFError(
                 f"secure_transfer entry {key!r}: unknown operation {entry['operation']!r}"
+            )
+        bound = entry.get("bound")
+        if bound is not None and not valid_bound(bound):
+            raise UDFError(
+                f"secure_transfer entry {key!r}: bound must be a finite real > 0, got {bound!r}"
             )
     return {k: dict(v) for k, v in obj.items()}
 

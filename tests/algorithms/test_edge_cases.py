@@ -239,3 +239,106 @@ class TestUnbalancedFederation:
                    datasets=("ds_w_big",))
         assert solo.status.value == "success"
         assert solo.result["n_observations"] == 60
+
+
+@pytest.fixture
+def tracing():
+    from repro.observability.trace import tracer
+
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.enable()
+    yield tracer
+    tracer.reset()
+    if not was_enabled:
+        tracer.disable()
+
+
+class TestOutOfRangeValue:
+    """Worker data need not be harmonized: a value outside its CDE range
+    makes that worker omit the declared bound, and secure min/max compare
+    at full width instead of failing."""
+
+    def _pooled(self, aggregation):
+        schema = Schema([("dataset", SQLType.VARCHAR), ("ab_42", SQLType.REAL)])
+        rows = {"w1": [800.0 + i for i in range(20)], "w2": [2500.0] + [900.0 - i for i in range(19)]}
+        federation = create_federation(
+            {w: {"dementia": Table.from_rows(schema, [(f"ds_{w}", v) for v in values])}
+             for w, values in rows.items()},
+            FederationConfig(seed=1, privacy_threshold=5, smpc_nodes=3),
+        )
+        result = ExperimentEngine(federation, aggregation=aggregation).run(ExperimentRequest(
+            algorithm="descriptive_stats", data_model="dementia",
+            datasets=("ds_w1", "ds_w2"), y=("ab_42",),
+        ))
+        federation.shutdown()
+        assert result.status.value == "success", result.error
+        return result.result["pooled"]["ab_42"]
+
+    def test_descriptive_stats_keeps_the_value_on_both_paths(self, tracing):
+        plain = self._pooled("plain")
+        assert (plain["datapoints"], plain["min"], plain["max"]) == (40, 800.0, 2500.0)
+        secure = self._pooled("smpc")
+        assert secure["datapoints"] == 40
+        assert secure["min"] == pytest.approx(800.0, abs=1e-4)
+        assert secure["max"] == pytest.approx(2500.0, abs=1e-4)
+        widths = {
+            span.attributes["bits"] for span in tracing.spans()
+            if span.name == "smpc.aggregate_key" and span.attributes["operation"] == "min"
+        }
+        assert widths == {82}
+
+    def test_the_outlying_slice_omits_the_bound(self):
+        from repro.algorithms.descriptive import descriptive_pooled_local
+        from repro.algorithms.kmeans import kmeans_bounds_local
+
+        metadata = {"ab_42": {"min": 100.0, "max": 2000.0}}
+        inside = {"ab_42": np.array([150.0, 1999.0])}
+        outside = {"ab_42": np.array([150.0, 2500.0])}
+        assert descriptive_pooled_local(inside, ["ab_42"], metadata, 4)["ab_42__min"]["bound"] == 2000.0
+        assert descriptive_pooled_local(outside, ["ab_42"], metadata, 4)["ab_42__min"]["bound"] is None
+        assert kmeans_bounds_local(inside, ["ab_42"], metadata)["max"]["bound"] == 2000.0
+        assert kmeans_bounds_local(outside, ["ab_42"], metadata)["max"]["bound"] is None
+
+
+class TestEmptySliceUDFs:
+    """A worker whose view is empty still sends in-bound min/max entries: the
+    opposite declared extreme, which loses every comparison."""
+
+    METADATA = {
+        "ab_42": {"min": 100.0, "max": 2000.0},
+        "p_tau": {"min": 5.0, "max": 200.0},
+    }
+    EMPTY = {"ab_42": np.array([], dtype=np.float64), "p_tau": np.array([], dtype=np.float64)}
+
+    def test_descriptive_pooled_sends_opposite_extremes(self):
+        from repro.algorithms.descriptive import descriptive_pooled_local
+        from repro.udfgen.runtime import validate_secure_transfer
+
+        payload = descriptive_pooled_local(self.EMPTY, ["ab_42"], self.METADATA, 10)
+        validate_secure_transfer(payload)
+        assert payload["ab_42__min"] == {"data": 2000.0, "operation": "min", "bound": 2000.0}
+        assert payload["ab_42__max"] == {"data": 100.0, "operation": "max", "bound": 2000.0}
+        assert payload["ab_42__count"]["data"] == 0
+
+    def test_kmeans_bounds_sends_opposite_extremes(self):
+        from repro.algorithms.kmeans import kmeans_bounds_local
+        from repro.udfgen.runtime import validate_secure_transfer
+
+        payload = kmeans_bounds_local(self.EMPTY, ["ab_42", "p_tau"], self.METADATA)
+        validate_secure_transfer(payload)
+        assert payload["min"] == {"data": [2000.0, 200.0], "operation": "min", "bound": 2000.0}
+        assert payload["max"] == {"data": [100.0, 5.0], "operation": "max", "bound": 2000.0}
+        assert payload["n"]["data"] == 0
+
+    def test_kmeans_bounds_without_a_declared_range_stays_unbounded(self):
+        from repro.algorithms.kmeans import kmeans_bounds_local
+
+        metadata = {"ab_42": self.METADATA["ab_42"], "p_tau": {}}
+        payload = kmeans_bounds_local(self.EMPTY, ["ab_42", "p_tau"], metadata)
+        assert payload["min"] == {"data": [2000.0, 1e6], "operation": "min", "bound": None}
+        assert payload["max"] == {"data": [100.0, -1e6], "operation": "max", "bound": None}
+        full = {"ab_42": np.array([150.0, 900.0]), "p_tau": np.array([7.0, 60.0])}
+        payload = kmeans_bounds_local(full, ["ab_42", "p_tau"], metadata)
+        assert payload["min"]["data"] == [150.0, 7.0]
+        assert payload["max"]["data"] == [900.0, 60.0]

@@ -90,3 +90,58 @@ class TestAggregatePlain:
                              {"a": {"data": [1], "operation": "sum"}}])
         with pytest.raises(FederationError, match="unsupported"):
             aggregate_plain([{"a": {"data": 1, "operation": "median"}}])
+
+
+class TestDeclaredBounds:
+    """Plain and secure aggregation refuse the same payloads."""
+
+    OUT_OF_RANGE = [
+        {"lo": {"data": [1.0, 2.5], "operation": "min", "bound": 2.0}},
+        {"lo": {"data": [0.5, -1.0], "operation": "min", "bound": 2.0}},
+    ]
+
+    def _secure(self, transfers):
+        from repro.smpc.cluster import SMPCCluster
+
+        cluster = SMPCCluster(3, "shamir", seed=1)
+        for worker, transfer in enumerate(transfers):
+            cluster.import_shares("j", f"w{worker}", transfer)
+        return cluster.aggregate("j")
+
+    def test_out_of_range_value_fails_both_paths(self):
+        from repro.errors import SMPCError
+
+        with pytest.raises(FederationError, match="key 'lo': a value lies outside its declared bound 2.0"):
+            aggregate_plain(self.OUT_OF_RANGE)
+        with pytest.raises(SMPCError, match="key 'lo': a value lies outside its declared bound 2.0"):
+            self._secure(self.OUT_OF_RANGE)
+
+    def test_disagreeing_bounds_fail_both_paths(self):
+        from repro.errors import SMPCError
+
+        transfers = [
+            {"lo": {"data": [1.0], "operation": "min", "bound": 2.0}},
+            {"lo": {"data": [1.0], "operation": "min", "bound": 3.0}},
+        ]
+        with pytest.raises(FederationError, match="conflicting bounds"):
+            aggregate_plain(transfers)
+        with pytest.raises(SMPCError, match="conflicting bounds"):
+            self._secure(transfers)
+
+    def test_a_worker_omitting_the_bound_agrees(self):
+        transfers = [
+            {"lo": {"data": [1.0, 2.0], "operation": "min", "bound": 2.0}},
+            {"lo": {"data": [0.5, -2500.0], "operation": "min", "bound": None}},
+        ]
+        assert aggregate_plain(transfers) == self._secure(transfers) == {"lo": [0.5, -2500.0]}
+
+    def test_in_range_bounded_payload_agrees(self):
+        transfers = [
+            {"lo": {"data": [1.0, 2.0], "operation": "min", "bound": 2.0},
+             "hi": {"data": [1.0, 2.0], "operation": "max", "bound": 2.0}},
+            {"lo": {"data": [0.5, -2.0], "operation": "min", "bound": 2.0},
+             "hi": {"data": [0.5, -2.0], "operation": "max", "bound": 2.0}},
+        ]
+        assert aggregate_plain(transfers) == self._secure(transfers) == {
+            "lo": [0.5, -2.0], "hi": [1.0, 2.0],
+        }

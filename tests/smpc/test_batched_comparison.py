@@ -294,3 +294,173 @@ class TestRoundCeilings:
         before = protocol.meter.rounds
         protocol.mul(a, b)
         assert protocol.meter.rounds - before == (3 if scheme == "full_threshold" else 1)
+
+
+# ------------------------------------------------------------ bounded widths
+
+
+@pytest.fixture
+def tracing():
+    from repro.observability.trace import tracer
+
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.enable()
+    yield tracer
+    tracer.reset()
+    if not was_enabled:
+        tracer.disable()
+
+
+def run_bits(tracing):
+    """{run operation: bits} of every ``smpc.aggregate_key`` span so far."""
+    return {
+        span.attributes["operation"]: span.attributes["bits"]
+        for span in tracing.spans()
+        if span.name == "smpc.aggregate_key"
+    }
+
+
+class TestNarrowLtz:
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 21, 29])
+    def test_exact_at_the_edges_of_a_narrow_width(self, kernel, scheme, bits):
+        protocol = SCHEMES[scheme](3, seed=bits)
+        top = (1 << bits) - 1
+        values = [-top, -1, 0, 1, top, -(top // 2), top // 2]
+        opened = open_ints(protocol, protocol.ltz(share_ints(protocol, values), bits))
+        assert opened == [int(v < 0) for v in values]
+
+    def test_width_outside_range_rejected(self, scheme):
+        protocol = SCHEMES[scheme](3, seed=1)
+        x = share_ints(protocol, [1])
+        for bits in (0, protocol.comparison_bits + 1):
+            with pytest.raises(SMPCError, match="comparison width"):
+                protocol.ltz(x, bits)
+
+    def test_width_rule(self, scheme):
+        protocol = SCHEMES[scheme](3, seed=1)
+        # L = ceil(log2(magnitude)) + 1, capped at the full 82 bits.
+        assert [protocol.comparison_width(m) for m in (1, 2, 3, 4, 5, 7)] == [1, 2, 3, 3, 4, 4]
+        assert protocol.comparison_width(2 * 2000 * 2**16) == 29
+        assert protocol.comparison_width(2**100) == protocol.comparison_bits == 82
+        with pytest.raises(SMPCError):
+            protocol.comparison_width(0)
+
+    @pytest.mark.parametrize("bits", [2, 5, 29])
+    def test_narrow_ltz_opens_one_masked_value_plus_one_per_level(self, kernel, bits):
+        protocol = FTProtocol(3, seed=4)
+        tamper = _TamperingOpen(protocol, 0, "shares")
+        protocol.ltz(share_ints(protocol, [-1, 1, 0]), bits)
+        assert tamper.calls == 1 + len(tree_widths(bits)) - 1
+
+    @pytest.mark.parametrize("target", range(1, 1 + len(tree_widths(5))))
+    def test_every_open_of_a_narrow_ltz_is_mac_checked(self, kernel, target):
+        protocol = FTProtocol(3, seed=4)
+        x = share_ints(protocol, [-5, 7, 0])
+        tamper = _TamperingOpen(protocol, target, "macs")
+        with pytest.raises(IntegrityError):
+            protocol.ltz(x, 5)
+        assert tamper.calls == target
+
+
+def _bounded_min_job(scheme, bounds, seed=7):
+    """Four workers, min and max keys; ``bounds[key]`` is the declared bound
+    (omitted when None)."""
+    cluster = SMPCCluster(3, scheme, seed=seed)
+    for worker in range(4):
+        payload = {}
+        for k, key in enumerate(sorted(bounds)):
+            entry = {
+                "data": [(worker - 1.5) * (k + 1) * 10.25, -1999.5 + worker],
+                "operation": "min" if k % 2 else "max",
+            }
+            if bounds[key] is not None:
+                entry["bound"] = bounds[key]
+            payload[key] = entry
+        cluster.import_shares("j", f"w{worker}", payload)
+    return cluster.aggregate("j"), cluster
+
+
+class TestBoundedRuns:
+    def test_bounded_min_run_opens_what_the_full_width_run_opens(self, tracing, scheme):
+        full, full_cluster = _bounded_min_job(scheme, {"a": None, "b": None})
+        narrow, narrow_cluster = _bounded_min_job(scheme, {"a": 2000.0, "b": 1999.5})
+        assert narrow == full
+        # |x| <= 2000 at 16 fractional bits: differences below 2^29.
+        assert [s.attributes["bits"] for s in tracing.spans() if s.name == "smpc.aggregate_key"] == [82, 29]
+        assert narrow_cluster.communication.elements < full_cluster.communication.elements
+        assert narrow_cluster.communication.rounds < full_cluster.communication.rounds
+
+    def test_one_unbounded_key_sends_the_run_to_full_width(self, tracing, scheme):
+        unbounded, unbounded_cluster = _bounded_min_job(scheme, {"a": None, "b": None})
+        mixed, mixed_cluster = _bounded_min_job(scheme, {"a": 2000.0, "b": None})
+        assert mixed == unbounded
+        assert run_bits(tracing) == {"min": 82}
+        assert mixed_cluster.communication.elements == unbounded_cluster.communication.elements
+        assert (
+            mixed_cluster.protocol.dealer.rng.getstate()
+            == unbounded_cluster.protocol.dealer.rng.getstate()
+        )
+
+    @pytest.mark.parametrize("n_workers", range(2, 9))
+    def test_union_width_follows_the_worker_count(self, kernel, tracing, scheme, n_workers):
+        cluster = SMPCCluster(3, scheme, seed=n_workers)
+        owner = np.array([0, -1, 1, n_workers - 1, -1, n_workers // 2])
+        data = np.array([(owner == i).astype(int) for i in range(n_workers)])
+        for worker, row in enumerate(data):
+            cluster.import_shares("j", f"w{worker}", {"u": {"data": row.tolist(), "operation": "union"}})
+        assert cluster.aggregate("j")["u"] == data.any(axis=0).astype(int).tolist()
+        assert run_bits(tracing) == {"union": cluster.protocol.union_width(n_workers)}
+        # sum - 1 lies in [-1, W - 1].
+        assert cluster.protocol.union_width(n_workers) == {2: 1, 3: 2, 4: 3, 5: 3}.get(n_workers, 4)
+
+    def test_sum_run_reports_no_width(self, tracing, scheme):
+        cluster = SMPCCluster(3, scheme, seed=1)
+        for worker in range(2):
+            cluster.import_shares("j", f"w{worker}", {"s": {"data": 1.0, "operation": "sum"}})
+        cluster.aggregate("j")
+        assert run_bits(tracing) == {"sum": None}
+
+
+class TestBoundChecks:
+    def _job(self, cluster, first, second):
+        cluster.import_shares("j", "w1", {"x": {"data": [1.0, 2.0], "operation": "min", **first}})
+        cluster.import_shares("j", "w2", {"x": {"data": [3.0, -4.0], "operation": "min", **second}})
+
+    @pytest.mark.parametrize(
+        "first, second, match",
+        [
+            ({"bound": 4.0}, {"bound": 5.0}, "conflicting bounds"),
+            ({"bound": 3.5}, {"bound": 3.5}, "outside its declared bound"),
+            ({"bound": 1.5}, {}, "outside its declared bound"),
+            ({"bound": 0.0}, {"bound": 0.0}, "finite real > 0"),
+            ({"bound": float("inf")}, {"bound": float("inf")}, "finite real > 0"),
+            ({"bound": "4"}, {"bound": "4"}, "finite real > 0"),
+        ],
+    )
+    def test_rejected_before_anything_is_shared(self, scheme, first, second, match):
+        cluster = SMPCCluster(3, scheme, seed=1)
+        self._job(cluster, first, second)
+        with pytest.raises(SMPCError, match=f"key 'x': .*{match}"):
+            cluster.aggregate("j")
+        assert cluster.communication.elements == 0
+        assert cluster.offline_usage.random_bits == 0
+
+    def test_a_worker_omitting_the_bound_sends_the_key_to_full_width(self, tracing, scheme):
+        """A worker whose slice leaves the declared range omits the bound."""
+        cluster = SMPCCluster(3, scheme, seed=1)
+        self._job(cluster, {"bound": 2.0}, {})
+        assert cluster.aggregate("j")["x"] == [1.0, -4.0]
+        assert run_bits(tracing) == {"min": cluster.protocol.comparison_bits}
+
+    def test_value_on_the_bound_is_inside(self, scheme):
+        cluster = SMPCCluster(3, scheme, seed=1)
+        self._job(cluster, {"bound": 4.0}, {"bound": 4.0})
+        assert cluster.aggregate("j")["x"] == [1.0, -4.0]
+
+    def test_union_data_must_be_membership(self, scheme):
+        cluster = SMPCCluster(3, scheme, seed=1)
+        cluster.import_shares("j", "w1", {"u": {"data": [1, 0], "operation": "union"}})
+        cluster.import_shares("j", "w2", {"u": {"data": [2, 0], "operation": "union"}})
+        with pytest.raises(SMPCError, match="0/1 membership"):
+            cluster.aggregate("j")

@@ -89,6 +89,16 @@ class TestSecureTransferValidation:
         with pytest.raises(UDFError):
             validate_secure_transfer("nope")
 
+    def test_bound_accepted(self):
+        payload = {"m": {"data": [1.0], "operation": "min", "bound": 2000}}
+        assert validate_secure_transfer(payload) == payload
+        assert validate_secure_transfer({"m": {"data": 1.0, "operation": "max", "bound": None}})
+
+    @pytest.mark.parametrize("bound", [0, -1.0, float("nan"), float("inf"), True, "5", [5]])
+    def test_bad_bound(self, bound):
+        with pytest.raises(UDFError, match="bound must be a finite real > 0"):
+            validate_secure_transfer({"m": {"data": [1.0], "operation": "min", "bound": bound}})
+
 
 class TestTensorLayout:
     def test_1d_roundtrip(self):
