@@ -33,7 +33,7 @@ def kmeans_bounds_local(data, variables, metadata):
     unless a value of this slice lies outside it.  An empty slice sends each dimension's opposite declared extreme (or a
     ±1e6 sentinel where none is declared), which loses every comparison.
     """
-    matrix = np.column_stack([np.asarray(data[v], dtype=np.float64) for v in variables])
+    matrix = _h.numeric_matrix(data, variables)
     lows = [metadata.get(v, {}).get("min") for v in variables]
     highs = [metadata.get(v, {}).get("max") for v in variables]
     if len(matrix):
@@ -61,7 +61,7 @@ def kmeans_bounds_local(data, variables, metadata):
 )
 def kmeans_assign_local(data, variables, centroids):
     """Assign local points to the nearest centroid; emit partial sums."""
-    matrix = np.column_stack([np.asarray(data[v], dtype=np.float64) for v in variables])
+    matrix = data.to_matrix(variables)
     centers = np.asarray(centroids["centroids"], dtype=np.float64)
     distances = ((matrix[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assignment = distances.argmin(axis=1)

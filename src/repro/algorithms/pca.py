@@ -21,7 +21,7 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 @udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
 def pca_local(data, variables):
     """First/second moment sums of the selected numeric variables."""
-    matrix = np.column_stack([np.asarray(data[v], dtype=np.float64) for v in variables])
+    matrix = data.to_matrix(variables)
     return {
         "n": {"data": int(matrix.shape[0]), "operation": "sum"},
         "sums": {"data": matrix.sum(axis=0).tolist(), "operation": "sum"},

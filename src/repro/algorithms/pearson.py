@@ -18,9 +18,7 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 @udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
 def pearson_local(data, variables):
     """Cross-moment sums over complete rows of the selected variables."""
-    matrix = np.column_stack(
-        [np.asarray(data[v], dtype=np.float64) for v in variables]
-    )
+    matrix = data.to_matrix(variables)
     return {
         "n": {"data": int(matrix.shape[0]), "operation": "sum"},
         "sums": {"data": matrix.sum(axis=0).tolist(), "operation": "sum"},

@@ -18,7 +18,7 @@ class Column:
     read by consumers.
     """
 
-    __slots__ = ("sql_type", "values", "nulls")
+    __slots__ = ("sql_type", "values", "nulls", "_has_nulls")
 
     def __init__(self, sql_type: SQLType, values: np.ndarray, nulls: np.ndarray) -> None:
         if values.ndim != 1 or nulls.ndim != 1 or len(values) != len(nulls):
@@ -26,6 +26,7 @@ class Column:
         self.sql_type = sql_type
         self.values = values
         self.nulls = nulls
+        self._has_nulls: bool | None = None
 
     # ------------------------------------------------------------------ build
 
@@ -96,19 +97,29 @@ class Column:
         """Materialize as a list of Python scalars with None for NULLs."""
         return list(self)
 
-    def to_numpy(self) -> np.ndarray:
-        """Return values with NULLs rendered as NaN (REAL) or None (VARCHAR).
+    @property
+    def has_nulls(self) -> bool:
+        """Whether any row is NULL; the mask is scanned once per column."""
+        if self._has_nulls is None:
+            self._has_nulls = bool(self.nulls.any())
+        return self._has_nulls
 
-        INT/BOOL columns with NULLs are widened to float so NULL can be NaN.
+    def to_numpy(self) -> np.ndarray:
+        """A read-only array of the values, NULLs rendered as NaN or None.
+
+        With no NULLs this is a view of ``values``: no copy, and a write
+        raises.  Otherwise NULLs render as None (VARCHAR) or NaN, INT/BOOL
+        widened to float so NULL can be NaN, in a new array.
         """
-        if not self.nulls.any():
-            return self.values.copy()
-        if self.sql_type == SQLType.VARCHAR:
+        if not self.has_nulls:
+            out = self.values.view()
+        elif self.sql_type == SQLType.VARCHAR:
             out = self.values.copy()
             out[self.nulls] = None
-            return out
-        out = self.values.astype(np.float64)
-        out[self.nulls] = np.nan
+        else:
+            out = self.values.astype(np.float64)
+            out[self.nulls] = np.nan
+        out.flags.writeable = False
         return out
 
     def non_null(self) -> np.ndarray:

@@ -93,6 +93,10 @@ class Table:
                 )
         self.schema = schema
         self._columns = list(columns)
+        #: What readers derive from the columns (the UDF boundary keeps a
+        #: table's read-only relation here), so it lives as long as the table.
+        #: Columns may be shared with other tables; this memo never is.
+        self.memo: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------ build
 

@@ -181,7 +181,11 @@ class Worker:
             if resident:
                 view = self.database.get_table(name)
             else:
-                view = self.database.query(spec["query"])
+                scanned = self.database.query(spec["query"])
+                # Its own table even when the scan kept every row and column
+                # of the data table: what the steps cache in the view's memo
+                # must go with the view.
+                view = Table(scanned.schema, scanned.columns)
             self.audit.record(
                 "dataset_read",
                 job_id=job_id,

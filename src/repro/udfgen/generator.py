@@ -339,11 +339,7 @@ def _plan_bind_input(pname: str, iotype: IOType, stateful: bool) -> list[str]:
     if isinstance(iotype, LiteralType):
         return [f"{target} = {source}"]
     if isinstance(iotype, RelationType):
-        return [
-            f"{local} = _conn.execute_table({source})",
-            f"{target} = _rt.Relation({{s.name: {local}.column(s.name).to_numpy() "
-            f"for s in {local}.schema}})",
-        ]
+        return [f"{target} = _rt.Relation.of(_conn.execute_table({source}))"]
     if isinstance(iotype, TensorType):
         return [
             f"{local} = _conn.execute({source})",
@@ -428,11 +424,7 @@ def _bind_input(
         return [f"{target} = {value!r}"]
     if isinstance(iotype, RelationType):
         query = TableArg.of(str(value)).query
-        return [
-            f"{local} = _conn.execute_table({query!r})",
-            f"{target} = _rt.Relation({{s.name: {local}.column(s.name).to_numpy() "
-            f"for s in {local}.schema}})",
-        ]
+        return [f"{target} = _rt.Relation.of(_conn.execute_table({query!r}))"]
     if isinstance(iotype, TensorType):
         query = TableArg.of(str(value)).query
         return [

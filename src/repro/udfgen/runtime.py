@@ -10,10 +10,11 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.table import Table
 from repro.errors import UDFError
 from repro.smpc.cluster import valid_bound
 from repro.udfgen.iotypes import SECURE_OPERATIONS
@@ -25,6 +26,10 @@ class Relation:
     The paper's workers hand MonetDB result sets to Python as numpy arrays;
     this wrapper adds the small conveniences algorithm code needs
     (column access, matrix view, row count) without depending on pandas.
+
+    A relation bound from a table (:meth:`of`) is the table's own: every
+    step that reads the table gets the same read-only arrays and the same
+    stacked matrices, built once.
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
@@ -32,6 +37,28 @@ class Relation:
         if len(lengths) > 1:
             raise UDFError("ragged relation columns")
         self._columns = {k: np.asarray(v) for k, v in columns.items()}
+        self._cache: dict[Any, Any] = {}
+
+    @classmethod
+    def of(cls, table: Table) -> "Relation":
+        """The relation a UDF reads from ``table``, kept in the table's memo.
+
+        A column with no NULLs arrives as a read-only view of the table's
+        values; one with NULLs is rendered once (:meth:`Column.to_numpy`).
+        """
+        relation = table.memo.get(cls)
+        if relation is None:
+            relation = cls({spec.name: table.column(spec.name).to_numpy() for spec in table.schema})
+            table.memo[cls] = relation
+        return relation
+
+    def cached(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()`` once per ``key`` for this relation; later calls share
+        the first result, so it must be read-only."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     @property
     def columns(self) -> list[str]:
@@ -52,12 +79,13 @@ class Relation:
     def shape(self) -> tuple[int, int]:
         return (len(self), len(self._columns))
 
-    def to_matrix(self, names: list[str] | None = None) -> np.ndarray:
-        """Stack the named (or all) columns into an (n, k) float matrix."""
-        names = names if names is not None else self.columns
-        if not names:
-            return np.empty((len(self), 0))
-        return np.column_stack([self._columns[n].astype(np.float64) for n in names])
+    def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
+        """The named (or all) columns as a read-only (n, k) float64 matrix,
+        stacked once per relation."""
+        names = tuple(names) if names is not None else tuple(self.columns)
+        return self.cached(
+            ("matrix", names), lambda: stack_columns([self._columns[n] for n in names], len(self))
+        )
 
     def dropna(self) -> "Relation":
         """Drop rows where any column is NaN/None."""
@@ -73,6 +101,17 @@ class Relation:
 
     def to_dict(self) -> dict[str, np.ndarray]:
         return dict(self._columns)
+
+
+def stack_columns(columns: Sequence[Any], n_rows: int) -> np.ndarray:
+    """Stack 1-D columns side by side into a read-only (n_rows, k) float64
+    matrix."""
+    if columns:
+        matrix = np.column_stack([np.asarray(column, dtype=np.float64) for column in columns])
+    else:
+        matrix = np.empty((n_rows, 0))
+    matrix.flags.writeable = False
+    return matrix
 
 
 # ----------------------------------------------------------------- state

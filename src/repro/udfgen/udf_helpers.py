@@ -2,8 +2,8 @@
 
 Local computation steps run inside the engine with a deliberately small
 namespace: numpy (``np``), the serialization runtime (``_rt``), and this
-module (``_h``).  Everything here depends only on numpy so UDF bodies stay
-self-contained.
+module (``_h``).  Everything here depends only on numpy and the runtime so
+UDF bodies stay self-contained.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+
+from repro.udfgen import runtime
 
 
 def build_design_matrix(
@@ -25,7 +27,40 @@ def build_design_matrix(
     against their first enumeration level (the reference), with the level
     list taken from the Common Data Element metadata so every worker encodes
     identically.
+
+    The matrix is read-only.  A :class:`~repro.udfgen.runtime.Relation`
+    builds it once and hands every later step of its experiment the same
+    one; a plain mapping (a body called outside the engine) builds it anew.
     """
+    if not isinstance(relation, runtime.Relation):
+        return _design_matrix(relation, covariates, metadata, intercept)
+    # Only the covariates, the levels of the nominal ones and the intercept
+    # shape the matrix: that is the cache key.
+    levels = tuple(
+        tuple(info.get("enumerations", ())) if info.get("is_categorical") else None
+        for info in (metadata.get(variable, {}) for variable in covariates)
+    )
+    design, names = relation.cached(
+        ("design", tuple(covariates), levels, intercept),
+        lambda: _design_matrix(relation, covariates, metadata, intercept),
+    )
+    return design, list(names)
+
+
+def numeric_matrix(data: Any, variables: Sequence[str]) -> np.ndarray:
+    """``data.to_matrix(variables)``, for a body that is also called with a
+    plain mapping outside the engine (stacked anew on every call)."""
+    if isinstance(data, runtime.Relation):
+        return data.to_matrix(variables)
+    return runtime.stack_columns([data[v] for v in variables], 0)
+
+
+def _design_matrix(
+    relation: Any,
+    covariates: Sequence[str],
+    metadata: Mapping[str, Mapping[str, Any]],
+    intercept: bool,
+) -> tuple[np.ndarray, list[str]]:
     columns: list[np.ndarray] = []
     names: list[str] = []
     n_rows = len(relation)
@@ -45,9 +80,7 @@ def build_design_matrix(
         else:
             columns.append(np.asarray(relation[variable], dtype=np.float64))
             names.append(variable)
-    if not columns:
-        return np.empty((n_rows, 0)), []
-    return np.column_stack(columns), names
+    return runtime.stack_columns(columns, n_rows), names
 
 
 def regression_sufficient_stats(design: np.ndarray, response: np.ndarray) -> dict[str, Any]:

@@ -142,12 +142,26 @@ class TestSharing:
         assert before.to_rows() == [(1, "p"), (2, "q")]
         assert db.query("SELECT a, b FROM t WHERE a > 0").to_rows() == [(2, "q"), (3, "r")]
 
-    def test_udf_boundary_copies(self, db):
+    def test_udf_boundary_is_read_only(self, db):
         base = db.get_table("wide")
-        result = db.query("SELECT c2 FROM wide WHERE dataset IN ('x', 'y')")
-        handed_out = result.column("c2").to_numpy()
-        handed_out[:] = -1.0
-        assert base.column("c2").values[1] == 2.0
+        result = db.query("SELECT dataset, c2 FROM wide WHERE dataset IN ('x', 'y')")
+        # No NULLs: the base table's own values, handed out read-only.
+        handed_out = result.column("dataset").to_numpy()
+        assert np.shares_memory(handed_out, base.column("dataset").values)
+        assert not handed_out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            handed_out[:] = "z"
+        assert base.column("dataset").values[0] == "y"
+        # NULLs: rendered into a new array, as NaN for a numeric column.
+        rendered = result.column("c2").to_numpy()
+        assert not rendered.flags.writeable
+        assert not np.shares_memory(rendered, base.column("c2").values)
+        assert rendered[1] == 2.0 and np.isnan(rendered[5])
+        assert base.column("c2").nulls[5] and base.column("c2").values[5] == 0.0
+        # ... as None for VARCHAR, and as NaN in a float array for INT.
+        assert Column.from_values(SQLType.VARCHAR, ["a", None]).to_numpy().tolist() == ["a", None]
+        ints = Column.from_values(SQLType.INT, [1, None]).to_numpy()
+        assert ints.dtype == np.float64 and ints[0] == 1.0 and np.isnan(ints[1])
 
 
 class TestLiteralsStayScalars:

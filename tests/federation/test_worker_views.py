@@ -6,17 +6,19 @@ The per-step audit and threshold check, and everything the transport may
 ship, stay as they were.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.api.service import MIPService
 from repro.data.cohorts import CohortSpec, generate_cohort
-from repro.errors import FederationError, PrivacyThresholdError
+from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.controller import FederationConfig, create_federation
 from repro.federation.messages import Message
 from repro.federation.worker import Worker
-from repro.udfgen import relation, transfer, udf
+from repro.udfgen import relation, runtime, transfer, udf
 
 import repro.algorithms  # noqa: F401
 
@@ -36,6 +38,11 @@ def view_total_then_scribble(data):
     total = float(column.sum())
     column[:] = 0.0
     return {"n": len(data), "total": total}
+
+
+@udf(data=relation(), return_type=[transfer()])
+def view_matrix_total(data):
+    return {"n": len(data), "total": float(data.to_matrix(["lefthippocampus"]).sum())}
 
 
 def udf_name(func):
@@ -73,6 +80,37 @@ def record_statements(worker):
 
     worker.database.execute = execute
     return statements
+
+
+def record_stacks(monkeypatch):
+    """A weak reference to every matrix the UDF boundary stacks from now on."""
+    stacked = []
+    real = runtime.stack_columns
+
+    def stack_columns(columns, n_rows):
+        matrix = real(columns, n_rows)
+        stacked.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(runtime, "stack_columns", stack_columns)
+    return stacked
+
+
+def record_relations(monkeypatch, clear_first=False):
+    """A weak reference to the relation every step binds from now on; with
+    ``clear_first`` the table's cache is dropped before each bind."""
+    bound = []
+    real = runtime.Relation.of.__func__
+
+    def of(cls, table):
+        if clear_first:
+            table.memo.clear()
+        relation = real(cls, table)
+        bound.append(weakref.ref(relation))
+        return relation
+
+    monkeypatch.setattr(runtime.Relation, "of", classmethod(of))
+    return bound
 
 
 def view_tables(worker):
@@ -215,11 +253,13 @@ class TestPrivacySurface:
 
 class TestSnapshot:
     def test_a_udf_writing_into_its_input_does_not_reach_the_view(self, worker):
-        first = run_step(worker, "exp1", 1, func=view_total_then_scribble)
-        second = run_step(worker, "exp1", 2, func=view_total_then_scribble)
+        first = run_step(worker, "exp1", 1)
+        # The input is the view's own read-only arrays: the write fails.
+        with pytest.raises(UDFError, match="read-only"):
+            run_step(worker, "exp1", 2, func=view_total_then_scribble)
         third = run_step(worker, "exp1", 3)
         assert first["total"] != 0.0
-        assert first == second == third
+        assert first == third
 
     def test_new_rows_reach_the_next_experiment_not_the_live_one(self, worker):
         before = run_step(worker, "exp1", 1)
@@ -266,3 +306,76 @@ class TestOwnership:
         for node, worker in four_sites.workers.items():
             assert len(data_scans(statements[node])) == 2
             assert worker.database.table_names() == ["data_dementia"]
+
+
+#: The iterative flows of TestOneScanPerExperiment, with their local steps.
+ITERATIVE_FLOWS = [
+    ("logistic_regression",
+     {"y": ["converted_ad"], "x": ["p_tau", "lefthippocampus"]},
+     {"max_iterations": 6, "tolerance": 0.0}, 7),
+    ("kmeans", {"y": ["ab_42", "p_tau"]},
+     {"k": 3, "seed": 9, "iterations_max_number": 10, "e": 0.0}, 11),
+]
+
+
+def run_plain(federation, algorithm, variables, parameters):
+    service = MIPService(federation, aggregation="plain")
+    try:
+        result = service.run_experiment(
+            algorithm, "dementia", list(DATASETS), parameters=parameters, **variables
+        )
+    finally:
+        service.shutdown()
+    assert result.status.value == "success", result.error
+    return result
+
+
+class TestStackOncePerExperiment:
+    @pytest.mark.parametrize("algorithm, variables, parameters, local_steps", ITERATIVE_FLOWS)
+    def test_each_site_stacks_its_matrix_once(
+        self, four_sites, monkeypatch, algorithm, variables, parameters, local_steps
+    ):
+        sites = len(four_sites.workers)
+        stacked = record_stacks(monkeypatch)
+        bound = record_relations(monkeypatch)
+        cached = run_plain(four_sites, algorithm, variables, parameters)
+        assert len(bound) == sites * local_steps
+        # Every site's first step has to stack: one stack per site in all.
+        assert len(stacked) == sites
+
+        monkeypatch.undo()
+        stacked = record_stacks(monkeypatch)
+        record_relations(monkeypatch, clear_first=True)
+        uncached = run_plain(four_sites, algorithm, variables, parameters)
+        assert len(stacked) == sites * local_steps
+        assert json.dumps(uncached.result, sort_keys=True) == json.dumps(
+            cached.result, sort_keys=True
+        )
+
+
+class TestCacheLifetime:
+    def test_cleanup_leaves_no_cached_array(self, worker, monkeypatch):
+        stacked = record_stacks(monkeypatch)
+        bound = record_relations(monkeypatch)
+        first = run_step(worker, "exp1", 1, func=view_matrix_total)
+        assert run_step(worker, "exp1", 2, func=view_matrix_total) == first
+        assert len(stacked) == 1 and bound[0]() is bound[1]()
+        send(worker, "cleanup", job_id="exp1")
+        gc.collect()
+        assert [ref() for ref in bound + stacked] == [None, None, None]
+
+    def test_experiments_with_the_same_query_own_separate_caches(self, worker, monkeypatch):
+        stacked = record_stacks(monkeypatch)
+        bound = record_relations(monkeypatch)
+        run_step(worker, "e1", 1, func=view_matrix_total)
+        run_step(worker, "e10", 1, func=view_matrix_total)
+        assert len(stacked) == 2 and bound[0]() is not bound[1]()
+        send(worker, "cleanup", job_id="e1")
+        gc.collect()
+        assert bound[0]() is None and stacked[0]() is None
+        # e10 goes on reading the relation and matrix it built.
+        run_step(worker, "e10", 2, func=view_matrix_total)
+        assert len(stacked) == 2 and bound[2]() is bound[1]()
+        send(worker, "cleanup", job_id="e10")
+        gc.collect()
+        assert all(ref() is None for ref in bound + stacked)
