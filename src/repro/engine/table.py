@@ -95,7 +95,9 @@ class Table:
         self._columns = list(columns)
         #: What readers derive from the columns (the UDF boundary keeps a
         #: table's read-only relation here), so it lives as long as the table.
-        #: Columns may be shared with other tables; this memo never is.
+        #: Columns may be shared with other tables; this memo never is.  A
+        #: catalog table's memo therefore outlives an experiment: only
+        #: per-experiment tables (the worker's views) should be bound.
         self.memo: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------ build

@@ -45,6 +45,11 @@ class Relation:
 
         A column with no NULLs arrives as a read-only view of the table's
         values; one with NULLs is rendered once (:meth:`Column.to_numpy`).
+
+        The relation and every matrix stacked from it live as long as
+        ``table``.  Bind per-experiment tables only, as the worker does with
+        its views: a catalog table bound directly (``SELECT *`` returns the
+        table itself) keeps its relation until an INSERT or DROP replaces it.
         """
         relation = table.memo.get(cls)
         if relation is None:

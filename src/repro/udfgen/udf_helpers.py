@@ -28,12 +28,11 @@ def build_design_matrix(
     list taken from the Common Data Element metadata so every worker encodes
     identically.
 
-    The matrix is read-only.  A :class:`~repro.udfgen.runtime.Relation`
-    builds it once and hands every later step of its experiment the same
-    one; a plain mapping (a body called outside the engine) builds it anew.
+    The matrix is read-only and cached on the relation
+    (:meth:`~repro.udfgen.runtime.Relation.cached`): every later step of an
+    experiment gets the one its first step built.
     """
-    if not isinstance(relation, runtime.Relation):
-        return _design_matrix(relation, covariates, metadata, intercept)
+    relation = _as_relation(relation)
     # Only the covariates, the levels of the nominal ones and the intercept
     # shape the matrix: that is the cache key.
     levels = tuple(
@@ -49,10 +48,12 @@ def build_design_matrix(
 
 def numeric_matrix(data: Any, variables: Sequence[str]) -> np.ndarray:
     """``data.to_matrix(variables)``, for a body that is also called with a
-    plain mapping outside the engine (stacked anew on every call)."""
-    if isinstance(data, runtime.Relation):
-        return data.to_matrix(variables)
-    return runtime.stack_columns([data[v] for v in variables], 0)
+    plain mapping of columns outside the engine."""
+    return _as_relation(data).to_matrix(variables)
+
+
+def _as_relation(data: Any) -> runtime.Relation:
+    return data if isinstance(data, runtime.Relation) else runtime.Relation(data)
 
 
 def _design_matrix(

@@ -1,10 +1,13 @@
 """Serialization runtime used by generated UDF bodies."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine.database import Database
 from repro.errors import UDFError
 from repro.udfgen.runtime import (
     Relation,
@@ -48,6 +51,23 @@ class TestRelation:
 
     def test_empty(self):
         assert len(Relation({})) == 0
+
+    def test_a_catalog_table_keeps_its_relation_until_it_is_replaced(self):
+        database = Database()
+        database.execute("CREATE TABLE t (x REAL)")
+        database.execute("INSERT INTO t VALUES (1.0), (2.0)")
+        first = Relation.of(database.query("SELECT * FROM t"))
+        matrix = first.to_matrix(["x"])
+        # Bound directly, the catalog table holds both until it is replaced.
+        assert Relation.of(database.query("SELECT * FROM t")) is first
+        assert first.to_matrix(["x"]) is matrix
+        relation_ref, matrix_ref = weakref.ref(first), weakref.ref(matrix)
+        del first, matrix
+        database.execute("INSERT INTO t VALUES (3.0)")
+        assert relation_ref() is None and matrix_ref() is None
+        assert Relation.of(database.query("SELECT * FROM t")).to_matrix(["x"]).tolist() == [
+            [1.0], [2.0], [3.0],
+        ]
 
 
 class TestStateSerialization:
