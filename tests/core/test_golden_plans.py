@@ -33,15 +33,20 @@ DATASETS = ("edsd", "adni", "ppmi")
 _seq = itertools.count()
 
 
-@pytest.fixture(scope="module")
-def golden_federation():
-    worker_data = {
+def golden_worker_data():
+    """Three hospitals, 60 pinned rows each."""
+    return {
         "hospital_a": {"dementia": generate_cohort(CohortSpec("edsd", 60, seed=11))},
         "hospital_b": {"dementia": generate_cohort(CohortSpec("adni", 60, seed=22))},
         "hospital_c": {"dementia": generate_cohort(CohortSpec("ppmi", 60, seed=33))},
     }
+
+
+@pytest.fixture(scope="module")
+def golden_federation():
     federation = create_federation(
-        worker_data, FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=0)
+        golden_worker_data(),
+        FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=0),
     )
     yield federation
     federation.shutdown()
