@@ -38,7 +38,7 @@ from repro.errors import ReproError, SMPCError
 from repro.observability.audit import owned_by
 from repro.observability.trace import tracer
 from repro.smpc.encoding import FixedPointEncoder
-from repro.smpc.field import PRIME, FieldVector, active_kernel
+from repro.smpc.field import PRIME, FieldVector
 from repro.smpc.protocol import CommunicationMeter
 from repro.smpc.protocol import FTProtocol, Protocol, ShamirProtocol
 
@@ -197,7 +197,6 @@ class SMPCCluster:
             workers=len(workers),
             keys=len(keys),
             scheme=self.scheme,
-            kernel=active_kernel(),
         ) as span:
             rounds_before = self.protocol.meter.rounds
             elements_before = self.protocol.meter.elements

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SMPCError
-from repro.smpc import limb
 from repro.smpc.field import PRIME, FieldVector
 
 #: Default fractional bits.
@@ -25,6 +24,27 @@ DEFAULT_FRACTIONAL_BITS = 16
 DEFAULT_MAGNITUDE_BITS = 80
 #: Statistical-security bits for masked opens.
 STATISTICAL_BITS = 40
+#: Magnitude bound of the int64 bridges: |value| < 2^62 round-trips
+#: through int64 with a sign bit and one safety bit to spare.
+INT64_BOUND = 1 << 62
+
+
+def from_signed_int64(values: np.ndarray) -> FieldVector:
+    """A vector from signed int64 residues: negatives map to ``p - |v|``."""
+    return FieldVector._raw([value % PRIME for value in values.tolist()])
+
+
+def to_signed_int64(vector: FieldVector) -> np.ndarray | None:
+    """The centered signed-int64 view, or ``None`` if any |value| >= 2^62.
+
+    Elements below p/2 come back positive, elements above come back
+    negative.  Callers fall back to the exact big-int path on ``None``.
+    """
+    half = PRIME >> 1
+    signed = [value if value <= half else value - PRIME for value in vector.elements]
+    if signed and (min(signed) <= -INT64_BOUND or max(signed) >= INT64_BOUND):
+        return None
+    return np.array(signed, dtype=np.int64)
 
 
 class FixedPointEncoder:
@@ -80,11 +100,11 @@ class FixedPointEncoder:
         """
         array = np.asarray(values, dtype=np.float64).ravel()
         scaled = array * self.scale
-        limit = float(min(self.bound, limb.INT64_BOUND))
+        limit = float(min(self.bound, INT64_BOUND))
         if array.size and np.all(np.isfinite(scaled)):
             rounded = np.rint(scaled)
             if np.all(np.abs(rounded) < limit):
-                return FieldVector.from_signed_int64(rounded.astype(np.int64))
+                return from_signed_int64(rounded.astype(np.int64))
         return FieldVector(self.encode_vector(array))
 
     def decode_field_vector(self, vector: FieldVector) -> np.ndarray:
@@ -95,7 +115,7 @@ class FixedPointEncoder:
         power-of-two scale is an exact exponent shift, so results match the
         scalar decode bit for bit.  Falls back to the scalar path otherwise.
         """
-        signed = vector.to_signed_int64()
+        signed = to_signed_int64(vector)
         if signed is None:
             return self.decode_vector(vector.elements)
         return signed.astype(np.float64) / self.scale
@@ -108,26 +128,26 @@ class FixedPointEncoder:
         so errors surface identically.
         """
         array = np.asarray(values).ravel()
-        limit = min(self.bound, limb.INT64_BOUND)
+        limit = min(self.bound, INT64_BOUND)
         if array.size and np.issubdtype(array.dtype, np.floating):
             rounded = np.rint(array)
             with np.errstate(invalid="ignore"):
                 small = np.isfinite(rounded) & (np.abs(rounded) < float(limit))
             if np.all(small):
-                return FieldVector.from_signed_int64(rounded.astype(np.int64))
+                return from_signed_int64(rounded.astype(np.int64))
         elif (
             array.size
             and np.issubdtype(array.dtype, np.integer)
             and np.all(np.abs(array) < limit)
         ):
-            return FieldVector.from_signed_int64(array.astype(np.int64))
+            return from_signed_int64(array.astype(np.int64))
         if array.size and np.issubdtype(array.dtype, np.floating):
             return FieldVector([self.encode_int(int(round(float(v)))) for v in array])
         return FieldVector([self.encode_int(int(v)) for v in array])
 
     def decode_ints_from_field_vector(self, vector: FieldVector) -> np.ndarray | list[int]:
         """Vectorized :meth:`decode_int` of an opened FieldVector."""
-        signed = vector.to_signed_int64()
+        signed = to_signed_int64(vector)
         if signed is None:
             return [self.decode_int(e) for e in vector.elements]
         return signed

@@ -139,7 +139,10 @@ class Protocol(abc.ABC, Generic[S]):
         """Shared bits XOR public bits (``1 - a`` where the bit is 1)."""
 
     def _take(self, a: S, indices) -> S:
-        """The sharing of ``a``'s elements at ``indices`` (sequence or slice)."""
+        """The sharing of ``a``'s elements at ``indices`` (sequence, index
+        array or slice)."""
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         return self._sharing.take(a, indices)
 
     def _concat(self, parts: Sequence[S]) -> S:

@@ -12,10 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import SMPCError, ThresholdError
-from repro.smpc import field, limb
+from repro.smpc import field
 from repro.smpc.field import PRIME, FieldVector, finv
 
 
@@ -53,19 +51,15 @@ def share_vector(
 ) -> ShamirShared:
     """Share each element with an independent random degree-t polynomial.
 
-    Both kernels draw the coefficients in one batch, element-major
+    The coefficients are drawn in one batch, element-major
     (``flat[i * threshold + j]`` is element i's degree-(j + 1) coefficient),
-    consume the RNG identically and produce identical shares.  This one
-    runs Horner's scheme over whole coefficient columns of Python ints;
-    :func:`_share_vector_batched` combines the same columns on the limb
-    kernel.
+    the order a per-element loop draws them in, so seeded shares match it.
+    Horner's scheme then runs over whole coefficient columns.
     """
     if threshold >= n_parties:
         raise SMPCError("threshold must be below the party count")
-    if field.use_numpy(len(vector)):
-        return _share_vector_batched(vector, n_parties, threshold, rng)
     flat = field.random_field_elements(len(vector) * threshold, rng)
-    columns = [vector._as_elements()] + [flat[j::threshold] for j in range(threshold)]
+    columns = [vector.elements] + [flat[j::threshold] for j in range(threshold)]
     shares = []
     for point in range(1, n_parties + 1):
         # Horner over whole columns: one pass per party and degree.
@@ -73,40 +67,6 @@ def share_vector(
         for column in columns[-2::-1]:
             values = [(value * point + low) % PRIME for value, low in zip(values, column)]
         shares.append(FieldVector._raw(values))
-    return ShamirShared(shares, threshold)
-
-
-def _share_vector_batched(
-    vector: FieldVector, n_parties: int, threshold: int, rng: random.Random
-) -> ShamirShared:
-    """Batched sharing: one RNG draw, vectorized Horner per party point.
-
-    ``flat[i * threshold + j]`` is element i's degree-(j + 1) coefficient —
-    exactly the order the reference per-element loop draws, so seeded share
-    values match it bit for bit.
-    """
-    length = len(vector)
-    flat = field._random_field_limbs(length * threshold, rng)
-    coefficients = [vector] + [
-        FieldVector._from_limbs(np.ascontiguousarray(flat[j::threshold]))
-        for j in range(threshold)
-    ]
-    powers = [
-        [pow(party + 1, j, PRIME) for j in range(threshold + 1)]
-        for party in range(n_parties)
-    ]
-    if max(sum(row) for row in powers) < 1 << 36:
-        # Evaluation-point powers are small (any realistic party count):
-        # all parties' shares come out of one batched limb combination.
-        stacked = np.stack([c._as_limbs() for c in coefficients])
-        evaluated = limb.combine_small_weights(
-            np.array(powers, dtype=np.int64), stacked
-        )
-        shares = [FieldVector._from_limbs(evaluated[p]) for p in range(n_parties)]
-    else:  # pragma: no cover - needs ~2^9 parties at high threshold
-        shares = [
-            field.linear_combination(row, coefficients) for row in powers
-        ]
     return ShamirShared(shares, threshold)
 
 
@@ -142,8 +102,7 @@ def reconstruct(shared: ShamirShared, degree: int | None = None) -> FieldVector:
     points = list(range(1, needed + 1))
     coefficients = lagrange_coefficients_at_zero(points)
     # The Lagrange combine is a dot product of public coefficients with the
-    # share vectors; linear_combination dispatches to the lazy-reduction limb
-    # kernel (one fold for the whole combine) or the python reference.
+    # share vectors: one lazily reduced pass (field.linear_combination).
     return field.linear_combination(coefficients, shared.shares[:needed])
 
 

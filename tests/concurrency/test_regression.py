@@ -7,8 +7,8 @@ asserts that the same request with the same seed and the same pinned
 experiment id, executed through the new queue at pool size 1, produces
 
 - a byte-identical result payload,
-- an identical audit trail (modulo wall-clock timestamps and sequence
-  numbers, which encode nothing about the computation),
+- an identical audit trail, node by node (modulo wall-clock timestamps and
+  sequence numbers, which encode nothing about the computation),
 - identical telemetry.
 """
 
@@ -81,39 +81,53 @@ def run_seed_style(federation, request, experiment_id):
 
 
 def normalize_audit(events):
-    """Strip wall-clock and sequence fields; keep semantic content."""
-    normalized = []
-    for entry in events:
+    """Each node's events in that node's own ``seq`` order, with wall-clock
+    and sequence fields stripped; every event and every detail is kept.
+
+    Workers record concurrently (they read their data views in parallel),
+    so the cross-node order of a trail, which follows the wall clock,
+    differs from run to run.  Within one node the order is the
+    computation's.  Equal per-node sequences imply equal multisets of
+    events.
+    """
+    by_node = {}
+    for entry in sorted(events, key=lambda e: (e["node"], e["seq"])):
         details = {
             k: v for k, v in entry["details"].items() if k != "elapsed_seconds"
         }
-        normalized.append((entry["node"], entry["event"], entry["job_id"], details))
-    return normalized
+        by_node.setdefault(entry["node"], []).append(
+            (entry["event"], entry["job_id"], details)
+        )
+    return by_node
 
 
 class TestSeedEquivalence:
     def test_queue_matches_seed_engine_byte_for_byte(self):
         request = e5_request()
-
-        reference_data, reference_workers, reference_telemetry, reference_audit = (
-            run_seed_style(build_federation(), request, EXPERIMENT_ID)
-        )
-
-        engine = ExperimentEngine(build_federation(), max_concurrent=1)
+        reference_federation, queue_federation = build_federation(), build_federation()
         try:
-            engine.submit(request, experiment_id=EXPERIMENT_ID)
-            result = engine.wait(EXPERIMENT_ID, timeout=300)
-        finally:
-            engine.shutdown(wait=False)
+            reference_data, reference_workers, reference_telemetry, reference_audit = (
+                run_seed_style(reference_federation, request, EXPERIMENT_ID)
+            )
 
-        assert result.status is ExperimentStatus.SUCCESS, result.error
-        assert result.workers == reference_workers
-        # Byte-identical result payload.
-        assert (
-            json.dumps(result.result, sort_keys=True, default=str)
-            == json.dumps(reference_data, sort_keys=True, default=str)
-        )
-        # Identical audit trail, modulo timestamps/sequence numbers.
-        assert normalize_audit(result.audit) == normalize_audit(reference_audit)
-        # Identical telemetry: the per-job meters must equal the global diff.
-        assert result.telemetry == reference_telemetry
+            engine = ExperimentEngine(queue_federation, max_concurrent=1)
+            try:
+                engine.submit(request, experiment_id=EXPERIMENT_ID)
+                result = engine.wait(EXPERIMENT_ID, timeout=300)
+            finally:
+                engine.shutdown(wait=False)
+
+            assert result.status is ExperimentStatus.SUCCESS, result.error
+            assert result.workers == reference_workers
+            # Byte-identical result payload.
+            assert (
+                json.dumps(result.result, sort_keys=True, default=str)
+                == json.dumps(reference_data, sort_keys=True, default=str)
+            )
+            # Identical audit trail, node by node, modulo timestamps/sequence numbers.
+            assert normalize_audit(result.audit) == normalize_audit(reference_audit)
+            # Identical telemetry: the per-job meters must equal the global diff.
+            assert result.telemetry == reference_telemetry
+        finally:
+            reference_federation.shutdown()
+            queue_federation.shutdown()

@@ -46,10 +46,12 @@ class TestSharing:
            st.integers(2, 6))
     def test_share_reconstruct_property(self, values, n_parties):
         rng = random.Random(7)
-        alpha_value, _ = additive.share_alpha(n_parties, rng)
+        alpha_value, alpha_shares = additive.share_alpha(n_parties, rng)
         secret = FieldVector(values)
         shared = additive.share_vector(secret, n_parties, alpha_value, rng)
-        assert additive.reconstruct(shared) == secret
+        opened = additive.reconstruct(shared)
+        additive.check_macs(shared, opened, alpha_shares)
+        assert opened == secret
 
 
 class TestMACs:

@@ -1,9 +1,9 @@
 """The batched comparison path: flat bit-matrix LTZ with a log-depth carry
 tree, tournament min/max, and one protocol run per operation in the cluster.
 
-Every test runs under the python *and* the numpy kernel and under Shamir
-*and* full-threshold sharing; results are exact functions of the inputs, so
-there is no tolerance anywhere in this file.
+Every test runs under Shamir *and* full-threshold sharing; results are
+exact functions of the inputs, so there is no tolerance anywhere in this
+file.
 """
 
 import numpy as np
@@ -12,20 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, SMPCError
-from repro.smpc import field
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 from repro.smpc.encoding import FixedPointEncoder
 from repro.smpc.field import PRIME, FieldVector
 from repro.smpc.protocol import FTProtocol, ShamirProtocol
 
 SCHEMES = {"shamir": ShamirProtocol, "full_threshold": FTProtocol}
-
-
-@pytest.fixture(params=["python", "numpy"])
-def kernel(request):
-    previous = field.set_kernel(request.param)
-    yield request.param
-    field.set_kernel(previous)
 
 
 @pytest.fixture(params=sorted(SCHEMES))
@@ -54,7 +46,7 @@ class TestLtzBoundaries:
     # and at none (16).
     @pytest.mark.parametrize("magnitude_bits", [80, 11, 9, 5, 14])
     @pytest.mark.parametrize("length", [1, 2, 7])
-    def test_signs_at_the_edges_of_the_range(self, kernel, scheme, magnitude_bits, length):
+    def test_signs_at_the_edges_of_the_range(self, scheme, magnitude_bits, length):
         encoder = FixedPointEncoder(fractional_bits=2, magnitude_bits=magnitude_bits)
         protocol = SCHEMES[scheme](3, seed=length, encoder=encoder)
         top = 1 << protocol.comparison_bits
@@ -69,7 +61,7 @@ class TestLtzBoundaries:
         assert all(w % 2 == 0 for w in tree_widths(16)[:-1])
 
     @pytest.mark.parametrize("length", [1, 2, 7])
-    def test_equal_operands_are_not_less(self, kernel, scheme, length):
+    def test_equal_operands_are_not_less(self, scheme, length):
         protocol = SCHEMES[scheme](3, seed=9)
         values = [(-1) ** i * (12345 + i) for i in range(length)]
         a, b = share_ints(protocol, values), share_ints(protocol, values)
@@ -78,7 +70,7 @@ class TestLtzBoundaries:
 
 class TestTruncate:
     @pytest.mark.parametrize("fractional_bits", [1, 3, 7, 16])
-    def test_exact_floor_division(self, kernel, scheme, fractional_bits):
+    def test_exact_floor_division(self, scheme, fractional_bits):
         protocol = SCHEMES[scheme](3, seed=fractional_bits)
         bound = 1 << protocol.truncation_bits
         rng = np.random.default_rng(fractional_bits)
@@ -91,7 +83,7 @@ class TestTruncate:
 
 class TestTournament:
     @pytest.mark.parametrize("n_inputs", [1, 2, 3, 4, 5])
-    def test_min_max_match_numpy(self, kernel, scheme, n_inputs):
+    def test_min_max_match_numpy(self, scheme, n_inputs):
         protocol = SCHEMES[scheme](3, seed=n_inputs)
         rng = np.random.default_rng(n_inputs)
         data = rng.integers(-(2**40), 2**40, (n_inputs, 3))
@@ -102,7 +94,7 @@ class TestTournament:
         assert open_ints(protocol, high) == data.max(axis=0).tolist()
 
     @pytest.mark.parametrize("n_inputs", [2, 3, 4, 5])
-    def test_union_matches_numpy(self, kernel, scheme, n_inputs):
+    def test_union_matches_numpy(self, scheme, n_inputs):
         protocol = SCHEMES[scheme](3, seed=n_inputs)
         # disjoint membership: each position is claimed by at most one input
         owner = np.array([0, -1, 1, n_inputs - 1, -1, 0])
@@ -165,21 +157,16 @@ def _aggregate(scheme, seed, payloads, noise, per_key):
     return result
 
 
-@pytest.mark.parametrize("kernel_name", ["python", "numpy"])
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 @settings(max_examples=8, deadline=None)
 @given(payloads=transfer_jobs(), noise_seed=st.one_of(st.none(), st.integers(0, 2**16)))
-def test_batched_job_equals_one_job_per_key(kernel_name, scheme_name, payloads, noise_seed):
+def test_batched_job_equals_one_job_per_key(scheme_name, payloads, noise_seed):
     """One protocol run per operation opens exactly what one run per key did,
     including seeded noisy sums (the per-key noise draw order is kept)."""
     noise = None if noise_seed is None else NoiseSpec("gaussian", 0.5)
     seed = 7 if noise_seed is None else noise_seed
-    previous = field.set_kernel(kernel_name)
-    try:
-        batched = _aggregate(scheme_name, seed, payloads, noise, per_key=False)
-        separate = _aggregate(scheme_name, seed, payloads, noise, per_key=True)
-    finally:
-        field.set_kernel(previous)
+    batched = _aggregate(scheme_name, seed, payloads, noise, per_key=False)
+    separate = _aggregate(scheme_name, seed, payloads, noise, per_key=True)
     assert batched == separate
     assert list(batched) == list(payloads[0])
 
@@ -239,7 +226,7 @@ class _TamperingOpen:
 
 class TestTamperDetection:
     @pytest.mark.parametrize("what", ["shares", "macs"])
-    def test_fused_beaver_open_is_mac_checked(self, kernel, what):
+    def test_fused_beaver_open_is_mac_checked(self, what):
         protocol = FTProtocol(3, seed=3)
         a, b = share_ints(protocol, [3, 4]), share_ints(protocol, [5, -6])
         _TamperingOpen(protocol, 1, what)
@@ -249,7 +236,7 @@ class TestTamperDetection:
     # One ltz makes 1 masked open + one fused open per carry-tree level.
     @pytest.mark.parametrize("target", range(1, 9))
     @pytest.mark.parametrize("what", ["shares", "macs"])
-    def test_every_open_inside_ltz_is_mac_checked(self, kernel, target, what):
+    def test_every_open_inside_ltz_is_mac_checked(self, target, what):
         protocol = FTProtocol(3, seed=4)
         x = share_ints(protocol, [-5, 7, 0])
         tamper = _TamperingOpen(protocol, target, what)
@@ -257,7 +244,7 @@ class TestTamperDetection:
             protocol.ltz(x)
         assert tamper.calls == target
 
-    def test_clean_ltz_makes_eight_opens(self, kernel):
+    def test_clean_ltz_makes_eight_opens(self):
         protocol = FTProtocol(3, seed=4)
         tamper = _TamperingOpen(protocol, 0, "shares")
         protocol.ltz(share_ints(protocol, [-5, 7, 0]))
@@ -282,10 +269,10 @@ class TestRoundCeilings:
         cluster.aggregate("j")
         return cluster.communication.rounds
 
-    def test_min_of_four_scalars(self, kernel, scheme):
+    def test_min_of_four_scalars(self, scheme):
         assert self._min_job(scheme, 1) <= self.CEILING[scheme]
 
-    def test_rounds_do_not_grow_with_key_count(self, kernel, scheme):
+    def test_rounds_do_not_grow_with_key_count(self, scheme):
         assert self._min_job(scheme, 6) == self._min_job(scheme, 1)
 
     def test_multiplication_opens_once(self, scheme):
@@ -323,7 +310,7 @@ def run_bits(tracing):
 
 class TestNarrowLtz:
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 21, 29])
-    def test_exact_at_the_edges_of_a_narrow_width(self, kernel, scheme, bits):
+    def test_exact_at_the_edges_of_a_narrow_width(self, scheme, bits):
         protocol = SCHEMES[scheme](3, seed=bits)
         top = (1 << bits) - 1
         values = [-top, -1, 0, 1, top, -(top // 2), top // 2]
@@ -347,14 +334,14 @@ class TestNarrowLtz:
             protocol.comparison_width(0)
 
     @pytest.mark.parametrize("bits", [2, 5, 29])
-    def test_narrow_ltz_opens_one_masked_value_plus_one_per_level(self, kernel, bits):
+    def test_narrow_ltz_opens_one_masked_value_plus_one_per_level(self, bits):
         protocol = FTProtocol(3, seed=4)
         tamper = _TamperingOpen(protocol, 0, "shares")
         protocol.ltz(share_ints(protocol, [-1, 1, 0]), bits)
         assert tamper.calls == 1 + len(tree_widths(bits)) - 1
 
     @pytest.mark.parametrize("target", range(1, 1 + len(tree_widths(5))))
-    def test_every_open_of_a_narrow_ltz_is_mac_checked(self, kernel, target):
+    def test_every_open_of_a_narrow_ltz_is_mac_checked(self, target):
         protocol = FTProtocol(3, seed=4)
         x = share_ints(protocol, [-5, 7, 0])
         tamper = _TamperingOpen(protocol, target, "macs")
@@ -403,7 +390,7 @@ class TestBoundedRuns:
         )
 
     @pytest.mark.parametrize("n_workers", range(2, 9))
-    def test_union_width_follows_the_worker_count(self, kernel, tracing, scheme, n_workers):
+    def test_union_width_follows_the_worker_count(self, tracing, scheme, n_workers):
         cluster = SMPCCluster(3, scheme, seed=n_workers)
         owner = np.array([0, -1, 1, n_workers - 1, -1, n_workers // 2])
         data = np.array([(owner == i).astype(int) for i in range(n_workers)])

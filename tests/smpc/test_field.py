@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SMPCError
+from repro.smpc import field
 from repro.smpc.field import (
     PRIME,
     FieldVector,
@@ -97,31 +98,46 @@ class TestFieldVector:
         assert (a + b).elements == (b + a).elements
 
 
-class TestKernelSelection:
-    """The kernel is ``auto`` unless :func:`set_kernel` overrides it."""
-
-    @pytest.fixture(autouse=True)
-    def unresolved(self, monkeypatch):
-        from repro.smpc import field
-
-        monkeypatch.setattr(field, "_kernel_override", None)
-
-    def test_set_kernel_overrides_and_restores(self):
-        from repro.smpc import field
-
-        assert field.active_kernel() == "auto"
-        assert field.set_kernel("numpy") is None
-        assert field.active_kernel() == "numpy"
-        assert field.set_kernel(None) == "numpy"
-        assert field.active_kernel() == "auto"
+class TestRowDot:
+    def test_rejects_misfit_weights(self):
         with pytest.raises(SMPCError):
-            field.set_kernel("fortran")
+            field.row_dot(FieldVector([1, 2, 3]), 2, [1])
+        with pytest.raises(SMPCError):
+            field.row_dot(FieldVector([1, 2, 3, 4]), 2, [1, 1], start=1)
+
+    def test_a_bit_matrix_rebuilds_the_masks(self):
+        """The comparison protocol's shape: 122 power-of-two weights per row."""
+        rng = random.Random(3)
+        masks = [rng.getrandbits(122) for _ in range(5)]
+        bits = [(mask >> i) & 1 for mask in masks for i in range(122)]
+        weights = [1 << i for i in range(122)]
+        assert field.row_dot(FieldVector(bits), 122, weights).elements == masks
+        assert field.row_dot(FieldVector(bits), 122, weights[:40], start=82).elements == [
+            mask >> 82 for mask in masks
+        ]
 
 
 class TestRandomDraws:
+    """Batched draws consume the seeded RNG exactly like the per-element
+    ``rng.randrange`` loop they replace."""
+
+    def test_field_vector_random_matches_randrange(self):
+        r1, r2 = random.Random(1234), random.Random(1234)
+        batched = FieldVector.random(257, r1)
+        reference = [r2.randrange(PRIME) for _ in range(257)]
+        assert batched.elements == reference
+        # The streams stay aligned after the draw.
+        assert r1.random() == r2.random()
+
+    def test_random_bits_match_randrange(self):
+        r1, r2 = random.Random(77), random.Random(77)
+        bits = field.random_bit_elements(503, r1)
+        reference = [r2.randrange(2) for _ in range(503)]
+        assert bits == reference
+        assert r1.random() == r2.random()
+
     def test_a_rejected_draw_is_replaced_in_stream_order(self):
         """A draw equal to p is skipped exactly as ``randrange(PRIME)`` skips it."""
-        from repro.smpc import field
 
         class Scripted:
             def __init__(self, values):

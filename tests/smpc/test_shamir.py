@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SMPCError, ThresholdError
-from repro.smpc import field, shamir
+from repro.smpc import shamir
 from repro.smpc.field import PRIME, FieldVector
 
 
@@ -115,13 +115,7 @@ def share_vector_per_element(vector, n_parties, threshold, rng):
 
 
 class TestColumnWiseHorner:
-    @pytest.fixture(autouse=True)
-    def python_kernel(self):
-        previous = field.set_kernel("python")
-        yield
-        field.set_kernel(previous)
-
-    @pytest.mark.parametrize(("n_parties", "threshold"), [(3, 1), (5, 2), (7, 3)])
+    @pytest.mark.parametrize(("n_parties", "threshold"), [(3, 1), (5, 2), (7, 3), (9, 4)])
     @pytest.mark.parametrize("length", [0, 1, 7, 200])
     def test_same_shares_and_same_rng_state_as_the_per_element_loop(
         self, n_parties, threshold, length
