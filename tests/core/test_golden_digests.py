@@ -7,11 +7,14 @@ request, ``descriptive_stats`` over every REAL variable of the dementia
 data model, under each secure scheme: it builds the longest share vectors
 of any request here.
 
-A row's digest is the sha256 of the result JSON, the experiment's
-telemetry meters, its audit-event counts per node and, for secure rows, the
-final state of the SMPC protocol's and the dealer's RNGs.  A refactor that
-means to keep behaviour keeps every digest; an intended change shows up as
-a reviewed diff of ``tests/golden_digests.json``.
+A row pins two sha256 digests.  ``result`` covers the result JSON alone:
+what the analyst sees.  ``trace`` covers how the run got there: the
+experiment's telemetry meters, its audit-event counts per node and, for
+secure rows, the final state of the SMPC protocol's and the dealer's RNGs.
+A refactor that means to keep behaviour keeps both; one that only changes
+the work a flow does (fewer steps, fewer messages) keeps every ``result``
+and moves ``trace``.  An intended change shows up as a reviewed diff of
+``tests/golden_digests.json``.
 
 Regenerate after an *intentional* change with::
 
@@ -60,7 +63,7 @@ ROWS = {
 }
 
 
-def row_digest(name: str, mode: str) -> str:
+def row_digests(name: str, mode: str) -> dict[str, str]:
     if name == "dashboard":
         algorithm, demo = "descriptive_stats", DASHBOARD
     else:
@@ -88,8 +91,7 @@ def row_digest(name: str, mode: str) -> str:
         engine.shutdown()
         federation.shutdown()
     assert outcome.status is ExperimentStatus.SUCCESS, outcome.error
-    record = {
-        "result": json.dumps(outcome.result, sort_keys=True, default=str),
+    trace = {
         "telemetry": outcome.telemetry.to_dict(),
         "audit": sorted(
             collections.Counter(
@@ -99,27 +101,38 @@ def row_digest(name: str, mode: str) -> str:
     }
     if mode in SECURE:
         protocol = federation.smpc_cluster.protocol
-        record["protocol_rng"] = repr(protocol._rng.getstate())
-        record["dealer_rng"] = repr(protocol.dealer.rng.getstate())
-    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        trace["protocol_rng"] = repr(protocol._rng.getstate())
+        trace["dealer_rng"] = repr(protocol.dealer.rng.getstate())
+    return {
+        "result": _sha256(json.dumps(outcome.result, sort_keys=True, default=str)),
+        "trace": _sha256(json.dumps(trace, sort_keys=True)),
+    }
 
 
-def pinned() -> dict[str, str]:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned() -> dict[str, dict[str, str]]:
     return json.loads(TABLE.read_text()) if TABLE.exists() else {}
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_golden_digest(row):
-    digest = row_digest(*ROWS[row])
+    digests = row_digests(*ROWS[row])
     table = pinned()
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
-        table[row] = digest
+        table[row] = digests
         TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
         return
     assert row in table, f"no digest for {row!r}; regenerate with REPRO_UPDATE_GOLDENS=1"
-    assert table[row] == digest, (
-        f"{row!r} changed behaviour; if intentional, regenerate with "
+    assert table[row]["result"] == digests["result"], (
+        f"{row!r} returns a different result; if intentional, regenerate with "
         "REPRO_UPDATE_GOLDENS=1"
+    )
+    assert table[row]["trace"] == digests["trace"], (
+        f"{row!r} returns the same result by different work (telemetry, audit "
+        "or RNG state); if intentional, regenerate with REPRO_UPDATE_GOLDENS=1"
     )
 
 
