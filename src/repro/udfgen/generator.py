@@ -246,7 +246,8 @@ def _plan_literal(
     """The SQL-quoted application plan: argument values + output tables.
 
     The plan travels as one string literal and is ``eval``-ed inside the UDF
-    body (in the same namespace the old value-baking scheme used), so every
+    body (in the same namespace the old value-baking scheme used, plus the
+    ``nan`` / ``inf`` names a non-finite float's ``repr`` needs), so every
     Python value the baked approach supported round-trips unchanged.
     """
     plan: dict[str, Any] = {}
@@ -299,7 +300,7 @@ def _generate_plan_body(spec: UDFSpec, stateful: bool) -> str:
         "import numpy as np",
         "from repro.udfgen import runtime as _rt",
         "from repro.udfgen import udf_helpers as _h  # noqa: F401 (used by UDF bodies)",
-        "__plan = eval(__plan_repr)",
+        "__plan = eval(__plan_repr, None, _rt.NON_FINITE)",
         "__out_tables = __plan['__out__']",
         "",
     ]

@@ -20,6 +20,11 @@ from repro.smpc.cluster import valid_bound
 from repro.udfgen.iotypes import SECURE_OPERATIONS
 
 
+#: Names a plan's ``repr`` uses for non-finite floats (``nan``, ``inf``,
+#: ``-inf``), bound when the generated body evaluates its plan.
+NON_FINITE = {"nan": float("nan"), "inf": float("inf")}
+
+
 class Relation:
     """The in-UDF view of a relational input: named numpy columns.
 

@@ -1,6 +1,7 @@
 """UDF-to-SQL generation and execution through the engine."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def relation_step(data):
     return {"v": data.to_matrix().sum(axis=1)}
 
 
+@udf(value=literal(), return_type=[transfer()])
+def echo_literal(value):
+    return {"value": value}
+
+
 @pytest.fixture()
 def db():
     database = Database()
@@ -93,6 +99,27 @@ class TestGeneration:
                 get_spec(fit_step), "job1",
                 {"data": "numbers", "factor": 2, "bogus": 1},
             )
+
+
+class TestLiterals:
+    def test_non_finite_floats_round_trip_through_a_step(self, db):
+        nan, inf = float("nan"), float("inf")
+        value = {"beta": [nan, inf, -inf, 1.5], "nested": {"levels": [[-inf], {"x": nan}]}}
+        app = generate_udf_application(get_spec(echo_literal), "nf1", {"value": value})
+        (out,) = run_udf_application(db, app)
+        echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
+        assert math.isnan(echoed["beta"][0])
+        assert echoed["beta"][1:] == [inf, -inf, 1.5]
+        assert echoed["nested"]["levels"][0] == [-inf]
+        assert math.isnan(echoed["nested"]["levels"][1]["x"])
+
+    def test_finite_literals_travel_as_their_repr(self, db):
+        value = {"beta": [0.1, -2.5e-300, 1e300], "level": "it's", "k": (3, None)}
+        app = generate_udf_application(get_spec(echo_literal), "f1", {"value": value})
+        assert repr(value).replace("'", "''") in app.execute_sql
+        (out,) = run_udf_application(db, app)
+        echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
+        assert echoed == {"beta": [0.1, -2.5e-300, 1e300], "level": "it's", "k": [3, None]}
 
 
 class TestExecution:
