@@ -126,6 +126,7 @@ class KMeansClustering(FederatedAlgorithm):
 
         history: list[float] = []
         iterations = 0
+        converged = False
         for iterations in range(1, max_iterations + 1):
             centroid_transfer = self.global_run(
                 func=_publish_centroids,
@@ -151,6 +152,7 @@ class KMeansClustering(FederatedAlgorithm):
             shift = float(np.abs(new_centroids - centroids).max())
             centroids = new_centroids
             if shift <= tolerance:
+                converged = True
                 break
         return {
             "variables": variables,
@@ -161,7 +163,7 @@ class KMeansClustering(FederatedAlgorithm):
             "inertia_history": history,
             "iterations": iterations,
             "n_observations": n_total,
-            "converged": iterations < max_iterations,
+            "converged": converged,
         }
 
 

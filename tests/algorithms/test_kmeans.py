@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.experiment import ExperimentEngine, ExperimentRequest
+from repro.federation.controller import FederationConfig, create_federation
+
 BIOMARKERS = ["ab_42", "p_tau", "leftententorhinalarea"]
 
 
@@ -83,3 +86,48 @@ class TestKMeans:
         ptau_of_lowest_ab42 = centroids[ab42_order[0], 1]
         ptau_of_highest_ab42 = centroids[ab42_order[-1], 1]
         assert ptau_of_lowest_ab42 > ptau_of_highest_ab42
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """Plain-path runs on the golden-plan federation (3 x 60 pinned rows)."""
+    from tests.core.test_golden_plans import DATASETS, golden_worker_data
+
+    federation = create_federation(
+        golden_worker_data(), FederationConfig(smpc_nodes=0, seed=0)
+    )
+    engine = ExperimentEngine(federation, aggregation="plain")
+
+    def _run(parameters):
+        outcome = engine.run(
+            ExperimentRequest(
+                algorithm="kmeans", data_model="dementia", datasets=DATASETS,
+                y=("ab_42", "p_tau"), parameters=parameters,
+            )
+        )
+        assert outcome.status.value == "success", outcome.error
+        return outcome.result
+
+    yield _run
+    engine.shutdown()
+    federation.shutdown()
+
+
+class TestConvergedFlag:
+    """``converged`` records a stop on tolerance, not the iteration count."""
+
+    PARAMETERS = {"k": 2, "seed": 3, "e": 1e-4}
+
+    def test_converging_early_is_converged(self, golden_run):
+        result = golden_run({**self.PARAMETERS, "iterations_max_number": 100})
+        assert (result["iterations"], result["converged"]) == (7, True)
+
+    def test_converging_on_the_last_allowed_iteration_is_converged(self, golden_run):
+        early = golden_run({**self.PARAMETERS, "iterations_max_number": 100})
+        result = golden_run({**self.PARAMETERS, "iterations_max_number": 7})
+        assert (result["iterations"], result["converged"]) == (7, True)
+        assert result["centroids"] == early["centroids"]
+
+    def test_stopping_short_of_the_tolerance_is_not_converged(self, golden_run):
+        result = golden_run({**self.PARAMETERS, "iterations_max_number": 6})
+        assert (result["iterations"], result["converged"]) == (6, False)
