@@ -25,9 +25,8 @@ from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-from repro.algorithms.logistic_regression import publish_beta
 
 #: Logit clipping to keep extreme predictions finite.
 _EPS = 1e-6
@@ -38,7 +37,7 @@ _EPS = 1e-6
     outcome=literal(),
     predictor=literal(),
     degree=literal(),
-    beta=transfer(),
+    beta=literal(),
     return_type=[secure_transfer()],
 )
 def calibration_step_local(data, outcome, predictor, degree, beta):
@@ -155,9 +154,6 @@ class CalibrationBelt(FederatedAlgorithm):
         log_likelihood = -np.inf
         result: dict[str, Any] = {}
         for _ in range(self.params["max_iterations"]):
-            beta_transfer = self.global_run(
-                func=publish_beta, keyword_args={"beta_in": beta.tolist()}, share_to_locals=[True]
-            )
             handle = self.local_run(
                 func=calibration_step_local,
                 keyword_args={
@@ -165,7 +161,7 @@ class CalibrationBelt(FederatedAlgorithm):
                     "outcome": outcome,
                     "predictor": predictor,
                     "degree": degree,
-                    "beta": beta_transfer,
+                    "beta": {"beta": beta.tolist()},
                 },
                 share_to_global=[True],
             )

@@ -4,10 +4,11 @@ Growing a tree federates as an iterative Master/Worker protocol:
 
 1. candidate thresholds for numeric features come from securely aggregated
    histograms (quantile grid),
-2. each round the master broadcasts the tree so far; workers route their
-   rows to the open leaves and return, per (leaf, candidate split), the
-   child statistics — class counts for classification, moment sums for
-   regression — as secure sums,
+2. each round the master passes a snapshot of the tree so far to the
+   local step as a literal (it grows the tree in place afterwards); workers
+   route their rows to the open leaves and return, per (leaf, candidate
+   split), the child statistics — class counts for classification, moment
+   sums for regression — as secure sums,
 3. the master scores candidates (Gini / variance reduction), splits leaves
    that clear the minimum-improvement and minimum-leaf-size bars, and
    repeats until the depth limit or no leaf can improve.
@@ -18,6 +19,7 @@ aggregate over at least ``min_samples_leaf`` rows.
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
 
@@ -66,7 +68,7 @@ def cart_histograms_local(data, features, metadata, n_bins):
     classes=literal(),
     features=literal(),
     metadata=literal(),
-    tree=transfer(),
+    tree=literal(),
     candidates=literal(),
     open_leaves=literal(),
     return_type=[secure_transfer()],
@@ -111,12 +113,6 @@ def cart_split_stats_local(data, target, classes, features, metadata, tree, cand
                     "operation": "sum",
                 }
     return payload
-
-
-@udf(tree_in=literal(), return_type=[transfer()])
-def publish_tree(tree_in):
-    """Materialize the tree-so-far as a broadcastable transfer."""
-    return tree_in
 
 
 def gini(counts: np.ndarray) -> float:
@@ -181,9 +177,6 @@ class CART(FederatedAlgorithm):
         for _ in range(self.params["max_depth"]):
             if not open_leaves:
                 break
-            tree_transfer = self.global_run(
-                func=publish_tree, keyword_args={"tree_in": tree}, share_to_locals=[True]
-            )
             handle = self.local_run(
                 func=cart_split_stats_local,
                 keyword_args={
@@ -192,7 +185,7 @@ class CART(FederatedAlgorithm):
                     "classes": classes,
                     "features": list(self.x),
                     "metadata": metadata,
-                    "tree": tree_transfer,
+                    "tree": copy.deepcopy(tree),
                     "candidates": candidates,
                     "open_leaves": open_leaves,
                 },

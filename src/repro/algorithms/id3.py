@@ -8,6 +8,7 @@ secure sums; the master computes entropies and extends the tree.
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 import numpy as np
@@ -16,9 +17,8 @@ from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-from repro.algorithms.cart import publish_tree
 
 
 @udf(
@@ -27,7 +27,7 @@ from repro.algorithms.cart import publish_tree
     classes=literal(),
     features=literal(),
     feature_levels=literal(),
-    tree=transfer(),
+    tree=literal(),
     open_leaves=literal(),
     return_type=[secure_transfer()],
 )
@@ -101,9 +101,6 @@ class ID3(FederatedAlgorithm):
         open_leaves = [0]
         next_id = 1
         while open_leaves:
-            tree_transfer = self.global_run(
-                func=publish_tree, keyword_args={"tree_in": tree}, share_to_locals=[True]
-            )
             handle = self.local_run(
                 func=id3_stats_local,
                 keyword_args={
@@ -112,7 +109,7 @@ class ID3(FederatedAlgorithm):
                     "classes": classes,
                     "features": list(self.x),
                     "feature_levels": feature_levels,
-                    "tree": tree_transfer,
+                    "tree": copy.deepcopy(tree),
                     "open_leaves": open_leaves,
                 },
                 share_to_global=[True],

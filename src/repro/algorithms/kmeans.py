@@ -1,9 +1,10 @@
 """Federated k-means clustering (the Alzheimer's use case's first algorithm).
 
-Lloyd's algorithm federates naturally: the master broadcasts the current
-centroids; each worker assigns its local points and returns per-cluster
-partial sums and counts; the secure sum yields the new centroids.  The loop
-is the paper's iterative Master/Worker cycle.
+Lloyd's algorithm federates naturally: the master passes the current
+centroids to the local step as a literal; each worker assigns its local
+points and returns per-cluster partial sums and counts; the secure sum
+yields the new centroids.  The loop is the paper's iterative Master/Worker
+cycle.
 
 Initialisation is a deterministic quasi-random draw inside the securely
 computed per-dimension min/max box, so every worker-count configuration
@@ -20,7 +21,7 @@ from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
 
@@ -56,7 +57,7 @@ def kmeans_bounds_local(data, variables, metadata):
 @udf(
     data=relation(),
     variables=literal(),
-    centroids=transfer(),
+    centroids=literal(),
     return_type=[secure_transfer()],
 )
 def kmeans_assign_local(data, variables, centroids):
@@ -128,17 +129,12 @@ class KMeansClustering(FederatedAlgorithm):
         iterations = 0
         converged = False
         for iterations in range(1, max_iterations + 1):
-            centroid_transfer = self.global_run(
-                func=_publish_centroids,
-                keyword_args={"centroids_in": centroids.tolist()},
-                share_to_locals=[True],
-            )
             step_handle = self.local_run(
                 func=kmeans_assign_local,
                 keyword_args={
                     "data": view,
                     "variables": variables,
-                    "centroids": centroid_transfer,
+                    "centroids": {"centroids": centroids.tolist()},
                 },
                 share_to_global=[True],
             )
@@ -165,9 +161,3 @@ class KMeansClustering(FederatedAlgorithm):
             "n_observations": n_total,
             "converged": converged,
         }
-
-
-@udf(centroids_in=literal(), return_type=[transfer()])
-def _publish_centroids(centroids_in):
-    """Global step materializing the centroids as a broadcastable transfer."""
-    return {"centroids": centroids_in}

@@ -1,7 +1,8 @@
 """Federated logistic regression via Newton-Raphson (IRLS).
 
-Each iteration: the master broadcasts the current coefficients; every worker
-computes its local gradient, Hessian, and log-likelihood; the secure sum
+Each iteration: the master passes the current coefficients to the local
+step as a literal; every worker computes its local gradient, Hessian, and
+log-likelihood; the secure sum
 yields the global Newton step.  Inference (standard errors, Wald z, CIs)
 comes from the inverse Hessian at convergence.  The cross-validated variant
 trains one model per held-out fold using per-fold local statistics.
@@ -19,7 +20,7 @@ from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
 from repro.observability.log import get_logger
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
 logger = get_logger("algorithms.logistic_regression")
@@ -31,7 +32,7 @@ logger = get_logger("algorithms.logistic_regression")
     response=literal(),
     positive_level=literal(),
     metadata=literal(),
-    beta=transfer(),
+    beta=literal(),
     return_type=[secure_transfer()],
 )
 def logreg_step_local(data, covariates, response, positive_level, metadata, beta):
@@ -59,7 +60,7 @@ def logreg_step_local(data, covariates, response, positive_level, metadata, beta
     response=literal(),
     positive_level=literal(),
     metadata=literal(),
-    beta=transfer(),
+    beta=literal(),
     threshold=literal(),
     return_type=[secure_transfer()],
 )
@@ -83,12 +84,6 @@ def logreg_confusion_local(data, covariates, response, positive_level, metadata,
         "hist_pos": {"data": histograms["positives"].tolist(), "operation": "sum"},
         "hist_neg": {"data": histograms["negatives"].tolist(), "operation": "sum"},
     }
-
-
-@udf(beta_in=literal(), return_type=[transfer()])
-def publish_beta(beta_in):
-    """Materialize coefficients as a broadcastable transfer."""
-    return {"beta": beta_in}
 
 
 def auc_from_histograms(positives: np.ndarray, negatives: np.ndarray) -> float:
@@ -145,11 +140,6 @@ class _NewtonDriver:
         iterations = 0
         converged = False
         for iterations in range(1, max_iterations + 1):
-            beta_transfer = algorithm.global_run(
-                func=publish_beta,
-                keyword_args={"beta_in": beta.tolist()},
-                share_to_locals=[True],
-            )
             handle = algorithm.local_run(
                 func=logreg_step_local,
                 keyword_args={
@@ -158,7 +148,7 @@ class _NewtonDriver:
                     "response": self.response,
                     "positive_level": self.positive_level,
                     "metadata": self.metadata,
-                    "beta": beta_transfer,
+                    "beta": {"beta": beta.tolist()},
                 },
                 share_to_global=[True],
             )
@@ -241,9 +231,6 @@ class LogisticRegression(FederatedAlgorithm):
         p_values = 2.0 * scipy.stats.norm.sf(np.abs(z_values))
         margin = 1.959963984540054 * standard_errors
 
-        beta_transfer = self.global_run(
-            func=publish_beta, keyword_args={"beta_in": beta.tolist()}, share_to_locals=[True]
-        )
         confusion_handle = self.local_run(
             func=logreg_confusion_local,
             keyword_args={
@@ -252,7 +239,7 @@ class LogisticRegression(FederatedAlgorithm):
                 "response": driver.response,
                 "positive_level": driver.positive_level,
                 "metadata": metadata,
-                "beta": beta_transfer,
+                "beta": {"beta": beta.tolist()},
                 "threshold": self.params["threshold"],
             },
             share_to_global=[True],
@@ -305,7 +292,7 @@ def _null_log_likelihood(n: int, n_positive: float) -> float:
     response=literal(),
     positive_level=literal(),
     metadata=literal(),
-    beta_per_fold=transfer(),
+    beta_per_fold=literal(),
     n_folds=literal(),
     seed=literal(),
     return_type=[secure_transfer()],
@@ -342,7 +329,7 @@ def logreg_cv_step_local(
     response=literal(),
     positive_level=literal(),
     metadata=literal(),
-    beta_per_fold=transfer(),
+    beta_per_fold=literal(),
     n_folds=literal(),
     seed=literal(),
     threshold=literal(),
@@ -411,14 +398,9 @@ class LogisticRegressionCV(FederatedAlgorithm):
             "seed": seed,
         }
         for _ in range(self.params["max_iterations"]):
-            beta_transfer = self.global_run(
-                func=_publish_betas,
-                keyword_args={"betas_in": betas.tolist()},
-                share_to_locals=[True],
-            )
             handle = self.local_run(
                 func=logreg_cv_step_local,
-                keyword_args={**common, "beta_per_fold": beta_transfer},
+                keyword_args={**common, "beta_per_fold": {"betas": betas.tolist()}},
                 share_to_global=[True],
             )
             aggregate = self.ctx.get_transfer_data(handle)
@@ -426,16 +408,11 @@ class LogisticRegressionCV(FederatedAlgorithm):
                 gradient = np.asarray(aggregate[f"gradient_{fold}"], dtype=np.float64)
                 hessian = np.asarray(aggregate[f"hessian_{fold}"], dtype=np.float64)
                 betas[fold] += np.linalg.solve(hessian + 1e-10 * np.eye(p), gradient)
-        beta_transfer = self.global_run(
-            func=_publish_betas,
-            keyword_args={"betas_in": betas.tolist()},
-            share_to_locals=[True],
-        )
         eval_handle = self.local_run(
             func=logreg_cv_eval_local,
             keyword_args={
                 **common,
-                "beta_per_fold": beta_transfer,
+                "beta_per_fold": {"betas": betas.tolist()},
                 "threshold": self.params["threshold"],
             },
             share_to_global=[True],
@@ -458,9 +435,3 @@ class LogisticRegressionCV(FederatedAlgorithm):
             "mean_f1": float(np.mean([m["f1"] for m in fold_metrics])),
             "fold_coefficients": betas.tolist(),
         }
-
-
-@udf(betas_in=literal(), return_type=[transfer()])
-def _publish_betas(betas_in):
-    """Materialize per-fold coefficients as a broadcastable transfer."""
-    return {"betas": betas_in}

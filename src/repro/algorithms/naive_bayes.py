@@ -3,8 +3,8 @@ features) with a cross-validated variant.
 
 Training aggregates, per class: counts, per-numeric-feature moment sums, and
 per-nominal-feature level counts — all secure sums.  The CV variant computes
-per-fold statistics in one pass and scores held-out rows with the broadcast
-per-fold models.
+per-fold statistics in one pass and scores held-out rows with the per-fold
+models, passed to the local step as a literal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
 from repro.observability.log import get_logger
-from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 
 logger = get_logger("algorithms.naive_bayes")
@@ -64,7 +64,7 @@ def naive_bayes_fit_local(data, target, classes, features, metadata):
     target=literal(),
     features=literal(),
     metadata=literal(),
-    model=transfer(),
+    model=literal(),
     n_folds=literal(),
     seed=literal(),
     return_type=[secure_transfer()],
@@ -117,12 +117,6 @@ def naive_bayes_eval_local(data, target, features, metadata, model, n_folds, see
             "data": confusion.tolist(), "operation": "sum",
         }
     return payload
-
-
-@udf(model_in=literal(), return_type=[transfer()])
-def _publish_model(model_in):
-    """Materialize a model description as a broadcastable transfer."""
-    return model_in
 
 
 def build_model(
@@ -295,11 +289,6 @@ class NaiveBayesCV(_NaiveBayesBase):
                         )
             models.append(build_model(classes, list(self.x), metadata, train_aggregate, alpha))
 
-        model_transfer = self.global_run(
-            func=_publish_model,
-            keyword_args={"model_in": {"classes": classes, "models": models}},
-            share_to_locals=[True],
-        )
         eval_handle = self.local_run(
             func=naive_bayes_eval_local,
             keyword_args={
@@ -307,7 +296,7 @@ class NaiveBayesCV(_NaiveBayesBase):
                 "target": target,
                 "features": list(self.x),
                 "metadata": metadata,
-                "model": model_transfer,
+                "model": {"classes": classes, "models": models},
                 "n_folds": n_folds,
                 "seed": seed,
             },

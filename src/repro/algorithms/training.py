@@ -5,8 +5,8 @@ Each Worker computes the parameter updates of the model on his local
 dataset.  Next, we have two options: use differential privacy (DP) or secure
 aggregation (SA)."
 
-Every round broadcasts the weights, runs one local update and applies the
-aggregated step on the master; ``mode`` picks the update:
+Every round passes the weights to the local update as a step literal, runs
+it and applies the aggregated step on the master; ``mode`` picks the update:
 
 - ``dp`` — each worker clips its gradient and adds Gaussian noise before the
   update leaves the node (local DP: the master sees one noisy update per
@@ -45,12 +45,6 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 logger = get_logger("algorithms.training")
 
 
-@udf(params_in=literal(), return_type=[transfer()])
-def publish_params(params_in):
-    """Materialize model parameters as a broadcastable transfer."""
-    return {"weights": params_in}
-
-
 @udf(data=relation(), covariates=literal(), metadata=literal(), return_type=[secure_transfer()])
 def feature_moments_local(data, covariates, metadata):
     """Design-column moments for global feature standardization."""
@@ -70,7 +64,7 @@ def feature_moments_local(data, covariates, metadata):
     metadata=literal(),
     scaler=literal(),
     model_kind=literal(),
-    params=transfer(),
+    params=literal(),
     clip_norm=literal(),
     noise_sigma=literal(),
     seed=literal(),
@@ -106,7 +100,7 @@ def dp_update_local(
     metadata=literal(),
     scaler=literal(),
     model_kind=literal(),
-    params=transfer(),
+    params=literal(),
     clip_norm=literal(),
     return_type=[secure_transfer()],
 )
@@ -134,7 +128,7 @@ def sa_update_local(data, covariates, response, positive_level, metadata, scaler
     positive_level=literal(),
     metadata=literal(),
     scaler=literal(),
-    params=transfer(),
+    params=literal(),
     return_type=[secure_transfer()],
 )
 def newton_update_local(data, covariates, response, positive_level, metadata, scaler, params):
@@ -168,7 +162,7 @@ def newton_update_local(data, covariates, response, positive_level, metadata, sc
     metadata=literal(),
     scaler=literal(),
     model_kind=literal(),
-    params=transfer(),
+    params=literal(),
     return_type=[secure_transfer()],
 )
 def evaluate_local(data, covariates, response, positive_level, metadata, scaler, model_kind, params):
@@ -264,7 +258,8 @@ class FederatedTraining(FederatedAlgorithm):
                 accountant.record(epsilon, delta)
             if (index + 1) % p["evaluate_every"] == 0 or index == rounds - 1:
                 metrics = self._gather(evaluate_local, {
-                    **common, "model_kind": p["model_kind"], "params": self._publish(weights),
+                    **common, "model_kind": p["model_kind"],
+                    "params": {"weights": weights.tolist()},
                 })
                 n_total = max(float(metrics["n"]), 1.0)
                 entry = {
@@ -286,24 +281,21 @@ class FederatedTraining(FederatedAlgorithm):
             "final_loss": history[-1]["loss"],
         }
 
-    def _publish(self, weights: np.ndarray):
-        return self.global_run(publish_params, {"params_in": weights.tolist()}, [True])
-
     def _gather(self, func, args: dict[str, Any], noise: NoiseSpec | None = None):
         """Run one local step and read its aggregate on the master."""
         return self.ctx.get_transfer_data(self.local_run(func, args, [True]), noise=noise)
 
     def _step(self, weights: np.ndarray, common: dict[str, Any], sigma: float, seed: int):
-        """One round: broadcast, local update, aggregate, apply."""
+        """One round: local update at ``weights``, aggregate, apply."""
         p = self.params
-        broadcast = self._publish(weights)
+        params = {"weights": weights.tolist()}
         if p["mode"] == "newton":
-            stats = self._gather(newton_update_local, {**common, "params": broadcast})
+            stats = self._gather(newton_update_local, {**common, "params": params})
             gradient = np.asarray(stats["gradient"], dtype=np.float64)
             hessian = np.asarray(stats["hessian"], dtype=np.float64)
             return weights + np.linalg.solve(hessian + 1e-10 * np.eye(len(weights)), gradient)
         update = {
-            **common, "model_kind": p["model_kind"], "params": broadcast,
+            **common, "model_kind": p["model_kind"], "params": params,
             "clip_norm": p["clip_norm"],
         }
         if p["mode"] == "dp":

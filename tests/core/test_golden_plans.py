@@ -21,6 +21,7 @@ import pytest
 
 from repro.api.demo import DEMO_REQUESTS, demo_request
 from repro.core.experiment import ExperimentRequest
+from repro.core.registry import algorithm_registry
 from repro.core.runner import ExperimentRunner
 from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.federation.controller import FederationConfig, create_federation
@@ -99,3 +100,22 @@ def test_plan_recording_is_deterministic(golden_federation):
     first = record_plan(golden_federation, "pca")
     second = record_plan(golden_federation, "pca")
     assert first == second
+
+
+def test_every_global_step_aggregates_something():
+    """No registered flow has a global step whose arguments are all literals.
+
+    Such a step only re-encodes a value the master already holds, and its
+    broadcast ships it back; the next local step takes that value as a
+    ``literal()`` argument instead.  Checked on the committed goldens, which
+    ``test_golden_plan`` pins to each algorithm's recorded plan.
+    """
+    publishers = set()
+    for algorithm in algorithm_registry.names():
+        plan = json.loads((GOLDEN_DIR / f"{algorithm}.json").read_text())
+        for node in plan["nodes"]:
+            if node["kind"] == "global_step" and not any(
+                "ref" in arg for arg in node.get("args", {}).values()
+            ):
+                publishers.add(node["udf"])
+    assert not publishers, f"global steps that aggregate nothing: {sorted(publishers)}"

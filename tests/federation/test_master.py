@@ -161,7 +161,7 @@ class TestGlobalSteps:
         assert master.database.table_names() == []
 
     def test_overlapping_experiments_e1_and_e10_both_succeed(self, fresh_federation):
-        """e1 finishes while e10 holds a global table it has yet to broadcast."""
+        """e1 finishes while e10 holds a global table it has yet to read."""
         master = fresh_federation.master
         e10_holds_a_table, e1_cleaned = threading.Event(), threading.Event()
         real_step, real_cleanup = master.run_global_step, master.cleanup
@@ -182,8 +182,8 @@ class TestGlobalSteps:
 
         master.run_global_step, master.cleanup = run_global_step, cleanup
         request = ExperimentRequest(
-            algorithm="kmeans", data_model="dementia", datasets=("edsd", "adni", "ppmi"),
-            y=("ab_42", "p_tau"), parameters={"k": 2, "seed": 3, "iterations_max_number": 3},
+            algorithm="linear_regression", data_model="dementia",
+            datasets=("edsd", "adni", "ppmi"), y=("lefthippocampus",), x=("agevalue",),
         )
         engine = ExperimentEngine(fresh_federation, aggregation="plain", max_concurrent=2)
         try:
