@@ -674,29 +674,36 @@ def command_fuzz(args: argparse.Namespace) -> int:
     """`repro fuzz`: randomized simulation search, replay, corpus runs.
 
     Exit codes: 0 all scenarios clean, 1 a scenario failed (the shrunk
-    single-line repro command is printed), 2 usage/setup errors.
+    single-line repro command is printed), 2 usage/setup errors.  A
+    replayed scenario (``--replay``, ``--corpus``) also fails when one of
+    its faults never fired: it pins a fault the run no longer reaches.
     """
     from repro.simtest import fuzz as fuzz_mod
     from repro.simtest.harness import SimSpec, repro_command
+
+    def replay_failures(outcome) -> list[str]:
+        return outcome.failures() + [
+            f"fault {fault} never fired" for fault in outcome.unfired
+        ]
 
     if args.replay is not None:
         outcome = fuzz_mod.run_one(SimSpec.parse(args.replay))
         if outcome.report is not None:
             print(outcome.report.transcript, end="")
-        for line in outcome.failures():
+        failures = replay_failures(outcome)
+        for line in failures:
             print(f"FAIL {line}")
-        return 1 if outcome.failed else 0
+        return 1 if failures else 0
 
     if args.corpus is not None:
         specs = fuzz_mod.read_corpus(args.corpus)
         failed = 0
         for spec in specs:
-            outcome = fuzz_mod.run_one(spec)
-            status = "FAIL" if outcome.failed else "ok"
-            print(f"{status} {spec.spec()}")
-            if outcome.failed:
+            failures = replay_failures(fuzz_mod.run_one(spec))
+            print(f"{'FAIL' if failures else 'ok'} {spec.spec()}")
+            if failures:
                 failed += 1
-                for line in outcome.failures():
+                for line in failures:
                     print(f"  {line}")
                 print(f"  reproduce with: {repro_command(spec)}")
         print(f"corpus: {len(specs) - failed}/{len(specs)} ok")

@@ -47,6 +47,12 @@ class RunOutcome:
     def failed(self) -> bool:
         return self.error is not None or (self.report is not None and not self.report.ok)
 
+    @property
+    def unfired(self) -> list[str]:
+        """Faults the run never reached; a replayed scenario counts them as
+        failures, a random session only reports them."""
+        return self.report.unfired if self.report is not None else []
+
     def failures(self) -> list[str]:
         if self.error is not None:
             return [f"harness: {type(self.error).__name__}: {self.error}"]
@@ -194,7 +200,8 @@ def fuzz(
         result.specs.append(spec)
         if emit is not None:
             status = "FAIL" if outcome.failed else "ok"
-            emit(f"[{index + 1}/{runs}] {status} {spec.spec()}")
+            unfired = f" (unfired: {','.join(outcome.unfired)})" if outcome.unfired else ""
+            emit(f"[{index + 1}/{runs}] {status} {spec.spec()}{unfired}")
         if outcome.failed:
             if emit is not None:
                 for line in outcome.failures():

@@ -165,6 +165,9 @@ class SimReport:
     invariants: InvariantReport
     transcript: str
     unhandled: list[tuple[str, BaseException]]
+    #: Faults of the plan that never fired (their counter was not reached):
+    #: the run passed without testing them.
+    unfired: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -285,6 +288,7 @@ def run_simulation(spec: SimSpec) -> SimReport:
         invariants=report,
         transcript=transcript,
         unhandled=unhandled,
+        unfired=runtime.unfired(),
     )
 
 

@@ -217,6 +217,7 @@ def _run_two_lives(spec, state_dir: str):
         invariants=report,
         transcript=transcript,
         unhandled=unhandled,
+        unfired=runtime1.unfired(),
     )
 
 

@@ -77,6 +77,14 @@ class SimRuntime:
         self._queue: "ExperimentQueue | None" = None
         self._job_tasks: list[Any] = []
 
+    def unfired(self) -> list[str]:
+        """The specs of the plan's faults whose counter was never reached."""
+        return [
+            fault.spec()
+            for fault, fired in zip(self.faults.faults, self._fired)
+            if not fired
+        ]
+
     def alias(self, name: str, job_id: str) -> None:
         """Map a fault-spec job name (``job1``) to a submitted experiment."""
         self.job_aliases[name] = job_id

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -86,6 +87,17 @@ class TestFuzzSessions:
         assert all("ok seed=" in line for line in lines)
 
 
+    def test_session_reports_unfired_faults_without_failing(self, monkeypatch):
+        import repro.simtest.fuzz as fuzz_mod
+
+        spec = SimSpec.parse("seed=6;par=1;jobs=1;faults=drop@999")
+        monkeypatch.setattr(fuzz_mod, "sample_spec", lambda rng, master_crash=False: spec)
+        lines: list[str] = []
+        result = fuzz(runs=1, seed=0, emit=lines.append)
+        assert result.ok
+        assert lines == [f"[1/1] ok {spec.spec()} (unfired: drop@999)"]
+
+
 class TestCorpus:
     def test_round_trip(self, tmp_path):
         specs = [
@@ -108,6 +120,27 @@ class TestCLI:
         assert out.startswith("# sim seed=6;par=1;jobs=1;faults=none")
         assert "invariant telemetry-conservation ok" in out
 
+    def test_replay_fails_when_a_fault_never_fires(self, capsys):
+        code = cli.main(["fuzz", "--replay", "seed=6;par=1;jobs=1;faults=drop@999"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "invariant telemetry-conservation ok" in out
+        assert "FAIL fault drop@999 never fired" in out
+
+    def test_corpus_fails_a_line_whose_fault_never_fires(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "seed=6;par=1;jobs=1;faults=drop@3\n"
+            "seed=6;par=1;jobs=1;faults=drop@3,drop@999\n"
+        )
+        code = cli.main(["fuzz", "--corpus", str(corpus)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "ok seed=6;par=1;jobs=1;faults=drop@3\n" in out
+        assert "FAIL seed=6;par=1;jobs=1;faults=drop@3,drop@999\n" in out
+        assert "  fault drop@999 never fired" in out
+        assert "corpus: 1/2 ok" in out
+
     def test_replay_malformed_spec_exits_two(self, capsys):
         code = cli.main(["fuzz", "--replay", "not-a-spec"])
         assert code == 2
@@ -119,11 +152,20 @@ class TestCLI:
             "fuzz", "--runs", "2", "--seed", "4",
             "--write-corpus", str(corpus),
         ])
+        session = capsys.readouterr().out
         assert code == 0
-        assert "all clean" in capsys.readouterr().out
+        assert "all clean" in session
         code = cli.main(["fuzz", "--corpus", str(corpus)])
-        assert code == 0
-        assert "corpus: 2/2 ok" in capsys.readouterr().out
+        replay = capsys.readouterr().out
+        # The replay passes every invariant the session passed, and fails a
+        # line exactly for the faults the session reported as unfired.
+        unfired = [
+            group.split(",") for group in re.findall(r"\(unfired: ([^)]*)\)", session)
+        ]
+        never = re.findall(r"fault (\S+) never fired", replay)
+        assert never == [fault for group in unfired for fault in group]
+        assert f"corpus: {2 - len(unfired)}/2 ok" in replay
+        assert code == (1 if unfired else 0)
 
     def test_replay_failing_scenario_exits_one(self, monkeypatch, capsys):
         import dataclasses
