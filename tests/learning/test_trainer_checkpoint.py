@@ -20,8 +20,8 @@ from repro.simtest.faults import FaultPlan
 from repro.simtest.harness import SimSpec, run_simulation
 from repro.simtest.runtime import SimRuntime
 
-#: The pinned corpus scenario: the master dies in round 2 of a Newton
-#: training run, between the update's read and the evaluation's.
+#: The pinned corpus scenario: the master dies in round 3 (the last) of a
+#: Newton training run, between the update's read and the evaluation's.
 TRAINING_CRASH = "seed=3;par=1;jobs=1;faults=crash@20:master;algo=federated_training"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "simtest" / "corpus.txt"
 
@@ -77,12 +77,12 @@ class TestStopAndResume:
         assert determinism == "invariant resume-determinism ok compared=1"
         (marker,) = [l for l in lines if l.startswith("# restart ")]
         assert "resumed=['sim_job_1']" in marker
-        # Replayed, not re-run: moments, round 1's update and evaluation,
-        # and round 2's update came from the checkpoint.
+        # Replayed, not re-run: moments, the updates and evaluations of
+        # rounds 1 and 2, and round 3's update came from the checkpoint.
         (resumed,) = [
             e for e in report.results[0].audit if e["event"] == "experiment_resumed"
         ]
-        assert resumed["details"]["checkpoint_reads"] == 4
+        assert resumed["details"]["checkpoint_reads"] == 6
 
     def test_checkpoint_deleted_on_completion(self, fresh_federation, tmp_path):
         service = MIPService(fresh_federation, state_dir=str(tmp_path))
@@ -130,8 +130,9 @@ class TestStopAndResume:
         resumed = service.wait_experiment("train_dp")
         service.shutdown()
         assert resumed.status.value == "success", resumed.error
+        # Moments, rounds 1 and 2, and round 3's update were replayed.
         (marker,) = [e for e in resumed.audit if e["event"] == "experiment_resumed"]
-        assert marker["details"]["checkpoint_reads"] == 4
+        assert marker["details"]["checkpoint_reads"] == 6
         # The replayed rounds re-recorded their spend: the resumed run
         # still accounts (and audits) the whole budget, once per round.
         assert resumed.result["epsilon_spent"] == pytest.approx(8.0)
