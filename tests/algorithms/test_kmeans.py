@@ -118,15 +118,11 @@ class TestConvergedFlag:
 
     PARAMETERS = {"k": 2, "seed": 3, "e": 1e-4}
 
-    def test_converging_early_is_converged(self, golden_run):
-        result = golden_run({**self.PARAMETERS, "iterations_max_number": 100})
-        assert (result["iterations"], result["converged"]) == (7, True)
-
     def test_converging_on_the_last_allowed_iteration_is_converged(self, golden_run):
         early = golden_run({**self.PARAMETERS, "iterations_max_number": 100})
+        assert (early["iterations"], early["converged"]) == (7, True)
         result = golden_run({**self.PARAMETERS, "iterations_max_number": 7})
-        assert (result["iterations"], result["converged"]) == (7, True)
-        assert result["centroids"] == early["centroids"]
+        assert result == early
 
     def test_stopping_short_of_the_tolerance_is_not_converged(self, golden_run):
         result = golden_run({**self.PARAMETERS, "iterations_max_number": 6})

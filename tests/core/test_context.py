@@ -28,6 +28,12 @@ def ctx_merge_step(transfers):
     return {"total_n": sum(t["n"] for t in transfers)}
 
 
+@udf(data=relation(), scale=transfer(), return_type=[secure_transfer()])
+def ctx_scaled_step(data, scale):
+    total = float(data.to_matrix().sum()) * scale["doubled"]
+    return {"total": {"data": total, "operation": "sum"}}
+
+
 @pytest.fixture()
 def context(federation):
     return ExecutionContext(
@@ -133,6 +139,35 @@ class TestGlobalRun:
         )
         result = context.get_transfer_data(global_handle)
         assert result["total_n"] > 0
+
+
+class TestBroadcast:
+    """``share_to_locals=[True]``: a global output the next local step reads."""
+
+    def test_shared_global_output_reaches_every_worker_once(self, context, federation):
+        view = DataView.of(("lefthippocampus",))
+        handle = context.local_run(
+            ctx_local_step, {"data": view, "scale": 1.0}, share_to_global=[False, True]
+        )[1]
+        total = context.get_transfer_data(handle)["total"]
+        global_handle = context.global_run(
+            ctx_global_step, {"aggregates": handle}, share_to_locals=[True]
+        )
+        for _ in range(2):
+            scaled = context.local_run(
+                ctx_scaled_step, {"data": view, "scale": global_handle}, [True]
+            )
+            assert context.get_transfer_data(scaled)["total"] == pytest.approx(
+                total * total * 2
+            )
+        kinds = [node.kind for node in context.plan.nodes]
+        assert kinds.count("broadcast") == 1
+        for worker in context.workers:
+            received = federation.workers[worker].audit.events(
+                job_id=context.job_id, event="transfer_received"
+            )
+            assert len(received) == 1
+        context.cleanup()
 
 
 class TestGetTransferData:
