@@ -15,7 +15,9 @@ Event vocabulary (the ``event`` field):
   privacy-threshold check,
 - ``aggregate_shared`` — a transfer/secure-transfer left a worker (and to
   whom: master or SMPC cluster),
-- ``transfer_received`` — a global transfer was placed on a worker,
+- ``transfer_received`` — a global transfer was placed on a worker (a
+  ``share_to_locals=True`` global step; parameters a flow passes as step
+  literals leave no event),
 - ``secure_aggregate`` — the SMPC cluster combined a job's shares,
 - ``privacy_spend`` — one (epsilon, delta) release from
   :class:`repro.privacy.accountant.PrivacyAccountant`,
