@@ -86,7 +86,6 @@ class TestFuzzSessions:
         assert len(lines) == 2
         assert all("ok seed=" in line for line in lines)
 
-
     def test_session_reports_unfired_faults_without_failing(self, monkeypatch):
         import repro.simtest.fuzz as fuzz_mod
 
