@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--corpus", metavar="PATH", default=None,
                       help="replay every scenario in a corpus file")
     fuzz.add_argument("--write-corpus", metavar="PATH", default=None,
-                      help="append the scenarios this session ran to a "
-                           "corpus file")
+                      help="write the scenarios this session ran, without "
+                           "the faults that never fired, to a corpus file")
     fuzz.add_argument("--master-crash", action="store_true",
                       help="admit crash@N:master faults (kill-and-restart "
                            "recovery) into the sampled fault plans")

@@ -53,6 +53,19 @@ class RunOutcome:
         failures, a random session only reports them."""
         return self.report.unfired if self.report is not None else []
 
+    def fired_spec(self) -> SimSpec:
+        """The spec without the faults the run never reached.
+
+        An unfired fault changed nothing the run did (an unfired
+        ``crash@N:master`` only chose the two-life harness, whose first life
+        then ran to completion), so this spec replays the same run and every
+        fault it names fires: the line a corpus can pin.
+        """
+        unfired = set(self.unfired)
+        return self.spec.replace(
+            faults=FaultPlan.of(f for f in self.spec.faults if f.spec() not in unfired)
+        )
+
     def failures(self) -> list[str]:
         if self.error is not None:
             return [f"harness: {type(self.error).__name__}: {self.error}"]
@@ -65,6 +78,7 @@ class FuzzResult:
 
     runs: int
     elapsed_seconds: float
+    #: Each run's :meth:`RunOutcome.fired_spec` (what ``write_corpus`` pins).
     specs: list[SimSpec] = field(default_factory=list)
     failure: RunOutcome | None = None
     shrunk: SimSpec | None = None
@@ -197,7 +211,7 @@ def fuzz(
         spec = sample_spec(rng, master_crash=master_crash)
         outcome = run_one(spec)
         result.runs += 1
-        result.specs.append(spec)
+        result.specs.append(outcome.fired_spec())
         if emit is not None:
             status = "FAIL" if outcome.failed else "ok"
             unfired = f" (unfired: {','.join(outcome.unfired)})" if outcome.unfired else ""

@@ -12,6 +12,7 @@ from repro.simtest.faults import FaultPlan
 from repro.simtest.fuzz import (
     fuzz,
     read_corpus,
+    run_one,
     sample_spec,
     shrink,
     write_corpus,
@@ -89,12 +90,28 @@ class TestFuzzSessions:
     def test_session_reports_unfired_faults_without_failing(self, monkeypatch):
         import repro.simtest.fuzz as fuzz_mod
 
-        spec = SimSpec.parse("seed=6;par=1;jobs=1;faults=drop@999")
+        spec = SimSpec.parse("seed=6;par=1;jobs=1;faults=drop@3,drop@999")
         monkeypatch.setattr(fuzz_mod, "sample_spec", lambda rng, master_crash=False: spec)
         lines: list[str] = []
         result = fuzz(runs=1, seed=0, emit=lines.append)
         assert result.ok
         assert lines == [f"[1/1] ok {spec.spec()} (unfired: drop@999)"]
+        # The session records the scenario without the fault that never fired.
+        assert result.specs == [SimSpec.parse("seed=6;par=1;jobs=1;faults=drop@3")]
+
+    def test_fired_spec_without_an_unfired_master_crash_replays_the_run(self):
+        spec = SimSpec.parse(
+            "seed=3;par=1;jobs=1;faults=crash@999:master;algo=logistic_regression"
+        )
+        outcome = run_one(spec)
+        assert outcome.unfired == ["crash@999:master"]
+        fired = outcome.fired_spec()
+        assert fired == spec.replace(faults=FaultPlan())
+        replay = run_one(fired)
+        assert not replay.failed and replay.unfired == []
+        assert [r.result for r in replay.report.results] == [
+            r.result for r in outcome.report.results
+        ]
 
 
 class TestCorpus:
@@ -154,17 +171,19 @@ class TestCLI:
         session = capsys.readouterr().out
         assert code == 0
         assert "all clean" in session
-        code = cli.main(["fuzz", "--corpus", str(corpus)])
-        replay = capsys.readouterr().out
-        # The replay passes every invariant the session passed, and fails a
-        # line exactly for the faults the session reported as unfired.
+        # The session's scenarios carry faults that never fire; the corpus
+        # pins each scenario without them, so every line replays clean.
         unfired = [
-            group.split(",") for group in re.findall(r"\(unfired: ([^)]*)\)", session)
+            fault
+            for group in re.findall(r"\(unfired: ([^)]*)\)", session)
+            for fault in group.split(",")
         ]
-        never = re.findall(r"fault (\S+) never fired", replay)
-        assert never == [fault for group in unfired for fault in group]
-        assert f"corpus: {2 - len(unfired)}/2 ok" in replay
-        assert code == (1 if unfired else 0)
+        assert unfired
+        pinned = corpus.read_text()
+        assert not any(fault in pinned for fault in unfired)
+        code = cli.main(["fuzz", "--corpus", str(corpus)])
+        assert code == 0
+        assert "corpus: 2/2 ok" in capsys.readouterr().out
 
     def test_replay_failing_scenario_exits_one(self, monkeypatch, capsys):
         import dataclasses
