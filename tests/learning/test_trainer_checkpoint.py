@@ -23,6 +23,9 @@ from repro.simtest.runtime import SimRuntime
 #: The pinned corpus scenario: the master dies in round 3 (the last) of a
 #: Newton training run, between the update's read and the evaluation's.
 TRAINING_CRASH = "seed=3;par=1;jobs=1;faults=crash@20:master;algo=federated_training"
+#: The same run killed in round 2, between the update's read and the
+#: evaluation's: round 2's evaluation and all of round 3 run live.
+ROUND_2_CRASH = "seed=3;par=1;jobs=1;faults=crash@14:master;algo=federated_training"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "simtest" / "corpus.txt"
 
 
@@ -67,22 +70,32 @@ def run_clean(federation, request):
         engine.shutdown()
 
 
+def resumed_reads(spec):
+    """Run a crash scenario; check it resumed byte-identically and return
+    how many reads the resume replayed from the checkpoint."""
+    report = run_simulation(SimSpec.parse(spec))
+    assert report.ok, report.failures()
+    lines = report.transcript.splitlines()
+    (determinism,) = [l for l in lines if l.startswith("invariant resume-determinism")]
+    assert determinism == "invariant resume-determinism ok compared=1"
+    (marker,) = [l for l in lines if l.startswith("# restart ")]
+    assert "resumed=['sim_job_1']" in marker
+    (resumed,) = [
+        e for e in report.results[0].audit if e["event"] == "experiment_resumed"
+    ]
+    return resumed["details"]["checkpoint_reads"]
+
+
 class TestStopAndResume:
     def test_resume_is_byte_identical_to_uninterrupted(self):
         assert TRAINING_CRASH in CORPUS.read_text().splitlines()
-        report = run_simulation(SimSpec.parse(TRAINING_CRASH))
-        assert report.ok, report.failures()
-        lines = report.transcript.splitlines()
-        (determinism,) = [l for l in lines if l.startswith("invariant resume-determinism")]
-        assert determinism == "invariant resume-determinism ok compared=1"
-        (marker,) = [l for l in lines if l.startswith("# restart ")]
-        assert "resumed=['sim_job_1']" in marker
         # Replayed, not re-run: moments, the updates and evaluations of
         # rounds 1 and 2, and round 3's update came from the checkpoint.
-        (resumed,) = [
-            e for e in report.results[0].audit if e["event"] == "experiment_resumed"
-        ]
-        assert resumed["details"]["checkpoint_reads"] == 6
+        assert resumed_reads(TRAINING_CRASH) == 6
+
+    def test_resume_in_round_2_runs_a_whole_round_live(self):
+        # Moments, round 1 and round 2's update were replayed.
+        assert resumed_reads(ROUND_2_CRASH) == 4
 
     def test_checkpoint_deleted_on_completion(self, fresh_federation, tmp_path):
         service = MIPService(fresh_federation, state_dir=str(tmp_path))
