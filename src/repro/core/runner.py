@@ -17,7 +17,8 @@ from typing import Any
 from repro.core.context import ExecutionContext
 from repro.core.registry import algorithm_registry
 from repro.core.specs import validate_parameters
-from repro.errors import SpecificationError
+from repro.engine.parser import parse_expression
+from repro.errors import ParseError, SpecificationError
 from repro.federation.controller import Federation
 from repro.federation.scheduler import WorkerLoad, plan_shipping
 from repro.smpc.cluster import NoiseSpec
@@ -71,6 +72,7 @@ class ExperimentRunner:
         algorithm_cls = algorithm_registry.get(request.algorithm)
         parameters = validate_parameters(algorithm_cls.parameters, request.parameters)
         self._check_variables(algorithm_cls, request)
+        _check_filter(request.filter_sql)
         metadata = self._variable_metadata(algorithm_cls, request)
         context = self.build_context(request, experiment_id, cancel_event)
         workers = tuple(context.workers)
@@ -163,3 +165,22 @@ class ExperimentRunner:
             durability=self.durability,
             resume_reads=resume_reads,
         )
+
+
+def _check_filter(filter_sql: str | None) -> None:
+    """Reject a filter that is not exactly one SQL expression.
+
+    A worker splices the filter into its data-view query as ``AND (<filter>)``,
+    so text that closed the parenthesis could append clauses of its own, and a
+    trailing ``--`` comment would swallow the closing one.  Both forms are
+    parsed here, before any worker is contacted.
+    """
+    if not filter_sql:
+        return
+    try:
+        parse_expression(filter_sql)
+        parse_expression(f"({filter_sql})")
+    except ParseError as exc:
+        raise SpecificationError(
+            f"filter_sql must be one SQL expression: {exc}"
+        ) from None

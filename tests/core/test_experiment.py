@@ -39,6 +39,19 @@ class TestSuccessPath:
         assert filtered.status == ExperimentStatus.SUCCESS
         assert filtered.result["n_observations"] < full.result["n_observations"]
 
+    @pytest.mark.parametrize("filter_sql", [
+        "1=1) ORDER BY (agevalue",
+        "1=1) GROUP BY (p_tau",
+        "1=1) GROUP BY (dataset",
+        "1=1) OR (1=1",
+        "agevalue > 72 --",
+    ])
+    def test_filter_that_escapes_its_parentheses_is_rejected(self, engine, filter_sql):
+        result = engine.run(make_request(filter_sql=filter_sql))
+        assert result.status == ExperimentStatus.ERROR
+        assert "filter_sql must be one SQL expression" in result.error
+        assert result.telemetry.messages == 0  # no worker was contacted
+
 
 class TestValidation:
     def test_unknown_algorithm(self, engine):
