@@ -181,6 +181,4 @@ def _check_filter(filter_sql: str | None) -> None:
         parse_expression(filter_sql)
         parse_expression(f"({filter_sql})")
     except ParseError as exc:
-        raise SpecificationError(
-            f"filter_sql must be one SQL expression: {exc}"
-        ) from None
+        raise SpecificationError(f"filter_sql must be one SQL expression: {exc}") from None

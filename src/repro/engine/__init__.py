@@ -5,8 +5,8 @@ vectorized, in-database analytics.  This package provides an engine with the
 same interface surface used by MIP:
 
 - columnar storage over numpy arrays with explicit NULL masks,
-- a SQL subset (``CREATE TABLE``, ``INSERT``, ``SELECT`` with ``WHERE``,
-  ``GROUP BY``, ``ORDER BY``, ``LIMIT``, aggregates),
+- the SQL statements the platform issues (``CREATE TABLE``, ``INSERT``,
+  ``SELECT`` with a full ``WHERE`` expression grammar, bare aggregates),
 - Python table UDFs (``CREATE FUNCTION ... LANGUAGE PYTHON``) executed
   vectorized over column arrays, with SQL *loopback* queries,
 - remote tables and merge tables for the non-secure aggregation path.

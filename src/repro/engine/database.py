@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.engine import expressions as ast
 from repro.engine.column import Column
-from repro.engine.executor import execute_select, true_rows
+from repro.engine.executor import execute_select
 from repro.engine.parser import parse
 from repro.engine.remote import MergeTable, RemoteResolver, RemoteTable, unavailable_resolver
 from repro.engine.table import ColumnSpec, Schema, Table
@@ -129,8 +129,6 @@ class Database:
                 return self._insert_values(statement)
             if isinstance(statement, ast.InsertSelect):
                 return self._insert_select(statement)
-            if isinstance(statement, ast.DeleteFrom):
-                return self._delete(statement)
             if isinstance(statement, ast.CreateFunction):
                 definition = UDFDefinition(
                     statement.name, statement.parameters, statement.returns, statement.body
@@ -176,36 +174,9 @@ class Database:
         """Resolve a FROM-clause source into a concrete Table."""
         if isinstance(source, ast.NamedTable):
             return self.get_table(source.name)
-        if isinstance(source, ast.SubquerySource):
-            return execute_select(source.query, self)
         if isinstance(source, ast.UDFCall):
-            definition = self.get_function(source.name)
-            tables = [execute_select(q, self) for q in source.query_args]
-            return run_udf(definition, self, tables, list(source.literal_args))
-        if isinstance(source, ast.JoinSource):
-            from repro.engine.executor import execute_join
-
-            left = self._resolve_qualified(source.left)
-            right = self._resolve_qualified(source.right)
-            return execute_join(left, right, source.condition, source.kind)
+            return run_udf(self.get_function(source.name), self, list(source.literal_args))
         raise ExecutionError(f"unknown table source {type(source).__name__}")
-
-    def _resolve_qualified(self, source: ast.TableSource) -> Table:
-        """Resolve a join operand, qualifying its columns with its alias."""
-        table = self.resolve_source(source)
-        alias = None
-        if isinstance(source, ast.NamedTable):
-            alias = source.alias or source.name
-        elif isinstance(source, ast.SubquerySource):
-            alias = source.alias
-        if alias is None:
-            return table
-        return table.rename([f"{alias}.{spec.name}" for spec in table.schema])
-
-    def call_udf(self, name: str, table_args: Sequence[Table], literal_args: Sequence[Any] = ()) -> Table:
-        """Invoke a registered UDF directly (bypassing SQL), for the runtime."""
-        definition = self.get_function(name)
-        return run_udf(definition, self, table_args, literal_args)
 
     # ----------------------------------------------------------------- private
 
@@ -257,14 +228,6 @@ class Database:
             [col.cast(spec.sql_type) for col, spec in zip(addition.columns, existing.schema)],
         )
         self._tables[statement.table] = existing.concat(coerced)
-        return None
-
-    def _delete(self, statement: ast.DeleteFrom) -> None:
-        existing = self._base_table(statement.table)
-        if statement.where is None:
-            self._tables[statement.table] = Table.empty(existing.schema)
-            return None
-        self._tables[statement.table] = existing.filter(~true_rows(statement.where, existing))
         return None
 
     def _create_remote(self, statement: ast.CreateRemoteTable) -> None:

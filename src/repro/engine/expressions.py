@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.engine.types import SQLType
 
@@ -125,13 +125,11 @@ class Aggregate(Expression):
 
     name: str
     argument: Optional[Expression]
-    distinct: bool = False
 
     def __str__(self) -> str:
         if self.argument is None:
             return f"{self.name}(*)"
-        prefix = "DISTINCT " if self.distinct else ""
-        return f"{self.name}({prefix}{self.argument})"
+        return f"{self.name}({self.argument})"
 
 
 @dataclass(frozen=True)
@@ -185,54 +183,21 @@ class TableSource:
 @dataclass(frozen=True)
 class NamedTable(TableSource):
     name: str
-    alias: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SubquerySource(TableSource):
-    query: "Select"
-    alias: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class JoinSource(TableSource):
-    """INNER or LEFT join of two sources on a boolean condition.
-
-    Output columns are exposed under ``alias.column`` qualified names (plus
-    their bare names where unambiguous).
-    """
-
-    left: TableSource
-    right: TableSource
-    condition: Expression
-    kind: str = "INNER"  # 'INNER' | 'LEFT'
 
 
 @dataclass(frozen=True)
 class UDFCall(TableSource):
-    """A table-function call, MonetDB style: ``f((SELECT ...), literal, ...)``."""
+    """A table-function call, MonetDB style: ``f(literal, ...)``."""
 
     name: str
-    query_args: tuple["Select", ...]
     literal_args: tuple[Any, ...] = ()
-
-
-@dataclass(frozen=True)
-class OrderKey:
-    expression: Expression
-    ascending: bool = True
 
 
 @dataclass(frozen=True)
 class Select:
     items: tuple[SelectItem, ...]  # empty tuple means SELECT *
-    source: Optional[TableSource]
+    source: TableSource
     where: Optional[Expression] = None
-    group_by: tuple[Expression, ...] = ()
-    having: Optional[Expression] = None
-    order_by: tuple[OrderKey, ...] = ()
-    limit: Optional[int] = None
-    distinct: bool = False
 
 
 # ----------------------------------------------------------------- DDL / DML
@@ -261,12 +226,6 @@ class InsertValues:
 class InsertSelect:
     table: str
     query: Select
-
-
-@dataclass(frozen=True)
-class DeleteFrom:
-    table: str
-    where: Optional[Expression] = None
 
 
 @dataclass(frozen=True)
@@ -313,7 +272,6 @@ Statement = (
     | DropTable
     | InsertValues
     | InsertSelect
-    | DeleteFrom
     | CreateFunction
     | DropFunction
     | CreateRemoteTable

@@ -116,7 +116,7 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[Column]], Column]] = {
 # ------------------------------------------------------------------ aggregates
 
 
-def aggregate(name: str, column: Column | None, row_count: int, distinct: bool = False):
+def aggregate(name: str, column: Column | None, row_count: int):
     """Compute one aggregate over a column (or COUNT(*) when column is None).
 
     NULLs are ignored, matching SQL semantics; aggregates over zero non-NULL
@@ -125,14 +125,10 @@ def aggregate(name: str, column: Column | None, row_count: int, distinct: bool =
     if name == "COUNT":
         if column is None:
             return row_count
-        if distinct:
-            return len({v for v, n in zip(column.values, column.nulls) if not n})
         return int((~column.nulls).sum())
     if column is None:
         raise ExecutionError(f"{name} requires an argument")
     values = column.non_null()
-    if distinct:
-        values = np.unique(values)
     if len(values) == 0:
         return None
     if name == "SUM":

@@ -3,6 +3,9 @@
 The dialect follows MonetDB where MIP depends on it: Python table UDFs
 (``CREATE FUNCTION ... LANGUAGE PYTHON {...}``), table-function calls in FROM,
 remote tables (``CREATE REMOTE TABLE ... ON '...'``) and merge tables.
+Only the statement shapes the platform issues parse; the expression grammar
+is whole, because a request's filter is one expression (see
+docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -163,8 +166,6 @@ class Parser:
             stmt = self._parse_drop()
         elif token.text == "INSERT":
             stmt = self._parse_insert()
-        elif token.text == "DELETE":
-            stmt = self._parse_delete()
         elif token.text == "ALTER":
             stmt = self._parse_alter()
         else:
@@ -320,15 +321,6 @@ class Parser:
             return -_parse_number(number.text)
         raise ParseError(f"expected literal at position {token.position}, got {token.text!r}")
 
-    def _parse_delete(self) -> ast.DeleteFrom:
-        self._expect("keyword", "DELETE")
-        self._expect("keyword", "FROM")
-        table = self._expect_name()
-        where = None
-        if self._match("keyword", "WHERE"):
-            where = self._parse_expression()
-        return ast.DeleteFrom(table, where)
-
     def _parse_alter(self) -> ast.AlterMergeAdd:
         self._expect("keyword", "ALTER")
         self._expect("keyword", "TABLE")
@@ -342,12 +334,8 @@ class Parser:
 
     def _parse_select(self) -> ast.Select:
         self._expect("keyword", "SELECT")
-        distinct = bool(self._match("keyword", "DISTINCT"))
         items: list[ast.SelectItem] = []
-        star = False
-        if self._match("op", "*"):
-            star = True
-        else:
+        if not self._match("op", "*"):
             while True:
                 expression = self._parse_expression()
                 alias = None
@@ -358,111 +346,30 @@ class Parser:
                 items.append(ast.SelectItem(expression, alias))
                 if not self._match("op", ","):
                     break
-        source: Optional[ast.TableSource] = None
-        if self._match("keyword", "FROM"):
-            source = self._parse_table_source()
+        self._expect("keyword", "FROM")
+        name = self._expect_name()
+        source: ast.TableSource
+        if self._check("op", "("):
+            source = self._parse_udf_source(name)
+        else:
+            source = ast.NamedTable(name)
         where = None
         if self._match("keyword", "WHERE"):
             where = self._parse_expression()
-        group_by: tuple[ast.Expression, ...] = ()
-        if self._check("keyword", "GROUP"):
-            self._advance()
-            self._expect("keyword", "BY")
-            keys = [self._parse_expression()]
-            while self._match("op", ","):
-                keys.append(self._parse_expression())
-            group_by = tuple(keys)
-        having = None
-        if self._match("keyword", "HAVING"):
-            having = self._parse_expression()
-        order_by: tuple[ast.OrderKey, ...] = ()
-        if self._check("keyword", "ORDER"):
-            self._advance()
-            self._expect("keyword", "BY")
-            keys_list: list[ast.OrderKey] = []
-            while True:
-                expression = self._parse_expression()
-                ascending = True
-                if self._match("keyword", "ASC"):
-                    ascending = True
-                elif self._match("keyword", "DESC"):
-                    ascending = False
-                keys_list.append(ast.OrderKey(expression, ascending))
-                if not self._match("op", ","):
-                    break
-            order_by = tuple(keys_list)
-        limit = None
-        if self._match("keyword", "LIMIT"):
-            limit_token = self._expect("number")
-            limit = int(limit_token.text)
-        return ast.Select(
-            items=() if star else tuple(items),
-            source=source,
-            where=where,
-            group_by=group_by,
-            having=having,
-            order_by=order_by,
-            limit=limit,
-            distinct=distinct,
-        )
-
-    def _parse_table_source(self) -> ast.TableSource:
-        source = self._parse_single_source()
-        while True:
-            kind = None
-            if self._check("keyword", "JOIN"):
-                self._advance()
-                kind = "INNER"
-            elif self._check("keyword", "INNER"):
-                self._advance()
-                self._expect("keyword", "JOIN")
-                kind = "INNER"
-            elif self._check("keyword", "LEFT"):
-                self._advance()
-                self._match("keyword", "OUTER")
-                self._expect("keyword", "JOIN")
-                kind = "LEFT"
-            else:
-                return source
-            right = self._parse_single_source()
-            self._expect("keyword", "ON")
-            condition = self._parse_expression()
-            source = ast.JoinSource(source, right, condition, kind)
-
-    def _parse_single_source(self) -> ast.TableSource:
-        if self._match("op", "("):
-            query = self._parse_select()
-            self._expect("op", ")")
-            return ast.SubquerySource(query, self._parse_source_alias())
-        name = self._expect_name()
-        if self._check("op", "("):
-            return self._parse_udf_source(name)
-        return ast.NamedTable(name, self._parse_source_alias())
-
-    def _parse_source_alias(self) -> str | None:
-        if self._match("keyword", "AS"):
-            return self._expect_name()
-        if self._check("name"):
-            return self._advance().text
-        return None
+        return ast.Select(items=tuple(items), source=source, where=where)
 
     def _parse_udf_source(self, name: str) -> ast.UDFCall:
+        """``f(literal, ...)``: generated SQL passes only the plan literal;
+        a UDF reads its relations through loopback queries."""
         self._expect("op", "(")
-        query_args: list[ast.Select] = []
-        literal_args: list[Any] = []
+        args: list[Any] = []
         if not self._check("op", ")"):
             while True:
-                if self._match("op", "("):
-                    query_args.append(self._parse_select())
-                    self._expect("op", ")")
-                elif self._check("keyword", "SELECT"):
-                    query_args.append(self._parse_select())
-                else:
-                    literal_args.append(self._parse_literal_value())
+                args.append(self._parse_literal_value())
                 if not self._match("op", ","):
                     break
         self._expect("op", ")")
-        return ast.UDFCall(name, tuple(query_args), tuple(literal_args))
+        return ast.UDFCall(name, tuple(args))
 
     # ----------------------------------------------------------- expressions
 
@@ -616,11 +523,10 @@ class Parser:
             if upper == "COUNT" and self._match("op", "*"):
                 self._expect("op", ")")
                 return ast.Aggregate("COUNT", None)
-            distinct = bool(self._match("keyword", "DISTINCT"))
             argument = self._parse_expression()
             self._expect("op", ")")
             canonical = "STDDEV_SAMP" if upper == "STDDEV" else upper
-            return ast.Aggregate(canonical, argument, distinct)
+            return ast.Aggregate(canonical, argument)
         args: list[ast.Expression] = []
         if not self._check("op", ")"):
             while True:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -62,16 +62,18 @@ class LoopbackConnection:
 def run_udf(
     definition: UDFDefinition,
     database: "Database",
-    table_args: Sequence[Table],
     literal_args: Sequence[Any],
 ) -> Table:
     """Execute a UDF body and validate its declared output schema.
 
-    Scalar parameters bind in declaration order to ``literal_args``; the
-    relational inputs arrive positionally as ``__table_0``, ``__table_1``,...
-    with each input's columns also exposed under their own names (numpy
-    arrays), MonetDB style.
+    Parameters bind in declaration order to ``literal_args``; relational
+    inputs arrive through loopback queries on ``_conn``.
     """
+    if len(literal_args) > len(definition.parameters):
+        raise UDFError(
+            f"UDF {definition.name}: {len(literal_args)} literal arguments for "
+            f"{len(definition.parameters)} parameters"
+        )
     namespace: dict[str, Any] = {
         "np": np,
         "numpy": np,
@@ -79,21 +81,7 @@ def run_udf(
         "_cache": database.session_cache,
         "__udf_result": None,
     }
-    column_names_seen: set[str] = set()
-    for index, table in enumerate(table_args):
-        namespace[f"__table_{index}"] = table
-        for spec in table.schema:
-            if spec.name in column_names_seen:
-                continue
-            column_names_seen.add(spec.name)
-            namespace[spec.name] = table.column(spec.name).to_numpy()
-    scalar_params = [p for p in definition.parameters if p[0] not in column_names_seen]
-    if len(literal_args) > len(scalar_params):
-        raise UDFError(
-            f"UDF {definition.name}: {len(literal_args)} literal arguments for "
-            f"{len(scalar_params)} scalar parameters"
-        )
-    for (pname, _), value in zip(scalar_params, literal_args):
+    for (pname, _), value in zip(definition.parameters, literal_args):
         namespace[pname] = value
 
     code = _compiled_body(definition.name, definition.body)
@@ -174,6 +162,3 @@ def _to_column(value: Any, sql_type: SQLType) -> Column:
         return Column.from_values(sql_type, value)
     # scalar
     return Column.from_values(sql_type, [value])
-
-
-UDFExecutor = Callable[[UDFDefinition, "Database", Sequence[Table], Sequence[Any]], Table]

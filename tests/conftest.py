@@ -13,15 +13,21 @@ from repro.federation.controller import FederationConfig, create_federation
 import repro.algorithms  # noqa: F401  (register algorithms once)
 
 # ----------------------------------------------------------- hypothesis setup
-# Profiles are selected with HYPOTHESIS_PROFILE (the CI lane pins "ci").
-# ``ci`` derandomizes so a red CI run is reproducible from the printed blob;
-# ``dev`` keeps Hypothesis' default randomized exploration for local runs.
+# Profiles are selected with HYPOTHESIS_PROFILE (the tests lane pins "ci",
+# the determinism lane "determinism").  ``ci`` derandomizes so a red CI run
+# is reproducible from the printed blob; ``determinism`` does the same and
+# multiplies the budget of the generated suites that pin a small tier-1 one
+# (they read EXAMPLE_SCALE); ``dev`` keeps Hypothesis' default randomized
+# exploration for local runs.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "dev")
+EXAMPLE_SCALE = 10 if HYPOTHESIS_PROFILE == "determinism" else 1
 try:
     from hypothesis import settings
 
     settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.register_profile("determinism", derandomize=True, print_blob=True)
     settings.register_profile("dev")
-    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+    settings.load_profile(HYPOTHESIS_PROFILE)
 except ImportError:  # pragma: no cover - hypothesis is an optional test dep
     pass
 

@@ -67,18 +67,6 @@ class TestDML:
         with pytest.raises(Exception):
             db.execute("INSERT INTO t VALUES (1)")
 
-    def test_delete_where(self, db):
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (1), (2), (3)")
-        db.execute("DELETE FROM t WHERE a = 2")
-        assert db.query("SELECT a FROM t ORDER BY a").to_rows() == [(1,), (3,)]
-
-    def test_delete_all(self, db):
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (1)")
-        db.execute("DELETE FROM t")
-        assert db.query("SELECT * FROM t").num_rows == 0
-
 
 class TestDirectAPI:
     def test_register_and_get(self, db):

@@ -198,29 +198,3 @@ def test_expression_string_roundtrip(predicate):
     original = evaluate(predicate, table)
     roundtripped = evaluate(reparsed, table)
     assert original.to_list() == roundtripped.to_list()
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 3).map(float), numbers), min_size=1, max_size=20
-    )
-)
-def test_group_by_sums_match_reference(rows):
-    database = Database()
-    database.register_table("t", make_table(rows))
-    result = database.query(
-        "SELECT a, COUNT(*) AS n, SUM(b) AS s FROM t GROUP BY a"
-    )
-    expected: dict = {}
-    for a, b in rows:
-        entry = expected.setdefault(a, [0, None])
-        entry[0] += 1
-        if b is not None:
-            entry[1] = b if entry[1] is None else entry[1] + b
-    for key, count, total in result.to_rows():
-        assert expected[key][0] == count
-        if total is None:
-            assert expected[key][1] is None
-        else:
-            assert math.isclose(expected[key][1], total, rel_tol=1e-9, abs_tol=1e-9)

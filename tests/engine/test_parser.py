@@ -60,56 +60,35 @@ class TestSelectParsing:
         assert stmt.where.op == "OR"
         assert stmt.where.right.op == "AND"
 
-    def test_group_by_having(self):
-        stmt = parse("SELECT c, COUNT(*) FROM t GROUP BY c HAVING COUNT(*) > 2")
-        assert len(stmt.group_by) == 1
-        assert stmt.having is not None
-
-    def test_order_limit(self):
-        stmt = parse("SELECT a FROM t ORDER BY a DESC, b LIMIT 5")
-        assert stmt.order_by[0].ascending is False
-        assert stmt.order_by[1].ascending is True
-        assert stmt.limit == 5
-
-    def test_subquery_source(self):
-        stmt = parse("SELECT a FROM (SELECT a FROM t) AS s")
-        assert isinstance(stmt.source, ast.SubquerySource)
-        assert stmt.source.alias == "s"
-
     def test_udf_call_source(self):
-        stmt = parse("SELECT * FROM f((SELECT a FROM t), 3, 'x')")
+        stmt = parse("SELECT * FROM f(3, 'x')")
         assert isinstance(stmt.source, ast.UDFCall)
-        assert len(stmt.source.query_args) == 1
         assert stmt.source.literal_args == (3, "x")
-
-    def test_select_without_from(self):
-        stmt = parse("SELECT 1 + 1 AS two")
-        assert stmt.source is None
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("SELECT a FROM t WHERE 1 = 1 1")
 
-    def test_table_alias(self):
-        stmt = parse("SELECT t.a FROM my_table AS t")
-        assert stmt.source == ast.NamedTable("my_table", "t")
-        assert stmt.items[0].expression == ast.ColumnRef("t.a")
-
-    def test_join_parsing(self):
-        stmt = parse(
-            "SELECT a.x FROM t1 a JOIN t2 b ON a.id = b.id "
-            "LEFT JOIN t3 c ON b.id = c.id"
-        )
-        outer = stmt.source
-        assert isinstance(outer, ast.JoinSource)
-        assert outer.kind == "LEFT"
-        inner = outer.left
-        assert isinstance(inner, ast.JoinSource)
-        assert inner.kind == "INNER"
-
-    def test_select_distinct(self):
-        stmt = parse("SELECT DISTINCT a FROM t")
-        assert stmt.distinct
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t1 JOIN t2 ON t1.id = t2.id",
+        "SELECT a FROM t1 LEFT JOIN t2 ON t1.id = t2.id",
+        "SELECT c, COUNT(*) FROM t GROUP BY c",
+        "SELECT COUNT(*) FROM t WHERE a > 1 GROUP BY c HAVING COUNT(*) > 2",
+        "SELECT a FROM t ORDER BY a",
+        "SELECT a FROM t WHERE a > 1 LIMIT 5",
+        "SELECT DISTINCT a FROM t",
+        "SELECT COUNT(DISTINCT a) FROM t",
+        "SELECT a FROM (SELECT a FROM t) AS s",
+        "SELECT t.a FROM my_table AS t",
+        "SELECT x.a FROM t x",
+        "SELECT * FROM f((SELECT a FROM t), 3)",
+        "SELECT * FROM f(SELECT a FROM t)",
+        "DELETE FROM t WHERE a = 1",
+        "SELECT 1 + 1 AS two",
+    ])
+    def test_a_shape_the_platform_never_issues_does_not_parse(self, sql):
+        with pytest.raises(ParseError):
+            parse(sql)
 
 
 class TestExpressionParsing:
@@ -155,12 +134,10 @@ class TestExpressionParsing:
         assert isinstance(expr, ast.Cast)
         assert expr.target == SQLType.REAL
 
-    def test_count_star_and_distinct(self):
+    def test_count_star(self):
         star = parse_expression("COUNT(*)")
         assert isinstance(star, ast.Aggregate)
         assert star.argument is None
-        distinct = parse_expression("COUNT(DISTINCT a)")
-        assert distinct.distinct
 
     def test_stddev_alias(self):
         expr = parse_expression("STDDEV(a)")
@@ -194,11 +171,6 @@ class TestDDLParsing:
     def test_insert_select(self):
         stmt = parse("INSERT INTO t SELECT a FROM s")
         assert isinstance(stmt, ast.InsertSelect)
-
-    def test_delete(self):
-        stmt = parse("DELETE FROM t WHERE a = 1")
-        assert isinstance(stmt, ast.DeleteFrom)
-        assert stmt.where is not None
 
     def test_create_function(self):
         stmt = parse(

@@ -17,58 +17,70 @@ def db():
 class TestBasicUDF:
     def test_vectorized_columns(self, db):
         db.execute(
-            "CREATE FUNCTION double_it(a INT) RETURNS TABLE(v INT) "
-            "LANGUAGE PYTHON { return {'v': a * 2} }"
+            "CREATE FUNCTION double_it() RETURNS TABLE(v INT) LANGUAGE PYTHON {\n"
+            "    a = _conn.execute('SELECT a FROM t')['a']\n"
+            "    return {'v': a * 2}\n"
+            "}"
         )
-        rows = db.query("SELECT * FROM double_it((SELECT a FROM t))").to_rows()
+        rows = db.query("SELECT * FROM double_it()").to_rows()
         assert rows == [(2,), (4,), (6,)]
 
     def test_multiple_input_columns(self, db):
         db.execute(
-            "CREATE FUNCTION combine(a INT, b REAL) RETURNS TABLE(v REAL) "
-            "LANGUAGE PYTHON { return {'v': a + b} }"
+            "CREATE FUNCTION combine() RETURNS TABLE(v REAL) LANGUAGE PYTHON {\n"
+            "    t = _conn.execute('SELECT a, b FROM t')\n"
+            "    return {'v': t['a'] + t['b']}\n"
+            "}"
         )
-        rows = db.query("SELECT * FROM combine((SELECT a, b FROM t))").to_rows()
+        rows = db.query("SELECT * FROM combine()").to_rows()
         assert rows == [(11.0,), (22.0,), (33.0,)]
 
     def test_scalar_literal_arguments(self, db):
         db.execute(
-            "CREATE FUNCTION scale(a INT, factor INT) RETURNS TABLE(v INT) "
-            "LANGUAGE PYTHON { return {'v': a * factor} }"
+            "CREATE FUNCTION scale(factor INT) RETURNS TABLE(v INT) LANGUAGE PYTHON {\n"
+            "    return {'v': _conn.execute('SELECT a FROM t')['a'] * factor}\n"
+            "}"
         )
-        rows = db.query("SELECT * FROM scale((SELECT a FROM t), 10)").to_rows()
+        rows = db.query("SELECT * FROM scale(10)").to_rows()
         assert rows == [(10,), (20,), (30,)]
 
     def test_numpy_available(self, db):
         db.execute(
-            "CREATE FUNCTION total(a INT) RETURNS TABLE(s INT) "
-            "LANGUAGE PYTHON { return {'s': np.array([a.sum()])} }"
+            "CREATE FUNCTION total() RETURNS TABLE(s INT) LANGUAGE PYTHON {\n"
+            "    return {'s': np.array([_conn.execute('SELECT a FROM t')['a'].sum()])}\n"
+            "}"
         )
-        assert db.query("SELECT * FROM total((SELECT a FROM t))").to_rows() == [(6,)]
+        assert db.query("SELECT * FROM total()").to_rows() == [(6,)]
 
     def test_or_replace(self, db):
         db.execute(
-            "CREATE FUNCTION f(a INT) RETURNS TABLE(v INT) LANGUAGE PYTHON { return {'v': a} }"
+            "CREATE FUNCTION f(k INT) RETURNS TABLE(v INT) LANGUAGE PYTHON { return {'v': k} }"
         )
         with pytest.raises(CatalogError):
             db.execute(
-                "CREATE FUNCTION f(a INT) RETURNS TABLE(v INT) "
-                "LANGUAGE PYTHON { return {'v': a} }"
+                "CREATE FUNCTION f(k INT) RETURNS TABLE(v INT) "
+                "LANGUAGE PYTHON { return {'v': k} }"
             )
         db.execute(
-            "CREATE OR REPLACE FUNCTION f(a INT) RETURNS TABLE(v INT) "
-            "LANGUAGE PYTHON { return {'v': a + 1} }"
+            "CREATE OR REPLACE FUNCTION f(k INT) RETURNS TABLE(v INT) "
+            "LANGUAGE PYTHON { return {'v': k + 1} }"
         )
-        rows = db.query("SELECT * FROM f((SELECT a FROM t LIMIT 1))").to_rows()
-        assert rows == [(2,)]
+        assert db.query("SELECT * FROM f(1)").to_rows() == [(2,)]
 
     def test_drop_function(self, db):
         db.execute(
-            "CREATE FUNCTION f(a INT) RETURNS TABLE(v INT) LANGUAGE PYTHON { return {'v': a} }"
+            "CREATE FUNCTION f(k INT) RETURNS TABLE(v INT) LANGUAGE PYTHON { return {'v': k} }"
         )
         db.execute("DROP FUNCTION f")
         with pytest.raises(CatalogError):
-            db.query("SELECT * FROM f((SELECT a FROM t))")
+            db.query("SELECT * FROM f(1)")
+
+    def test_more_literals_than_parameters(self, db):
+        db.execute(
+            "CREATE FUNCTION f(k INT) RETURNS TABLE(v INT) LANGUAGE PYTHON { return {'v': k} }"
+        )
+        with pytest.raises(UDFError, match="2 literal arguments for 1 parameters"):
+            db.query("SELECT * FROM f(1, 2)")
 
 
 class TestLoopback:
@@ -96,31 +108,31 @@ class TestLoopback:
 class TestErrorHandling:
     def test_exception_wrapped(self, db):
         db.execute(
-            "CREATE FUNCTION boom(a INT) RETURNS TABLE(v INT) "
+            "CREATE FUNCTION boom() RETURNS TABLE(v INT) "
             "LANGUAGE PYTHON { raise ValueError('nope') }"
         )
         with pytest.raises(UDFError, match="nope"):
-            db.query("SELECT * FROM boom((SELECT a FROM t))")
+            db.query("SELECT * FROM boom()")
 
     def test_missing_output_column(self, db):
         db.execute(
-            "CREATE FUNCTION bad(a INT) RETURNS TABLE(v INT, w INT) "
-            "LANGUAGE PYTHON { return {'v': a} }"
+            "CREATE FUNCTION bad() RETURNS TABLE(v INT, w INT) "
+            "LANGUAGE PYTHON { return {'v': np.array([1, 2])} }"
         )
         with pytest.raises(UDFError, match="missing column"):
-            db.query("SELECT * FROM bad((SELECT a FROM t))")
+            db.query("SELECT * FROM bad()")
 
     def test_ragged_output(self, db):
         db.execute(
-            "CREATE FUNCTION ragged(a INT) RETURNS TABLE(v INT, w INT) "
-            "LANGUAGE PYTHON { return {'v': a, 'w': a[:1]} }"
+            "CREATE FUNCTION ragged() RETURNS TABLE(v INT, w INT) "
+            "LANGUAGE PYTHON { return {'v': np.array([1, 2]), 'w': np.array([1])} }"
         )
         with pytest.raises(UDFError, match="ragged"):
-            db.query("SELECT * FROM ragged((SELECT a FROM t))")
+            db.query("SELECT * FROM ragged()")
 
     def test_unknown_function(self, db):
         with pytest.raises(CatalogError):
-            db.query("SELECT * FROM nothere((SELECT a FROM t))")
+            db.query("SELECT * FROM nothere()")
 
     def test_scalar_result_broadcast(self, db):
         db.execute(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.table import Table
 from repro.errors import UDFError
 from repro.udfgen import (
     FusionStep,
@@ -125,8 +126,10 @@ class TestStatefulExecution:
         (state_table,) = run_udf_application(db, first)
         assert state_table in db.session_cache
         # poison the serialized blob: if the cache is used, the chain still works
-        db.execute(f"DELETE FROM {state_table}")
-        db.execute(f"INSERT INTO {state_table} VALUES ('not-base64-pickle')")
+        schema = db.get_table(state_table).schema
+        db.register_table(
+            state_table, Table.from_rows(schema, [("not-base64-pickle",)]), replace=True
+        )
         second = generate_udf_application(
             get_spec(fusion_reduce), "s2", {"previous": state_table}
         )

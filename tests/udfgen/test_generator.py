@@ -164,7 +164,7 @@ class TestExecution:
     def test_tensor_output(self, db):
         app = generate_udf_application(get_spec(tensor_step), "t1", {"data": "numbers"})
         (out,) = run_udf_application(db, app)
-        result = db.query(f"SELECT * FROM {out} ORDER BY dim0, dim1").to_rows()
+        result = sorted(db.query(f"SELECT * FROM {out}").to_rows())
         assert result == [(0, 0, 2.0), (0, 1, 4.0), (1, 0, 6.0), (1, 1, 8.0)]
 
     def test_relation_output(self, db):
