@@ -8,6 +8,9 @@ against the recorded e5 baseline: durability must cost **< 5%**.
 
 A micro-section also reports raw journal append throughput so regressions
 in the framing/fsync path show up even when the macro gate has headroom.
+It appends ``step`` records carrying a read value the size of a
+three-predictor linear regression's aggregate (a 3 x 3 ``xtx``), which is
+the record the platform writes per federation read.
 
 Results land in ``results/BENCH_journal.json`` (stable BenchResult schema
 plus the comparison block) and ``results/journal_overhead.txt``.
@@ -36,6 +39,14 @@ ROUNDS = 5
 OVERHEAD_BUDGET = 0.05  # journaling must cost < 5% of the e5 p95
 BASELINE_PATH = RESULTS_DIR / "BASELINE_e5_scaling.json"
 MICRO_APPENDS = 2000
+#: One aggregate read of linear regression on three predictors.
+MICRO_READ_VALUE = {
+    "n": 1600.0,
+    "xtx": [[1600.0, 112834.2, 4803.9], [112834.2, 8012345.6, 339201.7],
+            [4803.9, 339201.7, 14511.3]],
+    "xty": [4712.6, 332760.1, 14150.8],
+    "yty": 13901.4,
+}
 
 
 def _timed_linreg(durability: DurabilityManager | None) -> float:
@@ -55,7 +66,12 @@ def _timed_linreg(durability: DurabilityManager | None) -> float:
 
 def _micro_append_rate(state_dir: str) -> tuple[float, dict]:
     manager = DurabilityManager(state_dir)
-    payload = {"job_id": "bench", "index": 0, "key": "LocalStepNode:n1"}
+    payload = {
+        "job_id": "bench",
+        "index": 0,
+        "key": "SecureAggregateNode:n2",
+        "value": MICRO_READ_VALUE,
+    }
     t0 = time.perf_counter()
     for index in range(MICRO_APPENDS):
         manager.journal.append("step", dict(payload, index=index))

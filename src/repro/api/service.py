@@ -37,10 +37,10 @@ class MIPService:
     ) -> None:
         self.federation = federation
         #: Durable execution: with ``state_dir`` set, every job lifecycle
-        #: transition is journaled and every federation read is
-        #: checkpointed, so a crashed service restarted on the same
-        #: directory replays the journal, restores finished results, and
-        #: resumes interrupted experiments from their last checkpoint.
+        #: transition and every value read out of the federation is
+        #: journaled, so a crashed service restarted on the same directory
+        #: folds the journal, restores finished results, and resumes
+        #: interrupted experiments from their last journaled read.
         self.durability = None
         self.recovery: dict[str, Any] | None = None
         if state_dir is not None:
@@ -65,7 +65,7 @@ class MIPService:
         for job_id, result in report.completed.items():
             self.engine.queue.history.put(job_id, result)
         for job_id, request, priority in report.pending:
-            reads = self.durability.prepare_resume(job_id, request)
+            reads = self.durability.prepare_resume(job_id)
             master_audit.record(
                 "experiment_resumed",
                 job_id=job_id,

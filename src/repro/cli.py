@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     for subparser in (run, submit, jobs, cancel):
         subparser.add_argument("--state-dir", default=None, metavar="DIR",
                                help="durable state directory: journal every "
-                                    "job lifecycle and checkpoint federation "
-                                    "reads so `repro resume` can recover")
+                                    "job lifecycle and federation read so "
+                                    "`repro resume` can recover")
 
     profile = subcommands.add_parser(
         "profile",

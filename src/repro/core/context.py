@@ -11,7 +11,7 @@ arguments, appends typed nodes to a :class:`~repro.core.plan.FlowPlan`, and
 hands them to the :class:`~repro.core.plan_executor.PlanExecutor`, which
 runs each node inline at record time.  The returned handles are references
 to plan nodes — algorithms keep passing them between steps unchanged — and
-are lazy only under checkpoint replay, where a recorded node runs the first
+are lazy only under resume replay, where a recorded node runs the first
 time a live step needs it.
 """
 
@@ -120,15 +120,15 @@ class ExecutionContext:
         # uses share the placement work instead of re-shipping.
         self._bcast_nodes: dict[ValueRef, int] = {}
         self._last_node: int | None = None
-        #: Durability sink: every forced read is recorded (journal `step`
-        #: record + atomic checkpoint) so a crashed experiment can resume
-        #: from its last read instead of step 0.
+        #: Durability sink: every forced read is recorded (a fsync'd journal
+        #: ``step`` record carrying the value) so a crashed experiment can
+        #: resume from its last read instead of step 0.
         self._durability = durability
-        #: Recorded read frontier from a recovered checkpoint.  While it is
-        #: being replayed, plan nodes are submitted as *ghosts* (recorded
-        #: but never executed) and reads are answered from the log; the
-        #: first read past the log — or a key mismatch — switches to live
-        #: execution.
+        #: Read frontier folded from the journal's ``step`` records.  While
+        #: it is being replayed, plan nodes are submitted as *ghosts*
+        #: (recorded but never executed) and reads are answered from the
+        #: log; the first read past the log — or a key mismatch — switches
+        #: to live execution.
         self._resume = [dict(entry) for entry in resume_reads] if resume_reads else None
         self._resume_pos = 0
         self.replayed_reads = 0
@@ -475,7 +475,7 @@ class ExecutionContext:
 
     def _force_read(self, node) -> Any:
         """Materialize one read node — from the resume log while replaying,
-        live otherwise — and record the value for checkpointing.
+        live otherwise — and record the value in the journal.
 
         The read key ties the recorded value to the exact plan node that
         produced it (node ids are deterministic functions of the recorded
@@ -492,9 +492,9 @@ class ExecutionContext:
                 value = entry.get("value")
                 self.executor.set_replayed(node.node_id, value)
                 if self._durability is not None:
-                    # Re-record so this life's checkpoint covers the whole
-                    # frontier — a second crash resumes from here, not from
-                    # the first crash's frontier.
+                    # Re-record so this life's step records cover the
+                    # whole frontier — a second crash resumes from here,
+                    # not from the first crash's frontier.
                     self._durability.record_read(self.job_id, key, value)
                 return value
             self._resume_pos = len(self._resume)

@@ -200,7 +200,7 @@ class ExperimentEngine:
 
         self.federation = federation
         #: Optional :class:`~repro.durability.recovery.DurabilityManager`
-        #: shared by the queue (journaling) and the runner (checkpointed
+        #: shared by the queue (journaling) and the runner (journaled
         #: reads + resume); ``MIPService(state_dir=...)`` wires one in.
         self.durability = durability
         self.runner = ExperimentRunner(

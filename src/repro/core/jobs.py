@@ -473,7 +473,7 @@ class ExperimentQueue:
         except MasterCrashError:
             # Simulated master crash: the "process" died mid-flow.  No
             # finalize, no terminal journal record — recovery re-enqueues
-            # the job from its last checkpoint after restart.  (The finally
+            # the job from its last journaled read after restart.  (The finally
             # below still releases the executor slot.)
             return
         finally:

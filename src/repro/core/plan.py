@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smpc.cluster import NoiseSpec
@@ -45,7 +45,6 @@ __all__ = [
     "BroadcastNode",
     "BarrierNode",
     "FlowPlan",
-    "canonical_fingerprint",
 ]
 
 
@@ -347,13 +346,3 @@ class FlowPlan:
             lines.append(f"  n{dep} -> n{dependent};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def canonical_fingerprint(payload: Mapping[str, Any]) -> str:
-    """SHA-256 over a canonical-JSON payload, independent of key order.
-
-    The durability layer keys a checkpoint on the fingerprint of its
-    experiment request (:mod:`repro.durability.checkpoint`).
-    """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

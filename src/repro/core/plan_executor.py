@@ -9,7 +9,7 @@ two plan nodes in flight — every pair of independent nodes sits behind a
 forced read — which is why there is no scheduler here
 (docs/ARCHITECTURE.md §14 has the measurement).
 
-The one deferred case is checkpoint replay: while a resumed experiment
+The one deferred case is resume replay: while a resumed experiment
 re-walks its recorded prefix, nodes are submitted as *ghosts* that never
 run unless a live node past the replayed frontier references them.
 """
@@ -64,7 +64,7 @@ class PlanExecutor:
         self._run_node(state)
 
     def submit_ghost(self, node: PlanNode) -> None:
-        """Record a node during checkpoint replay without executing it.
+        """Record a node during resume replay without executing it.
 
         Replay answers the flow's reads from the recorded frontier, so the
         steps behind those reads must not re-run (their side effects —
@@ -75,7 +75,7 @@ class PlanExecutor:
         self._states[node.node_id] = _NodeState(node, tracer.current(), ghost=True)
 
     def set_replayed(self, node_id: int, value: Any) -> None:
-        """Resolve a ghost read node to its checkpointed value."""
+        """Resolve a ghost read node to its journaled value."""
         state = self._states[node_id]
         state.result = value
         state.ghost = False

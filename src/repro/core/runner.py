@@ -44,7 +44,7 @@ class ExperimentRunner:
         self.noise = noise
         #: Optional :class:`~repro.durability.recovery.DurabilityManager`.
         #: The runner threads it into every execution context: reads are
-        #: checkpointed as they happen, and a job recovered after a crash
+        #: journaled as they happen, and a job recovered after a crash
         #: replays its recorded frontier instead of re-executing from step 0.
         self.durability = durability
         #: In-flight dataset assignments, shared with the shipping planner.

@@ -19,7 +19,7 @@ class LocalHandle:
     Returned by the recording :class:`~repro.core.context.ExecutionContext`:
     kind and sharing flags are static (they come from the UDF's declared
     output types), while the physical table map is read from the producing
-    plan node — which, under checkpoint replay, runs on first access.
+    plan node — which, under resume replay, runs on first access.
     """
 
     __slots__ = ("kind", "shared_to_global", "_executor", "_ref")

@@ -15,7 +15,8 @@ Writes go through an ``O_APPEND`` raw file descriptor with ``os.write`` so
 that an in-process simulated crash leaves exactly the bytes that were
 written — there is no userspace buffer to lose.  ``fsync`` is batched:
 every ``fsync_every`` appends, plus on demand for records that must be
-durable before the caller proceeds (terminal results).
+durable before the caller proceeds (submits, read values, terminal
+results).
 
 Segments rotate at ``segment_max_bytes``; sequence numbers are global and
 monotone across segments, so replay order never depends on file mtimes.
@@ -181,14 +182,16 @@ class Journal:
     def append(self, kind: str, payload: dict[str, Any], sync: bool = False) -> int:
         """Append one record; returns its sequence number.
 
-        ``sync=True`` forces an fsync before returning (used for terminal
-        records — a result must not be reported and then lost).
+        ``sync=True`` forces an fsync before returning (used for submit,
+        step and terminal records — none may be acted on and then lost).
+        A payload that does not JSON-encode raises before anything is
+        written or a sequence number is taken.
         """
         with self._lock:
-            self._seq += 1
-            record = {"seq": self._seq, "kind": kind}
+            record = {"seq": self._seq + 1, "kind": kind}
             record.update(payload)
             frame = _frame(record)
+            self._seq += 1
             if self._segment_bytes + len(frame) > self.segment_max_bytes and self._segment_bytes > 0:
                 self._rotate_locked()
             fd = self._ensure_fd_locked()

@@ -1,24 +1,24 @@
-"""Crash recovery: replay the journal over the latest snapshots.
+"""Crash recovery: fold the journal into results and resume frontiers.
 
 The :class:`DurabilityManager` is the one object the engine talks to.  It
-owns the journal and the checkpoint store and plays two roles:
+owns the journal and plays two roles:
 
 **Recording (normal operation).**  The :class:`~repro.core.jobs.ExperimentQueue`
 journals every lifecycle transition — ``submit`` (with the full serialized
 request, so the journal is self-contained), ``dispatch``, and a fsync'd
 ``terminal`` carrying the serialized result.  The execution context calls
 :meth:`record_read` every time an algorithm pulls a value out of the
-federation; each read appends a ``step`` journal record and atomically
-rewrites the job's checkpoint with the full read log, which *is* the
-completed-step frontier.
+federation; each read appends a fsync'd ``step`` record carrying the
+value, its plan-node key and its index in the job's read order.
 
 **Recovery (startup).**  :meth:`recover` folds the journal into a job
 table: a job with a ``terminal`` record is finished (its result is
 restored into the history store); a job without one is re-enqueued in its
-original submission order and priority.  :meth:`prepare_resume` then loads
-the job's checkpoint — if its plan fingerprint still matches the request —
-and stashes the read log for the runner, which replays the recorded
-frontier through ghost plan nodes instead of re-executing from step 0.
+original submission order and priority, together with its read frontier —
+the values its ``step`` records carry.  :meth:`prepare_resume` reports how
+many reads a job will replay, and the runner takes them with
+:meth:`take_resume_reads` to replay the recorded frontier through ghost
+plan nodes instead of re-executing from step 0.
 
 Once :attr:`DurabilityManager.frozen` is set — a simulated master crash
 sets it — all recording becomes a no-op: a dead process writes nothing,
@@ -33,11 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core.experiment import ExperimentRequest, ExperimentResult
-from repro.durability.checkpoint import (
-    CheckpointStore,
-    ExperimentCheckpoint,
-    request_fingerprint,
-)
 from repro.durability.journal import Journal
 
 
@@ -72,7 +67,7 @@ _UNDECODABLE = object()
 
 
 class DurabilityManager:
-    """Journal + checkpoints + recovery for one ``state_dir``."""
+    """Journal + recovery for one ``state_dir``."""
 
     def __init__(
         self,
@@ -88,14 +83,13 @@ class DurabilityManager:
             fsync_every=fsync_every,
             segment_max_bytes=segment_max_bytes,
         )
-        self.checkpoints = CheckpointStore(os.path.join(state_dir, "checkpoints"))
         self._lock = threading.Lock()
-        self._read_logs: dict[str, list[dict[str, Any]]] = {}
-        self._fingerprints: dict[str, str] = {}
+        #: Index of each recording job's next read; set at submit, dropped
+        #: at terminal or when a read does not serialize.
+        self._read_counts: dict[str, int] = {}
         self._resume_reads: dict[str, list[dict[str, Any]]] = {}
         self.resumed_jobs: tuple[str, ...] = ()
         self.restored_jobs: tuple[str, ...] = ()
-        self.checkpoint_mismatches = 0
         self.unserializable_reads = 0
         #: Set once a simulated master crash fires: the "process" is dead,
         #: so nothing may reach stable storage anymore.
@@ -106,12 +100,11 @@ class DurabilityManager:
     def record_submit(self, job_id: str, request: ExperimentRequest, priority: int) -> None:
         if self.frozen:
             return
-        payload = request.to_dict()
         with self._lock:
-            self._fingerprints[job_id] = request_fingerprint(payload)
+            self._read_counts[job_id] = 0
         self.journal.append(
             "submit",
-            {"job_id": job_id, "request": payload, "priority": priority},
+            {"job_id": job_id, "request": request.to_dict(), "priority": priority},
             sync=True,
         )
 
@@ -121,8 +114,8 @@ class DurabilityManager:
         self.journal.append("dispatch", {"job_id": job_id})
 
     def record_terminal(self, job_id: str, result: ExperimentResult) -> None:
-        """A job reached success/error/cancelled: fsync the result, then
-        drop its checkpoint — the frontier is no longer needed."""
+        """A job reached success/error/cancelled: fsync the result, which
+        also retires the job's read frontier."""
         if self.frozen:
             return
         self.journal.append(
@@ -130,49 +123,47 @@ class DurabilityManager:
             {"job_id": job_id, "status": result.status.value, "result": result.to_dict()},
             sync=True,
         )
-        self.checkpoints.delete(job_id)
         with self._lock:
-            self._read_logs.pop(job_id, None)
-            self._fingerprints.pop(job_id, None)
+            self._read_counts.pop(job_id, None)
 
     def record_read(self, job_id: str, key: str, value: Any) -> None:
         """One value left the federation: extend the job's frontier.
 
-        Journals a ``step`` marker and atomically rewrites the checkpoint
-        with the complete read log so far.  A value that does not
-        JSON-serialize disables checkpointing for the job (counted) rather
-        than failing the experiment.
+        Appends a fsync'd ``step`` record with the value, so the read is
+        durable before the flow acts on it.  A value that does not
+        JSON-serialize stops recording for the job (counted) rather than
+        failing the experiment; the reads before it still resume.
         """
         if self.frozen:
             return
         with self._lock:
-            fingerprint = self._fingerprints.get(job_id)
-            log = self._read_logs.setdefault(job_id, [])
-            entry = {"key": key, "value": value}
-            log.append(entry)
-            snapshot = list(log)
-        if fingerprint is None:
-            return
+            index = self._read_counts.get(job_id)
+            if index is None:
+                return
+            self._read_counts[job_id] = index + 1
         try:
             self.journal.append(
-                "step", {"job_id": job_id, "index": len(snapshot) - 1, "key": key}
-            )
-            self.checkpoints.save(
-                ExperimentCheckpoint(
-                    job_id=job_id, fingerprint=fingerprint, reads=snapshot
-                )
+                "step",
+                {"job_id": job_id, "index": index, "key": key, "value": value},
+                sync=True,
             )
         except (TypeError, ValueError):
             self.unserializable_reads += 1
             with self._lock:
-                self._read_logs.pop(job_id, None)
-                self._fingerprints.pop(job_id, None)
-            self.checkpoints.delete(job_id)
+                self._read_counts.pop(job_id, None)
 
     # ------------------------------------------------------------ recovery
 
     def recover(self) -> RecoveryReport:
-        """Fold the journal into finished results + jobs to re-enqueue."""
+        """Fold the journal into finished results + jobs to re-enqueue.
+
+        A job's read frontier is folded the way its ``step`` records were
+        written: a step at ``index`` replaces the reads from ``index`` on
+        (a resumed life re-records its replay over the previous life's
+        frontier), a step that skips ahead is ignored, and a ``terminal``
+        record — or a re-submit of a different request — clears the reads.
+        Only pending jobs keep theirs, for :meth:`take_resume_reads`.
+        """
         report = RecoveryReport()
         jobs: dict[str, dict[str, Any]] = {}
         order: list[str] = []
@@ -195,10 +186,14 @@ class DurabilityManager:
                         "request": request,
                         "priority": int(record.get("priority", 0)),
                         "terminal": None,
+                        "reads": [],
                     }
                 else:
                     # Re-submission after a restart: newest request wins and
-                    # any stale terminal state is cleared.
+                    # any stale terminal state is cleared.  A frontier read
+                    # for another request must not replay.
+                    if request != entry["request"]:
+                        entry["reads"] = []
                     entry.update(request=request, terminal=None)
                 continue
             entry = jobs.get(job_id)
@@ -207,7 +202,13 @@ class DurabilityManager:
                 # (pruned by truncation).  Nothing to recover for it.
                 report.orphan_records += 1
                 continue
-            if kind == "terminal":
+            if kind == "step":
+                reads = entry["reads"]
+                index = record.get("index")
+                if isinstance(index, int) and 0 <= index <= len(reads) and "value" in record:
+                    reads[index:] = [{"key": record.get("key"), "value": record["value"]}]
+            elif kind == "terminal":
+                entry["reads"] = []
                 # Decoded while reading: held raw until the journal is read
                 # through, every payload would sit beside its result.
                 payload = record.get("result")
@@ -217,8 +218,7 @@ class DurabilityManager:
                     )
                 except (KeyError, TypeError, ValueError):
                     entry["terminal"] = _UNDECODABLE
-            # "dispatch" and "step" records carry no recovery state beyond
-            # what the checkpoint already holds.
+            # "dispatch" records carry no recovery state.
         for job_id in order:
             entry = jobs[job_id]
             terminal = entry["terminal"]
@@ -228,29 +228,18 @@ class DurabilityManager:
                 report.completed[job_id] = terminal
             else:
                 report.pending.append((job_id, entry["request"], entry["priority"]))
+                if entry["reads"]:
+                    self._resume_reads[job_id] = entry["reads"]
         report.journal = self.journal.stats.to_dict()
         self.restored_jobs = tuple(sorted(report.completed))
         self.resumed_jobs = tuple(job_id for job_id, _, _ in report.pending)
-        # GC: a crash between the terminal journal append and the checkpoint
-        # delete leaves a stale frontier behind — drop it for every job the
-        # journal says is finished.
-        for job_id in self.restored_jobs:
-            self.checkpoints.delete(job_id)
         return report
 
-    def prepare_resume(self, job_id: str, request: ExperimentRequest) -> int:
-        """Load the job's checkpoint frontier; returns how many recorded
-        reads will replay (0 = no usable checkpoint, run live)."""
-        checkpoint = self.checkpoints.load(job_id)
-        if checkpoint is None:
-            return 0
-        if checkpoint.fingerprint != request_fingerprint(request.to_dict()):
-            self.checkpoint_mismatches += 1
-            self.checkpoints.delete(job_id)
-            return 0
+    def prepare_resume(self, job_id: str) -> int:
+        """How many recorded reads the job's resume will replay (0 = none,
+        run live)."""
         with self._lock:
-            self._resume_reads[job_id] = list(checkpoint.reads)
-        return len(checkpoint.reads)
+            return len(self._resume_reads.get(job_id, ()))
 
     def take_resume_reads(self, job_id: str) -> list[dict[str, Any]] | None:
         """Hand the recorded frontier to the runner (consumed once)."""
@@ -260,19 +249,15 @@ class DurabilityManager:
     # ------------------------------------------------------- observability
 
     def stats(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+        return {
             "journal": self.journal.stats.to_dict(),
-            "checkpoints": self.checkpoints.stats.to_dict(),
             "resumed_jobs": len(self.resumed_jobs),
             "restored_jobs": len(self.restored_jobs),
-            "checkpoint_mismatches": self.checkpoint_mismatches,
             "unserializable_reads": self.unserializable_reads,
         }
-        return payload
 
     def metrics_samples(self) -> Iterator[tuple[str, dict[str, str], float]]:
         journal = self.journal.stats
-        checkpoints = self.checkpoints.stats
         yield ("repro_journal_appends_total", {}, float(journal.appends_total))
         yield ("repro_journal_fsyncs_total", {}, float(journal.fsyncs_total))
         yield (
@@ -287,13 +272,6 @@ class DurabilityManager:
             float(journal.recovered_records),
         )
         yield ("repro_journal_dropped_bytes", {}, float(journal.dropped_bytes))
-        yield ("repro_checkpoint_saves_total", {}, float(checkpoints.saves_total))
-        yield ("repro_checkpoint_loads_total", {}, float(checkpoints.loads_total))
-        yield (
-            "repro_checkpoint_load_failures_total",
-            {},
-            float(checkpoints.load_failures_total),
-        )
         yield ("repro_recovery_resumed_jobs", {}, float(len(self.resumed_jobs)))
         yield ("repro_recovery_restored_jobs", {}, float(len(self.restored_jobs)))
 

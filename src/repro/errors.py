@@ -106,7 +106,7 @@ class SimTestError(ReproError):
 
 
 class DurabilityError(ReproError):
-    """The durability subsystem (journal, checkpoints, recovery) failed."""
+    """The durability subsystem (journal, recovery) failed."""
 
 
 class JournalCorruptionError(DurabilityError):

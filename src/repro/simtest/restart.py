@@ -15,7 +15,7 @@ life 2
     fault belongs to life 1), a fresh federation, and a new service on the
     same state directory.  Constructing the service replays the journal,
     restores finished results into history, and re-enqueues interrupted
-    jobs so they resume from their checkpoints.
+    jobs so they resume from their journaled reads.
 
 The invariant suite is extended across the restart boundary: per-life
 telemetry conservation (life 1 folds in the orphan meters of jobs the

@@ -15,7 +15,6 @@ from repro.core.plan import (
     PlanArg,
     SecureAggregateNode,
     ValueRef,
-    canonical_fingerprint,
 )
 from repro.core.context import DataView
 from repro.core.runner import ExperimentRunner
@@ -109,16 +108,6 @@ class TestRenderers:
         assert PlanArg("literal", value=[1, 2]).summary() == {"literal": [1, 2]}
         big = PlanArg("literal", value=list(range(200))).summary()
         assert set(big) == {"literal_sha256"}
-
-
-class TestFingerprintHelpers:
-    def test_canonical_fingerprint_is_order_independent(self):
-        a = canonical_fingerprint({"x": 1, "y": [2, 3]})
-        b = canonical_fingerprint({"y": [2, 3], "x": 1})
-        assert a == b and len(a) == 64
-
-    def test_canonical_fingerprint_distinguishes_payloads(self):
-        assert canonical_fingerprint({"x": 1}) != canonical_fingerprint({"x": 2})
 
 
 class TestRecordedPlans:

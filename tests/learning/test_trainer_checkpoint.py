@@ -1,13 +1,15 @@
 """Resuming ``federated_training`` through the experiment journal.
 
 Training has no checkpoint format of its own: like every flow, a journaled
-run checkpoints its read frontier, and a restarted service replays it.  The
+run records each read value in a journal ``step`` record, and a restarted
+service replays that frontier.  The
 replay re-runs the flow's code, so the weights, the history and the privacy
 spend of the replayed rounds are rebuilt, not restored.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -72,7 +74,7 @@ def run_clean(federation, request):
 
 def resumed_reads(spec):
     """Run a crash scenario; check it resumed byte-identically and return
-    how many reads the resume replayed from the checkpoint."""
+    how many reads the resume replayed from the journal."""
     report = run_simulation(SimSpec.parse(spec))
     assert report.ok, report.failures()
     lines = report.transcript.splitlines()
@@ -90,7 +92,7 @@ class TestStopAndResume:
     def test_resume_is_byte_identical_to_uninterrupted(self):
         assert TRAINING_CRASH in CORPUS.read_text().splitlines()
         # Replayed, not re-run: moments, the updates and evaluations of
-        # rounds 1 and 2, and round 3's update came from the checkpoint.
+        # rounds 1 and 2, and round 3's update came from the journal.
         assert resumed_reads(TRAINING_CRASH) == 6
 
     def test_resume_in_round_2_runs_a_whole_round_live(self):
@@ -98,13 +100,22 @@ class TestStopAndResume:
         assert resumed_reads(ROUND_2_CRASH) == 4
 
     def test_checkpoint_deleted_on_completion(self, fresh_federation, tmp_path):
+        """The run's reads went into the journal, its terminal record retired
+        them, and the journal is all the run leaves on disk."""
         service = MIPService(fresh_federation, state_dir=str(tmp_path))
         outcome = service.engine.run(make_request(rounds=2))
-        store = service.durability.checkpoints
+        steps = [
+            record for record in service.durability.journal.records()
+            if record["kind"] == "step"
+        ]
         service.shutdown()
         assert outcome.status.value == "success", outcome.error
-        assert store.stats.saves_total > 0
-        assert store.list_ids() == []
+        assert steps and all("value" in record for record in steps)
+        assert sorted(os.listdir(tmp_path)) == ["journal"]
+        reopened = DurabilityManager(str(tmp_path))
+        assert reopened.recover().pending == []
+        assert reopened.take_resume_reads(outcome.experiment_id) is None
+        reopened.close()
 
     def test_fingerprint_mismatch_restarts_from_scratch(self, new_federation, tmp_path):
         # A frontier recorded under one request, then the same job id
@@ -122,10 +133,11 @@ class TestStopAndResume:
 
         service = MIPService(new_federation(), state_dir=str(tmp_path))
         assert service.recovery["resumed"] == ["shared"]
-        assert service.durability.checkpoint_mismatches == 1
         resumed = service.wait_experiment("shared")
         service.shutdown()
         assert resumed.status.value == "success", resumed.error
+        (marker,) = [e for e in resumed.audit if e["event"] == "experiment_resumed"]
+        assert marker["details"]["checkpoint_reads"] == 0
         assert len(resumed.result["history"]) == changed.parameters["rounds"]
         assert resumed.result == run_clean(new_federation(), changed).result
 
