@@ -33,14 +33,18 @@ def build_federation(seed: int):
     )
 
 
-def released_mean(federation, noise: NoiseSpec | None) -> float:
+def released_mean(federation, noise: NoiseSpec | None, experiment_id: str = "e10") -> float:
+    """The released mean; its noise is seeded by the cluster seed and the
+    experiment's SMPC job ids, so a fixed ``experiment_id`` reproduces it."""
     engine = ExperimentEngine(federation, aggregation="smpc", noise=noise)
-    result = engine.run(
+    engine.submit(
         ExperimentRequest(
             algorithm="ttest_onesample", data_model="dementia",
             datasets=("edsd", "adni"), y=("p_tau",), parameters={"mu": 0.0},
-        )
+        ),
+        experiment_id=experiment_id,
     )
+    result = engine.wait(experiment_id)
     assert result.status.value == "success", result.error
     return float(result.result["mean"])
 

@@ -40,10 +40,13 @@ def training_engine():
     federation.shutdown()
 
 
-def train(engine, mode, epsilon, seed=0, rounds=ROUNDS):
-    """One ``federated_training`` experiment; returns its result dict."""
-    result = engine.run(
-        ExperimentRequest(
+def train(engine, mode, epsilon, seed=0, rounds=ROUNDS, experiment_id=None):
+    """One ``federated_training`` experiment; returns its result dict.
+
+    The SA path's noise is seeded by the cluster seed and the experiment's
+    SMPC job ids, so a fixed ``experiment_id`` makes its release
+    reproducible."""
+    request = ExperimentRequest(
             algorithm="federated_training",
             data_model="dementia",
             datasets=tuple(f"site{i}" for i in range(4)),
@@ -60,7 +63,11 @@ def train(engine, mode, epsilon, seed=0, rounds=ROUNDS):
                 "evaluate_every": rounds,
             },
         )
-    )
+    if experiment_id is None:
+        result = engine.run(request)
+    else:
+        engine.submit(request, experiment_id=experiment_id)
+        result = engine.wait(experiment_id)
     assert result.status.value == "success", result.error
     return result.result
 
@@ -96,7 +103,10 @@ def test_report_privacy_utility(training_engine):
         loss = {"dp": [], "sa": []}
         for seed in SEEDS:
             for mode in ("dp", "sa"):
-                result = train(training_engine, mode, epsilon, seed=seed)
+                result = train(
+                    training_engine, mode, epsilon, seed=seed,
+                    experiment_id=f"e6_{mode}_eps{epsilon:g}_seed{seed}",
+                )
                 accuracy[mode].append(result["final_accuracy"])
                 loss[mode].append(result["final_loss"])
         row = (

@@ -1,15 +1,19 @@
-"""E9 — §2 roadmap ablation: UDF fusion and stateful execution.
+"""E9 — §2 roadmap ablation: UDF fusion.
 
 The paper's roadmap: "integrating this process with recent research
 advancements to in-engine, performant and stateful Python UDF execution
-using tracing JIT compilation and UDF fusion [1, 9]".  Both are implemented
-(see `repro.udfgen.generator`); this bench quantifies them on a step chain
-with a large intermediate state:
+using tracing JIT compilation and UDF fusion [1, 9]".  Fusion is implemented
+(`repro.udfgen.generator.generate_fused_application`); this bench quantifies
+it on a step chain with a large intermediate value:
 
-- *naive*       — one application per step, state pickled between steps,
-- *stateful*    — session cache hands the live state object to the next step,
-- *fused*       — the whole chain is one generated UDF; intermediates never
-                  touch SQL at all.
+- *unfused* — one application per step; each step's ``transfer()`` output
+              is a table the next step reads back and decodes,
+- *fused*   — the whole chain is one generated UDF; intermediates never
+              touch SQL at all.
+
+Fusion has no platform caller: no golden plan (``tests/golden_plans/``) has
+a local step feeding a local step — every local step feeds an aggregate —
+so there is no chain for a flow to fuse.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from repro.udfgen import (
     literal,
     relation,
     run_udf_application,
-    state,
     transfer,
     udf,
 )
@@ -43,19 +46,19 @@ N_STEPS = 6
 _INVOCATION = itertools.count()
 
 
-@udf(data=relation(), return_type=[state()])
+@udf(data=relation(), return_type=[transfer()])
 def chain_load(data):
     return {"matrix": data.to_matrix()}
 
 
-@udf(previous=state(), shift=literal(), return_type=[state()])
+@udf(previous=transfer(), shift=literal(), return_type=[transfer()])
 def chain_transform(previous, shift):
-    return {"matrix": previous["matrix"] * 1.0001 + shift}
+    return {"matrix": np.asarray(previous["matrix"]) * 1.0001 + shift}
 
 
-@udf(previous=state(), return_type=[transfer()])
+@udf(previous=transfer(), return_type=[transfer()])
 def chain_reduce(previous):
-    return {"total": float(previous["matrix"].sum())}
+    return {"total": float(np.asarray(previous["matrix"]).sum())}
 
 
 def make_database() -> Database:
@@ -71,29 +74,8 @@ def make_database() -> Database:
     return database
 
 
-def run_naive(database: Database) -> float:
-    tag = f"n{next(_INVOCATION)}"
-    app = generate_udf_application(
-        get_spec(chain_load), f"{tag}_0", {"data": "chain_data"}, stateful=False
-    )
-    (current,) = run_udf_application(database, app)
-    for index in range(N_STEPS):
-        app = generate_udf_application(
-            get_spec(chain_transform), f"{tag}_{index + 1}",
-            {"previous": current, "shift": 0.5}, stateful=False,
-        )
-        (current,) = run_udf_application(database, app)
-    app = generate_udf_application(
-        get_spec(chain_reduce), f"{tag}_r", {"previous": current}, stateful=False
-    )
-    (out,) = run_udf_application(database, app)
-    import json
-
-    return json.loads(database.scalar(f"SELECT * FROM {out}"))["total"]
-
-
-def run_stateful(database: Database) -> float:
-    tag = f"s{next(_INVOCATION)}"
+def run_unfused(database: Database) -> float:
+    tag = f"u{next(_INVOCATION)}"
     app = generate_udf_application(get_spec(chain_load), f"{tag}_0", {"data": "chain_data"})
     (current,) = run_udf_application(database, app)
     for index in range(N_STEPS):
@@ -126,12 +108,8 @@ def run_fused(database: Database) -> float:
     return json.loads(database.scalar(f"SELECT * FROM {out}"))["total"]
 
 
-def test_benchmark_naive_chain(benchmark):
-    benchmark.pedantic(run_naive, args=(make_database(),), rounds=2, iterations=1)
-
-
-def test_benchmark_stateful_chain(benchmark):
-    benchmark.pedantic(run_stateful, args=(make_database(),), rounds=2, iterations=1)
+def test_benchmark_unfused_chain(benchmark):
+    benchmark.pedantic(run_unfused, args=(make_database(),), rounds=2, iterations=1)
 
 
 def test_benchmark_fused_chain(benchmark):
@@ -142,8 +120,7 @@ def test_report_fusion_ablation():
     timings = {}
     results = {}
     for label, runner in (
-        ("naive (pickle per step)", run_naive),
-        ("stateful (session cache)", run_stateful),
+        ("unfused (table per step)", run_unfused),
         ("fused (single UDF)", run_fused),
     ):
         # Best of three: the plan/compile caches make the absolute runtimes
@@ -155,10 +132,12 @@ def test_report_fusion_ablation():
             results[label] = runner(database)
             best = min(best, time.perf_counter() - start)
         timings[label] = best
-    baseline = timings["naive (pickle per step)"]
+    baseline = timings["unfused (table per step)"]
     lines = [
-        "E9 — roadmap ablation: stateful execution and UDF fusion",
-        f"({N_STEPS}-step transform chain over a {N_ROWS}x3 matrix state)",
+        "E9 — roadmap ablation: UDF fusion",
+        f"({N_STEPS}-step transform chain over a {N_ROWS}x3 matrix)",
+        "No golden plan has a local step feeding a local step, so fusion",
+        "has no platform caller; this chain is synthetic.",
         "",
         f"{'variant':<28}{'time (s)':>10}{'speedup':>9}",
     ]
@@ -170,5 +149,4 @@ def test_report_fusion_ablation():
     write_report("e9_fusion", lines)
     values = list(results.values())
     assert max(values) - min(values) < 1e-6
-    assert timings["stateful (session cache)"] < baseline
-    assert timings["fused (single UDF)"] <= timings["stateful (session cache)"] * 1.5
+    assert timings["fused (single UDF)"] < baseline

@@ -45,12 +45,7 @@ from repro.federation.master import Master
 from repro.federation.messages import new_job_id
 from repro.smpc.cluster import NoiseSpec
 from repro.udfgen.decorators import get_spec
-from repro.udfgen.iotypes import (
-    LiteralType,
-    MergeTransferType,
-    RelationType,
-    TransferType,
-)
+from repro.udfgen.iotypes import LiteralType, RelationType, TransferType
 
 
 @dataclass(frozen=True)
@@ -231,12 +226,6 @@ class ExecutionContext:
                 f"{len(spec.outputs)} outputs of {spec.name!r}"
             )
         out_kinds = tuple(iotype.kind for iotype in spec.outputs)
-        for index, kind in enumerate(out_kinds):
-            if share_to_global[index] and kind not in ("transfer", "secure_transfer"):
-                raise AlgorithmError(
-                    f"output {index} of {spec.name!r} is {kind!r}; only transfers "
-                    "can be shared to the global node"
-                )
         step_id = f"{self.job_id}_s{next(self._step_counter)}"
         args: list[tuple[str, PlanArg]] = []
         deps: list[int] = []
@@ -390,39 +379,23 @@ class ExecutionContext:
         pname: str,
         last_aggregate: int | None,
     ) -> int:
-        source, deps = PlanArg("ref", ref=handle.ref), [handle.ref.node_id]
+        if handle.kind != "secure_transfer" or not isinstance(iotype, TransferType):
+            raise AlgorithmError(
+                f"parameter {pname!r}: a global step aggregates a secure_transfer() "
+                "output into a transfer() input"
+            )
+        deps = [handle.ref.node_id]
         if last_aggregate is not None:
             deps.append(last_aggregate)
-        if handle.kind == "secure_transfer":
-            if not isinstance(iotype, TransferType):
-                raise AlgorithmError(
-                    f"parameter {pname!r}: aggregated input binds to transfer()"
-                )
-            node = SecureAggregateNode(
-                node_id=self.plan.next_id(),
-                deps=self._chain(deps),
-                gather_id=f"{step_id}_{pname}",
-                store_id=step_id,
-                source=source,
-                path=self.aggregation,
-                noise=self.noise,
-            )
-        elif handle.kind == "transfer":
-            if not isinstance(iotype, MergeTransferType):
-                raise AlgorithmError(
-                    f"parameter {pname!r}: plain transfers bind to merge_transfer()"
-                )
-            node = PlainAggregateNode(
-                node_id=self.plan.next_id(),
-                deps=self._chain(deps),
-                gather_id=step_id,
-                source=source,
-                store=True,
-            )
-        else:
-            raise AlgorithmError(
-                f"parameter {pname!r}: cannot aggregate a {handle.kind!r} output"
-            )
+        node = SecureAggregateNode(
+            node_id=self.plan.next_id(),
+            deps=self._chain(deps),
+            gather_id=f"{step_id}_{pname}",
+            store_id=step_id,
+            source=PlanArg("ref", ref=handle.ref),
+            path=self.aggregation,
+            noise=self.noise,
+        )
         self._record(node)
         return node.node_id
 
@@ -458,17 +431,14 @@ class ExecutionContext:
                     path=self.aggregation,
                     noise=noise or self.noise,
                 )
-            elif handle.kind == "transfer":
+            else:
                 step_id = f"{self.job_id}_read{next(self._step_counter)}"
                 node = PlainAggregateNode(
                     node_id=self.plan.next_id(),
                     deps=self._chain(deps),
                     gather_id=step_id,
                     source=source,
-                    store=False,
                 )
-            else:
-                raise AlgorithmError(f"cannot read a {handle.kind!r} output")
             self._record(node)
             return self._force_read(node)
         raise AlgorithmError(f"not a handle: {type(handle).__name__}")

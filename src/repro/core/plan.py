@@ -152,22 +152,16 @@ class GlobalStepNode(PlanNode):
 
 @dataclass(frozen=True)
 class PlainAggregateNode(PlanNode):
-    """Gather plain transfers through the remote/merge path.
-
-    ``store=True`` (a ``global_run`` merge-transfer binding) re-materializes
-    every gathered transfer as a master table and yields the table names;
-    ``store=False`` (a ``get_transfer_data`` read) yields the decoded
-    transfer dicts directly.
-    """
+    """Gather plain transfers through the remote/merge path (a
+    ``get_transfer_data`` read): yields the decoded transfer dicts."""
 
     gather_id: str = ""
     source: PlanArg = field(default_factory=lambda: PlanArg("literal"))
-    store: bool = False
 
     kind = "plain_aggregate"
 
     def describe(self) -> dict[str, Any]:
-        return {"source": self.source.summary(), "store": self.store}
+        return {"source": self.source.summary()}
 
 
 @dataclass(frozen=True)

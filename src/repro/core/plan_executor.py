@@ -258,12 +258,7 @@ class PlanExecutor:
             tables = self._resolve_local_tables(node.source)
             transfers, lost = ctx.master.gather_transfers_plain(node.gather_id, tables)
             self._evict_lost(span, lost, node.gather_id)
-            if not node.store:
-                return transfers
-            return [
-                ctx.master.store_global_transfer(node.gather_id, transfer)
-                for transfer in transfers
-            ]
+            return transfers
 
     # ------------------------------------------------------------ global step
 
@@ -285,7 +280,7 @@ class PlanExecutor:
             return arg.value
         assert arg.ref is not None
         upstream = self._ensure(arg.ref.node_id)
-        if isinstance(upstream.node, (SecureAggregateNode, PlainAggregateNode)):
+        if isinstance(upstream.node, SecureAggregateNode):
             return upstream.result
         return upstream.result[arg.ref.index]["table"]
 

@@ -62,64 +62,6 @@ class DataModel:
     version: str
     cdes: Mapping[str, CommonDataElement]
 
-    # ------------------------------------------------------- JSON interchange
-
-    def to_json(self) -> str:
-        """Serialize the data model as the catalogue's JSON interchange form
-        (hospitals receive CDE definitions as metadata files)."""
-        import json
-
-        payload = {
-            "name": self.name,
-            "version": self.version,
-            "variables": [
-                {
-                    "code": cde.code,
-                    "label": cde.label,
-                    "sql_type": cde.sql_type.value,
-                    "is_categorical": cde.is_categorical,
-                    "enumerations": list(cde.enumerations),
-                    "min": cde.min_value,
-                    "max": cde.max_value,
-                    "unit": cde.unit,
-                }
-                for cde in self.cdes.values()
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DataModel":
-        """Parse a data model from the JSON interchange form."""
-        import json
-
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecificationError(f"invalid data-model JSON: {exc}") from exc
-        for key in ("name", "version", "variables"):
-            if key not in payload:
-                raise SpecificationError(f"data-model JSON missing {key!r}")
-        cdes = {}
-        for entry in payload["variables"]:
-            try:
-                cde = CommonDataElement(
-                    code=entry["code"],
-                    label=entry.get("label", entry["code"]),
-                    sql_type=SQLType.from_name(entry["sql_type"]),
-                    is_categorical=bool(entry.get("is_categorical", False)),
-                    enumerations=tuple(entry.get("enumerations", ())),
-                    min_value=entry.get("min"),
-                    max_value=entry.get("max"),
-                    unit=entry.get("unit", ""),
-                )
-            except KeyError as exc:
-                raise SpecificationError(
-                    f"data-model JSON variable missing field {exc}"
-                ) from exc
-            cdes[cde.code] = cde
-        return cls(payload["name"], payload["version"], cdes)
-
     def cde(self, code: str) -> CommonDataElement:
         try:
             return self.cdes[code]

@@ -135,12 +135,6 @@ class Column:
     def take(self, indices: np.ndarray) -> "Column":
         return Column(self.sql_type, self.values[indices], self.nulls[indices])
 
-    def filter(self, mask: np.ndarray) -> "Column":
-        return Column(self.sql_type, self.values[mask], self.nulls[mask])
-
-    def slice(self, start: int, stop: int) -> "Column":
-        return Column(self.sql_type, self.values[start:stop], self.nulls[start:stop])
-
     def concat(self, other: "Column") -> "Column":
         if other.sql_type != self.sql_type:
             raise TypeMismatchError(

@@ -39,11 +39,6 @@ class Database:
         self._functions: dict[str, UDFDefinition] = {}
         self._remote_resolver: RemoteResolver = unavailable_resolver
         self._lock = threading.RLock()
-        #: Session-level Python object cache for stateful UDF execution
-        #: (paper §2 roadmap: "stateful Python UDF execution").  Generated
-        #: UDF bodies see it as ``_cache``: a state object written by one
-        #: step is handed to the next step without a pickle round trip.
-        self.session_cache: dict[str, Any] = {}
 
     # ----------------------------------------------------------------- admin
 
@@ -91,7 +86,6 @@ class Database:
                     return
                 raise CatalogError(f"no such table: {name!r}")
             del self._tables[name]
-            self.session_cache.pop(name, None)
 
     def register_function(self, definition: UDFDefinition, replace: bool = False) -> None:
         with self._lock:

@@ -167,12 +167,6 @@ class Table:
     def take(self, indices: np.ndarray) -> "Table":
         return Table(self.schema, [col.take(indices) for col in self._columns])
 
-    def filter(self, mask: np.ndarray) -> "Table":
-        return Table(self.schema, [col.filter(mask) for col in self._columns])
-
-    def slice(self, start: int, stop: int) -> "Table":
-        return Table(self.schema, [col.slice(start, stop) for col in self._columns])
-
     def select(self, names: Sequence[str]) -> "Table":
         specs = [ColumnSpec(name, self.schema.type_of(name)) for name in names]
         cols = [self.column(name) for name in names]

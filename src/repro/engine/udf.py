@@ -78,7 +78,6 @@ def run_udf(
         "np": np,
         "numpy": np,
         "_conn": LoopbackConnection(database),
-        "_cache": database.session_cache,
         "__udf_result": None,
     }
     for (pname, _), value in zip(definition.parameters, literal_args):

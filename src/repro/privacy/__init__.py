@@ -1,15 +1,13 @@
-"""Differential privacy: mechanisms, budget accounting, clipping.
+"""Differential privacy: mechanisms and budget accounting.
 
 The paper's training path offers "local differential privacy (DP)" — the
 Worker injects Gaussian noise before sending updates — or secure aggregation
 followed by noise injected inside the SMPC protocol.  This package provides
-the mechanisms (Laplace, Gaussian, analytic Gaussian calibration), an
-(epsilon, delta) accountant with basic and advanced composition, and gradient
-clipping to bound sensitivity.
+the mechanisms (Laplace, Gaussian, analytic Gaussian calibration) and an
+(epsilon, delta) accountant with basic composition.
 """
 
 from repro.privacy.accountant import PrivacyAccountant, PrivacySpent
-from repro.privacy.clipping import clip_by_l2_norm
 from repro.privacy.mechanisms import (
     GaussianMechanism,
     LaplaceMechanism,
@@ -21,6 +19,5 @@ __all__ = [
     "LaplaceMechanism",
     "PrivacyAccountant",
     "PrivacySpent",
-    "clip_by_l2_norm",
     "gaussian_sigma",
 ]

@@ -1,8 +1,7 @@
-"""(epsilon, delta) budget accounting with basic and advanced composition."""
+"""(epsilon, delta) budget accounting with basic composition."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import PrivacyError
@@ -20,10 +19,7 @@ class PrivacySpent:
 class PrivacyAccountant:
     """Tracks the (epsilon, delta) cost of a sequence of mechanism releases.
 
-    ``spent()`` reports basic (sequential) composition; ``spent_advanced()``
-    applies the advanced composition theorem (Dwork-Rothblum-Vadhan), useful
-    when an experiment performs many homogeneous releases (e.g. one per
-    training round).
+    ``spent()`` reports basic (sequential) composition.
     """
 
     def __init__(
@@ -96,28 +92,3 @@ class PrivacyAccountant:
             epsilon=sum(e for e, _ in releases),
             delta=min(1.0, sum(d for _, d in releases)),
         )
-
-    def spent_advanced(self, delta_slack: float = 1e-6) -> PrivacySpent:
-        """Advanced composition for k releases at (epsilon_0, delta_0) each.
-
-        epsilon' = eps0 * sqrt(2 k ln(1/delta')) + k eps0 (e^eps0 - 1),
-        delta' = k delta0 + delta_slack.  Falls back to basic composition if
-        the releases are heterogeneous or basic happens to be tighter.
-        """
-        if not self._releases:
-            return PrivacySpent(0.0, 0.0)
-        if not 0 < delta_slack < 1:
-            raise PrivacyError("delta_slack must be in (0, 1)")
-        epsilons = {round(e, 12) for e, _ in self._releases}
-        basic = self.spent()
-        if len(epsilons) != 1:
-            return basic
-        epsilon_0 = self._releases[0][0]
-        k = len(self._releases)
-        advanced_epsilon = epsilon_0 * math.sqrt(2 * k * math.log(1 / delta_slack)) + (
-            k * epsilon_0 * (math.exp(epsilon_0) - 1)
-        )
-        advanced_delta = min(1.0, sum(d for _, d in self._releases) + delta_slack)
-        if advanced_epsilon < basic.epsilon:
-            return PrivacySpent(advanced_epsilon, advanced_delta)
-        return basic

@@ -26,6 +26,7 @@ anything is shared.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import threading
@@ -113,7 +114,7 @@ class SMPCCluster:
         self.n_nodes = n_nodes
         self._jobs: dict[str, SecureComputationRequest] = {}
         self._results: dict[str, dict[str, Any]] = {}
-        self._noise_rng = np.random.default_rng(seed)
+        self._seed = seed
         # Protocol state (shares, MACs, the meter) is shared mutable state;
         # concurrent experiments reach the cluster from separate executor
         # threads, so imports and aggregations are serialized.  The lock
@@ -232,7 +233,7 @@ class SMPCCluster:
                 with tracer.span(
                     "smpc.aggregate_key", operation=run, keys=len(members), bits=width
                 ):
-                    opened.update(self._aggregate_run(run, members, noise, bits))
+                    opened.update(self._aggregate_run(job_id, run, members, noise, bits))
             result = {key: opened[key] for key in keys}
             span.set_attribute("rounds", self.protocol.meter.rounds - rounds_before)
         meter = self._job_meters.setdefault(job_id, CommunicationMeter())
@@ -264,6 +265,7 @@ class SMPCCluster:
 
     def _aggregate_run(
         self,
+        job_id: str,
         run: str,
         members: Sequence[_KeyInputs],
         noise: NoiseSpec | None,
@@ -294,7 +296,7 @@ class SMPCCluster:
         if run == "sum":
             combined = protocol.sum_inputs(shared_inputs)
             if noise is not None:
-                combined = self._inject_noise(combined, noise, sizes)
+                combined = self._inject_noise(job_id, combined, noise, sizes)
         elif run == "product":
             combined = protocol.product_fixed_point(shared_inputs)
         elif run == "min":
@@ -317,21 +319,23 @@ class SMPCCluster:
             offset += size
         return results
 
-    def _inject_noise(self, combined, noise: NoiseSpec, sizes: Sequence[int]):
+    def _inject_noise(self, job_id: str, combined, noise: NoiseSpec, sizes: Sequence[int]):
         """Add every node's authenticated partial noise to the sum run.
 
-        Partials are drawn key by key, node by node within a key — the order
-        seeded released values were produced under when each key had its own
-        protocol run — and then shared as one vector per node.
+        Node ``i`` draws its partials, key by key, from a generator seeded by
+        (cluster seed, SMPC job id, ``i``).  A job aggregates once, so a
+        release depends on its own job alone: not on the jobs that ran
+        before it, which a resumed run skips and a concurrent run
+        interleaves.  An unseeded cluster draws fresh entropy.
         """
         protocol = self.protocol
-        partials = [
-            [noise.partial(self._noise_rng, self.n_nodes, size) for _ in range(self.n_nodes)]
-            for size in sizes
-        ]
+        job_key = int.from_bytes(hashlib.sha256(job_id.encode()).digest()[:8], "big")
         for node in range(self.n_nodes):
+            rng = np.random.default_rng(
+                None if self._seed is None else [self._seed, job_key, node]
+            )
             encoded = protocol.encoder.encode_to_field_vector(
-                np.concatenate([per_key[node] for per_key in partials])
+                np.concatenate([noise.partial(rng, self.n_nodes, size) for size in sizes])
             )
             combined = protocol.add(combined, protocol.input_vector(encoded))
         return combined

@@ -13,10 +13,14 @@ This package provides exactly that pipeline:
    and typed input/output markers (:mod:`repro.udfgen.iotypes`),
 2. :func:`repro.udfgen.generator.generate_udf_application` turns one call of
    that function into SQL — a ``CREATE FUNCTION ... LANGUAGE PYTHON`` whose
-   body embeds the function source plus serialization glue, the output
-   ``CREATE TABLE`` statements, and the driving ``INSERT INTO ... SELECT``,
-3. the engine executes the statements; secondary outputs are written through
-   loopback queries from inside the UDF body.
+   body embeds the function source plus serialization glue, the output's
+   ``CREATE TABLE`` statement, and the driving ``INSERT INTO ... SELECT``,
+3. the engine executes the statements; relation and transfer inputs are
+   read through loopback queries from inside the UDF body.
+
+A UDF takes ``relation()``, ``literal()`` and ``transfer()`` inputs and
+returns exactly one ``transfer()`` or ``secure_transfer()``: the kinds the
+registered algorithms use.
 """
 
 from repro.udfgen.decorators import UDFSpec, udf, udf_registry
@@ -30,11 +34,8 @@ from repro.udfgen.generator import (
 )
 from repro.udfgen.iotypes import (
     literal,
-    merge_transfer,
     relation,
     secure_transfer,
-    state,
-    tensor,
     transfer,
 )
 
@@ -46,12 +47,9 @@ __all__ = [
     "generate_fused_application",
     "generate_udf_application",
     "literal",
-    "merge_transfer",
     "relation",
     "run_udf_application",
     "secure_transfer",
-    "state",
-    "tensor",
     "transfer",
     "udf",
     "udf_registry",

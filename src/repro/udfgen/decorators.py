@@ -8,26 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import UDFError
-from repro.udfgen.iotypes import (
-    IOType,
-    LiteralType,
-    MergeTransferType,
-    RelationType,
-    SecureTransferType,
-    StateType,
-    TensorType,
-    TransferType,
-)
-
-OUTPUT_KINDS = (RelationType, TensorType, StateType, TransferType, SecureTransferType)
-INPUT_KINDS = (
-    RelationType,
-    TensorType,
-    LiteralType,
-    StateType,
-    TransferType,
-    MergeTransferType,
-)
+from repro.udfgen.iotypes import INPUT_KINDS, OUTPUT_KINDS, IOType
 
 
 @dataclass(frozen=True)
@@ -77,28 +58,29 @@ udf_registry = UDFRegistry()
 
 
 def udf(return_type: IOType | Sequence[IOType], **parameter_types: IOType) -> Callable:
-    """Declare a federated computation step with typed inputs and outputs.
+    """Declare a federated computation step with typed inputs and one output.
 
     Example (the shape of the paper's Figure 2 local step)::
 
         @udf(
             x=relation(),
             y=relation(),
-            return_type=[state(), secure_transfer()],
+            return_type=secure_transfer(),
         )
         def fit_local(x, y):
             ...
-            return local_state, summary
+            return summary
 
-    The decorated function stays directly callable (for unit tests); the
-    generator uses the captured source to emit the SQL UDF body.
+    ``return_type`` is a ``transfer()`` or ``secure_transfer()``, alone or
+    as a one-item list.  The decorated function stays directly callable (for
+    unit tests); the generator uses the captured source to emit the SQL UDF
+    body.
     """
     outputs = tuple(return_type) if isinstance(return_type, (list, tuple)) else (return_type,)
-    if not outputs:
-        raise UDFError("a UDF must declare at least one output")
-    for out in outputs:
-        if not isinstance(out, OUTPUT_KINDS):
-            raise UDFError(f"{type(out).__name__} is not a valid UDF output kind")
+    if len(outputs) != 1:
+        raise UDFError(f"a UDF declares exactly one output, got {len(outputs)}")
+    if not isinstance(outputs[0], OUTPUT_KINDS):
+        raise UDFError(f"{type(outputs[0]).__name__} is not a valid UDF output kind")
 
     def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
         signature = inspect.signature(func)

@@ -1,24 +1,23 @@
 """Typed input/output markers for ``@udf``-decorated functions.
 
 MIP wraps dynamic Python with a decorator that pins each parameter and result
-to one of a small set of SQL-representable kinds:
+to one of a small set of SQL-representable kinds.  Inputs:
 
-- ``relation``  — a table with a declared (or inferred) schema,
-- ``tensor``    — an n-dimensional numeric array stored as (dims..., val),
-- ``literal``   — a plain Python value baked into the generated SQL,
-- ``state``     — an opaque, node-local Python object (pickled; never leaves
-  the node, the paper's "kept as a pointer to the actual data"),
+- ``relation``  — a table (a worker's data view), read as named columns,
+- ``literal``   — a plain Python value carried in the generated SQL,
+- ``transfer``  — a JSON-able dict: a global step's aggregate, or a global
+  transfer broadcast to the workers.
+
+A UDF has exactly one output:
+
 - ``transfer``  — a JSON-able dict shipped between nodes,
-- ``merge_transfer`` — the list of all workers' transfers, as seen by a
-  global step,
 - ``secure_transfer`` — a dict of ``{key: {"data": ..., "operation": op}}``
   aggregated through the SMPC cluster instead of revealed to the master.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 from repro.engine.types import SQLType
 from repro.errors import UDFError
@@ -40,23 +39,7 @@ class IOType:
 
 @dataclass(frozen=True, repr=False)
 class RelationType(IOType):
-    """A relational input/output with an optional fixed schema."""
-
-    schema: Optional[tuple[tuple[str, SQLType], ...]] = None
     kind = "relation"
-
-
-@dataclass(frozen=True, repr=False)
-class TensorType(IOType):
-    """A numeric array of fixed rank stored in (dim..., val) layout."""
-
-    ndims: int = 2
-    dtype: SQLType = SQLType.REAL
-    kind = "tensor"
-
-    def __post_init__(self) -> None:
-        if self.ndims not in (1, 2):
-            raise UDFError("tensor supports 1 or 2 dimensions")
 
 
 @dataclass(frozen=True, repr=False)
@@ -65,40 +48,24 @@ class LiteralType(IOType):
 
 
 @dataclass(frozen=True, repr=False)
-class StateType(IOType):
-    kind = "state"
-
-
-@dataclass(frozen=True, repr=False)
 class TransferType(IOType):
     kind = "transfer"
-
-
-@dataclass(frozen=True, repr=False)
-class MergeTransferType(IOType):
-    kind = "merge_transfer"
 
 
 @dataclass(frozen=True, repr=False)
 class SecureTransferType(IOType):
     """A transfer whose values are aggregated under SMPC.
 
-    The decorated function must return, for this output, a dict of
-    ``{key: {"data": scalar-or-nested-list, "operation": one of
-    SECURE_OPERATIONS}}``.
+    The decorated function must return a dict of ``{key: {"data":
+    scalar-or-nested-list, "operation": one of SECURE_OPERATIONS}}``.
     """
 
     kind = "secure_transfer"
 
 
-def relation(schema: Sequence[tuple[str, SQLType]] | None = None) -> RelationType:
-    """Declare a relational parameter or result."""
-    return RelationType(tuple(schema) if schema is not None else None)
-
-
-def tensor(ndims: int = 2, dtype: SQLType = SQLType.REAL) -> TensorType:
-    """Declare a tensor parameter or result."""
-    return TensorType(ndims, dtype)
+def relation() -> RelationType:
+    """Declare a relational parameter."""
+    return RelationType()
 
 
 def literal() -> LiteralType:
@@ -106,19 +73,9 @@ def literal() -> LiteralType:
     return LiteralType()
 
 
-def state() -> StateType:
-    """Declare a node-local opaque state parameter or result."""
-    return StateType()
-
-
 def transfer() -> TransferType:
     """Declare a JSON transfer parameter or result."""
     return TransferType()
-
-
-def merge_transfer() -> MergeTransferType:
-    """Declare a parameter receiving the list of all workers' transfers."""
-    return MergeTransferType()
 
 
 def secure_transfer() -> SecureTransferType:
@@ -126,19 +83,13 @@ def secure_transfer() -> SecureTransferType:
     return SecureTransferType()
 
 
+INPUT_KINDS = (RelationType, LiteralType, TransferType)
+OUTPUT_KINDS = (TransferType, SecureTransferType)
+
+
 def output_schema(iotype: IOType) -> list[tuple[str, SQLType]]:
-    """The physical table schema used to store one output of a UDF."""
-    if isinstance(iotype, RelationType):
-        if iotype.schema is None:
-            raise UDFError("a relation output requires an explicit schema")
-        return list(iotype.schema)
-    if isinstance(iotype, TensorType):
-        dims = [(f"dim{i}", SQLType.INT) for i in range(iotype.ndims)]
-        return dims + [("val", iotype.dtype)]
-    if isinstance(iotype, StateType):
-        return [("state", SQLType.VARCHAR)]
-    if isinstance(iotype, TransferType):
-        return [("transfer", SQLType.VARCHAR)]
-    if isinstance(iotype, SecureTransferType):
-        return [("secure_transfer", SQLType.VARCHAR)]
-    raise UDFError(f"{type(iotype).__name__} cannot be a UDF output")
+    """The physical table schema that stores a UDF's output: one blob
+    column named after its kind."""
+    if not isinstance(iotype, OUTPUT_KINDS):
+        raise UDFError(f"{type(iotype).__name__} cannot be a UDF output")
+    return [(iotype.kind, SQLType.VARCHAR)]

@@ -1,15 +1,12 @@
 """Helpers imported by generated UDF bodies (the serialization glue).
 
 Generated SQL bodies run inside the engine's Python UDF sandbox; they import
-this module to (de)serialize states, transfers, relations and tensors, and to
-quote values for loopback INSERTs.
+this module to read relations and to (de)serialize and check transfers.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -124,19 +121,6 @@ def stack_columns(columns: Sequence[Any], n_rows: int) -> np.ndarray:
     return matrix
 
 
-# ----------------------------------------------------------------- state
-
-
-def serialize_state(obj: Any) -> str:
-    """Pickle + base64 an opaque node-local state object."""
-    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
-
-
-def deserialize_state(blob: str) -> Any:
-    """Inverse of :func:`serialize_state`."""
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
 # --------------------------------------------------------------- transfer
 
 
@@ -187,46 +171,11 @@ def validate_secure_transfer(obj: Mapping[str, Any]) -> dict[str, Any]:
     return {k: dict(v) for k, v in obj.items()}
 
 
-# ----------------------------------------------------------------- tensor
-
-
-def tensor_to_columns(array: np.ndarray) -> dict[str, np.ndarray]:
-    """Flatten an array into the (dim..., val) physical layout."""
-    array = np.asarray(array)
-    if array.ndim == 1:
-        return {"dim0": np.arange(len(array), dtype=np.int64), "val": array}
-    if array.ndim == 2:
-        rows, cols = array.shape
-        dim0 = np.repeat(np.arange(rows, dtype=np.int64), cols)
-        dim1 = np.tile(np.arange(cols, dtype=np.int64), rows)
-        return {"dim0": dim0, "dim1": dim1, "val": array.ravel()}
-    raise UDFError("only 1-D and 2-D tensors are supported")
-
-
-def columns_to_tensor(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Rebuild an array from the (dim..., val) layout."""
-    if "dim1" in columns:
-        dim0 = np.asarray(columns["dim0"], dtype=np.int64)
-        dim1 = np.asarray(columns["dim1"], dtype=np.int64)
-        val = np.asarray(columns["val"])
-        shape = (int(dim0.max()) + 1 if len(dim0) else 0,
-                 int(dim1.max()) + 1 if len(dim1) else 0)
-        out = np.zeros(shape, dtype=val.dtype if val.dtype != object else np.float64)
-        out[dim0, dim1] = val
-        return out
-    dim0 = np.asarray(columns["dim0"], dtype=np.int64)
-    val = np.asarray(columns["val"])
-    out = np.zeros(int(dim0.max()) + 1 if len(dim0) else 0,
-                   dtype=val.dtype if val.dtype != object else np.float64)
-    out[dim0] = val
-    return out
-
-
 # -------------------------------------------------------------------- SQL
 
 
 def sql_quote(value: Any) -> str:
-    """Render a Python scalar as a SQL literal for generated INSERTs."""
+    """Render a Python scalar as a SQL literal."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):

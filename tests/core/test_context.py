@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.context import DataView, ExecutionContext
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, merge_transfer, relation, secure_transfer, state, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 
 
-@udf(data=relation(), scale=literal(), return_type=[state(), secure_transfer()])
+@udf(data=relation(), scale=literal(), return_type=[secure_transfer()])
 def ctx_local_step(data, scale):
     total = float(data.to_matrix().sum()) * scale
-    return {"total": total}, {"total": {"data": total, "operation": "sum"}}
+    return {"total": {"data": total, "operation": "sum"}}
 
 
 @udf(data=relation(), return_type=[transfer()])
@@ -21,11 +21,6 @@ def ctx_plain_step(data):
 @udf(aggregates=transfer(), return_type=[transfer()])
 def ctx_global_step(aggregates):
     return {"doubled": aggregates["total"] * 2}
-
-
-@udf(transfers=merge_transfer(), return_type=[transfer()])
-def ctx_merge_step(transfers):
-    return {"total_n": sum(t["n"] for t in transfers)}
 
 
 @udf(data=relation(), scale=transfer(), return_type=[secure_transfer()])
@@ -77,28 +72,17 @@ class TestViewQuery:
 
 class TestLocalRun:
     def test_handles_per_output(self, context):
-        handles = context.local_run(
+        secure_handle = context.local_run(
             ctx_local_step,
             {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-            share_to_global=[False, True],
+            share_to_global=[True],
         )
-        state_handle, secure_handle = handles
-        assert state_handle.kind == "state"
-        assert not state_handle.shared_to_global
         assert secure_handle.kind == "secure_transfer"
         assert secure_handle.shared_to_global
-        assert set(state_handle.workers) == {"hospital_a", "hospital_b"}
+        assert set(secure_handle.workers) == {"hospital_a", "hospital_b"}
 
     def test_share_flag_count_checked(self, context):
         with pytest.raises(AlgorithmError, match="share_to_global"):
-            context.local_run(
-                ctx_local_step,
-                {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-                share_to_global=[True],
-            )
-
-    def test_sharing_state_rejected(self, context):
-        with pytest.raises(AlgorithmError, match="only transfers"):
             context.local_run(
                 ctx_local_step,
                 {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
@@ -111,8 +95,8 @@ class TestGlobalRun:
         handle = context.local_run(
             ctx_local_step,
             {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-            share_to_global=[False, True],
-        )[1]
+            share_to_global=[True],
+        )
         global_handle = context.global_run(
             ctx_global_step, {"aggregates": handle}, share_to_locals=[False]
         )
@@ -123,22 +107,21 @@ class TestGlobalRun:
         handle = context.local_run(
             ctx_local_step,
             {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-            share_to_global=[False, False],
-        )[1]
+            share_to_global=[False],
+        )
         with pytest.raises(AlgorithmError, match="not shared"):
             context.global_run(ctx_global_step, {"aggregates": handle}, [False])
 
-    def test_merge_transfer_path(self, context):
+    def test_plain_transfer_not_aggregated(self, context):
+        # A plain transfer is read with get_transfer_data; only a secure
+        # transfer aggregates into a global step's transfer() input.
         handle = context.local_run(
             ctx_plain_step,
             {"data": DataView.of(("lefthippocampus",))},
             share_to_global=[True],
         )
-        global_handle = context.global_run(
-            ctx_merge_step, {"transfers": handle}, share_to_locals=[False]
-        )
-        result = context.get_transfer_data(global_handle)
-        assert result["total_n"] > 0
+        with pytest.raises(AlgorithmError, match="aggregates a secure_transfer"):
+            context.global_run(ctx_global_step, {"aggregates": handle}, [False])
 
 
 class TestBroadcast:
@@ -147,8 +130,8 @@ class TestBroadcast:
     def test_shared_global_output_reaches_every_worker_once(self, context, federation):
         view = DataView.of(("lefthippocampus",))
         handle = context.local_run(
-            ctx_local_step, {"data": view, "scale": 1.0}, share_to_global=[False, True]
-        )[1]
+            ctx_local_step, {"data": view, "scale": 1.0}, share_to_global=[True],
+        )
         total = context.get_transfer_data(handle)["total"]
         global_handle = context.global_run(
             ctx_global_step, {"aggregates": handle}, share_to_locals=[True]
@@ -175,8 +158,8 @@ class TestGetTransferData:
         handle = context.local_run(
             ctx_local_step,
             {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-            share_to_global=[False, True],
-        )[1]
+            share_to_global=[True],
+        )
         aggregated = context.get_transfer_data(handle)
         assert aggregated["total"] > 0
 
@@ -189,15 +172,6 @@ class TestGetTransferData:
         transfers = context.get_transfer_data(handle)
         assert isinstance(transfers, list)
         assert len(transfers) == 2
-
-    def test_state_handle_rejected(self, context):
-        handle = context.local_run(
-            ctx_local_step,
-            {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-            share_to_global=[False, False],
-        )[0]
-        with pytest.raises(AlgorithmError):
-            context.get_transfer_data(handle)
 
     def test_non_handle_rejected(self, context):
         with pytest.raises(AlgorithmError):
@@ -216,7 +190,7 @@ class TestPlainVsSecureAgreement:
             handle = context.local_run(
                 ctx_local_step,
                 {"data": DataView.of(("lefthippocampus",)), "scale": 1.0},
-                share_to_global=[False, True],
-            )[1]
+                share_to_global=[True],
+            )
             results[mode] = context.get_transfer_data(handle)["total"]
         assert results["smpc"] == pytest.approx(results["plain"], abs=1e-3)

@@ -1,39 +1,13 @@
-"""Multiple pathologies: the epilepsy data model, JSON interchange, and
-workers hosting several data models at once."""
+"""Multiple pathologies: the epilepsy data model and workers hosting
+several data models at once."""
 
 import numpy as np
 import pytest
 
 from repro.api.service import MIPService
-from repro.data.cdes import DataModel, cde_registry, dementia_data_model, epilepsy_data_model
+from repro.data.cdes import cde_registry, epilepsy_data_model
 from repro.data.cohorts import CohortSpec, generate_cohort, generate_epilepsy_cohort
-from repro.errors import SpecificationError
 from repro.federation.controller import FederationConfig, create_federation
-
-
-class TestJSONInterchange:
-    def test_roundtrip(self):
-        model = dementia_data_model()
-        restored = DataModel.from_json(model.to_json())
-        assert restored.name == model.name
-        assert restored.version == model.version
-        assert restored.variables() == model.variables()
-        for code in model.variables():
-            assert restored.cde(code) == model.cde(code)
-
-    def test_invalid_json(self):
-        with pytest.raises(SpecificationError, match="invalid"):
-            DataModel.from_json("{not json")
-
-    def test_missing_fields(self):
-        with pytest.raises(SpecificationError, match="missing"):
-            DataModel.from_json('{"name": "x", "version": "1"}')
-
-    def test_variable_missing_code(self):
-        with pytest.raises(SpecificationError):
-            DataModel.from_json(
-                '{"name": "x", "version": "1", "variables": [{"sql_type": "REAL"}]}'
-            )
 
 
 class TestEpilepsyModel:

@@ -72,14 +72,6 @@ class TestCombinators:
         taken = col.take(np.array([2, 0]))
         assert taken.to_list() == [30, 10]
 
-    def test_filter(self):
-        col = Column.from_values(SQLType.INT, [10, 20, 30])
-        assert col.filter(np.array([True, False, True])).to_list() == [10, 30]
-
-    def test_slice(self):
-        col = Column.from_values(SQLType.INT, [1, 2, 3, 4])
-        assert col.slice(1, 3).to_list() == [2, 3]
-
     def test_concat(self):
         a = Column.from_values(SQLType.INT, [1, None])
         b = Column.from_values(SQLType.INT, [3])

@@ -37,16 +37,16 @@ def db() -> Database:
 
 @pytest.fixture
 def gathers(monkeypatch) -> list[Column]:
-    """Every column that is fancy-indexed while the fixture is live."""
+    """Every column that is fancy-indexed (``Column.take``) while the
+    fixture is live."""
     seen: list[Column] = []
-    for method in ("take", "filter"):
-        original = getattr(Column, method)
+    original = Column.take
 
-        def recording(self, index, _original=original):
-            seen.append(self)
-            return _original(self, index)
+    def recording(self, index):
+        seen.append(self)
+        return original(self, index)
 
-        monkeypatch.setattr(Column, method, recording)
+    monkeypatch.setattr(Column, "take", recording)
     return seen
 
 

@@ -85,10 +85,6 @@ class TestTable:
         with pytest.raises(CatalogError):
             table.rename(["only-two", "names"])
 
-    def test_filter(self, table):
-        filtered = table.filter(np.array([True, False, True]))
-        assert filtered.num_rows == 2
-
     def test_take(self, table):
         assert table.take(np.array([2])).to_rows() == [(3, 3.5, None)]
 

@@ -8,17 +8,17 @@ from repro.engine.types import SQLType
 from repro.errors import FederationError, PrivacyThresholdError
 from repro.federation.messages import Message
 from repro.federation.worker import Worker
-from repro.udfgen import literal, relation, secure_transfer, state, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 
 
-@udf(data=relation(), return_type=[state(), transfer(), secure_transfer()])
+@udf(data=relation(), return_type=[transfer()])
 def worker_test_step(data):
-    total = float(data.to_matrix().sum())
-    return (
-        {"kept": "locally"},
-        {"total": total},
-        {"total": {"data": total, "operation": "sum"}},
-    )
+    return {"total": float(data.to_matrix().sum())}
+
+
+@udf(data=relation(), return_type=[secure_transfer()])
+def worker_secure_step(data):
+    return {"total": {"data": float(data.to_matrix().sum()), "operation": "sum"}}
 
 
 def send(worker, kind, **payload):
@@ -33,13 +33,19 @@ def worker():
 
 
 def run_step(worker, job="job1"):
-    return send(
-        worker, "run_udf",
-        job_id=job,
-        udf_name="tests_federation_test_worker_worker_test_step",
-        arguments={"data": {"kind": "view",
-                            "query": "SELECT lefthippocampus FROM data_dementia"}},
-    )["outputs"]
+    """Run the transfer step, then the secure step, over one data view:
+    their outputs, in that order."""
+    return [
+        output
+        for name in ("worker_test_step", "worker_secure_step")
+        for output in send(
+            worker, "run_udf",
+            job_id=job,
+            udf_name=f"tests_federation_test_worker_{name}",
+            arguments={"data": {"kind": "view",
+                                "query": "SELECT lefthippocampus FROM data_dementia"}},
+        )["outputs"]
+    ]
 
 
 class TestDataLoading:
@@ -64,7 +70,7 @@ class TestDataLoading:
 class TestRunUDF:
     def test_outputs_typed(self, worker):
         outputs = run_step(worker)
-        assert [o["kind"] for o in outputs] == ["state", "transfer", "secure_transfer"]
+        assert [o["kind"] for o in outputs] == ["transfer", "secure_transfer"]
 
     def test_privacy_threshold_enforced(self, worker):
         with pytest.raises(PrivacyThresholdError):
@@ -93,11 +99,16 @@ class TestRunUDF:
 
 class TestPrivacyRules:
     def test_state_never_leaves(self, worker):
-        state_table = run_step(worker)[0]["table"]
+        # The data view a step read stays resident on the worker, and no
+        # handler ships it.
+        run_step(worker)
+        (view_table,) = [
+            name for name in worker.database.table_names() if name.startswith("view_")
+        ]
         with pytest.raises(FederationError, match="only aggregates leave"):
-            send(worker, "get_transfer", table=state_table)
+            send(worker, "get_transfer", table=view_table)
         with pytest.raises(FederationError, match="denied"):
-            send(worker, "fetch_table", table=state_table)
+            send(worker, "fetch_table", table=view_table)
 
     def test_primary_data_not_fetchable(self, worker):
         with pytest.raises(FederationError, match="not an exposed step output"):
@@ -106,19 +117,19 @@ class TestPrivacyRules:
             send(worker, "get_transfer", table="data_dementia")
 
     def test_transfer_fetchable(self, worker):
-        transfer_table = run_step(worker)[1]["table"]
+        transfer_table = run_step(worker)[0]["table"]
         blob = send(worker, "get_transfer", table=transfer_table)["transfer"]
         assert "total" in blob
 
     def test_secure_transfer_needs_smpc(self, worker):
-        secure_table = run_step(worker)[2]["table"]
+        secure_table = run_step(worker)[1]["table"]
         with pytest.raises(FederationError, match="SMPC"):
             send(worker, "get_transfer", table=secure_table)
         payload = send(worker, "get_secure_payload", table=secure_table)["payload"]
         assert payload["total"]["operation"] == "sum"
 
     def test_get_secure_payload_rejects_plain_transfer(self, worker):
-        transfer_table = run_step(worker)[1]["table"]
+        transfer_table = run_step(worker)[0]["table"]
         with pytest.raises(FederationError, match="not a secure transfer"):
             send(worker, "get_secure_payload", table=transfer_table)
 

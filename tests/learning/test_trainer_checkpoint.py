@@ -72,6 +72,22 @@ def run_clean(federation, request):
         engine.shutdown()
 
 
+def run_alone(federation, request, experiment_id, beside=None):
+    """Run ``request`` as ``experiment_id`` in a pool-2 queue, optionally
+    beside a job running ``beside`` (submitted first)."""
+    service = MIPService(federation, pool_size=2)
+    try:
+        if beside is not None:
+            service.engine.submit(beside, experiment_id=f"beside_{experiment_id}")
+        service.engine.submit(request, experiment_id=experiment_id)
+        if beside is not None:
+            other = service.wait_experiment(f"beside_{experiment_id}")
+            assert other.status.value == "success", other.error
+        return service.wait_experiment(experiment_id)
+    finally:
+        service.shutdown()
+
+
 def resumed_reads(spec):
     """Run a crash scenario; check it resumed byte-identically and return
     how many reads the resume replayed from the journal."""
@@ -167,6 +183,27 @@ class TestStopAndResume:
         # uninterrupted one.
         assert resumed.result == run_clean(new_federation(), request).result
 
+    def test_sa_resume_equals_uninterrupted(self, new_federation, tmp_path):
+        # Secure-aggregation noise is drawn inside the SMPC protocol.  A
+        # resumed run skips the replayed rounds' aggregates, so their noise
+        # must not shift the draws of the rounds that run live.
+        request = make_request(mode="sa", epsilon=8.0, delta=1e-5, rounds=4)
+        runtime = SimRuntime(seed=1, parallelism=1, faults=FaultPlan.parse("crash@18:master"))
+        crashed = MIPService(new_federation(sim=runtime), state_dir=str(tmp_path))
+        crashed.engine.submit(request, experiment_id="train_sa")
+        runtime.drive()
+        crashed.shutdown(wait=True)
+        assert runtime.master_crashed
+
+        service = MIPService(new_federation(), state_dir=str(tmp_path))
+        assert service.recovery["resumed"] == ["train_sa"]
+        resumed = service.wait_experiment("train_sa")
+        service.shutdown()
+        assert resumed.status.value == "success", resumed.error
+        (marker,) = [e for e in resumed.audit if e["event"] == "experiment_resumed"]
+        assert marker["details"]["checkpoint_reads"] > 0
+        assert resumed.result == run_alone(new_federation(), request, "train_sa").result
+
     def test_training_without_store_unchanged(self, new_federation, tmp_path):
         request = make_request(rounds=3)
         journaled = MIPService(new_federation(), state_dir=str(tmp_path))
@@ -175,3 +212,16 @@ class TestStopAndResume:
         assert with_store.status.value == "success", with_store.error
         assert with_store.result == run_clean(new_federation(), request).result
         assert with_store.result == run_clean(new_federation(), request).result
+
+
+class TestSecureAggregationNoise:
+    def test_release_independent_of_concurrent_jobs(self, new_federation):
+        # One release's noise depends on its own SMPC jobs only: the same
+        # request under the same experiment id opens the same values alone
+        # and beside another noisy job that shares the cluster.
+        request = make_request(mode="sa", epsilon=8.0, delta=1e-5, rounds=2)
+        other = make_request(mode="sa", epsilon=4.0, delta=1e-5, rounds=2, seed=5)
+        alone = run_alone(new_federation(), request, "sa_fixed")
+        beside = run_alone(new_federation(), request, "sa_fixed", beside=other)
+        assert alone.status.value == beside.status.value == "success"
+        assert beside.result == alone.result

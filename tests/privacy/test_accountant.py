@@ -42,36 +42,3 @@ class TestBasicComposition:
             PrivacyAccountant(epsilon_budget=0.0)
         with pytest.raises(PrivacyError):
             PrivacyAccountant(delta_budget=1.0)
-
-
-class TestAdvancedComposition:
-    def test_beats_basic_for_many_small_releases(self):
-        accountant = PrivacyAccountant()
-        for _ in range(100):
-            accountant.record(0.1, 1e-7)
-        basic = accountant.spent()
-        advanced = accountant.spent_advanced(delta_slack=1e-6)
-        assert advanced.epsilon < basic.epsilon
-        assert advanced.delta > basic.delta  # pays the slack
-
-    def test_falls_back_for_single_release(self):
-        accountant = PrivacyAccountant()
-        accountant.record(1.0)
-        advanced = accountant.spent_advanced()
-        assert advanced.epsilon == pytest.approx(1.0)
-
-    def test_heterogeneous_uses_basic(self):
-        accountant = PrivacyAccountant()
-        accountant.record(0.1)
-        accountant.record(0.9)
-        assert accountant.spent_advanced().epsilon == pytest.approx(1.0)
-
-    def test_empty(self):
-        accountant = PrivacyAccountant()
-        assert accountant.spent_advanced().epsilon == 0.0
-
-    def test_slack_validated(self):
-        accountant = PrivacyAccountant()
-        accountant.record(0.1)
-        with pytest.raises(PrivacyError):
-            accountant.spent_advanced(delta_slack=0.0)

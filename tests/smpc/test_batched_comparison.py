@@ -161,14 +161,23 @@ def _aggregate(scheme, seed, payloads, noise, per_key):
 @settings(max_examples=8, deadline=None)
 @given(payloads=transfer_jobs(), noise_seed=st.one_of(st.none(), st.integers(0, 2**16)))
 def test_batched_job_equals_one_job_per_key(scheme_name, payloads, noise_seed):
-    """One protocol run per operation opens exactly what one run per key did,
-    including seeded noisy sums (the per-key noise draw order is kept)."""
+    """One protocol run per operation opens exactly what one run per key did.
+
+    Noise is drawn per SMPC job, so with noise on, the keys the noise does
+    not touch (``min``, ``max``, ``union``) still match the per-key runs,
+    and the noisy batched job reopens the same values on a fresh cluster.
+    """
     noise = None if noise_seed is None else NoiseSpec("gaussian", 0.5)
     seed = 7 if noise_seed is None else noise_seed
     batched = _aggregate(scheme_name, seed, payloads, noise, per_key=False)
     separate = _aggregate(scheme_name, seed, payloads, noise, per_key=True)
-    assert batched == separate
     assert list(batched) == list(payloads[0])
+    if noise is None:
+        assert batched == separate
+    else:
+        exact = [key for key, entry in payloads[0].items() if entry["operation"] != "sum"]
+        assert {key: batched[key] for key in exact} == {key: separate[key] for key in exact}
+        assert batched == _aggregate(scheme_name, seed, payloads, noise, per_key=False)
 
 
 class TestPerKeyErrors:

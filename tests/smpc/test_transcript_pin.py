@@ -4,8 +4,8 @@ A seeded cluster runs one job shaped like the experiment ladder's secure
 aggregates — four workers, a ``sum`` of a 4x4 matrix, ``min`` and ``max`` of
 scalars, a ``union`` of a 0/1 level vector — once plain and once with
 in-protocol Gaussian noise.  The digest covers the opened results, the
-communication meter, the dealer's offline usage and the final state of every
-RNG the run draws from (protocol, dealer, noise).  The digests were first
+communication meter, the dealer's offline usage and the final state of the
+protocol and dealer RNGs.  The digests were first
 recorded before the share arithmetic was fused; a change that reorders a
 single draw, opens a different value or adds a round changes them.
 
@@ -15,6 +15,12 @@ the worker count (3 bits for four workers instead of 82): its mask draws
 fewer dealer bits and its carry tree opens fewer values.  This payload
 declares no bound, so its ``min``/``max`` run keeps the full width, and with
 ``union`` forced back to 82 bits the run reproduces the old digests.
+
+They were re-recorded a second time when each SMPC job started to draw its
+noise from generators seeded by (cluster seed, job id, node) instead of one
+cluster-wide noise generator.  Only the noisy job's opened values moved; the
+plain job's results, the meter, the offline usage and the protocol and dealer
+RNG states are unchanged.
 """
 
 import hashlib
@@ -25,8 +31,8 @@ import pytest
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 
 PINNED = {
-    "shamir": "f85b29da9c501901d4a47842e151ca140eda45090550bc9465483be6cdcaa2ef",
-    "full_threshold": "d1f92dcd05a1e0b373b0c3eeaa01f53ae8d0f7aa1998823177230da108cfcfbd",
+    "shamir": "9c2afcc881cfee6d641de76e1f6a7b66e7bda8a6efe4cb4a38b97dc57c289ba9",
+    "full_threshold": "a3f0c84891403ae31d7ce16f2b1c97b2f2f0169debd58743f57c3ca3976de1e2",
 }
 
 
@@ -59,7 +65,6 @@ def transcript_digest(scheme):
         "offline_usage": [usage.triples, usage.random_bits, usage.elements_dealt],
         "protocol_rng": repr(cluster.protocol._rng.getstate()),
         "dealer_rng": repr(cluster.protocol.dealer.rng.getstate()),
-        "noise_rng": repr(cluster._noise_rng.bit_generator.state),
     }
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 

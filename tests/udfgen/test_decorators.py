@@ -4,19 +4,19 @@ import pytest
 
 from repro.errors import UDFError
 from repro.udfgen.decorators import get_spec, udf, udf_registry
-from repro.udfgen.iotypes import literal, merge_transfer, relation, state, transfer
+from repro.udfgen.iotypes import literal, relation, secure_transfer, transfer
 
 
-@udf(x=relation(), k=literal(), return_type=[state(), transfer()])
+@udf(x=relation(), k=literal(), return_type=[transfer()])
 def sample_step(x, k):
-    return {"k": k}, {"k": k}
+    return {"k": k}
 
 
 class TestDecorator:
     def test_spec_attached(self):
         spec = get_spec(sample_step)
         assert spec.input_names == ["x", "k"]
-        assert len(spec.outputs) == 2
+        assert [iotype.kind for iotype in spec.outputs] == ["transfer"]
         assert spec.name in udf_registry
 
     def test_source_captured_without_decorator(self):
@@ -25,8 +25,7 @@ class TestDecorator:
         assert "@udf" not in spec.source
 
     def test_function_still_callable(self):
-        st, tr = sample_step(None, 5)
-        assert st == {"k": 5}
+        assert sample_step(None, 5) == {"k": 5}
 
     def test_input_type_lookup(self):
         spec = get_spec(sample_step)
@@ -58,11 +57,23 @@ class TestDecorator:
             def bad_output(x):
                 return 1
 
-    def test_merge_transfer_not_valid_output(self):
-        with pytest.raises(UDFError):
-            @udf(x=relation(), return_type=merge_transfer())
+    def test_relation_not_valid_output(self):
+        with pytest.raises(UDFError, match="not a valid UDF output"):
+            @udf(x=relation(), return_type=relation())
             def bad_output2(x):
-                return []
+                return x
+
+    def test_second_output_rejected(self):
+        with pytest.raises(UDFError, match="exactly one output, got 2"):
+            @udf(x=relation(), return_type=[transfer(), secure_transfer()])
+            def two_outputs(x):
+                return {}, {}
+
+    def test_secure_transfer_not_valid_input(self):
+        with pytest.raises(UDFError, match="not a valid input kind"):
+            @udf(x=secure_transfer(), return_type=transfer())
+            def bad_input(x):
+                return {}
 
     def test_single_return_type_accepted(self):
         @udf(x=relation(), return_type=transfer())
@@ -87,3 +98,28 @@ class TestRegistry:
     def test_names_sorted(self):
         names = udf_registry.names()
         assert names == sorted(names)
+
+
+class TestRegisteredAlgorithms:
+    """Every ``@udf`` the demo algorithms register uses only the kinds the
+    generator keeps: relation, literal and transfer inputs, and one
+    transfer or secure_transfer output."""
+
+    def specs(self):
+        import repro.algorithms  # noqa: F401 (registers every algorithm's UDFs)
+
+        return [
+            udf_registry.get(name)
+            for name in udf_registry.names()
+            if name.startswith("repro_algorithms_")
+        ]
+
+    def test_kind_surface(self):
+        specs = self.specs()
+        assert len(specs) == 36
+        inputs = [iotype.kind for spec in specs for _, iotype in spec.inputs]
+        assert set(inputs) == {"relation", "literal", "transfer"}
+        assert inputs.count("transfer") == 1
+        outputs = [[iotype.kind for iotype in spec.outputs] for spec in specs]
+        assert all(len(kinds) == 1 for kinds in outputs)
+        assert sorted(kinds[0] for kinds in outputs) == ["secure_transfer"] * 33 + ["transfer"] * 3

@@ -1,11 +1,13 @@
-"""UDF fusion and stateful (session-cache) execution — the paper's roadmap
-items reproduced as working features."""
+"""UDF fusion — the paper's roadmap item reproduced as a working feature.
+
+Unfused, the steps below pass ``transfer()`` tables; fused, each step's
+output reaches the next as a live Python object.
+"""
 
 import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.table import Table
 from repro.errors import UDFError
 from repro.udfgen import (
     FusionStep,
@@ -15,27 +17,26 @@ from repro.udfgen import (
     literal,
     relation,
     run_udf_application,
-    state,
     transfer,
     udf,
 )
 from repro.udfgen.decorators import get_spec
-from repro.udfgen.runtime import deserialize_state, deserialize_transfer
+from repro.udfgen.runtime import deserialize_transfer
 
 
-@udf(data=relation(), return_type=[state()])
+@udf(data=relation(), return_type=[transfer()])
 def fusion_load(data):
     return {"matrix": data.to_matrix()}
 
 
-@udf(previous=state(), power=literal(), return_type=[state()])
+@udf(previous=transfer(), power=literal(), return_type=[transfer()])
 def fusion_square(previous, power):
-    return {"matrix": previous["matrix"] ** power}
+    return {"matrix": np.asarray(previous["matrix"]) ** power}
 
 
-@udf(previous=state(), return_type=[transfer()])
+@udf(previous=transfer(), return_type=[transfer()])
 def fusion_reduce(previous):
-    return {"total": float(previous["matrix"].sum())}
+    return {"total": float(np.asarray(previous["matrix"]).sum())}
 
 
 @pytest.fixture()
@@ -64,12 +65,12 @@ class TestFusion:
     def test_matches_unfused_chain(self, db):
         # unfused: three applications with intermediate tables
         first = generate_udf_application(get_spec(fusion_load), "u1", {"data": "numbers"})
-        (state_1,) = run_udf_application(db, first)
+        (loaded,) = run_udf_application(db, first)
         second = generate_udf_application(
-            get_spec(fusion_square), "u2", {"previous": state_1, "power": 2}
+            get_spec(fusion_square), "u2", {"previous": loaded, "power": 2}
         )
-        (state_2,) = run_udf_application(db, second)
-        third = generate_udf_application(get_spec(fusion_reduce), "u3", {"previous": state_2})
+        (squared,) = run_udf_application(db, second)
+        third = generate_udf_application(get_spec(fusion_reduce), "u3", {"previous": squared})
         (out_unfused,) = run_udf_application(db, third)
         unfused = deserialize_transfer(db.scalar(f"SELECT * FROM {out_unfused}"))
 
@@ -100,6 +101,27 @@ class TestFusion:
         assert created == set(application.output_tables)
         assert len(created) == 1  # only the final transfer
 
+    def test_fused_definition_reused_across_jobs(self, db):
+        def steps(power):
+            return [
+                FusionStep(get_spec(fusion_load), {"data": "numbers"}),
+                FusionStep(get_spec(fusion_square),
+                           {"previous": StepOutput(0), "power": power}),
+                FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(1)}),
+            ]
+
+        first = generate_fused_application(steps(1), "reuse1")
+        second = generate_fused_application(steps(3), "reuse2")
+        assert first.function_name == second.function_name
+        assert first.output_tables != second.output_tables
+        run_udf_application(db, first)
+        functions = db.function_names()
+        (out,) = run_udf_application(db, second)
+        assert db.function_names() == functions
+        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}")) == {
+            "total": 1.0 + 8.0 + 27.0 + 64.0
+        }
+
     def test_forward_reference_rejected(self, db):
         with pytest.raises(UDFError, match="earlier step"):
             generate_fused_application(
@@ -118,45 +140,3 @@ class TestFusion:
             generate_fused_application(
                 [FusionStep(get_spec(fusion_square), {"power": 2})], "bad2"
             )
-
-
-class TestStatefulExecution:
-    def test_state_served_from_session_cache(self, db):
-        first = generate_udf_application(get_spec(fusion_load), "s1", {"data": "numbers"})
-        (state_table,) = run_udf_application(db, first)
-        assert state_table in db.session_cache
-        # poison the serialized blob: if the cache is used, the chain still works
-        schema = db.get_table(state_table).schema
-        db.register_table(
-            state_table, Table.from_rows(schema, [("not-base64-pickle",)]), replace=True
-        )
-        second = generate_udf_application(
-            get_spec(fusion_reduce), "s2", {"previous": state_table}
-        )
-        (out,) = run_udf_application(db, second)
-        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["total"] == 10.0
-
-    def test_stateless_mode_deserializes(self, db):
-        first = generate_udf_application(
-            get_spec(fusion_load), "s3", {"data": "numbers"}, stateful=False
-        )
-        (state_table,) = run_udf_application(db, first)
-        assert state_table not in db.session_cache
-        restored = deserialize_state(db.scalar(f"SELECT * FROM {state_table}"))
-        assert np.array_equal(restored["matrix"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-    def test_cache_invalidated_on_drop(self, db):
-        first = generate_udf_application(get_spec(fusion_load), "s4", {"data": "numbers"})
-        (state_table,) = run_udf_application(db, first)
-        db.drop_table(state_table)
-        assert state_table not in db.session_cache
-
-    def test_fallback_to_blob_on_cache_miss(self, db):
-        first = generate_udf_application(get_spec(fusion_load), "s5", {"data": "numbers"})
-        (state_table,) = run_udf_application(db, first)
-        db.session_cache.clear()  # e.g. a different session resumes the job
-        second = generate_udf_application(
-            get_spec(fusion_reduce), "s6", {"previous": state_table}
-        )
-        (out,) = run_udf_application(db, second)
-        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["total"] == 10.0

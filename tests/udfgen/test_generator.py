@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.types import SQLType
 from repro.errors import UDFError
 from repro.udfgen.decorators import get_spec, udf
 from repro.udfgen.generator import (
@@ -15,47 +14,24 @@ from repro.udfgen.generator import (
     generate_udf_application,
     run_udf_application,
 )
-from repro.udfgen.iotypes import (
-    literal,
-    merge_transfer,
-    relation,
-    secure_transfer,
-    state,
-    tensor,
-    transfer,
-)
-from repro.udfgen.runtime import deserialize_state, deserialize_transfer
+from repro.udfgen.iotypes import literal, relation, secure_transfer, transfer
+from repro.udfgen.runtime import deserialize_transfer
 
 
-@udf(data=relation(), factor=literal(), return_type=[state(), transfer()])
+@udf(data=relation(), factor=literal(), return_type=[transfer()])
 def fit_step(data, factor):
     total = data.to_matrix().sum()
-    return {"total": total, "factor": factor}, {"scaled": float(total * factor)}
+    return {"total": float(total), "scaled": float(total * factor)}
 
 
-@udf(previous=state(), return_type=[transfer()])
+@udf(previous=transfer(), return_type=[transfer()])
 def continue_step(previous):
     return {"echo": float(previous["total"])}
-
-
-@udf(transfers=merge_transfer(), return_type=[transfer()])
-def merge_step(transfers):
-    return {"sum": sum(t["scaled"] for t in transfers)}
 
 
 @udf(data=relation(), return_type=[secure_transfer()])
 def secure_step(data):
     return {"s": {"data": float(data.to_matrix().sum()), "operation": "sum"}}
-
-
-@udf(data=relation(), return_type=[tensor(2)])
-def tensor_step(data):
-    return data.to_matrix() * 2
-
-
-@udf(data=relation(), return_type=[relation([("v", SQLType.REAL)])])
-def relation_step(data):
-    return {"v": data.to_matrix().sum(axis=1)}
 
 
 @udf(value=literal(), return_type=[transfer()])
@@ -86,7 +62,9 @@ class TestGeneration:
             get_spec(fit_step), "job1", {"data": "numbers", "factor": 2}
         )
         assert app.definition_sql.startswith("CREATE OR REPLACE FUNCTION")
-        assert len(app.create_output_sql) == 2
+        assert app.create_output_sql == (
+            f"CREATE TABLE {app.output_tables[0]} (transfer VARCHAR)",
+        )
         assert app.execute_sql.startswith(f"INSERT INTO {app.output_tables[0]}")
 
     def test_missing_argument(self):
@@ -123,54 +101,30 @@ class TestLiterals:
 
 
 class TestExecution:
-    def test_state_and_transfer_outputs(self, db):
+    def test_transfer_output(self, db):
         app = generate_udf_application(
             get_spec(fit_step), "job1", {"data": "numbers", "factor": 3}
         )
-        tables = run_udf_application(db, app)
-        restored_state = deserialize_state(db.scalar(f"SELECT * FROM {tables[0]}"))
-        assert restored_state["total"] == 10.0
-        restored_transfer = deserialize_transfer(db.scalar(f"SELECT * FROM {tables[1]}"))
-        assert restored_transfer == {"scaled": 30.0}
+        (out,) = run_udf_application(db, app)
+        restored = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))
+        assert restored == {"total": 10.0, "scaled": 30.0}
 
-    def test_state_chains_between_steps(self, db):
+    def test_transfer_chains_between_steps(self, db):
         first = generate_udf_application(
             get_spec(fit_step), "j1", {"data": "numbers", "factor": 1}
         )
-        state_table, _ = run_udf_application(db, first)
+        (transfer_table,) = run_udf_application(db, first)
         second = generate_udf_application(
-            get_spec(continue_step), "j2", {"previous": state_table}
+            get_spec(continue_step), "j2", {"previous": transfer_table}
         )
         (out,) = run_udf_application(db, second)
         assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}")) == {"echo": 10.0}
-
-    def test_merge_transfer_input(self, db):
-        tables = []
-        for index, factor in enumerate((1, 2)):
-            app = generate_udf_application(
-                get_spec(fit_step), f"m{index}", {"data": "numbers", "factor": factor}
-            )
-            tables.append(run_udf_application(db, app)[1])
-        merged = generate_udf_application(get_spec(merge_step), "mm", {"transfers": tables})
-        (out,) = run_udf_application(db, merged)
-        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}")) == {"sum": 30.0}
 
     def test_secure_transfer_output_validated(self, db):
         app = generate_udf_application(get_spec(secure_step), "s1", {"data": "numbers"})
         (out,) = run_udf_application(db, app)
         payload = json.loads(db.scalar(f"SELECT * FROM {out}"))
         assert payload == {"s": {"data": 10.0, "operation": "sum"}}
-
-    def test_tensor_output(self, db):
-        app = generate_udf_application(get_spec(tensor_step), "t1", {"data": "numbers"})
-        (out,) = run_udf_application(db, app)
-        result = sorted(db.query(f"SELECT * FROM {out}").to_rows())
-        assert result == [(0, 0, 2.0), (0, 1, 4.0), (1, 0, 6.0), (1, 1, 8.0)]
-
-    def test_relation_output(self, db):
-        app = generate_udf_application(get_spec(relation_step), "r1", {"data": "numbers"})
-        (out,) = run_udf_application(db, app)
-        assert db.query(f"SELECT * FROM {out}").to_rows() == [(3.0,), (7.0,)]
 
     def test_view_query_argument(self, db):
         app = generate_udf_application(

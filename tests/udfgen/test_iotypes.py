@@ -6,62 +6,32 @@ from repro.engine.types import SQLType
 from repro.errors import UDFError
 from repro.udfgen.iotypes import (
     literal,
-    merge_transfer,
     output_schema,
     relation,
     secure_transfer,
-    state,
-    tensor,
     transfer,
 )
 
 
 class TestConstructors:
-    def test_relation_schema_optional(self):
-        assert relation().schema is None
-        typed = relation([("a", SQLType.INT)])
-        assert typed.schema == (("a", SQLType.INT),)
-
-    def test_tensor_dims_validated(self):
-        assert tensor(1).ndims == 1
-        with pytest.raises(UDFError):
-            tensor(3)
-
     def test_kinds(self):
         assert relation().kind == "relation"
-        assert tensor().kind == "tensor"
         assert literal().kind == "literal"
-        assert state().kind == "state"
         assert transfer().kind == "transfer"
-        assert merge_transfer().kind == "merge_transfer"
         assert secure_transfer().kind == "secure_transfer"
 
 
 class TestOutputSchema:
-    def test_state_blob_schema(self):
-        assert output_schema(state()) == [("state", SQLType.VARCHAR)]
-
     def test_transfer_blob_schema(self):
         assert output_schema(transfer()) == [("transfer", SQLType.VARCHAR)]
 
     def test_secure_transfer_blob_schema(self):
         assert output_schema(secure_transfer()) == [("secure_transfer", SQLType.VARCHAR)]
 
-    def test_tensor_schema_by_rank(self):
-        assert output_schema(tensor(1)) == [("dim0", SQLType.INT), ("val", SQLType.REAL)]
-        assert output_schema(tensor(2)) == [
-            ("dim0", SQLType.INT), ("dim1", SQLType.INT), ("val", SQLType.REAL),
-        ]
-
-    def test_relation_needs_explicit_schema(self):
-        with pytest.raises(UDFError):
-            output_schema(relation())
-        assert output_schema(relation([("x", SQLType.REAL)])) == [("x", SQLType.REAL)]
-
     def test_literal_cannot_be_output(self):
         with pytest.raises(UDFError):
             output_schema(literal())
 
-    def test_merge_transfer_cannot_be_output(self):
+    def test_relation_cannot_be_output(self):
         with pytest.raises(UDFError):
-            output_schema(merge_transfer())
+            output_schema(relation())

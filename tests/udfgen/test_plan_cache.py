@@ -2,8 +2,8 @@
 
 The optimisation's contract: generation is deterministic (a cached and an
 uncached application are byte-identical), iterative flows stop re-emitting
-definition SQL after their first iteration, and the stateful ``_cache``
-session objects never leak between jobs despite the shared definitions.
+definition SQL after their first iteration, and jobs that share a
+definition never share output tables or results.
 """
 
 import pytest
@@ -22,19 +22,14 @@ from repro.udfgen.generator import (
     plan_cache,
     run_udf_application,
 )
-from repro.udfgen.iotypes import literal, relation, state, transfer
+from repro.udfgen.iotypes import literal, relation, transfer
 from repro.udfgen.runtime import deserialize_transfer
 
 
-@udf(data=relation(), factor=literal(), return_type=[state(), transfer()])
+@udf(data=relation(), factor=literal(), return_type=[transfer()])
 def plan_fit(data, factor):
     total = float(data.to_matrix().sum())
-    return {"total": total}, {"scaled": total * factor}
-
-
-@udf(previous=state(), bump=literal(), return_type=[transfer()])
-def plan_continue(previous, bump):
-    return {"echo": float(previous["total"]) + bump}
+    return {"scaled": total * factor}
 
 
 @pytest.fixture()
@@ -67,22 +62,21 @@ class TestDeterminism:
     def test_cached_and_uncached_sql_byte_identical(self, db):
         spec = get_spec(plan_fit)
         arguments = {"data": "numbers", "factor": 3}
-        cached = generate_udf_application(spec, "j1", arguments, use_cache=True)
-        warm = generate_udf_application(spec, "j1", arguments, use_cache=True)
-        uncached = generate_udf_application(spec, "j1", arguments, use_cache=False)
-        assert cached.statements == warm.statements == uncached.statements
+        cold = generate_udf_application(spec, "j1", arguments)
+        warm = generate_udf_application(spec, "j1", arguments)
         assert plan_cache.stats()["hits"] == 1  # the warm call
+        plan_cache.clear()
+        regenerated = generate_udf_application(spec, "j1", arguments)
+        assert plan_cache.stats()["hits"] == 0
+        assert cold.statements == warm.statements == regenerated.statements
 
     def test_cached_and_uncached_results_identical(self, db):
         spec = get_spec(plan_fit)
-        uncached = generate_udf_application(
-            spec, "ja", {"data": "numbers", "factor": 2}, use_cache=False
-        )
-        cached = generate_udf_application(
-            spec, "jb", {"data": "numbers", "factor": 2}, use_cache=True
-        )
-        _, t1 = run_udf_application(db, uncached)
-        _, t2 = run_udf_application(db, cached)
+        uncached = generate_udf_application(spec, "ja", {"data": "numbers", "factor": 2})
+        cached = generate_udf_application(spec, "jb", {"data": "numbers", "factor": 2})
+        assert plan_cache.stats()["hits"] == 1
+        (t1,) = run_udf_application(db, uncached)
+        (t2,) = run_udf_application(db, cached)
         blob1 = deserialize_transfer(db.scalar(f"SELECT * FROM {t1}"))
         blob2 = deserialize_transfer(db.scalar(f"SELECT * FROM {t2}"))
         assert blob1 == blob2 == {"scaled": 20.0}
@@ -95,8 +89,8 @@ class TestDeterminism:
         app2 = generate_udf_application(spec, "j2", {"data": "numbers", "factor": 5})
         assert app1.function_name == app2.function_name
         assert plan_cache.stats() == {"hits": 1, "misses": 1, "size": 1}
-        _, t1 = run_udf_application(db, app1)
-        _, t2 = run_udf_application(db, app2)
+        (t1,) = run_udf_application(db, app1)
+        (t2,) = run_udf_application(db, app2)
         assert deserialize_transfer(db.scalar(f"SELECT * FROM {t1}")) == {"scaled": 10.0}
         assert deserialize_transfer(db.scalar(f"SELECT * FROM {t2}")) == {"scaled": 50.0}
 
@@ -136,7 +130,7 @@ class TestIterativeFlows:
 
     def test_no_stale_state_between_jobs(self):
         """Two k-means jobs on one federation share cached plans but must not
-        share stateful ``_cache`` entries or output tables."""
+        share output tables or results."""
         service = build_service()
         results = []
         for _ in range(2):
@@ -148,33 +142,6 @@ class TestIterativeFlows:
             results.append(outcome.result)
         assert results[0]["centroids"] == results[1]["centroids"]
         assert results[0]["inertia_history"] == results[1]["inertia_history"]
-
-    def test_session_cache_keys_are_job_scoped(self, db):
-        """State tables (the ``_cache`` keys) embed the job id, so two jobs
-        running the same cached plan can never collide."""
-        spec = get_spec(plan_fit)
-        app1 = generate_udf_application(spec, "j1", {"data": "numbers", "factor": 1})
-        app2 = generate_udf_application(spec, "j2", {"data": "numbers", "factor": 1})
-        state1, _ = run_udf_application(db, app1)
-        state2, _ = run_udf_application(db, app2)
-        assert state1 != state2
-        assert state1 in db.session_cache and state2 in db.session_cache
-        # Chaining from each state stays independent.
-        cont_spec = get_spec(plan_continue)
-        next1 = generate_udf_application(cont_spec, "j1b", {"previous": state1, "bump": 1})
-        next2 = generate_udf_application(cont_spec, "j2b", {"previous": state2, "bump": 2})
-        (out1,) = run_udf_application(db, next1)
-        (out2,) = run_udf_application(db, next2)
-        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out1}")) == {"echo": 11.0}
-        assert deserialize_transfer(db.scalar(f"SELECT * FROM {out2}")) == {"echo": 12.0}
-
-    def test_dropping_state_table_evicts_cache_entry(self, db):
-        spec = get_spec(plan_fit)
-        app = generate_udf_application(spec, "j1", {"data": "numbers", "factor": 1})
-        state_table, _ = run_udf_application(db, app)
-        assert state_table in db.session_cache
-        db.drop_table(state_table)
-        assert state_table not in db.session_cache
 
 
 class TestCacheMechanics:

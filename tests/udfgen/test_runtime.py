@@ -4,20 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.errors import UDFError
 from repro.udfgen.runtime import (
     Relation,
-    columns_to_tensor,
-    deserialize_state,
     deserialize_transfer,
-    serialize_state,
     serialize_transfer,
     sql_quote,
-    tensor_to_columns,
     validate_secure_transfer,
 )
 
@@ -70,14 +64,6 @@ class TestRelation:
         ]
 
 
-class TestStateSerialization:
-    def test_roundtrip_arbitrary_objects(self):
-        payload = {"matrix": np.eye(2), "nested": {"x": [1, 2]}, "text": "hi"}
-        restored = deserialize_state(serialize_state(payload))
-        assert np.array_equal(restored["matrix"], np.eye(2))
-        assert restored["nested"] == {"x": [1, 2]}
-
-
 class TestTransferSerialization:
     def test_numpy_becomes_lists(self):
         blob = serialize_transfer({"v": np.array([1.5, 2.5]), "n": np.int64(3)})
@@ -118,27 +104,6 @@ class TestSecureTransferValidation:
     def test_bad_bound(self, bound):
         with pytest.raises(UDFError, match="bound must be a finite real > 0"):
             validate_secure_transfer({"m": {"data": [1.0], "operation": "min", "bound": bound}})
-
-
-class TestTensorLayout:
-    def test_1d_roundtrip(self):
-        array = np.array([1.5, 2.5, 3.5])
-        assert np.array_equal(columns_to_tensor(tensor_to_columns(array)), array)
-
-    def test_2d_roundtrip(self):
-        array = np.arange(6, dtype=np.float64).reshape(2, 3)
-        assert np.array_equal(columns_to_tensor(tensor_to_columns(array)), array)
-
-    def test_3d_rejected(self):
-        with pytest.raises(UDFError):
-            tensor_to_columns(np.zeros((2, 2, 2)))
-
-    @given(
-        st.integers(1, 5), st.integers(1, 5),
-    )
-    def test_2d_roundtrip_property(self, rows, cols):
-        array = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
-        assert np.array_equal(columns_to_tensor(tensor_to_columns(array)), array)
 
 
 class TestSQLQuote:
