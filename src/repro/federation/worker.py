@@ -7,8 +7,7 @@ MIP wraps it as a SQL UDF with the UDFGenerator."
 
 Privacy rules enforced here (the paper's key design principles):
 
-- primary data tables and data views are never readable through the
-  transport,
+- primary data tables are never readable through the transport,
 - only ``transfer`` / ``secure_transfer`` outputs — aggregates — can be
   fetched, and ``secure_transfer`` payloads go to the SMPC cluster only,
 - local computations refuse data views smaller than the privacy threshold,
