@@ -16,8 +16,9 @@ Two measurements:
    per-worker sends, so wall time drops toward ``max()`` of each group
    instead of the sum — the speedup the production task queue provides.
 
-Results are written both human-readable (``results/e5_scaling.txt``) and
-machine-readable (``results/BENCH_e5.json``).
+Results are written human-readable (``results/e5_scaling.txt``), and the
+4-worker fan-out samples in the stable schema the SLO gate reads
+(``results/BENCH_e5_scaling.json``).
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ def test_report_scaling():
         f"{'messages':>10}{'MB sent':>10}{'sim net (s)':>12}",
     ]
     times = {}
-    scaling_rows = []
     for n_workers in WORKER_COUNTS:
         federation = build_federation(n_workers)
         datasets = tuple(f"site{i}" for i in range(n_workers))
@@ -148,15 +148,6 @@ def test_report_scaling():
             f"{stats.bytes_sent / 1e6:>10.3f}{stats.simulated_seconds:>12.4f}"
         )
         times[n_workers] = (linreg_time, kmeans_time, stats.messages)
-        scaling_rows.append({
-            "workers": n_workers,
-            "rows_per_worker": TOTAL_ROWS // n_workers,
-            "linreg_seconds": round(linreg_time, 4),
-            "kmeans_seconds": round(kmeans_time, 4),
-            "messages": stats.messages,
-            "bytes_sent": stats.bytes_sent,
-            "simulated_network_seconds": round(stats.simulated_seconds, 4),
-        })
     lines.append("")
     lines.append("shape: wall time stays near-flat as the caseload spreads; message")
     lines.append("count grows linearly with workers (per-worker task dispatch).")
@@ -170,7 +161,6 @@ def test_report_scaling():
     lines.append(
         f"{'workers':>8}{'sequential (s)':>16}{'parallel (s)':>14}{'speedup':>9}"
     )
-    speedup_rows = []
     speedups = {}
     parallel_samples: list[float] = []
     for n_workers in WORKER_COUNTS:
@@ -188,29 +178,12 @@ def test_report_scaling():
         lines.append(
             f"{n_workers:>8}{sequential_s:>16.3f}{parallel_s:>14.3f}{speedup:>9.2f}"
         )
-        speedup_rows.append({
-            "workers": n_workers,
-            "sequential_seconds": round(sequential_s, 4),
-            "parallel_seconds": round(parallel_s, 4),
-            "speedup": round(speedup, 3),
-        })
     lines.append("")
     lines.append("speedup: concurrent dispatch overlaps per-worker sends, so wall")
     lines.append("time trends toward max() of each fan-out group instead of the sum.")
     write_report("e5_scaling", lines)
 
-    payload = {
-        "benchmark": "e5_scaling",
-        "total_rows": TOTAL_ROWS,
-        "speedup_latency_seconds": SPEEDUP_LATENCY_S,
-        "scaling": scaling_rows,
-        "fanout_speedup": speedup_rows,
-        "speedup_at_4_workers": round(speedups[4], 3),
-    }
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_e5.json").write_text(json.dumps(payload, indent=2) + "\n")
-    write_metrics_snapshot("e5", federation)
-
     # Stable-schema result for the SLO gate (``repro health``): the 4-worker
     # parallel sleep-latency samples, dominated by deterministic modeled
     # sleeps rather than host speed.
@@ -315,20 +288,6 @@ def test_report_tracing_overhead():
         federation.metrics_registry().render_prometheus()
     )
     write_metrics_snapshot("e5_linreg", federation)
-    payload = {
-        "benchmark": "obs_overhead",
-        "workers": OVERHEAD_WORKERS,
-        "rounds": OVERHEAD_ROUNDS,
-        "untraced_seconds": round(untraced_s, 4),
-        "traced_seconds": round(traced_s, 4),
-        "overhead_fraction": round(overhead, 4),
-        "budget_fraction": OVERHEAD_BUDGET,
-        "spans_recorded": len(chrome["traceEvents"]),
-    }
-    (RESULTS_DIR / "BENCH_obs_overhead.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-
     write_report("obs_overhead", [
         "Observability — tracing overhead on the E5 sleep-latency flow",
         "",

@@ -260,33 +260,6 @@ class MIPService:
         """The Prometheus text exposition of the unified registry."""
         return self.metrics_registry().render_prometheus()
 
-    def critical_path(
-        self, experiment_id: str | None = None, clock: str = "wall"
-    ) -> dict[str, Any] | None:
-        """Where one experiment's time went (the blocking chain).
-
-        With ``experiment_id`` the finished result's stored analysis is
-        returned (falling back to re-analyzing the live trace buffer);
-        without it the heaviest ``experiment`` root currently in the buffer
-        is analyzed.  ``None`` means no trace exists — the tracer was off.
-        """
-        from repro.observability.critical_path import analyze, analyze_experiment
-
-        if experiment_id is not None:
-            result = self.engine.get(experiment_id)
-            if result.critical_path is not None:
-                return result.critical_path
-            report = analyze_experiment(experiment_id, clock=clock)
-            return report.to_dict() if report is not None else None
-        report = analyze(clock=clock, root_name="experiment")
-        return report.to_dict() if report.segments else None
-
-    def latency_quantiles(self) -> dict[str, float | None]:
-        """p50/p95/p99 experiment wall time off the queue's histogram."""
-        from repro.observability.slo import quantiles_from_histogram
-
-        return quantiles_from_histogram(self.engine.queue.latency)
-
     def attach_profiler(self, profiler) -> bool:
         """Attach (and start) a sampling profiler for per-job profiles.
 
@@ -299,21 +272,6 @@ class MIPService:
         profiler.start()
         self.engine.queue.profiler = profiler
         return True
-
-    def audit_events(
-        self, experiment_id: str | None = None, event: str | None = None
-    ) -> list[dict[str, Any]]:
-        """The privacy audit trail, merged across master and workers.
-
-        Without ``experiment_id`` every recorded event is returned; with it,
-        events of that experiment (step job ids are prefixed by the
-        experiment id, so per-step events match too).
-        """
-        from repro.observability.audit import merged_events
-
-        return merged_events(
-            self.federation.audit_logs(), job_id=experiment_id, event=event
-        )
 
     # ----------------------------------------------------------------- status
 

@@ -654,7 +654,7 @@ def command_health(args: argparse.Namespace) -> int:
     baseline_dir = args.baseline_dir or args.results_dir
     if args.update_baselines:
         store = slo.BaselineStore(baseline_dir)
-        for result in slo.load_bench_results(args.results_dir):
+        for result in slo.load_bench_results(args.results_dir)[0]:
             store.update(result, window=args.window)
             print(f"updated {store.path(result.name)}", file=sys.stderr)
     report = slo.evaluate(

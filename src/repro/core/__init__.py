@@ -15,7 +15,7 @@ produced them; only transfers (aggregates) move, via the plain remote/merge
 path or the SMPC cluster.
 """
 
-from repro.core.algorithm import FederatedAlgorithm, get_transfer_data
+from repro.core.algorithm import FederatedAlgorithm
 from repro.core.context import DataView, ExecutionContext
 from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentResult
 from repro.core.registry import algorithm_registry, register_algorithm
@@ -33,7 +33,6 @@ __all__ = [
     "LocalHandle",
     "ParameterSpec",
     "algorithm_registry",
-    "get_transfer_data",
     "register_algorithm",
     "validate_parameters",
 ]

@@ -3,7 +3,7 @@
 An algorithm flow subclasses :class:`FederatedAlgorithm`, declares its
 variable needs and parameter specifications as class attributes, and
 implements ``run`` using ``self.local_run`` / ``self.global_run`` /
-``get_transfer_data`` — the exact surface the paper's Figure 2 shows for
+``self.ctx.get_transfer_data`` — the exact surface the paper's Figure 2 shows for
 linear regression.
 """
 
@@ -80,24 +80,3 @@ class FederatedAlgorithm:
         if not variables:
             raise AlgorithmError("a data view needs at least one variable")
         return DataView.of(variables, dropna)
-
-    # ----------------------------------------------------------- entry point
-
-    def run(self) -> dict[str, Any]:
-        """The algorithm flow; subclasses must implement."""
-        raise NotImplementedError
-
-
-def get_transfer_data(handle: GlobalHandle | LocalHandle, context: ExecutionContext | None = None,
-                      algorithm: FederatedAlgorithm | None = None) -> Any:
-    """Module-level reader matching the paper's ``get_transfer_data`` call.
-
-    Inside an algorithm, prefer ``self.ctx.get_transfer_data(handle)``; this
-    free function exists so flows can read exactly like Figure 2 when they
-    pass their context (or themselves).
-    """
-    if context is None and algorithm is not None:
-        context = algorithm.ctx
-    if context is None:
-        raise AlgorithmError("get_transfer_data needs the execution context")
-    return context.get_transfer_data(handle)

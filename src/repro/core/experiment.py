@@ -226,14 +226,6 @@ class ExperimentEngine:
     def aggregation(self, value: str) -> None:
         self.runner.aggregation = value
 
-    @property
-    def noise(self) -> NoiseSpec | None:
-        return self.runner.noise
-
-    @noise.setter
-    def noise(self, value: NoiseSpec | None) -> None:
-        self.runner.noise = value
-
     # ------------------------------------------------------------------- run
 
     def run(self, request: ExperimentRequest) -> ExperimentResult:

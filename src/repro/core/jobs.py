@@ -224,10 +224,6 @@ class HistoryStore:
         with self._lock:
             return list(self._results.values())
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._results)
-
 
 class ExperimentQueue:
     """Bounded priority queue + executor pool over an ExperimentRunner.

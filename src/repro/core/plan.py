@@ -103,10 +103,6 @@ class PlanNode:
     #: Short kind tag used by renderers ("local_step", "broadcast", ...).
     kind: str = field(default="node", init=False, repr=False)
 
-    def describe(self) -> dict[str, Any]:
-        """Kind-specific renderable attributes (overridden by subclasses)."""
-        return {}
-
 
 @dataclass(frozen=True)
 class LocalStepNode(PlanNode):

@@ -143,7 +143,9 @@ class PlanExecutor:
                 for pname, arg in node.args:
                     arguments[pname] = self._bind_local(arg, pname, worker)
                 per_worker[worker] = arguments
-            results = ctx.master.run_local_step(node.step_id, node.udf, per_worker)
+            results = ctx.master.run_local_step(
+                node.step_id, node.udf, per_worker, aggregation=ctx.aggregation
+            )
             lost = [worker for worker in ctx.workers if worker not in results]
             self._evict_lost(span, lost, node.step_id)
             outputs: list[dict[str, Any]] = []

@@ -43,9 +43,6 @@ class LocalHandle:
     def workers(self) -> list[str]:
         return sorted(self.tables)
 
-    def table_on(self, worker: str) -> str:
-        return self.tables[worker]
-
 
 class GlobalHandle:
     """One global-step output: a table on the master."""
@@ -61,8 +58,3 @@ class GlobalHandle:
     @property
     def ref(self):
         return self._ref
-
-    @property
-    def table(self) -> str:
-        output = self._executor.result(self._ref.node_id, self._ref.index)
-        return output["table"]

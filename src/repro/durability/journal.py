@@ -228,11 +228,6 @@ class Journal:
             self.stats.fsyncs_total += 1
         self._pending_fsync = 0
 
-    def sync(self) -> None:
-        """Flush any batched appends to stable storage."""
-        with self._lock:
-            self._fsync_locked()
-
     def close(self) -> None:
         with self._lock:
             self._fsync_locked()

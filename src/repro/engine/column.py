@@ -126,10 +126,6 @@ class Column:
         """Return only the non-NULL values."""
         return self.values[~self.nulls]
 
-    @property
-    def null_count(self) -> int:
-        return int(self.nulls.sum())
-
     # ------------------------------------------------------------ combinators
 
     def take(self, indices: np.ndarray) -> "Column":
@@ -152,9 +148,6 @@ class Column:
             return Column(self.sql_type, self.values.copy(), self.nulls.copy())
         return Column.from_values(target, [None if n else _cast_scalar(v, self.sql_type, target)
                                            for v, n in zip(self.values, self.nulls)])
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Column({self.sql_type.value}, n={len(self)}, nulls={self.null_count})"
 
 
 def _is_nan(value: Any) -> bool:

@@ -13,21 +13,13 @@ rows.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.engine.table import Schema, Table, concat_tables
 from repro.errors import CatalogError, NodeUnavailableError
 
 #: Resolves "node_id/table_name" to the current remote table contents.
 RemoteResolver = Callable[[str], Table]
-
-
-class VirtualTable(Protocol):
-    """Catalog entries that produce a Table on demand."""
-
-    schema: Schema
-
-    def materialize(self) -> Table: ...
 
 
 class RemoteTable:
@@ -47,9 +39,6 @@ class RemoteTable:
             )
         return table.rename(self.schema.names)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RemoteTable({self.name!r} ON {self.location!r})"
-
 
 class MergeTable:
     """A non-materialized UNION ALL over part tables (local or remote)."""
@@ -58,10 +47,6 @@ class MergeTable:
         self.name = name
         self.schema = schema
         self._parts: list[str] = []
-
-    @property
-    def parts(self) -> list[str]:
-        return list(self._parts)
 
     def add_part(self, table_name: str) -> None:
         if table_name in self._parts:
@@ -76,9 +61,6 @@ class MergeTable:
             part_table = lookup(part)
             tables.append(part_table.rename(self.schema.names))
         return concat_tables(tables)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MergeTable({self.name!r}, parts={self._parts})"
 
 
 def unavailable_resolver(location: str) -> Table:

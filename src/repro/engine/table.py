@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class Schema:
         except KeyError:
             raise CatalogError(f"no such column: {name!r}") from None
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        inner = ", ".join(f"{s.name} {s.sql_type.value}" for s in self._specs)
-        return f"Schema({inner})"
-
 
 class Table:
     """An immutable-by-convention columnar table.
@@ -119,18 +115,6 @@ class Table:
             for i, spec in enumerate(schema)
         ]
         return cls(schema, columns)
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, tuple[SQLType, Any]]) -> "Table":
-        """Build from ``{name: (type, values)}``; values may be any iterable."""
-        specs = [ColumnSpec(name, sql_type) for name, (sql_type, _) in data.items()]
-        columns = []
-        for name, (sql_type, values) in data.items():
-            if isinstance(values, np.ndarray):
-                columns.append(Column.from_numpy(sql_type, values))
-            else:
-                columns.append(Column.from_values(sql_type, values))
-        return cls(Schema(specs), columns)
 
     # -------------------------------------------------------------- accessors
 
@@ -183,9 +167,6 @@ class Table:
             raise TypeMismatchError("cannot concatenate tables with different column types")
         cols = [a.concat(b) for a, b in zip(self._columns, other._columns)]
         return Table(self.schema, cols)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Table({self.schema!r}, rows={self.num_rows})"
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:

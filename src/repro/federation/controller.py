@@ -66,18 +66,6 @@ class Federation:
 
     # ---------------------------------------------------------- observability
 
-    def critical_path(self, clock: str = "wall", root_name: str | None = None):
-        """Critical-path analysis of the process tracer's current buffer.
-
-        Returns a :class:`~repro.observability.critical_path.CriticalPathReport`
-        over the longest recorded root span (pass ``root_name="experiment"``
-        to skip auxiliary roots).  ``clock="sim"`` attributes the modeled
-        network seconds instead of wall time.
-        """
-        from repro.observability.critical_path import analyze
-
-        return analyze(clock=clock, root_name=root_name)
-
     def audit_logs(self) -> list[AuditLog]:
         """Every node's append-only audit log: master first, then workers."""
         return [self.master.audit] + [

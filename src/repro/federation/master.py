@@ -31,7 +31,6 @@ from typing import Any, Mapping, Sequence
 
 from repro.engine.database import Database
 from repro.errors import (
-    DatasetUnavailableError,
     FederationError,
     NodeUnavailableError,
     QuorumError,
@@ -125,27 +124,6 @@ class Master:
             self.refresh_catalog()
         return self._availability
 
-    def workers_for(self, data_model: str, datasets: Sequence[str]) -> list[str]:
-        """Workers holding at least one of the requested datasets."""
-        model_map = self.availability.get(data_model)
-        if model_map is None:
-            raise DatasetUnavailableError(f"no worker holds data model {data_model!r}")
-        chosen: list[str] = []
-        missing: list[str] = []
-        for code in datasets:
-            holders = model_map.get(code)
-            if not holders:
-                missing.append(code)
-                continue
-            for worker in holders:
-                if worker not in chosen:
-                    chosen.append(worker)
-        if missing:
-            raise DatasetUnavailableError(
-                f"datasets {missing} are not available on any active worker"
-            )
-        return chosen
-
     def alive_workers(self) -> list[str]:
         """Workers answering a ping right now.
 
@@ -220,30 +198,33 @@ class Master:
         job_id: str,
         udf_name: str,
         per_worker_arguments: Mapping[str, Mapping[str, Any]],
+        aggregation: str = "smpc",
     ) -> dict[str, list[dict[str, str]]]:
         """Run one local computation on each named worker, concurrently.
 
         ``per_worker_arguments`` maps worker id to that worker's argument
-        specs.  Returns {worker: [{"table":..., "kind":...}, ...]}.  Under a
-        degrading failure policy, workers lost mid-step are simply absent
-        from the result (the caller evicts them from the flow); a quorum
-        violation raises :class:`~repro.errors.QuorumError`.
+        specs.  ``aggregation`` is the path the step's secure transfers will
+        take: a worker lets one be fetched in the clear only when the step
+        was run for ``"plain"``.  Returns {worker: [{"table":..., "kind":...},
+        ...]}.  Under a degrading failure policy, workers lost mid-step are
+        simply absent from the result (the caller evicts them from the
+        flow); a quorum violation raises :class:`~repro.errors.QuorumError`.
         """
         workers = list(per_worker_arguments)
+        requests = []
+        for worker in workers:
+            payload = {
+                "job_id": job_id,
+                "udf_name": udf_name,
+                "arguments": dict(per_worker_arguments[worker]),
+            }
+            # SMPC is the worker's default, so only the plain path is named.
+            if aggregation != "smpc":
+                payload["aggregation"] = aggregation
+            requests.append((worker, "run_udf", payload))
         responses, _lost = self._fan_out(
             self.node_id,
-            [
-                (
-                    worker,
-                    "run_udf",
-                    {
-                        "job_id": job_id,
-                        "udf_name": udf_name,
-                        "arguments": dict(per_worker_arguments[worker]),
-                    },
-                )
-                for worker in workers
-            ],
+            requests,
             what=f"local step {udf_name!r}",
         )
         return {

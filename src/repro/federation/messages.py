@@ -37,10 +37,8 @@ WORKER_KINDS = (
     "ping",
     "list_datasets",
     "run_udf",
-    "get_transfer",
     "put_transfer",
     "get_secure_payload",
     "fetch_table",
     "cleanup",
-    "row_count",
 )

@@ -161,12 +161,3 @@ class WorkerHealth:
     def quarantined(self) -> frozenset[str]:
         with self._lock:
             return frozenset(self._quarantined)
-
-    def consecutive_failures(self, worker: str) -> int:
-        with self._lock:
-            return self._consecutive_failures.get(worker, 0)
-
-    def filter_alive(self, workers: list[str]) -> list[str]:
-        """The given workers minus the quarantined ones, order preserved."""
-        with self._lock:
-            return [w for w in workers if w not in self._quarantined]

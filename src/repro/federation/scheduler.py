@@ -28,9 +28,6 @@ class ShippingPlan:
     def workers(self) -> list[str]:
         return sorted(self.assignments)
 
-    def datasets_for(self, worker: str) -> list[str]:
-        return list(self.assignments.get(worker, []))
-
 
 class WorkerLoad:
     """Thread-safe tracker of in-flight dataset assignments per worker.

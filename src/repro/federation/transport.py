@@ -292,9 +292,6 @@ class Transport:
         else:
             self._down.discard(node_id)
 
-    def is_down(self, node_id: str) -> bool:
-        return node_id in self._down
-
     # ---------------------------------------------------------------- sending
 
     def send(self, sender: str, receiver: str, kind: str, payload: dict[str, Any] | None = None) -> dict[str, Any]:

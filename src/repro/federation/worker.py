@@ -9,7 +9,10 @@ Privacy rules enforced here (the paper's key design principles):
 
 - primary data tables are never readable through the transport,
 - only ``transfer`` / ``secure_transfer`` outputs — aggregates — can be
-  fetched, and ``secure_transfer`` payloads go to the SMPC cluster only,
+  fetched, and a ``secure_transfer`` leaves only as the payload the SMPC
+  cluster imports, unless the step that wrote it was run for plain
+  aggregation: the worker records the path when it runs the step, so no
+  later request can change how the output may leave,
 - local computations refuse data views smaller than the privacy threshold,
 - a data view is scanned once per experiment and kept as a ``view`` table the
   experiment owns: no handler ships it, no response names it, and the
@@ -44,6 +47,9 @@ class _OutputRecord:
     table: str
     kind: str
     job_id: str
+    #: How a secure transfer may leave: "smpc" (as shares only) or "plain"
+    #: (fetched in the clear by the remote/merge path).
+    aggregation: str = "smpc"
 
 
 class Worker:
@@ -92,14 +98,6 @@ class Worker:
     def datasets(self) -> dict[str, list[str]]:
         return {model: list(codes) for model, codes in self._datasets.items()}
 
-    def data_table_name(self, data_model: str) -> str:
-        try:
-            return self._data_tables[data_model]
-        except KeyError:
-            raise FederationError(
-                f"worker {self.node_id!r} does not hold data model {data_model!r}"
-            ) from None
-
     # ------------------------------------------------------------- dispatcher
 
     def handle(self, message: Message) -> dict[str, Any]:
@@ -107,12 +105,10 @@ class Worker:
             "ping": self._handle_ping,
             "list_datasets": self._handle_list_datasets,
             "run_udf": self._handle_run_udf,
-            "get_transfer": self._handle_get_transfer,
             "put_transfer": self._handle_put_transfer,
             "get_secure_payload": self._handle_get_secure_payload,
             "fetch_table": self._handle_fetch_table,
             "cleanup": self._handle_cleanup,
-            "row_count": self._handle_row_count,
         }
         handler = handlers.get(message.kind)
         if handler is None:
@@ -133,6 +129,9 @@ class Worker:
         job_id = payload["job_id"]
         udf_name = payload["udf_name"]
         arguments: dict[str, Any] = payload["arguments"]
+        aggregation = payload.get("aggregation", "smpc")
+        if aggregation not in ("smpc", "plain"):
+            raise FederationError(f"unknown aggregation path {aggregation!r}")
         spec = udf_registry.get(udf_name)
         bound: dict[str, Any] = {}
         for pname, iotype in spec.inputs:
@@ -146,7 +145,7 @@ class Worker:
         outputs = []
         for table, iotype in zip(application.output_tables, application.output_kinds):
             kind = iotype.kind
-            self._outputs[table] = _OutputRecord(table, kind, job_id)
+            self._outputs[table] = _OutputRecord(table, kind, job_id, aggregation)
             outputs.append({"table": table, "kind": kind})
         return {"outputs": outputs}
 
@@ -211,25 +210,6 @@ class Worker:
             return name
         raise FederationError(f"unknown argument kind {arg_kind!r}")
 
-    def _handle_get_transfer(self, payload: dict[str, Any]) -> dict[str, Any]:
-        table = payload["table"]
-        record = self._require_output(table)
-        if record.kind not in ("transfer", "secure_transfer"):
-            raise FederationError(
-                f"worker {self.node_id!r}: refusing to ship {record.kind!r} output "
-                f"{table!r} — only aggregates leave the node"
-            )
-        if record.kind == "secure_transfer" and not payload.get("allow_insecure", False):
-            raise FederationError(
-                f"worker {self.node_id!r}: output {table!r} is a secure transfer; "
-                "it must be imported by the SMPC cluster, not fetched in the clear"
-            )
-        blob = self.database.scalar(f"SELECT * FROM {table}")
-        self.audit.record(
-            "aggregate_shared", job_id=record.job_id, table=table, path="transfer"
-        )
-        return {"transfer": blob}
-
     def _handle_put_transfer(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Receive a broadcast global transfer (model parameters and the like).
 
@@ -277,6 +257,11 @@ class Worker:
                 f"worker {self.node_id!r}: remote access to {record.kind!r} table "
                 f"{table!r} denied — the remote/merge path ships transfers only"
             )
+        if record.kind == "secure_transfer" and record.aggregation != "plain":
+            raise FederationError(
+                f"worker {self.node_id!r}: output {table!r} is a secure transfer of an "
+                "SMPC step; it leaves only as shares the SMPC cluster imports"
+            )
         self.audit.record(
             "aggregate_shared", job_id=record.job_id, table=table, path="remote"
         )
@@ -301,12 +286,6 @@ class Worker:
                 del self._outputs[table]
                 dropped.append(table)
         return {"dropped": dropped}
-
-    def _handle_row_count(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Row count of a data view (used for dataset availability checks)."""
-        query = payload["query"]
-        view = self.database.query(query)
-        return {"rows": view.num_rows}
 
     def _require_output(self, table: str) -> _OutputRecord:
         record = self._outputs.get(table)

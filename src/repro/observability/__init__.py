@@ -6,7 +6,7 @@ Zero-dependency subsystem threaded through every layer of the reproduction
 - :mod:`repro.observability.trace` — nested spans per federated flow, with
   wall- and simulated-clock timestamps, exportable as JSON or Chrome
   trace-event format (``REPRO_TRACE=1`` enables the process tracer),
-- :mod:`repro.observability.metrics` — counters/gauges/histograms plus
+- :mod:`repro.observability.metrics` — counters/histograms plus
   collectors that re-expose the stack's existing private counters behind
   ``registry.snapshot()`` / ``registry.render_prometheus()``,
 - :mod:`repro.observability.audit` — append-only per-node privacy audit
@@ -31,7 +31,6 @@ from repro.observability.critical_path import (
 from repro.observability.log import LOG_LEVEL_ENV, configure, get_logger
 from repro.observability.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     estimate_quantile,
@@ -74,7 +73,6 @@ __all__ = [
     "configure",
     "get_logger",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "global_registry",

@@ -119,11 +119,6 @@ class AuditLog:
             ]
         return entries
 
-    def to_dicts(
-        self, job_id: str | None = None, event: str | None = None
-    ) -> list[dict[str, Any]]:
-        return [entry.to_dict() for entry in self.events(job_id=job_id, event=event)]
-
 
 class AuditTrail(Sequence):
     """One experiment's audit trail across nodes, in (time, node, seq) order.
@@ -169,9 +164,6 @@ class AuditTrail(Sequence):
         if isinstance(other, (tuple, list)):
             return len(other) == len(self) and all(a == b for a, b in zip(self, other))
         return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AuditTrail({len(self)} events)"
 
 
 def merged_events(

@@ -69,9 +69,6 @@ class StructuredLogger:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def is_enabled(self, level: str) -> bool:
-        return LEVELS[level] >= _threshold()
-
     def log(self, level: str, event: str, **fields: Any) -> None:
         if LEVELS[level] < _threshold():
             return
@@ -95,9 +92,6 @@ class StructuredLogger:
 
     def warning(self, event: str, **fields: Any) -> None:
         self.log("warning", event, **fields)
-
-    def error(self, event: str, **fields: Any) -> None:
-        self.log("error", event, **fields)
 
 
 def get_logger(name: str) -> StructuredLogger:

@@ -1,4 +1,4 @@
-"""A unified metrics registry: counters, gauges, histograms, collectors.
+"""A unified metrics registry: counters, histograms, collectors.
 
 The registry is the one surface behind which every private ad-hoc counter in
 the stack — :class:`~repro.federation.transport.TransportStats`, the UDF
@@ -11,7 +11,7 @@ working against the originals).  Live sources are absorbed through
 time, so reading metrics never adds work to the hot path.
 
 Instruments follow the Prometheus data model: a ``Counter`` only goes up, a
-``Gauge`` is set, a ``Histogram`` observes values into fixed buckets
+``Histogram`` observes values into fixed buckets
 (cumulative ``le`` semantics plus ``_sum``/``_count``).  All instruments
 accept labels as keyword arguments on the recording call.
 """
@@ -40,9 +40,6 @@ class _Instrument:
         self.help = help_text
         self._lock = threading.Lock()
 
-    def samples(self) -> list[Sample]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 class Counter(_Instrument):
     """Monotonically increasing total, optionally per label set."""
@@ -56,33 +53,6 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def samples(self) -> list[Sample]:
-        with self._lock:
-            return [(self.name, dict(key), value) for key, value in self._values.items()]
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down (or be set outright)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        super().__init__(name, help_text)
-        self._values: dict[tuple, float] = {}
-
-    def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-
-    def add(self, amount: float, **labels: Any) -> None:
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -232,9 +202,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         return self._get_or_create(name, Counter, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help_text)
 
     def histogram(
         self,

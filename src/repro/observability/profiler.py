@@ -32,7 +32,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Any, Iterable
+from typing import Any
 
 #: Default sampling rate.  A prime, so the sampler does not phase-lock with
 #: common periodic workloads (timers, modeled-latency sleeps at round rates).
@@ -257,20 +257,3 @@ class SamplingProfiler:
             "jobs": self.jobs(),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
         }
-
-
-def merge_collapsed(chunks: Iterable[str]) -> str:
-    """Merge collapsed-stack texts (summing counts of identical stacks)."""
-    totals: Counter[str] = Counter()
-    for chunk in chunks:
-        for line in chunk.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            stack, _, count = line.rpartition(" ")
-            try:
-                totals[stack] += int(count)
-            except ValueError:
-                continue
-    lines = [f"{stack} {count}" for stack, count in sorted(totals.items())]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -9,8 +9,7 @@ The bench suite writes machine-readable results with one **stable schema**::
 snapshots into an enforced trajectory:
 
 - :class:`BenchResult` — parse/compute the stable schema (percentiles from
-  raw samples, or from an existing :class:`~repro.observability.metrics.Histogram`
-  via :func:`quantiles_from_histogram`).
+  raw samples).
 - :class:`BaselineStore` — rolling-window baselines persisted as
   ``BASELINE_<name>.json`` next to the bench results.  Each update appends
   the run's metrics to a bounded window and re-derives the baseline as the
@@ -19,7 +18,8 @@ snapshots into an enforced trajectory:
   / ``regression`` against its baseline with configurable tolerances
   (default: warn above +10%, fail above +20% on any latency metric).
   ``repro health`` renders the verdicts and exits nonzero on regression
-  (and, with ``--strict``, on warnings or missing results) — the CI
+  or on a ``BENCH_*.json`` file that is not a stable-schema result (and,
+  with ``--strict``, on warnings or missing results) — the CI
   ``perf-gate`` job runs exactly that.
 
 Zero dependencies; files are plain JSON so baselines diff cleanly in git.
@@ -40,7 +40,7 @@ DEFAULT_WARN_PCT = 10.0
 DEFAULT_FAIL_PCT = 20.0
 DEFAULT_WINDOW = 10
 
-_STATUS_ORDER = {"ok": 0, "new": 0, "warn": 1, "missing": 1, "regression": 2}
+_STATUS_ORDER = {"ok": 0, "new": 0, "warn": 1, "missing": 1, "regression": 2, "invalid": 2}
 
 
 def percentile(samples: Iterable[float], q: float) -> float:
@@ -57,22 +57,6 @@ def percentile(samples: Iterable[float], q: float) -> float:
         return values[lower]
     fraction = position - lower
     return values[lower] * (1 - fraction) + values[upper] * fraction
-
-
-def quantiles_from_histogram(
-    histogram, quantiles: Iterable[float] = (0.5, 0.95, 0.99), **labels: Any
-) -> dict[str, float | None]:
-    """Percentile estimates off a live :class:`Histogram`'s buckets.
-
-    Returns ``{"p50": ..., "p95": ..., "p99": ...}`` style keys; ``None``
-    values mean the histogram holds no observations (for that label set).
-    """
-    return {
-        f"p{str(round(q * 100, 1)).rstrip('0').rstrip('.')}": histogram.quantile(
-            q, **labels
-        )
-        for q in quantiles
-    }
 
 
 @dataclass
@@ -199,7 +183,7 @@ class Verdict:
     """The comparator's classification of one bench vs. its baseline."""
 
     name: str
-    status: str  # ok | warn | regression | new | missing
+    status: str  # ok | warn | regression | new | missing | invalid
     metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -297,9 +281,10 @@ class HealthReport:
         return worst
 
     def exit_code(self, strict: bool = False) -> int:
-        """0 when healthy; 1 on regression (or, strictly, warn/missing)."""
+        """0 when healthy; 1 on regression or an invalid result file (or,
+        strictly, warn/missing)."""
         statuses = {v.status for v in self.verdicts}
-        if "regression" in statuses:
+        if statuses & {"regression", "invalid"}:
             return 1
         if strict and statuses & {"warn", "missing"}:
             return 1
@@ -333,27 +318,28 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def load_bench_results(directory: "str | Path") -> list[BenchResult]:
-    """Stable-schema ``BENCH_*.json`` files under ``directory``.
-
-    Files without the stable keys (legacy bench payloads) are skipped, so
-    the health gate and older result formats coexist in one directory.
-    """
+def load_bench_results(directory: "str | Path") -> tuple[list[BenchResult], list[Verdict]]:
+    """Stable-schema ``BENCH_*.json`` files under ``directory``, and an
+    ``invalid`` verdict for each one that does not parse or lacks the
+    stable keys: the gate judges every file it finds."""
     directory = Path(directory)
-    results = []
+    results: list[BenchResult] = []
+    invalid: list[Verdict] = []
     if not directory.is_dir():
-        return results
+        return results, invalid
     for path in sorted(directory.glob("BENCH_*.json")):
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(payload, dict) or "name" not in payload:
-            continue
-        if "samples" not in payload and "p95" not in payload:
-            continue
-        results.append(BenchResult.from_dict(payload))
-    return results
+            if not isinstance(payload, dict) or "name" not in payload:
+                raise ValueError("no 'name' key")
+            if "samples" not in payload and "p95" not in payload:
+                raise ValueError("neither 'samples' nor 'p95'")
+            results.append(BenchResult.from_dict(payload))
+        except (OSError, TypeError, ValueError) as error:
+            invalid.append(
+                Verdict(path.name, "invalid", notes=[f"not a stable-schema result: {error}"])
+            )
+    return results, invalid
 
 
 def evaluate(
@@ -364,9 +350,10 @@ def evaluate(
 ) -> HealthReport:
     """Compare every stable-schema bench result against its baseline."""
     store = BaselineStore(baseline_dir or results_dir)
-    report = HealthReport(warn_pct=warn_pct, fail_pct=fail_pct)
+    results, invalid = load_bench_results(results_dir)
+    report = HealthReport(verdicts=invalid, warn_pct=warn_pct, fail_pct=fail_pct)
     seen = set()
-    for result in load_bench_results(results_dir):
+    for result in results:
         seen.add(result.name)
         report.verdicts.append(
             compare(result, store.load(result.name), warn_pct, fail_pct)

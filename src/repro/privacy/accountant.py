@@ -78,10 +78,6 @@ class PrivacyAccountant:
                 delta_budget=self.delta_budget,
             )
 
-    @property
-    def n_releases(self) -> int:
-        return len(self._releases)
-
     def spent(self) -> PrivacySpent:
         """Basic composition: epsilons and deltas add."""
         return self._basic(self._releases)

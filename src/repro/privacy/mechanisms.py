@@ -1,11 +1,8 @@
-"""Noise mechanisms for differential privacy."""
+"""Noise calibration for differential privacy."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import PrivacyError
 
@@ -18,54 +15,6 @@ def _validate_epsilon(epsilon: float) -> None:
 def _validate_sensitivity(sensitivity: float) -> None:
     if not sensitivity > 0:
         raise PrivacyError(f"sensitivity must be positive, got {sensitivity}")
-
-
-@dataclass(frozen=True)
-class LaplaceMechanism:
-    """Pure epsilon-DP via Laplace noise with scale sensitivity/epsilon."""
-
-    epsilon: float
-    sensitivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        _validate_epsilon(self.epsilon)
-        _validate_sensitivity(self.sensitivity)
-
-    @property
-    def scale(self) -> float:
-        return self.sensitivity / self.epsilon
-
-    def add_noise(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return values + rng.laplace(0.0, self.scale, values.shape)
-
-
-@dataclass(frozen=True)
-class GaussianMechanism:
-    """(epsilon, delta)-DP via Gaussian noise.
-
-    Uses the classic calibration sigma = sensitivity * sqrt(2 ln(1.25/delta))
-    / epsilon, valid for epsilon <= 1; for larger epsilon we fall back to the
-    same formula, which stays a (looser) upper bound on the noise needed.
-    """
-
-    epsilon: float
-    delta: float
-    sensitivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        _validate_epsilon(self.epsilon)
-        _validate_sensitivity(self.sensitivity)
-        if not 0 < self.delta < 1:
-            raise PrivacyError(f"delta must be in (0, 1), got {self.delta}")
-
-    @property
-    def sigma(self) -> float:
-        return gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
-
-    def add_noise(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return values + rng.normal(0.0, self.sigma, values.shape)
 
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:

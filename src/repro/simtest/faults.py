@@ -156,8 +156,5 @@ class FaultPlan:
             if f.kind in DELIVERY_KINDS and not f.is_master_crash
         ]
 
-    def step_faults(self) -> list[Fault]:
-        return [f for f in self.faults if f.kind in STEP_KINDS or f.is_master_crash]
-
     def master_crashes(self) -> list[Fault]:
         return [f for f in self.faults if f.is_master_crash]

@@ -180,8 +180,3 @@ class SimScheduler:
         else:
             self.transcript.append(f"step {task.name} {label}")
         return True
-
-    def run_all(self) -> None:
-        """Drive every task to completion."""
-        while self.step_once():
-            pass

@@ -71,26 +71,6 @@ def reconstruct(shared: AdditiveShared) -> FieldVector:
     return vector_sum(shared.shares)
 
 
-def resplit(shared: AdditiveShared, n_new: int, rng: random.Random) -> AdditiveShared:
-    """Dealer-assisted re-split of a full-threshold sharing to a new party set.
-
-    Full-threshold sharing cannot survive a lost share (that is the point of
-    the scheme), so re-splitting after a membership change is performed by
-    the trusted dealer, who holds every share in this simulation: the value
-    and MAC totals are summed and split afresh among ``n_new`` parties.
-    Both totals are preserved exactly, so the result still verifies under
-    any additive sharing of the *same* global key alpha
-    (see :func:`check_macs`).
-    """
-    if n_new < 2:
-        raise SMPCError("an additive sharing needs at least two parties")
-    value_total = vector_sum(shared.shares)
-    mac_total = vector_sum(shared.macs)
-    return AdditiveShared(
-        _split(value_total, n_new, rng), _split(mac_total, n_new, rng)
-    )
-
-
 def check_macs(shared: AdditiveShared, opened: FieldVector, alpha_shares: Sequence[int]) -> None:
     """Verify the SPDZ MAC relation for an opened value.
 
@@ -218,13 +198,3 @@ def row_dot(a: AdditiveShared, row_length: int, weights: Sequence[int], start: i
         [field.row_dot(s, row_length, weights, start) for s in a.shares],
         [field.row_dot(m, row_length, weights, start) for m in a.macs],
     )
-
-
-def public_to_shared(
-    public: FieldVector, n_parties: int, alpha_shares: Sequence[int]
-) -> AdditiveShared:
-    """Deterministic sharing of a public constant (share = value at party 0)."""
-    shares = [FieldVector.zeros(len(public)) for _ in range(n_parties)]
-    shares[0] = public.copy()
-    macs = [public.scale(alpha_i) for alpha_i in alpha_shares]
-    return AdditiveShared(shares, macs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 import random
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import SMPCError
 
@@ -34,36 +34,12 @@ PRIME = (1 << 127) - 1
 #: Residues above this are the negatives of small ones (p - 1 is -1).
 _HALF = PRIME >> 1
 
-def fadd(a: int, b: int) -> int:
-    """Field addition."""
-    return (a + b) % PRIME
-
-
-def fsub(a: int, b: int) -> int:
-    """Field subtraction."""
-    return (a - b) % PRIME
-
-
-def fmul(a: int, b: int) -> int:
-    """Field multiplication."""
-    return (a * b) % PRIME
-
-
-def fneg(a: int) -> int:
-    """Field additive inverse."""
-    return (-a) % PRIME
-
 
 def finv(a: int) -> int:
     """Field multiplicative inverse (Fermat)."""
     if a % PRIME == 0:
         raise SMPCError("zero has no multiplicative inverse")
     return pow(a, PRIME - 2, PRIME)
-
-
-def fpow(a: int, exponent: int) -> int:
-    """Field exponentiation."""
-    return pow(a, exponent, PRIME)
 
 
 def random_field_elements(count: int, rng: random.Random) -> list[int]:
@@ -122,10 +98,6 @@ class FieldVector:
         self.elements: list[int] = [int(e) % PRIME for e in elements]
 
     @classmethod
-    def zeros(cls, length: int) -> "FieldVector":
-        return cls._raw([0] * length)
-
-    @classmethod
     def random(cls, length: int, rng: random.Random) -> "FieldVector":
         """Uniform random vector (batched draw, see :func:`random_field_elements`)."""
         return cls._raw(random_field_elements(length, rng))
@@ -137,20 +109,10 @@ class FieldVector:
         vector.elements = elements
         return vector
 
-    def copy(self) -> "FieldVector":
-        """An independent copy."""
-        return FieldVector._raw(list(self.elements))
-
     # ------------------------------------------------------------- protocol
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __getitem__(self, index: int) -> int:
-        return self.elements[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldVector):
@@ -185,18 +147,7 @@ class FieldVector:
         scalar = _centered(scalar % PRIME)  # p - 1 multiplies as -1, not as a 127-bit int
         return FieldVector._raw([(a * scalar) % PRIME for a in self.elements])
 
-    def negate(self) -> "FieldVector":
-        return FieldVector._raw([(-a) % PRIME for a in self.elements])
-
-    def add_scalar(self, scalar: int) -> "FieldVector":
-        scalar = scalar % PRIME
-        return FieldVector._raw([(a + scalar) % PRIME for a in self.elements])
-
     # -------------------------------------------------------------- queries
-
-    def is_zero(self) -> bool:
-        """True when every element is zero."""
-        return not any(self.elements)
 
     def take(self, indices: Sequence[int] | slice) -> "FieldVector":
         """Gather elements at ``indices`` — an index sequence or a slice.
@@ -207,11 +158,6 @@ class FieldVector:
         if isinstance(indices, slice):
             return FieldVector._raw(self.elements[indices])
         return FieldVector._raw(list(map(self.elements.__getitem__, indices)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        preview = self.elements[:4]
-        suffix = "..." if len(self) > 4 else ""
-        return f"FieldVector({preview}{suffix}, n={len(self)})"
 
 
 def concat(vectors: Sequence[FieldVector]) -> FieldVector:

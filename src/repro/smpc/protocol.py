@@ -59,10 +59,6 @@ class CommunicationMeter:
         """Approximate bytes (16 bytes per 127-bit field element)."""
         return self.elements * 16
 
-    def reset(self) -> None:
-        self.rounds = 0
-        self.elements = 0
-
 
 class Protocol(abc.ABC, Generic[S]):
     """Common operation set over a share representation ``S``."""
@@ -176,28 +172,9 @@ class Protocol(abc.ABC, Generic[S]):
 
     # ------------------------------------------------------------ aggregates
 
+    @abc.abstractmethod
     def sum_inputs(self, inputs: Sequence[S]) -> S:
-        """Element-wise sum of several parties' shared vectors (linear).
-
-        Subclasses override with a batched share-wise :func:`vector_sum`
-        (one lazy reduction per party instead of one reduction per addend);
-        the results are identical because the fold is associative in Z_p.
-        """
-        if not inputs:
-            raise SMPCError("sum of zero inputs")
-        total = inputs[0]
-        for item in inputs[1:]:
-            total = self.add(total, item)
-        return total
-
-    def product_inputs(self, inputs: Sequence[S]) -> S:
-        """Element-wise product fold (one Beaver mult per extra input)."""
-        if not inputs:
-            raise SMPCError("product of zero inputs")
-        total = inputs[0]
-        for item in inputs[1:]:
-            total = self.mul(total, item)
-        return total
+        """Element-wise sum of several parties' shared vectors (linear)."""
 
     def ltz(self, x: S, bits: int | None = None) -> S:
         """Element-wise [x < 0] as a shared 0/1 vector.

@@ -120,51 +120,6 @@ def reconstruct_from_subset(
     return field.linear_combination(coefficients, [share for _, share in chosen])
 
 
-def reshare(
-    shared: ShamirShared,
-    survivors: Sequence[int],
-    rng: random.Random,
-    new_threshold: int | None = None,
-) -> ShamirShared:
-    """Redistribute a sharing to a surviving party subset, without ever
-    reconstructing the secret.
-
-    The survivor re-split path after node loss: each surviving party ``i``
-    re-shares its Lagrange-weighted share ``lambda_i * s_i`` among the
-    survivors with a fresh random polynomial; summing the sub-sharings gives
-    a new ``len(survivors)``-party sharing of the *same* secret (the weighted
-    shares sum to it by interpolation), at threshold ``new_threshold``
-    (default: the paper's setting for the new party count).  No coalition of
-    ``new_threshold`` or fewer survivors learns anything new.
-
-    Requires at least ``threshold + 1`` survivors — below that the secret is
-    information-theoretically gone, and :class:`ThresholdError` is raised.
-    """
-    survivors = list(survivors)
-    if len(set(survivors)) != len(survivors):
-        raise SMPCError("duplicate survivor indices")
-    if any(not 0 <= party < shared.n_parties for party in survivors):
-        raise SMPCError("survivor index out of range")
-    if len(survivors) < shared.threshold + 1:
-        raise ThresholdError(
-            f"need {shared.threshold + 1} survivors to reshare a threshold-"
-            f"{shared.threshold} sharing, have {len(survivors)}"
-        )
-    n_new = len(survivors)
-    threshold = default_threshold(n_new) if new_threshold is None else new_threshold
-    if not 0 < threshold < n_new:
-        raise SMPCError(f"invalid new threshold t={threshold} for n={n_new} survivors")
-    points = [party + 1 for party in survivors]
-    coefficients = lagrange_coefficients_at_zero(points)
-    total: ShamirShared | None = None
-    for coefficient, party in zip(coefficients, survivors):
-        contribution = shared.shares[party].scale(coefficient)
-        sub_sharing = share_vector(contribution, n_new, threshold, rng)
-        total = sub_sharing if total is None else add(total, sub_sharing)
-    assert total is not None
-    return total
-
-
 # --------------------------------------------------- local (linear) operators
 
 
@@ -249,21 +204,6 @@ def row_dot(a: ShamirShared, row_length: int, weights: Sequence[int], start: int
     return ShamirShared(
         [field.row_dot(s, row_length, weights, start) for s in a.shares], a.threshold
     )
-
-
-def multiply_local(a: ShamirShared, b: ShamirShared) -> ShamirShared:
-    """Share-wise product: a valid sharing of a*b at degree 2t.
-
-    The result must be reconstructed with ``degree=2t`` or degree-reduced; it
-    is how one final multiplication before an open is done cheaply.
-    """
-    _check_compatible(a, b)
-    return ShamirShared([x * y for x, y in zip(a.shares, b.shares)], a.threshold)
-
-
-def public_to_shared(public: FieldVector, n_parties: int, threshold: int) -> ShamirShared:
-    """Deterministic (zero-polynomial) sharing of a public constant."""
-    return ShamirShared([public.copy() for _ in range(n_parties)], threshold)
 
 
 def _check_compatible(a: ShamirShared, b: ShamirShared) -> None:

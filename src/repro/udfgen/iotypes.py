@@ -33,9 +33,6 @@ class IOType:
 
     kind: str = "abstract"
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 @dataclass(frozen=True, repr=False)
 class RelationType(IOType):

@@ -74,17 +74,10 @@ class Relation:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._columns[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._columns
-
     def __len__(self) -> int:
         if not self._columns:
             return 0
         return len(next(iter(self._columns.values())))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self), len(self._columns))
 
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """The named (or all) columns as a read-only (n, k) float64 matrix,
@@ -93,21 +86,6 @@ class Relation:
         return self.cached(
             ("matrix", names), lambda: stack_columns([self._columns[n] for n in names], len(self))
         )
-
-    def dropna(self) -> "Relation":
-        """Drop rows where any column is NaN/None."""
-        if not self._columns:
-            return Relation({})
-        keep = np.ones(len(self), dtype=bool)
-        for values in self._columns.values():
-            if values.dtype == object:
-                keep &= np.array([v is not None for v in values])
-            elif np.issubdtype(values.dtype, np.floating):
-                keep &= ~np.isnan(values)
-        return Relation({k: v[keep] for k, v in self._columns.items()})
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return dict(self._columns)
 
 
 def stack_columns(columns: Sequence[Any], n_rows: int) -> np.ndarray:
@@ -169,18 +147,3 @@ def validate_secure_transfer(obj: Mapping[str, Any]) -> dict[str, Any]:
                 f"secure_transfer entry {key!r}: bound must be a finite real > 0, got {bound!r}"
             )
     return {k: dict(v) for k, v in obj.items()}
-
-
-# -------------------------------------------------------------------- SQL
-
-
-def sql_quote(value: Any) -> str:
-    """Render a Python scalar as a SQL literal."""
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return repr(float(value)) if isinstance(value, (float, np.floating)) else repr(int(value))
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

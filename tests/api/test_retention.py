@@ -93,8 +93,8 @@ class TestWorkerCatalogDoesNotGrow:
             """Run the step for real, then ``action(experiment id)`` with its
             outputs and the workers' data views in place."""
 
-            def run_local_step(step_id, udf_name, per_worker_arguments):
-                outputs = real_step(step_id, udf_name, per_worker_arguments)
+            def run_local_step(step_id, udf_name, per_worker_arguments, **kwargs):
+                outputs = real_step(step_id, udf_name, per_worker_arguments, **kwargs)
                 held_views.append(
                     sum(t.startswith("view_") for ts in tables().values() for t in ts)
                 )

@@ -5,24 +5,18 @@ four different algorithms running four-at-a-time must each report *exactly*
 the telemetry they report when run alone on an identically-seeded
 federation — zero cross-job leakage in messages, bytes, simulated network
 time, SMPC rounds or SMPC elements.
-
-The throughput measurement (pool 1 vs pool 4 over a transport that really
-sleeps its modeled latency) is published as
-``benchmarks/results/BENCH_queue_throughput.json`` for CI to archive.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import repro.algorithms  # noqa: F401
 from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentStatus
 from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.federation.controller import FederationConfig, create_federation
 
-RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 STRESS_SEED = 4040
 POOL_SIZE = 4
@@ -149,26 +143,6 @@ class TestQueueThroughput:
         throughput_1 = n_experiments / sequential_s
         throughput_4 = n_experiments / parallel_s
         speedup = throughput_4 / throughput_1
-
-        RESULTS_DIR.mkdir(exist_ok=True)
-        payload = {
-            "benchmark": "queue_throughput",
-            "flow": "e5_linear_regression",
-            "experiments": n_experiments,
-            "latency_seconds": latency_s,
-            "pool_1": {
-                "wall_seconds": round(sequential_s, 4),
-                "experiments_per_second": round(throughput_1, 3),
-            },
-            "pool_4": {
-                "wall_seconds": round(parallel_s, 4),
-                "experiments_per_second": round(throughput_4, 3),
-            },
-            "speedup": round(speedup, 3),
-        }
-        (RESULTS_DIR / "BENCH_queue_throughput.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
         assert speedup >= 1.5, (
             f"pool-4 throughput speedup {speedup:.2f}x is below the 1.5x bar"
         )

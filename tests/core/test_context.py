@@ -145,6 +145,10 @@ class TestBroadcast:
             )
         kinds = [node.kind for node in context.plan.nodes]
         assert kinds.count("broadcast") == 1
+        (broadcast,) = [
+            node for node in context.plan.to_json()["nodes"] if node["kind"] == "broadcast"
+        ]
+        assert broadcast["source"] == {"ref": f"n{broadcast['deps'][0]}[0]"}
         for worker in context.workers:
             received = federation.workers[worker].audit.events(
                 job_id=context.job_id, event="transfer_received"

@@ -148,6 +148,23 @@ class TestExpressionParsing:
         assert isinstance(expr, ast.FunctionCall)
         assert expr.name == "POWER"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a IN (1, 2.5, 'x')",
+            "a NOT IN (NULL)",
+            "s NOT LIKE 'it''s%'",
+            "a NOT BETWEEN 1 AND b + 2",
+            "COALESCE(a, ABS(b))",
+            "CAST(a AS REAL)",
+            "CASE WHEN a > 1 THEN 'big' WHEN a IS NULL THEN NULL ELSE 'small' END",
+        ],
+    )
+    def test_every_form_prints_back_to_sql_that_parses_to_it(self, text):
+        # Error messages quote expressions through this printer.
+        expression = parse_expression(text)
+        assert parse_expression(str(expression)) == expression
+
 
 class TestDDLParsing:
     def test_create_table(self):

@@ -97,12 +97,6 @@ class TestTable:
         with pytest.raises(TypeMismatchError):
             table.concat(other)
 
-    def test_from_mapping(self):
-        table = Table.from_mapping(
-            {"a": (SQLType.INT, [1, 2]), "b": (SQLType.REAL, np.array([0.5, 1.5]))}
-        )
-        assert table.to_rows() == [(1, 0.5), (2, 1.5)]
-
     def test_empty(self, schema):
         assert Table.empty(schema).num_rows == 0
 

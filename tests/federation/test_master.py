@@ -7,6 +7,7 @@ import pytest
 from repro.core.experiment import ExperimentEngine, ExperimentRequest
 from repro.errors import DatasetUnavailableError, FederationError
 from repro.federation.master import Master
+from repro.federation.scheduler import plan_shipping
 from repro.federation.worker import Worker
 from repro.federation.transport import Transport
 from repro.data.cohorts import CohortSpec, generate_cohort
@@ -40,13 +41,13 @@ def build_master(n_workers=2, smpc=True):
     return master, workers, transport
 
 
-def run_local(master, udf_name, workers):
+def run_local(master, udf_name, workers, aggregation="smpc", job="job1"):
     args = {
         w: {"data": {"kind": "view",
                      "query": "SELECT lefthippocampus FROM data_dementia"}}
         for w in workers
     }
-    return master.run_local_step("job1", udf_name, args)
+    return master.run_local_step(job, udf_name, args, aggregation=aggregation)
 
 
 class TestCatalog:
@@ -56,22 +57,15 @@ class TestCatalog:
         assert availability["dementia"]["edsd"] == ["hospital_0"]
         assert availability["dementia"]["adni"] == ["hospital_1"]
 
-    def test_workers_for(self):
-        master, _, _ = build_master()
-        assert master.workers_for("dementia", ["edsd"]) == ["hospital_0"]
-        assert set(master.workers_for("dementia", ["edsd", "adni"])) == {
-            "hospital_0", "hospital_1",
-        }
-
     def test_missing_dataset(self):
         master, _, _ = build_master()
         with pytest.raises(DatasetUnavailableError):
-            master.workers_for("dementia", ["nonexistent"])
+            plan_shipping(master.refresh_catalog()["dementia"], ["nonexistent"])
 
     def test_missing_model(self):
         master, _, _ = build_master()
         with pytest.raises(DatasetUnavailableError):
-            master.workers_for("genomics", ["edsd"])
+            plan_shipping(master.refresh_catalog().get("genomics", {}), ["edsd"])
 
     def test_down_worker_excluded_from_catalog(self):
         master, _, transport = build_master()
@@ -92,6 +86,18 @@ class TestPlainAggregation:
         assert lost == []
         assert len(transfers) == 2
         assert all(t["n"] == 50 for t in transfers)
+
+    def test_secure_transfer_takes_the_path_its_step_ran_for(self):
+        master, workers, _ = build_master()
+        secure = "tests_federation_test_master_master_test_secure"
+        smpc_run = run_local(master, secure, workers)
+        with pytest.raises(FederationError, match="SMPC"):
+            master.gather_transfers_plain("s", {w: smpc_run[w][0]["table"] for w in workers})
+        plain_run = run_local(master, secure, workers, aggregation="plain", job="job2")
+        transfers, lost = master.gather_transfers_plain(
+            "p", {w: plain_run[w][0]["table"] for w in workers}
+        )
+        assert lost == [] and all(t["sum"]["operation"] == "sum" for t in transfers)
 
     def test_remote_resolver_parses_location(self):
         master, _, _ = build_master()

@@ -34,8 +34,6 @@ class TestPlanShipping:
         availability = {"a": ["w1"], "b": ["w1"]}
         plan = plan_shipping(availability, ["a"])
         assert plan.workers == ["w1"]
-        assert plan.datasets_for("w1") == ["a"]
-        assert plan.datasets_for("w9") == []
 
     def test_empty_request(self):
         plan = plan_shipping({"a": ["w1"]}, [])

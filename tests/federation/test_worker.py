@@ -7,6 +7,7 @@ from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
 from repro.errors import FederationError, PrivacyThresholdError
 from repro.federation.messages import Message
+from repro.federation.serialization import table_from_payload
 from repro.federation.worker import Worker
 from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 
@@ -32,9 +33,10 @@ def worker():
     return w
 
 
-def run_step(worker, job="job1"):
+def run_step(worker, job="job1", **path):
     """Run the transfer step, then the secure step, over one data view:
-    their outputs, in that order."""
+    their outputs, in that order.  ``aggregation="plain"`` runs both for
+    the plain path."""
     return [
         output
         for name in ("worker_test_step", "worker_secure_step")
@@ -44,6 +46,7 @@ def run_step(worker, job="job1"):
             udf_name=f"tests_federation_test_worker_{name}",
             arguments={"data": {"kind": "view",
                                 "query": "SELECT lefthippocampus FROM data_dementia"}},
+            **path,
         )["outputs"]
     ]
 
@@ -105,28 +108,57 @@ class TestPrivacyRules:
         (view_table,) = [
             name for name in worker.database.table_names() if name.startswith("view_")
         ]
-        with pytest.raises(FederationError, match="only aggregates leave"):
-            send(worker, "get_transfer", table=view_table)
         with pytest.raises(FederationError, match="denied"):
             send(worker, "fetch_table", table=view_table)
+        with pytest.raises(FederationError, match="not a secure transfer"):
+            send(worker, "get_secure_payload", table=view_table)
 
     def test_primary_data_not_fetchable(self, worker):
         with pytest.raises(FederationError, match="not an exposed step output"):
             send(worker, "fetch_table", table="data_dementia")
-        with pytest.raises(FederationError):
-            send(worker, "get_transfer", table="data_dementia")
+        with pytest.raises(FederationError, match="not an exposed step output"):
+            send(worker, "get_secure_payload", table="data_dementia")
 
     def test_transfer_fetchable(self, worker):
         transfer_table = run_step(worker)[0]["table"]
-        blob = send(worker, "get_transfer", table=transfer_table)["transfer"]
-        assert "total" in blob
+        table = table_from_payload(send(worker, "fetch_table", table=transfer_table)["table"])
+        assert "total" in table.column("transfer")[0]
 
     def test_secure_transfer_needs_smpc(self, worker):
         secure_table = run_step(worker)[1]["table"]
         with pytest.raises(FederationError, match="SMPC"):
-            send(worker, "get_transfer", table=secure_table)
+            send(worker, "fetch_table", table=secure_table)
         payload = send(worker, "get_secure_payload", table=secure_table)["payload"]
         assert payload["total"]["operation"] == "sum"
+
+    def test_no_requester_can_fetch_a_secure_transfer_in_the_clear(self, worker):
+        # Whether a secure transfer may leave in the clear is fixed when its
+        # step runs; no flag on a later request reopens it.
+        secure_table = run_step(worker)[1]["table"]
+        with pytest.raises(FederationError, match="cannot handle message kind"):
+            send(worker, "get_transfer", table=secure_table, allow_insecure=True)
+        with pytest.raises(FederationError, match="SMPC"):
+            send(worker, "fetch_table", table=secure_table, allow_insecure=True,
+                 aggregation="plain")
+        assert not worker.audit.events(event="aggregate_shared")
+
+    def test_plain_step_secure_transfer_is_fetchable(self, worker):
+        secure_table = run_step(worker, aggregation="plain")[1]["table"]
+        table = table_from_payload(send(worker, "fetch_table", table=secure_table)["table"])
+        assert '"operation": "sum"' in table.to_rows()[0][0]
+
+    def test_unknown_aggregation_path_rejected(self, worker):
+        with pytest.raises(FederationError, match="unknown aggregation path"):
+            run_step(worker, aggregation="clear")
+
+    def test_no_requester_can_count_rows_of_primary_data(self, worker):
+        # A count below the privacy threshold, with no audit event, would
+        # single out patients.
+        before = len(worker.audit)
+        with pytest.raises(FederationError, match="cannot handle message kind"):
+            send(worker, "row_count",
+                 query="SELECT lefthippocampus FROM data_dementia WHERE lefthippocampus > 99")
+        assert len(worker.audit) == before
 
     def test_get_secure_payload_rejects_plain_transfer(self, worker):
         transfer_table = run_step(worker)[0]["table"]
@@ -151,8 +183,3 @@ class TestLifecycle:
         assert worker.database.scalar("SELECT * FROM bcast_1") == '{"k": 1}'
         with pytest.raises(FederationError, match="already exists"):
             send(worker, "put_transfer", job_id="j", table="bcast_1", blob="{}")
-
-    def test_row_count(self, worker):
-        count = send(worker, "row_count",
-                     query="SELECT lefthippocampus FROM data_dementia")["rows"]
-        assert count == 60

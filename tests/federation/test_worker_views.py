@@ -17,6 +17,7 @@ from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.controller import FederationConfig, create_federation
 from repro.federation.messages import Message
+from repro.federation.serialization import table_from_payload
 from repro.federation.worker import Worker
 from repro.udfgen import relation, runtime, transfer, udf
 
@@ -62,7 +63,8 @@ def run_step(worker, experiment, step, query=QUERY, func=view_total):
         arguments={"data": {"kind": "view", "experiment": experiment, "query": query}},
     )["outputs"]
     assert [o["kind"] for o in outputs] == ["transfer"]
-    return json.loads(send(worker, "get_transfer", table=outputs[0]["table"])["transfer"])
+    table = table_from_payload(send(worker, "fetch_table", table=outputs[0]["table"])["table"])
+    return json.loads(table.column("transfer")[0])
 
 
 def data_scans(statements):
@@ -232,10 +234,6 @@ class TestPrivacySurface:
         (view,) = view_tables(worker)
         with pytest.raises(FederationError, match="denied"):
             send(worker, "fetch_table", table=view)
-        with pytest.raises(FederationError, match="only aggregates leave"):
-            send(worker, "get_transfer", table=view)
-        with pytest.raises(FederationError, match="only aggregates leave"):
-            send(worker, "get_transfer", table=view, allow_insecure=True)
         with pytest.raises(FederationError, match="not a secure transfer"):
             send(worker, "get_secure_payload", table=view)
 

@@ -37,15 +37,7 @@ class TestCounter:
     def test_kind_conflict(self, registry):
         registry.counter("thing")
         with pytest.raises(ValueError):
-            registry.gauge("thing")
-
-
-class TestGauge:
-    def test_set_and_add(self, registry):
-        gauge = registry.gauge("workers_up")
-        gauge.set(3)
-        gauge.add(-1)
-        assert gauge.value() == 2
+            registry.histogram("thing")
 
 
 class TestHistogram:
@@ -109,7 +101,7 @@ class TestRenderers:
         assert 'path="a\\"b\\\\c"' in text
 
     def test_render_json_round_trips(self, registry):
-        registry.gauge("g").set(1.5)
+        registry.counter("g").inc(1.5)
         assert json.loads(registry.render_json())["g"] == 1.5
 
     def test_unlabeled_single_sample_is_scalar(self, registry):

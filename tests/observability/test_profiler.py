@@ -10,7 +10,6 @@ from repro.observability import profiler as profiler_mod
 from repro.observability.profiler import (
     DEFAULT_HZ,
     SamplingProfiler,
-    merge_collapsed,
 )
 
 
@@ -156,10 +155,6 @@ class TestExports:
         for sample in profile["samples"]:
             assert all(0 <= index < n_frames for index in sample)
         assert profile["endValue"] == pytest.approx(sum(profile["weights"]), rel=1e-6)
-
-    def test_merge_collapsed_sums_identical_stacks(self):
-        merged = merge_collapsed(["a;b 2\na;c 1\n", "a;b 3\n", "", "garbage-line\n"])
-        assert merged == "a;b 5\na;c 1\n"
 
     def test_summary_counts(self):
         profiler = SamplingProfiler(hz=250)

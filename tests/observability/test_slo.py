@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.observability.metrics import MetricsRegistry
+from repro import cli
 from repro.observability.slo import (
     BaselineStore,
     BenchResult,
@@ -14,7 +14,6 @@ from repro.observability.slo import (
     evaluate,
     load_bench_results,
     percentile,
-    quantiles_from_histogram,
 )
 
 
@@ -150,30 +149,30 @@ class TestEvaluate:
         report = HealthReport(verdicts=[Verdict("a", "ok"), Verdict("b", "new")])
         assert report.exit_code(strict=True) == 0
 
-    def test_legacy_bench_files_are_skipped(self, tmp_path):
+    def test_unreadable_bench_files_are_invalid(self, tmp_path):
         (tmp_path / "BENCH_legacy.json").write_text(
             json.dumps({"benchmark": "legacy", "rows": []})
         )
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         self.write_bench(tmp_path, bench(name="modern"))
-        results = load_bench_results(tmp_path)
+        results, invalid = load_bench_results(tmp_path)
         assert [r.name for r in results] == ["modern"]
+        assert [(v.name, v.status) for v in invalid] == [
+            ("BENCH_broken.json", "invalid"),
+            ("BENCH_legacy.json", "invalid"),
+        ]
+        report = evaluate(tmp_path)
+        assert report.status == "invalid"
+        assert report.exit_code() == 1
+
+    def test_corrupt_bench_file_fails_strict_health(self, tmp_path, capsys):
+        self.write_bench(tmp_path, bench(name="modern"))
+        assert cli.main(["health", "--results-dir", str(tmp_path), "--strict"]) == 0
+        text = (tmp_path / "BENCH_modern.json").read_text()
+        (tmp_path / "BENCH_truncated.json").write_text(text[: len(text) // 2])
+        assert cli.main(["health", "--results-dir", str(tmp_path), "--strict"]) == 1
+        assert "BENCH_truncated.json" in capsys.readouterr().out
 
     def test_missing_results_dir_is_empty(self, tmp_path):
-        assert load_bench_results(tmp_path / "nope") == []
+        assert load_bench_results(tmp_path / "nope") == ([], [])
         assert evaluate(tmp_path / "nope").status == "ok"
-
-
-class TestHistogramQuantiles:
-    def test_quantiles_from_live_histogram(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 3.0, 3.5):
-            hist.observe(value)
-        estimates = quantiles_from_histogram(hist)
-        assert set(estimates) == {"p50", "p95", "p99"}
-        assert estimates["p50"] == pytest.approx(2.0)
-        assert 2.0 < estimates["p95"] <= 4.0
-
-    def test_empty_histogram_yields_nones(self):
-        hist = MetricsRegistry().histogram("h")
-        assert quantiles_from_histogram(hist) == {"p50": None, "p95": None, "p99": None}

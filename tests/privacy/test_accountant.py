@@ -14,7 +14,6 @@ class TestBasicComposition:
         spent = accountant.spent()
         assert spent.epsilon == pytest.approx(0.75)
         assert spent.delta == pytest.approx(1e-6)
-        assert accountant.n_releases == 2
 
     def test_budget_enforced(self):
         accountant = PrivacyAccountant(epsilon_budget=1.0)

@@ -95,3 +95,51 @@ def test_a_second_federation_fans_out_on_real_threads_mid_simulation(
     assert len(probe_threads) == 4
     assert all(name.startswith("transport") for name in probe_threads)
     assert probed.transcript == reference
+
+
+def test_waiting_on_a_simulated_queue_drives_the_job_to_its_end(worker_data):
+    from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentStatus
+    from repro.simtest.runtime import SimRuntime
+
+    import repro.algorithms  # noqa: F401
+
+    federation = create_federation(worker_data, FederationConfig(seed=3), sim=SimRuntime(seed=3))
+    engine = ExperimentEngine(federation, aggregation="plain")
+    try:
+        job_id = engine.submit(
+            ExperimentRequest(
+                algorithm="ttest_onesample", data_model="dementia",
+                datasets=("adni", "edsd", "ppmi"),
+                y=("p_tau",), parameters={"mu": 40.0},
+            )
+        )
+        # Sim-mode queues run no executor threads: only wait() drives the job.
+        result = engine.wait(job_id, timeout=60)
+    finally:
+        engine.shutdown()
+        federation.shutdown()
+    assert result.status is ExperimentStatus.SUCCESS, result.error
+
+
+def test_a_task_that_never_yields_fails_with_its_stack():
+    from repro.errors import SimTestError
+    from repro.simtest.scheduler import SimScheduler
+
+    release = threading.Event()
+
+    def blocked_outside_a_yield_point():
+        release.wait(10)
+
+    scheduler = SimScheduler(seed=0, step_timeout=0.05)
+    scheduler.spawn("stuck", blocked_outside_a_yield_point)
+    try:
+        try:
+            scheduler.step_once()
+        except SimTestError as error:
+            message = str(error)
+        else:
+            raise AssertionError("the watchdog did not fire")
+    finally:
+        release.set()
+    assert "did not yield within 0.05s" in message
+    assert "blocked_outside_a_yield_point" in message

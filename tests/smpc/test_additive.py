@@ -106,10 +106,3 @@ class TestLinearOps:
         opened = additive.reconstruct(shifted)
         assert opened.elements == [17]
         additive.check_macs(shifted, opened, alpha_shares)
-
-    def test_public_to_shared(self, alpha):
-        alpha_value, alpha_shares = alpha
-        shared = additive.public_to_shared(FieldVector([9]), 3, alpha_shares)
-        opened = additive.reconstruct(shared)
-        assert opened.elements == [9]
-        additive.check_macs(shared, opened, alpha_shares)

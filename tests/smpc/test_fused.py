@@ -121,7 +121,7 @@ def test_macs_match(case, alpha_shares, tamper):
 
     def oracle():
         sigmas = [m - opened.scale(alpha_i) for m, alpha_i in zip(macs, alpha_shares)]
-        return fold_sum(sigmas).is_zero()
+        return not any(fold_sum(sigmas).elements)
 
     assert field.macs_match(macs, opened, alpha) == oracle()
 

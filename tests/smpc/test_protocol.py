@@ -142,14 +142,6 @@ class TestCostOrdering:
             protocol.open(protocol.mul(a, b))
         assert ft.dealer.usage.elements_dealt > sh.dealer.usage.elements_dealt
 
-    def test_meter_resets(self):
-        protocol = ShamirProtocol(3, seed=1)
-        protocol.open(protocol.input_vector(encode(protocol, [1.0])))
-        assert protocol.meter.rounds > 0
-        protocol.meter.reset()
-        assert protocol.meter.rounds == 0
-        assert protocol.meter.bytes_sent == 0
-
 
 class TestConfiguration:
     def test_min_parties(self):

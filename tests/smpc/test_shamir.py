@@ -84,22 +84,6 @@ class TestLinearOps:
             shamir.add(a, b)
 
 
-class TestMultiplication:
-    def test_local_product_at_double_degree(self, rng):
-        """Share-wise product reconstructs at degree 2t (needs 2t+1 <= n)."""
-        a = shamir.share_vector(FieldVector([6]), 5, 2, rng)
-        b = shamir.share_vector(FieldVector([7]), 5, 2, rng)
-        product = shamir.multiply_local(a, b)
-        assert shamir.reconstruct(product, degree=4).elements == [42]
-
-    def test_product_not_enough_parties(self, rng):
-        a = shamir.share_vector(FieldVector([6]), 3, 2, rng)
-        b = shamir.share_vector(FieldVector([7]), 3, 2, rng)
-        product = shamir.multiply_local(a, b)
-        with pytest.raises(ThresholdError):
-            shamir.reconstruct(product, degree=4)
-
-
 def share_vector_per_element(vector, n_parties, threshold, rng):
     """The sharer as first written: one polynomial per element, drawn and
     evaluated one at a time.  Kept as the oracle for the column-wise one."""
@@ -141,7 +125,3 @@ class TestLagrange:
         # Interpolating a constant polynomial: coefficients must sum to 1.
         coefficients = shamir.lagrange_coefficients_at_zero([1, 2, 3])
         assert sum(coefficients) % PRIME == 1
-
-    def test_public_to_shared(self):
-        shared = shamir.public_to_shared(FieldVector([11]), 4, 1)
-        assert shamir.reconstruct(shared).elements == [11]

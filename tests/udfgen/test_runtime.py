@@ -11,17 +11,15 @@ from repro.udfgen.runtime import (
     Relation,
     deserialize_transfer,
     serialize_transfer,
-    sql_quote,
     validate_secure_transfer,
 )
 
 
 class TestRelation:
-    def test_shape_and_access(self):
+    def test_access(self):
         rel = Relation({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
-        assert rel.shape == (2, 2)
+        assert len(rel) == 2
         assert list(rel["a"]) == [1.0, 2.0]
-        assert "a" in rel and "z" not in rel
 
     def test_ragged_rejected(self):
         with pytest.raises(UDFError):
@@ -30,18 +28,6 @@ class TestRelation:
     def test_to_matrix_column_order(self):
         rel = Relation({"a": np.array([1.0]), "b": np.array([2.0])})
         assert rel.to_matrix(["b", "a"]).tolist() == [[2.0, 1.0]]
-
-    def test_dropna(self):
-        rel = Relation(
-            {"a": np.array([1.0, np.nan]), "b": np.array(["x", "y"], dtype=object)}
-        )
-        clean = rel.dropna()
-        assert len(clean) == 1
-        assert clean["b"][0] == "x"
-
-    def test_dropna_object_none(self):
-        rel = Relation({"b": np.array(["x", None], dtype=object)})
-        assert len(rel.dropna()) == 1
 
     def test_empty(self):
         assert len(Relation({})) == 0
@@ -104,24 +90,3 @@ class TestSecureTransferValidation:
     def test_bad_bound(self, bound):
         with pytest.raises(UDFError, match="bound must be a finite real > 0"):
             validate_secure_transfer({"m": {"data": [1.0], "operation": "min", "bound": bound}})
-
-
-class TestSQLQuote:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (None, "NULL"),
-            (True, "TRUE"),
-            (False, "FALSE"),
-            (3, "3"),
-            (2.5, "2.5"),
-            ("plain", "'plain'"),
-            ("it's", "'it''s'"),
-        ],
-    )
-    def test_quoting(self, value, expected):
-        assert sql_quote(value) == expected
-
-    def test_numpy_scalars(self):
-        assert sql_quote(np.int64(3)) == "3"
-        assert sql_quote(np.float64(1.5)) == "1.5"
