@@ -35,10 +35,11 @@ from repro.errors import (
     MasterCrashError,
     QueueFullError,
     ReproError,
+    SpecificationError,
 )
 from repro.federation import transport as transport_mod
 from repro.federation.messages import new_job_id
-from repro.observability.audit import AuditTrail
+from repro.observability.audit import AuditTrail, is_step_id
 from repro.observability.critical_path import analyze_experiment
 from repro.observability.metrics import Histogram
 from repro.observability.trace import NULL_SPAN, tracer
@@ -329,6 +330,11 @@ class ExperimentQueue:
         ``experiment_id`` is normally generated; tests pin it for
         byte-stable comparisons.
         """
+        if experiment_id is not None and is_step_id(experiment_id):
+            raise SpecificationError(
+                f"experiment id {experiment_id!r} reads as a step id "
+                "(an '_' followed by s<n>, read<n> or bcast)"
+            )
         job_id = experiment_id or new_job_id("exp")
         with self._cond:
             if self._shutdown:

@@ -71,15 +71,15 @@ def generate_cohort(spec: CohortSpec) -> Table:
     n = spec.n_patients
     labels = list(spec.diagnosis_mix)
     probabilities = np.array([spec.diagnosis_mix[label] for label in labels])
-    diagnosis = rng.choice(labels, size=n, p=probabilities)
+    # Label codes: the same draws as choosing the labels themselves.
+    diagnosis = rng.choice(len(labels), size=n, p=probabilities)
 
     age = rng.normal(spec.mean_age, 7.5, n).clip(40, 95)
-    gender = rng.choice(["F", "M"], size=n, p=[0.55, 0.45])
+    gender = rng.choice(2, size=n, p=[0.55, 0.45])
     psy = rng.random(n) < spec.psy_rate
     va = rng.random(n) < spec.va_rate
 
-    drawn, codes = np.unique(diagnosis, return_inverse=True)
-    profile = {key: np.array([_DIAGNOSIS_PROFILE[d][key] for d in drawn])[codes]
+    profile = {key: np.array([_DIAGNOSIS_PROFILE[d][key] for d in labels])[diagnosis]
                for key in ("hip", "ent", "vent", "amyg", "mmse", "ab42", "ptau", "hazard")}
 
     # A latent per-subject atrophy factor correlates all volumes.
@@ -133,11 +133,11 @@ def generate_cohort(spec: CohortSpec) -> Table:
         return _column(SQLType.REAL, values, rng.random(n) < rate)
 
     table = _table({
-        "dataset": _column(SQLType.VARCHAR, np.full(n, spec.name)),
-        "alzheimerbroadcategory": _column(SQLType.VARCHAR, diagnosis),
-        "gender": _column(SQLType.VARCHAR, gender),
-        "psy_etiology": _column(SQLType.VARCHAR, np.where(psy, "yes", "no")),
-        "va_etiology": _column(SQLType.VARCHAR, np.where(va, "yes", "no")),
+        "dataset": Column.from_codes(np.zeros(n, dtype=np.int32), [spec.name]),
+        "alzheimerbroadcategory": Column.from_codes(diagnosis, labels),
+        "gender": Column.from_codes(gender, ["F", "M"]),
+        "psy_etiology": Column.from_codes(psy, ["no", "yes"]),
+        "va_etiology": Column.from_codes(va, ["no", "yes"]),
         "agevalue": _column(SQLType.REAL, age),
         "subjectage": _column(SQLType.REAL, age),
         "minimentalstate": with_na(mmse, spec.na_rate / 2),
@@ -169,15 +169,9 @@ def generate_cohort(spec: CohortSpec) -> Table:
 
 
 def _column(sql_type: SQLType, values: np.ndarray, na: np.ndarray | None = None) -> Column:
-    """One cohort column from a drawn array; ``na`` marks the missing cells.
-
-    Built whole, with the 0.0 placeholder under NULLs that the per-value
-    builder stores; a VARCHAR's cells share one ``str`` per distinct label
-    instead of owning ~50 bytes each.
-    """
-    if sql_type == SQLType.VARCHAR:
-        labels, codes = np.unique(values, return_inverse=True)
-        values = labels.astype(object)[codes]
+    """One numeric cohort column from a drawn array; ``na`` marks the missing
+    cells.  Built whole, with the 0.0 placeholder under NULLs that the
+    per-value builder stores."""
     if na is not None:
         values = np.where(na, 0.0, values)
     return Column.from_numpy(sql_type, values, na)
@@ -210,9 +204,9 @@ def generate_epilepsy_cohort(name: str, n_patients: int, seed: int = 0) -> Table
         raise SpecificationError("a cohort needs at least one patient")
     rng = np.random.default_rng(seed)
     n = n_patients
-    epilepsy_type = rng.choice(["focal", "generalized", "unknown"], n, p=[0.6, 0.3, 0.1])
-    focal = epilepsy_type == "focal"
-    gender = rng.choice(["F", "M"], n)
+    epilepsy_type = rng.choice(3, n, p=[0.6, 0.3, 0.1])
+    focal = epilepsy_type == 0
+    gender = rng.choice(2, n)
     onset = rng.gamma(3.0, 5.0, n).clip(0, 80)
     duration = rng.gamma(2.0, 6.0, n).clip(0, 60)
     frequency = rng.lognormal(1.5, 1.0, n).clip(0, 300)
@@ -223,12 +217,10 @@ def generate_epilepsy_cohort(name: str, n_patients: int, seed: int = 0) -> Table
     outcome_logit = 1.0 + 1.2 * focal.astype(float) - 0.18 * soz - 0.01 * duration
     seizure_free = rng.random(n) < 1 / (1 + np.exp(-outcome_logit))
     return _table({
-        "dataset": _column(SQLType.VARCHAR, np.full(n, name)),
-        "epilepsy_type": _column(SQLType.VARCHAR, epilepsy_type),
-        "gender": _column(SQLType.VARCHAR, gender),
-        "surgery_outcome": _column(
-            SQLType.VARCHAR, np.where(seizure_free, "seizure_free", "not_seizure_free")
-        ),
+        "dataset": Column.from_codes(np.zeros(n, dtype=np.int32), [name]),
+        "epilepsy_type": Column.from_codes(epilepsy_type, ["focal", "generalized", "unknown"]),
+        "gender": Column.from_codes(gender, ["F", "M"]),
+        "surgery_outcome": Column.from_codes(seizure_free, ["not_seizure_free", "seizure_free"]),
         "onset_age": _column(SQLType.REAL, onset),
         "seizure_frequency": _column(SQLType.REAL, frequency),
         "ieeg_spike_rate": _column(SQLType.REAL, spike_rate),

@@ -1,8 +1,9 @@
-"""Columnar storage: a typed numpy array plus an explicit NULL mask."""
+"""Columnar storage: a typed numpy array (int codes into a dictionary, for
+VARCHAR) plus an explicit NULL mask."""
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -16,19 +17,49 @@ class Column:
     ``values`` always has the canonical numpy dtype of ``sql_type``; positions
     where ``nulls`` is True hold an arbitrary placeholder and must never be
     read by consumers.
+
+    A VARCHAR column is dictionary-coded, as columnar engines such as MonetDB
+    store strings: ``codes`` (int32, one per row) index ``labels`` (distinct
+    strings, read-only, shared between the columns derived from one another).
+    Its ``values`` is ``labels[codes]``, gathered on first read and
+    read-only.  Other types keep ``codes`` and ``labels`` None.
     """
 
-    __slots__ = ("sql_type", "values", "nulls", "_has_nulls")
+    __slots__ = ("sql_type", "nulls", "codes", "labels", "_values", "_has_nulls")
 
     def __init__(self, sql_type: SQLType, values: np.ndarray, nulls: np.ndarray) -> None:
         if values.ndim != 1 or nulls.ndim != 1 or len(values) != len(nulls):
             raise TypeMismatchError("column values and null mask must be 1-D and equal length")
         self.sql_type = sql_type
-        self.values = values
         self.nulls = nulls
         self._has_nulls: bool | None = None
+        self.codes = self.labels = None
+        self._values: np.ndarray | None = values
+        if sql_type == SQLType.VARCHAR:
+            # One hash pass; a NULL's placeholder is coded as "".
+            if np.count_nonzero(nulls):
+                values = np.where(nulls, "", values)
+            self.codes, self.labels = dictionary_encode(values)
+            self._values = None
 
     # ------------------------------------------------------------------ build
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, labels: Sequence[str] | np.ndarray,
+                   nulls: np.ndarray | None = None) -> "Column":
+        """A VARCHAR column from integer codes into distinct ``labels``,
+        hashing nothing.  An ndarray of labels is taken as the read-only
+        dictionary of another column and shared; a sequence is copied."""
+        column = cls.__new__(cls)
+        column.sql_type = SQLType.VARCHAR
+        column.codes = codes if codes.dtype == np.int32 else codes.astype(np.int32)
+        if not isinstance(labels, np.ndarray):
+            labels = _read_only(np.array(labels, dtype=object))
+        column.labels = labels
+        column.nulls = np.zeros(len(codes), dtype=bool) if nulls is None else nulls
+        column._values = None
+        column._has_nulls = None
+        return column
 
     @classmethod
     def from_values(cls, sql_type: SQLType, raw: Iterable[Any]) -> "Column":
@@ -55,7 +86,7 @@ class Column:
         values = np.asarray(array)
         if values.dtype != sql_type.numpy_dtype:
             values = values.astype(sql_type.numpy_dtype)
-        else:
+        elif sql_type != SQLType.VARCHAR:  # a VARCHAR keeps codes, not the array
             values = values.copy()
         if nulls is None:
             nulls = np.zeros(len(values), dtype=bool)
@@ -70,32 +101,47 @@ class Column:
 
     @classmethod
     def empty(cls, sql_type: SQLType) -> "Column":
+        if sql_type == SQLType.VARCHAR:
+            return cls.from_codes(np.empty(0, dtype=np.int32), _NO_LABELS)
         return cls(sql_type, np.empty(0, dtype=sql_type.numpy_dtype), np.empty(0, dtype=bool))
 
     # -------------------------------------------------------------- accessors
 
-    def __len__(self) -> int:
-        return len(self.values)
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _read_only(self.labels.take(self.codes))
+        return self._values
 
-    def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self)):
-            yield self[i]
+    def __len__(self) -> int:
+        return len(self.nulls)
 
     def __getitem__(self, index: int) -> Any:
         if self.nulls[index]:
             return None
+        if self.codes is not None:
+            return self.labels[self.codes[index]]
         value = self.values[index]
         if self.sql_type == SQLType.INT:
             return int(value)
         if self.sql_type == SQLType.REAL:
             return float(value)
-        if self.sql_type == SQLType.BOOL:
-            return bool(value)
-        return value
+        return bool(value)
 
     def to_list(self) -> list[Any]:
         """Materialize as a list of Python scalars with None for NULLs."""
-        return list(self)
+        items = self.values.tolist()
+        if self.has_nulls:
+            for index in np.flatnonzero(self.nulls).tolist():
+                items[index] = None
+        return items
+
+    def distinct(self) -> list[Any]:
+        """The sorted distinct values of a VARCHAR column's non-NULL rows,
+        read from its dictionary."""
+        used = np.zeros(len(self.labels), dtype=bool)
+        used[self.codes[~self.nulls] if self.has_nulls else self.codes] = True
+        return sorted(self.labels[used].tolist())
 
     @property
     def has_nulls(self) -> bool:
@@ -129,6 +175,8 @@ class Column:
     # ------------------------------------------------------------ combinators
 
     def take(self, indices: np.ndarray) -> "Column":
+        if self.codes is not None:
+            return Column.from_codes(self.codes[indices], self.labels, self.nulls[indices])
         return Column(self.sql_type, self.values[indices], self.nulls[indices])
 
     def concat(self, other: "Column") -> "Column":
@@ -136,18 +184,49 @@ class Column:
             raise TypeMismatchError(
                 f"cannot concatenate {self.sql_type.value} with {other.sql_type.value}"
             )
-        return Column(
-            self.sql_type,
-            np.concatenate([self.values, other.values]),
-            np.concatenate([self.nulls, other.nulls]),
-        )
+        nulls = np.concatenate([self.nulls, other.nulls])
+        if self.codes is None:
+            return Column(self.sql_type, np.concatenate([self.values, other.values]), nulls)
+        if not len(self):  # an INSERT into a new table: nothing to merge
+            return Column.from_codes(other.codes, other.labels, nulls)
+        # Merge the dictionaries: this side's labels keep their codes,
+        # the other side's are remapped into the merged list.
+        merged = dict.fromkeys(self.labels.tolist())
+        merged.update(dict.fromkeys(other.labels.tolist()))
+        index = {label: code for code, label in enumerate(merged)}
+        remap = np.array([index[label] for label in other.labels.tolist()], dtype=np.int32)
+        codes = np.concatenate([self.codes, remap.take(other.codes)])
+        return Column.from_codes(codes, list(merged), nulls)
 
     def cast(self, target: SQLType) -> "Column":
-        """Cast to another SQL type; NULLs propagate."""
+        """Cast to another SQL type; NULLs propagate.  The same type copies."""
         if target == self.sql_type:
+            if self.codes is not None:
+                return Column.from_codes(self.codes.copy(), self.labels, self.nulls.copy())
             return Column(self.sql_type, self.values.copy(), self.nulls.copy())
         return Column.from_values(target, [None if n else _cast_scalar(v, self.sql_type, target)
                                            for v, n in zip(self.values, self.nulls)])
+
+
+def dictionary_encode(values: Sequence[Any] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and distinct labels of a sequence of strings, in first-seen
+    order: one C-level hash pass to find the labels, one to look them up."""
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    labels = list(dict.fromkeys(items))
+    if len(labels) == len(items):  # every row its own label (a one-row transfer)
+        codes = np.arange(len(items), dtype=np.int32)
+    else:
+        index = {label: code for code, label in enumerate(labels)}
+        codes = np.fromiter(map(index.__getitem__, items), dtype=np.int32, count=len(items))
+    return codes, _read_only(np.array(labels, dtype=object))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_NO_LABELS = _read_only(np.empty(0, dtype=object))
 
 
 def _is_nan(value: Any) -> bool:

@@ -15,7 +15,7 @@ share column arrays with its base table.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -99,11 +99,10 @@ class _Evaluator:
         """A literal as a column of zero-stride, read-only views: no per-row
         array exists until an operator computes one from it."""
         scalar = _Scalar(value)
-        return Column(
-            scalar.sql_type,
-            np.broadcast_to(scalar.values, self._rows),
-            np.broadcast_to(scalar.nulls, self._rows),
-        )
+        nulls = np.broadcast_to(scalar.nulls, self._rows)
+        if scalar.sql_type == SQLType.VARCHAR:
+            return Column.from_codes(np.broadcast_to(np.int32(0), self._rows), [value], nulls)
+        return Column(scalar.sql_type, np.broadcast_to(scalar.values, self._rows), nulls)
 
     def _operand(self, expr: ast.Expression) -> Column | _Scalar:
         """A comparison operand: a literal stays a scalar."""
@@ -127,9 +126,12 @@ class _Evaluator:
     def _binary(self, expr: ast.BinaryOp) -> Column:
         op = expr.op
         if op in _COMPARE:
-            return _comparison(
-                op, self._operand(expr.left), self._operand(expr.right), self._rows
-            )
+            left, right = self._operand(expr.left), self._operand(expr.right)
+            if isinstance(left, Column) and isinstance(right, _Scalar):
+                return _by_label(left, lambda side: _comparison(op, side, right, len(side)))
+            if isinstance(left, _Scalar) and isinstance(right, Column):
+                return _by_label(right, lambda side: _comparison(op, left, side, len(side)))
+            return _comparison(op, left, right, self._rows)
         left = self.evaluate(expr.left)
         right = self.evaluate(expr.right)
         if op in ("AND", "OR"):
@@ -148,27 +150,19 @@ class _Evaluator:
             "^" + _re.escape(expr.pattern).replace("%", ".*").replace("_", ".") + "$",
             _re.DOTALL,
         )
-        matches = np.array(
-            [bool(regex.match(v)) if not null else False
-             for v, null in zip(operand.values, operand.nulls)],
-            dtype=bool,
-        )
+        matches = np.array([regex.match(label) is not None for label in operand.labels],
+                           dtype=bool)
         if expr.negated:
-            matches = ~matches & ~operand.nulls
-        return Column(SQLType.BOOL, matches, operand.nulls.copy())
+            matches = ~matches
+        return Column(SQLType.BOOL, _by_code(matches, operand.codes) & ~operand.nulls,
+                      operand.nulls.copy())
 
     def _in_list(self, expr: ast.InList) -> Column:
         operand = self.evaluate(expr.operand)
-        hit = np.zeros(self._rows, dtype=bool)
-        unknown = operand.nulls
-        for item in expr.items:
-            eq = _comparison("=", operand, self._operand(item), self._rows)
-            hit |= eq.values
-            unknown = unknown | eq.nulls
-        # SQL: x IN (...) is NULL when no match and some comparison was NULL.
-        nulls = unknown & ~hit
-        values = ~hit if expr.negated else hit
-        return Column(SQLType.BOOL, values & ~nulls, nulls)
+        items = [self._operand(item) for item in expr.items]
+        if all(isinstance(item, _Scalar) for item in items):
+            return _by_label(operand, lambda side: _in(side, items, expr.negated))
+        return _in(operand, items, expr.negated)
 
     def _case(self, expr: ast.CaseWhen) -> Column:
         branch_values = [(self.evaluate(cond), self.evaluate(val)) for cond, val in expr.branches]
@@ -200,6 +194,45 @@ class _Evaluator:
             values[rest] = otherwise.values[rest]
             nulls[rest] = otherwise.nulls[rest]
         return Column(out_type, values, nulls)
+
+
+def _in(operand: Column, items: list[Column | _Scalar], negated: bool) -> Column:
+    rows = len(operand)
+    hit = np.zeros(rows, dtype=bool)
+    unknown = operand.nulls
+    for item in items:
+        eq = _comparison("=", operand, item, rows)
+        hit |= eq.values
+        unknown = unknown | eq.nulls
+    # SQL: x IN (...) is NULL when no match and some comparison was NULL.
+    nulls = unknown & ~hit
+    values = ~hit if negated else hit
+    return Column(SQLType.BOOL, values & ~nulls, nulls)
+
+
+def _by_label(operand: Column, evaluate: Callable[[Column], Column]) -> Column:
+    """``evaluate`` (a BOOL result) over ``operand``.  A VARCHAR operand is
+    evaluated once over its dictionary, one row per label, and the result
+    gathered by code; its NULL rows are NULL."""
+    if operand.codes is None:
+        return evaluate(operand)
+    labels = operand.labels
+    per_label = evaluate(Column.from_codes(np.arange(len(labels)), labels))
+    nulls = operand.nulls
+    if per_label.nulls.any():
+        nulls = nulls | _by_code(per_label.nulls, operand.codes)
+    return Column(SQLType.BOOL, _by_code(per_label.values, operand.codes) & ~nulls, nulls)
+
+
+def _by_code(per_label: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``per_label[codes]`` for a boolean per label: a constant when no
+    label or every label holds, one int compare when a single one does."""
+    hits = np.flatnonzero(per_label)
+    if len(hits) == 1:
+        return codes == hits[0]
+    if len(hits) in (0, len(per_label)):
+        return np.full(len(codes), len(hits) > 0)
+    return per_label.take(codes)
 
 
 def _retype_if_all_null(column: Column, target: SQLType) -> Column:
@@ -433,7 +466,7 @@ def _project(select: ast.Select, source: Table) -> Table:
         col = evaluate(item.expression, source)
         if isinstance(item.expression, ast.Literal):
             # An output column owns its rows; the evaluator's literal is a view.
-            col = Column(col.sql_type, col.values.copy(), col.nulls.copy())
+            col = col.cast(col.sql_type)
         specs.append(ColumnSpec(item.output_name(position), col.sql_type))
         columns.append(col)
     return Table(Schema(specs), columns)

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.column import Column
+from repro.engine.column import Column, dictionary_encode
 from repro.engine.types import SQLType, common_type, is_numeric
 from repro.errors import ExecutionError, TypeMismatchError
 
@@ -74,10 +74,9 @@ def _string_unary(name: str, func: Callable[[str], str]) -> Callable[[list[Colum
         (col,) = _expect_args(name, args, 1)
         if col.sql_type != SQLType.VARCHAR:
             raise TypeMismatchError(f"{name} requires a VARCHAR argument")
-        values = np.array(
-            [func(v) if not n else "" for v, n in zip(col.values, col.nulls)], dtype=object
-        )
-        return Column(SQLType.VARCHAR, values, col.nulls.copy())
+        # Once per label; distinct labels may map to one result.
+        codes, labels = dictionary_encode([func(label) for label in col.labels])
+        return Column.from_codes(codes.take(col.codes), labels, col.nulls.copy())
 
     return apply
 
@@ -86,9 +85,8 @@ def _length(args: list[Column]) -> Column:
     (col,) = _expect_args("LENGTH", args, 1)
     if col.sql_type != SQLType.VARCHAR:
         raise TypeMismatchError("LENGTH requires a VARCHAR argument")
-    values = np.array([len(v) if not n else 0 for v, n in zip(col.values, col.nulls)],
-                      dtype=np.int64)
-    return Column(SQLType.INT, values, col.nulls.copy())
+    lengths = np.array([len(label) for label in col.labels], dtype=np.int64)
+    return Column(SQLType.INT, lengths.take(col.codes), col.nulls.copy())
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[[list[Column]], Column]] = {

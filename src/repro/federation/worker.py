@@ -29,6 +29,7 @@ from typing import Any
 
 from repro.engine.database import Database
 from repro.engine.table import Table
+from repro.engine.types import SQLType
 from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.messages import Message
 from repro.federation.serialization import table_to_payload
@@ -82,8 +83,8 @@ class Worker:
         which dataset codes it holds so the Master can ship algorithms only
         where the data lives.
         """
-        if "dataset" not in table.schema:
-            raise FederationError("data-model tables must have a 'dataset' column")
+        if "dataset" not in table.schema or table.schema.type_of("dataset") != SQLType.VARCHAR:
+            raise FederationError("data-model tables must have a VARCHAR 'dataset' column")
         table_name = f"data_{data_model}"
         if self.database.has_table(table_name):
             existing = self.database.get_table(table_name)
@@ -92,8 +93,7 @@ class Worker:
         else:
             self.database.register_table(table_name, table)
         self._data_tables[data_model] = table_name
-        codes = sorted({v for v in table.column("dataset").to_list() if v is not None})
-        self._datasets[data_model] = codes
+        self._datasets[data_model] = table.column("dataset").distinct()
 
     def datasets(self) -> dict[str, list[str]]:
         return {model: list(codes) for model, codes in self._datasets.items()}

@@ -32,21 +32,41 @@ touched (:func:`owned_by`).
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 
+#: What follows ``{experiment}_`` in the id of one of its steps: a step
+#: (``s3``), a read (``read2``) or the broadcast (``bcast``), alone or
+#: followed by ``_`` and more (a gather, a worker's share of the step).
+_STEP_MARKER = re.compile(r"(?:s\d+|read\d+|bcast)(?:_|$)")
+_STEP_SUFFIX = re.compile("_" + _STEP_MARKER.pattern)
+
+
+def is_step_id(job_id: str) -> bool:
+    """Whether ``job_id`` reads as a step of some experiment (``x_s1``,
+    ``x_read2_h1``); an experiment id must not."""
+    return _STEP_SUFFIX.search(job_id) is not None
+
+
 def owned_by(job_id: str, experiment_id: str) -> bool:
     """Whether ``job_id`` is the experiment or one of its steps.
 
-    Every step, read and gather id is ``{experiment}_...``.  This is the one
-    statement of that rule — worker and master cleanup, the SMPC cluster's
-    job release and the audit query all use it — because a looser match
-    makes finishing ``e1`` drop the tables of ``e10``.
+    Every step, read and gather id is ``{experiment}_`` plus a step marker
+    (``s<n>``, ``read<n>`` or ``bcast``).  This is the one statement of
+    that rule — worker and master cleanup, the SMPC cluster's job release
+    and the audit query all use it — because a looser match makes finishing
+    ``e1`` drop the tables of ``e10``, and finishing ``x`` drop those of
+    ``x_y``.  An experiment id holding a marker of its own (``x_s1``) is
+    refused at submission, so no experiment's steps can look like another's.
     """
-    return job_id == experiment_id or job_id.startswith(f"{experiment_id}_")
+    if job_id == experiment_id:
+        return True
+    prefix = f"{experiment_id}_"
+    return job_id.startswith(prefix) and _STEP_MARKER.match(job_id, len(prefix)) is not None
 
 
 @dataclass(frozen=True, slots=True)

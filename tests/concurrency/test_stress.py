@@ -10,11 +10,15 @@ time, SMPC rounds or SMPC elements.
 from __future__ import annotations
 
 import json
+import threading
 import time
+
+import pytest
 
 import repro.algorithms  # noqa: F401
 from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentStatus
 from repro.data.cohorts import CohortSpec, generate_cohort
+from repro.errors import SpecificationError
 from repro.federation.controller import FederationConfig, create_federation
 
 
@@ -146,3 +150,71 @@ class TestQueueThroughput:
         assert speedup >= 1.5, (
             f"pool-4 throughput speedup {speedup:.2f}x is below the 1.5x bar"
         )
+
+
+class TestPrefixIds:
+    """An experiment id that extends another at an ``_`` (``x`` and
+    ``x_y``) names a different experiment: finishing one leaves the other's
+    tables, SMPC meters and audit events alone."""
+
+    IDS = ("x", "x_y")
+
+    @staticmethod
+    def request() -> ExperimentRequest:
+        return ExperimentRequest(
+            algorithm="linear_regression", data_model="dementia",
+            datasets=DATASETS, y=("lefthippocampus",), x=("agevalue",),
+        )
+
+    def test_x_and_x_y_in_a_pool_of_two_both_return_their_solo_results(self):
+        solo = {}
+        for experiment_id in self.IDS:
+            engine = ExperimentEngine(build_federation())
+            try:
+                engine.submit(self.request(), experiment_id=experiment_id)
+                solo[experiment_id] = engine.wait(experiment_id, timeout=300)
+            finally:
+                engine.shutdown(wait=False)
+
+        # x_y has computed and is about to clean up when x runs from start
+        # to finish beside it.
+        federation = build_federation()
+        master = federation.master
+        cleanup = master.cleanup
+        paused, resume = threading.Event(), threading.Event()
+
+        def gated_cleanup(job_id, workers):
+            if job_id == "x_y":
+                paused.set()
+                assert resume.wait(timeout=300)
+            return cleanup(job_id, workers)
+
+        master.cleanup = gated_cleanup
+        engine = ExperimentEngine(federation, max_concurrent=2)
+        try:
+            engine.submit(self.request(), experiment_id="x_y")
+            assert paused.wait(timeout=300)
+            engine.submit(self.request(), experiment_id="x")
+            mixed = {"x": engine.wait("x", timeout=300)}
+            resume.set()
+            mixed["x_y"] = engine.wait("x_y", timeout=300)
+        finally:
+            resume.set()
+            engine.shutdown(wait=False)
+        for experiment_id in self.IDS:
+            alone, beside = solo[experiment_id], mixed[experiment_id]
+            assert beside.status is ExperimentStatus.SUCCESS, beside.error
+            assert json.dumps(beside.result, sort_keys=True, default=str) == json.dumps(
+                alone.result, sort_keys=True, default=str
+            )
+            assert beside.telemetry == alone.telemetry, experiment_id
+            assert len(beside.audit) == len(alone.audit), experiment_id
+
+    @pytest.mark.parametrize("experiment_id", ["x_s1", "x_read2", "x_bcast", "a_s3_b"])
+    def test_an_id_that_reads_as_a_step_id_is_refused(self, experiment_id):
+        engine = ExperimentEngine(build_federation())
+        try:
+            with pytest.raises(SpecificationError):
+                engine.submit(self.request(), experiment_id=experiment_id)
+        finally:
+            engine.shutdown(wait=False)

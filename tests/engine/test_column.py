@@ -84,6 +84,100 @@ class TestCombinators:
             a.concat(b)
 
 
+class TestDictionaryCoding:
+    """A VARCHAR column is int codes into distinct labels plus the NULL mask."""
+
+    @staticmethod
+    def exact(col):
+        return col.to_list(), col.nulls.tolist()
+
+    def test_from_values_codes_each_label_once(self):
+        col = Column.from_values(SQLType.VARCHAR, ["b", "a", None, "b"])
+        assert col.labels.tolist().count("b") == 1
+        assert col.labels[col.codes].tolist()[:2] == ["b", "a"]
+        assert self.exact(col) == (["b", "a", None, "b"], [False, False, True, False])
+
+    def test_from_codes_round_trips(self):
+        col = Column.from_codes(np.array([1, 0, 1]), ["no", "yes"], np.array([False, True, False]))
+        assert self.exact(col) == (["yes", None, "yes"], [False, True, False])
+        assert self.exact(Column.from_values(SQLType.VARCHAR, col.to_list())) == self.exact(col)
+
+    def test_take_gathers_codes(self):
+        col = Column.from_values(SQLType.VARCHAR, ["a", None, "c", "a"])
+        taken = col.take(np.array([3, 1, 2]))
+        assert taken.labels is col.labels
+        assert self.exact(taken) == (["a", None, "c"], [False, True, False])
+
+    def test_concat_of_disjoint_dictionaries_remaps_the_second(self):
+        a = Column.from_values(SQLType.VARCHAR, ["x", None, "y"])
+        b = Column.from_values(SQLType.VARCHAR, ["q", "p", None, "q"])
+        joined = a.concat(b)
+        assert sorted(joined.labels.tolist()) == sorted(set(a.labels) | set(b.labels))
+        assert self.exact(joined) == (
+            ["x", None, "y", "q", "p", None, "q"],
+            [False, True, False, False, False, True, False],
+        )
+        assert joined.codes[:3].tolist() == a.codes.tolist()
+
+    def test_concat_of_shared_labels(self):
+        a = Column.from_values(SQLType.VARCHAR, ["x", "y"])
+        assert self.exact(a.concat(a.take(np.array([1])))) == (["x", "y", "y"], [False] * 3)
+
+    @pytest.mark.parametrize("sql_type, values", [
+        (SQLType.INT, [3, None, -7]),
+        (SQLType.REAL, [1.5, None, -0.25]),
+        (SQLType.BOOL, [True, None, False]),
+    ])
+    def test_cast_to_varchar_and_back(self, sql_type, values):
+        col = Column.from_values(sql_type, values)
+        text = col.cast(SQLType.VARCHAR)
+        assert text.codes is not None and text.nulls.tolist() == [False, True, False]
+        assert self.exact(text.cast(sql_type)) == self.exact(col)
+
+    def test_cast_to_varchar_itself_copies_codes(self):
+        col = Column.from_values(SQLType.VARCHAR, ["a", None])
+        copy = col.cast(SQLType.VARCHAR)
+        assert not np.shares_memory(copy.codes, col.codes)
+        assert self.exact(copy) == self.exact(col)
+
+    def test_all_null_column(self):
+        col = Column.from_values(SQLType.VARCHAR, [None, None])
+        assert self.exact(col) == ([None, None], [True, True])
+        assert col.distinct() == []
+
+    def test_values_are_read_only(self):
+        col = Column.from_values(SQLType.VARCHAR, ["a", "b"])
+        with pytest.raises(ValueError):
+            col.values[0] = "z"
+        with pytest.raises(ValueError):
+            col.labels[0] = "z"
+        with pytest.raises(AttributeError):
+            col.values = np.array(["z", "z"], dtype=object)
+        assert col.to_list() == ["a", "b"]
+
+    def test_distinct_reads_only_the_non_null_rows(self):
+        col = Column.from_values(SQLType.VARCHAR, ["b", None, "a", "b"])
+        assert col.distinct() == ["a", "b"]
+        # A label that only filtered-out rows held is not listed.
+        assert col.take(np.array([0, 1])).distinct() == ["b"]
+
+
+class TestToList:
+    """One C pass, the same Python scalars as indexing row by row."""
+
+    @pytest.mark.parametrize("sql_type, values", [
+        (SQLType.INT, [1, None, 2**62]),
+        (SQLType.REAL, [0.5, None, -3.0]),
+        (SQLType.BOOL, [None, True, False]),
+        (SQLType.VARCHAR, ["a", None, ""]),
+    ])
+    def test_matches_row_access(self, sql_type, values):
+        col = Column.from_values(sql_type, values)
+        listed = col.to_list()
+        assert listed == values == [col[i] for i in range(len(col))]
+        assert [type(v) for v in listed] == [type(col[i]) for i in range(len(col))]
+
+
 class TestCast:
     def test_int_to_real(self):
         col = Column.from_values(SQLType.INT, [1, None]).cast(SQLType.REAL)

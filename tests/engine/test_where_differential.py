@@ -8,6 +8,12 @@ type-consistent (the engine raises on VARCHAR-vs-number, SQLite orders by
 storage class), strings are ASCII and reals are dyadic so sums are exact.
 The INT column ``g`` holds neighbours at and past 2**53, where a float64 cast
 would make distinct integers compare equal.
+
+The VARCHAR column ``s`` is dictionary-coded and its predicates run once per
+label: string literals include ones absent from every dictionary, leaves
+include LIKE, and the tables also come as an all-NULL ``s`` and as the
+INSERT of two sources with disjoint label sets.  The reference runs with
+``case_sensitive_like`` on, as the engine's LIKE is.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ SCHEMA = Schema([
 # ------------------------------------------------------------------ strategies
 
 _NUMBERS = ["-1", "0", "1", "2", "3", "0.5", "1.5", "-0.25"]
-_STRINGS = ["''", "'a'", "'ab'", "'b'"]
+_STRINGS = ["''", "'a'", "'ab'", "'b'", "'aa'", "'zz'"]  # the last two are in no row
+_PATTERNS = ["'a%'", "'%b'", "'_'", "'%'", "'z%'", "'a_'", "''"]
 _BOOLS = ["TRUE", "FALSE"]
 _GIANT_VALUES = [2**53 + 1, 2**53, 2**53 - 1, -(2**53 + 1), 1]
 _GIANTS = [str(value) for value in _GIANT_VALUES]
@@ -77,6 +84,7 @@ leaves = st.one_of(
     _typed(_numeric_column, _NUMBERS),
     _typed(st.sampled_from(["i", "g"]), _GIANTS),
     _typed(st.just("s"), _STRINGS),
+    st.builds("(s {}LIKE {})".format, st.sampled_from(["", "NOT "]), st.sampled_from(_PATTERNS)),
     st.builds("({} {} {})".format, _numeric_column, st.sampled_from(_OPS), _numeric_column),
     st.builds("(b {} {})".format, st.sampled_from(["=", "<>"]), st.sampled_from(_BOOLS + ["NULL"])),
     st.builds("({} = b)".format, st.sampled_from(_BOOLS)),
@@ -96,19 +104,41 @@ where_strategy = st.recursive(
 # --------------------------------------------------------------------- harness
 
 
+_COLUMNS = "(k INTEGER, r REAL, i INTEGER, s TEXT, b BOOLEAN, g INTEGER)"
+
+
 def _both(rows):
     engine = Database()
     engine.register_table("t", Table.from_rows(SCHEMA, rows))
-    reference = sqlite3.connect(":memory:")
-    reference.execute(
-        "CREATE TABLE t (k INTEGER, r REAL, i INTEGER, s TEXT, b BOOLEAN, g INTEGER)"
-    )
+    reference = _reference()
     reference.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", rows)
     return engine, reference
 
 
-def _agree(rows, sql):
-    engine, reference = _both(rows)
+def _reference():
+    reference = sqlite3.connect(":memory:")
+    reference.execute("PRAGMA case_sensitive_like = ON")
+    reference.execute(f"CREATE TABLE t {_COLUMNS}")
+    return reference
+
+
+def _inserted(rows):
+    """``t`` as the INSERT ... SELECT of two sources whose ``s`` labels are
+    disjoint: rows holding '' or 'a' first, then the rest."""
+    first = [row for row in rows if row[3] in ("", "a")]
+    second = [row for row in rows if row[3] not in ("", "a")]
+    engine = Database()
+    engine.execute(f"CREATE TABLE t {_COLUMNS}")
+    reference = _reference()
+    for name, part in (("a", first), ("b", second)):
+        engine.register_table(name, Table.from_rows(SCHEMA, part))
+        engine.execute(f"INSERT INTO t SELECT * FROM {name}")
+        reference.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", part)
+    return engine, reference
+
+
+def _agree(rows, sql, build=_both):
+    engine, reference = build(rows)
     try:
         expected = reference.execute(sql).fetchall()
     finally:
@@ -148,6 +178,17 @@ ROWS = [
     # the data-view shape of core/context.py:view_query
     "s IN ('a', 'ab', 'b') AND r IS NOT NULL AND i IS NOT NULL",
     "s NOT IN ('a', NULL)",
+    # literals in no row's dictionary
+    "s = 'zz'",
+    "s <> 'zz'",
+    "s < 'aa'",
+    "'aa' < s",
+    "s IN ('zz', 'aa')",
+    "s NOT IN ('zz', 'aa')",
+    "s NOT IN ('zz', NULL)",
+    "s LIKE 'z%'",
+    "s NOT LIKE 'z%'",
+    "s LIKE 'a%' OR s LIKE '_'",
     "r NOT IN (1.5, NULL) OR b",
     "NOT (r BETWEEN 1 AND 2) AND NOT (i IS NULL)",
     "2 > i AND 'a' <= s",
@@ -165,3 +206,23 @@ ROWS = [
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_pinned_predicates(shape, where):
     _agree(ROWS, SHAPES[shape].format(w=where))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
+@given(rows=rows_strategy, where=where_strategy)
+def test_select_matches_sqlite_after_inserts_from_disjoint_sources(shape, rows, where):
+    _agree(rows, SHAPES[shape].format(w=where), build=_inserted)
+
+
+ALL_NULL_S = [(k, r, i, None, b, g) for k, r, i, _s, b, g in ROWS]
+
+
+@pytest.mark.parametrize("where", [
+    "s = 'a'", "s <> 'zz'", "s < 'b'", "s IN ('a', 'zz')", "s NOT IN ('a')",
+    "s NOT IN ('a', NULL)", "s LIKE '%'", "s NOT LIKE 'a%'", "s IS NULL",
+    "NOT (s = 'a') OR k > 2",
+])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_all_null_varchar_column(shape, where):
+    _agree(ALL_NULL_S, SHAPES[shape].format(w=where))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.cohorts import CohortSpec, generate_cohort
+from repro.data.cohorts import CohortSpec, generate_cohort, generate_synthetic_hospital
 from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
 from repro.errors import FederationError, PrivacyThresholdError
@@ -61,10 +61,32 @@ class TestDataLoading:
         table = Table.from_rows(Schema([("v", SQLType.INT)]), [(1,)])
         with pytest.raises(FederationError, match="dataset"):
             w.load_data_model("m", table)
+        coded = Table.from_rows(Schema([("dataset", SQLType.INT)]), [(1,)])
+        with pytest.raises(FederationError, match="VARCHAR 'dataset'"):
+            w.load_data_model("m", coded)
 
     def test_appending_second_dataset(self, worker):
         worker.load_data_model("dementia", generate_cohort(CohortSpec("adni", 30, seed=6)))
         assert worker.datasets()["dementia"] == ["adni", "edsd"]
+
+    def test_datasets_of_a_multi_dataset_hospital(self):
+        w = Worker("h")
+        w.load_data_model("dementia", generate_synthetic_hospital(
+            [CohortSpec("ppmi", 20, seed=1), CohortSpec("adni", 30, seed=2),
+             CohortSpec("ppmi", 10, seed=3)]
+        ))
+        assert w.datasets() == {"dementia": ["adni", "ppmi"]}
+
+    def test_null_dataset_cell_is_not_listed_and_new_codes_extend(self):
+        schema = Schema([("dataset", SQLType.VARCHAR), ("v", SQLType.INT)])
+        w = Worker("h")
+        w.load_data_model("m", Table.from_rows(schema, [("b", 1), (None, 2), ("a", 3)]))
+        assert w.datasets() == {"m": ["a", "b"]}
+        w.load_data_model("m", Table.from_rows(schema, [(None, 4), ("c", 5), ("a", 6)]))
+        assert w.datasets() == {"m": ["a", "b", "c"]}
+        assert w.database.get_table("data_m").column("dataset").to_list() == [
+            "b", None, "a", None, "c", "a",
+        ]
 
     def test_ping(self, worker):
         assert send(worker, "ping")["status"] == "up"

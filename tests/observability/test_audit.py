@@ -15,6 +15,10 @@ from repro.observability.audit import AuditLog, merged_events, owned_by
         ("e10_s1", False),
         ("xe1", False),
         ("", False),
+        ("e1_y", False),
+        ("e1_y_s1", False),
+        ("e1_bcast", True),
+        ("e1_sample", False),
     ],
 )
 def test_owned_by(job_id, owned):
