@@ -14,32 +14,13 @@ import numpy as np
 import scipy.stats
 
 from repro.algorithms import studentized_range
+from repro.algorithms.moments import group_moments_local
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
 from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-
-
-@udf(
-    data=relation(),
-    response=literal(),
-    factor=literal(),
-    levels=literal(),
-    return_type=[secure_transfer()],
-)
-def anova_oneway_local(data, response, factor, levels):
-    """Per-level moment sums."""
-    values = np.asarray(data[response], dtype=np.float64)
-    groups = data[factor]
-    payload = {}
-    for index, level in enumerate(levels):
-        selected = values[groups == level]
-        payload[f"n_{index}"] = {"data": int(len(selected)), "operation": "sum"}
-        payload[f"sum_{index}"] = {"data": float(selected.sum()), "operation": "sum"}
-        payload[f"sumsq_{index}"] = {"data": float((selected**2).sum()), "operation": "sum"}
-    return payload
 
 
 @udf(
@@ -65,15 +46,7 @@ def anova_twoway_local(data, response, factor_a, factor_b, levels_a, levels_b):
     for da in a_dummies:
         for db in b_dummies:
             columns.append(da * db)
-    design = np.column_stack(columns)
-    stats = _h.regression_sufficient_stats(design, y)
-    return {
-        "xtx": {"data": stats["xtx"].tolist(), "operation": "sum"},
-        "xty": {"data": stats["xty"].tolist(), "operation": "sum"},
-        "yty": {"data": stats["yty"], "operation": "sum"},
-        "sum_y": {"data": stats["sum_y"], "operation": "sum"},
-        "n": {"data": stats["n"], "operation": "sum"},
-    }
+    return _h.regression_payload(np.column_stack(columns), y)
 
 
 def _sse_for_columns(
@@ -160,11 +133,11 @@ class AnovaOneWay(FederatedAlgorithm):
         if len(levels) < 2:
             raise AlgorithmError(f"ANOVA needs at least 2 observed groups, found {levels}")
         handle = self.local_run(
-            func=anova_oneway_local,
+            func=group_moments_local,
             keyword_args={
                 "data": self.data_view([response, factor]),
                 "response": response,
-                "factor": factor,
+                "group_variable": factor,
                 "levels": levels,
             },
             share_to_global=[True],

@@ -36,14 +36,7 @@ def linreg_fit_local(data, covariates, response, metadata):
     """Local step: sufficient statistics of the normal equations."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
     y = np.asarray(data[response], dtype=np.float64)
-    stats = _h.regression_sufficient_stats(design, y)
-    return {
-        "xtx": {"data": stats["xtx"].tolist(), "operation": "sum"},
-        "xty": {"data": stats["xty"].tolist(), "operation": "sum"},
-        "yty": {"data": stats["yty"], "operation": "sum"},
-        "sum_y": {"data": stats["sum_y"], "operation": "sum"},
-        "n": {"data": stats["n"], "operation": "sum"},
-    }
+    return _h.regression_payload(design, y)
 
 
 @udf(aggregates=transfer(), return_type=[transfer()])
@@ -79,12 +72,8 @@ def linreg_cv_local(data, covariates, response, metadata, n_folds, seed):
     payload = {}
     for fold in range(n_folds):
         mask = folds == fold
-        stats = _h.regression_sufficient_stats(design[mask], y[mask])
-        payload[f"xtx_{fold}"] = {"data": stats["xtx"].tolist(), "operation": "sum"}
-        payload[f"xty_{fold}"] = {"data": stats["xty"].tolist(), "operation": "sum"}
-        payload[f"yty_{fold}"] = {"data": stats["yty"], "operation": "sum"}
-        payload[f"sum_y_{fold}"] = {"data": stats["sum_y"], "operation": "sum"}
-        payload[f"n_{fold}"] = {"data": stats["n"], "operation": "sum"}
+        stats = _h.regression_payload(design[mask], y[mask])
+        payload.update({f"{key}_{fold}": entry for key, entry in stats.items()})
     return payload
 
 

@@ -38,11 +38,7 @@ logger = get_logger("algorithms.logistic_regression")
 def logreg_step_local(data, covariates, response, positive_level, metadata, beta):
     """One Newton iteration's local statistics."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     coefficients = np.asarray(beta["beta"], dtype=np.float64)
     stats = _h.logistic_gradient_hessian(design, y, coefficients)
     return {
@@ -67,11 +63,7 @@ def logreg_step_local(data, covariates, response, positive_level, metadata, beta
 def logreg_confusion_local(data, covariates, response, positive_level, metadata, beta, threshold):
     """Confusion counts and score histograms at the fitted coefficients."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     coefficients = np.asarray(beta["beta"], dtype=np.float64)
     scores = _h.sigmoid(design @ coefficients)
     confusion = _h.confusion_counts(y.astype(bool), scores, threshold)
@@ -302,11 +294,7 @@ def logreg_cv_step_local(
 ):
     """Newton statistics for every training split, in one local pass."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     folds = _h.fold_assignments(len(y), n_folds, seed)
     payload = {}
     betas = np.asarray(beta_per_fold["betas"], dtype=np.float64)
@@ -340,11 +328,7 @@ def logreg_cv_eval_local(
 ):
     """Held-out confusion counts for every fold's final model."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     folds = _h.fold_assignments(len(y), n_folds, seed)
     payload = {}
     betas = np.asarray(beta_per_fold["betas"], dtype=np.float64)

@@ -38,25 +38,7 @@ VAR_SMOOTHING = 1e-9
 def naive_bayes_fit_local(data, target, classes, features, metadata):
     """Per-class sufficient statistics for all features."""
     labels = data[target]
-    payload = {}
-    for class_index, class_level in enumerate(classes):
-        mask = labels == class_level
-        payload[f"n_{class_index}"] = {"data": int(mask.sum()), "operation": "sum"}
-        for feature_index, feature in enumerate(features):
-            info = metadata.get(feature, {})
-            values = data[feature][mask]
-            key = f"f{feature_index}_c{class_index}"
-            if info.get("is_categorical"):
-                levels = list(info.get("enumerations", []))
-                counts = _h.category_counts(values, levels)
-                payload[f"{key}_counts"] = {"data": counts.tolist(), "operation": "sum"}
-            else:
-                numeric = np.asarray(values, dtype=np.float64)
-                payload[f"{key}_sum"] = {"data": float(numeric.sum()), "operation": "sum"}
-                payload[f"{key}_sumsq"] = {
-                    "data": float((numeric**2).sum()), "operation": "sum",
-                }
-    return payload
+    return _h.class_feature_sums(data, features, metadata, [labels == level for level in classes])
 
 
 @udf(
@@ -344,25 +326,7 @@ def naive_bayes_cv_fit_local(data, target, classes, features, metadata, n_folds,
     payload = {}
     for fold in range(n_folds):
         fold_mask = folds == fold
-        for class_index, class_level in enumerate(classes):
-            mask = fold_mask & (labels == class_level)
-            payload[f"fold{fold}_n_{class_index}"] = {
-                "data": int(mask.sum()), "operation": "sum",
-            }
-            for feature_index, feature in enumerate(features):
-                info = metadata.get(feature, {})
-                values = data[feature][mask]
-                key = f"fold{fold}_f{feature_index}_c{class_index}"
-                if info.get("is_categorical"):
-                    levels = list(info.get("enumerations", []))
-                    counts = _h.category_counts(values, levels)
-                    payload[f"{key}_counts"] = {"data": counts.tolist(), "operation": "sum"}
-                else:
-                    numeric = np.asarray(values, dtype=np.float64)
-                    payload[f"{key}_sum"] = {
-                        "data": float(numeric.sum()), "operation": "sum",
-                    }
-                    payload[f"{key}_sumsq"] = {
-                        "data": float((numeric**2).sum()), "operation": "sum",
-                    }
+        masks = [fold_mask & (labels == level) for level in classes]
+        stats = _h.class_feature_sums(data, features, metadata, masks)
+        payload.update({f"fold{fold}_{key}": entry for key, entry in stats.items()})
     return payload

@@ -10,23 +10,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.algorithms.moments import covariance_from_moments, moments_local
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
-from repro.udfgen import literal, relation, secure_transfer, udf
-from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-
-
-@udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
-def pca_local(data, variables):
-    """First/second moment sums of the selected numeric variables."""
-    matrix = data.to_matrix(variables)
-    return {
-        "n": {"data": int(matrix.shape[0]), "operation": "sum"},
-        "sums": {"data": matrix.sum(axis=0).tolist(), "operation": "sum"},
-        "cross": {"data": (matrix.T @ matrix).tolist(), "operation": "sum"},
-    }
 
 
 @register_algorithm
@@ -48,7 +36,7 @@ class PrincipalComponents(FederatedAlgorithm):
         if len(variables) < 2:
             raise AlgorithmError("PCA needs at least two variables")
         handle = self.local_run(
-            func=pca_local,
+            func=moments_local,
             keyword_args={"data": self.data_view(variables), "variables": variables},
             share_to_global=[True],
         )
@@ -56,11 +44,7 @@ class PrincipalComponents(FederatedAlgorithm):
         n = int(sums["n"])
         if n < 3:
             raise AlgorithmError(f"not enough observations for PCA (n={n})")
-        totals = np.asarray(sums["sums"], dtype=np.float64)
-        cross = np.asarray(sums["cross"], dtype=np.float64)
-        means = totals / n
-        covariance = (cross - n * np.outer(means, means)) / (n - 1)
-        stds = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+        means, covariance, stds = covariance_from_moments(n, sums["sums"], sums["cross"])
         if self.params["standardize"]:
             if (stds == 0).any():
                 constant = [v for v, s in zip(variables, stds) if s == 0]

@@ -7,23 +7,13 @@ from typing import Any
 import numpy as np
 import scipy.stats
 
+from repro.algorithms.moments import covariance_from_moments, moments_local
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
 from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-
-
-@udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
-def pearson_local(data, variables):
-    """Cross-moment sums over complete rows of the selected variables."""
-    matrix = data.to_matrix(variables)
-    return {
-        "n": {"data": int(matrix.shape[0]), "operation": "sum"},
-        "sums": {"data": matrix.sum(axis=0).tolist(), "operation": "sum"},
-        "cross": {"data": (matrix.T @ matrix).tolist(), "operation": "sum"},
-    }
 
 
 @udf(data=relation(), variables=literal(), return_type=[secure_transfer()])
@@ -53,14 +43,12 @@ def pearson_pairwise_local(data, variables):
 
 
 def correlation_from_moments(
-    n: int, sums: np.ndarray, cross: np.ndarray
+    n: int, sums: list[float], cross: list[list[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation matrix and two-sided p-values from aggregated moments."""
     if n < 3:
         raise AlgorithmError(f"not enough observations for correlation (n={n})")
-    means = sums / n
-    covariance = (cross - n * np.outer(means, means)) / (n - 1)
-    stds = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    _, covariance, stds = covariance_from_moments(n, sums, cross)
     denominator = np.outer(stds, stds)
     with np.errstate(divide="ignore", invalid="ignore"):
         correlations = np.where(denominator > 0, covariance / denominator, 0.0)
@@ -104,15 +92,13 @@ class PearsonCorrelation(FederatedAlgorithm):
 
     def _complete_case(self, variables: list[str]) -> dict[str, Any]:
         handle = self.local_run(
-            func=pearson_local,
+            func=moments_local,
             keyword_args={"data": self.data_view(variables), "variables": variables},
             share_to_global=[True],
         )
         sums = self.ctx.get_transfer_data(handle)
         n = int(sums["n"])
-        correlations, p_values = correlation_from_moments(
-            n, np.asarray(sums["sums"]), np.asarray(sums["cross"])
-        )
+        correlations, p_values = correlation_from_moments(n, sums["sums"], sums["cross"])
         # Fisher z confidence intervals.
         with np.errstate(divide="ignore"):
             z = np.arctanh(np.clip(correlations, -0.999999, 0.999999))

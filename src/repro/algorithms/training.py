@@ -77,16 +77,9 @@ def dp_update_local(
     """Local-DP path: clipped gradient + Gaussian noise, per worker."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
     design = _h.apply_scaler(design, scaler)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     weights = np.asarray(params["weights"], dtype=np.float64)
-    gradient = _h.model_gradient(design, y, weights, model_kind)
-    norm = float(np.linalg.norm(gradient))
-    if norm > clip_norm and norm > 0:
-        gradient = gradient * (clip_norm / norm)
+    gradient = _h.clipped_gradient(design, y, weights, model_kind, clip_norm)
     rng = np.random.default_rng(seed)
     noisy = gradient + rng.normal(0.0, noise_sigma, gradient.shape)
     return {"gradient": noisy.tolist(), "n": int(len(y))}
@@ -108,16 +101,9 @@ def sa_update_local(data, covariates, response, positive_level, metadata, scaler
     """Secure-aggregation path: the clipped exact gradient, secret-shared."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
     design = _h.apply_scaler(design, scaler)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     weights = np.asarray(params["weights"], dtype=np.float64)
-    gradient = _h.model_gradient(design, y, weights, model_kind)
-    norm = float(np.linalg.norm(gradient))
-    if norm > clip_norm and norm > 0:
-        gradient = gradient * (clip_norm / norm)
+    gradient = _h.clipped_gradient(design, y, weights, model_kind, clip_norm)
     return {"gradient": {"data": gradient.tolist(), "operation": "sum"}}
 
 
@@ -141,11 +127,7 @@ def newton_update_local(data, covariates, response, positive_level, metadata, sc
     """
     design, names = _h.build_design_matrix(data, covariates, metadata)
     design = _h.apply_scaler(design, scaler)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     weights = np.asarray(params["weights"], dtype=np.float64)
     stats = _h.logistic_gradient_hessian(design, y, weights)
     return {
@@ -169,11 +151,7 @@ def evaluate_local(data, covariates, response, positive_level, metadata, scaler,
     """Diagnostic evaluation: loss and correct-prediction sums."""
     design, names = _h.build_design_matrix(data, covariates, metadata)
     design = _h.apply_scaler(design, scaler)
-    raw = data[response]
-    if positive_level is None:
-        y = np.asarray(raw, dtype=np.float64)
-    else:
-        y = (raw == positive_level).astype(np.float64)
+    y = _h.response_vector(data, response, positive_level)
     weights = np.asarray(params["weights"], dtype=np.float64)
     loss_sum, correct = _h.model_loss_sums(design, y, weights, model_kind)
     return {

@@ -12,36 +12,13 @@ from typing import Any
 import numpy as np
 import scipy.stats
 
+from repro.algorithms.moments import group_moments_local
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
 from repro.core.specs import ParameterSpec
 from repro.errors import AlgorithmError
 from repro.udfgen import literal, relation, secure_transfer, udf
 from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
-
-
-@udf(
-    data=relation(),
-    response=literal(),
-    group_variable=literal(),
-    levels=literal(),
-    return_type=[secure_transfer()],
-)
-def ttest_independent_local(data, response, group_variable, levels):
-    """Per-group moment sums for the two-sample test."""
-    values = np.asarray(data[response], dtype=np.float64)
-    groups = data[group_variable]
-    payload = {}
-    for index, level in enumerate(levels):
-        mask = groups == level
-        selected = values[mask]
-        payload[f"n_{index}"] = {"data": int(len(selected)), "operation": "sum"}
-        payload[f"sum_{index}"] = {"data": float(selected.sum()), "operation": "sum"}
-        payload[f"sumsq_{index}"] = {
-            "data": float((selected**2).sum()),
-            "operation": "sum",
-        }
-    return payload
 
 
 @udf(data=relation(), response=literal(), return_type=[secure_transfer()])
@@ -127,7 +104,7 @@ class TTestIndependent(FederatedAlgorithm):
                 f"t-test needs exactly 2 observed groups, found {len(levels)}: {levels}"
             )
         handle = self.local_run(
-            func=ttest_independent_local,
+            func=group_moments_local,
             keyword_args={
                 "data": self.data_view([response, group_variable]),
                 "response": response,

@@ -100,6 +100,58 @@ def regression_sufficient_stats(design: np.ndarray, response: np.ndarray) -> dic
     }
 
 
+def regression_payload(design: np.ndarray, response: np.ndarray) -> dict[str, Any]:
+    """:func:`regression_sufficient_stats` as secure-sum transfer entries."""
+    stats = regression_sufficient_stats(design, response)
+    return {
+        "xtx": {"data": stats["xtx"].tolist(), "operation": "sum"},
+        "xty": {"data": stats["xty"].tolist(), "operation": "sum"},
+        "yty": {"data": stats["yty"], "operation": "sum"},
+        "sum_y": {"data": stats["sum_y"], "operation": "sum"},
+        "n": {"data": stats["n"], "operation": "sum"},
+    }
+
+
+def response_vector(relation: Any, response: str, positive_level: Any) -> np.ndarray:
+    """The float response of a model: 1.0 where a nominal response equals
+    ``positive_level`` and 0.0 elsewhere, or a numeric response as it is
+    when ``positive_level`` is None."""
+    raw = relation[response]
+    if positive_level is None:
+        return np.asarray(raw, dtype=np.float64)
+    return (raw == positive_level).astype(np.float64)
+
+
+def class_feature_sums(
+    relation: Any,
+    features: Sequence[str],
+    metadata: Mapping[str, Mapping[str, Any]],
+    class_masks: Sequence[np.ndarray],
+) -> dict[str, Any]:
+    """Secure-sum entries of Naive Bayes statistics, per class mask.
+
+    For class ``c`` (the rows of ``class_masks[c]``): the row count
+    ``n_{c}``, and per feature ``f`` the level counts ``f{f}_c{c}_counts``
+    of a nominal feature or the moment sums ``f{f}_c{c}_sum`` / ``_sumsq``
+    of a numeric one.
+    """
+    payload = {}
+    for class_index, mask in enumerate(class_masks):
+        payload[f"n_{class_index}"] = {"data": int(mask.sum()), "operation": "sum"}
+        for feature_index, feature in enumerate(features):
+            info = metadata.get(feature, {})
+            values = relation[feature][mask]
+            key = f"f{feature_index}_c{class_index}"
+            if info.get("is_categorical"):
+                counts = category_counts(values, list(info.get("enumerations", [])))
+                payload[f"{key}_counts"] = {"data": counts.tolist(), "operation": "sum"}
+            else:
+                numeric = np.asarray(values, dtype=np.float64)
+                payload[f"{key}_sum"] = {"data": float(numeric.sum()), "operation": "sum"}
+                payload[f"{key}_sumsq"] = {"data": float((numeric**2).sum()), "operation": "sum"}
+    return payload
+
+
 def histogram_counts(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:
     """Counts of values per bin for a fixed global edge grid."""
     counts, _ = np.histogram(np.asarray(values, dtype=np.float64), bins=np.asarray(edges))
@@ -152,21 +204,32 @@ def logistic_gradient_hessian(
     }
 
 
-def model_gradient(
-    design: np.ndarray, response: np.ndarray, weights: np.ndarray, model_kind: str
+def clipped_gradient(
+    design: np.ndarray,
+    response: np.ndarray,
+    weights: np.ndarray,
+    model_kind: str,
+    clip_norm: float,
 ) -> np.ndarray:
-    """Mean-loss gradient for the federated trainer's model kinds.
+    """Mean-loss gradient for the federated trainer's model kinds, scaled
+    down to L2 norm ``clip_norm`` when it is longer: the per-worker
+    sensitivity bound of a private update.
 
     ``"logistic"``: negative log-likelihood; ``"linear"``: squared error.
     """
     n = max(len(response), 1)
     if model_kind == "logistic":
         probabilities = sigmoid(design @ weights)
-        return design.T @ (probabilities - response) / n
-    if model_kind == "linear":
+        gradient = design.T @ (probabilities - response) / n
+    elif model_kind == "linear":
         residuals = design @ weights - response
-        return 2.0 * design.T @ residuals / n
-    raise ValueError(f"unknown model kind {model_kind!r}")
+        gradient = 2.0 * design.T @ residuals / n
+    else:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    norm = float(np.linalg.norm(gradient))
+    if norm > clip_norm and norm > 0:
+        gradient = gradient * (clip_norm / norm)
+    return gradient
 
 
 def model_loss_sums(

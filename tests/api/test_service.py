@@ -85,23 +85,54 @@ class TestExperimentLifecycle:
         assert "adni" not in status["data_models"]["dementia"]
 
     def test_result_level_noise(self, federation):
-        """The service can inject DP noise into every released aggregate."""
-        from repro.api.service import MIPService
+        """The service can inject DP noise into every released aggregate.
+
+        The mean is ``sum / int(n)`` and both sums get one N(0, 5²) draw.
+        The bound is the widest the mean can move while neither draw leaves
+        ±z·5, with z set so that this test fails on a correct release with
+        probability at most ``false_failure_rate`` (two two-sided tails).
+        Fixed experiment ids make the draw one fixed value: noise is seeded
+        by (cluster seed, SMPC job id, party).
+        """
+        import itertools
+
+        import scipy.stats
+
+        from repro.core.experiment import ExperimentRequest
         from repro.smpc.cluster import NoiseSpec
 
-        clean_service = MIPService(federation, aggregation="smpc")
-        noisy_service = MIPService(
-            federation, aggregation="smpc", noise=NoiseSpec("gaussian", 5.0)
+        noise = NoiseSpec("gaussian", 5.0)
+        false_failure_rate = 1e-6
+        request = ExperimentRequest(
+            algorithm="ttest_onesample", data_model="dementia",
+            datasets=("edsd",), y=("p_tau",),
         )
-        clean = clean_service.run_experiment(
-            "ttest_onesample", "dementia", ["edsd"], y=["p_tau"],
-        )
-        noisy = noisy_service.run_experiment(
-            "ttest_onesample", "dementia", ["edsd"], y=["p_tau"],
-        )
+        outcomes = {}
+        for label, service in (
+            ("clean", MIPService(federation, aggregation="smpc")),
+            ("noisy", MIPService(federation, aggregation="smpc", noise=noise)),
+        ):
+            try:
+                experiment_id = service.engine.submit(
+                    request, experiment_id=f"result-level-noise-{label}"
+                )
+                outcomes[label] = service.engine.wait(experiment_id)
+            finally:
+                service.shutdown()
+        clean, noisy = outcomes["clean"], outcomes["noisy"]
         assert clean.status.value == noisy.status.value == "success"
+
+        n = clean.result["n_observations"]
+        total = clean.result["mean"] * n
+        reach = scipy.stats.norm.isf(false_failure_rate / 4) * noise.scale
+        bound = max(
+            abs((total + e_sum) / noisy_n - clean.result["mean"])
+            for e_sum, noisy_n in itertools.product(
+                (-reach, reach), (n - reach - 1, n + reach)
+            )
+        )
         assert noisy.result["mean"] != clean.result["mean"]
-        assert abs(noisy.result["mean"] - clean.result["mean"]) < 5.0
+        assert abs(noisy.result["mean"] - clean.result["mean"]) < bound
 
     def test_plain_aggregation_refuses_noise(self, federation):
         """Noise is added inside the SMPC protocol; a plain run cannot add

@@ -108,6 +108,20 @@ class TestRunUDF:
                                              "WHERE lefthippocampus > 99"}},
             )
 
+    @pytest.mark.parametrize("threshold, runs", [(60, True), (61, False)])
+    def test_privacy_threshold_boundary(self, threshold, runs):
+        """A view of exactly ``privacy_threshold`` rows runs; one row fewer
+        than the threshold is refused."""
+        worker = Worker("hospital_x", privacy_threshold=threshold)
+        worker.load_data_model("dementia", generate_cohort(CohortSpec("edsd", 60, seed=5)))
+        if runs:
+            assert len(run_step(worker)) == 2
+        else:
+            with pytest.raises(PrivacyThresholdError):
+                run_step(worker)
+        reads = worker.audit.events(event="dataset_read")
+        assert reads and all(read.details["rows"] == 60 for read in reads)
+
     def test_chained_table_argument_must_be_known(self, worker):
         with pytest.raises(FederationError, match="not a known step output"):
             send(

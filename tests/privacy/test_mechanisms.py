@@ -23,3 +23,10 @@ class TestGaussian:
             gaussian_sigma(epsilon=1.0, delta=0.0)
         with pytest.raises(PrivacyError):
             gaussian_sigma(epsilon=1.0, delta=1.5)
+
+    @pytest.mark.parametrize("epsilon, sensitivity", [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+    ])
+    def test_epsilon_and_sensitivity_must_be_positive(self, epsilon, sensitivity):
+        with pytest.raises(PrivacyError, match="must be positive"):
+            gaussian_sigma(epsilon, 1e-5, sensitivity)

@@ -75,6 +75,13 @@ class TestJobLifecycle:
         with pytest.raises(SMPCError):
             cluster.get_result("ghost")
 
+    def test_job_with_no_shares_left_rejected(self):
+        cluster = SMPCCluster(3, "shamir", seed=1)
+        cluster.import_shares("j", "w1", {"s": {"data": 1, "operation": "sum"}})
+        assert cluster.drop_worker("j", "w1")
+        with pytest.raises(SMPCError, match="no imported shares"):
+            cluster.aggregate("j")
+
     def test_key_mismatch_rejected(self):
         cluster = SMPCCluster(3, "shamir", seed=1)
         cluster.import_shares("j", "w1", {"a": {"data": 1, "operation": "sum"}})

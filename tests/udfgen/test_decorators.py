@@ -1,5 +1,7 @@
 """The @udf decorator and registry."""
 
+import ast
+
 import pytest
 
 from repro.errors import UDFError
@@ -116,10 +118,36 @@ class TestRegisteredAlgorithms:
 
     def test_kind_surface(self):
         specs = self.specs()
-        assert len(specs) == 36
+        assert len(specs) == 34
         inputs = [iotype.kind for spec in specs for _, iotype in spec.inputs]
         assert set(inputs) == {"relation", "literal", "transfer"}
         assert inputs.count("transfer") == 1
         outputs = [[iotype.kind for iotype in spec.outputs] for spec in specs]
         assert all(len(kinds) == 1 for kinds in outputs)
-        assert sorted(kinds[0] for kinds in outputs) == ["secure_transfer"] * 33 + ["transfer"] * 3
+        assert sorted(kinds[0] for kinds in outputs) == ["secure_transfer"] * 31 + ["transfer"] * 3
+
+    def test_no_two_udfs_share_a_body(self):
+        """A local step computes a statistic, so two algorithms that need the
+        same statistic name the same UDF rather than copies of it."""
+        bodies = {}
+        for spec in self.specs():
+            body = _normalised_body(spec.source)
+            assert body not in bodies, f"{spec.name} repeats {bodies[body]}"
+            bodies[body] = spec.name
+
+
+def _normalised_body(source):
+    """``ast.dump`` of a function's body without its docstring, with the
+    parameters renamed by position."""
+    function = ast.parse(source).body[0]
+    names = {arg.arg: f"_p{i}" for i, arg in enumerate(function.args.args)}
+
+    class Rename(ast.NodeTransformer):
+        def visit_Name(self, node):
+            node.id = names.get(node.id, node.id)
+            return node
+
+    body = function.body
+    if ast.get_docstring(function) is not None:
+        body = body[1:]
+    return ast.dump(ast.Module(body=[Rename().visit(node) for node in body], type_ignores=[]))
