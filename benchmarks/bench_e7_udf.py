@@ -86,10 +86,10 @@ def run_iterative_flow(database: Database) -> tuple[int, list[float], bool]:
     scans = []
     engine_execute = worker.database.execute
 
-    def execute(sql):
+    def execute(sql, params=()):
         if sql.startswith("SELECT") and "FROM data_dementia" in sql:
             scans.append(sql)
-        return engine_execute(sql)
+        return engine_execute(sql, params)
 
     worker.database.execute = execute
     handed = []
@@ -227,7 +227,7 @@ def test_report_vectorization():
     flows = []
     for size in SIZES:
         database = build_wide_database(size)
-        stored = database.get_table("data_dementia").num_columns
+        stored = len(database.get_table("data_dementia").schema)
         kept = database.query(WIDE_QUERY).num_rows
         best = float("inf")
         for _ in range(5):

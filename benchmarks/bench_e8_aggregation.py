@@ -67,7 +67,7 @@ TIMED_RUNS = 10
 def test_report_aggregation_paths():
     lines = [
         "E8 — aggregation paths for the same federated linear regression",
-        "(3 hospitals, 750 rows total; cpu = best of "
+        "(3 hospitals, 750 rows total; cpu = process CPU, best of "
         f"{TIMED_RUNS} warm runs; modeled = cpu + metered network at "
         f"{ROUND_TRIP_SECONDS * 1e3:.0f} ms/round)",
         "",
@@ -94,9 +94,11 @@ def test_report_aggregation_paths():
     results = {}
     for _ in range(TIMED_RUNS):
         for label, aggregation, _ in PATHS:
-            start = time.perf_counter()
+            # Process CPU, every thread's: the transport's fan-out waits
+            # are wall time, not work.
+            start = time.process_time()
             results[label] = run_regression(federations[label], aggregation)
-            timings[label].append(time.perf_counter() - start)
+            timings[label].append(time.process_time() - start)
     coefficients = {}
     modeled = {}
     for label, _, _ in PATHS:

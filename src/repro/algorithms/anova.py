@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import fdtrc
 
 from repro.algorithms import studentized_range
 from repro.algorithms.moments import group_moments_local
@@ -162,7 +162,7 @@ class AnovaOneWay(FederatedAlgorithm):
         if ms_within <= 0:
             raise AlgorithmError("zero within-group variance; F undefined")
         f_statistic = ms_between / ms_within
-        p_value = float(scipy.stats.f.sf(f_statistic, df_between, df_within))
+        p_value = float(fdtrc(df_between, df_within, f_statistic))
         group_stds = np.sqrt(
             np.clip((squares - counts * means**2) / np.maximum(counts - 1, 1), 0.0, None)
         )
@@ -250,7 +250,7 @@ class AnovaTwoWay(FederatedAlgorithm):
             if df <= 0 or ms_residual <= 0:
                 return 0.0, 1.0
             f_value = (ss / df) / ms_residual
-            return float(f_value), float(scipy.stats.f.sf(f_value, df, df_residual))
+            return float(f_value), float(fdtrc(df, df_residual, f_value))
 
         ss_a = max(sse_0 - sse_a, 0.0)
         ss_b = max(sse_a - sse_ab, 0.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import chdtrc, ndtri
 
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
@@ -98,7 +98,7 @@ class CalibrationBelt(FederatedAlgorithm):
         while degree < self.params["max_degree"]:
             candidate = self._fit_degree(view, outcome, predictor, degree + 1)
             lrt = 2.0 * (candidate["log_likelihood"] - fits[degree]["log_likelihood"])
-            p_value = float(scipy.stats.chi2.sf(max(lrt, 0.0), 1))
+            p_value = float(chdtrc(1, max(lrt, 0.0)))
             if p_value < (1.0 - threshold):
                 degree += 1
                 fits[degree] = candidate
@@ -120,7 +120,7 @@ class CalibrationBelt(FederatedAlgorithm):
         p_grid = 1.0 / (1.0 + np.exp(-g_grid))
 
         def band(confidence: float) -> dict[str, list[float]]:
-            z = scipy.stats.norm.ppf(0.5 + confidence / 2.0)
+            z = ndtri(0.5 + confidence / 2.0)
             return {
                 "lower": (1.0 / (1.0 + np.exp(-(eta - z * standard_errors)))).tolist(),
                 "upper": (1.0 / (1.0 + np.exp(-(eta + z * standard_errors)))).tolist(),
@@ -129,7 +129,7 @@ class CalibrationBelt(FederatedAlgorithm):
         # Calibration test: fitted polynomial vs the identity curve.
         t_statistic = 2.0 * (fit["log_likelihood"] - fit["identity_ll"])
         test_df = degree + 1
-        p_value = float(scipy.stats.chi2.sf(max(t_statistic, 0.0), test_df))
+        p_value = float(chdtrc(test_df, max(t_statistic, 0.0)))
         observed = 1.0 / (1.0 + np.exp(-eta))
         return {
             "outcome": outcome,

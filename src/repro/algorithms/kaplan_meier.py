@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import chdtrc
 
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
@@ -125,7 +125,7 @@ def log_rank_test(
     return {
         "chi_square": chi_square,
         "degrees_of_freedom": df,
-        "p_value": float(scipy.stats.chi2.sf(chi_square, df)),
+        "p_value": float(chdtrc(df, chi_square)),
         "observed": observed.tolist(),
         "expected": expected.tolist(),
     }

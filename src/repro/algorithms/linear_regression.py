@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr, stdtrit
 
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
@@ -99,8 +99,8 @@ def solve_linear_model(
     standard_errors = np.sqrt(np.clip(np.diag(xtx_inverse) * mse, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(standard_errors > 0, coefficients / standard_errors, np.inf)
-    p_values = 2.0 * scipy.stats.t.sf(np.abs(t_values), degrees_of_freedom)
-    t_critical = scipy.stats.t.ppf(0.975, degrees_of_freedom)
+    p_values = 2.0 * stdtr(degrees_of_freedom, -np.abs(t_values))
+    t_critical = stdtrit(degrees_of_freedom, 0.975)
     r_squared = 1.0 - sse / sst if sst > 0 else 0.0
     adjusted = 1.0 - (1.0 - r_squared) * (n - 1) / degrees_of_freedom
     return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtr
 
 from repro.core.algorithm import FederatedAlgorithm
 from repro.core.registry import register_algorithm
@@ -220,7 +220,7 @@ class LogisticRegression(FederatedAlgorithm):
         standard_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
         with np.errstate(divide="ignore", invalid="ignore"):
             z_values = np.where(standard_errors > 0, beta / standard_errors, np.inf)
-        p_values = 2.0 * scipy.stats.norm.sf(np.abs(z_values))
+        p_values = 2.0 * ndtr(-np.abs(z_values))
         margin = 1.959963984540054 * standard_errors
 
         confusion_handle = self.local_run(

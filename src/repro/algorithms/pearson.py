@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 from repro.algorithms.moments import covariance_from_moments, moments_local
 from repro.core.algorithm import FederatedAlgorithm
@@ -56,7 +56,7 @@ def correlation_from_moments(
     np.fill_diagonal(correlations, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = correlations * np.sqrt((n - 2) / np.clip(1 - correlations**2, 1e-12, None))
-    p_values = 2.0 * scipy.stats.t.sf(np.abs(t_values), n - 2)
+    p_values = 2.0 * stdtr(n - 2, -np.abs(t_values))
     np.fill_diagonal(p_values, 0.0)
     return correlations, p_values
 
@@ -151,7 +151,7 @@ class PearsonCorrelation(FederatedAlgorithm):
                 r = float(np.clip(cov / denominator, -1.0, 1.0)) if denominator > 0 else 0.0
                 correlations[i, j] = correlations[j, i] = r
                 t = r * np.sqrt((n - 2) / max(1 - r**2, 1e-12))
-                p = 2.0 * scipy.stats.t.sf(abs(t), n - 2)
+                p = 2.0 * stdtr(n - 2, -abs(t))
                 p_values[i, j] = p_values[j, i] = float(p)
         return {
             "variables": variables,

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -157,7 +156,10 @@ def cdf(q, k: int, df: float) -> np.ndarray:
 
 def ppf(p: float, k: int, df: float) -> float:
     """The ``q`` with ``cdf(q) = p``: Brent's method on a bracket that doubles
-    until it holds ``p``."""
+    until it holds ``p``.  ``scipy.optimize`` is imported here, by the one
+    caller that needs it, so importing the package does not load it."""
+    from scipy.optimize import brentq
+
     if not 0.0 < p < 1.0:
         raise ValueError(f"ppf needs 0 < p < 1, got {p!r}")
     low, high = 0.0, 4.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr, stdtrit
 
 from repro.algorithms.moments import group_moments_local
 from repro.core.algorithm import FederatedAlgorithm
@@ -61,8 +61,8 @@ def _one_sample_result(n: int, total: float, total_squares: float, mu: float) ->
         raise AlgorithmError("zero variance; t statistic undefined")
     t_statistic = (mean - mu) / standard_error
     degrees = n - 1
-    p_value = 2.0 * scipy.stats.t.sf(abs(t_statistic), degrees)
-    t_critical = scipy.stats.t.ppf(0.975, degrees)
+    p_value = 2.0 * stdtr(degrees, -abs(t_statistic))
+    t_critical = stdtrit(degrees, 0.975)
     return {
         "n_observations": n,
         "mean": mean,
@@ -130,8 +130,8 @@ class TTestIndependent(FederatedAlgorithm):
         if standard_error == 0:
             raise AlgorithmError("zero variance; t statistic undefined")
         t_statistic = difference / standard_error
-        p_value = 2.0 * scipy.stats.t.sf(abs(t_statistic), degrees)
-        t_critical = scipy.stats.t.ppf(0.975, degrees)
+        p_value = 2.0 * stdtr(degrees, -abs(t_statistic))
+        t_critical = stdtrit(degrees, 0.975)
         pooled_sd = float(np.sqrt(((n1 - 1) * var1 + (n2 - 1) * var2) / (n1 + n2 - 2)))
         return {
             "groups": levels,

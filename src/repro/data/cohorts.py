@@ -171,10 +171,22 @@ def generate_cohort(spec: CohortSpec) -> Table:
 def _column(sql_type: SQLType, values: np.ndarray, na: np.ndarray | None = None) -> Column:
     """One numeric cohort column from a drawn array; ``na`` marks the missing
     cells.  Built whole, with the 0.0 placeholder under NULLs that the
-    per-value builder stores."""
+    per-value builder stores.
+
+    The column takes the drawn array itself: the generator owns it and
+    never writes it again, so the defensive copy ``Column.from_numpy``
+    makes is not needed.  A NaN still becomes a NULL.
+    """
+    nulls = np.zeros(len(values), dtype=bool) if na is None else na
     if na is not None:
         values = np.where(na, 0.0, values)
-    return Column.from_numpy(sql_type, values, na)
+    values = values.astype(sql_type.numpy_dtype, copy=False)
+    if sql_type == SQLType.REAL:
+        nan = np.isnan(values)
+        if nan.any():
+            nulls = nulls | nan
+            values = np.where(nan, 0.0, values)
+    return Column(sql_type, values, nulls)
 
 
 def _table(columns: Mapping[str, Column]) -> Table:

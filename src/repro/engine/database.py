@@ -7,7 +7,9 @@ and executes parsed statements.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -102,15 +104,23 @@ class Database:
 
     # -------------------------------------------------------------- execution
 
-    def execute(self, sql: str) -> Optional[Table]:
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> Optional[Table]:
         """Parse and execute one SQL statement.
+
+        ``params`` bind, in order, to the statement's ``?`` table-function
+        arguments.  A statement executed with parameters is prepared: its
+        text is parsed once per process (:func:`_prepared`) and every
+        execution binds its own values to that parse.
 
         SELECTs return a :class:`Table`; DDL/DML return None.
         """
-        statement = parse(sql)
-        return self.execute_statement(statement)
+        statement = _prepared(sql) if params else parse(sql)
+        return self.execute_statement(statement, params)
 
-    def execute_statement(self, statement: ast.Statement) -> Optional[Table]:
+    def execute_statement(
+        self, statement: ast.Statement, params: Sequence[Any] = ()
+    ) -> Optional[Table]:
+        statement = _bound(statement, params)
         with self._lock:
             if isinstance(statement, ast.Select):
                 return execute_select(statement, self)
@@ -121,8 +131,6 @@ class Database:
                 return None
             if isinstance(statement, ast.InsertValues):
                 return self._insert_values(statement)
-            if isinstance(statement, ast.InsertSelect):
-                return self._insert_select(statement)
             if isinstance(statement, ast.CreateFunction):
                 definition = UDFDefinition(
                     statement.name, statement.parameters, statement.returns, statement.body
@@ -156,9 +164,9 @@ class Database:
     def scalar(self, sql: str) -> Any:
         """Execute a query and return the single value of a 1x1 result."""
         result = self.query(sql)
-        if result.num_rows != 1 or result.num_columns != 1:
+        if result.num_rows != 1 or len(result.schema) != 1:
             raise ExecutionError(
-                f"expected 1x1 result, got {result.num_rows}x{result.num_columns}"
+                f"expected 1x1 result, got {result.num_rows}x{len(result.schema)}"
             )
         return result.column_at(0)[0]
 
@@ -209,21 +217,6 @@ class Database:
         self._tables[statement.table] = existing.concat(addition)
         return None
 
-    def _insert_select(self, statement: ast.InsertSelect) -> None:
-        existing = self._base_table(statement.table)
-        addition = execute_select(statement.query, self)
-        if len(addition.schema) != len(existing.schema):
-            raise ExecutionError(
-                f"INSERT SELECT: {len(addition.schema)} columns for "
-                f"{len(existing.schema)}-column table"
-            )
-        coerced = Table(
-            existing.schema,
-            [col.cast(spec.sql_type) for col, spec in zip(addition.columns, existing.schema)],
-        )
-        self._tables[statement.table] = existing.concat(coerced)
-        return None
-
     def _create_remote(self, statement: ast.CreateRemoteTable) -> None:
         schema = Schema([ColumnSpec(n, t) for n, t in statement.columns])
         remote = RemoteTable(
@@ -242,6 +235,31 @@ class Database:
             raise CatalogError(f"no such table: {statement.part_table!r}")
         entry.add_part(statement.part_table)
         return None
+
+
+@lru_cache(maxsize=256)
+def _prepared(sql: str) -> ast.Statement:
+    """The parse of a prepared statement's text, kept for its next execution
+    (statements are immutable; a bound copy carries each execution's values)."""
+    return parse(sql)
+
+
+def _bound(statement: ast.Statement, params: Sequence[Any]) -> ast.Statement:
+    """``statement`` with its ``?`` arguments replaced by ``params``, in
+    order; the counts must match."""
+    call = statement.source if isinstance(statement, ast.Select) else None
+    args = call.literal_args if isinstance(call, ast.UDFCall) else ()
+    slots = [index for index, arg in enumerate(args) if isinstance(arg, ast.Parameter)]
+    if len(slots) != len(params):
+        raise ExecutionError(
+            f"statement has {len(slots)} parameter(s), {len(params)} value(s) given"
+        )
+    if not slots:
+        return statement
+    values = list(args)
+    for index, value in zip(slots, params):
+        values[index] = value
+    return dataclasses.replace(statement, source=ast.UDFCall(call.name, tuple(values)))
 
 
 def table_from_arrays(names: Sequence[str], arrays: Sequence[np.ndarray],

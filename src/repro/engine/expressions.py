@@ -186,8 +186,14 @@ class NamedTable(TableSource):
 
 
 @dataclass(frozen=True)
+class Parameter:
+    """A ``?`` table-function argument, bound when the statement executes."""
+
+
+@dataclass(frozen=True)
 class UDFCall(TableSource):
-    """A table-function call, MonetDB style: ``f(literal, ...)``."""
+    """A table-function call, MonetDB style: ``f(literal, ...)``; an argument
+    may be a :class:`Parameter`."""
 
     name: str
     literal_args: tuple[Any, ...] = ()
@@ -220,12 +226,6 @@ class DropTable:
 class InsertValues:
     table: str
     rows: tuple[tuple[Any, ...], ...]
-
-
-@dataclass(frozen=True)
-class InsertSelect:
-    table: str
-    query: Select
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,6 @@ Statement = (
     | CreateTable
     | DropTable
     | InsertValues
-    | InsertSelect
     | CreateFunction
     | DropFunction
     | CreateRemoteTable

@@ -25,7 +25,7 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<string>'(?:[^']|'')*')
   | (?P<name>[A-Za-z_][A-Za-z_0-9$]*)
-  | (?P<op><>|!=|>=|<=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.|\{|\})
+  | (?P<op><>|!=|>=|<=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.|\{|\}|\?)
     """,
     re.VERBOSE,
 )
@@ -284,8 +284,6 @@ class Parser:
         self._expect("keyword", "INSERT")
         self._expect("keyword", "INTO")
         table = self._expect_name()
-        if self._check("keyword", "SELECT"):
-            return ast.InsertSelect(table, self._parse_select())
         self._expect("keyword", "VALUES")
         rows: list[tuple[Any, ...]] = []
         while True:
@@ -359,13 +357,17 @@ class Parser:
         return ast.Select(items=tuple(items), source=source, where=where)
 
     def _parse_udf_source(self, name: str) -> ast.UDFCall:
-        """``f(literal, ...)``: generated SQL passes only the plan literal;
-        a UDF reads its relations through loopback queries."""
+        """``f(literal or ?, ...)``: generated SQL passes only its plan, as
+        the one ``?``; a UDF reads its relations through loopback queries.
+        Nowhere else does ``?`` parse."""
         self._expect("op", "(")
         args: list[Any] = []
         if not self._check("op", ")"):
             while True:
-                args.append(self._parse_literal_value())
+                if self._match("op", "?"):
+                    args.append(ast.Parameter())
+                else:
+                    args.append(self._parse_literal_value())
                 if not self._match("op", ","):
                     break
         self._expect("op", ")")

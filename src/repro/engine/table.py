@@ -122,10 +122,6 @@ class Table:
     def num_rows(self) -> int:
         return len(self._columns[0]) if self._columns else 0
 
-    @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
     def column(self, name: str) -> Column:
         return self._columns[self.schema.index_of(name)]
 

@@ -404,7 +404,7 @@ class Master:
                 raise FederationError(f"table {table!r} is not a known global output")
             if kind not in ("transfer", "secure_transfer"):
                 raise FederationError(f"table {table!r} is a {kind!r}, not a transfer")
-            blob = self.database.scalar(f"SELECT * FROM {table}")
+            blob = self.database.get_table(table).column_at(0)[0]
         return json.loads(blob)
 
     def broadcast_transfer(self, job_id: str, table: str, workers: Sequence[str]) -> dict[str, str]:
@@ -415,7 +415,7 @@ class Master:
         caller can evict them from the flow.
         """
         with self._db_lock:
-            blob = self.database.scalar(f"SELECT * FROM {table}")
+            blob = self.database.get_table(table).column_at(0)[0]
         placed = {worker: f"bcast_{table}_{worker}" for worker in workers}
         with tracer.span("master.broadcast_transfer", table=table, n=len(workers)):
             responses, _lost = self._fan_out(

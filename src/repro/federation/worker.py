@@ -224,8 +224,7 @@ class Worker:
         if self.database.has_table(table):
             record = self._outputs.get(table)
             if record is not None and record.kind == "transfer":
-                existing = self.database.scalar(f"SELECT * FROM {table}")
-                if existing == str(blob):
+                if self.database.get_table(table).column_at(0)[0] == str(blob):
                     return {"table": table, "duplicate": True}
             raise FederationError(f"worker {self.node_id!r}: table {table!r} already exists")
         self.database.execute(f"CREATE TABLE {table} (transfer VARCHAR)")
@@ -242,7 +241,7 @@ class Worker:
             raise FederationError(
                 f"worker {self.node_id!r}: table {table!r} is not a secure transfer"
             )
-        blob = self.database.scalar(f"SELECT * FROM {table}")
+        blob = self.database.get_table(table).column_at(0)[0]
         self.audit.record(
             "aggregate_shared", job_id=record.job_id, table=table, path="smpc"
         )

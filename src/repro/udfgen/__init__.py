@@ -13,10 +13,14 @@ This package provides exactly that pipeline:
    and typed input/output markers (:mod:`repro.udfgen.iotypes`),
 2. :func:`repro.udfgen.generator.generate_udf_application` turns one call of
    that function into SQL — a ``CREATE FUNCTION ... LANGUAGE PYTHON`` whose
-   body embeds the function source plus serialization glue, the output's
-   ``CREATE TABLE`` statement, and the driving ``INSERT INTO ... SELECT``,
-3. the engine executes the statements; relation and transfer inputs are
-   read through loopback queries from inside the UDF body.
+   body embeds the function source plus serialization glue, and the
+   statement ``SELECT * FROM <function>(?)`` — plus the *application plan*
+   (literal values and input queries) that binds to the ``?``,
+3. the node's engine executes the statement with the plan bound, once
+   parsed per statement text, and the node registers the result as the
+   step's output table; relation and transfer inputs are read through
+   loopback queries from inside the UDF body, which works on a private
+   copy of its plan.
 
 A UDF takes ``relation()``, ``literal()`` and ``transfer()`` inputs and
 returns exactly one ``transfer()`` or ``secure_transfer()``: the kinds the

@@ -4,22 +4,28 @@ The generated artifact is a :class:`UDFApplication`:
 
 - one ``CREATE OR REPLACE FUNCTION ... LANGUAGE PYTHON { ... }`` whose body
   embeds the user function's source plus the serialization glue,
-- the ``CREATE TABLE`` statement of its output,
-- the driving ``INSERT INTO <output> SELECT * FROM <function>(plan)``.
+- the statement that runs it, ``SELECT * FROM <function>(?)``,
+- the *application plan*: per step, each literal's value and the query each
+  relation or transfer is read through, bound to the ``?`` when the
+  statement executes.
 
 Relation and transfer inputs are read *inside the UDF body* via SQL loopback
 queries — the mechanism the paper attributes to the UDFGenerator — and the
-body returns its one output as the function's result table.
+body returns its one output as the function's result table, which the node
+registers as the step's output table.
 
-Generation is *plan-cached*, prepared-statement style: the emitted function
-body depends only on the UDF's shape — its spec and its input/output kinds —
-never on the concrete argument values or table names.  Those travel at call
-time as a single literal parameter (the *application plan*), so iterative
-flows (k-means, logistic regression) generate each function's SQL exactly
-once and every later iteration reuses the cached plan: the per-iteration
-statements shrink to the output ``CREATE TABLE`` plus the driving
-``INSERT``, and the node skips re-parsing and re-registering the function
-entirely (see :func:`run_udf_application`).
+Generation is *plan-cached*, prepared-statement style: the function body and
+the statement text depend only on the UDF's shape — its spec and its
+input/output kinds — never on the concrete argument values or table names.
+Those travel as the plan, a Python value bound as the statement's one
+parameter: never quoted into SQL, never re-parsed.  So iterative flows
+(k-means, logistic regression) generate each function's SQL exactly once,
+a node registers each function once (see :func:`run_udf_application`), and
+the engine parses each statement text once and binds every later step's
+plan to that parse.  The body starts from a private structural copy of its
+plan (:func:`repro.udfgen.runtime.private_copy`), so a body that mutates a
+literal changes neither the request that carried it nor another node's
+step.
 """
 
 from __future__ import annotations
@@ -62,26 +68,25 @@ class TableArg:
 
 @dataclass(frozen=True)
 class UDFApplication:
-    """The SQL artifact of one UDF call, ready to execute on a node."""
+    """The SQL artifact of one UDF call, ready to execute on a node:
+    ``execute_sql`` runs with ``plan`` bound to its one ``?``."""
 
     function_name: str
     definition_sql: str
-    create_output_sql: tuple[str, ...]
     execute_sql: str
+    plan: tuple[dict[str, Any], ...]
     output_tables: tuple[str, ...]
     output_kinds: tuple[IOType, ...]
-
-    @property
-    def statements(self) -> list[str]:
-        return [self.definition_sql, *self.create_output_sql, self.execute_sql]
 
 
 @dataclass(frozen=True)
 class _CachedPlan:
-    """A memoized function definition for one (spec, shape) key."""
+    """A memoized function definition, and the statement that runs it, for
+    one (spec, shape) key."""
 
     function_name: str
     definition_sql: str
+    execute_sql: str
 
 
 class UDFPlanCache:
@@ -157,8 +162,10 @@ def generate_udf_application(
     """Emit the SQL for one application of ``spec`` with bound arguments.
 
     ``arguments`` maps parameter names to a table name or SELECT string
-    (``relation`` and ``transfer`` inputs) or to any Python value whose
-    ``repr`` evaluates back to it (``literal``).
+    (``relation`` and ``transfer`` inputs) or to a ``literal``'s value:
+    scalars and the built-in containers of them (the values whose ``repr``
+    evaluates back to them; anything else fails the step with
+    :class:`UDFError`).
     """
     return _generate((FusionStep(spec, arguments),), job_id, fused=False)
 
@@ -208,16 +215,12 @@ def _generate(steps: tuple[FusionStep, ...], job_id: str, fused: bool) -> UDFApp
         else:
             span.set_attribute("plan_cache", "hit")
 
-    output = _sanitize(f"{final.name}_{job_id}_out_0")
     return UDFApplication(
         function_name=plan.function_name,
         definition_sql=plan.definition_sql,
-        create_output_sql=(f"CREATE TABLE {output} ({_columns(final)})",),
-        execute_sql=(
-            f"INSERT INTO {output} "
-            f"SELECT * FROM {plan.function_name}('{_plan_literal(steps)}')"
-        ),
-        output_tables=(output,),
+        execute_sql=plan.execute_sql,
+        plan=_application_plan(steps),
+        output_tables=(_sanitize(f"{final.name}_{job_id}_out_0"),),
         output_kinds=final.outputs,
     )
 
@@ -243,16 +246,10 @@ def _shape(value: Any, iotype: IOType) -> Any:
     return ("step", value.step_index) if isinstance(value, StepOutput) else iotype.kind
 
 
-def _plan_literal(steps: Sequence[FusionStep]) -> str:
-    """The SQL-quoted application plan: per step, each literal's value and
-    the query each relation or transfer is read through.
-
-    The plan travels as one string literal and is ``eval``-ed inside the UDF
-    body, with the ``nan`` / ``inf`` names a non-finite float's ``repr``
-    needs, so every value whose ``repr`` evaluates back to it round-trips
-    unchanged.
-    """
-    plan = tuple(
+def _application_plan(steps: Sequence[FusionStep]) -> tuple[dict[str, Any], ...]:
+    """The application plan: per step, each literal's value and the query
+    each relation or transfer is read through."""
+    return tuple(
         {
             pname: _plan_value(step.arguments[pname], iotype)
             for pname, iotype in step.spec.inputs
@@ -260,7 +257,6 @@ def _plan_literal(steps: Sequence[FusionStep]) -> str:
         }
         for step in steps
     )
-    return repr(plan).replace("'", "''")
 
 
 def _plan_value(value: Any, iotype: IOType) -> Any:
@@ -270,15 +266,20 @@ def _plan_value(value: Any, iotype: IOType) -> Any:
 
 
 def _build_plan(steps: Sequence[FusionStep], key: tuple) -> _CachedPlan:
-    """Generate the parameterized function definition for one plan key."""
+    """Generate the parameterized function definition for one plan key, and
+    the statement that runs it.
+
+    The plan parameter is declared VARCHAR, the type it would take to cross
+    a SQL boundary; the engine binds the plan value itself.
+    """
     digest = hashlib.sha1(repr(key).encode()).hexdigest()[:12]
     final = steps[-1].spec
     function_name = _sanitize(f"{final.name}_p{digest}")
     definition_sql = (
-        f"CREATE OR REPLACE FUNCTION {function_name}(__plan_repr VARCHAR) "
+        f"CREATE OR REPLACE FUNCTION {function_name}(__plan_arg VARCHAR) "
         f"RETURNS TABLE({_columns(final)}) LANGUAGE PYTHON {{\n{_plan_body(steps)}\n}}"
     )
-    return _CachedPlan(function_name, definition_sql)
+    return _CachedPlan(function_name, definition_sql, f"SELECT * FROM {function_name}(?)")
 
 
 def _columns(spec: UDFSpec) -> str:
@@ -299,7 +300,7 @@ def _plan_body(steps: Sequence[FusionStep]) -> str:
         "import numpy as np",
         "from repro.udfgen import runtime as _rt",
         "from repro.udfgen import udf_helpers as _h  # noqa: F401 (used by UDF bodies)",
-        "__plan = eval(__plan_repr, None, _rt.NON_FINITE)",
+        "__plan = _rt.private_copy(__plan_arg)",
         "",
     ]
     embedded: set[str] = set()
@@ -345,20 +346,22 @@ def _emit(iotype: IOType, result: str) -> str:
 
 
 def run_udf_application(database: Database, application: UDFApplication) -> tuple[str, ...]:
-    """Execute a generated application on a node's database.
+    """Execute a generated application on a node's database and register its
+    result as the step's output table.
 
     An application's function name is derived from its plan key, so if the
     node's catalog already holds that function the (large) definition
     statement is skipped: after the first iteration of an iterative flow, a
-    step costs one tiny DDL statement plus the INSERT.
+    step is one execution of the prepared ``SELECT * FROM f(?)``.
     """
     with tracer.span("udf.execute", function=application.function_name) as span:
-        statements = application.statements
         if database.has_function(application.function_name):
-            statements = statements[1:]
             span.set_attribute("definition_skipped", True)
-        for sql in statements:
-            database.execute(sql)
+        else:
+            database.execute(application.definition_sql)
+        result = database.execute(application.execute_sql, (application.plan,))
+        (output,) = application.output_tables
+        database.register_table(output, result)
     return application.output_tables
 
 

@@ -17,9 +17,32 @@ from repro.smpc.cluster import valid_bound
 from repro.udfgen.iotypes import SECURE_OPERATIONS
 
 
-#: Names a plan's ``repr`` uses for non-finite floats (``nan``, ``inf``,
-#: ``-inf``), bound when the generated body evaluates its plan.
-NON_FINITE = {"nan": float("nan"), "inf": float("inf")}
+#: The immutable scalars a plan holds as they are.  With the containers
+#: :func:`private_copy` rebuilds, these are the values whose ``repr``
+#: evaluates back to them (a numpy scalar prints as ``np.float64(...)``).
+_SCALARS = frozenset({str, bytes, int, float, complex, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple, set, frozenset})
+
+
+def private_copy(value: Any) -> Any:
+    """A structural copy of a step's plan, for its body alone.
+
+    Containers are rebuilt and scalars, being immutable, are shared, so a
+    body that mutates a literal changes neither the request that carried it
+    nor another node's step.  Any other value (an ``ndarray``, an arbitrary
+    object) is refused: a literal holds scalars and the built-in containers
+    of them.
+    """
+    kind = type(value)
+    if kind in _SCALARS or isinstance(value, np.generic):
+        return value
+    if kind is dict:
+        return {private_copy(key): private_copy(item) for key, item in value.items()}
+    if kind in _SEQUENCES:
+        return kind(private_copy(item) for item in value)
+    raise UDFError(
+        f"a UDF literal holds scalars and built-in containers of them, not {kind.__name__}"
+    )
 
 
 class Relation:

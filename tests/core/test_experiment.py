@@ -45,6 +45,7 @@ class TestSuccessPath:
         "1=1) GROUP BY (dataset",
         "1=1) OR (1=1",
         "agevalue > 72 --",
+        "agevalue > ?",
     ])
     def test_filter_that_escapes_its_parentheses_is_rejected(self, engine, filter_sql):
         result = engine.run(make_request(filter_sql=filter_sql))

@@ -1,5 +1,10 @@
 """Algorithm registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.algorithms  # noqa: F401
@@ -67,3 +72,22 @@ class TestRegistryMechanics:
         registry.register(Algo)
         with pytest.raises(AlgorithmError):
             registry.register(Algo)
+
+
+def test_importing_repro_loads_neither_scipy_stats_nor_optimize():
+    """The algorithms call the ``scipy.special`` functions that
+    ``scipy.stats`` itself calls, and ``scipy.optimize`` loads only when a
+    Tukey table needs a root: neither package's import cost is paid up front."""
+    script = (
+        "import sys, repro, repro.algorithms\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

@@ -48,20 +48,6 @@ class TestDML:
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, NULL)")
         assert db.query("SELECT * FROM t").to_rows() == [(1, "x"), (2, None)]
 
-    def test_insert_select(self, db):
-        db.execute("CREATE TABLE s (a INT)")
-        db.execute("INSERT INTO s VALUES (1), (2)")
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t SELECT a * 10 FROM s")
-        assert db.query("SELECT * FROM t").to_rows() == [(10,), (20,)]
-
-    def test_insert_select_coerces_types(self, db):
-        db.execute("CREATE TABLE s (a INT)")
-        db.execute("INSERT INTO s VALUES (1)")
-        db.execute("CREATE TABLE t (a REAL)")
-        db.execute("INSERT INTO t SELECT a FROM s")
-        assert db.query("SELECT * FROM t").to_rows() == [(1.0,)]
-
     def test_insert_wrong_arity(self, db):
         db.execute("CREATE TABLE t (a INT, b INT)")
         with pytest.raises(Exception):

@@ -65,6 +65,10 @@ class TestSelectParsing:
         assert isinstance(stmt.source, ast.UDFCall)
         assert stmt.source.literal_args == (3, "x")
 
+    def test_a_parameter_is_a_table_function_argument(self):
+        stmt = parse("SELECT * FROM f(?, '?')")
+        assert stmt.source.literal_args == (ast.Parameter(), "?")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("SELECT a FROM t WHERE 1 = 1 1")
@@ -85,6 +89,10 @@ class TestSelectParsing:
         "SELECT * FROM f(SELECT a FROM t)",
         "DELETE FROM t WHERE a = 1",
         "SELECT 1 + 1 AS two",
+        "SELECT a FROM t WHERE a = ?",
+        "SELECT ? FROM t",
+        "INSERT INTO t VALUES (?)",
+        "SELECT * FROM ?",
     ])
     def test_a_shape_the_platform_never_issues_does_not_parse(self, sql):
         with pytest.raises(ParseError):
@@ -133,6 +141,10 @@ class TestExpressionParsing:
         expr = parse_expression("CAST(a AS REAL)")
         assert isinstance(expr, ast.Cast)
         assert expr.target == SQLType.REAL
+
+    def test_a_parameter_is_not_an_expression(self):
+        with pytest.raises(ParseError):
+            parse_expression("agevalue > ?")
 
     def test_count_star(self):
         star = parse_expression("COUNT(*)")
@@ -186,8 +198,10 @@ class TestDDLParsing:
         assert stmt.rows == ((1, "a", None, True, -2.5),)
 
     def test_insert_select(self):
-        stmt = parse("INSERT INTO t SELECT a FROM s")
-        assert isinstance(stmt, ast.InsertSelect)
+        """A step's output is the registered result of its ``SELECT``; no
+        statement inserts a query's rows, so the shape does not parse."""
+        with pytest.raises(ParseError):
+            parse("INSERT INTO t SELECT a FROM s")
 
     def test_create_function(self):
         stmt = parse(

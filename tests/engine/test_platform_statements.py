@@ -33,7 +33,7 @@ PLATFORM_SHAPES = {
     "SELECT cols FROM t WHERE …",
     "CREATE TABLE",
     "INSERT INTO t VALUES (…)",
-    "INSERT INTO t SELECT * FROM f('<plan literal>')",
+    "SELECT * FROM f(?)",
     "CREATE OR REPLACE FUNCTION … LANGUAGE PYTHON",
     REMOTE_MERGE,
 }
@@ -43,8 +43,6 @@ def shape(statement: ast.Statement) -> str:
     """A statement with its names and values abstracted away."""
     if isinstance(statement, ast.Select):
         return _select_shape(statement)
-    if isinstance(statement, ast.InsertSelect):
-        return f"INSERT INTO t {_select_shape(statement.query)}"
     if isinstance(statement, ast.InsertValues):
         return "INSERT INTO t VALUES (…)"
     if isinstance(statement, ast.CreateTable):
@@ -69,8 +67,8 @@ def _select_shape(select: ast.Select) -> str:
         items = "cols"
     source = "t"
     if isinstance(select.source, ast.UDFCall):
-        plan_only = [type(arg) for arg in select.source.literal_args] == [str]
-        source = "f('<plan literal>')" if plan_only else "f(…)"
+        plan_only = select.source.literal_args == (ast.Parameter(),)
+        source = "f(?)" if plan_only else "f(…)"
     where = " WHERE …" if select.where is not None else ""
     return f"SELECT {items} FROM {source}{where}"
 
@@ -80,9 +78,9 @@ def recorded(monkeypatch) -> set[str]:
     shapes: set[str] = set()
     execute_statement = Database.execute_statement
 
-    def recording(self, statement):
+    def recording(self, statement, params=()):
         shapes.add(shape(statement))
-        return execute_statement(self, statement)
+        return execute_statement(self, statement, params)
 
     monkeypatch.setattr(Database, "execute_statement", recording)
     return shapes

@@ -44,7 +44,7 @@ class TestSchema:
 class TestTable:
     def test_row_count(self, table):
         assert table.num_rows == 3
-        assert table.num_columns == 3
+        assert len(table.schema) == 3
 
     def test_ragged_rows_rejected(self, schema):
         with pytest.raises(TypeMismatchError):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.engine import database as database_module
 from repro.engine.database import Database
-from repro.errors import CatalogError, UDFError
+from repro.errors import CatalogError, ExecutionError, UDFError
 
 
 @pytest.fixture()
@@ -81,6 +82,47 @@ class TestBasicUDF:
         )
         with pytest.raises(UDFError, match="2 literal arguments for 1 parameters"):
             db.query("SELECT * FROM f(1, 2)")
+
+
+class TestParameters:
+    """``?`` table-function arguments, bound by ``Database.execute``."""
+
+    @pytest.fixture()
+    def keys(self, db):
+        db.execute(
+            "CREATE FUNCTION keys(plan VARCHAR) RETURNS TABLE(k VARCHAR) LANGUAGE PYTHON {\n"
+            "    return {'k': sorted(plan)}\n"
+            "}"
+        )
+        return db
+
+    def test_a_parameter_binds_a_python_value(self, keys):
+        result = keys.execute("SELECT * FROM keys(?)", ({"b": [1.5], "a": None},))
+        assert result.to_rows() == [("a",), ("b",)]
+
+    def test_a_prepared_text_is_parsed_once(self, keys, monkeypatch):
+        parses = []
+        real = database_module.parse
+
+        def parse(sql):
+            parses.append(sql)
+            return real(sql)
+
+        monkeypatch.setattr(database_module, "parse", parse)
+        database_module._prepared.cache_clear()
+        for plan in ({"x": 1}, {"y": 2}, {"z": 3}):
+            assert keys.execute("SELECT * FROM keys(?)", (plan,)).to_rows() == [(next(iter(plan)),)]
+        assert parses == ["SELECT * FROM keys(?)"]
+
+    @pytest.mark.parametrize("sql, params", [
+        ("SELECT * FROM keys(?)", ()),
+        ("SELECT * FROM keys(?)", ({"a": 1}, {"b": 2})),
+        ("SELECT * FROM keys('x')", ({"a": 1},)),
+        ("SELECT * FROM t", ({"a": 1},)),
+    ], ids=["none_given", "one_too_many", "literal_argument", "no_function"])
+    def test_the_parameter_count_must_match(self, keys, sql, params):
+        with pytest.raises(ExecutionError, match="parameter"):
+            keys.execute(sql, params)
 
 
 class TestLoopback:

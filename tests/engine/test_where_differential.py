@@ -11,8 +11,8 @@ would make distinct integers compare equal.
 
 The VARCHAR column ``s`` is dictionary-coded and its predicates run once per
 label: string literals include ones absent from every dictionary, leaves
-include LIKE, and the tables also come as an all-NULL ``s`` and as the
-INSERT of two sources with disjoint label sets.  The reference runs with
+include LIKE, and the tables also come as an all-NULL ``s`` and as two
+INSERTs with disjoint label sets.  The reference runs with
 ``case_sensitive_like`` on, as the engine's LIKE is.
 """
 
@@ -123,18 +123,30 @@ def _reference():
 
 
 def _inserted(rows):
-    """``t`` as the INSERT ... SELECT of two sources whose ``s`` labels are
-    disjoint: rows holding '' or 'a' first, then the rest."""
+    """``t`` as two INSERTs whose ``s`` labels are disjoint: rows holding ''
+    or 'a' first, then the rest.  Each INSERT codes its own dictionary, and
+    the second merges into the first's."""
     first = [row for row in rows if row[3] in ("", "a")]
     second = [row for row in rows if row[3] not in ("", "a")]
     engine = Database()
     engine.execute(f"CREATE TABLE t {_COLUMNS}")
     reference = _reference()
-    for name, part in (("a", first), ("b", second)):
-        engine.register_table(name, Table.from_rows(SCHEMA, part))
-        engine.execute(f"INSERT INTO t SELECT * FROM {name}")
+    for part in (first, second):
+        if part:
+            values = ", ".join(f"({', '.join(map(_sql_literal, row))})" for row in part)
+            engine.execute(f"INSERT INTO t VALUES {values}")
         reference.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", part)
     return engine, reference
+
+
+def _sql_literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value)
 
 
 def _agree(rows, sql, build=_both):

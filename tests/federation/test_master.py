@@ -12,7 +12,8 @@ from repro.federation.worker import Worker
 from repro.federation.transport import Transport
 from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.smpc.cluster import SMPCCluster
-from repro.udfgen import relation, secure_transfer, transfer, udf
+from repro.udfgen import literal, relation, secure_transfer, transfer, udf
+from repro.udfgen.decorators import get_spec
 
 
 @udf(data=relation(), return_type=[transfer()])
@@ -23,6 +24,18 @@ def master_test_local(data):
 @udf(data=relation(), return_type=[secure_transfer()])
 def master_test_secure(data):
     return {"sum": {"data": float(data.to_matrix().sum()), "operation": "sum"}}
+
+
+@udf(data=relation(), seen=literal(), return_type=[transfer()])
+def master_test_marking(data, seen):
+    seen["marks"].append(len(data))
+    return {"marks": seen["marks"]}
+
+
+@udf(seen=literal(), return_type=[transfer()])
+def master_test_global_marking(seen):
+    seen["marks"].append(len(seen["marks"]))
+    return {"marks": seen["marks"]}
 
 
 def build_master(n_workers=2, smpc=True):
@@ -128,6 +141,32 @@ class TestSecureAggregation:
         master, workers, _ = build_master(smpc=False)
         with pytest.raises(FederationError, match="SMPC"):
             master.gather_transfers_secure("j", {"hospital_0": "t"})
+
+
+class TestLiteralIsolation:
+    def test_a_body_that_mutates_its_literal_changes_no_other_step(self):
+        """Every worker is sent the one request object; each step's body
+        works on its own copy of it, and so does a global step's."""
+        master, workers, _ = build_master()
+        request = {"marks": []}
+        view = {"kind": "view", "query": "SELECT lefthippocampus FROM data_dementia"}
+        outputs = master.run_local_step(
+            "job1",
+            get_spec(master_test_marking).name,
+            {w: {"data": view, "seen": {"kind": "literal", "value": request}} for w in workers},
+            aggregation="plain",
+        )
+        transfers, _ = master.gather_transfers_plain(
+            "job1", {w: outputs[w][0]["table"] for w in workers}
+        )
+        assert [t["marks"] for t in transfers] == [[50], [50]]
+        assert request == {"marks": []}
+        for job in ("g1", "g2"):
+            (output,) = master.run_global_step(
+                job, get_spec(master_test_global_marking).name, {"seen": request}
+            )
+            assert master.read_transfer(output["table"]) == {"marks": [0]}
+        assert request == {"marks": []}
 
 
 class TestGlobalSteps:

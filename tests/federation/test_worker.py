@@ -5,7 +5,7 @@ import pytest
 from repro.data.cohorts import CohortSpec, generate_cohort, generate_synthetic_hospital
 from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
-from repro.errors import FederationError, PrivacyThresholdError
+from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.messages import Message
 from repro.federation.serialization import table_from_payload
 from repro.federation.worker import Worker
@@ -20,6 +20,14 @@ def worker_test_step(data):
 @udf(data=relation(), return_type=[secure_transfer()])
 def worker_secure_step(data):
     return {"total": {"data": float(data.to_matrix().sum()), "operation": "sum"}}
+
+
+@udf(data=relation(), factor=literal(), return_type=[transfer()])
+def worker_scaled_step(data, factor):
+    return {"total": float(data.to_matrix().sum()) * factor}
+
+
+VIEW = {"kind": "view", "query": "SELECT lefthippocampus FROM data_dementia"}
 
 
 def send(worker, kind, **payload):
@@ -129,6 +137,35 @@ class TestRunUDF:
                 job_id="j",
                 udf_name="tests_federation_test_worker_worker_test_step",
                 arguments={"data": {"kind": "table", "name": "data_dementia"}},
+            )
+
+    def test_a_missing_udf_argument_is_refused(self, worker):
+        with pytest.raises(UDFError, match="missing argument 'factor'"):
+            send(
+                worker, "run_udf",
+                job_id="j",
+                udf_name="tests_federation_test_worker_worker_scaled_step",
+                arguments={"data": VIEW},
+            )
+
+    def test_a_data_view_binds_only_to_a_relation(self, worker):
+        with pytest.raises(UDFError, match="data views bind only to relations"):
+            send(
+                worker, "run_udf",
+                job_id="j",
+                udf_name="tests_federation_test_worker_worker_scaled_step",
+                arguments={"data": VIEW, "factor": VIEW},
+            )
+        # Only the relation's read: the literal's view was never bound.
+        assert len(worker.audit.events(event="dataset_read")) == 1
+
+    def test_an_unknown_argument_kind_is_refused(self, worker):
+        with pytest.raises(FederationError, match="unknown argument kind 'file'"):
+            send(
+                worker, "run_udf",
+                job_id="j",
+                udf_name="tests_federation_test_worker_worker_scaled_step",
+                arguments={"data": {"kind": "file", "name": "/etc/passwd"}, "factor": 2},
             )
 
     def test_unknown_message_kind(self, worker):

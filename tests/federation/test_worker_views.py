@@ -76,9 +76,9 @@ def record_statements(worker):
     statements = []
     real = worker.database.execute
 
-    def execute(sql):
+    def execute(sql, params=()):
         statements.append(sql)
-        return real(sql)
+        return real(sql, params)
 
     worker.database.execute = execute
     return statements

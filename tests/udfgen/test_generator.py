@@ -39,6 +39,12 @@ def echo_literal(value):
     return {"value": value}
 
 
+@udf(value=literal(), return_type=[transfer()])
+def mark_literal(value):
+    value["marks"].append(len(value["marks"]))
+    return {"marks": value["marks"]}
+
+
 @pytest.fixture()
 def db():
     database = Database()
@@ -62,10 +68,8 @@ class TestGeneration:
             get_spec(fit_step), "job1", {"data": "numbers", "factor": 2}
         )
         assert app.definition_sql.startswith("CREATE OR REPLACE FUNCTION")
-        assert app.create_output_sql == (
-            f"CREATE TABLE {app.output_tables[0]} (transfer VARCHAR)",
-        )
-        assert app.execute_sql.startswith(f"INSERT INTO {app.output_tables[0]}")
+        assert app.execute_sql == f"SELECT * FROM {app.function_name}(?)"
+        assert app.plan == ({"data": "SELECT * FROM numbers", "factor": 2},)
 
     def test_missing_argument(self):
         with pytest.raises(UDFError, match="missing"):
@@ -91,13 +95,44 @@ class TestLiterals:
         assert echoed["nested"]["levels"][0] == [-inf]
         assert math.isnan(echoed["nested"]["levels"][1]["x"])
 
-    def test_finite_literals_travel_as_their_repr(self, db):
+    def test_literals_travel_in_the_plan_not_the_sql(self, db):
         value = {"beta": [0.1, -2.5e-300, 1e300], "level": "it's", "k": (3, None)}
         app = generate_udf_application(get_spec(echo_literal), "f1", {"value": value})
-        assert repr(value).replace("'", "''") in app.execute_sql
+        assert app.plan == ({"value": value},)
+        assert app.execute_sql == f"SELECT * FROM {app.function_name}(?)"
         (out,) = run_udf_application(db, app)
         echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
         assert echoed == {"beta": [0.1, -2.5e-300, 1e300], "level": "it's", "k": [3, None]}
+
+    def test_a_body_that_mutates_its_literal_leaves_the_plan_alone(self, db):
+        value = {"marks": [], "nested": ({"levels": [1.5]},)}
+        apps = [
+            generate_udf_application(get_spec(mark_literal), job, {"value": value})
+            for job in ("m1", "m2")
+        ]
+        for app in apps:
+            (out,) = run_udf_application(db, app)
+            assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}")) == {"marks": [0]}
+        assert value == {"marks": [], "nested": ({"levels": [1.5]},)}
+        assert apps[0].plan == ({"value": value},)
+
+    @pytest.mark.parametrize("value", [
+        np.array([1.0, 2.0]),
+        {"beta": [np.zeros(2)]},
+        {"at": object()},
+    ], ids=["ndarray", "nested_ndarray", "object"])
+    def test_a_literal_that_is_not_plain_data_is_refused(self, db, value):
+        app = generate_udf_application(get_spec(echo_literal), "r1", {"value": value})
+        with pytest.raises(UDFError, match="scalars and built-in containers"):
+            run_udf_application(db, app)
+        assert not db.has_table(app.output_tables[0])
+
+    def test_numpy_scalars_pass_as_themselves(self, db):
+        value = {"k": np.int64(3), "x": np.float64(0.25), "flag": np.True_}
+        app = generate_udf_application(get_spec(echo_literal), "n1", {"value": value})
+        (out,) = run_udf_application(db, app)
+        echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
+        assert echoed == {"k": 3, "x": 0.25, "flag": True}
 
 
 class TestExecution:

@@ -68,7 +68,7 @@ class TestDeterminism:
         plan_cache.clear()
         regenerated = generate_udf_application(spec, "j1", arguments)
         assert plan_cache.stats()["hits"] == 0
-        assert cold.statements == warm.statements == regenerated.statements
+        assert cold == warm == regenerated
 
     def test_cached_and_uncached_results_identical(self, db):
         spec = get_spec(plan_fit)
