@@ -5,11 +5,11 @@ vectorized, in-database analytics.  This package provides an engine with the
 same interface surface used by MIP:
 
 - columnar storage over numpy arrays with explicit NULL masks,
-- the SQL statements the platform issues (``CREATE TABLE``, ``INSERT``,
-  ``SELECT`` with a full ``WHERE`` expression grammar, bare aggregates),
+- the SQL statements the platform issues (``SELECT`` with a full ``WHERE``
+  expression grammar, and a table-function call), plus ``CREATE TABLE``,
+  ``INSERT`` and bare aggregates for the E7 bench and the tests,
 - Python table UDFs (``CREATE FUNCTION ... LANGUAGE PYTHON``) executed
-  vectorized over column arrays, with SQL *loopback* queries,
-- remote tables and merge tables for the non-secure aggregation path.
+  vectorized over column arrays, with SQL *loopback* queries.
 """
 
 from repro.engine.column import Column

@@ -1,8 +1,8 @@
 """The Database: catalog plus statement execution.
 
 One :class:`Database` instance plays the role MonetDB plays on each MIP node.
-It owns base tables, Python UDF definitions, remote tables, and merge tables,
-and executes parsed statements.
+It owns base tables and Python UDF definitions, and executes parsed
+statements.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from repro.engine import expressions as ast
 from repro.engine.column import Column
 from repro.engine.executor import execute_select
 from repro.engine.parser import parse
-from repro.engine.remote import MergeTable, RemoteResolver, RemoteTable, unavailable_resolver
 from repro.engine.table import ColumnSpec, Schema, Table
 from repro.engine.types import SQLType
 from repro.engine.udf import UDFDefinition, run_udf
 from repro.errors import CatalogError, ExecutionError
-
-_CatalogEntry = Table | RemoteTable | MergeTable
-
 
 class Database:
     """An in-memory analytics database with a SQL subset.
@@ -37,16 +33,11 @@ class Database:
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
-        self._tables: dict[str, _CatalogEntry] = {}
+        self._tables: dict[str, Table] = {}
         self._functions: dict[str, UDFDefinition] = {}
-        self._remote_resolver: RemoteResolver = unavailable_resolver
         self._lock = threading.RLock()
 
     # ----------------------------------------------------------------- admin
-
-    def set_remote_resolver(self, resolver: RemoteResolver) -> None:
-        """Install the callable that fetches remote tables at query time."""
-        self._remote_resolver = resolver
 
     def table_names(self) -> list[str]:
         with self._lock:
@@ -74,12 +65,12 @@ class Database:
             self._tables[name] = table
 
     def get_table(self, name: str) -> Table:
-        """Fetch a table by name, materializing remote/merge entries."""
+        """Fetch a table by name."""
         with self._lock:
-            entry = self._tables.get(name)
-        if entry is None:
+            table = self._tables.get(name)
+        if table is None:
             raise CatalogError(f"no such table: {name!r}")
-        return self._materialize(entry)
+        return table
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         with self._lock:
@@ -144,14 +135,6 @@ class Database:
                     raise CatalogError(f"no such function: {statement.name!r}")
                 del self._functions[statement.name]
                 return None
-            if isinstance(statement, ast.CreateRemoteTable):
-                return self._create_remote(statement)
-            if isinstance(statement, ast.CreateMergeTable):
-                schema = Schema([ColumnSpec(n, t) for n, t in statement.columns])
-                self._register_entry(statement.name, MergeTable(statement.name, schema))
-                return None
-            if isinstance(statement, ast.AlterMergeAdd):
-                return self._merge_add(statement)
         raise ExecutionError(f"unsupported statement type {type(statement).__name__}")
 
     def query(self, sql: str) -> Table:
@@ -182,18 +165,6 @@ class Database:
 
     # ----------------------------------------------------------------- private
 
-    def _register_entry(self, name: str, entry: _CatalogEntry) -> None:
-        if name in self._tables:
-            raise CatalogError(f"table {name!r} already exists")
-        self._tables[name] = entry
-
-    def _materialize(self, entry: _CatalogEntry) -> Table:
-        if isinstance(entry, Table):
-            return entry
-        if isinstance(entry, RemoteTable):
-            return entry.materialize()
-        return entry.materialize_with(self.get_table)
-
     def _create_table(self, statement: ast.CreateTable) -> None:
         if statement.name in self._tables:
             if statement.if_not_exists:
@@ -203,37 +174,10 @@ class Database:
         self._tables[statement.name] = Table.empty(schema)
         return None
 
-    def _base_table(self, name: str) -> Table:
-        entry = self._tables.get(name)
-        if entry is None:
-            raise CatalogError(f"no such table: {name!r}")
-        if not isinstance(entry, Table):
-            raise ExecutionError(f"{name!r} is not a base table")
-        return entry
-
     def _insert_values(self, statement: ast.InsertValues) -> None:
-        existing = self._base_table(statement.table)
+        existing = self.get_table(statement.table)
         addition = Table.from_rows(existing.schema, statement.rows)
         self._tables[statement.table] = existing.concat(addition)
-        return None
-
-    def _create_remote(self, statement: ast.CreateRemoteTable) -> None:
-        schema = Schema([ColumnSpec(n, t) for n, t in statement.columns])
-        remote = RemoteTable(
-            statement.name, schema, statement.location, lambda loc: self._remote_resolver(loc)
-        )
-        self._register_entry(statement.name, remote)
-        return None
-
-    def _merge_add(self, statement: ast.AlterMergeAdd) -> None:
-        entry = self._tables.get(statement.merge_table)
-        if entry is None:
-            raise CatalogError(f"no such table: {statement.merge_table!r}")
-        if not isinstance(entry, MergeTable):
-            raise ExecutionError(f"{statement.merge_table!r} is not a merge table")
-        if statement.part_table not in self._tables:
-            raise CatalogError(f"no such table: {statement.part_table!r}")
-        entry.add_part(statement.part_table)
         return None
 
 

@@ -245,27 +245,6 @@ class DropFunction:
     if_exists: bool = False
 
 
-@dataclass(frozen=True)
-class CreateRemoteTable:
-    """CREATE REMOTE TABLE name (cols) ON 'node/table'."""
-
-    name: str
-    columns: tuple[tuple[str, SQLType], ...]
-    location: str
-
-
-@dataclass(frozen=True)
-class CreateMergeTable:
-    name: str
-    columns: tuple[tuple[str, SQLType], ...]
-
-
-@dataclass(frozen=True)
-class AlterMergeAdd:
-    merge_table: str
-    part_table: str
-
-
 Statement = (
     Select
     | CreateTable
@@ -273,7 +252,4 @@ Statement = (
     | InsertValues
     | CreateFunction
     | DropFunction
-    | CreateRemoteTable
-    | CreateMergeTable
-    | AlterMergeAdd
 )

@@ -1,8 +1,8 @@
 """Tokenizer and recursive-descent parser for the SQL subset.
 
 The dialect follows MonetDB where MIP depends on it: Python table UDFs
-(``CREATE FUNCTION ... LANGUAGE PYTHON {...}``), table-function calls in FROM,
-remote tables (``CREATE REMOTE TABLE ... ON '...'``) and merge tables.
+(``CREATE FUNCTION ... LANGUAGE PYTHON {...}``) and table-function calls in
+FROM.
 Only the statement shapes the platform issues parse; the expression grammar
 is whole, because a request's filter is one expression (see
 docs/ARCHITECTURE.md).
@@ -37,8 +37,8 @@ _KEYWORDS = {
     "LIMIT", "AS", "AND", "OR", "NOT", "NULL", "TRUE", "FALSE", "IS", "IN",
     "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "CREATE", "OR",
     "REPLACE", "TABLE", "DROP", "IF", "EXISTS", "INSERT", "INTO", "VALUES",
-    "DELETE", "FUNCTION", "RETURNS", "LANGUAGE", "PYTHON", "REMOTE", "MERGE",
-    "ALTER", "ADD", "ON", "DISTINCT", "JOIN", "INNER", "LEFT", "OUTER", "LIKE",
+    "DELETE", "FUNCTION", "RETURNS", "LANGUAGE", "PYTHON", "DISTINCT", "JOIN",
+    "INNER", "LEFT", "OUTER", "LIKE",
 }
 
 
@@ -148,7 +148,7 @@ class Parser:
         if token.kind == "name":
             return self._advance().text
         # Allow non-reserved keywords as identifiers where unambiguous.
-        if token.kind == "keyword" and token.text in ("VALUES", "ON", "ADD", "LANGUAGE"):
+        if token.kind == "keyword" and token.text in ("VALUES", "LANGUAGE"):
             return self._advance().text.lower()
         raise ParseError(f"expected identifier at position {token.position}, got {token.text!r}")
 
@@ -166,8 +166,6 @@ class Parser:
             stmt = self._parse_drop()
         elif token.text == "INSERT":
             stmt = self._parse_insert()
-        elif token.text == "ALTER":
-            stmt = self._parse_alter()
         else:
             raise ParseError(f"unsupported statement: {token.text}")
         self._match("op", ";")
@@ -181,10 +179,6 @@ class Parser:
             self._advance()
             self._expect("keyword", "REPLACE")
             or_replace = True
-        if self._match("keyword", "REMOTE"):
-            return self._parse_create_remote()
-        if self._match("keyword", "MERGE"):
-            return self._parse_create_merge()
         if self._match("keyword", "FUNCTION"):
             return self._parse_create_function(or_replace)
         self._expect("keyword", "TABLE")
@@ -196,20 +190,6 @@ class Parser:
         name = self._expect_name()
         columns = self._parse_column_defs()
         return ast.CreateTable(name, columns, if_not_exists)
-
-    def _parse_create_remote(self) -> ast.CreateRemoteTable:
-        self._expect("keyword", "TABLE")
-        name = self._expect_name()
-        columns = self._parse_column_defs()
-        self._expect("keyword", "ON")
-        location_token = self._expect("string")
-        return ast.CreateRemoteTable(name, columns, _unquote(location_token.text))
-
-    def _parse_create_merge(self) -> ast.CreateMergeTable:
-        self._expect("keyword", "TABLE")
-        name = self._expect_name()
-        columns = self._parse_column_defs()
-        return ast.CreateMergeTable(name, columns)
 
     def _parse_create_function(self, or_replace: bool) -> ast.CreateFunction:
         name = self._expect_name()
@@ -318,15 +298,6 @@ class Parser:
             number = self._expect("number")
             return -_parse_number(number.text)
         raise ParseError(f"expected literal at position {token.position}, got {token.text!r}")
-
-    def _parse_alter(self) -> ast.AlterMergeAdd:
-        self._expect("keyword", "ALTER")
-        self._expect("keyword", "TABLE")
-        merge = self._expect_name()
-        self._expect("keyword", "ADD")
-        self._expect("keyword", "TABLE")
-        part = self._expect_name()
-        return ast.AlterMergeAdd(merge, part)
 
     # ---------------------------------------------------------------- SELECT
 

@@ -163,13 +163,3 @@ class Table:
             raise TypeMismatchError("cannot concatenate tables with different column types")
         cols = [a.concat(b) for a, b in zip(self._columns, other._columns)]
         return Table(self.schema, cols)
-
-
-def concat_tables(tables: Sequence[Table]) -> Table:
-    """Concatenate several union-compatible tables (used by merge tables)."""
-    if not tables:
-        raise CatalogError("cannot concatenate zero tables")
-    result = tables[0]
-    for table in tables[1:]:
-        result = result.concat(table)
-    return result

@@ -9,7 +9,7 @@ is also possible to perform computations locally as well."
 Every per-worker loop here fans out through the transport's concurrent
 dispatch (:meth:`Transport.send_many` / :meth:`Transport.broadcast`), the
 in-process stand-in for the production platform's task queue: local steps,
-catalog refreshes, transfer prefetches, secure-share fetches and broadcasts
+catalog refreshes, plain-transfer fetches, secure-share fetches and broadcasts
 all overlap across workers instead of accumulating serially.
 
 Worker loss is governed by a :class:`~repro.federation.policy.FailurePolicy`:
@@ -30,13 +30,15 @@ import threading
 from typing import Any, Mapping, Sequence
 
 from repro.engine.database import Database
+from repro.engine.table import Table
+from repro.engine.types import SQLType
 from repro.errors import (
     FederationError,
     NodeUnavailableError,
     QuorumError,
 )
 from repro.federation.policy import FailurePolicy, WorkerHealth
-from repro.federation.serialization import table_from_payload
+from repro.federation.serialization import table_from_payload, transfer_table
 from repro.federation.transport import BroadcastResult, Transport
 from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
@@ -67,10 +69,9 @@ class Master:
         #: Append-only privacy audit trail of everything this master touched.
         self.audit = AuditLog(MASTER_ID)
         self.database = Database(name=MASTER_ID)
-        self.database.set_remote_resolver(self._resolve_remote)
         self._availability: dict[str, dict[str, list[str]]] = {}
         self._global_outputs: dict[str, tuple[str, str]] = {}  # table -> (kind, owning job)
-        # Per-job table counters: names like merge_{job}_{n} must not
+        # Per-job table counters: names like transfer_{job}_{n} must not
         # depend on what *other* experiments did concurrently (a shared
         # counter leaks into payload sizes via the table-name digits), so
         # each job id counts its own tables deterministically.
@@ -81,11 +82,6 @@ class Master:
         # execution and table management serialize here.  Worker fan-outs
         # (the expensive, latency-bound part) stay outside this lock.
         self._db_lock = threading.RLock()
-        # Transfer tables prefetched by a parallel fan-out, keyed by
-        # 'worker/table'; the remote resolver consumes them so resolution at
-        # query time needs no further network round trips.
-        self._prefetched: dict[str, Any] = {}
-        self._prefetch_lock = threading.Lock()
         # Cleanups a worker could not be reached for (an evicted worker,
         # typically), worker -> owning experiment ids; re-sent the next time
         # that worker answers a catalog refresh or a ping.
@@ -102,7 +98,7 @@ class Master:
         never depends on response timing.
         """
         responses = self.transport.broadcast(
-            self.node_id, self.worker_ids, "list_datasets", on_error="skip"
+            self.node_id, self.worker_ids, "list_datasets"
         )
         self._note_broadcast_health(responses)
         self._resend_missed_cleanups(responses)
@@ -132,18 +128,18 @@ class Master:
         a miss extends its quarantine.
         """
         responses = self.transport.broadcast(
-            self.node_id, self.worker_ids, "ping", on_error="skip"
+            self.node_id, self.worker_ids, "ping"
         )
         self._note_broadcast_health(responses)
         self._resend_missed_cleanups(responses)
         return [worker for worker in self.worker_ids if worker in responses]
 
     def _note_broadcast_health(self, responses: BroadcastResult) -> None:
-        """Feed one skip-broadcast's outcome into the circuit breaker."""
+        """Feed one broadcast's outcome into the circuit breaker."""
         for worker in self.worker_ids:
             if worker in responses:
                 self.health.record_success(worker)
-            elif worker in getattr(responses, "failed", {}):
+            elif worker in responses.failed:
                 self.health.record_failure(worker)
 
     # ------------------------------------------------------- policy dispatch
@@ -165,7 +161,7 @@ class Master:
         """
         workers = [request[0] for request in requests]
         with tracer.span("master.fan_out", what=what, n=len(workers)) as span:
-            results = self.transport.send_many(sender, requests, on_error="return")
+            results = self.transport.send_many(sender, requests)
             responses: dict[str, dict[str, Any]] = {}
             lost: dict[str, FederationError] = {}
             for worker, result in zip(workers, results):
@@ -242,73 +238,40 @@ class Master:
     def gather_transfers_plain(
         self, job_id: str, worker_tables: Mapping[str, str]
     ) -> tuple[list[dict[str, Any]], list[str]]:
-        """Non-secure path: remote + merge tables (never materialized).
+        """Non-secure path: pull each worker's transfer, never store the union.
 
-        The master declares one remote table per worker output and a merge
-        table over them; selecting from the merge table pulls each transfer
-        through the remote resolver at query time.  The transfers themselves
-        are prefetched with one concurrent fan-out, so the query-time
-        resolver hits the prefetch instead of issuing serial round trips.
+        The paper's remote and merge tables, without the catalog entries:
+        one concurrent fan-out fetches every part from its node, and the
+        parts are decoded in sorted-worker order.  Nothing is registered in
+        the master's database and no statement runs there.
 
         Under a degrading failure policy, workers lost between their local
-        step and this gather are skipped (quorum permitting): the merge
+        step and this gather are skipped (quorum permitting): the result
         covers surviving transfers only.
 
         Returns ``(transfers, lost)``; the caller evicts ``lost`` from its
         flow so the result never claims a worker it did not aggregate.
         """
-        counter = self._next_counter(job_id)
         ordered = sorted(worker_tables.items())
         with tracer.span("master.plain_gather", job=job_id, n=len(ordered)):
-            lost = self._prefetch_tables(ordered)
-            if lost:
-                ordered = [(worker, table) for worker, table in ordered if worker not in lost]
-            merge_name = f"merge_{job_id}_{counter}"
-            declared = [merge_name]
-            with self._db_lock:
-                try:
-                    self.database.execute(f"CREATE MERGE TABLE {merge_name} (transfer VARCHAR)")
-                    for index, (worker, table) in enumerate(ordered):
-                        remote_name = f"remote_{job_id}_{counter}_{index}"
-                        self.database.execute(
-                            f"CREATE REMOTE TABLE {remote_name} (transfer VARCHAR) ON '{worker}/{table}'"
-                        )
-                        declared.append(remote_name)
-                        self.database.execute(f"ALTER TABLE {merge_name} ADD TABLE {remote_name}")
-                    merged = self.database.query(f"SELECT * FROM {merge_name}")
-                finally:
-                    # The declarations only exist to route this one SELECT;
-                    # once it has materialised they are dead catalog entries.
-                    for name in declared:
-                        self.database.drop_table(name, if_exists=True)
+            responses, lost = self._fan_out(
+                self.node_id,
+                [(worker, "fetch_table", {"table": table}) for worker, table in ordered],
+                what="plain-transfer fetch",
+            )
+            transfers: list[dict[str, Any]] = []
+            for worker, table in ordered:
+                if worker in responses:
+                    part = table_from_payload(responses[worker]["table"])
+                    cells = _transfer_cells(worker, table, part)
+                    transfers += [json.loads(cell) for cell in cells]
         self.audit.record(
             "plain_aggregate",
             job_id=job_id,
-            workers=[worker for worker, _table in ordered],
+            workers=[worker for worker, _table in ordered if worker in responses],
             dropped=sorted(lost),
         )
-        transfers = [json.loads(blob) for blob in merged.column("transfer").to_list()]
         return transfers, sorted(lost)
-
-    def _prefetch_tables(self, worker_tables: Sequence[tuple[str, str]]) -> set[str]:
-        """Fetch several workers' transfer tables in one parallel fan-out.
-
-        Returns the workers lost during the fetch (empty unless the failure
-        policy degrades).
-        """
-        responses, lost = self._fan_out(
-            self.node_id,
-            [
-                (worker, "fetch_table", {"table": table})
-                for worker, table in worker_tables
-            ],
-            what="transfer prefetch",
-        )
-        with self._prefetch_lock:
-            for worker, table in worker_tables:
-                if worker in responses:
-                    self._prefetched[f"{worker}/{table}"] = responses[worker]["table"]
-        return set(lost)
 
     def gather_transfers_secure(
         self,
@@ -389,10 +352,8 @@ class Master:
         """Materialize an aggregated dict as a transfer table on the master."""
         counter = self._next_counter(job_id)
         table = f"transfer_{job_id}_{counter}"
-        blob = json.dumps(dict(data)).replace("'", "''")
         with self._db_lock:
-            self.database.execute(f"CREATE TABLE {table} (transfer VARCHAR)")
-            self.database.execute(f"INSERT INTO {table} VALUES ('{blob}')")
+            self.database.register_table(table, transfer_table(json.dumps(dict(data))))
             self._global_outputs[table] = ("transfer", job_id)
         return table
 
@@ -442,7 +403,7 @@ class Master:
         answers again: its missed cleanup is kept and re-sent then.
         """
         responses = self.transport.broadcast(
-            self.node_id, list(workers), "cleanup", {"job_id": job_id}, on_error="skip"
+            self.node_id, list(workers), "cleanup", {"job_id": job_id}
         )
         self._keep_missed_cleanups([(worker, job_id) for worker in responses.failed])
         with self._db_lock:
@@ -473,7 +434,6 @@ class Master:
         results = self.transport.send_many(
             self.node_id,
             [(worker, "cleanup", {"job_id": job_id}) for worker, job_id in due],
-            on_error="return",
         )
         self._keep_missed_cleanups(
             [
@@ -499,23 +459,16 @@ class Master:
         ]
         if not requests:
             return
-        self.transport.send_many(self.node_id, requests, on_error="return")
+        self.transport.send_many(self.node_id, requests)
 
-    # ----------------------------------------------------------------- remote
 
-    def _resolve_remote(self, location: str):
-        """Remote-table resolver: 'worker/table' -> Table, via the transport.
-
-        Prefetched payloads (from :meth:`_prefetch_tables`) are consumed
-        first; only cold lookups go over the network.
-        """
-        with self._prefetch_lock:
-            payload = self._prefetched.pop(location, None)
-        if payload is not None:
-            return table_from_payload(payload)
-        try:
-            worker, table = location.split("/", 1)
-        except ValueError:
-            raise FederationError(f"bad remote location {location!r}") from None
-        response = self.transport.send(self.node_id, worker, "fetch_table", {"table": table})
-        return table_from_payload(response["table"])
+def _transfer_cells(worker: str, name: str, part: Table) -> list[str]:
+    """The JSON cells of a transfer fetched from ``worker``: another node's
+    table is decoded only in the one-column VARCHAR shape a transfer has."""
+    types = [spec.sql_type.value for spec in part.schema]
+    if types != [SQLType.VARCHAR.value]:
+        raise FederationError(
+            f"worker {worker!r} sent {name!r} with columns {types}, "
+            "not the one VARCHAR column of a transfer"
+        )
+    return part.column_at(0).to_list()

@@ -63,6 +63,11 @@ def table_from_payload(payload: dict[str, Any]) -> Table:
     return Table(Schema(specs), columns)
 
 
+def transfer_table(blob: str) -> Table:
+    """A stored transfer: one VARCHAR cell, ``transfer``, holding its JSON."""
+    return Table.from_rows(Schema([ColumnSpec("transfer", SQLType.VARCHAR)]), [(blob,)])
+
+
 def payload_elements(payload: Any) -> int:
     """Count the table cells a message payload carries (0 for non-tables).
 

@@ -4,7 +4,8 @@ In-process replacement for Celery/RabbitMQ: a send is a synchronous call into
 the receiving node's handler.  The transport still behaves like a network
 where it matters for the reproduction:
 
-- traffic is metered (messages, payload bytes) per link,
+- traffic is metered (messages, payload bytes, table cells), globally and
+  per job,
 - a latency model accumulates *simulated* wall time (per-message latency plus
   bytes over bandwidth), so benchmarks can report modeled network cost,
 - failure injection: nodes can be marked down, or links given a drop
@@ -24,16 +25,14 @@ and :meth:`Transport.broadcast` reproduce that: a shared thread pool
 dispatches to every destination at once, each destination's handler is
 serialized by a per-node lock (one mailbox per node), and the simulated
 clock charges the *max* over a parallel group instead of the sum.  Setting
-``max_workers=1`` (or ``REPRO_FEDERATION_PARALLELISM=1``) restores fully
-sequential dispatch, including the summed clock, for debugging and A/B
-benchmarking.
+``max_workers=1`` restores fully sequential dispatch, including the summed
+clock, for debugging and A/B benchmarking.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import pickle
 import random
 import threading
@@ -55,9 +54,6 @@ from repro.observability import profiler as profiler_mod
 from repro.observability.trace import tracer
 
 Handler = Callable[[Message], dict[str, Any]]
-
-#: Environment knob for the fan-out width; explicit ``max_workers`` wins.
-PARALLELISM_ENV = "REPRO_FEDERATION_PARALLELISM"
 
 #: Upper bound on the shared pool, matching common task-queue defaults.
 MAX_POOL_SIZE = 32
@@ -134,32 +130,20 @@ class TransportStats:
         )
 
 
-class FanoutResult(list):
-    """``send_many(on_error="skip")`` result: successes in request order.
-
-    ``failed`` maps each skipped receiver to the error that exhausted it, so
-    callers can evict exactly the nodes that were lost.
-    """
-
-    def __init__(self, results: Sequence[Any], failed: "dict[str, FederationError]") -> None:
-        super().__init__(results)
-        self.failed = failed
-
-
 class BroadcastResult(dict):
     """``broadcast`` responses keyed by receiver, plus the skipped failures.
 
-    A plain dict (existing callers are unaffected) with a ``failed`` mapping
-    of receiver -> error for receivers dropped by ``on_error="skip"``.
+    A plain dict with a ``failed`` mapping of receiver -> error for the
+    unreachable receivers the broadcast skipped.
     """
 
     def __init__(
         self,
         responses: "dict[str, dict[str, Any]]",
-        failed: "dict[str, FederationError] | None" = None,
+        failed: "dict[str, FederationError]",
     ) -> None:
         super().__init__(responses)
-        self.failed = failed or {}
+        self.failed = failed
 
 
 @dataclass(frozen=True)
@@ -169,21 +153,6 @@ class _Schedule:
 
     drops: tuple[bool, ...]
     jitters: tuple[float, ...]
-
-
-def _resolve_parallelism(explicit: int | None, n_nodes: int) -> int:
-    """Fan-out width: explicit arg, else env var, else min(32, n_nodes)."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(PARALLELISM_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise FederationError(
-                f"{PARALLELISM_ENV} must be an integer, got {env!r}"
-            ) from None
-    return max(1, min(MAX_POOL_SIZE, n_nodes))
 
 
 class Transport:
@@ -220,7 +189,6 @@ class Transport:
         self._down: set[str] = set()
         self._stats_lock = threading.Lock()
         self.stats = TransportStats()
-        self.link_stats: dict[tuple[str, str], TransportStats] = {}
         # Per-job counters: traffic sent inside a job_scope() is additionally
         # charged to that job's meter, so overlapping experiments each see
         # exactly their own usage (the global counters keep the fleet view).
@@ -245,8 +213,11 @@ class Transport:
 
     @property
     def parallelism(self) -> int:
-        """The effective fan-out width for group sends."""
-        return _resolve_parallelism(self.max_workers, len(self._handlers))
+        """The effective fan-out width for group sends: ``max_workers``, else
+        one thread per registered node (at most :data:`MAX_POOL_SIZE`)."""
+        if self.max_workers is not None:
+            return self.max_workers
+        return max(1, min(MAX_POOL_SIZE, len(self._handlers)))
 
     def snapshot(self) -> TransportStats:
         """A consistent copy of the aggregate counters."""
@@ -272,16 +243,6 @@ class Transport:
         if meter is None:
             meter = self._job_stats[job_id] = TransportStats()
         return meter
-
-    def link_snapshot(self) -> dict[tuple[str, str], TransportStats]:
-        """Deep copies of the per-link counters.
-
-        ``link_stats`` itself holds the live objects (mutated under the
-        stats lock); handing those to callers would let them corrupt the
-        lock-free read path, so accessors copy.
-        """
-        with self._stats_lock:
-            return {link: stats.copy() for link, stats in self.link_stats.items()}
 
     # ------------------------------------------------------ failure injection
 
@@ -310,23 +271,12 @@ class Transport:
             raise outcome
         return outcome
 
-    def send_many(
-        self,
-        sender: str,
-        requests: Sequence[Request],
-        on_error: str = "raise",
-    ) -> list[Any]:
+    def send_many(self, sender: str, requests: Sequence[Request]) -> list[Any]:
         """Deliver a group of messages concurrently; results in request order.
 
-        ``on_error`` selects the failure policy once every attempt finished
-        (a failing destination never aborts or deadlocks the rest):
-
-        - ``"raise"``: re-raise the first error in *request* order,
-        - ``"return"``: the result slot holds the exception instead,
-        - ``"skip"``: drop unavailable receivers from the result; the
-          returned :class:`FanoutResult` records them in ``.failed`` so
-          callers can evict exactly the nodes that were lost.  Errors other
-          than unavailability still raise.
+        Every slot holds its request's response or the exception that ended
+        it: a failing destination never aborts or deadlocks the rest, and the
+        caller decides what a failure means.
 
         Drop-probability decisions and backoff jitter are drawn from the
         seeded RNG in request order *before* dispatch, so failure injection
@@ -336,10 +286,8 @@ class Transport:
         dispatch is sequential and the clock sums, exactly like
         per-destination loops.
         """
-        if on_error not in ("raise", "return", "skip"):
-            raise FederationError(f"unknown on_error policy {on_error!r}")
         if not requests:
-            return FanoutResult([], {}) if on_error == "skip" else []
+            return []
         job = current_job()
         schedules = [self._draw_schedule() for _ in requests]
         width = min(self.parallelism, len(requests))
@@ -389,23 +337,7 @@ class Transport:
             meter = self._job_meter(job)
             if meter is not None:
                 meter.simulated_seconds += clock
-        results = [outcome for outcome, _ in outcomes]
-        if on_error == "raise":
-            for result in results:
-                if isinstance(result, BaseException):
-                    raise result
-        elif on_error == "skip":
-            kept: list[Any] = []
-            failed: dict[str, FederationError] = {}
-            for (receiver, _kind, _payload), result in zip(requests, results):
-                if isinstance(result, NodeUnavailableError):
-                    failed[receiver] = result
-                elif isinstance(result, BaseException):
-                    raise result
-                else:
-                    kept.append(result)
-            return FanoutResult(kept, failed)
-        return results
+        return [outcome for outcome, _ in outcomes]
 
     def broadcast(
         self,
@@ -413,30 +345,24 @@ class Transport:
         receivers: Sequence[str],
         kind: str,
         payload: dict[str, Any] | None = None,
-        on_error: str = "raise",
     ) -> BroadcastResult:
         """Send one message to many receivers; returns {receiver: response}.
 
-        ``on_error="skip"`` drops unreachable receivers from the result (the
-        catalog-refresh / cleanup policy) and records them in the returned
-        :class:`BroadcastResult`'s ``.failed`` mapping; other policies as in
-        :meth:`send_many`.
+        Unreachable receivers are skipped: they are absent from the result
+        and recorded in its ``.failed`` mapping.  Any other error raises.
         """
-        skip = on_error == "skip"
         results = self.send_many(
-            sender,
-            [(receiver, kind, payload) for receiver in receivers],
-            on_error="return" if skip else on_error,
+            sender, [(receiver, kind, payload) for receiver in receivers]
         )
         responses: dict[str, dict[str, Any]] = {}
         failed: dict[str, FederationError] = {}
         for receiver, result in zip(receivers, results):
-            if isinstance(result, NodeUnavailableError) and skip:
+            if isinstance(result, NodeUnavailableError):
                 failed[receiver] = result
-                continue
-            if isinstance(result, BaseException):
+            elif isinstance(result, BaseException):
                 raise result
-            responses[receiver] = result
+            else:
+                responses[receiver] = result
         return BroadcastResult(responses, failed)
 
     # -------------------------------------------------------------- internals
@@ -626,48 +552,29 @@ class Transport:
             )
         message = Message(sender, receiver, kind, payload or {})
         size = _payload_size(message.payload)
-        elapsed = self._account(
-            sender, receiver, size, job, payload_elements(message.payload)
-        )
+        elapsed = self._account(size, job, payload_elements(message.payload))
         node_lock = self._node_locks[receiver]
         with node_lock:
             response = handler(message)
         if response is None:
             response = {}
-        elapsed += self._account(
-            receiver, sender, _payload_size(response), job, payload_elements(response)
-        )
+        elapsed += self._account(_payload_size(response), job, payload_elements(response))
         elapsed += extra
         if self.sleep_latency and elapsed > 0:
             time.sleep(elapsed)
         return response, elapsed
 
-    def _account(
-        self,
-        sender: str,
-        receiver: str,
-        size: int,
-        job: str | None = None,
-        elements: int = 0,
-    ) -> float:
+    def _account(self, size: int, job: str | None, elements: int) -> float:
         """Meter one message; returns its modeled elapsed seconds.
 
-        The *global* simulated clock is charged by the caller (sum for
-        sequential sends, max over a parallel group); per-link clocks always
-        sum because each link carries its messages back to back.
+        The simulated clock is charged by the caller (sum for sequential
+        sends, max over a parallel group).
         """
         elapsed = self.latency_seconds + size / self.bandwidth
         with self._stats_lock:
             self.stats.messages += 1
             self.stats.bytes_sent += size
             self.stats.payload_elements += elements
-            link = self.link_stats.get((sender, receiver))
-            if link is None:
-                link = self.link_stats[(sender, receiver)] = TransportStats()
-            link.messages += 1
-            link.bytes_sent += size
-            link.simulated_seconds += elapsed
-            link.payload_elements += elements
             meter = self._job_meter(job)
             if meter is not None:
                 meter.messages += 1

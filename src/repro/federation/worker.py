@@ -32,7 +32,7 @@ from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import FederationError, PrivacyThresholdError, UDFError
 from repro.federation.messages import Message
-from repro.federation.serialization import table_to_payload
+from repro.federation.serialization import table_to_payload, transfer_table
 from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.udfgen.decorators import udf_registry
@@ -49,7 +49,7 @@ class _OutputRecord:
     kind: str
     job_id: str
     #: How a secure transfer may leave: "smpc" (as shares only) or "plain"
-    #: (fetched in the clear by the remote/merge path).
+    #: (fetched in the clear by the master's plain gather).
     aggregation: str = "smpc"
 
 
@@ -227,9 +227,7 @@ class Worker:
                 if self.database.get_table(table).column_at(0)[0] == str(blob):
                     return {"table": table, "duplicate": True}
             raise FederationError(f"worker {self.node_id!r}: table {table!r} already exists")
-        self.database.execute(f"CREATE TABLE {table} (transfer VARCHAR)")
-        escaped = str(blob).replace("'", "''")
-        self.database.execute(f"INSERT INTO {table} VALUES ('{escaped}')")
+        self.database.register_table(table, transfer_table(str(blob)))
         self._outputs[table] = _OutputRecord(table, "transfer", job_id)
         self.audit.record("transfer_received", job_id=job_id, table=table)
         return {"table": table}
@@ -248,7 +246,8 @@ class Worker:
         return {"payload": json.loads(blob)}
 
     def _handle_fetch_table(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Remote-table access (the non-secure remote/merge aggregation path)."""
+        """A transfer fetched by the master's plain gather (the paper's
+        non-secure remote/merge path)."""
         table = payload["table"]
         record = self._require_output(table)
         if record.kind not in ("transfer", "secure_transfer"):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.experiment import ExperimentEngine, ExperimentRequest
 from repro.data.cohorts import CohortSpec, generate_cohort
-from repro.engine.table import concat_tables
 from repro.federation.controller import FederationConfig, create_federation
 
 DATASETS = ("edsd", "adni")
@@ -26,7 +25,7 @@ def build_federations():
         {"h1": {"dementia": edsd}, "h2": {"dementia": adni}}, config
     )
     single = create_federation(
-        {"h_all": {"dementia": concat_tables([edsd, adni])}}, config
+        {"h_all": {"dementia": edsd.concat(adni)}}, config
     )
     return single, split
 

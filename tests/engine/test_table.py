@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.column import Column
-from repro.engine.table import ColumnSpec, Schema, Table, concat_tables
+from repro.engine.table import ColumnSpec, Schema, Table
 from repro.engine.types import SQLType
 from repro.errors import CatalogError, TypeMismatchError
 
@@ -100,11 +100,3 @@ class TestTable:
     def test_empty(self, schema):
         assert Table.empty(schema).num_rows == 0
 
-
-class TestConcatTables:
-    def test_many(self, table):
-        assert concat_tables([table, table, table]).num_rows == 9
-
-    def test_zero_rejected(self):
-        with pytest.raises(CatalogError):
-            concat_tables([])

@@ -11,6 +11,9 @@ from repro.federation.scheduler import plan_shipping
 from repro.federation.worker import Worker
 from repro.federation.transport import Transport
 from repro.data.cohorts import CohortSpec, generate_cohort
+from repro.engine.table import Schema, Table
+from repro.engine.types import SQLType
+from repro.federation.serialization import table_to_payload
 from repro.smpc.cluster import SMPCCluster
 from repro.udfgen import literal, relation, secure_transfer, transfer, udf
 from repro.udfgen.decorators import get_spec
@@ -112,10 +115,21 @@ class TestPlainAggregation:
         )
         assert lost == [] and all(t["sum"]["operation"] == "sum" for t in transfers)
 
-    def test_remote_resolver_parses_location(self):
-        master, _, _ = build_master()
-        with pytest.raises(FederationError, match="bad remote location"):
-            master._resolve_remote("no-slash")
+    @pytest.mark.parametrize(
+        "schema",
+        [[("transfer", SQLType.INT)], [("transfer", SQLType.VARCHAR), ("extra", SQLType.VARCHAR)]],
+        ids=["int_column", "two_columns"],
+    )
+    def test_a_fetched_table_of_the_wrong_shape_is_refused(self, schema):
+        """Another node's answer is decoded only as the one VARCHAR column a
+        transfer has; anything else is refused, and nothing is stored."""
+        master, _, transport = build_master()
+        cell = {SQLType.INT: 1, SQLType.VARCHAR: "{}"}
+        part = Table.from_rows(Schema(schema), [tuple(cell[kind] for _name, kind in schema)])
+        transport.register("impostor", lambda message: {"table": table_to_payload(part)})
+        with pytest.raises(FederationError, match="one VARCHAR column"):
+            master.gather_transfers_plain("j", {"impostor": "t"})
+        assert master.database.table_names() == []
 
 
 class TestSecureAggregation:
