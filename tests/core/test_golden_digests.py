@@ -9,8 +9,11 @@ of any request here.
 
 A row pins two sha256 digests.  ``result`` covers the result JSON alone:
 what the analyst sees.  ``trace`` covers how the run got there: the
-experiment's telemetry meters, its audit-event counts per node and, for
-secure rows, the final state of the SMPC protocol's and the dealer's RNGs.
+experiment's telemetry meters, its audit-event counts per node, the kind
+and UDF name of each node of its recorded flow plan and, for secure rows,
+the final state of the SMPC protocol's and the dealer's RNGs.  The plan
+nodes are there because the meters count bytes: a step that calls a
+different UDF under a name of the same length moves no meter.
 A refactor that means to keep behaviour keeps both; one that only changes
 the work a flow does (fewer steps, fewer messages) keeps every ``result``
 and moves ``trace``.  An intended change shows up as a reviewed diff of
@@ -76,6 +79,15 @@ def row_digests(name: str, mode: str) -> dict[str, str]:
     engine = ExperimentEngine(
         federation, aggregation="plain" if mode == "plain" else "smpc"
     )
+    plans = []
+    execute = engine.runner.execute
+
+    def recording_execute(request, experiment_id, cancel_event=None, info=None):
+        returned = execute(request, experiment_id, cancel_event=cancel_event, info=info)
+        plans.append(info["plan"])
+        return returned
+
+    engine.runner.execute = recording_execute
     try:
         outcome = engine.run(
             ExperimentRequest(
@@ -91,6 +103,7 @@ def row_digests(name: str, mode: str) -> dict[str, str]:
         engine.shutdown()
         federation.shutdown()
     assert outcome.status is ExperimentStatus.SUCCESS, outcome.error
+    (plan,) = plans
     trace = {
         "telemetry": outcome.telemetry.to_dict(),
         "audit": sorted(
@@ -98,6 +111,7 @@ def row_digests(name: str, mode: str) -> dict[str, str]:
                 f"{event['node']}:{event['event']}" for event in outcome.audit
             ).items()
         ),
+        "plan": [[node.kind, getattr(node, "udf", None)] for node in plan.nodes],
     }
     if mode in SECURE:
         protocol = federation.smpc_cluster.protocol
