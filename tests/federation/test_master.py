@@ -120,7 +120,7 @@ class TestPlainAggregation:
         [[("transfer", SQLType.INT)], [("transfer", SQLType.VARCHAR), ("extra", SQLType.VARCHAR)]],
         ids=["int_column", "two_columns"],
     )
-    def test_a_fetched_table_of_the_wrong_shape_is_refused(self, schema):
+    def test_wrong_shape_is_refused(self, schema):
         """Another node's answer is decoded only as the one VARCHAR column a
         transfer has; anything else is refused, and nothing is stored."""
         master, _, transport = build_master()
