@@ -37,7 +37,7 @@ from repro.data.cohorts import (
     generate_synthetic_hospital,
 )
 from repro.federation.controller import Federation, FederationConfig, create_federation
-from repro.federation.policy import FailurePolicy, RetryPolicy
+from repro.federation.policy import FailurePolicy
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 
 __version__ = "1.0.0"
@@ -49,7 +49,6 @@ __all__ = [
     "FailurePolicy",
     "Federation",
     "FederationConfig",
-    "RetryPolicy",
     "MIPService",
     "NoiseSpec",
     "SMPCCluster",

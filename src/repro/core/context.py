@@ -114,7 +114,6 @@ class ExecutionContext:
         # One broadcast node per distinct global-transfer source: repeat
         # uses share the placement work instead of re-shipping.
         self._bcast_nodes: dict[ValueRef, int] = {}
-        self._last_node: int | None = None
         #: Durability sink: every forced read is recorded (a fsync'd journal
         #: ``step`` record carrying the value) so a crashed experiment can
         #: resume from its last read instead of step 0.
@@ -165,15 +164,8 @@ class ExecutionContext:
     # ------------------------------------------------------------ plan record
 
     def _record(self, node) -> None:
-        """Append one node and hand it to the executor.
-
-        Under a degrading failure policy every node carries an implicit
-        dependency on its predecessor (evictions mutate the worker set, so
-        the flow must observe them in program order); that chaining is
-        encoded in ``deps`` by :meth:`_chain` before construction.
-        """
+        """Append one node and hand it to the executor."""
         self.plan.add(node)
-        self._last_node = node.node_id
         if self._replaying():
             self.executor.submit_ghost(node)
         else:
@@ -182,17 +174,10 @@ class ExecutionContext:
     def _replaying(self) -> bool:
         return self._resume is not None and self._resume_pos < len(self._resume)
 
-    def _chain(self, deps: list[int]) -> tuple[int, ...]:
-        """Finalize a node's dependency edges (dedup + degrade-order chain)."""
-        if self.master.policy.degrade and self._last_node is not None:
-            deps = deps + [self._last_node]
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for dep in deps:
-            if dep not in seen:
-                seen.add(dep)
-                ordered.append(dep)
-        return tuple(ordered)
+    @staticmethod
+    def _deps(deps: list[int]) -> tuple[int, ...]:
+        """A node's data edges, first occurrence order, without repeats."""
+        return tuple(dict.fromkeys(deps))
 
     def _broadcast_node(self, source: ValueRef, step_id: str) -> int:
         """Get-or-create the broadcast node for one global-transfer source."""
@@ -201,7 +186,7 @@ class ExecutionContext:
             return existing
         node = BroadcastNode(
             node_id=self.plan.next_id(),
-            deps=self._chain([source.node_id]),
+            deps=self._deps([source.node_id]),
             source=PlanArg("ref", ref=source),
             step_id=step_id,
         )
@@ -236,7 +221,7 @@ class ExecutionContext:
             args.append((pname, arg))
         node = LocalStepNode(
             node_id=self.plan.next_id(),
-            deps=self._chain(deps),
+            deps=self._deps(deps),
             step_id=step_id,
             udf=spec.name,
             args=tuple(args),
@@ -333,7 +318,7 @@ class ExecutionContext:
             args.append((pname, arg))
         node = GlobalStepNode(
             node_id=self.plan.next_id(),
-            deps=self._chain(deps),
+            deps=self._deps(deps),
             step_id=step_id,
             udf=spec.name,
             args=tuple(args),
@@ -389,7 +374,7 @@ class ExecutionContext:
             deps.append(last_aggregate)
         node = SecureAggregateNode(
             node_id=self.plan.next_id(),
-            deps=self._chain(deps),
+            deps=self._deps(deps),
             gather_id=f"{step_id}_{pname}",
             store_id=step_id,
             source=PlanArg("ref", ref=handle.ref),
@@ -413,7 +398,7 @@ class ExecutionContext:
         if isinstance(handle, GlobalHandle):
             node = BarrierNode(
                 node_id=self.plan.next_id(),
-                deps=self._chain([handle.ref.node_id]),
+                deps=self._deps([handle.ref.node_id]),
                 source=PlanArg("ref", ref=handle.ref),
             )
             self._record(node)
@@ -424,7 +409,7 @@ class ExecutionContext:
                 step_id = f"{self.job_id}_read{next(self._step_counter)}"
                 node = SecureAggregateNode(
                     node_id=self.plan.next_id(),
-                    deps=self._chain(deps),
+                    deps=self._deps(deps),
                     gather_id=step_id,
                     store_id=None,
                     source=source,
@@ -435,7 +420,7 @@ class ExecutionContext:
                 step_id = f"{self.job_id}_read{next(self._step_counter)}"
                 node = PlainAggregateNode(
                     node_id=self.plan.next_id(),
-                    deps=self._chain(deps),
+                    deps=self._deps(deps),
                     gather_id=step_id,
                     source=source,
                 )

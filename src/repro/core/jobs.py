@@ -395,7 +395,7 @@ class ExperimentQueue:
             # becomes a tombstone the executor skips.
             job.cancel_event.set()
             self._queued_count -= 1
-            self._finalize_locked(job, self._cancelled_result(job, pre_dispatch=True))
+            self._finalize_locked(job, self._cancelled_result(job))
         if self.durability is not None:
             self.durability.record_terminal(job_id, job.result)
         master_audit = self.runner.federation.master.audit
@@ -560,39 +560,20 @@ class ExperimentQueue:
             with tracer.span(
                 "experiment", experiment=experiment_id, algorithm=request.algorithm
             ) as root_span:
+                result_data: dict[str, Any] = {}
+                workers: tuple[str, ...] | None = None
+                status, error = ExperimentStatus.SUCCESS, None
                 try:
                     result_data, workers = runner.execute(
                         request, experiment_id, cancel_event=job.cancel_event, info=info
                     )
-                    result = ExperimentResult(
-                        experiment_id=experiment_id,
-                        request=request,
-                        status=ExperimentStatus.SUCCESS,
-                        result=result_data,
-                        elapsed_seconds=time.perf_counter() - started,
-                        workers=workers,
-                        telemetry=self._collect_telemetry(experiment_id),
-                        evicted=tuple(info.get("evicted", ())),
-                    )
                 except ExperimentCancelledError as exc:
                     root_span.set_error(f"{type(exc).__name__}: {exc}")
-                    result = self._cancelled_result(job, pre_dispatch=False, error=str(exc))
-                    result.workers = tuple(info.get("workers", ()))
-                    result.elapsed_seconds = time.perf_counter() - started
-                    result.telemetry = self._collect_telemetry(experiment_id)
-                    result.evicted = tuple(info.get("evicted", ()))
+                    status = ExperimentStatus.CANCELLED
+                    error = str(exc) or f"experiment {experiment_id} was cancelled"
                 except ReproError as exc:
                     root_span.set_error(f"{type(exc).__name__}: {exc}")
-                    result = ExperimentResult(
-                        experiment_id=experiment_id,
-                        request=request,
-                        status=ExperimentStatus.ERROR,
-                        error=f"{type(exc).__name__}: {exc}",
-                        elapsed_seconds=time.perf_counter() - started,
-                        workers=tuple(info.get("workers", ())),
-                        telemetry=self._collect_telemetry(experiment_id),
-                        evicted=tuple(info.get("evicted", ())),
-                    )
+                    status, error = ExperimentStatus.ERROR, f"{type(exc).__name__}: {exc}"
                 except MasterCrashError:
                     # A simulated crash is process death, not a job failure:
                     # it must not be converted into an ERROR result (the
@@ -604,16 +585,18 @@ class ExperimentQueue:
                     # the synchronous engine would have raised it.
                     root_span.set_error(f"{type(exc).__name__}: {exc}")
                     job.unhandled = exc
-                    result = ExperimentResult(
-                        experiment_id=experiment_id,
-                        request=request,
-                        status=ExperimentStatus.ERROR,
-                        error=f"{type(exc).__name__}: {exc}",
-                        elapsed_seconds=time.perf_counter() - started,
-                        workers=tuple(info.get("workers", ())),
-                        telemetry=self._collect_telemetry(experiment_id),
-                        evicted=tuple(info.get("evicted", ())),
-                    )
+                    status, error = ExperimentStatus.ERROR, f"{type(exc).__name__}: {exc}"
+                result = ExperimentResult(
+                    experiment_id=experiment_id,
+                    request=request,
+                    status=status,
+                    result=result_data,
+                    error=error,
+                    elapsed_seconds=time.perf_counter() - started,
+                    workers=tuple(info.get("workers", ())) if workers is None else workers,
+                    telemetry=self._collect_telemetry(experiment_id),
+                    evicted=tuple(info.get("evicted", ())),
+                )
             master_audit.record(
                 "experiment_finished",
                 job_id=experiment_id,
@@ -673,17 +656,13 @@ class ExperimentQueue:
         if federation.smpc_cluster is not None:
             federation.smpc_cluster.forget_jobs(experiment_id)
 
-    def _cancelled_result(self, job: _Job, pre_dispatch: bool, error: str | None = None):
+    def _cancelled_result(self, job: _Job):
+        """The result of a job cancelled while still pending."""
         from repro.core.experiment import ExperimentResult, ExperimentStatus
 
-        message = error or (
-            f"experiment {job.job_id} was cancelled before dispatch"
-            if pre_dispatch
-            else f"experiment {job.job_id} was cancelled"
-        )
         return ExperimentResult(
             experiment_id=job.job_id,
             request=job.request,
             status=ExperimentStatus.CANCELLED,
-            error=message,
+            error=f"experiment {job.job_id} was cancelled before dispatch",
         )

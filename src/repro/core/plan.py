@@ -4,8 +4,9 @@ The paper's Figure 2 expresses an algorithm as a sequence of
 ``local_run`` / ``global_run`` calls.  Executing that sequence imperatively
 hides the real structure: which steps *actually* depend on which results.
 This module lifts the flow into a first-class plan — a DAG of typed nodes
-carrying explicit data-dependency edges — that the
-:class:`~repro.core.plan_executor.PlanExecutor` schedules:
+carrying explicit data-dependency edges — whose nodes the
+:class:`~repro.core.plan_executor.PlanExecutor` runs inline, in record
+order:
 
 - :class:`LocalStepNode` — one UDF on every participating worker,
 - :class:`PlainAggregateNode` — the paper's non-secure remote/merge path,

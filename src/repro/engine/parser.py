@@ -32,13 +32,14 @@ _TOKEN_RE = re.compile(
 
 AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "STDDEV_SAMP", "VAR_SAMP"}
 
+#: Words of the statements the engine parses.  ``DISTINCT`` stays reserved
+#: so ``SELECT DISTINCT a FROM t`` is rejected, not read as an alias.
 _KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC", "DESC",
-    "LIMIT", "AS", "AND", "OR", "NOT", "NULL", "TRUE", "FALSE", "IS", "IN",
-    "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "CREATE", "OR",
-    "REPLACE", "TABLE", "DROP", "IF", "EXISTS", "INSERT", "INTO", "VALUES",
-    "DELETE", "FUNCTION", "RETURNS", "LANGUAGE", "PYTHON", "DISTINCT", "JOIN",
-    "INNER", "LEFT", "OUTER", "LIKE",
+    "SELECT", "FROM", "WHERE", "AS", "AND", "OR", "NOT", "NULL", "TRUE",
+    "FALSE", "IS", "IN", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END",
+    "CAST", "CREATE", "REPLACE", "TABLE", "DROP", "IF", "EXISTS", "INSERT",
+    "INTO", "VALUES", "FUNCTION", "RETURNS", "LANGUAGE", "PYTHON", "DISTINCT",
+    "LIKE",
 }
 
 

@@ -59,15 +59,6 @@ class NodeUnavailableError(FederationError):
     """A worker or SMPC node did not respond."""
 
 
-class FederationTimeoutError(NodeUnavailableError):
-    """A message exceeded its delivery deadline (including retries/backoff).
-
-    Subclasses :class:`NodeUnavailableError` so eviction and skip policies
-    treat a deadline the same as an unreachable node, but it is *not*
-    transient: the retry budget that could have helped is already spent.
-    """
-
-
 class QuorumError(FederationError):
     """Too few reachable workers remain to satisfy the failure policy."""
 
@@ -124,15 +115,3 @@ class MasterCrashError(BaseException):
     it on restart.
     """
 
-
-def is_transient(error: BaseException) -> bool:
-    """Whether retrying the failed operation could plausibly succeed.
-
-    Unavailability (down node, dropped message) is transient; a deadline is
-    permanent (the retry budget is spent), and so is everything else — a
-    handler exception or a validation error will fail identically on every
-    attempt.
-    """
-    if isinstance(error, FederationTimeoutError):
-        return False
-    return isinstance(error, NodeUnavailableError)

@@ -28,13 +28,13 @@ class FederationConfig:
     bandwidth_bytes_per_second: float = 1.25e8
     drop_probability: float = 0.0
     seed: int | None = None
-    #: Fan-out width for concurrent dispatch; None -> env var or
-    #: min(32, n_workers).  1 restores fully sequential dispatch.
+    #: Fan-out width for concurrent dispatch; None -> min(32, n_workers).
+    #: 1 restores fully sequential dispatch.
     parallelism: int | None = None
     #: Actually sleep each message's modeled latency (scaling benchmarks).
     sleep_latency: bool = False
-    #: Fault tolerance: retries/deadline/quorum/degrade contract; None means
-    #: the legacy fail-fast behavior (no retries, first loss aborts).
+    #: Fault tolerance: the retries/quorum/degrade contract; None means
+    #: the fail-fast default (no retries, first loss aborts).
     failure_policy: FailurePolicy | None = None
 
 
@@ -76,7 +76,7 @@ class Federation:
         """A unified registry over every live counter in this federation.
 
         The registry absorbs existing sources — transport stats, the UDF
-        plan cache, circuit-breaker health, SMPC meters, audit event counts
+        plan cache, SMPC meters, audit event counts
         and process-wide privacy counters — via collectors, so values are
         read lazily at snapshot/render time and the original objects stay
         untouched.
@@ -85,7 +85,6 @@ class Federation:
 
         registry = MetricsRegistry()
         transport = self.transport
-        master = self.master
         smpc = self.smpc_cluster
 
         def transport_samples():
@@ -106,18 +105,6 @@ class Federation:
             yield ("repro_udf_plan_cache_size", {}, float(stats["size"]))
             total = hits + misses
             yield ("repro_udf_plan_cache_hit_ratio", {}, hits / total if total else 0.0)
-
-        def health_samples():
-            yield (
-                "repro_worker_breaker_evictions_total",
-                {},
-                float(master.health.evictions),
-            )
-            yield (
-                "repro_worker_quarantined",
-                {},
-                float(len(master.health.quarantined())),
-            )
 
         def smpc_samples():
             if smpc is None:
@@ -151,7 +138,6 @@ class Federation:
 
         registry.register_collector(transport_samples)
         registry.register_collector(plan_cache_samples)
-        registry.register_collector(health_samples)
         registry.register_collector(smpc_samples)
         registry.register_collector(audit_samples)
         registry.register_collector(privacy_samples)
@@ -186,7 +172,7 @@ def create_federation(
         seed=config.seed,
         max_workers=config.parallelism,
         sleep_latency=config.sleep_latency,
-        retry=policy.retry_policy(),
+        retries=policy.retries,
     )
     workers: dict[str, Worker] = {}
     for worker_id, models in worker_data.items():

@@ -17,10 +17,7 @@ under ``on_worker_loss="fail"`` (the default) the first unreachable worker
 aborts the flow, exactly the legacy behavior; under ``"degrade"`` each
 fan-out drops the lost workers from its result and continues with the
 surviving quorum (``min_workers``), raising
-:class:`~repro.errors.QuorumError` when too few remain.  A
-:class:`~repro.federation.policy.WorkerHealth` circuit breaker tracks
-consecutive failures per worker and re-admits a worker the moment it answers
-again (e.g. a later catalog ping).
+:class:`~repro.errors.QuorumError` when too few remain.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.errors import (
     NodeUnavailableError,
     QuorumError,
 )
-from repro.federation.policy import FailurePolicy, WorkerHealth
+from repro.federation.policy import FailurePolicy
 from repro.federation.serialization import table_from_payload, transfer_table
 from repro.federation.transport import BroadcastResult, Transport
 from repro.observability.audit import AuditLog, owned_by
@@ -65,7 +62,6 @@ class Master:
         self.worker_ids = list(worker_ids)
         self.smpc_cluster = smpc_cluster
         self.policy = failure_policy or FailurePolicy()
-        self.health = WorkerHealth(self.policy.failure_threshold)
         #: Append-only privacy audit trail of everything this master touched.
         self.audit = AuditLog(MASTER_ID)
         self.database = Database(name=MASTER_ID)
@@ -100,7 +96,6 @@ class Master:
         responses = self.transport.broadcast(
             self.node_id, self.worker_ids, "list_datasets"
         )
-        self._note_broadcast_health(responses)
         self._resend_missed_cleanups(responses)
         availability: dict[str, dict[str, list[str]]] = {}
         for worker in self.worker_ids:
@@ -121,26 +116,13 @@ class Master:
         return self._availability
 
     def alive_workers(self) -> list[str]:
-        """Workers answering a ping right now.
-
-        Pings go to *every* registered worker, including quarantined ones:
-        an answer re-admits a worker through the circuit breaker (recovery),
-        a miss extends its quarantine.
-        """
+        """Workers answering a ping right now (pings go to every registered
+        worker, so a recovered one is back in the list)."""
         responses = self.transport.broadcast(
             self.node_id, self.worker_ids, "ping"
         )
-        self._note_broadcast_health(responses)
         self._resend_missed_cleanups(responses)
         return [worker for worker in self.worker_ids if worker in responses]
-
-    def _note_broadcast_health(self, responses: BroadcastResult) -> None:
-        """Feed one broadcast's outcome into the circuit breaker."""
-        for worker in self.worker_ids:
-            if worker in responses:
-                self.health.record_success(worker)
-            elif worker in responses.failed:
-                self.health.record_failure(worker)
 
     # ------------------------------------------------------- policy dispatch
 
@@ -171,10 +153,6 @@ class Master:
                     raise result
                 else:
                     responses[worker] = result
-            for worker in responses:
-                self.health.record_success(worker)
-            for worker in lost:
-                self.health.record_failure(worker)
             if lost:
                 span.set_attribute("lost", sorted(lost))
                 first = next(iter(lost.values()))

@@ -10,9 +10,9 @@ where it matters for the reproduction:
   bytes over bandwidth), so benchmarks can report modeled network cost,
 - failure injection: nodes can be marked down, or links given a drop
   probability, raising :class:`NodeUnavailableError` like a timeout would,
-- fault tolerance: a :class:`~repro.federation.policy.RetryPolicy` retries
-  transient failures with exponential backoff + jitter and enforces a
-  per-message deadline over the *simulated* clock.  Drop decisions and
+- fault tolerance: a send that finds its receiver unavailable is re-sent
+  up to ``retries`` times (the failure policy's count), with exponential
+  backoff + jitter charged to the *simulated* clock.  Drop decisions and
   jitter units for every attempt are pre-drawn from the seeded RNG in
   request order before dispatch, so a seed fully determines which attempts
   fail, how many retries happen, and what the flow ultimately sees — at any
@@ -41,14 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import (
-    FederationError,
-    FederationTimeoutError,
-    NodeUnavailableError,
-    is_transient,
-)
+from repro.errors import FederationError, NodeUnavailableError
 from repro.federation.messages import Message
-from repro.federation.policy import RetryPolicy
 from repro.federation.serialization import payload_elements
 from repro.observability import profiler as profiler_mod
 from repro.observability.trace import tracer
@@ -57,6 +51,13 @@ Handler = Callable[[Message], dict[str, Any]]
 
 #: Upper bound on the shared pool, matching common task-queue defaults.
 MAX_POOL_SIZE = 32
+
+#: Retry backoff: after failed attempt ``k`` (0-based) a send waits
+#: ``min(BASE * 2**k, MAX)`` simulated seconds, scaled by a factor in
+#: ``[1 - JITTER, 1 + JITTER]`` drawn from the seeded RNG.
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_MAX_SECONDS = 2.0
+BACKOFF_JITTER = 0.25
 
 #: A (receiver, kind, payload) triple for :meth:`Transport.send_many`.
 Request = tuple[str, str, "dict[str, Any] | None"]
@@ -166,18 +167,20 @@ class Transport:
         seed: int | None = None,
         max_workers: int | None = None,
         sleep_latency: bool = False,
-        retry: RetryPolicy | None = None,
+        retries: int = 0,
     ) -> None:
         if not 0 <= drop_probability <= 1:
             raise FederationError("drop probability must be in [0, 1]")
         if max_workers is not None and max_workers < 1:
             raise FederationError("max_workers must be >= 1")
+        if retries < 0:
+            raise FederationError("retries must be >= 0")
         self.latency_seconds = latency_seconds
         self.bandwidth = bandwidth_bytes_per_second
         self.drop_probability = drop_probability
         self.max_workers = max_workers
-        #: Per-send retry/backoff/deadline policy; the default retries never.
-        self.retry = retry or RetryPolicy()
+        #: Re-sends after an unavailable attempt; the default retries never.
+        self.retries = retries
         #: When True the modeled elapsed time of every message is actually
         #: slept, so wall-clock behavior matches a deployment where workers
         #: are separate machines (used by the scaling benchmarks).
@@ -370,12 +373,11 @@ class Transport:
     def _draw_schedule(self) -> _Schedule:
         """Pre-draw one send's randomness (drops + jitter) in request order.
 
-        With the default policy (one attempt) and a lossless link this
-        consumes no RNG state at all; with ``drop_probability`` set it
-        consumes exactly one draw per attempt, keeping legacy seeds stable
-        for single-attempt transports.
+        With no retries and a lossless link this consumes no RNG state at
+        all.  Otherwise it draws one drop decision per attempt (only with
+        ``drop_probability`` set), then one jitter unit per re-send.
         """
-        attempts = self.retry.max_attempts
+        attempts = self.retries + 1
         if not self.drop_probability and attempts == 1:
             return _Schedule((False,), ())
         with self._rng_lock:
@@ -385,10 +387,7 @@ class Transport:
                 )
             else:
                 drops = (False,) * attempts
-            if attempts > 1 and self.retry.jitter > 0:
-                jitters = tuple(self._rng.random() for _ in range(attempts - 1))
-            else:
-                jitters = (0.5,) * (attempts - 1)
+            jitters = tuple(self._rng.random() for _ in range(attempts - 1))
         return _Schedule(drops, jitters)
 
     def _run_schedule(
@@ -401,21 +400,18 @@ class Transport:
         span=None,
         job: str | None = None,
     ) -> tuple[Any, float]:
-        """One logical send: attempts + backoff under the retry policy.
+        """One logical send: attempts + backoff, ``retries`` re-sends at most.
 
         Returns ``(response | exception, simulated seconds)``; never raises,
         so group dispatch can account the elapsed time of failures too.
-        Transient errors are retried until the schedule or the deadline runs
-        out; permanent errors (handler exceptions, unknown nodes) surface
-        immediately.  When tracing, ``span`` records the retry count and the
-        final outcome.
+        Unavailability is retried until the schedule runs out; any other
+        error (a handler exception, an unknown node) surfaces immediately.
+        When tracing, ``span`` records the retry count and the final outcome.
         """
         if span is None:
             from repro.observability.trace import NULL_SPAN
 
             span = NULL_SPAN
-        policy = self.retry
-        deadline = policy.deadline_seconds
         total = 0.0
         for attempt, dropped in enumerate(schedule.drops):
             try:
@@ -423,7 +419,7 @@ class Transport:
                     sender, receiver, kind, payload, dropped, job
                 )
             except Exception as exc:  # noqa: BLE001 - classified below
-                if not is_transient(exc):
+                if not isinstance(exc, NodeUnavailableError):
                     self._record_failed_send(job)
                     span.set_error(f"{type(exc).__name__}: {exc}")
                     return exc, total
@@ -435,18 +431,9 @@ class Transport:
                     span.set_attribute("retries", attempt)
                     span.set_error(f"{type(exc).__name__}: {exc}")
                     return exc, total
-                delay = policy.backoff_delay(attempt, schedule.jitters[attempt])
-                if deadline is not None and total + delay >= deadline:
-                    self._record_failed_send(job)
-                    timeout = FederationTimeoutError(
-                        f"send {kind!r} to {receiver!r} exceeded its {deadline}s "
-                        f"deadline after {attempt + 1} attempts"
-                    )
-                    timeout.__cause__ = exc
-                    span.set_attribute("retries", attempt)
-                    span.set_error(f"FederationTimeoutError: {timeout}")
-                    return timeout, total
-                total += delay
+                delay = min(BACKOFF_BASE_SECONDS * (2**attempt), BACKOFF_MAX_SECONDS)
+                unit = schedule.jitters[attempt]
+                total += delay * (1 - BACKOFF_JITTER + 2 * BACKOFF_JITTER * unit)
                 with self._stats_lock:
                     self.stats.retries += 1
                     meter = self._job_meter(job)
@@ -456,14 +443,6 @@ class Transport:
             total += elapsed
             if attempt:
                 span.set_attribute("retries", attempt)
-            if deadline is not None and total > deadline:
-                self._record_failed_send(job)
-                timeout = FederationTimeoutError(
-                    f"response for {kind!r} from {receiver!r} arrived after "
-                    f"the {deadline}s deadline"
-                )
-                span.set_error(f"FederationTimeoutError: {timeout}")
-                return timeout, total
             return response, total
         raise AssertionError("unreachable: schedule always resolves")
 

@@ -2,8 +2,8 @@
 
 The registry is the one surface behind which every private ad-hoc counter in
 the stack — :class:`~repro.federation.transport.TransportStats`, the UDF
-plan cache's hit/miss counters, retry/failed-send totals, the
-circuit-breaker eviction count, SMPC communication meters — is re-exposed
+plan cache's hit/miss counters, retry/failed-send totals, SMPC
+communication meters — is re-exposed
 without changing the objects themselves (existing test assertions keep
 working against the originals).  Live sources are absorbed through
 *collectors*: callables returning samples, evaluated at

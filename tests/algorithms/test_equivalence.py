@@ -16,36 +16,45 @@ from repro.federation.controller import FederationConfig, create_federation
 DATASETS = ("edsd", "adni")
 
 
-def build_federations():
-    """The same rows as one worker and as two workers."""
-    edsd = generate_cohort(CohortSpec("edsd", 140, seed=77))
-    adni = generate_cohort(CohortSpec("adni", 120, seed=78))
-    config = FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=5)
-    split = create_federation(
-        {"h1": {"dementia": edsd}, "h2": {"dementia": adni}}, config
+EDSD = CohortSpec("edsd", 140, seed=77)
+ADNI = CohortSpec("adni", 120, seed=78)
+CONFIG = FederationConfig(smpc_nodes=3, smpc_scheme="shamir", seed=5)
+
+
+def split_federation():
+    """The rows as two workers."""
+    return create_federation(
+        {"h1": {"dementia": generate_cohort(EDSD)},
+         "h2": {"dementia": generate_cohort(ADNI)}},
+        CONFIG,
     )
-    single = create_federation(
-        {"h_all": {"dementia": edsd.concat(adni)}}, config
-    )
-    return single, split
+
+
+def single_federation():
+    """The same rows as one worker."""
+    rows = generate_cohort(EDSD).concat(generate_cohort(ADNI))
+    return create_federation({"h_all": {"dementia": rows}}, CONFIG)
 
 
 @pytest.fixture(scope="module")
 def engines():
-    single, split = build_federations()
-    return (
+    single, split = single_federation(), split_federation()
+    yield (
         ExperimentEngine(single, aggregation="plain"),
         ExperimentEngine(split, aggregation="plain"),
     )
+    single.shutdown()
+    split.shutdown()
 
 
 @pytest.fixture(scope="module")
 def split_engines():
-    _, split = build_federations()
-    return (
+    split = split_federation()
+    yield (
         ExperimentEngine(split, aggregation="plain"),
         ExperimentEngine(split, aggregation="smpc"),
     )
+    split.shutdown()
 
 
 CASES = [

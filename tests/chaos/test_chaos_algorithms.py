@@ -159,23 +159,3 @@ def test_chaos_runs_are_deterministic(worker_data, chaos_seed):
              stats.retries, stats.failed_sends, stats.messages)
         )
     assert outcomes[0] == outcomes[1]
-
-
-def test_circuit_breaker_trips_and_readmits(worker_data):
-    """A down worker trips the consecutive-failure breaker; answering a
-    later ping re-admits it through ``Master.alive_workers``."""
-    policy = FailurePolicy(
-        retries=0, on_worker_loss="degrade", min_workers=1, failure_threshold=1
-    )
-    federation = build_chaos_federation(
-        worker_data, drop_probability=0.0, seed=7, policy=policy
-    )
-    master = federation.master
-    federation.transport.set_down("hospital_c", True)
-    assert master.alive_workers() == ["hospital_a", "hospital_b"]
-    assert master.health.is_quarantined("hospital_c")
-    assert master.health.evictions == 1
-    # Recovery: the worker answers the next ping and is re-admitted.
-    federation.transport.set_down("hospital_c", False)
-    assert master.alive_workers() == ["hospital_a", "hospital_b", "hospital_c"]
-    assert not master.health.is_quarantined("hospital_c")

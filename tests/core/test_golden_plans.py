@@ -25,6 +25,7 @@ from repro.core.registry import algorithm_registry
 from repro.core.runner import ExperimentRunner
 from repro.data.cohorts import CohortSpec, generate_cohort
 from repro.federation.controller import FederationConfig, create_federation
+from repro.federation.policy import FailurePolicy
 
 import repro.algorithms  # noqa: F401
 
@@ -100,6 +101,27 @@ def test_plan_recording_is_deterministic(golden_federation):
     first = record_plan(golden_federation, "pca")
     second = record_plan(golden_federation, "pca")
     assert first == second
+
+
+def test_degrade_policy_records_the_same_plan(golden_federation):
+    """Plan edges are data edges whatever the failure policy: a degrading
+    federation records the plan the default one does (logistic regression's
+    later local steps take an earlier read as a literal, so an edge from
+    each node to its predecessor would show here)."""
+    degrading = create_federation(
+        golden_worker_data(),
+        FederationConfig(
+            smpc_nodes=3,
+            smpc_scheme="shamir",
+            seed=0,
+            failure_policy=FailurePolicy(on_worker_loss="degrade"),
+        ),
+    )
+    try:
+        rendered = record_plan(degrading, "logistic_regression")
+    finally:
+        degrading.shutdown()
+    assert rendered == record_plan(golden_federation, "logistic_regression")
 
 
 def test_every_global_step_aggregates_something():

@@ -89,6 +89,15 @@ class TestWhere:
         # TRUE OR NULL is TRUE: row 4 (d NULL) qualifies via a = 4.
         assert db.query("SELECT a FROM t WHERE d OR a = 4").num_rows == 3
 
+    def test_a_filter_on_a_column_named_left(self):
+        """The words of statements the engine does not parse (JOIN, ORDER
+        BY, ...) are not reserved: a column may be called ``left``."""
+        database = Database()
+        database.execute("CREATE TABLE s (left INT, order INT, desc INT)")
+        database.execute("INSERT INTO s VALUES (1, 2, 3), (4, 5, 6)")
+        rows = database.query("SELECT order FROM s WHERE left = 1 AND desc > 0")
+        assert rows.to_rows() == [(2,)]
+
 
 class TestAggregation:
     def test_plain_aggregates(self, db):

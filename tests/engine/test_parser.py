@@ -76,9 +76,14 @@ class TestSelectParsing:
     @pytest.mark.parametrize("sql", [
         "SELECT a FROM t1 JOIN t2 ON t1.id = t2.id",
         "SELECT a FROM t1 LEFT JOIN t2 ON t1.id = t2.id",
+        "SELECT a FROM t1 LEFT OUTER JOIN t2 ON t1.id = t2.id",
+        "SELECT a FROM t1 INNER JOIN t2 ON t1.id = t2.id",
         "SELECT c, COUNT(*) FROM t GROUP BY c",
         "SELECT COUNT(*) FROM t WHERE a > 1 GROUP BY c HAVING COUNT(*) > 2",
         "SELECT a FROM t ORDER BY a",
+        "SELECT a FROM t ORDER BY a ASC",
+        "SELECT a FROM t ORDER BY a DESC",
+        "SELECT a FROM t LIMIT 5",
         "SELECT a FROM t WHERE a > 1 LIMIT 5",
         "SELECT DISTINCT a FROM t",
         "SELECT COUNT(DISTINCT a) FROM t",
@@ -88,6 +93,7 @@ class TestSelectParsing:
         "SELECT * FROM f((SELECT a FROM t), 3)",
         "SELECT * FROM f(SELECT a FROM t)",
         "DELETE FROM t WHERE a = 1",
+        "DELETE FROM t",
         "SELECT 1 + 1 AS two",
         "SELECT a FROM t WHERE a = ?",
         "SELECT ? FROM t",
@@ -104,6 +110,11 @@ class TestExpressionParsing:
         expr = parse_expression("1 + 2 * 3")
         assert expr.op == "+"
         assert expr.right.op == "*"
+
+    def test_words_of_unparsed_statements_are_column_names(self):
+        for word in ("left", "order", "desc", "limit", "group", "join"):
+            expr = parse_expression(f"{word} = 1")
+            assert expr.left == ast.ColumnRef(word)
 
     def test_unary_minus(self):
         expr = parse_expression("-a + 1")

@@ -319,11 +319,7 @@ class TestSendManySkipReportsFailures:
 
 class TestRetries:
     def test_retry_recovers_from_transient_drops(self):
-        from repro.federation.policy import RetryPolicy
-
-        t = make_transport(
-            4, drop_probability=0.5, seed=42, retry=RetryPolicy(max_attempts=6)
-        )
+        t = make_transport(4, drop_probability=0.5, seed=42, retries=5)
         results = t.send_many(
             "w0", [(f"w{i}", "ping", {"i": i}) for i in range(1, 4)] * 5
         )
@@ -332,9 +328,7 @@ class TestRetries:
         assert t.snapshot().failed_sends == 0
 
     def test_down_node_exhausts_retries(self):
-        from repro.federation.policy import RetryPolicy
-
-        t = make_transport(3, retry=RetryPolicy(max_attempts=3))
+        t = make_transport(3, retries=2)
         t.set_down("w1")
         with pytest.raises(NodeUnavailableError):
             t.send("w0", "w1", "ping")
@@ -343,59 +337,44 @@ class TestRetries:
         assert snapshot.failed_sends == 1
 
     def test_permanent_errors_are_not_retried(self):
-        from repro.federation.policy import RetryPolicy
-
-        t = make_transport(2, retry=RetryPolicy(max_attempts=5))
+        t = make_transport(2, retries=4)
         with pytest.raises(FederationError, match="unknown node"):
             t.send("w0", "ghost", "ping")
         assert t.snapshot().retries == 0
 
-    def test_deadline_raises_timeout(self):
-        from repro.errors import FederationTimeoutError
-        from repro.federation.policy import RetryPolicy
-
-        t = make_transport(
-            2,
-            retry=RetryPolicy(
-                max_attempts=10, base_delay_seconds=0.2, deadline_seconds=0.5
-            ),
-        )
-        t.set_down("w1")
-        with pytest.raises(FederationTimeoutError, match="deadline"):
-            t.send("w0", "w1", "ping")
-
-    def test_timeout_is_unavailability_but_not_transient(self):
-        from repro.errors import FederationTimeoutError, is_transient
-
-        timeout = FederationTimeoutError("too slow")
-        assert isinstance(timeout, NodeUnavailableError)
-        assert not is_transient(timeout)
-        assert is_transient(NodeUnavailableError("down"))
-        assert not is_transient(ValueError("bug"))
-
     def test_backoff_delays_charge_the_simulated_clock(self):
-        from repro.federation.policy import RetryPolicy
+        import random
 
-        t = make_transport(
-            2,
-            latency_seconds=0.001,
-            retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.1, jitter=0.0),
+        from repro.federation.transport import (
+            BACKOFF_BASE_SECONDS,
+            BACKOFF_JITTER,
+            BACKOFF_MAX_SECONDS,
         )
+
+        t = make_transport(2, latency_seconds=0.001, seed=11, retries=2)
         t.set_down("w1")
         with pytest.raises(NodeUnavailableError):
             t.send("w0", "w1", "ping")
-        # 3 failed attempts x latency + backoffs of 0.1 and 0.2 seconds.
-        assert t.snapshot().simulated_seconds == pytest.approx(0.003 + 0.1 + 0.2)
+        # A lossless link draws no drops: the seed's first two uniforms are
+        # the jitter units of the two backoffs.
+        rng = random.Random(11)
+        backoffs = [
+            min(BACKOFF_BASE_SECONDS * 2**k, BACKOFF_MAX_SECONDS)
+            * (1 - BACKOFF_JITTER + 2 * BACKOFF_JITTER * rng.random())
+            for k in range(2)
+        ]
+        # 3 failed attempts x latency + the two jittered backoffs.
+        assert t.snapshot().simulated_seconds == pytest.approx(0.003 + sum(backoffs))
+        assert 0.05 * 0.75 <= backoffs[0] <= 0.05 * 1.25
+        assert 0.1 * 0.75 <= backoffs[1] <= 0.1 * 1.25
 
-    def test_retry_policy_validation(self):
-        from repro.federation.policy import RetryPolicy
+    def test_negative_retries_are_rejected(self):
+        from repro.federation.policy import FailurePolicy
 
         with pytest.raises(FederationError):
-            RetryPolicy(max_attempts=0)
+            FailurePolicy(retries=-1)
         with pytest.raises(FederationError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(FederationError):
-            RetryPolicy(deadline_seconds=0.0)
+            Transport(retries=-1)
 
 
 class TestSnapshotIsolation:
