@@ -35,12 +35,12 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
 def anova_twoway_local(data, response, factor_a, factor_b, levels_a, levels_b):
     """Sufficient statistics of the full-interaction design."""
     y = np.asarray(data[response], dtype=np.float64)
-    a_values = data[factor_a]
-    b_values = data[factor_b]
+    a_codes = data.codes(factor_a, levels_a)
+    b_codes = data.codes(factor_b, levels_b)
     n = len(y)
     columns = [np.ones(n)]
-    a_dummies = [(a_values == level).astype(np.float64) for level in levels_a[1:]]
-    b_dummies = [(b_values == level).astype(np.float64) for level in levels_b[1:]]
+    a_dummies = [(a_codes == index).astype(np.float64) for index in range(1, len(levels_a))]
+    b_dummies = [(b_codes == index).astype(np.float64) for index in range(1, len(levels_b))]
     columns.extend(a_dummies)
     columns.extend(b_dummies)
     for da in a_dummies:

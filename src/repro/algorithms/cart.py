@@ -76,42 +76,48 @@ def cart_histograms_local(data, features, metadata, n_bins):
 def cart_split_stats_local(data, target, classes, features, metadata, tree, candidates, open_leaves):
     """Per-(leaf, candidate) child statistics.
 
-    Classification (``classes`` non-empty): left/right class counts.
+    Classification (``classes`` non-empty): left/right class counts, one
+    count over (leaf, class) per candidate.
     Regression (``classes`` empty): left/right (n, sum, sumsq).
     """
     assignment = _h.route_tree(data, tree)
-    target_values = data[target]
+    left_sides = [
+        np.asarray(data[c["feature"]], dtype=np.float64) <= c["threshold"]
+        if "threshold" in c
+        else data.codes(c["feature"], (c["level"],)) == 0
+        for c in candidates
+    ]
     payload = {}
-    for leaf in open_leaves:
-        leaf_mask = assignment == str(leaf)
-        if classes:
-            totals = _h.category_counts(target_values[leaf_mask], classes)
-            payload[f"leaf{leaf}_total"] = {"data": totals.tolist(), "operation": "sum"}
-        else:
-            y_leaf = np.asarray(target_values[leaf_mask], dtype=np.float64)
-            payload[f"leaf{leaf}_total"] = {
-                "data": [float(len(y_leaf)), float(y_leaf.sum()), float((y_leaf**2).sum())],
-                "operation": "sum",
-            }
-        for cand_index, candidate in enumerate(candidates):
-            feature = candidate["feature"]
-            values = data[feature][leaf_mask]
-            if "threshold" in candidate:
-                left_mask = np.asarray(values, dtype=np.float64) <= candidate["threshold"]
-            else:
-                left_mask = values == candidate["level"]
-            key = f"leaf{leaf}_cand{cand_index}"
-            if classes:
-                y_leaf = target_values[leaf_mask]
-                left_counts = _h.category_counts(y_leaf[left_mask], classes)
-                payload[f"{key}_left"] = {"data": left_counts.tolist(), "operation": "sum"}
-            else:
-                y_leaf = np.asarray(target_values[leaf_mask], dtype=np.float64)
-                y_left = y_leaf[left_mask]
-                payload[f"{key}_left"] = {
-                    "data": [float(len(y_left)), float(y_left.sum()), float((y_left**2).sum())],
+    if classes:
+        leaves = _h.leaf_positions(assignment, open_leaves)
+        labels = (data.codes(target, classes), len(classes))
+        totals = _h.cross_counts((leaves, len(open_leaves)), labels)
+        lefts = [
+            _h.cross_counts((np.where(left, leaves, -1), len(open_leaves)), labels)
+            for left in left_sides
+        ]
+        for position, leaf in enumerate(open_leaves):
+            payload[f"leaf{leaf}_total"] = {"data": totals[position].tolist(), "operation": "sum"}
+            for cand_index, left_counts in enumerate(lefts):
+                payload[f"leaf{leaf}_cand{cand_index}_left"] = {
+                    "data": left_counts[position].tolist(),
                     "operation": "sum",
                 }
+        return payload
+    y = np.asarray(data[target], dtype=np.float64)
+    for leaf in open_leaves:
+        leaf_mask = assignment == leaf
+        y_leaf = y[leaf_mask]
+        payload[f"leaf{leaf}_total"] = {
+            "data": [float(len(y_leaf)), float(y_leaf.sum()), float((y_leaf**2).sum())],
+            "operation": "sum",
+        }
+        for cand_index, left in enumerate(left_sides):
+            y_left = y[leaf_mask & left]
+            payload[f"leaf{leaf}_cand{cand_index}_left"] = {
+                "data": [float(len(y_left)), float(y_left.sum()), float((y_left**2).sum())],
+                "operation": "sum",
+            }
     return payload
 
 

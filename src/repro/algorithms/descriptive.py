@@ -32,32 +32,28 @@ def descriptive_local(data, variables, metadata, suppression_threshold):
     Datasets with fewer non-NA datapoints than the suppression threshold
     release only their counts — the dashboard's "NOT ENOUGH DATA" cells.
     """
-    datasets = data["dataset"]
+    datasets = data.levels("dataset")
+    dataset_codes = data.codes("dataset", datasets)
     result = {}
-    for code in sorted(set(datasets.tolist())):
-        mask = datasets == code
+    for index, code in enumerate(datasets):
+        mask = dataset_codes == index
         stats = {}
         for variable in variables:
             info = metadata.get(variable, {})
-            values = data[variable][mask]
             if info.get("is_categorical"):
-                non_null = np.array([v for v in values if v is not None], dtype=object)
                 levels = list(info.get("enumerations", []))
-                entry = {
-                    "kind": "nominal",
-                    "count": int(len(values)),
-                    "datapoints": int(len(non_null)),
-                    "na": int(len(values) - len(non_null)),
-                }
-                if len(non_null) >= suppression_threshold:
-                    entry["levels"] = {
-                        level: int((non_null == level).sum()) for level in levels
-                    }
+                count = int(mask.sum())
+                # An undeclared label is a datapoint: NULLs come from the mask.
+                na = int(data.nulls(variable)[mask].sum())
+                entry = {"kind": "nominal", "count": count, "datapoints": count - na, "na": na}
+                if count - na >= suppression_threshold:
+                    counts = _h.category_counts(data.codes(variable, levels)[mask], len(levels))
+                    entry["levels"] = dict(zip(levels, counts.tolist()))
                 else:
                     entry["suppressed"] = True
                 stats[variable] = entry
             else:
-                numeric = np.asarray(values, dtype=np.float64)
+                numeric = np.asarray(data[variable], dtype=np.float64)[mask]
                 non_null = numeric[~np.isnan(numeric)]
                 entry = {
                     "kind": "numeric",
@@ -105,19 +101,17 @@ def descriptive_pooled_local(data, variables, metadata, n_bins):
     payload = {}
     for variable in variables:
         info = metadata.get(variable, {})
-        values = data[variable]
         if info.get("is_categorical"):
             levels = list(info.get("enumerations", []))
-            non_null = np.array([v for v in values if v is not None], dtype=object)
-            counts = _h.category_counts(non_null, levels)
+            counts = _h.category_counts(data.codes(variable, levels), len(levels))
             payload[f"{variable}__levels"] = {"data": counts.tolist(), "operation": "sum"}
-            payload[f"{variable}__count"] = {"data": int(len(values)), "operation": "sum"}
+            payload[f"{variable}__count"] = {"data": len(data), "operation": "sum"}
             payload[f"{variable}__na"] = {
-                "data": int(len(values) - len(non_null)),
+                "data": int(data.nulls(variable).sum()),
                 "operation": "sum",
             }
             continue
-        numeric = np.asarray(values, dtype=np.float64)
+        numeric = np.asarray(data[variable], dtype=np.float64)
         non_null = numeric[~np.isnan(numeric)]
         # One grid for every worker: the flow fills in a range the CDE lacks.
         edges = np.linspace(info["min"], info["max"], n_bins + 1)

@@ -37,20 +37,21 @@ SUPPRESSION_THRESHOLD = 5
 def histogram_counts_local(data, variable, edges, levels, group_variable, group_levels):
     """Per-(group, bin) counts; ``levels`` non-empty means a nominal variable."""
     if group_variable is None:
-        group_masks = [("all", np.ones(len(data), dtype=bool))]
+        groups, n_groups = np.zeros(len(data), dtype=np.intp), 1
     else:
-        group_values = data[group_variable]
-        group_masks = [(g, group_values == g) for g in group_levels]
-    payload = {}
-    for index, (group, mask) in enumerate(group_masks):
-        if levels:
-            values = data[variable][mask]
-            counts = _h.category_counts(values, levels)
-        else:
-            values = np.asarray(data[variable], dtype=np.float64)[mask]
-            counts = _h.histogram_counts(values, np.asarray(edges))
-        payload[f"counts_{index}"] = {"data": counts.tolist(), "operation": "sum"}
-    return payload
+        groups, n_groups = data.codes(group_variable, group_levels), len(group_levels)
+    if levels:
+        counts = _h.cross_counts((groups, n_groups), (data.codes(variable, levels), len(levels)))
+    else:
+        values = np.asarray(data[variable], dtype=np.float64)
+        counts = [
+            _h.histogram_counts(values[groups == index], np.asarray(edges))
+            for index in range(n_groups)
+        ]
+    return {
+        f"counts_{index}": {"data": group_counts.tolist(), "operation": "sum"}
+        for index, group_counts in enumerate(counts)
+    }
 
 
 @register_algorithm

@@ -32,21 +32,22 @@ from repro.udfgen import udf_helpers as _h  # noqa: F401  (UDF bodies use _h)
     return_type=[secure_transfer()],
 )
 def id3_stats_local(data, target, classes, features, feature_levels, tree, open_leaves):
-    """Per (leaf, feature, level) class counts for all open leaves."""
-    assignment = _h.route_tree(data, tree)
-    labels = data[target]
+    """Per (leaf, feature, level) class counts for all open leaves: one
+    count over (leaf, class), then one per feature over (leaf, level, class)."""
+    leaves = (_h.leaf_positions(_h.route_tree(data, tree), open_leaves), len(open_leaves))
+    labels = (data.codes(target, classes), len(classes))
+    totals = _h.cross_counts(leaves, labels)
+    by_feature = [
+        _h.cross_counts(leaves, (data.codes(feature, levels), len(levels)), labels)
+        for feature, levels in zip(features, feature_levels)
+    ]
     payload = {}
-    for leaf in open_leaves:
-        leaf_mask = assignment == str(leaf)
-        totals = _h.category_counts(labels[leaf_mask], classes)
-        payload[f"leaf{leaf}_total"] = {"data": totals.tolist(), "operation": "sum"}
-        for feature_index, feature in enumerate(features):
-            values = data[feature][leaf_mask]
-            labels_leaf = labels[leaf_mask]
-            for level_index, level in enumerate(feature_levels[feature_index]):
-                counts = _h.category_counts(labels_leaf[values == level], classes)
+    for position, leaf in enumerate(open_leaves):
+        payload[f"leaf{leaf}_total"] = {"data": totals[position].tolist(), "operation": "sum"}
+        for feature_index, counts in enumerate(by_feature):
+            for level_index, level_counts in enumerate(counts[position]):
                 payload[f"leaf{leaf}_f{feature_index}_l{level_index}"] = {
-                    "data": counts.tolist(),
+                    "data": level_counts.tolist(),
                     "operation": "sum",
                 }
     return payload

@@ -51,8 +51,8 @@ def km_counts_local(data, time_variable, event_variable, group_variable, groups,
     if group_variable is None:
         group_masks = {"all": np.ones(len(times), dtype=bool)}
     else:
-        values = data[group_variable]
-        group_masks = {g: values == g for g in groups}
+        codes = data.codes(group_variable, groups)
+        group_masks = {g: codes == index for index, g in enumerate(groups)}
     for index, (group, mask) in enumerate(group_masks.items()):
         event_hist = _h.histogram_counts(times[mask & events], grid)
         censor_hist = _h.histogram_counts(times[mask & ~events], grid)

@@ -39,10 +39,10 @@ def moments_local(data, variables):
 def group_moments_local(data, response, group_variable, levels):
     """Per-level moment sums, keyed by the level's index in ``levels``."""
     values = np.asarray(data[response], dtype=np.float64)
-    groups = data[group_variable]
+    groups = data.codes(group_variable, levels)
     payload = {}
-    for index, level in enumerate(levels):
-        selected = values[groups == level]
+    for index in range(len(levels)):
+        selected = values[groups == index]
         payload[f"n_{index}"] = {"data": int(len(selected)), "operation": "sum"}
         payload[f"sum_{index}"] = {"data": float(selected.sum()), "operation": "sum"}
         payload[f"sumsq_{index}"] = {"data": float((selected**2).sum()), "operation": "sum"}

@@ -37,8 +37,9 @@ VAR_SMOOTHING = 1e-9
 )
 def naive_bayes_fit_local(data, target, classes, features, metadata):
     """Per-class sufficient statistics for all features."""
-    labels = data[target]
-    return _h.class_feature_sums(data, features, metadata, [labels == level for level in classes])
+    labels = data.codes(target, classes)
+    masks = [labels == index for index in range(len(classes))]
+    return _h.class_feature_sums(data, features, metadata, masks)
 
 
 @udf(
@@ -57,8 +58,8 @@ def naive_bayes_eval_local(data, target, features, metadata, model, n_folds, see
     ``model`` carries one Naive Bayes model per fold (trained on the other
     folds); each worker scores only its rows of the held-out fold.
     """
-    labels = data[target]
     classes = model["classes"]
+    labels = data.codes(target, classes)
     folds = _h.fold_assignments(len(labels), n_folds, seed)
     payload = {}
     for held_out in range(n_folds):
@@ -73,28 +74,29 @@ def naive_bayes_eval_local(data, target, features, metadata, model, n_folds, see
             )
             for feature_index, feature in enumerate(features):
                 info = metadata.get(feature, {})
-                values = data[feature][mask]
+                if info.get("is_categorical"):
+                    idx = data.codes(feature, list(info.get("enumerations", [])))[mask]
+                    if (idx < 0).any():
+                        raise ValueError(f"{feature!r} holds a level outside its enumerations")
+                else:
+                    numeric = np.asarray(data[feature], dtype=np.float64)[mask]
                 for class_index in range(len(classes)):
                     params = fold_model["features"][feature_index][class_index]
                     if info.get("is_categorical"):
-                        levels = list(info.get("enumerations", []))
                         probabilities = np.asarray(params["level_probs"], dtype=np.float64)
-                        level_index = {level: i for i, level in enumerate(levels)}
-                        idx = np.array([level_index[v] for v in values])
                         log_scores[:, class_index] += np.log(probabilities[idx])
                     else:
                         mean = params["mean"]
                         variance = params["var"]
-                        numeric = np.asarray(values, dtype=np.float64)
                         log_scores[:, class_index] += (
                             -0.5 * np.log(2 * np.pi * variance)
                             - (numeric - mean) ** 2 / (2 * variance)
                         )
-            predicted = log_scores.argmax(axis=1)
-            actual_levels = labels[mask]
-            class_index_of = {level: i for i, level in enumerate(classes)}
-            for predicted_index, actual in zip(predicted, actual_levels):
-                confusion[class_index_of[actual], predicted_index] += 1
+            actual = labels[mask]
+            if (actual < 0).any():
+                raise ValueError(f"{target!r} holds a class outside the model's classes")
+            predicted = (log_scores.argmax(axis=1), len(classes))
+            confusion = _h.cross_counts((actual, len(classes)), predicted)
         payload[f"confusion_{held_out}"] = {
             "data": confusion.tolist(), "operation": "sum",
         }
@@ -321,12 +323,12 @@ class NaiveBayesCV(_NaiveBayesBase):
 )
 def naive_bayes_cv_fit_local(data, target, classes, features, metadata, n_folds, seed):
     """Per-fold, per-class sufficient statistics in one pass."""
-    labels = data[target]
+    labels = data.codes(target, classes)
     folds = _h.fold_assignments(len(labels), n_folds, seed)
     payload = {}
     for fold in range(n_folds):
         fold_mask = folds == fold
-        masks = [fold_mask & (labels == level) for level in classes]
+        masks = [fold_mask & (labels == index) for index in range(len(classes))]
         stats = _h.class_feature_sums(data, features, metadata, masks)
         payload.update({f"fold{fold}_{key}": entry for key, entry in stats.items()})
     return payload

@@ -38,7 +38,7 @@ def observed_levels_local(data, variables, metadata):
     for variable in variables:
         info = metadata.get(variable, {})
         levels = list(info.get("enumerations", []))
-        seen = set(data[variable].tolist())
+        seen = set(data.levels(variable))
         present = [int(level in seen) for level in levels]
         payload[variable] = {"data": present, "operation": "union"}
     return payload

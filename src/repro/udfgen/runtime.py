@@ -11,6 +11,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.column import Column, dictionary_encode
 from repro.engine.table import Table
 from repro.errors import UDFError
 from repro.smpc.cluster import valid_bound
@@ -52,33 +53,46 @@ class Relation:
     this wrapper adds the small conveniences algorithm code needs
     (column access, matrix view, row count) without depending on pandas.
 
+    A nominal column is read as codes: :meth:`codes` maps every row to its
+    label's position in a list of levels and :meth:`levels` lists the labels
+    present, so a body counts and masks with integer arrays.
+    ``relation[name]`` still returns labels, gathered on first read.
+
     A relation bound from a table (:meth:`of`) is the table's own: every
-    step that reads the table gets the same read-only arrays and the same
+    step that reads the table gets the same read-only arrays, codes and
     stacked matrices, built once.
     """
 
-    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+    def __init__(self, columns: Mapping[str, np.ndarray | Column]) -> None:
+        """``columns`` maps each name to an array (a plain mapping: NULL is
+        None or NaN) or to a table's :class:`Column` (:meth:`of`)."""
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise UDFError("ragged relation columns")
-        self._columns = {k: np.asarray(v) for k, v in columns.items()}
+        self._rows = lengths.pop() if lengths else 0
+        self._names = list(columns)
+        self._columns = {k: v for k, v in columns.items() if isinstance(v, Column)}
+        self._arrays = {k: np.asarray(v) for k, v in columns.items() if not isinstance(v, Column)}
         self._cache: dict[Any, Any] = {}
 
     @classmethod
     def of(cls, table: Table) -> "Relation":
         """The relation a UDF reads from ``table``, kept in the table's memo.
 
-        A column with no NULLs arrives as a read-only view of the table's
-        values; one with NULLs is rendered once (:meth:`Column.to_numpy`).
+        Nothing is copied up front.  A column with no NULLs is read as a
+        read-only view of the table's values; one with NULLs is rendered once
+        (:meth:`Column.to_numpy`).  A VARCHAR column's codes come from its
+        dictionary, so its labels are gathered only if ``relation[name]``
+        asks for them.
 
-        The relation and every matrix stacked from it live as long as
+        The relation and every array built from it live as long as
         ``table``.  Bind per-experiment tables only, as the worker does with
         its views: a catalog table bound directly (``SELECT *`` returns the
         table itself) keeps its relation until an INSERT or DROP replaces it.
         """
         relation = table.memo.get(cls)
         if relation is None:
-            relation = cls({spec.name: table.column(spec.name).to_numpy() for spec in table.schema})
+            relation = cls({spec.name: table.column(spec.name) for spec in table.schema})
             table.memo[cls] = relation
         return relation
 
@@ -92,22 +106,64 @@ class Relation:
 
     @property
     def columns(self) -> list[str]:
-        return list(self._columns)
+        return list(self._names)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._columns[name]
+        array = self._arrays.get(name)
+        if array is None:
+            array = self._arrays[name] = self._columns[name].to_numpy()
+        return array
 
     def __len__(self) -> int:
-        if not self._columns:
-            return 0
-        return len(next(iter(self._columns.values())))
+        return self._rows
+
+    def codes(self, name: str, levels: Sequence[Any]) -> np.ndarray:
+        """Each row's position in ``levels`` of its label, as a read-only int
+        array: -1 for NULL and for a label ``levels`` does not name."""
+        levels = tuple(levels)
+
+        def build() -> np.ndarray:
+            codes, labels, nulls = self._dictionary(name)
+            position = {level: index for index, level in enumerate(levels)}
+            lookup = np.array([position.get(label, -1) for label in labels.tolist()], dtype=np.intp)
+            out = lookup.take(codes)
+            out[nulls] = -1
+            out.flags.writeable = False
+            return out
+
+        return self.cached(("codes", name, levels), build)
+
+    def levels(self, name: str) -> list[Any]:
+        """The sorted distinct labels of a nominal column's non-NULL rows."""
+        codes, labels, nulls = self._dictionary(name)
+        used = np.zeros(len(labels), dtype=bool)
+        used[codes[~nulls]] = True
+        return sorted(labels[used].tolist())
+
+    def nulls(self, name: str) -> np.ndarray:
+        """A nominal column's NULL mask (a plain mapping marks NULL as None)."""
+        return self._dictionary(name)[2]
+
+    def _dictionary(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(codes, labels, NULL mask) of a nominal column: a VARCHAR column's
+        own dictionary, or the labels encoded once."""
+
+        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            column = self._columns.get(name)
+            if column is not None and column.codes is not None:
+                return column.codes, column.labels, column.nulls
+            codes, labels = dictionary_encode(self[name])
+            nulls = column.nulls if column is not None else np.equal(labels, None)[codes]
+            return codes, labels, nulls
+
+        return self.cached(("dictionary", name), build)
 
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """The named (or all) columns as a read-only (n, k) float64 matrix,
         stacked once per relation."""
         names = tuple(names) if names is not None else tuple(self.columns)
         return self.cached(
-            ("matrix", names), lambda: stack_columns([self._columns[n] for n in names], len(self))
+            ("matrix", names), lambda: stack_columns([self[n] for n in names], len(self))
         )
 
 

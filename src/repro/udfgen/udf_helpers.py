@@ -74,9 +74,9 @@ def _design_matrix(
             levels = list(info.get("enumerations", []))
             if not levels:
                 raise ValueError(f"nominal variable {variable!r} has no enumerations")
-            values = relation[variable]
-            for level in levels[1:]:
-                columns.append((values == level).astype(np.float64))
+            codes = relation.codes(variable, levels)
+            for index, level in enumerate(levels[1:], start=1):
+                columns.append((codes == index).astype(np.float64))
                 names.append(f"{variable}[{level}]")
         else:
             columns.append(np.asarray(relation[variable], dtype=np.float64))
@@ -116,10 +116,10 @@ def response_vector(relation: Any, response: str, positive_level: Any) -> np.nda
     """The float response of a model: 1.0 where a nominal response equals
     ``positive_level`` and 0.0 elsewhere, or a numeric response as it is
     when ``positive_level`` is None."""
-    raw = relation[response]
+    relation = _as_relation(relation)
     if positive_level is None:
-        return np.asarray(raw, dtype=np.float64)
-    return (raw == positive_level).astype(np.float64)
+        return np.asarray(relation[response], dtype=np.float64)
+    return (relation.codes(response, (positive_level,)) == 0).astype(np.float64)
 
 
 def class_feature_sums(
@@ -135,18 +135,19 @@ def class_feature_sums(
     of a nominal feature or the moment sums ``f{f}_c{c}_sum`` / ``_sumsq``
     of a numeric one.
     """
+    relation = _as_relation(relation)
     payload = {}
     for class_index, mask in enumerate(class_masks):
         payload[f"n_{class_index}"] = {"data": int(mask.sum()), "operation": "sum"}
         for feature_index, feature in enumerate(features):
             info = metadata.get(feature, {})
-            values = relation[feature][mask]
             key = f"f{feature_index}_c{class_index}"
             if info.get("is_categorical"):
-                counts = category_counts(values, list(info.get("enumerations", [])))
+                levels = list(info.get("enumerations", []))
+                counts = category_counts(relation.codes(feature, levels)[mask], len(levels))
                 payload[f"{key}_counts"] = {"data": counts.tolist(), "operation": "sum"}
             else:
-                numeric = np.asarray(values, dtype=np.float64)
+                numeric = np.asarray(relation[feature], dtype=np.float64)[mask]
                 payload[f"{key}_sum"] = {"data": float(numeric.sum()), "operation": "sum"}
                 payload[f"{key}_sumsq"] = {"data": float((numeric**2).sum()), "operation": "sum"}
     return payload
@@ -166,10 +167,34 @@ def fold_assignments(n_rows: int, n_folds: int, seed: int) -> np.ndarray:
     return labels
 
 
-def category_counts(values: np.ndarray, levels: Sequence[Any]) -> np.ndarray:
-    """Occurrences of each level, in level order."""
-    values = np.asarray(values)
-    return np.array([int((values == level).sum()) for level in levels], dtype=np.int64)
+def category_counts(codes: np.ndarray, n_levels: int) -> np.ndarray:
+    """Rows per level, in level order, from codes into ``n_levels`` levels
+    (:meth:`~repro.udfgen.runtime.Relation.codes`): one ``bincount``, in
+    which a -1 (NULL or undeclared) counts nowhere."""
+    return np.bincount(codes[codes >= 0], minlength=n_levels)
+
+
+def cross_counts(*factors: tuple[np.ndarray, int]) -> np.ndarray:
+    """Rows per combination of codes, shaped by the factors' level counts.
+
+    Each factor is ``(codes, n_levels)``; the codes combine row-major into
+    one code per row, so the whole contingency table is one
+    :func:`category_counts`.  A row with a -1 in any factor counts nowhere.
+    """
+    (joint, size), *rest = factors
+    shape = [size]
+    for codes, n_levels in rest:
+        joint = np.where((joint >= 0) & (codes >= 0), joint * n_levels + codes, -1)
+        shape.append(n_levels)
+    return category_counts(joint, int(np.prod(shape))).reshape(shape)
+
+
+def leaf_positions(assignment: np.ndarray, open_leaves: Sequence[int]) -> np.ndarray:
+    """Each row's position in ``open_leaves`` of its leaf (the ids
+    :func:`route_tree` returns); -1 for a row in no open leaf."""
+    lookup = np.full(max(int(assignment.max(initial=0)), *open_leaves, 0) + 1, -1, dtype=np.intp)
+    lookup[list(open_leaves)] = np.arange(len(open_leaves))
+    return lookup[assignment]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -291,38 +316,36 @@ def route_tree(relation: Any, tree: Mapping[str, Any]) -> np.ndarray:
     ``{"nodes": {id: node}, "root": id}`` where a split node has either
     ``feature``/``threshold`` (numeric, <= goes left), ``feature``/``level``
     (binary nominal, == goes left) with ``left``/``right`` child ids, or
-    ``feature``/``children`` ({level: child id}, ID3 multiway).  Returns the
-    leaf node id (as str) per row.
+    ``feature``/``children`` ({level: child id}, ID3 multiway).  Returns each
+    row's leaf node id as an int (``nodes`` is keyed by its str).
+
+    A NULL or a label the split does not name goes to ``default_child`` on a
+    multiway split and right on a binary one; a NULL goes right on a
+    threshold split.
     """
+    relation = _as_relation(relation)
     nodes = tree["nodes"]
-    n_rows = len(relation)
-    assignment = np.full(n_rows, str(tree["root"]), dtype=object)
-    changed = True
-    while changed:
-        changed = False
-        for node_id in list(np.unique(assignment)):
-            node = nodes[str(node_id)]
-            if node["type"] != "split":
-                continue
-            mask = assignment == node_id
-            values = relation[node["feature"]]
-            if "children" in node:
-                for level, child in node["children"].items():
-                    assignment[mask & (values == level)] = str(child)
-                # Unseen levels fall through to the designated default child.
-                still = assignment == node_id
-                if still.any():
-                    assignment[still] = str(node["default_child"])
-            elif "threshold" in node:
-                numeric = np.asarray(values, dtype=np.float64)
-                go_left = mask & (numeric <= node["threshold"])
-                assignment[go_left] = str(node["left"])
-                assignment[mask & ~go_left] = str(node["right"])
-            else:
-                go_left = mask & (values == node["level"])
-                assignment[go_left] = str(node["left"])
-                assignment[mask & ~go_left] = str(node["right"])
-            changed = True
+    assignment = np.full(len(relation), int(tree["root"]), dtype=np.intp)
+    pending = [int(tree["root"])]
+    while pending:
+        node_id = pending.pop()
+        node = nodes[str(node_id)]
+        if node["type"] != "split":
+            continue
+        rows = np.flatnonzero(assignment == node_id)
+        feature = node["feature"]
+        if "children" in node:
+            # Code -1 picks the last target: the default child.
+            targets = np.array([*node["children"].values(), node["default_child"]], dtype=np.intp)
+            assignment[rows] = targets[relation.codes(feature, tuple(node["children"]))[rows]]
+            pending.extend(set(targets.tolist()))
+            continue
+        if "threshold" in node:
+            go_left = np.asarray(relation[feature], dtype=np.float64)[rows] <= node["threshold"]
+        else:
+            go_left = relation.codes(feature, (node["level"],))[rows] == 0
+        assignment[rows] = np.where(go_left, int(node["left"]), int(node["right"]))
+        pending.extend((int(node["left"]), int(node["right"])))
     return assignment
 
 

@@ -9,7 +9,7 @@ from repro.udfgen.udf_helpers import route_tree
 
 def predict(tree, relation):
     leaves = route_tree(relation, tree)
-    return [tree["nodes"][leaf]["prediction"] for leaf in leaves]
+    return [tree["nodes"][str(leaf)]["prediction"] for leaf in leaves.tolist()]
 
 
 class TestCARTClassification:

@@ -322,7 +322,7 @@ def test_category_counts(case):
     rows, levels = case
     for relation in relations(rows):
         for name in NOMINAL:
-            same(_h.category_counts(relation[name], levels[name]),
+            same(_h.category_counts(relation.codes(name, levels[name]), len(levels[name])),
                  ref_category_counts(relation[name], levels[name]))
 
 

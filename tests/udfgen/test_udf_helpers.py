@@ -143,8 +143,8 @@ class TestLogisticStats:
 
 class TestCountsAndHistograms:
     def test_category_counts(self):
-        values = np.array(["a", "b", "a"], dtype=object)
-        assert category_counts(values, ["a", "b", "c"]).tolist() == [2, 1, 0]
+        codes = np.array([0, 1, 0, -1])  # -1: NULL or undeclared
+        assert category_counts(codes, 3).tolist() == [2, 1, 0]
 
     def test_histogram_counts(self):
         counts = histogram_counts(np.array([0.1, 0.5, 0.9]), [0.0, 0.5, 1.0])
@@ -188,7 +188,7 @@ class TestRouteTree:
                 "2": {"type": "leaf"},
             },
         }
-        assert route_tree(rel, tree).tolist() == ["1", "2"]
+        assert route_tree(rel, tree).tolist() == [1, 2]
 
     def test_nominal_binary_split(self):
         rel = Relation({"g": np.array(["a", "b"], dtype=object)})
@@ -200,7 +200,7 @@ class TestRouteTree:
                 "2": {"type": "leaf"},
             },
         }
-        assert route_tree(rel, tree).tolist() == ["1", "2"]
+        assert route_tree(rel, tree).tolist() == [1, 2]
 
     def test_multiway_split_with_default(self):
         rel = Relation({"g": np.array(["a", "b", "zzz"], dtype=object)})
@@ -215,7 +215,7 @@ class TestRouteTree:
                 "2": {"type": "leaf"},
             },
         }
-        assert route_tree(rel, tree).tolist() == ["1", "2", "2"]
+        assert route_tree(rel, tree).tolist() == [1, 2, 2]
 
     def test_two_level_tree(self):
         rel = Relation({"x": np.array([1.0, 4.0, 9.0])})
@@ -229,4 +229,4 @@ class TestRouteTree:
                 "4": {"type": "leaf"},
             },
         }
-        assert route_tree(rel, tree).tolist() == ["3", "4", "2"]
+        assert route_tree(rel, tree).tolist() == [3, 4, 2]
