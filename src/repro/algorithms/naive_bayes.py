@@ -95,8 +95,8 @@ def naive_bayes_eval_local(data, target, features, metadata, model, n_folds, see
             actual = labels[mask]
             if (actual < 0).any():
                 raise ValueError(f"{target!r} holds a class outside the model's classes")
-            predicted = (log_scores.argmax(axis=1), len(classes))
-            confusion = _h.cross_counts((actual, len(classes)), predicted)
+            predicted = log_scores.argmax(axis=1)
+            confusion = _h.cross_counts((actual, len(classes)), (predicted, len(classes)))
         payload[f"confusion_{held_out}"] = {
             "data": confusion.tolist(), "operation": "sum",
         }
