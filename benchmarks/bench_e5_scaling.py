@@ -219,37 +219,54 @@ OVERHEAD_ROUNDS = 3
 OVERHEAD_BUDGET = 0.05  # tracing must cost < 5% wall time
 
 
-def _timed_traced_linreg(traced: bool) -> float:
-    """Best-of-N wall time of federated linear regression with the tracer
-    on or off, on a sleep_latency transport (deterministic modeled sleeps
-    dominate, so the measurement isolates instrumentation overhead from
-    scheduling noise)."""
+def _overhead_round(traced: bool) -> float:
+    """Wall time of one federated linear regression with the tracer on or
+    off, on a sleep_latency transport (deterministic modeled sleeps dominate,
+    so the measurement isolates instrumentation overhead from scheduling
+    noise).  The round's engine and federation are shut down after it."""
+    from repro.observability.trace import tracer
+
+    tracer.reset()
+    if traced:
+        tracer.enable()
+    else:
+        tracer.disable()
+    federation = build_federation(
+        OVERHEAD_WORKERS, sleep_latency=True, latency_seconds=SPEEDUP_LATENCY_S,
+    )
+    engine = ExperimentEngine(federation, aggregation="plain")
+    try:
+        datasets = tuple(f"site{i}" for i in range(OVERHEAD_WORKERS))
+        t0 = time.perf_counter()
+        outcome = engine.run(linreg_request(datasets))
+        elapsed = time.perf_counter() - t0
+        assert outcome.status.value == "success", outcome.error
+    finally:
+        engine.shutdown()
+        federation.shutdown()
+    return elapsed
+
+
+def _timed_traced_linreg() -> tuple[float, float]:
+    """Best-of-N ``(untraced, traced)`` wall times.
+
+    One untimed warm-up per side pays the cold start first; the timed rounds
+    then alternate untraced and traced, so drift in the host's load falls on
+    both sides alike instead of on whichever side ran first."""
     from repro.observability.trace import tracer
 
     was_enabled = tracer.enabled
-    best = float("inf")
+    best = {False: float("inf"), True: float("inf")}
     try:
+        for traced in (False, True):
+            _overhead_round(traced)
         for _ in range(OVERHEAD_ROUNDS):
-            tracer.reset()
-            if traced:
-                tracer.enable()
-            else:
-                tracer.disable()
-            federation = build_federation(
-                OVERHEAD_WORKERS, sleep_latency=True,
-                latency_seconds=SPEEDUP_LATENCY_S,
-            )
-            datasets = tuple(f"site{i}" for i in range(OVERHEAD_WORKERS))
-            engine = ExperimentEngine(federation, aggregation="plain")
-            t0 = time.perf_counter()
-            outcome = engine.run(linreg_request(datasets))
-            elapsed = time.perf_counter() - t0
-            assert outcome.status.value == "success", outcome.error
-            best = min(best, elapsed)
+            for traced in (False, True):
+                best[traced] = min(best[traced], _overhead_round(traced))
     finally:
         if not was_enabled:
             tracer.disable()
-    return best
+    return best[False], best[True]
 
 
 def test_report_tracing_overhead():
@@ -257,12 +274,10 @@ def test_report_tracing_overhead():
     resulting artifacts (Chrome trace, Prometheus metrics) must be complete."""
     from repro.observability.trace import tracer
 
-    untraced_s = _timed_traced_linreg(traced=False)
+    untraced_s, traced_s = _timed_traced_linreg()
 
     was_enabled = tracer.enabled
-    traced_s = _timed_traced_linreg(traced=True)
-    # _timed_traced_linreg leaves the last traced run in the buffer; export
-    # the artifacts before resetting.
+    # One more traced run records the exported artifacts.
     federation = build_federation(
         OVERHEAD_WORKERS, sleep_latency=True, latency_seconds=SPEEDUP_LATENCY_S
     )
@@ -272,6 +287,7 @@ def test_report_tracing_overhead():
         datasets = tuple(f"site{i}" for i in range(OVERHEAD_WORKERS))
         engine = ExperimentEngine(federation, aggregation="plain")
         outcome = engine.run(linreg_request(datasets))
+        engine.shutdown()
         assert outcome.status.value == "success", outcome.error
         chrome = tracer.export_chrome()
     finally:
@@ -288,6 +304,7 @@ def test_report_tracing_overhead():
         federation.metrics_registry().render_prometheus()
     )
     write_metrics_snapshot("e5_linreg", federation)
+    federation.shutdown()
     write_report("obs_overhead", [
         "Observability — tracing overhead on the E5 sleep-latency flow",
         "",

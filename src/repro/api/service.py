@@ -88,12 +88,12 @@ class MIPService:
         available = self.federation.master.availability
         return sorted(model for model in available if model in cde_registry)
 
-    def datasets(self, data_model: str) -> dict[str, list[str]]:
-        """Dataset codes of a data model and the workers holding each."""
+    def datasets(self, data_model: str) -> dict[str, str]:
+        """Dataset codes of a data model and the one worker holding each."""
         availability = self.federation.master.availability
         if data_model not in availability:
             raise CatalogError(f"no worker holds data model {data_model!r}")
-        return {code: list(workers) for code, workers in availability[data_model].items()}
+        return dict(availability[data_model])
 
     def variables(self, data_model: str) -> list[dict[str, Any]]:
         """The variable catalogue of a data model (the UI's variable picker)."""

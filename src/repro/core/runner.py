@@ -3,10 +3,9 @@
 :class:`ExperimentRunner` is the stateless core the job queue dispatches to.
 It carries no history, no telemetry and no lifecycle bookkeeping — those are
 the queue's concern (:mod:`repro.core.jobs`) — so the same runner can serve
-any number of concurrent executor threads.  Its one piece of shared state is
-the :class:`~repro.federation.scheduler.WorkerLoad` tracker, which lets the
-shipping planner balance replicated datasets across *in-flight* experiments
-rather than within one experiment at a time.
+any number of concurrent executor threads.  Each dataset lives on exactly
+one worker (the master refuses any other layout), so planning an experiment
+is a lookup: every requested code is read on the worker that holds it.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from repro.core.context import ExecutionContext
 from repro.core.registry import algorithm_registry
 from repro.core.specs import validate_parameters
 from repro.engine.parser import parse_expression
-from repro.errors import ParseError, SpecificationError
+from repro.errors import DatasetUnavailableError, ParseError, SpecificationError
 from repro.federation.controller import Federation
-from repro.federation.scheduler import WorkerLoad, plan_shipping
 from repro.smpc.cluster import NoiseSpec
 
 
@@ -36,7 +34,6 @@ class ExperimentRunner:
         federation: Federation,
         aggregation: str = "smpc",
         noise: NoiseSpec | None = None,
-        load: WorkerLoad | None = None,
         durability=None,
     ) -> None:
         self.federation = federation
@@ -47,8 +44,6 @@ class ExperimentRunner:
         #: journaled as they happen, and a job recovered after a crash
         #: replays its recorded frontier instead of re-executing from step 0.
         self.durability = durability
-        #: In-flight dataset assignments, shared with the shipping planner.
-        self.load = load or WorkerLoad()
 
     def execute(
         self,
@@ -78,8 +73,6 @@ class ExperimentRunner:
         workers = tuple(context.workers)
         if info is not None:
             info["workers"] = workers
-        assignments = {w: list(d) for w, d in context.worker_datasets.items()}
-        self.load.acquire(assignments)
         try:
             algorithm = algorithm_cls(
                 context,
@@ -100,7 +93,6 @@ class ExperimentRunner:
                 pass
             raise
         finally:
-            self.load.release(assignments)
             if info is not None:
                 info["evicted"] = tuple(sorted(context.evicted))
                 info["plan"] = context.plan
@@ -145,18 +137,22 @@ class ExperimentRunner:
         cancel_event: threading.Event | None = None,
     ) -> ExecutionContext:
         master = self.federation.master
-        master.refresh_catalog()
-        model_availability = master.availability.get(request.data_model, {})
-        plan = plan_shipping(
-            model_availability, request.datasets, current_load=self.load.snapshot()
-        )
+        holders = master.refresh_catalog().get(request.data_model, {})
+        missing = sorted(code for code in request.datasets if code not in holders)
+        if missing:
+            raise DatasetUnavailableError(
+                f"datasets {missing} are not available on any active worker"
+            )
+        assignments: dict[str, list[str]] = {}
+        for code in request.datasets:
+            assignments.setdefault(holders[code], []).append(code)
         resume_reads = None
         if self.durability is not None:
             resume_reads = self.durability.take_resume_reads(experiment_id)
         return ExecutionContext(
             master=master,
             data_model=request.data_model,
-            worker_datasets=plan.assignments,
+            worker_datasets={w: sorted(assignments[w]) for w in sorted(assignments)},
             aggregation=self.aggregation,
             noise=self.noise,
             filter_sql=request.filter_sql,

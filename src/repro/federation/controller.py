@@ -188,7 +188,11 @@ def create_federation(
         else None
     )
     master = Master(transport, list(workers), smpc_cluster=smpc, failure_policy=policy)
-    master.refresh_catalog()
+    try:
+        master.refresh_catalog()
+    except FederationError:  # a dataset on two workers: no federation
+        transport.shutdown()
+        raise
     # Traces report where the *modeled* network time goes: point the process
     # tracer's simulated clock at this federation's transport.  The clock
     # holds the transport weakly — the tracer is a process-global, and a

@@ -65,7 +65,7 @@ class Master:
         #: Append-only privacy audit trail of everything this master touched.
         self.audit = AuditLog(MASTER_ID)
         self.database = Database(name=MASTER_ID)
-        self._availability: dict[str, dict[str, list[str]]] = {}
+        self._availability: dict[str, dict[str, str]] = {}
         self._global_outputs: dict[str, tuple[str, str]] = {}  # table -> (kind, owning job)
         # Per-job table counters: names like transfer_{job}_{n} must not
         # depend on what *other* experiments did concurrently (a shared
@@ -86,18 +86,21 @@ class Master:
 
     # ---------------------------------------------------------- catalog/avail
 
-    def refresh_catalog(self) -> dict[str, dict[str, list[str]]]:
+    def refresh_catalog(self) -> dict[str, dict[str, str]]:
         """Poll workers for their datasets; tolerate unreachable workers.
 
         The poll is one broadcast: every worker answers concurrently, and the
-        availability map is assembled in ``worker_ids`` order so the result
-        never depends on response timing.
+        ``{data_model: {code: worker}}`` map is assembled in ``worker_ids``
+        order so the result never depends on response timing.  A dataset
+        lives on exactly one worker (each hospital holds its own): a code
+        advertised by a second worker is audited and refused with
+        :class:`~repro.errors.FederationError`, before any step is shipped.
         """
         responses = self.transport.broadcast(
             self.node_id, self.worker_ids, "list_datasets"
         )
         self._resend_missed_cleanups(responses)
-        availability: dict[str, dict[str, list[str]]] = {}
+        availability: dict[str, dict[str, str]] = {}
         for worker in self.worker_ids:
             response = responses.get(worker)
             if response is None:
@@ -105,12 +108,24 @@ class Master:
             for data_model, codes in response["datasets"].items():
                 model_map = availability.setdefault(data_model, {})
                 for code in codes:
-                    model_map.setdefault(code, []).append(worker)
+                    holder = model_map.setdefault(code, worker)
+                    if holder != worker:
+                        self.audit.record(
+                            "duplicate_dataset",
+                            data_model=data_model,
+                            dataset=code,
+                            workers=[holder, worker],
+                        )
+                        raise FederationError(
+                            f"dataset {code!r} of data model {data_model!r} is held "
+                            f"by both {holder!r} and {worker!r}; a dataset must "
+                            "live on exactly one worker"
+                        )
         self._availability = availability
         return availability
 
     @property
-    def availability(self) -> dict[str, dict[str, list[str]]]:
+    def availability(self) -> dict[str, dict[str, str]]:
         if not self._availability:
             self.refresh_catalog()
         return self._availability

@@ -22,6 +22,8 @@ Event vocabulary (the ``event`` field):
 - ``privacy_spend`` — one (epsilon, delta) release from
   :class:`repro.privacy.accountant.PrivacyAccountant`,
 - ``worker_evicted`` — the flow dropped a worker (degrade path),
+- ``duplicate_dataset`` — a catalog refresh found one dataset code on two
+  workers and refused the layout (a dataset lives on exactly one worker),
 - ``experiment_started`` / ``experiment_finished`` — flow lifecycle.
 
 Step job ids are prefixed by their experiment id, so

@@ -17,9 +17,9 @@ class TestCatalogue:
 
     def test_datasets_with_holders(self, service):
         datasets = service.datasets("dementia")
-        assert datasets["edsd"] == ["hospital_a"]
-        assert datasets["adni"] == ["hospital_b"]
-        assert datasets["ppmi"] == ["hospital_c"]
+        assert datasets == {
+            "edsd": "hospital_a", "adni": "hospital_b", "ppmi": "hospital_c",
+        }
 
     def test_unknown_model(self, service):
         with pytest.raises(CatalogError):

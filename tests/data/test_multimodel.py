@@ -55,7 +55,7 @@ class TestMultiModelFederation:
     def test_catalogue_lists_both_models(self, service):
         assert service.data_models() == ["dementia", "epilepsy"]
         assert service.datasets("epilepsy") == {
-            "chuv_eeg": ["chuv"], "niguarda_eeg": ["niguarda"],
+            "chuv_eeg": "chuv", "niguarda_eeg": "niguarda",
         }
 
     def test_experiments_target_their_model(self, service):

@@ -5,12 +5,13 @@ import threading
 import pytest
 
 from repro.core.experiment import ExperimentEngine, ExperimentRequest
-from repro.errors import DatasetUnavailableError, FederationError
+from repro.core.runner import ExperimentRunner
+from repro.errors import AlgorithmError, DatasetUnavailableError, FederationError
+from repro.federation.controller import FederationConfig, create_federation
 from repro.federation.master import Master
-from repro.federation.scheduler import plan_shipping
 from repro.federation.worker import Worker
 from repro.federation.transport import Transport
-from repro.data.cohorts import CohortSpec, generate_cohort
+from repro.data.cohorts import CohortSpec, generate_cohort, generate_synthetic_hospital
 from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
 from repro.federation.serialization import table_to_payload
@@ -66,22 +67,50 @@ def run_local(master, udf_name, workers, aggregation="smpc", job="job1"):
     return master.run_local_step(job, udf_name, args, aggregation=aggregation)
 
 
+def planned(federation, datasets, data_model="dementia"):
+    """The ``{worker: codes}`` the runner plans for one request."""
+    request = ExperimentRequest(
+        algorithm="descriptive_stats", data_model=data_model,
+        datasets=tuple(datasets), y=("p_tau",),
+    )
+    runner = ExperimentRunner(federation, aggregation="plain")
+    return runner.build_context(request, "plan").worker_datasets
+
+
 class TestCatalog:
     def test_availability(self):
         master, workers, _ = build_master()
         availability = master.refresh_catalog()
-        assert availability["dementia"]["edsd"] == ["hospital_0"]
-        assert availability["dementia"]["adni"] == ["hospital_1"]
+        assert availability["dementia"]["edsd"] == "hospital_0"
+        assert availability["dementia"]["adni"] == "hospital_1"
 
-    def test_missing_dataset(self):
-        master, _, _ = build_master()
-        with pytest.raises(DatasetUnavailableError):
-            plan_shipping(master.refresh_catalog()["dementia"], ["nonexistent"])
+    def test_missing_dataset(self, fresh_federation):
+        with pytest.raises(DatasetUnavailableError, match="nonexistent"):
+            planned(fresh_federation, ["edsd", "nonexistent"])
 
-    def test_missing_model(self):
-        master, _, _ = build_master()
-        with pytest.raises(DatasetUnavailableError):
-            plan_shipping(master.refresh_catalog().get("genomics", {}), ["edsd"])
+    def test_missing_model(self, fresh_federation):
+        with pytest.raises(DatasetUnavailableError, match="edsd"):
+            planned(fresh_federation, ["edsd"], data_model="genomics")
+
+    def test_plan_reads_each_code_once_on_its_holder(self):
+        federation = create_federation(
+            {
+                "hospital_1": {"dementia": generate_cohort(CohortSpec("ppmi", 40, seed=2))},
+                "hospital_0": {"dementia": generate_synthetic_hospital(
+                    [CohortSpec("edsd", 40, seed=0), CohortSpec("adni", 40, seed=1)]
+                )},
+            },
+            FederationConfig(seed=1),
+        )
+        try:
+            plan = planned(federation, ["ppmi", "edsd", "adni"])
+            assert plan == {"hospital_0": ["adni", "edsd"], "hospital_1": ["ppmi"]}
+            assert list(plan) == ["hospital_0", "hospital_1"]
+            assert planned(federation, ["adni"]) == {"hospital_0": ["adni"]}
+            with pytest.raises(AlgorithmError, match="no workers selected"):
+                planned(federation, [])
+        finally:
+            federation.shutdown()
 
     def test_down_worker_excluded_from_catalog(self):
         master, _, transport = build_master()
