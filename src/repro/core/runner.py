@@ -152,7 +152,7 @@ class ExperimentRunner:
         return ExecutionContext(
             master=master,
             data_model=request.data_model,
-            worker_datasets={w: sorted(assignments[w]) for w in sorted(assignments)},
+            worker_datasets={w: sorted(codes) for w, codes in assignments.items()},
             aggregation=self.aggregation,
             noise=self.noise,
             filter_sql=request.filter_sql,
