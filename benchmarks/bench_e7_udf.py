@@ -33,8 +33,12 @@ from repro.federation.messages import Message
 from repro.federation.worker import Worker
 from repro.udfgen import generate_udf_application, relation, run_udf_application, runtime, secure_transfer, udf
 from repro.udfgen.decorators import get_spec
+from repro.udfgen.generator import UDFPlanCache
 
 from benchmarks.conftest import write_report
+
+#: The bench's one generating node's plan cache.
+PLAN_CACHE = UDFPlanCache()
 
 SIZES = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -166,7 +170,7 @@ def bench_sums_local(data):
 
 def run_generated_udf(database: Database):
     application = generate_udf_application(
-        get_spec(bench_sums_local), "bench", {"data": "measurements"}
+        get_spec(bench_sums_local), "bench", {"data": "measurements"}, PLAN_CACHE
     )
     tables = run_udf_application(database, application)
     for table in tables:

@@ -37,8 +37,12 @@ from repro.udfgen import (
     udf,
 )
 from repro.udfgen.decorators import get_spec
+from repro.udfgen.generator import UDFPlanCache
 
 from benchmarks.conftest import write_report
+
+#: The bench's one generating node's plan cache.
+PLAN_CACHE = UDFPlanCache()
 
 N_ROWS = 40_000
 N_STEPS = 6
@@ -76,15 +80,20 @@ def make_database() -> Database:
 
 def run_unfused(database: Database) -> float:
     tag = f"u{next(_INVOCATION)}"
-    app = generate_udf_application(get_spec(chain_load), f"{tag}_0", {"data": "chain_data"})
+    app = generate_udf_application(
+        get_spec(chain_load), f"{tag}_0", {"data": "chain_data"}, PLAN_CACHE
+    )
     (current,) = run_udf_application(database, app)
     for index in range(N_STEPS):
         app = generate_udf_application(
             get_spec(chain_transform), f"{tag}_{index + 1}",
             {"previous": current, "shift": 0.5},
+            PLAN_CACHE,
         )
         (current,) = run_udf_application(database, app)
-    app = generate_udf_application(get_spec(chain_reduce), f"{tag}_r", {"previous": current})
+    app = generate_udf_application(
+        get_spec(chain_reduce), f"{tag}_r", {"previous": current}, PLAN_CACHE
+    )
     (out,) = run_udf_application(database, app)
     import json
 
@@ -101,7 +110,7 @@ def run_fused(database: Database) -> float:
             )
         )
     steps.append(FusionStep(get_spec(chain_reduce), {"previous": StepOutput(N_STEPS)}))
-    app = generate_fused_application(steps, f"f{next(_INVOCATION)}")
+    app = generate_fused_application(steps, f"f{next(_INVOCATION)}", PLAN_CACHE)
     (out,) = run_udf_application(database, app)
     import json
 

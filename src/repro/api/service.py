@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentResult
 from repro.core.registry import algorithm_registry
 from repro.data.cdes import cde_registry
-from repro.errors import CatalogError
+from repro.errors import CatalogError, FederationError
 from repro.federation.controller import Federation
 from repro.smpc.cluster import NoiseSpec
 
@@ -83,14 +83,18 @@ class MIPService:
 
     # --------------------------------------------------------- data catalogue
 
+    # Both answer from a fresh catalog refresh: a dataset loaded since the
+    # last one shows up, and a refused layout (one code on two workers)
+    # raises the FederationError every experiment would get.
+
     def data_models(self) -> list[str]:
         """Data models that are both catalogued and present on some worker."""
-        available = self.federation.master.availability
+        available = self.federation.master.refresh_catalog()
         return sorted(model for model in available if model in cde_registry)
 
     def datasets(self, data_model: str) -> dict[str, str]:
         """Dataset codes of a data model and the one worker holding each."""
-        availability = self.federation.master.availability
+        availability = self.federation.master.refresh_catalog()
         if data_model not in availability:
             raise CatalogError(f"no worker holds data model {data_model!r}")
         return dict(availability[data_model])
@@ -261,14 +265,18 @@ class MIPService:
         return self.metrics_registry().render_prometheus()
 
     def attach_profiler(self, profiler) -> bool:
-        """Attach (and start) a sampling profiler for per-job profiles.
+        """Attach (and start) a sampling profiler for per-job profiles: it
+        reads which thread works for which job from this federation's
+        transport.
 
         Returns False, starting nothing, when a simulation runtime drives
         the federation: its scheduling must stay a pure function of the
         seed, so no free-running sampler thread may exist.
         """
-        if self.federation.transport.sim is not None:
+        transport = self.federation.transport
+        if transport.sim is not None:
             return False
+        profiler.thread_jobs = transport.thread_jobs
         profiler.start()
         self.engine.queue.profiler = profiler
         return True
@@ -276,10 +284,18 @@ class MIPService:
     # ----------------------------------------------------------------- status
 
     def status(self) -> dict[str, Any]:
-        """Platform health: node liveness, caseload, traffic, SMPC usage."""
+        """Platform health: node liveness, caseload, traffic, SMPC usage.
+
+        A dataset layout the catalog refuses (one code on two workers) does
+        not fail the health call: it is reported as ``catalog_error``, with
+        no data models, beside the workers, traffic and queue.
+        """
         master = self.federation.master
         alive = master.alive_workers()
-        availability = master.refresh_catalog()
+        try:
+            availability, catalog_error = master.refresh_catalog(), None
+        except FederationError as exc:
+            availability, catalog_error = {}, str(exc)
         datasets = {
             model: sorted(codes) for model, codes in availability.items()
         }
@@ -318,6 +334,8 @@ class MIPService:
             },
             "queue": self.engine.queue.stats(),
         }
+        if catalog_error is not None:
+            payload["catalog_error"] = catalog_error
         if self.durability is not None:
             payload["durability"] = self.durability.stats()
         cluster = self.federation.smpc_cluster

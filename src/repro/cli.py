@@ -559,6 +559,7 @@ def command_profile(args: argparse.Namespace) -> int:
             root_name = None
         else:
             service = build_service(args)
+            service.attach_profiler(profiler)
             result = _run_one_experiment(args, service)
             exit_code = 0 if result.status.value == "success" else 1
             root_name = "experiment"

@@ -12,7 +12,7 @@ until a job finishes, and ``cancel()`` is guaranteed before dispatch and
 cooperative after it (a per-context flag observed between flow steps).
 
 The queue also owns per-job *resource attribution*: every executor thread
-runs its experiment inside a transport :func:`~repro.federation.transport.job_scope`,
+runs its experiment inside :meth:`~repro.federation.transport.Transport.job_scope`,
 so :class:`~repro.core.experiment.ExperimentTelemetry` reads that job's own
 meters — exact under concurrency, unlike the global before/after counter
 diff it replaces.
@@ -37,7 +37,6 @@ from repro.errors import (
     ReproError,
     SpecificationError,
 )
-from repro.federation import transport as transport_mod
 from repro.federation.messages import new_job_id
 from repro.observability.audit import AuditTrail, is_step_id
 from repro.observability.critical_path import analyze_experiment
@@ -548,7 +547,7 @@ class ExperimentQueue:
             audit_marks = None
         started = time.perf_counter()
         info: dict[str, Any] = {}
-        with transport_mod.job_scope(experiment_id):
+        with federation.transport.job_scope(experiment_id):
             master_audit.record(
                 "experiment_started",
                 job_id=experiment_id,

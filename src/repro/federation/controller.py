@@ -13,7 +13,7 @@ from repro.federation.policy import FailurePolicy
 from repro.federation.transport import Transport
 from repro.federation.worker import DEFAULT_PRIVACY_THRESHOLD, Worker
 from repro.observability.audit import AuditLog
-from repro.observability.metrics import MetricsRegistry, global_registry
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import tracer
 from repro.smpc.cluster import SMPCCluster
 
@@ -75,14 +75,12 @@ class Federation:
     def metrics_registry(self) -> MetricsRegistry:
         """A unified registry over every live counter in this federation.
 
-        The registry absorbs existing sources — transport stats, the UDF
-        plan cache, SMPC meters, audit event counts
-        and process-wide privacy counters — via collectors, so values are
-        read lazily at snapshot/render time and the original objects stay
-        untouched.
+        The registry absorbs this federation's own sources — transport
+        stats, its nodes' UDF plan caches, SMPC meters, audit event counts
+        and the privacy spend its master audited — via collectors, so values
+        are read lazily at snapshot/render time and the original objects
+        stay untouched.
         """
-        from repro.udfgen.generator import plan_cache
-
         registry = MetricsRegistry()
         transport = self.transport
         smpc = self.smpc_cluster
@@ -98,11 +96,12 @@ class Federation:
             yield ("repro_transport_parallelism", {}, float(transport.parallelism))
 
         def plan_cache_samples():
-            stats = plan_cache.stats()
-            hits, misses = stats["hits"], stats["misses"]
+            stats = [node.plan_cache.stats() for node in (self.master, *self.workers.values())]
+            hits = sum(s["hits"] for s in stats)
+            misses = sum(s["misses"] for s in stats)
             yield ("repro_udf_plan_cache_hits_total", {}, float(hits))
             yield ("repro_udf_plan_cache_misses_total", {}, float(misses))
-            yield ("repro_udf_plan_cache_size", {}, float(stats["size"]))
+            yield ("repro_udf_plan_cache_size", {}, float(sum(s["size"] for s in stats)))
             total = hits + misses
             yield ("repro_udf_plan_cache_hit_ratio", {}, hits / total if total else 0.0)
 
@@ -132,9 +131,12 @@ class Federation:
                 )
 
         def privacy_samples():
-            for name, value in global_registry.snapshot().items():
-                if name.startswith("repro_privacy_") and isinstance(value, (int, float)):
-                    yield (name, {}, float(value))
+            spends = [e.details for e in self.master.audit.events(event="privacy_spend")]
+            epsilon = float(sum(s["epsilon"] for s in spends))
+            delta = float(sum(s["delta"] for s in spends))
+            yield ("repro_privacy_epsilon_spent_total", {}, epsilon)
+            yield ("repro_privacy_delta_spent_total", {}, delta)
+            yield ("repro_privacy_releases_total", {}, float(len(spends)))
 
         registry.register_collector(transport_samples)
         registry.register_collector(plan_cache_samples)

@@ -41,7 +41,11 @@ from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.smpc.cluster import NoiseSpec, SMPCCluster
 from repro.udfgen.decorators import udf_registry
-from repro.udfgen.generator import generate_udf_application, run_udf_application
+from repro.udfgen.generator import (
+    UDFPlanCache,
+    generate_udf_application,
+    run_udf_application,
+)
 
 MASTER_ID = "master"
 SMPC_ID = "smpc_cluster"
@@ -65,7 +69,8 @@ class Master:
         #: Append-only privacy audit trail of everything this master touched.
         self.audit = AuditLog(MASTER_ID)
         self.database = Database(name=MASTER_ID)
-        self._availability: dict[str, dict[str, str]] = {}
+        #: Generated definitions of the global steps this master ran.
+        self.plan_cache = UDFPlanCache()
         self._global_outputs: dict[str, tuple[str, str]] = {}  # table -> (kind, owning job)
         # Per-job table counters: names like transfer_{job}_{n} must not
         # depend on what *other* experiments did concurrently (a shared
@@ -121,14 +126,7 @@ class Master:
                             f"by both {holder!r} and {worker!r}; a dataset must "
                             "live on exactly one worker"
                         )
-        self._availability = availability
         return availability
-
-    @property
-    def availability(self) -> dict[str, dict[str, str]]:
-        if not self._availability:
-            self.refresh_catalog()
-        return self._availability
 
     def alive_workers(self) -> list[str]:
         """Workers answering a ping right now (pings go to every registered
@@ -333,7 +331,9 @@ class Master:
         """Run a global computation step on the master's own engine."""
         spec = udf_registry.get(udf_name)
         with self._db_lock:
-            application = generate_udf_application(spec, f"{job_id}_global", dict(arguments))
+            application = generate_udf_application(
+                spec, f"{job_id}_global", dict(arguments), self.plan_cache
+            )
             run_udf_application(self.database, application)
             outputs = []
             for table, iotype in zip(application.output_tables, application.output_kinds):

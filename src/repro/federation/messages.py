@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping
-
-_MESSAGE_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -22,7 +19,6 @@ class Message:
     receiver: str
     kind: str
     payload: Mapping[str, Any] = field(default_factory=dict)
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
 
 
 def new_job_id(prefix: str = "job") -> str:

@@ -44,7 +44,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.errors import FederationError, NodeUnavailableError
 from repro.federation.messages import Message
 from repro.federation.serialization import payload_elements
-from repro.observability import profiler as profiler_mod
 from repro.observability.trace import tracer
 
 Handler = Callable[[Message], dict[str, Any]]
@@ -63,30 +62,13 @@ BACKOFF_JITTER = 0.25
 Request = tuple[str, str, "dict[str, Any] | None"]
 
 #: The job id traffic in the current execution context is attributed to.
-#: Set by :func:`job_scope` in the thread driving an experiment; captured at
-#: the top of :meth:`Transport.send` / :meth:`Transport.send_many` (the
-#: caller's thread) and passed explicitly into pool threads, so per-job
+#: Set by :meth:`Transport.job_scope` in the thread driving an experiment;
+#: captured at the top of :meth:`Transport.send` / :meth:`Transport.send_many`
+#: (the caller's thread) and passed explicitly into pool threads, so per-job
 #: attribution is exact at any fan-out width.
 _CURRENT_JOB: contextvars.ContextVar["str | None"] = contextvars.ContextVar(
     "repro_transport_job", default=None
 )
-
-
-@contextlib.contextmanager
-def job_scope(job_id: str) -> Iterator[None]:
-    """Attribute all transport traffic in this context to ``job_id``.
-
-    The scope also binds the calling thread in the sampling profiler's
-    attribution registry, so a profile taken across concurrent experiments
-    can be filtered down to this job's samples.
-    """
-    token = _CURRENT_JOB.set(job_id)
-    profile_token = profiler_mod.bind_current_thread(job_id)
-    try:
-        yield
-    finally:
-        profiler_mod.unbind_thread(profile_token)
-        _CURRENT_JOB.reset(token)
 
 
 def current_job() -> str | None:
@@ -204,12 +186,41 @@ class Transport:
         #: The deterministic-simulation runtime driving this transport, or
         #: None in a real run.  Only ``create_federation(sim=...)`` sets it.
         self.sim = None
+        #: Threads working on a job's behalf right now: ident -> job id.
+        #: An attached sampling profiler reads it to attribute its samples
+        #: (plain dict reads and writes are atomic under the GIL).
+        self.thread_jobs: dict[int, str] = {}
 
     def register(self, node_id: str, handler: Handler) -> None:
         if node_id in self._handlers:
             raise FederationError(f"node {node_id!r} already registered")
         self._handlers[node_id] = handler
         self._node_locks[node_id] = threading.Lock()
+
+    @contextlib.contextmanager
+    def job_scope(self, job_id: str) -> Iterator[None]:
+        """Attribute all traffic in this context to ``job_id``, and the
+        calling thread to it in :attr:`thread_jobs`."""
+        token = _CURRENT_JOB.set(job_id)
+        try:
+            with self._thread_bound(job_id):
+                yield
+        finally:
+            _CURRENT_JOB.reset(token)
+
+    @contextlib.contextmanager
+    def _thread_bound(self, job_id: str | None) -> Iterator[None]:
+        """Record the calling thread as working for ``job_id``; a thread
+        already recorded (a nested scope) keeps its outer job."""
+        ident = threading.get_ident()
+        if job_id is None or ident in self.thread_jobs:
+            yield
+            return
+        self.thread_jobs[ident] = job_id
+        try:
+            yield
+        finally:
+            del self.thread_jobs[ident]
 
     def nodes(self) -> list[str]:
         return sorted(self._handlers)
@@ -304,19 +315,13 @@ class Transport:
         def attempt(index: int) -> tuple[Any, float]:
             receiver, kind, payload = requests[index]
             # Pool threads work on the job's behalf for the duration of one
-            # send; bind them so profiler samples attribute correctly.
-            profile_token = (
-                profiler_mod.bind_current_thread(job) if job is not None else None
-            )
-            try:
-                with tracer.span(
-                    "transport.send", parent=group_span, receiver=receiver, kind=kind
-                ) as span:
-                    return self._run_schedule(
-                        sender, receiver, kind, payload, schedules[index], span, job
-                    )
-            finally:
-                profiler_mod.unbind_thread(profile_token)
+            # send; record them so profiler samples attribute correctly.
+            with self._thread_bound(job), tracer.span(
+                "transport.send", parent=group_span, receiver=receiver, kind=kind
+            ) as span:
+                return self._run_schedule(
+                    sender, receiver, kind, payload, schedules[index], span, job
+                )
 
         sim = self.sim
         with group_span:

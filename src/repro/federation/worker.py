@@ -36,7 +36,11 @@ from repro.federation.serialization import table_to_payload, transfer_table
 from repro.observability.audit import AuditLog, owned_by
 from repro.observability.trace import tracer
 from repro.udfgen.decorators import udf_registry
-from repro.udfgen.generator import generate_udf_application, run_udf_application
+from repro.udfgen.generator import (
+    UDFPlanCache,
+    generate_udf_application,
+    run_udf_application,
+)
 from repro.udfgen.iotypes import RelationType
 
 #: Minimum number of rows a data view must have before a local step may run.
@@ -63,6 +67,8 @@ class Worker:
     ) -> None:
         self.node_id = node_id
         self.database = Database(name=node_id)
+        #: Generated definitions of the local steps this worker ran.
+        self.plan_cache = UDFPlanCache()
         self.privacy_threshold = privacy_threshold
         #: Append-only audit trail of what this hospital's data was used for.
         self.audit = AuditLog(node_id)
@@ -139,7 +145,7 @@ class Worker:
                 raise UDFError(f"missing argument {pname!r} for UDF {udf_name!r}")
             bound[pname] = self._bind_argument(pname, iotype, arguments[pname], job_id)
         application = generate_udf_application(
-            spec, f"{job_id}_{self.node_id}", bound
+            spec, f"{job_id}_{self.node_id}", bound, self.plan_cache
         )
         run_udf_application(self.database, application)
         outputs = []

@@ -8,7 +8,9 @@ Zero-dependency subsystem threaded through every layer of the reproduction
   trace-event format (``REPRO_TRACE=1`` enables the process tracer),
 - :mod:`repro.observability.metrics` — counters/histograms plus
   collectors that re-expose the stack's existing private counters behind
-  ``registry.snapshot()`` / ``registry.render_prometheus()``,
+  ``registry.snapshot()`` / ``registry.render_prometheus()``; there is no
+  process-wide registry: ``Federation.metrics_registry()`` builds one over
+  the meters that federation owns,
 - :mod:`repro.observability.audit` — append-only per-node privacy audit
   log (data access, aggregates shared, budget spend, evictions),
 - :mod:`repro.observability.log` — the one structured JSON-lines logger
@@ -16,7 +18,8 @@ Zero-dependency subsystem threaded through every layer of the reproduction
 - :mod:`repro.observability.critical_path` — blocking-chain analysis over
   finished span trees (self vs. wait attribution, straggler ranking),
 - :mod:`repro.observability.profiler` — stdlib sampling profiler with
-  per-job attribution, collapsed-stack and speedscope export,
+  per-job attribution (read from the attached transport's thread map),
+  collapsed-stack and speedscope export,
 - :mod:`repro.observability.slo` — rolling-window performance baselines
   (``BASELINE_*.json``) and the ok/warn/regression comparator behind
   ``repro health``.
@@ -34,7 +37,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     estimate_quantile,
-    global_registry,
 )
 from repro.observability.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.observability.slo import (
@@ -75,7 +77,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "global_registry",
     "TRACE_ENV",
     "Span",
     "Tracer",

@@ -304,8 +304,3 @@ def _format_value(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-#: Process-wide default registry (direct instrumentation; per-federation
-#: collectors are attached by ``Federation.metrics_registry()``).
-global_registry = MetricsRegistry()

@@ -8,13 +8,14 @@ runs at full speed between ticks; the measured overhead at the default rate
 is a fraction of a percent (asserted by
 ``tests/observability/test_profiler.py``).
 
-**Per-job attribution.**  The experiment queue drives each job inside the
-transport's :func:`~repro.federation.transport.job_scope`; that scope also
-binds the executing thread here (:func:`bind_current_thread`), so every
-sample is tagged with the job id its thread is working for.  Fan-out pool
-threads are tagged for the duration of each send they run on a job's
-behalf.  ``collapsed(job=...)`` then yields one job's flamegraph out of a
-concurrent mix.
+**Per-job attribution.**  The experiment queue drives each job inside its
+transport's :meth:`~repro.federation.transport.Transport.job_scope`, which
+records the executing thread in that transport's ``thread_jobs`` map;
+fan-out pool threads are recorded for the duration of each send they run
+on a job's behalf.  :meth:`~repro.api.service.MIPService.attach_profiler`
+hands the profiler that map, so every sample is tagged with the job id its
+thread is working for, and ``collapsed(job=...)`` yields one job's
+flamegraph out of a concurrent mix.
 
 **Determinism safety.**  A simulated federation's scheduling is a pure
 function of its seed; a free-running sampler thread would be an
@@ -32,7 +33,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Any
+from typing import Any, Mapping
 
 #: Default sampling rate.  A prime, so the sampler does not phase-lock with
 #: common periodic workloads (timers, modeled-latency sleeps at round rates).
@@ -40,34 +41,6 @@ DEFAULT_HZ = 97.0
 
 #: Sentinel for "all jobs" in the filtering accessors.
 _ALL = object()
-
-#: Threads currently working on behalf of a job: ident -> job id.  Plain
-#: dict reads/writes are atomic under the GIL; the sampler only reads.
-_thread_jobs: dict[int, str] = {}
-
-
-def bind_current_thread(job_id: str) -> int | None:
-    """Attribute the calling thread's samples to ``job_id``.
-
-    Returns the thread ident to pass to :func:`unbind_thread`, or ``None``
-    when the thread was already bound (nested scopes keep the outer owner).
-    """
-    ident = threading.get_ident()
-    if ident in _thread_jobs:
-        return None
-    _thread_jobs[ident] = job_id
-    return ident
-
-
-def unbind_thread(ident: int | None) -> None:
-    """Undo :func:`bind_current_thread` (no-op for a ``None`` token)."""
-    if ident is not None:
-        _thread_jobs.pop(ident, None)
-
-
-def thread_job(ident: int) -> str | None:
-    """The job a thread's samples are attributed to, if any."""
-    return _thread_jobs.get(ident)
 
 
 def _frame_label(frame) -> str:
@@ -93,6 +66,9 @@ class SamplingProfiler:
         self._stop = threading.Event()
         self._started_wall: float | None = None
         self._elapsed = 0.0
+        #: Thread ident -> the job it works for; the map of the transport
+        #: the profiler is attached to (read only, atomically under the GIL).
+        self.thread_jobs: Mapping[int, str] = {}
 
     # -------------------------------------------------------------- lifecycle
 
@@ -141,6 +117,7 @@ class SamplingProfiler:
 
     def _sample_once(self, own_ident: int) -> None:
         frames = sys._current_frames()
+        thread_jobs = self.thread_jobs
         tick: list[tuple[str | None, tuple[str, ...]]] = []
         for ident, frame in frames.items():
             if ident == own_ident:
@@ -154,7 +131,7 @@ class SamplingProfiler:
             if not stack:
                 continue
             stack.reverse()  # root → leaf, the collapsed-stack convention
-            tick.append((_thread_jobs.get(ident), tuple(stack)))
+            tick.append((thread_jobs.get(ident), tuple(stack)))
         with self._lock:
             self._samples += 1
             for key in tick:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import PrivacyError
-from repro.observability.metrics import global_registry
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,6 @@ class PrivacyAccountant:
                 f"delta budget exhausted: {prospective.delta:.2e} > {self.delta_budget}"
             )
         self._releases.append((epsilon, delta))
-        global_registry.counter(
-            "repro_privacy_epsilon_spent_total", "Total epsilon accounted across releases"
-        ).inc(epsilon)
-        global_registry.counter(
-            "repro_privacy_delta_spent_total", "Total delta accounted across releases"
-        ).inc(delta)
-        global_registry.counter(
-            "repro_privacy_releases_total", "Number of accounted mechanism releases"
-        ).inc()
         if self.audit is not None:
             self.audit.record(
                 "privacy_spend",

@@ -25,11 +25,7 @@ from repro.errors import SimTestError
 from repro.federation.controller import FederationConfig, create_federation
 from repro.federation.policy import FailurePolicy
 from repro.simtest.faults import FaultPlan
-from repro.simtest.invariants import (
-    InvariantChecker,
-    InvariantReport,
-    privacy_counter_snapshot,
-)
+from repro.simtest.invariants import InvariantChecker, InvariantReport
 from repro.simtest.runtime import SimRuntime
 
 import repro.algorithms  # noqa: F401  (register algorithms once)
@@ -246,7 +242,7 @@ def run_simulation(spec: SimSpec) -> SimReport:
         if cluster is not None
         else (0, 0)
     )
-    privacy_baseline = privacy_counter_snapshot()
+    privacy_baseline = federation.metrics_registry().snapshot()
     job_ids = []
     for index, request in enumerate(sim_requests(spec.jobs, algo=spec.algo)):
         job_id = f"sim_job_{index + 1}"

@@ -33,7 +33,7 @@ Invariants:
     tolerance.
 ``privacy-monotonicity``
     Per-experiment ``privacy_spend`` totals never decrease, and the
-    process-wide privacy counters never ran backwards.
+    federation's privacy counters never ran backwards.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ class InvariantChecker:
 
     ``results`` are the batch's :class:`~repro.core.experiment.ExperimentResult`
     objects in submission order; ``histories`` maps job id to its recorded
-    state history; ``baseline``/``smpc_baseline``/``privacy_baseline`` are
-    counter snapshots taken after federation setup and before the first
-    submission; ``oracles`` maps eligible job ids to plain-aggregation
-    result dicts; ``revived_workers`` are workers a fault revived (exempt
-    from cross-experiment resurrection complaints).
+    state history; ``baseline``/``smpc_baseline`` are counter snapshots and
+    ``privacy_baseline`` the federation's metrics snapshot, taken after
+    federation setup and before the first submission; ``oracles`` maps
+    eligible job ids to plain-aggregation result dicts; ``revived_workers``
+    are workers a fault revived (exempt from cross-experiment resurrection
+    complaints).
     """
 
     def __init__(
@@ -94,7 +95,7 @@ class InvariantChecker:
         histories: Mapping[str, Sequence[str]],
         baseline: TransportStats,
         smpc_baseline: tuple[int, int],
-        privacy_baseline: Mapping[str, float],
+        privacy_baseline: Mapping[str, Any],
         oracles: Mapping[str, Mapping[str, Any]] | None = None,
         revived_workers: frozenset[str] | set[str] = frozenset(),
     ) -> None:
@@ -317,25 +318,11 @@ class InvariantChecker:
                         f"{last!r} -> {total!r}"
                     )
                 last = total
-        from repro.observability.metrics import global_registry
-
-        snapshot = global_registry.snapshot()
+        snapshot = self.federation.metrics_registry().snapshot()
         for name, start in sorted(self.privacy_baseline.items()):
-            now = snapshot.get(name, 0.0)
-            if isinstance(now, (int, float)) and now + 1e-12 < start:
-                problems.append(f"{name} fell {start!r} -> {now!r}")
+            if name.startswith("repro_privacy_") and snapshot[name] + 1e-12 < start:
+                problems.append(f"{name} fell {start!r} -> {snapshot[name]!r}")
         report.record("privacy-monotonicity", not problems, "; ".join(problems))
-
-
-def privacy_counter_snapshot() -> dict[str, float]:
-    """Process-wide privacy counters (the monotonicity baseline)."""
-    from repro.observability.metrics import global_registry
-
-    return {
-        name: float(value)
-        for name, value in global_registry.snapshot().items()
-        if name.startswith("repro_privacy_") and isinstance(value, (int, float))
-    }
 
 
 def _step_number(step_id: str | None, job_id: str) -> int | None:

@@ -41,11 +41,7 @@ from typing import Any
 from repro.api.service import MIPService
 from repro.observability.audit import merged_events
 from repro.simtest.faults import FaultPlan
-from repro.simtest.invariants import (
-    InvariantChecker,
-    InvariantReport,
-    privacy_counter_snapshot,
-)
+from repro.simtest.invariants import InvariantChecker, InvariantReport
 from repro.simtest.runtime import SimRuntime
 
 #: Job states that mean "reached the end of its lifecycle".
@@ -153,7 +149,7 @@ def _run_two_lives(spec, state_dir: str):
         if cluster2 is not None
         else (0, 0)
     )
-    privacy_baseline2 = privacy_counter_snapshot()
+    privacy_baseline2 = federation2.metrics_registry().snapshot()
     runtime2.drive()
     results = [service2.engine.get(job_id) for job_id in job_ids]
     histories2 = service2.engine.queue.job_histories()

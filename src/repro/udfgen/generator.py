@@ -18,11 +18,11 @@ Generation is *plan-cached*, prepared-statement style: the function body and
 the statement text depend only on the UDF's shape — its spec and its
 input/output kinds — never on the concrete argument values or table names.
 Those travel as the plan, a Python value bound as the statement's one
-parameter: never quoted into SQL, never re-parsed.  So iterative flows
-(k-means, logistic regression) generate each function's SQL exactly once,
-a node registers each function once (see :func:`run_udf_application`), and
-the engine parses each statement text once and binds every later step's
-plan to that parse.  The body starts from a private structural copy of its
+parameter: never quoted into SQL, never re-parsed.  So in iterative flows
+(k-means, logistic regression) each node generates each function's SQL
+once, in its own :class:`UDFPlanCache`, registers it once (see
+:func:`run_udf_application`), and the engine parses each statement text
+once and binds every later step's plan to that parse.  The body starts from a private structural copy of its
 plan (:func:`repro.udfgen.runtime.private_copy`), so a body that mutates a
 literal changes neither the request that carried it nor another node's
 step.
@@ -92,7 +92,9 @@ class _CachedPlan:
 class UDFPlanCache:
     """LRU memo of generated function definitions, keyed by plan shape.
 
-    The hit/miss counters are the observable contract of the optimisation:
+    Each node (the master and every worker) owns one and hands it to
+    :func:`generate_udf_application`, so its hit/miss counters are that
+    node's own.  They are the observable contract of the optimisation:
     after the first iteration of an iterative flow, every further local or
     global step of the same shape must be a hit (asserted in tests).
     """
@@ -121,20 +123,9 @@ class UDFPlanCache:
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses, "size": len(self._plans)}
-
-
-#: Process-wide plan cache (one generator, many nodes — the definition is
-#: per-shape, so every node can reuse the same plan).
-plan_cache = UDFPlanCache()
 
 
 @dataclass(frozen=True)
@@ -157,9 +148,10 @@ class FusionStep:
 
 
 def generate_udf_application(
-    spec: UDFSpec, job_id: str, arguments: Mapping[str, Any]
+    spec: UDFSpec, job_id: str, arguments: Mapping[str, Any], cache: UDFPlanCache
 ) -> UDFApplication:
-    """Emit the SQL for one application of ``spec`` with bound arguments.
+    """Emit the SQL for one application of ``spec`` with bound arguments,
+    memoized in the calling node's ``cache``.
 
     ``arguments`` maps parameter names to a table name or SELECT string
     (``relation`` and ``transfer`` inputs) or to a ``literal``'s value:
@@ -167,10 +159,12 @@ def generate_udf_application(
     evaluates back to them; anything else fails the step with
     :class:`UDFError`).
     """
-    return _generate((FusionStep(spec, arguments),), job_id, fused=False)
+    return _generate((FusionStep(spec, arguments),), job_id, cache, fused=False)
 
 
-def generate_fused_application(steps: Sequence[FusionStep], job_id: str) -> UDFApplication:
+def generate_fused_application(
+    steps: Sequence[FusionStep], job_id: str, cache: UDFPlanCache
+) -> UDFApplication:
     """Fuse a chain of local steps into a single SQL UDF application.
 
     The paper's roadmap cites "UDF fusion": consecutive computation steps
@@ -185,10 +179,12 @@ def generate_fused_application(steps: Sequence[FusionStep], job_id: str) -> UDFA
     """
     if not steps:
         raise UDFError("cannot fuse zero steps")
-    return _generate(tuple(steps), job_id, fused=True)
+    return _generate(tuple(steps), job_id, cache, fused=True)
 
 
-def _generate(steps: tuple[FusionStep, ...], job_id: str, fused: bool) -> UDFApplication:
+def _generate(
+    steps: tuple[FusionStep, ...], job_id: str, cache: UDFPlanCache, fused: bool
+) -> UDFApplication:
     for index, step in enumerate(steps):
         spec = step.spec
         where = f"fused step {index} ({spec.name})" if fused else f"UDF {spec.name!r}"
@@ -207,11 +203,11 @@ def _generate(steps: tuple[FusionStep, ...], job_id: str, fused: bool) -> UDFApp
     final = steps[-1].spec
     with tracer.span("udf.generate", udf=final.name) as span:
         key = _plan_key(steps)
-        plan = plan_cache.lookup(key)
+        plan = cache.lookup(key)
         if plan is None:
             span.set_attribute("plan_cache", "miss")
             plan = _build_plan(steps, key)
-            plan_cache.store(key, plan)
+            cache.store(key, plan)
         else:
             span.set_attribute("plan_cache", "hit")
 

@@ -25,7 +25,7 @@ def crafted_federation(rows_per_worker: dict[str, list[tuple]], columns):
 def run(federation, algorithm, y=(), x=(), parameters=None, datasets=None):
     engine = ExperimentEngine(federation, aggregation="plain")
     if datasets is None:
-        datasets = tuple(sorted(federation.master.availability["dementia"]))
+        datasets = tuple(sorted(federation.master.refresh_catalog()["dementia"]))
     return engine.run(
         ExperimentRequest(
             algorithm=algorithm, data_model="dementia", datasets=datasets,

@@ -45,7 +45,7 @@ def test_a_second_holder_fails_the_next_experiment_before_any_step(fresh_federat
             "ttest_onesample", "dementia", ["edsd"], y=["p_tau"]
         )
         assert before.status.value == "success", before.error
-        edsd_holder = fresh_federation.master.availability["dementia"]["edsd"]
+        edsd_holder = fresh_federation.master.refresh_catalog()["dementia"]["edsd"]
         second = next(w for w in sorted(fresh_federation.workers) if w != edsd_holder)
         fresh_federation.workers[second].load_data_model(
             "dementia", generate_cohort(CohortSpec("edsd", 20, seed=9))
@@ -80,3 +80,45 @@ def test_a_second_holder_fails_the_next_experiment_before_any_step(fresh_federat
     assert set(kinds) == {"list_datasets"}
     refusals = fresh_federation.master.audit.events(event="duplicate_dataset")
     assert [event.details["workers"] for event in refusals] == [[edsd_holder, second]]
+
+
+def load_second_edsd_holder(federation):
+    """Load ``edsd`` onto a worker other than its holder; returns both."""
+    holder = federation.master.refresh_catalog()["dementia"]["edsd"]
+    second = next(w for w in sorted(federation.workers) if w != holder)
+    federation.workers[second].load_data_model(
+        "dementia", generate_cohort(CohortSpec("edsd", 20, seed=9))
+    )
+    return holder, second
+
+
+def test_status_reports_a_refused_layout(fresh_federation):
+    """The health call reports the refused layout instead of raising, and
+    still reports the workers, the traffic and the queue."""
+    service = MIPService(fresh_federation, aggregation="plain")
+    try:
+        holder, second = load_second_edsd_holder(fresh_federation)
+        status = service.status()
+    finally:
+        service.shutdown()
+    error = status["catalog_error"]
+    assert "'edsd'" in error and repr(holder) in error and repr(second) in error
+    assert status["data_models"] == {} and status["caseload_rows"] == {}
+    assert status["workers"] == {worker: "up" for worker in fresh_federation.workers}
+    assert status["transport"]["messages"] > 0
+    assert status["queue"]["depth"] == 0
+
+
+def test_catalogue_answers_refuse_a_second_holder(fresh_federation):
+    """The catalogue reads a fresh refresh: after a second holder appears it
+    raises the error every experiment gets, not the last map it saw."""
+    service = MIPService(fresh_federation, aggregation="plain")
+    try:
+        assert "edsd" in service.datasets("dementia")
+        load_second_edsd_holder(fresh_federation)
+        with pytest.raises(FederationError, match="edsd"):
+            service.datasets("dementia")
+        with pytest.raises(FederationError, match="edsd"):
+            service.data_models()
+    finally:
+        service.shutdown()

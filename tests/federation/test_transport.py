@@ -1,9 +1,12 @@
-"""Simulated transport: metering, latency model, failure injection."""
+"""Simulated transport: metering, latency model, failure injection, job
+attribution."""
+
+import threading
 
 import pytest
 
 from repro.errors import FederationError, NodeUnavailableError
-from repro.federation.transport import Transport
+from repro.federation.transport import Transport, current_job
 
 
 def echo_handler(message):
@@ -395,3 +398,47 @@ class TestSnapshotIsolation:
         # The first snapshot is frozen at the moment it was taken.
         assert snap.messages == 0
         assert t.snapshot().messages == before[0] + 2
+
+
+class TestJobScope:
+    """A transport records which thread works for which job: the map a
+    service hands to the sampling profiler it attaches."""
+
+    def test_nested_scope_keeps_the_outer_owner(self):
+        t = make_transport(1)
+        ident = threading.get_ident()
+        with t.job_scope("outer"):
+            with t.job_scope("inner"):
+                assert t.thread_jobs == {ident: "outer"}
+                assert current_job() == "inner"
+            assert t.thread_jobs == {ident: "outer"}
+        assert t.thread_jobs == {}
+        assert current_job() is None
+
+    def test_fan_out_threads_work_for_the_scope_job(self):
+        """Pool threads are recorded for the send they run for a job, and a
+        send outside any job records no thread."""
+        t = Transport(max_workers=2)
+        seen = []
+
+        def handler(message):
+            seen.append(t.thread_jobs.get(threading.get_ident()))
+            return {}
+
+        for node in ("w0", "w1"):
+            t.register(node, handler)
+        requests = [("w0", "ping", None), ("w1", "ping", None)]
+        try:
+            with t.job_scope("job-A"):
+                t.send_many("w0", requests)
+            t.send_many("w0", requests)
+        finally:
+            t.shutdown()
+        assert seen == ["job-A", "job-A", None, None]
+        assert t.thread_jobs == {}
+
+    def test_each_transport_keeps_its_own_map(self):
+        a, b = make_transport(1), make_transport(1)
+        with a.job_scope("job-A"):
+            assert a.thread_jobs == {threading.get_ident(): "job-A"}
+            assert b.thread_jobs == {}

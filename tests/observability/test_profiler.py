@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.observability import profiler as profiler_mod
 from repro.observability.profiler import (
     DEFAULT_HZ,
     SamplingProfiler,
@@ -64,13 +63,17 @@ class TestSampling:
 class TestJobAttribution:
     def test_bound_thread_samples_carry_the_job_id(self):
         profiler = SamplingProfiler(hz=250)
+        # The map a service hands over from its transport (Transport.job_scope
+        # fills it; tests/federation/test_transport.py::TestJobScope).
+        thread_jobs: dict[int, str] = {}
+        profiler.thread_jobs = thread_jobs
 
         def work():
-            token = profiler_mod.bind_current_thread("job-A")
+            thread_jobs[threading.get_ident()] = "job-A"
             try:
                 busy_wait(0.3)
             finally:
-                profiler_mod.unbind_thread(token)
+                del thread_jobs[threading.get_ident()]
 
         with profiler:
             thread = threading.Thread(target=work)
@@ -81,18 +84,6 @@ class TestJobAttribution:
         assert "busy_wait" in job_collapsed
         # the unbound main thread's samples do not leak into the job view
         assert profiler.stack_counts(job="job-A") != profiler.stack_counts()
-
-    def test_nested_bind_keeps_the_outer_owner(self):
-        token = profiler_mod.bind_current_thread("outer")
-        try:
-            assert profiler_mod.bind_current_thread("inner") is None
-            assert profiler_mod.thread_job(threading.get_ident()) == "outer"
-        finally:
-            profiler_mod.unbind_thread(token)
-        assert profiler_mod.thread_job(threading.get_ident()) is None
-
-    def test_unbind_none_token_is_noop(self):
-        profiler_mod.unbind_thread(None)
 
 
 class TestSimtestVeto:

@@ -8,7 +8,7 @@ import uuid
 import pytest
 
 from repro.udfgen.decorators import get_spec
-from repro.udfgen.generator import generate_udf_application
+from repro.udfgen.generator import UDFPlanCache, generate_udf_application
 from tests.reach import gate
 
 MODULE = '''
@@ -66,7 +66,7 @@ def judge(root, keep_text, run_udf=True):
         spec.loader.exec_module(module)
         module.used()
         if run_udf:
-            generate_udf_application(get_spec(module.step), "job", {"x": 1})
+            generate_udf_application(get_spec(module.step), "job", {"x": 1}, UDFPlanCache())
     keep = root / "keep.txt"
     keep.write_text(keep_text)
     entries, problems = gate.read_keep(keep)

@@ -21,7 +21,11 @@ from repro.udfgen import (
     udf,
 )
 from repro.udfgen.decorators import get_spec
+from repro.udfgen.generator import UDFPlanCache
 from repro.udfgen.runtime import deserialize_transfer
+
+#: The generating node's plan cache, as a master or worker holds one.
+PLAN_CACHE = UDFPlanCache()
 
 
 @udf(data=relation(), return_type=[transfer()])
@@ -57,6 +61,7 @@ class TestFusion:
                 FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(1)}),
             ],
             "fuse1",
+            PLAN_CACHE,
         )
         (out,) = run_udf_application(db, application)
         result = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))
@@ -64,13 +69,17 @@ class TestFusion:
 
     def test_matches_unfused_chain(self, db):
         # unfused: three applications with intermediate tables
-        first = generate_udf_application(get_spec(fusion_load), "u1", {"data": "numbers"})
+        first = generate_udf_application(
+            get_spec(fusion_load), "u1", {"data": "numbers"}, PLAN_CACHE
+        )
         (loaded,) = run_udf_application(db, first)
         second = generate_udf_application(
-            get_spec(fusion_square), "u2", {"previous": loaded, "power": 2}
+            get_spec(fusion_square), "u2", {"previous": loaded, "power": 2}, PLAN_CACHE
         )
         (squared,) = run_udf_application(db, second)
-        third = generate_udf_application(get_spec(fusion_reduce), "u3", {"previous": squared})
+        third = generate_udf_application(
+            get_spec(fusion_reduce), "u3", {"previous": squared}, PLAN_CACHE
+        )
         (out_unfused,) = run_udf_application(db, third)
         unfused = deserialize_transfer(db.scalar(f"SELECT * FROM {out_unfused}"))
 
@@ -82,6 +91,7 @@ class TestFusion:
                 FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(1)}),
             ],
             "fuse2",
+            PLAN_CACHE,
         )
         (out_fused,) = run_udf_application(db, fused_app)
         fused = deserialize_transfer(db.scalar(f"SELECT * FROM {out_fused}"))
@@ -95,6 +105,7 @@ class TestFusion:
                 FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(0)}),
             ],
             "fuse3",
+            PLAN_CACHE,
         )
         run_udf_application(db, application)
         created = set(db.table_names()) - before
@@ -110,8 +121,8 @@ class TestFusion:
                 FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(1)}),
             ]
 
-        first = generate_fused_application(steps(1), "reuse1")
-        second = generate_fused_application(steps(3), "reuse2")
+        first = generate_fused_application(steps(1), "reuse1", PLAN_CACHE)
+        second = generate_fused_application(steps(3), "reuse2", PLAN_CACHE)
         assert first.function_name == second.function_name
         assert first.output_tables != second.output_tables
         run_udf_application(db, first)
@@ -129,14 +140,15 @@ class TestFusion:
                     FusionStep(get_spec(fusion_reduce), {"previous": StepOutput(0)}),
                 ],
                 "bad",
+                PLAN_CACHE,
             )
 
     def test_zero_steps_rejected(self):
         with pytest.raises(UDFError):
-            generate_fused_application([], "empty")
+            generate_fused_application([], "empty", PLAN_CACHE)
 
     def test_missing_argument_names_step(self):
         with pytest.raises(UDFError, match="fused step 0"):
             generate_fused_application(
-                [FusionStep(get_spec(fusion_square), {"power": 2})], "bad2"
+                [FusionStep(get_spec(fusion_square), {"power": 2})], "bad2", PLAN_CACHE
             )

@@ -11,11 +11,15 @@ from repro.errors import UDFError
 from repro.udfgen.decorators import get_spec, udf
 from repro.udfgen.generator import (
     TableArg,
+    UDFPlanCache,
     generate_udf_application,
     run_udf_application,
 )
 from repro.udfgen.iotypes import literal, relation, secure_transfer, transfer
 from repro.udfgen.runtime import deserialize_transfer
+
+#: The generating node's plan cache, as a master or worker holds one.
+PLAN_CACHE = UDFPlanCache()
 
 
 @udf(data=relation(), factor=literal(), return_type=[transfer()])
@@ -65,7 +69,7 @@ class TestTableArg:
 class TestGeneration:
     def test_statements_shape(self):
         app = generate_udf_application(
-            get_spec(fit_step), "job1", {"data": "numbers", "factor": 2}
+            get_spec(fit_step), "job1", {"data": "numbers", "factor": 2}, PLAN_CACHE
         )
         assert app.definition_sql.startswith("CREATE OR REPLACE FUNCTION")
         assert app.execute_sql == f"SELECT * FROM {app.function_name}(?)"
@@ -73,13 +77,14 @@ class TestGeneration:
 
     def test_missing_argument(self):
         with pytest.raises(UDFError, match="missing"):
-            generate_udf_application(get_spec(fit_step), "job1", {"data": "numbers"})
+            generate_udf_application(get_spec(fit_step), "job1", {"data": "numbers"}, PLAN_CACHE)
 
     def test_unknown_argument(self):
         with pytest.raises(UDFError, match="unknown"):
             generate_udf_application(
                 get_spec(fit_step), "job1",
                 {"data": "numbers", "factor": 2, "bogus": 1},
+                PLAN_CACHE,
             )
 
 
@@ -87,7 +92,7 @@ class TestLiterals:
     def test_non_finite_floats_round_trip_through_a_step(self, db):
         nan, inf = float("nan"), float("inf")
         value = {"beta": [nan, inf, -inf, 1.5], "nested": {"levels": [[-inf], {"x": nan}]}}
-        app = generate_udf_application(get_spec(echo_literal), "nf1", {"value": value})
+        app = generate_udf_application(get_spec(echo_literal), "nf1", {"value": value}, PLAN_CACHE)
         (out,) = run_udf_application(db, app)
         echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
         assert math.isnan(echoed["beta"][0])
@@ -97,7 +102,7 @@ class TestLiterals:
 
     def test_literals_travel_in_the_plan_not_the_sql(self, db):
         value = {"beta": [0.1, -2.5e-300, 1e300], "level": "it's", "k": (3, None)}
-        app = generate_udf_application(get_spec(echo_literal), "f1", {"value": value})
+        app = generate_udf_application(get_spec(echo_literal), "f1", {"value": value}, PLAN_CACHE)
         assert app.plan == ({"value": value},)
         assert app.execute_sql == f"SELECT * FROM {app.function_name}(?)"
         (out,) = run_udf_application(db, app)
@@ -107,7 +112,7 @@ class TestLiterals:
     def test_a_body_that_mutates_its_literal_leaves_the_plan_alone(self, db):
         value = {"marks": [], "nested": ({"levels": [1.5]},)}
         apps = [
-            generate_udf_application(get_spec(mark_literal), job, {"value": value})
+            generate_udf_application(get_spec(mark_literal), job, {"value": value}, PLAN_CACHE)
             for job in ("m1", "m2")
         ]
         for app in apps:
@@ -122,14 +127,14 @@ class TestLiterals:
         {"at": object()},
     ], ids=["ndarray", "nested_ndarray", "object"])
     def test_a_literal_that_is_not_plain_data_is_refused(self, db, value):
-        app = generate_udf_application(get_spec(echo_literal), "r1", {"value": value})
+        app = generate_udf_application(get_spec(echo_literal), "r1", {"value": value}, PLAN_CACHE)
         with pytest.raises(UDFError, match="scalars and built-in containers"):
             run_udf_application(db, app)
         assert not db.has_table(app.output_tables[0])
 
     def test_numpy_scalars_pass_as_themselves(self, db):
         value = {"k": np.int64(3), "x": np.float64(0.25), "flag": np.True_}
-        app = generate_udf_application(get_spec(echo_literal), "n1", {"value": value})
+        app = generate_udf_application(get_spec(echo_literal), "n1", {"value": value}, PLAN_CACHE)
         (out,) = run_udf_application(db, app)
         echoed = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))["value"]
         assert echoed == {"k": 3, "x": 0.25, "flag": True}
@@ -138,7 +143,7 @@ class TestLiterals:
 class TestExecution:
     def test_transfer_output(self, db):
         app = generate_udf_application(
-            get_spec(fit_step), "job1", {"data": "numbers", "factor": 3}
+            get_spec(fit_step), "job1", {"data": "numbers", "factor": 3}, PLAN_CACHE
         )
         (out,) = run_udf_application(db, app)
         restored = deserialize_transfer(db.scalar(f"SELECT * FROM {out}"))
@@ -146,17 +151,17 @@ class TestExecution:
 
     def test_transfer_chains_between_steps(self, db):
         first = generate_udf_application(
-            get_spec(fit_step), "j1", {"data": "numbers", "factor": 1}
+            get_spec(fit_step), "j1", {"data": "numbers", "factor": 1}, PLAN_CACHE
         )
         (transfer_table,) = run_udf_application(db, first)
         second = generate_udf_application(
-            get_spec(continue_step), "j2", {"previous": transfer_table}
+            get_spec(continue_step), "j2", {"previous": transfer_table}, PLAN_CACHE
         )
         (out,) = run_udf_application(db, second)
         assert deserialize_transfer(db.scalar(f"SELECT * FROM {out}")) == {"echo": 10.0}
 
     def test_secure_transfer_output_validated(self, db):
-        app = generate_udf_application(get_spec(secure_step), "s1", {"data": "numbers"})
+        app = generate_udf_application(get_spec(secure_step), "s1", {"data": "numbers"}, PLAN_CACHE)
         (out,) = run_udf_application(db, app)
         payload = json.loads(db.scalar(f"SELECT * FROM {out}"))
         assert payload == {"s": {"data": 10.0, "operation": "sum"}}
@@ -165,6 +170,7 @@ class TestExecution:
         app = generate_udf_application(
             get_spec(secure_step), "v1",
             {"data": "SELECT a FROM numbers WHERE a > 1"},
+            PLAN_CACHE,
         )
         (out,) = run_udf_application(db, app)
         payload = json.loads(db.scalar(f"SELECT * FROM {out}"))
@@ -173,8 +179,12 @@ class TestExecution:
     def test_stable_function_unique_outputs_per_job(self, db):
         # Plan-cached generation: one stable function per UDF shape, but the
         # output tables (and thus the results) stay unique per job.
-        app1 = generate_udf_application(get_spec(secure_step), "ja", {"data": "numbers"})
-        app2 = generate_udf_application(get_spec(secure_step), "jb", {"data": "numbers"})
+        app1 = generate_udf_application(
+            get_spec(secure_step), "ja", {"data": "numbers"}, PLAN_CACHE
+        )
+        app2 = generate_udf_application(
+            get_spec(secure_step), "jb", {"data": "numbers"}, PLAN_CACHE
+        )
         assert app1.function_name == app2.function_name
         assert app1.definition_sql == app2.definition_sql
         assert app1.output_tables != app2.output_tables
