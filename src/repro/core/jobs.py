@@ -262,13 +262,10 @@ class ExperimentQueue:
         self._running_count = 0
         self._threads: list[threading.Thread] = []
         self._shutdown = False
-        #: Finished-experiment wall times; ``repro health`` and the SLO
-        #: layer estimate latency percentiles from these buckets.
-        self.latency = Histogram(
-            "repro_experiment_duration_seconds",
-            "Wall time of finished experiments (success, error or cancelled).",
-            buckets=_LATENCY_BUCKETS,
-        )
+        #: Wall times of finished experiments (success, error or cancelled);
+        #: ``repro health`` and the SLO layer estimate latency percentiles
+        #: from these buckets.
+        self.latency = Histogram("repro_experiment_duration_seconds", _LATENCY_BUCKETS)
         #: An attached :class:`~repro.observability.profiler.SamplingProfiler`;
         #: when set (and running), every finished job carries its own
         #: collapsed-stack profile on ``ExperimentResult.profile``.

@@ -5,9 +5,10 @@ vectorized, in-database analytics.  This package provides an engine with the
 same interface surface used by MIP:
 
 - columnar storage over numpy arrays with explicit NULL masks,
-- the SQL statements the platform issues (``SELECT`` with a full ``WHERE``
-  expression grammar, and a table-function call), plus ``CREATE TABLE``,
-  ``INSERT`` and bare aggregates for the E7 bench and the tests,
+- the SQL statements the platform issues and no others: ``SELECT`` with a
+  full ``WHERE`` expression grammar, a table-function call and
+  ``CREATE FUNCTION``; tables enter the catalog through
+  ``Database.register_table``,
 - Python table UDFs (``CREATE FUNCTION ... LANGUAGE PYTHON``) executed
   vectorized over column arrays, with SQL *loopback* queries.
 """

@@ -99,12 +99,6 @@ class Column:
                 values = np.where(nan_mask, 0.0, values)
         return cls(sql_type, values, nulls)
 
-    @classmethod
-    def empty(cls, sql_type: SQLType) -> "Column":
-        if sql_type == SQLType.VARCHAR:
-            return cls.from_codes(np.empty(0, dtype=np.int32), _NO_LABELS)
-        return cls(sql_type, np.empty(0, dtype=sql_type.numpy_dtype), np.empty(0, dtype=bool))
-
     # -------------------------------------------------------------- accessors
 
     @property
@@ -168,10 +162,6 @@ class Column:
         out.flags.writeable = False
         return out
 
-    def non_null(self) -> np.ndarray:
-        """Return only the non-NULL values."""
-        return self.values[~self.nulls]
-
     # ------------------------------------------------------------ combinators
 
     def take(self, indices: np.ndarray) -> "Column":
@@ -187,8 +177,6 @@ class Column:
         nulls = np.concatenate([self.nulls, other.nulls])
         if self.codes is None:
             return Column(self.sql_type, np.concatenate([self.values, other.values]), nulls)
-        if not len(self):  # an INSERT into a new table: nothing to merge
-            return Column.from_codes(other.codes, other.labels, nulls)
         # Merge the dictionaries: this side's labels keep their codes,
         # the other side's are remapped into the merged list.
         merged = dict.fromkeys(self.labels.tolist())
@@ -224,9 +212,6 @@ def dictionary_encode(values: Sequence[Any] | np.ndarray) -> tuple[np.ndarray, n
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-_NO_LABELS = _read_only(np.empty(0, dtype=object))
 
 
 def _is_nan(value: Any) -> bool:

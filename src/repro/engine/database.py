@@ -58,7 +58,8 @@ class Database:
     # ------------------------------------------------------------ direct API
 
     def register_table(self, name: str, table: Table, replace: bool = False) -> None:
-        """Register a prebuilt table (ETL fast path, bypassing INSERT)."""
+        """Register a prebuilt table: every table a node keeps enters the
+        catalog here (no statement writes one)."""
         with self._lock:
             if name in self._tables and not replace:
                 raise CatalogError(f"table {name!r} already exists")
@@ -103,7 +104,7 @@ class Database:
         text is parsed once per process (:func:`_prepared`) and every
         execution binds its own values to that parse.
 
-        SELECTs return a :class:`Table`; DDL/DML return None.
+        A SELECT returns a :class:`Table`; CREATE FUNCTION returns None.
         """
         statement = _prepared(sql) if params else parse(sql)
         return self.execute_statement(statement, params)
@@ -115,25 +116,11 @@ class Database:
         with self._lock:
             if isinstance(statement, ast.Select):
                 return execute_select(statement, self)
-            if isinstance(statement, ast.CreateTable):
-                return self._create_table(statement)
-            if isinstance(statement, ast.DropTable):
-                self.drop_table(statement.name, statement.if_exists)
-                return None
-            if isinstance(statement, ast.InsertValues):
-                return self._insert_values(statement)
             if isinstance(statement, ast.CreateFunction):
                 definition = UDFDefinition(
                     statement.name, statement.parameters, statement.returns, statement.body
                 )
                 self.register_function(definition, replace=statement.or_replace)
-                return None
-            if isinstance(statement, ast.DropFunction):
-                if statement.name not in self._functions:
-                    if statement.if_exists:
-                        return None
-                    raise CatalogError(f"no such function: {statement.name!r}")
-                del self._functions[statement.name]
                 return None
         raise ExecutionError(f"unsupported statement type {type(statement).__name__}")
 
@@ -163,23 +150,6 @@ class Database:
             return run_udf(self.get_function(source.name), self, list(source.literal_args))
         raise ExecutionError(f"unknown table source {type(source).__name__}")
 
-    # ----------------------------------------------------------------- private
-
-    def _create_table(self, statement: ast.CreateTable) -> None:
-        if statement.name in self._tables:
-            if statement.if_not_exists:
-                return None
-            raise CatalogError(f"table {statement.name!r} already exists")
-        schema = Schema([ColumnSpec(n, t) for n, t in statement.columns])
-        self._tables[statement.name] = Table.empty(schema)
-        return None
-
-    def _insert_values(self, statement: ast.InsertValues) -> None:
-        existing = self.get_table(statement.table)
-        addition = Table.from_rows(existing.schema, statement.rows)
-        self._tables[statement.table] = existing.concat(addition)
-        return None
-
 
 @lru_cache(maxsize=256)
 def _prepared(sql: str) -> ast.Statement:
@@ -189,21 +159,17 @@ def _prepared(sql: str) -> ast.Statement:
 
 
 def _bound(statement: ast.Statement, params: Sequence[Any]) -> ast.Statement:
-    """``statement`` with its ``?`` arguments replaced by ``params``, in
-    order; the counts must match."""
+    """``statement`` with its ``?`` arguments (its table function's every
+    argument) bound to ``params``, in order; the counts must match."""
     call = statement.source if isinstance(statement, ast.Select) else None
-    args = call.literal_args if isinstance(call, ast.UDFCall) else ()
-    slots = [index for index, arg in enumerate(args) if isinstance(arg, ast.Parameter)]
+    slots = call.literal_args if isinstance(call, ast.UDFCall) else ()
     if len(slots) != len(params):
         raise ExecutionError(
             f"statement has {len(slots)} parameter(s), {len(params)} value(s) given"
         )
-    if not slots:
+    if not params:
         return statement
-    values = list(args)
-    for index, value in zip(slots, params):
-        values[index] = value
-    return dataclasses.replace(statement, source=ast.UDFCall(call.name, tuple(values)))
+    return dataclasses.replace(statement, source=ast.UDFCall(call.name, tuple(params)))
 
 
 def table_from_arrays(names: Sequence[str], arrays: Sequence[np.ndarray],

@@ -7,9 +7,9 @@ expression touches whole columns, not Python-level rows.
 
 A SELECT is a late-materialising scan: the WHERE becomes one boolean selection
 (:func:`true_rows`), only the columns the rest of the statement names are
-gathered through it, and projection or aggregation reads those.  Tables are
-immutable by convention (INSERT rebinds the catalog entry), so a result may
-share column arrays with its base table.
+gathered through it, and the projection reads those.  Tables are immutable
+by convention (``Database.register_table`` rebinds the catalog entry), so a
+result may share column arrays with its base table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.engine import expressions as ast
 from repro.engine.column import Column
-from repro.engine.functions import SCALAR_FUNCTIONS, aggregate, aggregate_result_type
+from repro.engine.functions import SCALAR_FUNCTIONS
 from repro.engine.table import ColumnSpec, Schema, Table
 from repro.engine.types import SQLType, common_type, is_numeric
 from repro.errors import ExecutionError, TypeMismatchError
@@ -89,8 +89,6 @@ class _Evaluator:
             return self.evaluate(expr.operand).cast(expr.target)
         if isinstance(expr, ast.CaseWhen):
             return self._case(expr)
-        if isinstance(expr, ast.Aggregate):
-            raise ExecutionError(f"aggregate {expr} is allowed only as a whole SELECT item")
         raise ExecutionError(f"cannot evaluate expression node {type(expr).__name__}")
 
     # -------------------------------------------------------------- operators
@@ -362,8 +360,6 @@ def execute_select(select: ast.Select, database: "Database") -> Table:
     source = database.resolve_source(select.source)
     if select.where is not None:
         source = _scan(select, source)
-    if any(isinstance(item.expression, ast.Aggregate) for item in select.items):
-        return _aggregate(select, source)
     return _project(select, source)
 
 
@@ -400,7 +396,7 @@ def _scan(select: ast.Select, source: Table) -> Table:
     names = _referenced_columns(select, source.schema)
     if names is not None:
         # A table's row count lives in its columns: keep one even when the
-        # statement names none (SELECT COUNT(*), SELECT 1).
+        # statement names none (SELECT 1).
         source = source.select(names or source.schema.names[:1])
     if selection.all():
         return source
@@ -447,8 +443,6 @@ def _children(expr: ast.Expression) -> Optional[tuple[ast.Expression, ...]]:
         return (expr.operand, expr.low, expr.high)
     if isinstance(expr, ast.FunctionCall):
         return tuple(expr.args)
-    if isinstance(expr, ast.Aggregate):
-        return () if expr.argument is None else (expr.argument,)
     if isinstance(expr, ast.CaseWhen):
         parts = [part for branch in expr.branches for part in branch]
         if expr.otherwise is not None:
@@ -470,23 +464,3 @@ def _project(select: ast.Select, source: Table) -> Table:
         specs.append(ColumnSpec(item.output_name(position), col.sql_type))
         columns.append(col)
     return Table(Schema(specs), columns)
-
-
-def _aggregate(select: ast.Select, source: Table) -> Table:
-    """One row: every item is one bare aggregate over the scanned rows,
-    which it reads in place."""
-    specs: list[ColumnSpec] = []
-    row: list[Any] = []
-    for position, item in enumerate(select.items):
-        expr = item.expression
-        if not isinstance(expr, ast.Aggregate):
-            raise ExecutionError(
-                f"every item of an aggregating SELECT must be one aggregate, got {expr}"
-            )
-        argument = None if expr.argument is None else evaluate(expr.argument, source)
-        argument_type = None if argument is None else argument.sql_type
-        specs.append(
-            ColumnSpec(item.output_name(position), aggregate_result_type(expr.name, argument_type))
-        )
-        row.append(aggregate(expr.name, argument, source.num_rows))
-    return Table.from_rows(Schema(specs), [row])

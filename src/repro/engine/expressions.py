@@ -117,22 +117,6 @@ class FunctionCall(Expression):
 
 
 @dataclass(frozen=True)
-class Aggregate(Expression):
-    """An aggregate call: COUNT/SUM/AVG/MIN/MAX/STDDEV_SAMP/VAR_SAMP.
-
-    ``argument`` is None only for COUNT(*).
-    """
-
-    name: str
-    argument: Optional[Expression]
-
-    def __str__(self) -> str:
-        if self.argument is None:
-            return f"{self.name}(*)"
-        return f"{self.name}({self.argument})"
-
-
-@dataclass(frozen=True)
 class Cast(Expression):
     operand: Expression
     target: SQLType
@@ -192,8 +176,8 @@ class Parameter:
 
 @dataclass(frozen=True)
 class UDFCall(TableSource):
-    """A table-function call, MonetDB style: ``f(literal, ...)``; an argument
-    may be a :class:`Parameter`."""
+    """A table-function call, MonetDB style: ``f(?, ...)``.  As parsed every
+    argument is a :class:`Parameter`; a bound statement holds the values."""
 
     name: str
     literal_args: tuple[Any, ...] = ()
@@ -206,26 +190,7 @@ class Select:
     where: Optional[Expression] = None
 
 
-# ----------------------------------------------------------------- DDL / DML
-
-
-@dataclass(frozen=True)
-class CreateTable:
-    name: str
-    columns: tuple[tuple[str, SQLType], ...]
-    if_not_exists: bool = False
-
-
-@dataclass(frozen=True)
-class DropTable:
-    name: str
-    if_exists: bool = False
-
-
-@dataclass(frozen=True)
-class InsertValues:
-    table: str
-    rows: tuple[tuple[Any, ...], ...]
+# ----------------------------------------------------------------------- DDL
 
 
 @dataclass(frozen=True)
@@ -239,17 +204,4 @@ class CreateFunction:
     or_replace: bool = False
 
 
-@dataclass(frozen=True)
-class DropFunction:
-    name: str
-    if_exists: bool = False
-
-
-Statement = (
-    Select
-    | CreateTable
-    | DropTable
-    | InsertValues
-    | CreateFunction
-    | DropFunction
-)
+Statement = Select | CreateFunction

@@ -1,4 +1,4 @@
-"""Built-in scalar and aggregate functions, all vectorized over numpy."""
+"""Built-in scalar functions, all vectorized over numpy."""
 
 from __future__ import annotations
 
@@ -109,64 +109,3 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[Column]], Column]] = {
     "TRIM": _string_unary("TRIM", str.strip),
     "LENGTH": _length,
 }
-
-
-# ------------------------------------------------------------------ aggregates
-
-
-def aggregate(name: str, column: Column | None, row_count: int):
-    """Compute one aggregate over a column (or COUNT(*) when column is None).
-
-    NULLs are ignored, matching SQL semantics; aggregates over zero non-NULL
-    rows yield NULL (except COUNT, which yields 0).
-    """
-    if name == "COUNT":
-        if column is None:
-            return row_count
-        return int((~column.nulls).sum())
-    if column is None:
-        raise ExecutionError(f"{name} requires an argument")
-    values = column.non_null()
-    if len(values) == 0:
-        return None
-    if name == "SUM":
-        total = values.sum()
-        return int(total) if column.sql_type == SQLType.INT else float(total)
-    if name == "AVG":
-        return float(np.mean(values.astype(np.float64)))
-    if name == "MIN":
-        result = values.min()
-        return _narrow(result, column.sql_type)
-    if name == "MAX":
-        result = values.max()
-        return _narrow(result, column.sql_type)
-    if name == "STDDEV_SAMP":
-        if len(values) < 2:
-            return None
-        return float(np.std(values.astype(np.float64), ddof=1))
-    if name == "VAR_SAMP":
-        if len(values) < 2:
-            return None
-        return float(np.var(values.astype(np.float64), ddof=1))
-    raise ExecutionError(f"unknown aggregate: {name}")
-
-
-def aggregate_result_type(name: str, argument_type: SQLType | None) -> SQLType:
-    """The SQL result type of an aggregate call."""
-    if name == "COUNT":
-        return SQLType.INT
-    if argument_type is None:
-        raise ExecutionError(f"{name} requires an argument")
-    if name in ("MIN", "MAX", "SUM"):
-        return argument_type
-    return SQLType.REAL
-
-
-def _narrow(value, sql_type: SQLType):
-    if sql_type == SQLType.INT:
-        return int(value)
-    if sql_type == SQLType.REAL:
-        return float(value)
-    if sql_type == SQLType.BOOL:
-        return bool(value)
-    return value

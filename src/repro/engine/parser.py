@@ -3,16 +3,17 @@
 The dialect follows MonetDB where MIP depends on it: Python table UDFs
 (``CREATE FUNCTION ... LANGUAGE PYTHON {...}``) and table-function calls in
 FROM.
-Only the statement shapes the platform issues parse; the expression grammar
-is whole, because a request's filter is one expression (see
-docs/ARCHITECTURE.md).
+Only the statement shapes the platform issues parse: ``SELECT`` from a
+table or from ``f(?)``, and ``CREATE [OR REPLACE] FUNCTION``.  The
+expression grammar is whole, because a request's filter is one expression
+(see docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.engine import expressions as ast
 from repro.engine.types import SQLType
@@ -30,16 +31,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "STDDEV_SAMP", "VAR_SAMP"}
-
 #: Words of the statements the engine parses.  ``DISTINCT`` stays reserved
 #: so ``SELECT DISTINCT a FROM t`` is rejected, not read as an alias.
 _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AS", "AND", "OR", "NOT", "NULL", "TRUE",
     "FALSE", "IS", "IN", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END",
-    "CAST", "CREATE", "REPLACE", "TABLE", "DROP", "IF", "EXISTS", "INSERT",
-    "INTO", "VALUES", "FUNCTION", "RETURNS", "LANGUAGE", "PYTHON", "DISTINCT",
-    "LIKE",
+    "CAST", "CREATE", "REPLACE", "TABLE", "FUNCTION", "RETURNS", "LANGUAGE",
+    "PYTHON", "DISTINCT", "LIKE",
 }
 
 
@@ -149,7 +147,7 @@ class Parser:
         if token.kind == "name":
             return self._advance().text
         # Allow non-reserved keywords as identifiers where unambiguous.
-        if token.kind == "keyword" and token.text in ("VALUES", "LANGUAGE"):
+        if token.kind == "keyword" and token.text == "LANGUAGE":
             return self._advance().text.lower()
         raise ParseError(f"expected identifier at position {token.position}, got {token.text!r}")
 
@@ -162,37 +160,19 @@ class Parser:
         if token.text == "SELECT":
             stmt: ast.Statement = self._parse_select()
         elif token.text == "CREATE":
-            stmt = self._parse_create()
-        elif token.text == "DROP":
-            stmt = self._parse_drop()
-        elif token.text == "INSERT":
-            stmt = self._parse_insert()
+            stmt = self._parse_create_function()
         else:
             raise ParseError(f"unsupported statement: {token.text}")
         self._match("op", ";")
         self._expect("eof")
         return stmt
 
-    def _parse_create(self) -> ast.Statement:
+    def _parse_create_function(self) -> ast.CreateFunction:
         self._expect("keyword", "CREATE")
-        or_replace = False
-        if self._check("keyword", "OR"):
-            self._advance()
+        or_replace = bool(self._match("keyword", "OR"))
+        if or_replace:
             self._expect("keyword", "REPLACE")
-            or_replace = True
-        if self._match("keyword", "FUNCTION"):
-            return self._parse_create_function(or_replace)
-        self._expect("keyword", "TABLE")
-        if_not_exists = False
-        if self._match("keyword", "IF"):
-            self._expect("keyword", "NOT")
-            self._expect("keyword", "EXISTS")
-            if_not_exists = True
-        name = self._expect_name()
-        columns = self._parse_column_defs()
-        return ast.CreateTable(name, columns, if_not_exists)
-
-    def _parse_create_function(self, or_replace: bool) -> ast.CreateFunction:
+        self._expect("keyword", "FUNCTION")
         name = self._expect_name()
         self._expect("op", "(")
         parameters: list[tuple[str, SQLType]] = []
@@ -247,59 +227,6 @@ class Parser:
             self._expect("op", ")")
         return sql_type
 
-    def _parse_drop(self) -> ast.Statement:
-        self._expect("keyword", "DROP")
-        is_function = bool(self._match("keyword", "FUNCTION"))
-        if not is_function:
-            self._expect("keyword", "TABLE")
-        if_exists = False
-        if self._match("keyword", "IF"):
-            self._expect("keyword", "EXISTS")
-            if_exists = True
-        name = self._expect_name()
-        if is_function:
-            return ast.DropFunction(name, if_exists)
-        return ast.DropTable(name, if_exists)
-
-    def _parse_insert(self) -> ast.Statement:
-        self._expect("keyword", "INSERT")
-        self._expect("keyword", "INTO")
-        table = self._expect_name()
-        self._expect("keyword", "VALUES")
-        rows: list[tuple[Any, ...]] = []
-        while True:
-            self._expect("op", "(")
-            row: list[Any] = []
-            while True:
-                row.append(self._parse_literal_value())
-                if not self._match("op", ","):
-                    break
-            self._expect("op", ")")
-            rows.append(tuple(row))
-            if not self._match("op", ","):
-                break
-        return ast.InsertValues(table, tuple(rows))
-
-    def _parse_literal_value(self) -> Any:
-        token = self._peek()
-        if token.kind == "number":
-            self._advance()
-            return _parse_number(token.text)
-        if token.kind == "string":
-            self._advance()
-            return _unquote(token.text)
-        if token.kind == "keyword" and token.text == "NULL":
-            self._advance()
-            return None
-        if token.kind == "keyword" and token.text in ("TRUE", "FALSE"):
-            self._advance()
-            return token.text == "TRUE"
-        if token.kind == "op" and token.text == "-":
-            self._advance()
-            number = self._expect("number")
-            return -_parse_number(number.text)
-        raise ParseError(f"expected literal at position {token.position}, got {token.text!r}")
-
     # ---------------------------------------------------------------- SELECT
 
     def _parse_select(self) -> ast.Select:
@@ -329,19 +256,16 @@ class Parser:
         return ast.Select(items=tuple(items), source=source, where=where)
 
     def _parse_udf_source(self, name: str) -> ast.UDFCall:
-        """``f(literal or ?, ...)``: generated SQL passes only its plan, as
-        the one ``?``; a UDF reads its relations through loopback queries.
-        Nowhere else does ``?`` parse."""
+        """``f(?, ...)``: every argument is bound when the statement executes.
+        Generated SQL passes only its plan, as the one ``?``; a UDF reads its
+        relations through loopback queries.  Nowhere else does ``?`` parse."""
         self._expect("op", "(")
-        args: list[Any] = []
-        if not self._check("op", ")"):
-            while True:
-                if self._match("op", "?"):
-                    args.append(ast.Parameter())
-                else:
-                    args.append(self._parse_literal_value())
-                if not self._match("op", ","):
-                    break
+        args: list[ast.Parameter] = []
+        while not self._check("op", ")"):
+            if args:
+                self._expect("op", ",")
+            self._expect("op", "?")
+            args.append(ast.Parameter())
         self._expect("op", ")")
         return ast.UDFCall(name, tuple(args))
 
@@ -492,15 +416,6 @@ class Parser:
 
     def _parse_call(self, name: str) -> ast.Expression:
         self._expect("op", "(")
-        upper = name.upper()
-        if upper in AGGREGATE_NAMES:
-            if upper == "COUNT" and self._match("op", "*"):
-                self._expect("op", ")")
-                return ast.Aggregate("COUNT", None)
-            argument = self._parse_expression()
-            self._expect("op", ")")
-            canonical = "STDDEV_SAMP" if upper == "STDDEV" else upper
-            return ast.Aggregate(canonical, argument)
         args: list[ast.Expression] = []
         if not self._check("op", ")"):
             while True:
@@ -508,7 +423,7 @@ class Parser:
                 if not self._match("op", ","):
                     break
         self._expect("op", ")")
-        return ast.FunctionCall(upper, tuple(args))
+        return ast.FunctionCall(name.upper(), tuple(args))
 
 
 def parse(sql: str) -> ast.Statement:

@@ -72,8 +72,9 @@ class Schema:
 class Table:
     """An immutable-by-convention columnar table.
 
-    Mutation happens only through :class:`~repro.engine.database.Database`
-    (INSERT appends); query operators always produce new tables.
+    A table is never changed in place: a node replaces a catalog entry
+    (:meth:`~repro.engine.database.Database.register_table`), and query
+    operators always produce new tables.
     """
 
     def __init__(self, schema: Schema, columns: Sequence[Column]) -> None:
@@ -97,10 +98,6 @@ class Table:
         self.memo: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------ build
-
-    @classmethod
-    def empty(cls, schema: Schema) -> "Table":
-        return cls(schema, [Column.empty(spec.sql_type) for spec in schema])
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Iterable[Sequence[Any]]) -> "Table":

@@ -42,7 +42,7 @@ class LoopbackConnection:
     """The ``_conn`` object visible inside a UDF body.
 
     Mirrors MonetDB's embedded-Python loopback API: ``execute`` returns a dict
-    of numpy arrays for SELECTs and None for DDL/DML.
+    of numpy arrays for a SELECT and None for a CREATE FUNCTION.
     """
 
     def __init__(self, database: "Database") -> None:

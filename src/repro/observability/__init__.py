@@ -6,8 +6,8 @@ Zero-dependency subsystem threaded through every layer of the reproduction
 - :mod:`repro.observability.trace` — nested spans per federated flow, with
   wall- and simulated-clock timestamps, exportable as JSON or Chrome
   trace-event format (``REPRO_TRACE=1`` enables the process tracer),
-- :mod:`repro.observability.metrics` — counters/histograms plus
-  collectors that re-expose the stack's existing private counters behind
+- :mod:`repro.observability.metrics` — collectors that re-expose the
+  stack's existing private counters (and the queue's latency histogram) behind
   ``registry.snapshot()`` / ``registry.render_prometheus()``; there is no
   process-wide registry: ``Federation.metrics_registry()`` builds one over
   the meters that federation owns,
@@ -32,12 +32,7 @@ from repro.observability.critical_path import (
     analyze_experiment,
 )
 from repro.observability.log import LOG_LEVEL_ENV, configure, get_logger
-from repro.observability.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    estimate_quantile,
-)
+from repro.observability.metrics import Histogram, MetricsRegistry, estimate_quantile
 from repro.observability.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.observability.slo import (
     BaselineStore,
@@ -74,7 +69,6 @@ __all__ = [
     "LOG_LEVEL_ENV",
     "configure",
     "get_logger",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "TRACE_ENV",

@@ -1,19 +1,20 @@
-"""A unified metrics registry: counters, histograms, collectors.
+"""A unified metrics registry over collectors, plus the one histogram.
 
 The registry is the one surface behind which every private ad-hoc counter in
 the stack — :class:`~repro.federation.transport.TransportStats`, the UDF
 plan cache's hit/miss counters, retry/failed-send totals, SMPC
 communication meters — is re-exposed
 without changing the objects themselves (existing test assertions keep
-working against the originals).  Live sources are absorbed through
-*collectors*: callables returning samples, evaluated at
+working against the originals).  It holds nothing but *collectors*:
+callables returning samples, evaluated at
 :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.render_prometheus`
-time, so reading metrics never adds work to the hot path.
+time, so reading metrics never adds work to the hot path.  Every meter
+belongs to the object that counts.
 
-Instruments follow the Prometheus data model: a ``Counter`` only goes up, a
-``Histogram`` observes values into fixed buckets
-(cumulative ``le`` semantics plus ``_sum``/``_count``).  All instruments
-accept labels as keyword arguments on the recording call.
+A :class:`Histogram` observes values into fixed buckets, following the
+Prometheus data model (cumulative ``le`` semantics plus ``_sum``/``_count``),
+with labels as keyword arguments on the recording call.  Its owner (the job
+queue's latency) hands its :meth:`Histogram.samples` to a collector.
 """
 
 from __future__ import annotations
@@ -32,52 +33,12 @@ def _label_key(labels: Mapping[str, Any]) -> tuple:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class _Instrument:
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = name
-        self.help = help_text
-        self._lock = threading.Lock()
-
-
-class Counter(_Instrument):
-    """Monotonically increasing total, optionally per label set."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        super().__init__(name, help_text)
-        self._values: dict[tuple, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def samples(self) -> list[Sample]:
-        with self._lock:
-            return [(self.name, dict(key), value) for key, value in self._values.items()]
-
-
-class Histogram(_Instrument):
+class Histogram:
     """Fixed-bucket histogram with cumulative (Prometheus ``le``) buckets."""
 
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Iterable[float] = _DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text)
+    def __init__(self, name: str, buckets: Iterable[float] = _DEFAULT_BUCKETS) -> None:
+        self.name = name
+        self._lock = threading.Lock()
         bounds = sorted(set(float(b) for b in buckets))
         if not bounds or bounds[-1] != float("inf"):
             bounds.append(float("inf"))
@@ -191,40 +152,11 @@ def estimate_quantile(
 
 
 class MetricsRegistry:
-    """Holds instruments plus collectors over live, externally-owned counters."""
+    """Collectors over live, externally-owned counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: dict[str, _Instrument] = {}
         self._collectors: list[Callable[[], Iterable[Sample]]] = []
-
-    # --------------------------------------------------------- registration
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help_text)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Iterable[float] = _DEFAULT_BUCKETS,
-    ) -> Histogram:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = Histogram(name, help_text, buckets)
-            elif not isinstance(instrument, Histogram):
-                raise ValueError(f"metric {name!r} already registered as {instrument.kind}")
-            return instrument
-
-    def _get_or_create(self, name: str, cls, help_text: str):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = cls(name, help_text)
-            elif not isinstance(instrument, cls):
-                raise ValueError(f"metric {name!r} already registered as {instrument.kind}")
-            return instrument
 
     def register_collector(self, collector: Callable[[], Iterable[Sample]]) -> None:
         """Absorb an external counter source, read lazily at snapshot time."""
@@ -233,14 +165,11 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- output
 
-    def _all_samples(self) -> list[tuple[str, str, str, list[Sample]]]:
-        """(name, kind, help, samples) per metric, collectors last."""
+    def _all_samples(self) -> list[tuple[str, str, list[Sample]]]:
+        """(name, kind, samples) per metric, in collector order."""
         with self._lock:
-            instruments = list(self._instruments.values())
             collectors = list(self._collectors)
-        out = [
-            (inst.name, inst.kind, inst.help, inst.samples()) for inst in instruments
-        ]
+        out = []
         for collector in collectors:
             grouped: dict[str, list[Sample]] = {}
             for sample in collector():
@@ -249,7 +178,7 @@ class MetricsRegistry:
                 # Collectors report bare samples; follow the Prometheus
                 # naming convention to type them (`*_total` is a counter).
                 kind = "counter" if name.endswith("_total") else "gauge"
-                out.append((name, kind, "", samples))
+                out.append((name, kind, samples))
         return out
 
     def snapshot(self) -> dict[str, Any]:
@@ -259,7 +188,7 @@ class MetricsRegistry:
         ``{"labels": ..., "value": ...}`` entries.
         """
         result: dict[str, Any] = {}
-        for name, _kind, _help, samples in self._all_samples():
+        for name, _kind, samples in self._all_samples():
             if len(samples) == 1 and not samples[0][1]:
                 result[name] = samples[0][2]
             else:
@@ -272,9 +201,7 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format."""
         lines: list[str] = []
-        for name, kind, help_text, samples in self._all_samples():
-            if help_text:
-                lines.append(f"# HELP {name} {help_text}")
+        for name, kind, samples in self._all_samples():
             lines.append(f"# TYPE {name} {kind}")
             for sample_name, labels, value in sorted(
                 samples, key=lambda s: (s[0], _label_key(s[1]))

@@ -88,7 +88,8 @@ class Relation:
         The relation and every array built from it live as long as
         ``table``.  Bind per-experiment tables only, as the worker does with
         its views: a catalog table bound directly (``SELECT *`` returns the
-        table itself) keeps its relation until an INSERT or DROP replaces it.
+        table itself) keeps its relation until ``register_table`` or
+        ``drop_table`` replaces it.
         """
         relation = table.memo.get(cls)
         if relation is None:

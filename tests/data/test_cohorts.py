@@ -82,7 +82,8 @@ class TestGeneratedShape:
         model = dementia_data_model()
         for code in ("lefthippocampus", "p_tau", "ab_42", "minimentalstate"):
             cde = model.cde(code)
-            values = cohort.column(code).non_null()
+            column = cohort.column(code)
+            values = column.values[~column.nulls]
             assert values.min() >= cde.min_value
             assert values.max() <= cde.max_value
 

@@ -35,9 +35,10 @@ class TestConstruction:
         assert col.to_list() == ["a", None]
 
     def test_empty(self):
-        col = Column.empty(SQLType.INT)
-        assert len(col) == 0
-        assert col.to_list() == []
+        for sql_type in SQLType:
+            col = Column.from_values(sql_type, [])
+            assert len(col) == 0
+            assert col.to_list() == []
 
     def test_ragged_mask_rejected(self):
         with pytest.raises(TypeMismatchError):
@@ -60,10 +61,6 @@ class TestAccess:
     def test_to_numpy_no_nulls_preserves_dtype(self):
         col = Column.from_values(SQLType.INT, [1, 2])
         assert col.to_numpy().dtype == np.int64
-
-    def test_non_null(self):
-        col = Column.from_values(SQLType.REAL, [1.0, None, 3.0])
-        assert list(col.non_null()) == [1.0, 3.0]
 
 
 class TestCombinators:

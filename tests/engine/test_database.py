@@ -1,13 +1,15 @@
-"""Database catalog and DDL/DML behaviour."""
+"""Database catalog and statement entry points."""
 
 import pytest
 
 from repro.engine.database import Database, table_from_arrays
 from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, TypeMismatchError
 
 import numpy as np
+
+ONE_INT = Schema([("a", SQLType.INT)])
 
 
 @pytest.fixture()
@@ -16,42 +18,41 @@ def db():
 
 
 class TestDDL:
+    """A node registers and drops its tables directly; no statement does."""
+
     def test_create_and_drop(self, db):
-        db.execute("CREATE TABLE t (a INT)")
+        db.register_table("t", Table.from_rows(ONE_INT, []))
         assert db.has_table("t")
-        db.execute("DROP TABLE t")
+        db.drop_table("t")
         assert not db.has_table("t")
 
     def test_create_duplicate_rejected(self, db):
-        db.execute("CREATE TABLE t (a INT)")
+        db.register_table("t", Table.from_rows(ONE_INT, []))
         with pytest.raises(CatalogError):
-            db.execute("CREATE TABLE t (a INT)")
-
-    def test_if_not_exists(self, db):
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("CREATE TABLE IF NOT EXISTS t (a INT)")  # no error
+            db.register_table("t", Table.from_rows(ONE_INT, []))
 
     def test_drop_missing(self, db):
         with pytest.raises(CatalogError):
-            db.execute("DROP TABLE nope")
-        db.execute("DROP TABLE IF EXISTS nope")  # no error
+            db.drop_table("nope")
+        db.drop_table("nope", if_exists=True)  # no error
 
     def test_table_names(self, db):
-        db.execute("CREATE TABLE b (x INT)")
-        db.execute("CREATE TABLE a (x INT)")
+        db.register_table("b", Table.from_rows(ONE_INT, []))
+        db.register_table("a", Table.from_rows(ONE_INT, []))
         assert db.table_names() == ["a", "b"]
 
 
 class TestDML:
+    """Rows enter a table as a node loads it (``Table.from_rows``)."""
+
     def test_insert_and_query(self, db):
-        db.execute("CREATE TABLE t (a INT, b VARCHAR)")
-        db.execute("INSERT INTO t VALUES (1, 'x'), (2, NULL)")
+        schema = Schema([("a", SQLType.INT), ("b", SQLType.VARCHAR)])
+        db.register_table("t", Table.from_rows(schema, [(1, "x"), (2, None)]))
         assert db.query("SELECT * FROM t").to_rows() == [(1, "x"), (2, None)]
 
-    def test_insert_wrong_arity(self, db):
-        db.execute("CREATE TABLE t (a INT, b INT)")
-        with pytest.raises(Exception):
-            db.execute("INSERT INTO t VALUES (1)")
+    def test_insert_wrong_arity(self):
+        with pytest.raises(TypeMismatchError):
+            Table.from_rows(Schema([("a", SQLType.INT), ("b", SQLType.INT)]), [(1,)])
 
 
 class TestDirectAPI:
@@ -68,14 +69,13 @@ class TestDirectAPI:
         db.register_table("direct", table, replace=True)
 
     def test_scalar_shape_checked(self, db):
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.register_table("t", Table.from_rows(ONE_INT, [(1,), (2,)]))
         with pytest.raises(ExecutionError):
             db.scalar("SELECT a FROM t")
 
     def test_query_requires_rows(self, db):
         with pytest.raises(ExecutionError):
-            db.query("CREATE TABLE t (a INT)")
+            db.query("CREATE FUNCTION f() RETURNS TABLE(v INT) LANGUAGE PYTHON { return 1 }")
 
     def test_table_from_arrays_infers_types(self):
         table = table_from_arrays(

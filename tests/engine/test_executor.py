@@ -1,21 +1,29 @@
-"""Query execution: projections, filters, aggregation, NULL semantics."""
+"""Query execution: projections, filters, NULL semantics."""
 
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.table import Schema, Table
+from repro.engine.types import SQLType
 from repro.errors import ExecutionError, TypeMismatchError
 
 
 @pytest.fixture()
 def db():
     database = Database()
-    database.execute("CREATE TABLE t (a INT, b REAL, c VARCHAR, d BOOL)")
-    database.execute(
-        "INSERT INTO t VALUES "
-        "(1, 1.5, 'x', TRUE), (2, NULL, 'y', FALSE), "
-        "(3, 3.5, NULL, TRUE), (4, 4.5, 'x', NULL)"
-    )
+    schema = Schema([
+        ("a", SQLType.INT), ("b", SQLType.REAL), ("c", SQLType.VARCHAR), ("d", SQLType.BOOL),
+    ])
+    database.register_table("t", Table.from_rows(schema, [
+        (1, 1.5, "x", True), (2, None, "y", False), (3, 3.5, None, True), (4, 4.5, "x", None),
+    ]))
     return database
+
+
+def _labels(db, name, labels):
+    """Register ``name`` as one VARCHAR column ``n`` holding ``labels``."""
+    schema = Schema([("n", SQLType.VARCHAR)])
+    db.register_table(name, Table.from_rows(schema, [(label,) for label in labels]))
 
 
 class TestProjection:
@@ -91,41 +99,19 @@ class TestWhere:
 
     def test_a_filter_on_a_column_named_left(self):
         """The words of statements the engine does not parse (JOIN, ORDER
-        BY, ...) are not reserved: a column may be called ``left``."""
+        BY, INSERT ... VALUES, DROP ... IF EXISTS) are not reserved: a
+        column may be called ``left`` or ``values``."""
         database = Database()
-        database.execute("CREATE TABLE s (left INT, order INT, desc INT)")
-        database.execute("INSERT INTO s VALUES (1, 2, 3), (4, 5, 6)")
-        rows = database.query("SELECT order FROM s WHERE left = 1 AND desc > 0")
-        assert rows.to_rows() == [(2,)]
-
-
-class TestAggregation:
-    def test_plain_aggregates(self, db):
-        row = db.query(
-            "SELECT COUNT(*) AS n, COUNT(b) AS nb, SUM(a) AS s, AVG(b) AS m, "
-            "MIN(a) AS lo, MAX(a) AS hi FROM t"
-        ).to_rows()[0]
-        assert row == (4, 3, 10, pytest.approx(19 / 6), 1, 4)
-
-    def test_stddev(self, db):
-        value = db.scalar("SELECT STDDEV(a) FROM t")
-        assert value == pytest.approx(1.29099, abs=1e-4)
-
-    def test_aggregate_over_empty_is_null(self, db):
-        row = db.query("SELECT SUM(a) AS s, COUNT(*) AS n FROM t WHERE a > 99").to_rows()
-        assert row == [(None, 0)]
-
-    @pytest.mark.parametrize("sql", [
-        "SELECT SUM(a) + COUNT(*) FROM t",
-        "SELECT c, COUNT(*) FROM t",
-        "SELECT COUNT(*), a + 1 FROM t WHERE a > 1",
-    ])
-    def test_an_item_that_is_not_one_bare_aggregate_is_rejected(self, db, sql):
-        with pytest.raises(ExecutionError, match="aggregate"):
-            db.query(sql)
-
-    def test_avg_ignores_nulls(self, db):
-        assert db.scalar("SELECT AVG(b) FROM t") == pytest.approx((1.5 + 3.5 + 4.5) / 3)
+        names = ("left", "order", "desc", "values", "exists", "drop")
+        database.register_table("s", Table.from_rows(
+            Schema([(name, SQLType.INT) for name in names]),
+            [(1, 2, 3, 4, 5, 6), (4, 5, 6, 7, 8, None)],
+        ))
+        rows = database.query(
+            "SELECT order, values FROM s "
+            "WHERE left = 1 AND desc > 0 AND exists < 6 AND drop IS NOT NULL"
+        )
+        assert rows.to_rows() == [(2, 4)]
 
 
 class TestColumnResolution:
@@ -146,30 +132,25 @@ class TestColumnResolution:
 
 class TestLike:
     def test_prefix_and_suffix(self, db):
-        db.execute("CREATE TABLE names (n VARCHAR)")
-        db.execute("INSERT INTO names VALUES ('lefthippocampus'), "
-                   "('righthippocampus'), ('brainstem'), (NULL)")
+        _labels(db, "names", ["lefthippocampus", "righthippocampus", "brainstem", None])
         rows = db.query("SELECT n FROM names WHERE n LIKE '%hippocampus'").to_rows()
         assert len(rows) == 2
         rows = db.query("SELECT n FROM names WHERE n LIKE 'left%'").to_rows()
         assert rows == [("lefthippocampus",)]
 
     def test_underscore_single_character(self, db):
-        db.execute("CREATE TABLE codes (c VARCHAR)")
-        db.execute("INSERT INTO codes VALUES ('ab1'), ('ab22'), ('ab3')")
-        rows = db.query("SELECT c FROM codes WHERE c LIKE 'ab_'").to_rows()
+        _labels(db, "codes", ["ab1", "ab22", "ab3"])
+        rows = db.query("SELECT n FROM codes WHERE n LIKE 'ab_'").to_rows()
         assert {r[0] for r in rows} == {"ab1", "ab3"}
 
     def test_not_like_excludes_nulls(self, db):
-        db.execute("CREATE TABLE names2 (n VARCHAR)")
-        db.execute("INSERT INTO names2 VALUES ('x'), (NULL)")
+        _labels(db, "names2", ["x", None])
         rows = db.query("SELECT n FROM names2 WHERE n NOT LIKE 'y%'").to_rows()
         assert rows == [("x",)]  # NULL LIKE anything is NULL -> filtered
 
     def test_regex_metacharacters_are_literal(self, db):
-        db.execute("CREATE TABLE weird (w VARCHAR)")
-        db.execute("INSERT INTO weird VALUES ('a.b'), ('axb')")
-        rows = db.query("SELECT w FROM weird WHERE w LIKE 'a.b'").to_rows()
+        _labels(db, "weird", ["a.b", "axb"])
+        rows = db.query("SELECT n FROM weird WHERE n LIKE 'a.b'").to_rows()
         assert rows == [("a.b",)]
 
     def test_like_on_numeric_rejected(self, db):

@@ -1,11 +1,10 @@
-"""Scalar and aggregate function coverage."""
+"""Scalar function coverage."""
 
 import numpy as np
 import pytest
 
-from repro.engine.column import Column
 from repro.engine.database import Database
-from repro.engine.functions import aggregate, aggregate_result_type
+from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
 from repro.errors import ExecutionError, TypeMismatchError
 
@@ -13,10 +12,10 @@ from repro.errors import ExecutionError, TypeMismatchError
 @pytest.fixture()
 def db():
     database = Database()
-    database.execute("CREATE TABLE t (x REAL, s VARCHAR)")
-    database.execute(
-        "INSERT INTO t VALUES (4.0, ' pad '), (-2.25, 'Beta'), (NULL, NULL), (100.0, 'alpha')"
-    )
+    schema = Schema([("x", SQLType.REAL), ("s", SQLType.VARCHAR)])
+    database.register_table("t", Table.from_rows(schema, [
+        (4.0, " pad "), (-2.25, "Beta"), (None, None), (100.0, "alpha"),
+    ]))
     return database
 
 
@@ -65,30 +64,3 @@ class TestScalarFunctions:
             db.query("SELECT SQRT(s) FROM t")
         with pytest.raises(TypeMismatchError):
             db.query("SELECT UPPER(x) FROM t")
-
-
-class TestAggregateFunctions:
-    def test_varchar_min_max(self, db):
-        row = db.query("SELECT MIN(s) AS lo, MAX(s) AS hi FROM t").to_rows()[0]
-        assert row == (" pad ", "alpha")  # lexicographic: space < uppercase < lowercase
-
-    def test_var_samp(self, db):
-        value = db.scalar("SELECT VAR_SAMP(x) FROM t")
-        data = np.array([4.0, -2.25, 100.0])
-        assert value == pytest.approx(data.var(ddof=1))
-
-    def test_stddev_single_value_is_null(self, db):
-        assert db.scalar("SELECT STDDEV(x) FROM t WHERE x = 4.0") is None
-
-    def test_unknown_aggregate_internal(self):
-        column = Column.from_values(SQLType.INT, [1])
-        with pytest.raises(ExecutionError):
-            aggregate("MEDIAN", column, 1)
-
-    def test_result_types(self):
-        assert aggregate_result_type("COUNT", None) == SQLType.INT
-        assert aggregate_result_type("SUM", SQLType.INT) == SQLType.INT
-        assert aggregate_result_type("AVG", SQLType.INT) == SQLType.REAL
-        assert aggregate_result_type("MIN", SQLType.VARCHAR) == SQLType.VARCHAR
-        with pytest.raises(ExecutionError):
-            aggregate_result_type("SUM", None)

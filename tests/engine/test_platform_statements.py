@@ -7,9 +7,9 @@ aggregation on the golden-plan federation, plus the dashboard request and
 one filtered request, and reduces each to its shape.  A flow that starts
 issuing a new shape fails here, so the change shows up as a test diff.
 
-The E7 bench issues the other kept shapes (``CREATE TABLE``, a SELECT of
-bare aggregates and ``DROP FUNCTION IF EXISTS``); the perf-gate lane runs
-it.  ``INSERT … VALUES`` stays for the tests that build tables with it.
+No other shape is kept: tables enter and leave the catalog through
+``Database.register_table`` / ``drop_table``, and a local step aggregates
+its view in its body.  The last test pins the deleted shapes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from repro.api.demo import DEMO_REQUESTS, demo_request
 from repro.core.experiment import ExperimentEngine, ExperimentRequest, ExperimentStatus
 from repro.engine import expressions as ast
 from repro.engine.database import Database
+from repro.engine.table import Schema, Table
+from repro.engine.types import SQLType
+from repro.errors import ExecutionError, ParseError
 from repro.federation.controller import FederationConfig, create_federation
 
 from tests.core.test_golden_digests import DASHBOARD
@@ -39,26 +42,12 @@ def shape(statement: ast.Statement) -> str:
     """A statement with its names and values abstracted away."""
     if isinstance(statement, ast.Select):
         return _select_shape(statement)
-    if isinstance(statement, ast.InsertValues):
-        return "INSERT INTO t VALUES (…)"
-    if isinstance(statement, ast.CreateTable):
-        return "CREATE TABLE IF NOT EXISTS" if statement.if_not_exists else "CREATE TABLE"
-    if isinstance(statement, ast.CreateFunction):
-        verb = "CREATE OR REPLACE" if statement.or_replace else "CREATE"
-        return f"{verb} FUNCTION … LANGUAGE PYTHON"
-    if isinstance(statement, (ast.DropFunction, ast.DropTable)):
-        kind = "FUNCTION" if isinstance(statement, ast.DropFunction) else "TABLE"
-        return f"DROP {kind}{' IF EXISTS' if statement.if_exists else ''}"
-    return type(statement).__name__
+    verb = "CREATE OR REPLACE" if statement.or_replace else "CREATE"
+    return f"{verb} FUNCTION … LANGUAGE PYTHON"
 
 
 def _select_shape(select: ast.Select) -> str:
-    if not select.items:
-        items = "*"
-    elif all(isinstance(item.expression, ast.Aggregate) for item in select.items):
-        items = "<bare aggregates>"
-    else:
-        items = "cols"
+    items = "cols" if select.items else "*"
     source = "t"
     if isinstance(select.source, ast.UDFCall):
         plan_only = select.source.literal_args == (ast.Parameter(),)
@@ -115,3 +104,23 @@ def test_the_platform_issues_exactly_the_kept_shapes(recorded):
         filter_sql="agevalue BETWEEN 60 AND 90 AND NOT (gender = 'F' OR p_tau IS NULL)",
     )
     assert recorded == PLATFORM_SHAPES
+
+
+@pytest.mark.parametrize("sql, error", [
+    ("CREATE TABLE t (a INT)", ParseError),
+    ("INSERT INTO t VALUES (1)", ParseError),
+    ("DROP TABLE t", ParseError),
+    ("DROP FUNCTION IF EXISTS f", ParseError),
+    ("SELECT COUNT(*) FROM t", ParseError),
+    ("SELECT COUNT(a) FROM t", ExecutionError),
+])
+def test_a_deleted_shape_fails(sql, error):
+    """Table DDL, rows written by SQL and aggregates fail, and the catalog
+    is untouched: an aggregate's name is an unknown function, every other
+    shape does not parse."""
+    database = Database()
+    database.register_table("t", Table.from_rows(Schema([("a", SQLType.INT)]), [(1,)]))
+    match = "unknown function: COUNT" if error is ExecutionError else None
+    with pytest.raises(error, match=match):
+        database.execute(sql)
+    assert database.table_names() == ["t"] and database.get_table("t").to_rows() == [(1,)]

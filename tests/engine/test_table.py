@@ -98,5 +98,7 @@ class TestTable:
             table.concat(other)
 
     def test_empty(self, schema):
-        assert Table.empty(schema).num_rows == 0
+        empty = Table.from_rows(schema, [])
+        assert empty.num_rows == 0
+        assert empty.to_dict() == {"a": [], "b": [], "c": []}
 

@@ -12,14 +12,19 @@ would make distinct integers compare equal.
 The VARCHAR column ``s`` is dictionary-coded and its predicates run once per
 label: string literals include ones absent from every dictionary, leaves
 include LIKE, and the tables also come as an all-NULL ``s`` and as two
-INSERTs with disjoint label sets.  The reference runs with
+loads with disjoint label sets.  The reference runs with
 ``case_sensitive_like`` on, as the engine's LIKE is.
+
+The engine runs no aggregating statement: a local step selects its view and
+reduces the rows in its body.  The ``ungrouped_aggregate`` shape does the
+same (:func:`_reduced`) and compares the result with SQLite's aggregates.
 """
 
 from __future__ import annotations
 
 import sqlite3
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 from repro.engine.database import Database
 from repro.engine.table import Schema, Table
 from repro.engine.types import SQLType
+from repro.udfgen.runtime import Relation
 
 from tests.conftest import EXAMPLE_SCALE
 
@@ -123,41 +129,52 @@ def _reference():
 
 
 def _inserted(rows):
-    """``t`` as two INSERTs whose ``s`` labels are disjoint: rows holding ''
-    or 'a' first, then the rest.  Each INSERT codes its own dictionary, and
-    the second merges into the first's."""
+    """``t`` loaded in two parts whose ``s`` labels are disjoint: rows
+    holding '' or 'a' first, then the rest, concatenated as a worker loads a
+    second dataset.  Each part codes its own dictionary, and the second
+    merges into the first's."""
     first = [row for row in rows if row[3] in ("", "a")]
     second = [row for row in rows if row[3] not in ("", "a")]
     engine = Database()
-    engine.execute(f"CREATE TABLE t {_COLUMNS}")
+    table = Table.from_rows(SCHEMA, first).concat(Table.from_rows(SCHEMA, second))
+    engine.register_table("t", table)
     reference = _reference()
     for part in (first, second):
-        if part:
-            values = ", ".join(f"({', '.join(map(_sql_literal, row))})" for row in part)
-            engine.execute(f"INSERT INTO t VALUES {values}")
         reference.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", part)
     return engine, reference
 
 
-def _sql_literal(value):
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, str):
-        return f"'{value}'"
-    return repr(value)
-
-
-def _agree(rows, sql, build=_both):
+def _agree(rows, shape, where, build=_both):
     engine, reference = build(rows)
     try:
-        expected = reference.execute(sql).fetchall()
+        expected = reference.execute(SHAPES[shape].format(w=where)).fetchall()
     finally:
         reference.close()
+    if shape == "ungrouped_aggregate":
+        actual = _reduced(engine.query(f"SELECT r, i, s FROM t WHERE {where}"))
+    else:
+        actual = engine.query(SHAPES[shape].format(w=where)).to_rows()
     # bool == int and int == float in Python, so tuples compare across the
     # two engines' scalar types without normalising.
-    assert engine.query(sql).to_rows() == expected, sql
+    assert actual == expected, (shape, where)
+
+
+def _reduced(view: Table) -> list[tuple]:
+    """SQLite's aggregate row, computed as a local step computes it: numpy
+    over the relation its body is handed, where NULL reads as NaN (or None)."""
+    data = Relation.of(view)
+    r, i = data["r"], data["i"]
+    r = r[~np.isnan(r)]
+    i = i[~np.isnan(i)]
+    labels = [label for label in data["s"] if label is not None]
+    return [(
+        len(data),
+        len(r),
+        i.sum() if len(i) else None,
+        r.min() if len(r) else None,
+        max(labels) if labels else None,
+        r.mean() if len(r) else None,
+    )]
 
 
 SHAPES = {
@@ -174,7 +191,7 @@ SHAPES = {
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
 @given(rows=rows_strategy, where=where_strategy)
 def test_select_matches_sqlite(shape, rows, where):
-    _agree(rows, SHAPES[shape].format(w=where))
+    _agree(rows, shape, where)
 
 
 ROWS = [
@@ -217,14 +234,14 @@ ROWS = [
 ])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_pinned_predicates(shape, where):
-    _agree(ROWS, SHAPES[shape].format(w=where))
+    _agree(ROWS, shape, where)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
 @given(rows=rows_strategy, where=where_strategy)
 def test_select_matches_sqlite_after_inserts_from_disjoint_sources(shape, rows, where):
-    _agree(rows, SHAPES[shape].format(w=where), build=_inserted)
+    _agree(rows, shape, where, build=_inserted)
 
 
 ALL_NULL_S = [(k, r, i, None, b, g) for k, r, i, _s, b, g in ROWS]
@@ -237,4 +254,4 @@ ALL_NULL_S = [(k, r, i, None, b, g) for k, r, i, _s, b, g in ROWS]
 ])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_all_null_varchar_column(shape, where):
-    _agree(ALL_NULL_S, SHAPES[shape].format(w=where))
+    _agree(ALL_NULL_S, shape, where)

@@ -37,7 +37,7 @@ class TestRoundtrip:
 
     def test_empty_table(self):
         schema = Schema([("v", SQLType.REAL)])
-        restored = table_from_payload(table_to_payload(Table.empty(schema)))
+        restored = table_from_payload(table_to_payload(Table.from_rows(schema, [])))
         assert restored.num_rows == 0
         assert restored.schema == schema
 
@@ -66,7 +66,7 @@ class TestAdversarialEdges:
     """Payload shapes a hostile or future peer could put on the wire."""
 
     def test_empty_mixed_table_round_trip(self):
-        restored = table_from_payload(table_to_payload(Table.empty(MIXED_SCHEMA)))
+        restored = table_from_payload(table_to_payload(Table.from_rows(MIXED_SCHEMA, [])))
         assert restored.num_rows == 0
         assert restored.schema == MIXED_SCHEMA
         assert payload_elements(table_to_payload(restored)) == 0

@@ -1,10 +1,10 @@
-"""The unified metrics registry: instruments, collectors, renderers."""
+"""The unified metrics registry (collectors, renderers) and the histogram."""
 
 import json
 
 import pytest
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Histogram, MetricsRegistry
 
 
 @pytest.fixture
@@ -12,37 +12,9 @@ def registry():
     return MetricsRegistry()
 
 
-class TestCounter:
-    def test_inc_and_value(self, registry):
-        counter = registry.counter("jobs_total", "help")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value() == 3.5
-
-    def test_labels_track_separately(self, registry):
-        counter = registry.counter("sends_total")
-        counter.inc(receiver="a")
-        counter.inc(receiver="a")
-        counter.inc(receiver="b")
-        assert counter.value(receiver="a") == 2
-        assert counter.value(receiver="b") == 1
-
-    def test_rejects_negative(self, registry):
-        with pytest.raises(ValueError):
-            registry.counter("c").inc(-1)
-
-    def test_get_or_create_returns_same_instrument(self, registry):
-        assert registry.counter("c") is registry.counter("c")
-
-    def test_kind_conflict(self, registry):
-        registry.counter("thing")
-        with pytest.raises(ValueError):
-            registry.histogram("thing")
-
-
 class TestHistogram:
-    def test_cumulative_buckets(self, registry):
-        hist = registry.histogram("latency", buckets=(0.1, 1.0))
+    def test_cumulative_buckets(self):
+        hist = Histogram("latency", buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 0.7, 5.0):
             hist.observe(value)
         snap = hist.snapshot_one()
@@ -53,8 +25,9 @@ class TestHistogram:
         assert snap["sum"] == pytest.approx(6.25)
 
     def test_prometheus_samples_carry_le_label(self, registry):
-        hist = registry.histogram("h", buckets=(1.0,))
+        hist = Histogram("h", buckets=(1.0,))
         hist.observe(0.5)
+        registry.register_collector(hist.samples)
         text = registry.render_prometheus()
         assert 'h_bucket{le="1.0"} 1' in text
         assert 'h_bucket{le="+Inf"} 1' in text
@@ -87,35 +60,35 @@ class TestCollectors:
 
 class TestRenderers:
     def test_prometheus_text_format(self, registry):
-        counter = registry.counter("requests_total", "Requests seen")
-        counter.inc(3, code="200")
+        registry.register_collector(lambda: [("requests_total", {"code": "200"}, 3.0)])
+        registry.register_collector(lambda: [("queue_depth", {}, 2.0)])
         text = registry.render_prometheus()
-        assert "# HELP requests_total Requests seen" in text
         assert "# TYPE requests_total counter" in text
+        assert "# TYPE queue_depth gauge" in text
         assert 'requests_total{code="200"} 3' in text
         assert text.endswith("\n")
 
     def test_label_escaping(self, registry):
-        registry.counter("c").inc(1, path='a"b\\c')
+        registry.register_collector(lambda: [("c_total", {"path": 'a"b\\c'}, 1.0)])
         text = registry.render_prometheus()
         assert 'path="a\\"b\\\\c"' in text
 
     def test_render_json_round_trips(self, registry):
-        registry.counter("g").inc(1.5)
+        registry.register_collector(lambda: [("g", {}, 1.5)])
         assert json.loads(registry.render_json())["g"] == 1.5
 
     def test_unlabeled_single_sample_is_scalar(self, registry):
-        registry.counter("plain").inc(4)
+        registry.register_collector(lambda: [("plain", {}, 4.0)])
         assert registry.snapshot()["plain"] == 4
 
 
 class TestHistogramQuantiles:
-    def test_empty_histogram_returns_none(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 2.0))
+    def test_empty_histogram_returns_none(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
         assert hist.quantile(0.5) is None
 
-    def test_single_observation_interpolates_within_bucket(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 2.0))
+    def test_single_observation_interpolates_within_bucket(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
         hist.observe(1.5)
         # One observation in (1, 2]: every quantile lands in that bucket,
         # linearly interpolated from its lower edge.
@@ -123,14 +96,14 @@ class TestHistogramQuantiles:
         assert hist.quantile(0.5) == pytest.approx(1.5)
         assert hist.quantile(1.0) == pytest.approx(2.0)
 
-    def test_first_bucket_lower_edge_is_zero(self, registry):
-        hist = registry.histogram("h", buckets=(10.0,))
+    def test_first_bucket_lower_edge_is_zero(self):
+        hist = Histogram("h", buckets=(10.0,))
         hist.observe(3.0)
         # PromQL convention: first finite bucket spans [0, upper].
         assert hist.quantile(0.5) == pytest.approx(5.0)
 
-    def test_quantile_at_exact_bucket_edge(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 2.0, 4.0))
+    def test_quantile_at_exact_bucket_edge(self):
+        hist = Histogram("h", buckets=(1.0, 2.0, 4.0))
         for value in (0.5, 1.5, 3.0, 3.5):
             hist.observe(value)
         # rank(0.25) == cumulative count of the first bucket: the estimate
@@ -138,8 +111,8 @@ class TestHistogramQuantiles:
         assert hist.quantile(0.25) == pytest.approx(1.0)
         assert hist.quantile(0.5) == pytest.approx(2.0)
 
-    def test_all_mass_in_overflow_reports_highest_finite_bound(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 5.0))
+    def test_all_mass_in_overflow_reports_highest_finite_bound(self):
+        hist = Histogram("h", buckets=(1.0, 5.0))
         hist.observe(100.0)
         hist.observe(200.0)
         assert hist.quantile(0.5) == pytest.approx(5.0)
@@ -150,22 +123,22 @@ class TestHistogramQuantiles:
 
         assert estimate_quantile((float("inf"),), [3], 0.5) is None
 
-    def test_labels_partition_observations(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 2.0))
+    def test_labels_partition_observations(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
         hist.observe(0.5, op="read")
         hist.observe(1.5, op="write")
         assert hist.quantile(0.5, op="read") == pytest.approx(0.5)
         assert hist.quantile(0.5, op="write") == pytest.approx(1.5)
         assert hist.quantile(0.5, op="missing") is None
 
-    def test_quantile_out_of_range_rejected(self, registry):
-        hist = registry.histogram("h")
+    def test_quantile_out_of_range_rejected(self):
+        hist = Histogram("h")
         hist.observe(1.0)
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
-    def test_nan_observation_keeps_inf_bucket_consistent(self, registry):
-        hist = registry.histogram("h", buckets=(1.0,))
+    def test_nan_observation_keeps_inf_bucket_consistent(self):
+        hist = Histogram("h", buckets=(1.0,))
         hist.observe(0.5)
         hist.observe(float("nan"))
         snap = hist.snapshot_one()
@@ -174,8 +147,8 @@ class TestHistogramQuantiles:
         assert snap["buckets"]["+Inf"] == snap["count"] == 2
         assert snap["buckets"][1.0] == 1
 
-    def test_inf_observation_lands_in_overflow(self, registry):
-        hist = registry.histogram("h", buckets=(1.0,))
+    def test_inf_observation_lands_in_overflow(self):
+        hist = Histogram("h", buckets=(1.0,))
         hist.observe(float("inf"))
         snap = hist.snapshot_one()
         assert snap["buckets"]["+Inf"] == snap["count"] == 1

@@ -241,10 +241,10 @@ class TestPrivacyEndToEnd:
             y=["lefthippocampus"], x=["agevalue"],
         )
         assert result.status.value == "success"
-        raw_values = set(
-            federation.workers["h1"].database.get_table("data_dementia")
-            .column("lefthippocampus").non_null().tolist()
+        column = federation.workers["h1"].database.get_table("data_dementia").column(
+            "lefthippocampus"
         )
+        raw_values = set(column.values[~column.nulls].tolist())
         for kind, payload, response in captured:
             blob = repr(payload) + repr(response)
             # no more than a couple of raw values may coincide by chance

@@ -7,7 +7,6 @@ output reaches the next as a live Python object.
 import numpy as np
 import pytest
 
-from repro.engine.database import Database
 from repro.errors import UDFError
 from repro.udfgen import (
     FusionStep,
@@ -41,14 +40,6 @@ def fusion_square(previous, power):
 @udf(previous=transfer(), return_type=[transfer()])
 def fusion_reduce(previous):
     return {"total": float(np.asarray(previous["matrix"]).sum())}
-
-
-@pytest.fixture()
-def db():
-    database = Database()
-    database.execute("CREATE TABLE numbers (a REAL, b REAL)")
-    database.execute("INSERT INTO numbers VALUES (1.0, 2.0), (3.0, 4.0)")
-    return database
 
 
 class TestFusion:

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine.database import Database
 from repro.errors import UDFError
 from repro.udfgen.decorators import get_spec, udf
 from repro.udfgen.generator import (
@@ -47,14 +46,6 @@ def echo_literal(value):
 def mark_literal(value):
     value["marks"].append(len(value["marks"]))
     return {"marks": value["marks"]}
-
-
-@pytest.fixture()
-def db():
-    database = Database()
-    database.execute("CREATE TABLE numbers (a REAL, b REAL)")
-    database.execute("INSERT INTO numbers VALUES (1.0, 2.0), (3.0, 4.0)")
-    return database
 
 
 class TestTableArg:

@@ -16,7 +16,6 @@ from repro import (
     create_federation,
     generate_cohort,
 )
-from repro.engine.database import Database
 from repro.udfgen.decorators import get_spec, udf
 from repro.udfgen.generator import (
     UDFPlanCache,
@@ -31,14 +30,6 @@ from repro.udfgen.runtime import deserialize_transfer
 def plan_fit(data, factor):
     total = float(data.to_matrix().sum())
     return {"scaled": total * factor}
-
-
-@pytest.fixture()
-def db():
-    database = Database()
-    database.execute("CREATE TABLE numbers (a REAL, b REAL)")
-    database.execute("INSERT INTO numbers VALUES (1.0, 2.0), (3.0, 4.0)")
-    return database
 
 
 @pytest.fixture()

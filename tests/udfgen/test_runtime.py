@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.table import Schema, Table
+from repro.engine.types import SQLType
 from repro.errors import UDFError
 from repro.udfgen.runtime import (
     Relation,
@@ -34,8 +36,8 @@ class TestRelation:
 
     def test_a_catalog_table_keeps_its_relation_until_it_is_replaced(self):
         database = Database()
-        database.execute("CREATE TABLE t (x REAL)")
-        database.execute("INSERT INTO t VALUES (1.0), (2.0)")
+        schema = Schema([("x", SQLType.REAL)])
+        database.register_table("t", Table.from_rows(schema, [(1.0,), (2.0,)]))
         first = Relation.of(database.query("SELECT * FROM t"))
         matrix = first.to_matrix(["x"])
         # Bound directly, the catalog table holds both until it is replaced.
@@ -43,7 +45,9 @@ class TestRelation:
         assert first.to_matrix(["x"]) is matrix
         relation_ref, matrix_ref = weakref.ref(first), weakref.ref(matrix)
         del first, matrix
-        database.execute("INSERT INTO t VALUES (3.0)")
+        database.register_table(
+            "t", Table.from_rows(schema, [(1.0,), (2.0,), (3.0,)]), replace=True
+        )
         assert relation_ref() is None and matrix_ref() is None
         assert Relation.of(database.query("SELECT * FROM t")).to_matrix(["x"]).tolist() == [
             [1.0], [2.0], [3.0],
