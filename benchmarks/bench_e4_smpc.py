@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.smpc.cluster import SMPCCluster
+from repro.smpc.field import FieldVector
+from repro.smpc.protocol import ShamirProtocol
 
 from benchmarks.conftest import write_report
 
@@ -117,14 +119,25 @@ def test_report_ft_vs_shamir():
     assert all(r > 1.0 for r in ratios)
 
 
+def beaver_levels(width: int) -> int:
+    """Beaver levels of one ``width``-bit comparison, counted from the rounds
+    a lone Shamir ``ltz`` takes (one of them is the masked open)."""
+    protocol = ShamirProtocol(3, seed=1)
+    x = protocol.input_vector(FieldVector([1]))
+    before = protocol.meter.rounds
+    protocol.ltz(x, width)
+    return protocol.meter.rounds - before - 1
+
+
 def test_report_comparison_heavy_ops():
     lines = [
         "E4b — comparison-heavy operations (secure element-wise min, 2 inputs)",
         "",
         f"{'vector':>8}{'bound':>7}{'scheme':>16}{'cpu (s)':>10}{'modeled (s)':>13}"
-        f"{'rounds':>8}{'elements':>10}{'triples':>9}{'rand bits':>11}",
+        f"{'rounds':>8}{'elements':>10}{'triples':>9}{'rand bits':>11}{'bit prods':>11}",
     ]
     rounds: dict[tuple[str, float | None], int] = {}
+    per_value: dict[float | None, tuple[float, ...]] = {}
     for size, bound in ((1, None), (16, None), (64, None), (16, 2000.0)):
         for scheme in ("shamir", "full_threshold"):
             start = time.perf_counter()
@@ -133,25 +146,39 @@ def test_report_comparison_heavy_ops():
             usage = cluster.offline_usage
             meter = cluster.communication
             rounds[scheme, bound] = meter.rounds
+            counts = (usage.random_bits, usage.bit_products, usage.mask_integers, usage.triples)
+            per_value[bound] = tuple(count / size for count in counts)
             lines.append(
                 f"{size:>8}{'-' if bound is None else f'{bound:g}':>7}{scheme:>16}"
                 f"{elapsed:>10.4f}{modeled_seconds(cluster, elapsed):>13.4f}"
                 f"{meter.rounds:>8}{meter.elements:>10}{usage.triples:>9}{usage.random_bits:>11}"
+                f"{usage.bit_products:>11}"
             )
     ft, shamir = rounds["full_threshold", None], rounds["shamir", None]
+    # one dealt bit per compared bit: the run's own width
+    full_bits, full_products, full_highs, full_triples = per_value[None]
+    bounded_bits, bounded_products, bounded_highs, _ = per_value[2000.0]
     lines.append("")
+    lines.append("rounds do not depend on the vector length: one masked open plus one")
     lines.append(
-        "rounds do not depend on the vector length: one masked open plus one"
+        "fused Beaver open per carry-tree level after the first, which is linear"
     )
     lines.append(
-        "fused Beaver open per carry-tree level (7 levels for 82 bits); "
+        f"({beaver_levels(int(full_bits))} Beaver levels for {full_bits:g} bits); "
         f"FT/Shamir = {ft}/{shamir} = {ft / shamir:.2f}x"
     )
     lines.append(
-        "a declared bound |x| <= 2000 narrows the comparison to 29 bits "
-        "(5 levels, 69 random bits per value)"
+        f"per compared value the dealer deals {full_bits:g} mask bits, {full_products:g} "
+        f"bit-pair products and {full_highs:g} high integer; {full_triples:g} triples"
     )
-    lines.append("min/max consume offline material (comparison bits + triples);")
+    lines.append(
+        f"a declared bound |x| <= 2000 narrows the comparison to {bounded_bits:g} bits"
+    )
+    lines.append(
+        f"({beaver_levels(int(bounded_bits))} Beaver levels; {bounded_bits:g} mask bits, "
+        f"{bounded_products:g} products and {bounded_highs:g} high integer per value)"
+    )
+    lines.append("min/max consume offline material (comparison masks + triples);")
     lines.append("sums are linear and consume none — matching the paper's note that")
     lines.append("SMPC overhead concentrates in multiplications/comparisons.")
     write_report("e4b_smpc_comparisons", lines)
@@ -160,5 +187,7 @@ def test_report_comparison_heavy_ops():
     assert sum_cluster.offline_usage.triples == 0
     assert min_cluster.offline_usage.triples > 0
     assert shamir < ft <= 40
+    # the first carry level is dealt, not multiplied online (155 before)
+    assert full_bits == 82 and full_triples <= 80
     for scheme in ("shamir", "full_threshold"):
         assert rounds[scheme, 2000.0] < rounds[scheme, None]

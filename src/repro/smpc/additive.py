@@ -192,9 +192,36 @@ def concat(parts: Sequence[AdditiveShared]) -> AdditiveShared:
     )
 
 
-def row_dot(a: AdditiveShared, row_length: int, weights: Sequence[int], start: int = 0) -> AdditiveShared:
-    """Per-row public-weight combination of a flat shared matrix (local)."""
+def add_mask(
+    x: AdditiveShared, bits: AdditiveShared, high: AdditiveShared, low_bits: int
+) -> AdditiveShared:
+    """The sharing of ``x + r`` for a dealt comparison mask (local; MACs
+    follow): :func:`field.add_mask` on every share and MAC share."""
     return AdditiveShared(
-        [field.row_dot(s, row_length, weights, start) for s in a.shares],
-        [field.row_dot(m, row_length, weights, start) for m in a.macs],
+        [field.add_mask(*parts, low_bits) for parts in zip(x.shares, bits.shares, high.shares)],
+        [field.add_mask(*parts, low_bits) for parts in zip(x.macs, bits.macs, high.macs)],
+    )
+
+
+def pair_carries(
+    r_lo: AdditiveShared,
+    r_hi: AdditiveShared,
+    q: AdditiveShared,
+    codes: Sequence[int],
+    skip: int,
+    alpha_shares: Sequence[int],
+) -> tuple[AdditiveShared, AdditiveShared]:
+    """The first carry level of a comparison (:func:`field.pair_carries`):
+    party 0 carries the public constant, MAC share i carries alpha_i times it."""
+    values = [
+        field.pair_carries(lo, hi, qv, codes, int(p == 0), skip)
+        for p, (lo, hi, qv) in enumerate(zip(r_lo.shares, r_hi.shares, q.shares))
+    ]
+    macs = [
+        field.pair_carries(lo, hi, qv, codes, alpha_i, skip)
+        for lo, hi, qv, alpha_i in zip(r_lo.macs, r_hi.macs, q.macs, alpha_shares)
+    ]
+    return (
+        AdditiveShared([g for g, _ in values], [g for g, _ in macs]),
+        AdditiveShared([p for _, p in values], [p for _, p in macs]),
     )

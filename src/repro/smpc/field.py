@@ -10,14 +10,15 @@ A :class:`FieldVector` is a list of Python ints, each reduced mod p.  Every
 operation is one pass over that list; Python's bignums make the arithmetic
 exact, so a seeded run is reproducible element for element.  The vectors
 the platform builds are short — a few statistics per key, or a
-comparison's flat bit matrix of 122 elements per compared value — and the
-cost of a secure aggregate is the number of passes over them, each reduced
-mod p.  That is why the share-wise steps of the online protocols and the
-dealer are *fused* here: :func:`beaver_combine`, :func:`sub_concat`,
+comparison's dealt mask of 124 elements per compared value — and the cost
+of a secure aggregate is the number of passes over them, each reduced mod
+p.  That is why the share-wise steps of the online protocols and the dealer
+are *fused* here: :func:`beaver_combine`, :func:`sub_concat`,
 :func:`macs_match`, :func:`add_scaled`, :func:`select`,
-:func:`negate_where` and :func:`last_share` each do in one pass, with one
-reduction per element, what a chain of element-wise operations did in
-several.
+:func:`negate_where`, :func:`add_mask`, :func:`pair_carries` and
+:func:`last_share` each do
+in one pass, with one reduction per element, what a chain of element-wise
+operations did in several.
 """
 
 from __future__ import annotations
@@ -206,32 +207,6 @@ def linear_combination(scalars: Sequence[int], vectors: Sequence[FieldVector]) -
     return FieldVector._raw([value % PRIME for value in _column_sums(terms)])
 
 
-def row_dot(
-    matrix: FieldVector, row_length: int, weights: Sequence[int], start: int = 0
-) -> FieldVector:
-    """Per-row dot product of a flat row-major matrix with public weights.
-
-    ``matrix`` holds ``len(matrix) // row_length`` rows; row ``j`` yields
-    ``sum_i weights[i] * matrix[j * row_length + start + i]``.  This is how a
-    bitwise-shared random is assembled from the flat bit matrix: one linear
-    combination of the matrix's columns per party share.  Weights must be
-    canonical (in ``[0, p)``).
-    """
-    if row_length <= 0 or len(matrix) % row_length:
-        raise SMPCError("row_dot: matrix length is not a multiple of the row length")
-    stop = start + len(weights)
-    if not weights or start < 0 or stop > row_length:
-        raise SMPCError("row_dot: weights do not fit inside a row")
-    elements = matrix.elements
-    # Lazy reduction: at most row_length products below 2^254 per row.
-    return FieldVector._raw(
-        [
-            sum(map(operator.mul, elements[k + start : k + stop], weights)) % PRIME
-            for k in range(0, len(elements), row_length)
-        ]
-    )
-
-
 # ------------------------------------------------------------ fused share steps
 #
 # Each function below is one share-wise step of the online protocols or the
@@ -359,6 +334,66 @@ def negate_where(vector: FieldVector, bits: Sequence[int], offset: int = 0) -> F
     return FieldVector._raw(
         [(offset - v) % PRIME if bit else v for v, bit in zip(vector.elements, bits)]
     )
+
+
+def add_mask(x: FieldVector, bits: FieldVector, high: FieldVector, low_bits: int) -> FieldVector:
+    """``x + r`` for a dealt comparison mask ``r = sum_i 2^i r_i + 2^k·high``.
+
+    ``bits`` holds ``r``'s ``k = low_bits`` low bits as one block of
+    ``len(x)`` elements per bit, the even bits first, then the odd bits
+    (:class:`~repro.smpc.triples.ComparisonMask`); element ``j``'s bits are
+    the stride-``len(x)`` slice from ``j``.  One pass over the rows, with
+    lazy reduction: at most ``k + 2`` terms below 2^254 per element.
+    """
+    rows = len(x)
+    if len(bits) != rows * low_bits or len(high) != rows:
+        raise SMPCError(f"add_mask: a {low_bits}-bit mask does not fit {rows} rows")
+    weights = [1 << i for i in range(0, low_bits, 2)] + [1 << i for i in range(1, low_bits, 2)]
+    flat, shift = bits.elements, 1 << low_bits
+    return FieldVector._raw(
+        [
+            (value + sum(map(operator.mul, flat[j::rows], weights)) + shift * top) % PRIME
+            for j, (value, top) in enumerate(zip(x.elements, high.elements))
+        ]
+    )
+
+
+def pair_carries(
+    r_lo: FieldVector,
+    r_hi: FieldVector,
+    q: FieldVector,
+    codes: Sequence[int],
+    offset: int = 0,
+    skip: int = 0,
+) -> tuple[FieldVector, FieldVector]:
+    """The first carry level of a comparison against a public ``c``: the
+    combined ``(g, p)`` of each bit pair, linear in the shared bits.
+
+    ``r_lo``, ``r_hi`` and ``q = r_hi·r_lo`` are shares of a pair's mask
+    bits and their dealt product; ``codes`` holds ``2·c̄_hi + c̄_lo`` per
+    pair, with ``c̄ = 1 - c``.  Then ``g = c̄_hi r_hi + c̄_hi c̄_lo r_lo +
+    c̄_lo(1 - 2c̄_hi) q`` and ``p = c̄_hi c̄_lo + c̄_lo(1 - 2c̄_hi) r_hi +
+    c̄_hi(1 - 2c̄_lo) r_lo + (1 - 2c̄_hi)(1 - 2c̄_lo) q``: every coefficient
+    is 0 or ±1, so each code picks a sum.  The constant ``c̄_hi c̄_lo``
+    enters as ``offset`` (as in :func:`negate_where`).  ``p`` starts at
+    pair position ``skip``.
+    """
+    _check_lengths([r_lo, r_hi, q], "pair_carries")
+    _check_bits(q, codes)
+    offset %= PRIME
+    columns = [r_lo.elements, r_hi.elements, q.elements, codes]
+    g = [
+        0 if code == 0 else qv if code == 1 else hi if code == 2 else (hi + lo - qv) % PRIME
+        for lo, hi, qv, code in zip(*columns)
+    ]
+    p = [
+        qv if code == 0
+        else (hi - qv) % PRIME if code == 1
+        else (lo - qv) % PRIME if code == 2
+        else (offset - hi - lo + qv) % PRIME
+        for lo, hi, qv, code in zip(*(column[skip:] for column in columns))
+    ]
+    return FieldVector._raw(g), FieldVector._raw(p)
 
 
 def last_share(total: FieldVector, shares: Sequence[FieldVector], scalar: int = 1) -> FieldVector:

@@ -7,22 +7,25 @@ union — over their respective share representations.  A
 E4 benchmark derives the paper's FT-vs-Shamir cost ordering from it and from
 wall-clock time.
 
-Secure comparison uses the statistically-masked-open construction: to test
-``x < 0`` for |x| < 2^L, open ``c = x + 2^L + r`` where ``r`` is a shared
-random of L + kappa bits with bitwise sharings; then ``floor((c-r)/2^L) = C -
-R - u`` with ``C, c'`` public digits of ``c``, ``R`` the linear combination of
-r's high bits, and ``u = BitLT(c', r')``.  As in MP-SPDZ's ``less_than(k)``,
-the width L is an argument and kappa is fixed: a caller that knows a bound on
-its operands (:meth:`Protocol.comparison_width`) pays for that many bits, and
-one that does not pays for :attr:`Protocol.comparison_bits`.
+Secure comparison uses the statistically-masked-open construction of
+Catrina & de Hoogh (SCN 2010): to test ``x < 0`` for |x| < 2^L, open ``c = x
++ 2^L + r`` where ``r`` is a dealt random of L + kappa bits whose L low bits
+are shared bitwise; then ``floor((c-r)/2^L) = C - R - u`` with ``C, c'``
+public digits of ``c``, ``R = r >> L`` (dealt as one shared integer), and
+``u = BitLT(c', r')``.  As in MP-SPDZ's ``less_than(k)``, the width L is an
+argument and kappa is fixed: a caller that knows a bound on its operands
+(:meth:`Protocol.comparison_width`) pays for that many bits, and one that
+does not pays for :attr:`Protocol.comparison_bits`.
 
-Everything on that path is batched.  The dealer's bits for a whole operand
-vector stay one flat shared matrix (a row per element); ``r`` and ``R`` are
-one public-weight combination of its columns each; and BitLT combines the
-per-bit (generate, propagate) pairs with a log-depth carry tree — one Beaver
-multiplication over every node of a level — instead of a bit-by-bit chain.
-Min/max run as a pairwise tournament whose every level is one such
-comparison over all surviving pairs.
+Everything on that path is batched.  The dealer's mask for a whole operand
+vector is one :class:`~repro.smpc.triples.ComparisonMask` (a block of rows
+per bit); ``r`` is one public-weight combination of its blocks; and BitLT
+combines the per-bit (generate, propagate) pairs with a log-depth carry
+tree.  Its first level is linear — the dealer also deals the product of
+each adjacent bit pair — and every later level is one Beaver multiplication
+over all its nodes, instead of a bit-by-bit chain.  Min/max run as a
+pairwise tournament whose every level is one such comparison over all
+surviving pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.errors import SMPCError
 from repro.smpc import additive, shamir
 from repro.smpc.encoding import STATISTICAL_BITS, FixedPointEncoder
 from repro.smpc.field import PRIME, FieldVector, vector_sum
-from repro.smpc.triples import TrustedDealer
+from repro.smpc.triples import ComparisonMask, TrustedDealer
 
 S = TypeVar("S")
 
@@ -145,13 +148,14 @@ class Protocol(abc.ABC, Generic[S]):
         """The sharing of several shared vectors laid end to end."""
         return self._sharing.concat(parts)
 
-    def _row_dot(self, a: S, row_length: int, weights: Sequence[int], start: int = 0) -> S:
-        """Per-row public-weight combination of a flat shared matrix."""
-        return self._sharing.row_dot(a, row_length, weights, start)
+    @abc.abstractmethod
+    def _comparison_mask(self, rows: int, low_bits: int, mask_bits: int) -> ComparisonMask[S]:
+        """A dealer-supplied mask of ``mask_bits`` bits per row, split at
+        ``low_bits``."""
 
     @abc.abstractmethod
-    def _random_bits(self, count: int) -> S:
-        """Dealer-supplied shared random bits."""
+    def _pair_carries(self, r_lo: S, r_hi: S, q: S, codes: Sequence[int], skip: int) -> tuple[S, S]:
+        """The carry tree's linear first level (:func:`field.pair_carries`)."""
 
     @abc.abstractmethod
     def _triple(self, length: int):
@@ -182,8 +186,8 @@ class Protocol(abc.ABC, Generic[S]):
         Operands must be bounded: |x| < 2^bits.  ``bits`` defaults to
         :attr:`comparison_bits`, which holds for fixed-point encoded values
         and their pairwise differences.  The mask has ``bits`` +
-        STATISTICAL_BITS bits and BitLT runs over ``bits`` bits, so a
-        narrower bound buys fewer dealer bits and a shallower carry tree.
+        STATISTICAL_BITS bits and BitLT runs over its ``bits`` low bits, so
+        a narrower bound buys fewer dealt bits and a shallower carry tree.
         """
         L = self.comparison_bits if bits is None else bits
         if not 1 <= L <= self.comparison_bits:
@@ -210,48 +214,64 @@ class Protocol(abc.ABC, Generic[S]):
     def _shifted_floor(self, x: S, magnitude_bits: int, mask_bits: int, low_bits: int) -> S:
         """``floor((x + 2^magnitude_bits) / 2^low_bits)`` for |x| < 2^magnitude_bits.
 
-        Open ``c = x + 2^L + r`` under a bitwise-shared statistical mask
-        ``r`` of ``mask_bits`` bits; then ``floor((c - r) / 2^k) = (c >> k) -
-        (r >> k) - [c mod 2^k < r mod 2^k]``, share-linear except for the
-        BitLT.  The bits of every element's mask live in one flat shared
-        matrix, a row of ``mask_bits`` per element.
+        Open ``c = x + 2^L + r`` under a dealt statistical mask ``r`` of
+        ``mask_bits`` bits; then ``floor((c - r) / 2^k) = (c >> k) - (r >>
+        k) - [c mod 2^k < r mod 2^k]``, share-linear except for the BitLT.
+        ``r >> k`` is dealt as one shared integer, ``r mod 2^k`` bit by bit.
         """
         length = len(x)
-        bits = self._random_bits(length * mask_bits)
-        r = self._row_dot(bits, mask_bits, [1 << i for i in range(mask_bits)])
-        masked = self.add_public(self.add(x, r), _constant_vector(1 << magnitude_bits, length))
+        mask = self._comparison_mask(length, low_bits, mask_bits)
+        masked = self.add_public(
+            self._sharing.add_mask(x, mask.bits, mask.high, low_bits),
+            _constant_vector(1 << magnitude_bits, length),
+        )
         c_public = self.open(masked).elements
         step = 1 << low_bits
-        borrow = self._bit_lt([c % step for c in c_public], bits, mask_bits, low_bits)
-        r_high = self._row_dot(
-            bits, mask_bits, [1 << i for i in range(mask_bits - low_bits)], start=low_bits
-        )
+        borrow = self._bit_lt([c % step for c in c_public], mask, low_bits)
         return self.add_public(
-            self.scale(self.add(r_high, borrow), PRIME - 1),
+            self.scale(self.add(mask.high, borrow), PRIME - 1),
             FieldVector._raw([c // step for c in c_public]),
         )
 
-    def _bit_lt(self, public_values: list[int], bits: S, row_length: int, n_bits: int) -> S:
-        """[public < shared] over the low ``n_bits`` bits of each bit-matrix row.
+    def _bit_lt(self, public_values: list[int], mask: ComparisonMask[S], n_bits: int) -> S:
+        """[public < shared] over the ``n_bits`` dealt low bits of each mask.
 
         Bit ``i`` contributes a generate/propagate pair ``g_i = r_i (1 - c_i)``
         and ``p_i = 1 - (r_i xor c_i) = r_i xor (1 - c_i)``, both share-linear
-        because ``c`` is public: a select and a conditional negation.  A run
-        of bits compares as ``(g, p)_hi o (g, p)_lo =
-        (g_hi + p_hi g_lo, p_hi p_lo)``, which is associative, so adjacent
-        runs are combined pairwise: every level is ONE Beaver multiplication
-        over all its nodes and the depth is ceil(log2(n_bits)).  The run that
-        holds bit 0 is always a low operand, so its ``p`` is never consumed
-        and never computed.  Vectors are node-major: block ``k`` holds node
-        ``k`` of every element; ``p`` starts at node 1.
+        because ``c`` is public.  A run of bits compares as ``(g, p)_hi o
+        (g, p)_lo = (g_hi + p_hi g_lo, p_hi p_lo)``, which is associative, so
+        adjacent runs are combined pairwise.  The first level combines bits
+        ``2j + 1`` and ``2j``: its only products are ``r_{2j+1} r_{2j}``,
+        which the dealer dealt, so it is linear (:func:`field.pair_carries`);
+        an odd top bit stays a node of its own.  Every later level is ONE
+        Beaver multiplication over all its nodes, so the online depth is
+        ceil(log2(n_bits)) - 1.  The run that holds bit 0 is always a low
+        operand, so its ``p`` is never consumed and never computed.  Vectors
+        are node-major: block ``k`` holds node ``k`` of every element; ``p``
+        starts at node 1.
         """
         n = len(public_values)
-        nodes = n_bits
-        rows = np.arange(n) * row_length
-        r_bits = self._take(bits, (np.arange(nodes)[:, None] + rows).ravel())
-        not_c = [1 - ((v >> i) & 1) for i in range(nodes) for v in public_values]
-        g = self._sharing.select(r_bits, not_c)
-        p = self._xor_public(self._take(r_bits, slice(n, None)), not_c[n:])
+        pairs = n_bits // 2
+        nodes = n_bits - pairs  # after the first level
+        if n_bits % 2:
+            top = slice(pairs * n, nodes * n)  # the top bit is the last even bit
+            not_c = [1 - ((v >> (n_bits - 1)) & 1) for v in public_values]
+            r_top = self._take(mask.bits, top)
+            g_top = self._sharing.select(r_top, not_c)
+            if not pairs:
+                return g_top
+        # 2 (1 - c_{2j+1}) + (1 - c_{2j}) for every pair j, node-major.
+        codes = [3 - ((v >> shift) & 3) for shift in range(0, 2 * pairs, 2) for v in public_values]
+        g, p = self._pair_carries(
+            self._take(mask.bits, slice(0, pairs * n)),
+            self._take(mask.bits, slice(nodes * n, None)),
+            mask.products,
+            codes,
+            n,
+        )
+        if n_bits % 2:
+            g = self._concat([g, g_top])
+            p = self._concat([p, self._xor_public(r_top, not_c)])
         while nodes > 1:
             pairs = nodes // 2
             # at[k]: where node k sits in g; node k >= 1 sits at at[k - 1] in p.
@@ -383,8 +403,11 @@ class FTProtocol(Protocol[additive.AdditiveShared]):
             [vector_sum([inp.macs[p] for inp in inputs]) for p in range(self.n_parties)],
         )
 
-    def _random_bits(self, count: int) -> additive.AdditiveShared:
-        return self.dealer.additive_random_bits(count)
+    def _comparison_mask(self, rows, low_bits, mask_bits):
+        return self.dealer.additive_comparison_mask(rows, low_bits, mask_bits)
+
+    def _pair_carries(self, r_lo, r_hi, q, codes, skip):
+        return additive.pair_carries(r_lo, r_hi, q, codes, skip, self.dealer.alpha_shares)
 
     def _triple(self, length: int):
         return self.dealer.additive_triple(length)
@@ -445,8 +468,11 @@ class ShamirProtocol(Protocol[shamir.ShamirShared]):
             inputs[0].threshold,
         )
 
-    def _random_bits(self, count: int) -> shamir.ShamirShared:
-        return self.dealer.shamir_random_bits(count, self.threshold)
+    def _comparison_mask(self, rows, low_bits, mask_bits):
+        return self.dealer.shamir_comparison_mask(rows, low_bits, mask_bits, self.threshold)
+
+    def _pair_carries(self, r_lo, r_hi, q, codes, skip):
+        return shamir.pair_carries(r_lo, r_hi, q, codes, skip)
 
     def _triple(self, length: int):
         return self.dealer.shamir_triple(length, self.threshold)

@@ -199,10 +199,33 @@ def concat(parts: Sequence[ShamirShared]) -> ShamirShared:
     )
 
 
-def row_dot(a: ShamirShared, row_length: int, weights: Sequence[int], start: int = 0) -> ShamirShared:
-    """Per-row public-weight combination of a flat shared matrix (local)."""
+def add_mask(
+    x: ShamirShared, bits: ShamirShared, high: ShamirShared, low_bits: int
+) -> ShamirShared:
+    """The sharing of ``x + r`` for a dealt comparison mask (local):
+    :func:`field.add_mask` on every share."""
+    for part in (bits, high):
+        _check_compatible(x, part)
     return ShamirShared(
-        [field.row_dot(s, row_length, weights, start) for s in a.shares], a.threshold
+        [field.add_mask(*parts, low_bits) for parts in zip(x.shares, bits.shares, high.shares)],
+        x.threshold,
+    )
+
+
+def pair_carries(
+    r_lo: ShamirShared, r_hi: ShamirShared, q: ShamirShared, codes: Sequence[int], skip: int
+) -> tuple[ShamirShared, ShamirShared]:
+    """The first carry level of a comparison (:func:`field.pair_carries`);
+    every share carries the public constant."""
+    for part in (r_hi, q):
+        _check_compatible(r_lo, part)
+    carries = [
+        field.pair_carries(lo, hi, qv, codes, 1, skip)
+        for lo, hi, qv in zip(r_lo.shares, r_hi.shares, q.shares)
+    ]
+    return (
+        ShamirShared([g for g, _ in carries], r_lo.threshold),
+        ShamirShared([p for _, p in carries], r_lo.threshold),
     )
 
 

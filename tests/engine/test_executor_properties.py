@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import expressions as ast
@@ -19,8 +19,20 @@ from repro.engine.types import SQLType
 # ----------------------------------------------------------------- reference
 
 
+def finite_or_null(value):
+    """The engine renders a non-finite arithmetic result as NULL."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def reference_eval(expr: ast.Expression, row: dict):
-    """Scalar, three-valued-logic reference semantics."""
+    """Scalar, three-valued-logic reference semantics.
+
+    Every arithmetic node applies the engine's non-finite -> NULL rule, so an
+    overflow inside an expression is NULL where it happens (``1.0 / a IS
+    NULL`` is true for a subnormal ``a``), not only in the final value.
+    """
     if isinstance(expr, ast.Literal):
         return expr.value
     if isinstance(expr, ast.ColumnRef):
@@ -29,7 +41,7 @@ def reference_eval(expr: ast.Expression, row: dict):
         value = reference_eval(expr.operand, row)
         if expr.op == "NOT":
             return None if value is None else (not value)
-        return None if value is None else -value
+        return None if value is None else finite_or_null(-value)
     if isinstance(expr, ast.IsNull):
         value = reference_eval(expr.operand, row)
         return (value is not None) if expr.negated else (value is None)
@@ -52,13 +64,13 @@ def reference_eval(expr: ast.Expression, row: dict):
         if left is None or right is None:
             return None
         if op == "+":
-            return left + right
+            return finite_or_null(left + right)
         if op == "-":
-            return left - right
+            return finite_or_null(left - right)
         if op == "*":
-            return left * right
+            return finite_or_null(left * right)
         if op == "/":
-            return None if right == 0 else left / right
+            return None if right == 0 else finite_or_null(left / right)
         if op == "=":
             return left == right
         if op == "<>":
@@ -158,10 +170,6 @@ def test_arithmetic_matches_reference(expr, rows):
             expected = reference_eval(expr, {"a": a, "b": b})
         except OverflowError:
             continue
-        if expected is not None and (
-            isinstance(expected, float) and (math.isnan(expected) or math.isinf(expected))
-        ):
-            expected = None  # engine renders non-finite results as NULL
         assert close(column[index], expected), (
             f"row {index}: {expr} -> {column[index]} != {expected}"
         )
@@ -171,6 +179,13 @@ def test_arithmetic_matches_reference(expr, rows):
 @given(
     predicate=predicates(2),
     rows=st.lists(st.tuples(numbers, numbers), min_size=1, max_size=6),
+)
+@example(
+    # 1.0 / a overflows to inf, which the engine renders NULL
+    predicate=ast.UnaryOp(
+        "NOT", ast.IsNull(ast.BinaryOp("/", ast.Literal(1.0), ast.ColumnRef("a")))
+    ),
+    rows=[(2.225073858507203e-309, None)],
 )
 def test_where_matches_reference_filter(predicate, rows):
     database = Database()

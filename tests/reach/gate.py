@@ -34,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import CodeType
 from typing import Callable, Iterable
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -124,20 +125,26 @@ class Reach:
     which takes the ``spec`` of the UDF it applies; on each call of it the
     hook records the code of ``spec.func``.  Install it before the code
     under test is imported, so that module-level calls count.
+
+    Codes are held by identity: code objects compare by value, and two
+    functions with the same body on the same line of two files (the
+    ``n_parties`` properties of ``additive.py`` and ``shamir.py``) are
+    equal, so a set of codes would keep only the first of them to run.
     """
 
     def __init__(self, udf_entry: tuple[Path, str] = UDF_ENTRY) -> None:
-        self.codes: set = set()
-        self.udf_codes: set = set()
+        self.codes: dict[int, CodeType] = {}
+        self.udf_codes: dict[int, CodeType] = {}
         self._entry_file = str(udf_entry[0])
         self._entry_name = udf_entry[1]
 
     def _hook(self, frame, event, arg) -> None:
         if event == "call":
             code = frame.f_code
-            self.codes.add(code)
+            self.codes[id(code)] = code
             if code.co_name == self._entry_name and code.co_filename == self._entry_file:
-                self.udf_codes.add(frame.f_locals["spec"].func.__code__)
+                udf_code = frame.f_locals["spec"].func.__code__
+                self.udf_codes[id(udf_code)] = udf_code
 
     def __enter__(self) -> "Reach":
         self._previous = sys.getprofile(), threading.getprofile()
@@ -154,7 +161,7 @@ class Reach:
         prefix = str(src.resolve()) + "/"
         base = src.parent.resolve()
         keys = set()
-        for code in self.codes | self.udf_codes:
+        for code in [*self.codes.values(), *self.udf_codes.values()]:
             filename = code.co_filename
             if filename.startswith(prefix):
                 path = Path(filename).resolve().relative_to(base).as_posix()

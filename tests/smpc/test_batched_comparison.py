@@ -1,5 +1,6 @@
-"""The batched comparison path: flat bit-matrix LTZ with a log-depth carry
-tree, tournament min/max, and one protocol run per operation in the cluster.
+"""The batched comparison path: LTZ under a dealt mask with a log-depth
+carry tree, tournament min/max, and one protocol run per operation in the
+cluster.
 
 Every test runs under Shamir *and* full-threshold sharing; results are
 exact functions of the inputs, so there is no tolerance anywhere in this
@@ -40,6 +41,12 @@ def tree_widths(n_bits):
     return widths
 
 
+def ltz_opens(n_bits):
+    """One masked open, then one Beaver open per carry level after the first
+    (the first level is linear: the dealer deals the bit-pair products)."""
+    return 1 + max(len(tree_widths(n_bits)) - 2, 0)
+
+
 class TestLtzBoundaries:
     # comparison_bits = magnitude_bits + 2; the widths below give carry trees
     # with an odd node at several levels (82: 41, 21, 11, 3), at one level,
@@ -66,6 +73,45 @@ class TestLtzBoundaries:
         values = [(-1) ** i * (12345 + i) for i in range(length)]
         a, b = share_ints(protocol, values), share_ints(protocol, values)
         assert open_ints(protocol, protocol.ltz(protocol.sub(a, b))) == [0] * length
+
+
+class TestWidthSweep:
+    """Every width, so every first-level shape is covered: L = 1 (no pair),
+    L = 2 (one pair, no ``p``), odd L (an unpaired top bit) and even L."""
+
+    def test_ltz_is_exact_at_every_width(self, scheme):
+        protocol = SCHEMES[scheme](3, seed=5)
+        for bits in range(1, protocol.comparison_bits + 1):
+            top = (1 << bits) - 1
+            values = [-top, top, 0, -1]
+            opened = open_ints(protocol, protocol.ltz(share_ints(protocol, values), bits))
+            assert opened == [1, 0, 0, 1], bits
+
+    @pytest.mark.parametrize("fractional_bits", [2, 5, 8, 15, 17, 20])
+    def test_truncate_is_exact_for_odd_and_even_splits(self, scheme, fractional_bits):
+        protocol = SCHEMES[scheme](3, seed=fractional_bits)
+        bound = 1 << protocol.truncation_bits
+        values = [-bound + 1, bound - 1, -1, 0, (1 << fractional_bits) + 1]
+        truncated = protocol.truncate(share_ints(protocol, values), fractional_bits)
+        assert protocol.open(truncated).elements == [
+            (v >> fractional_bits) % PRIME for v in values
+        ]
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 29, 82])
+    def test_dealer_deals_bits_pair_products_and_one_high_part_per_value(self, scheme, bits):
+        protocol = SCHEMES[scheme](3, seed=1)
+        x = share_ints(protocol, [-3, 0, 1])
+        protocol.ltz(x, bits)
+        usage = protocol.dealer.usage
+        assert (usage.random_bits, usage.bit_products, usage.mask_integers) == (
+            3 * bits,
+            3 * (bits // 2),
+            3,
+        )
+        # two triples per pair of nodes, one fewer at the node holding bit 0,
+        # at every carry level after the first
+        widths = tree_widths(bits)[1:]
+        assert usage.triples == 3 * sum(2 * (w // 2) - 1 for w in widths if w > 1)
 
 
 class TestTruncate:
@@ -242,8 +288,9 @@ class TestTamperDetection:
         with pytest.raises(IntegrityError):
             protocol.mul(a, b)
 
-    # One ltz makes 1 masked open + one fused open per carry-tree level.
-    @pytest.mark.parametrize("target", range(1, 9))
+    # One ltz makes 1 masked open + one fused open per carry-tree level
+    # after the first (82 bits: 41, 21, 11, 6, 3, 2, 1 nodes, 6 Beaver levels).
+    @pytest.mark.parametrize("target", range(1, 8))
     @pytest.mark.parametrize("what", ["shares", "macs"])
     def test_every_open_inside_ltz_is_mac_checked(self, target, what):
         protocol = FTProtocol(3, seed=4)
@@ -253,11 +300,31 @@ class TestTamperDetection:
             protocol.ltz(x)
         assert tamper.calls == target
 
-    def test_clean_ltz_makes_eight_opens(self):
+    def test_clean_ltz_makes_seven_opens(self):
         protocol = FTProtocol(3, seed=4)
         tamper = _TamperingOpen(protocol, 0, "shares")
         protocol.ltz(share_ints(protocol, [-5, 7, 0]))
-        assert tamper.calls == 1 + len(tree_widths(protocol.comparison_bits)) - 1 == 8
+        assert tamper.calls == ltz_opens(protocol.comparison_bits) == 7
+
+    @pytest.mark.parametrize("what", ["shares", "macs"])
+    @pytest.mark.parametrize("bits", [4, 5, 82])
+    def test_a_tampered_pair_product_is_caught(self, what, bits):
+        """One party's share (or MAC share) of the top pair's dealt product
+        ``r_{2j+1}·r_{2j}`` (j >= 1) is off by one: it enters that pair's
+        ``p`` with coefficient ±1, and a later Beaver open of the carry tree
+        hands it to the MAC check."""
+        protocol = FTProtocol(3, seed=6)
+        deal = protocol.dealer.additive_comparison_mask
+
+        def tampered_deal(rows, low_bits, mask_bits):
+            mask = deal(rows, low_bits, mask_bits)
+            victim = getattr(mask.products, what)[1].elements
+            victim[-1] = (victim[-1] + 1) % PRIME  # the top pair of the last value
+            return mask
+
+        protocol.dealer.additive_comparison_mask = tampered_deal
+        with pytest.raises(IntegrityError):
+            protocol.ltz(share_ints(protocol, [-5, 7, 0]), bits)
 
 
 # ------------------------------------------------------------------ round cost
@@ -344,18 +411,20 @@ class TestNarrowLtz:
 
     @pytest.mark.parametrize("bits", [2, 5, 29])
     def test_narrow_ltz_opens_one_masked_value_plus_one_per_level(self, bits):
+        # 2 bits: one pair, no Beaver level; 5: 3, 2, 1 nodes; 29: 15, 8, 4, 2, 1.
         protocol = FTProtocol(3, seed=4)
         tamper = _TamperingOpen(protocol, 0, "shares")
         protocol.ltz(share_ints(protocol, [-1, 1, 0]), bits)
-        assert tamper.calls == 1 + len(tree_widths(bits)) - 1
+        assert tamper.calls == ltz_opens(bits) == {2: 1, 5: 3, 29: 5}[bits]
 
-    @pytest.mark.parametrize("target", range(1, 1 + len(tree_widths(5))))
+    # 9 bits: 5, 3, 2, 1 nodes after the linear first level (odd twice).
+    @pytest.mark.parametrize("target", range(1, 1 + ltz_opens(9)))
     def test_every_open_of_a_narrow_ltz_is_mac_checked(self, target):
         protocol = FTProtocol(3, seed=4)
         x = share_ints(protocol, [-5, 7, 0])
         tamper = _TamperingOpen(protocol, target, "macs")
         with pytest.raises(IntegrityError):
-            protocol.ltz(x, 5)
+            protocol.ltz(x, 9)
         assert tamper.calls == target
 
 

@@ -65,25 +65,6 @@ class TestFieldVector:
         assert (a + b).elements == (b + a).elements
 
 
-class TestRowDot:
-    def test_rejects_misfit_weights(self):
-        with pytest.raises(SMPCError):
-            field.row_dot(FieldVector([1, 2, 3]), 2, [1])
-        with pytest.raises(SMPCError):
-            field.row_dot(FieldVector([1, 2, 3, 4]), 2, [1, 1], start=1)
-
-    def test_a_bit_matrix_rebuilds_the_masks(self):
-        """The comparison protocol's shape: 122 power-of-two weights per row."""
-        rng = random.Random(3)
-        masks = [rng.getrandbits(122) for _ in range(5)]
-        bits = [(mask >> i) & 1 for mask in masks for i in range(122)]
-        weights = [1 << i for i in range(122)]
-        assert field.row_dot(FieldVector(bits), 122, weights).elements == masks
-        assert field.row_dot(FieldVector(bits), 122, weights[:40], start=82).elements == [
-            mask >> 82 for mask in masks
-        ]
-
-
 class TestRandomDraws:
     """Batched draws consume the seeded RNG exactly like the per-element
     ``rng.randrange`` loop they replace."""

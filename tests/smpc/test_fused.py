@@ -59,6 +59,28 @@ def negate_where_oracle(vector, bits, offset):
     return vector * signs + FieldVector(bits).scale(offset)
 
 
+def pair_carries_oracle(r_lo, r_hi, q, codes, offset, skip):
+    # the coefficient form of the first carry level, with public c̄ bits
+    hi = [code >> 1 for code in codes]
+    lo = [code & 1 for code in codes]
+
+    def public(values):
+        return FieldVector(values)
+
+    g = (
+        public(hi) * r_hi
+        + public([h * l for h, l in zip(hi, lo)]) * r_lo
+        + public([l * (1 - 2 * h) for h, l in zip(hi, lo)]) * q
+    )
+    p = (
+        public([h * l for h, l in zip(hi, lo)]).scale(offset)
+        + public([l * (1 - 2 * h) for h, l in zip(hi, lo)]) * r_hi
+        + public([h * (1 - 2 * l) for h, l in zip(hi, lo)]) * r_lo
+        + public([(1 - 2 * h) * (1 - 2 * l) for h, l in zip(hi, lo)]) * q
+    )
+    return g, p.take(slice(skip, None))
+
+
 def fold_sum(vectors):
     total = vectors[0]
     for vector in vectors[1:]:
@@ -154,6 +176,48 @@ def test_negate_where(case, offset):
 
 
 @SETTINGS
+@given(cases, st.integers(1, 9))
+def test_add_mask(case, low_bits):
+    x, high, *bits = draw_vectors(case, 2 + low_bits)
+    # blocks hold bits 0, 2, 4, ... then 1, 3, 5, ...
+    order = list(range(0, low_bits, 2)) + list(range(1, low_bits, 2))
+    expected = fold_sum(
+        [x, high.scale(1 << low_bits)] + [block.scale(1 << i) for i, block in zip(order, bits)]
+    )
+    flat = field.concat(bits)
+    assert field.add_mask(x, flat, high, low_bits).elements == expected.elements
+
+
+@SETTINGS
+@given(cases, scalars, st.integers(0, 8))
+def test_pair_carries(case, offset, skip):
+    r_lo, r_hi, q = draw_vectors(case, 3)
+    codes = [random.Random(case[1] + 2).randrange(4) for _ in range(case[0])]
+    skip = min(skip, case[0])
+    g, p = field.pair_carries(r_lo, r_hi, q, codes, offset, skip)
+    g_ref, p_ref = pair_carries_oracle(r_lo, r_hi, q, codes, offset, skip)
+    assert (g.elements, p.elements) == (g_ref.elements, p_ref.elements)
+
+
+def test_pair_carries_combine_two_bits():
+    """On bits, with ``q = r_hi·r_lo`` and the constant on this share, the
+    level equals ``(g_hi + p_hi g_lo, p_hi p_lo)`` of the two bits' own
+    ``g = r·c̄`` and ``p = r xor c̄``."""
+    combos = [(rl, rh, cl, ch) for rl in (0, 1) for rh in (0, 1) for cl in (0, 1) for ch in (0, 1)]
+    r_lo = FieldVector([rl for rl, _, _, _ in combos])
+    r_hi = FieldVector([rh for _, rh, _, _ in combos])
+    q = FieldVector([rl * rh for rl, rh, _, _ in combos])
+    codes = [2 * ch + cl for _, _, cl, ch in combos]
+    g, p = field.pair_carries(r_lo, r_hi, q, codes, offset=1)
+    expected_g, expected_p = [], []
+    for rl, rh, cl, ch in combos:
+        g_lo, p_lo, g_hi, p_hi = rl * cl, rl ^ cl, rh * ch, rh ^ ch
+        expected_g.append(g_hi + p_hi * g_lo)
+        expected_p.append(p_hi * p_lo)
+    assert (g.elements, p.elements) == (expected_g, expected_p)
+
+
+@SETTINGS
 @given(cases, st.integers(1, 3), scalars)
 def test_last_share(case, others, scalar):
     total, *shares = draw_vectors(case, 1 + others)
@@ -174,6 +238,10 @@ def test_length_mismatches_raise():
         lambda: field.add_scaled(short, long, 2),
         lambda: field.select(short, [1, 0, 1]),
         lambda: field.negate_where(short, [1], 1),
+        lambda: field.add_mask(short, FieldVector([1, 0, 1]), short, 2),
+        lambda: field.add_mask(short, FieldVector([1, 0, 1, 1]), long, 2),
+        lambda: field.pair_carries(short, short, long, [0, 1, 2]),
+        lambda: field.pair_carries(short, short, short, [0]),
         lambda: field.last_share(short, [long]),
         lambda: field.last_share(short, []),
     ):
